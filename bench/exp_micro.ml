@@ -231,8 +231,8 @@ let yield_ablation () =
   let n = 29 in
   let rows = ref [] in
   List.iter
-    (fun yield_between_steals ->
-      let pool = Abp.Pool.create ~processes:6 ~yield_between_steals () in
+    (fun yield_kind ->
+      let pool = Abp.Pool.create ~processes:6 ~yield_kind () in
       let t0 = Unix.gettimeofday () in
       let v = Abp.Pool.run pool (fun () -> Abp.Par.fib n) in
       let dt = Unix.gettimeofday () -. t0 in
@@ -240,12 +240,12 @@ let yield_ablation () =
       ignore v;
       rows :=
         [
-          (if yield_between_steals then "with yield" else "no yield");
+          (if yield_kind = Abp.Pool.No_yield then "no yield" else "with yield");
           Printf.sprintf "%.3f" dt;
           Common.i (Abp.Pool.steal_attempts pool);
         ]
         :: !rows)
-    [ true; false ];
+    [ Abp.Pool.Yield_local; Abp.Pool.No_yield ];
   Common.table ~header:[ "thief backoff"; "fib(29) seconds"; "steal attempts" ] (List.rev !rows);
   Common.note "Linux's fair scheduler is not an adversary, so wall-clock survives; the cost";
   Common.note "shows as ~2x more futile steal attempts - processor time burned by thieves";

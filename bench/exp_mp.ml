@@ -2,7 +2,7 @@
    against the real pool, validating T = O(T1/Pbar + Tinf*P/Pbar)
    (Theorems 10-12) on hardware.
 
-   Four sections:
+   Five sections:
 
    - fit: spin-trees of several depths (exact T1/Tinf by construction)
      plus fib, swept over duty-cycle grant levels.  Each run measures T
@@ -21,19 +21,14 @@
    - antagonist: background spinner domains instead of gates.  Their
      processor share is invisible to the controller, so these runs are
      reported but excluded from the fit.
-   - backends: the same duty-cycle tree sweep run per deque backend
-     (ABP vs the fence-free wsm multiplicity deque), each fitted
-     separately, so BENCH_mp records whether the steal-path fence
-     savings survive the kernel adversary — along with the wsm pool's
-     duplicate_steals count (duplicates the claim flag discarded).
-   - steal_volume: measured stolen_tasks on ungated tree/chain runs per
-     backend, normalized by the P*Tinf steal-count bound (the
+   - steal_volume: measured stolen_tasks on ungated tree/chain runs,
+     normalized by the P*Tinf steal-count bound (the
      work-stealing steal volume is O(P*Tinf) in expectation — the bound
      localized stealing preserves, Suksompong–Leiserson–Schardl).  The
      ratio is the empirical constant; full mode asserts it stays under
      a generous cap.
 
-   Emits machine-readable JSON (default BENCH_mp.json, schema abp-mp/3),
+   Emits machine-readable JSON (default BENCH_mp.json, schema abp-mp/4),
    then re-reads and schema-checks it, exiting nonzero on a malformed
    document or a failed acceptance check — CI relies on this:
 
@@ -137,7 +132,6 @@ type gated = {
   g_attempts : int;
   g_successes : int;
   g_tasks : int;
-  g_duplicates : int;
   g_result : int;
 }
 
@@ -151,11 +145,9 @@ let kernel_yield = function
    wall-clock shape stays close to the adversary's nominal pattern. *)
 let quantum () = if !smoke then 2e-3 else 4e-3
 
-let measure_gated ?(deque = Abp.Pool.Abp) ~label ~spec ~p ~yield ~seed f =
+let measure_gated ~label ~spec ~p ~yield ~seed f =
   let gate = Abp.Gate.create ~num_workers:p in
-  let pool =
-    Abp.Pool.create ~processes:p ~deque_impl:deque ~yield_kind:yield ~gate:(Abp.Gate.hook gate) ()
-  in
+  let pool = Abp.Pool.create ~processes:p ~yield_kind:yield ~gate:(Abp.Gate.hook gate) () in
   let rng = Abp.Rng.create ~seed:(Int64.of_int seed) () in
   let adv = Abp.Adversary_spec.parse ~num_processes:p ~rng spec in
   let c =
@@ -189,7 +181,6 @@ let measure_gated ?(deque = Abp.Pool.Abp) ~label ~spec ~p ~yield ~seed f =
     g_attempts = t.Abp.Trace.Counters.steal_attempts;
     g_successes = t.Abp.Trace.Counters.successful_steals;
     g_tasks = t.Abp.Trace.Counters.pushes;
-    g_duplicates = t.Abp.Trace.Counters.duplicate_steals;
     g_result = !value;
   }
 
@@ -352,79 +343,10 @@ let run_antagonist ips =
     [ 0; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Section 5: per-backend bound fit — ABP's CASing popTop vs the      *)
-(* fence-free wsm multiplicity deque, under the same duty adversary.  *)
-
-type backend_fit = {
-  b_deque : string;
-  b_c1 : float;
-  b_cinf : float;
-  b_r2 : float;
-  b_max_ratio : float;
-  b_duplicates : int;  (* summed duplicate_steals over the sweep *)
-  b_result : int;
-}
-
-let run_backends ips =
-  let p = 3 in
-  let target = if !smoke then 0.03 else 0.1 in
-  (* Two workloads with different span/work ratios, so the per-backend
-     design matrix has full rank (a single workload's columns are
-     proportional: tinf/t1 is constant across duty levels). *)
-  let d = if !smoke then 8 else 10 in
-  let nodes = (1 lsl (d + 1)) - 1 in
-  let iters = max 1 (int_of_float (target /. float_of_int nodes *. ips)) in
-  let tree () = spin_tree d iters in
-  let tree_t1 = measure_t1 tree in
-  let tree_tinf = tree_t1 *. (float_of_int (d + 1) /. float_of_int nodes) in
-  let links = int_of_float (target /. 2.0 *. ips) / max 1 iters in
-  let chain () = spin_chain links iters in
-  let chain_t1 = measure_t1 chain in
-  let workloads =
-    [ (tree, tree_t1, tree_tinf, 0); (chain, chain_t1, chain_t1, 1) ]
-  in
-  List.map
-    (fun (deque, name) ->
-      Printf.printf "  backend: %s...\n%!" name;
-      let duplicates = ref 0 and result = ref 0 in
-      let pts =
-        List.concat_map
-          (fun (f, t1, tinf, tag) ->
-            List.map
-              (fun duty ->
-                let g =
-                  measure_gated ~deque ~label:name ~spec:duty ~p ~yield:Abp.Pool.Yield_local
-                    ~seed:(13 + tag) f
-                in
-                duplicates := !duplicates + g.g_duplicates;
-                if tag = 0 then result := g.g_result;
-                let pbar = Float.max g.g_pbar 1e-6 in
-                (t1 /. pbar, tinf *. float_of_int p /. pbar, g.g_median))
-              (duties ()))
-          workloads
-      in
-      let fit = Abp.Regression.fit_two_term (Array.of_list pts) in
-      let ratio =
-        Abp.Regression.max_ratio
-          (Array.of_list (List.map (fun (w, s, t) -> (t, w +. s)) pts))
-      in
-      {
-        b_deque = name;
-        b_c1 = fit.Abp.Regression.c1;
-        b_cinf = fit.Abp.Regression.c2;
-        b_r2 = fit.Abp.Regression.r2;
-        b_max_ratio = ratio;
-        b_duplicates = !duplicates;
-        b_result = !result;
-      })
-    [ (Abp.Pool.Abp, "abp"); (Abp.Pool.Wsm, "wsm") ]
-
-(* ------------------------------------------------------------------ *)
-(* Section 6: steal-volume validation — measured stolen_tasks against *)
+(* Section 5: steal-volume validation — measured stolen_tasks against *)
 (* the O(P*Tinf) steal-count bound on the tree/chain corpus.          *)
 
 type steal_volume = {
-  sv_backend : string;
   sv_workload : string;
   sv_p : int;
   sv_tinf_nodes : int;  (* exact span in node units *)
@@ -454,36 +376,32 @@ let run_steal_volume ips =
       ("chain", (fun () -> spin_chain links iters), links + 1);
     ]
   in
-  List.concat_map
-    (fun (deque, name) ->
-      List.map
-        (fun (wname, f, tinf_nodes) ->
-          let pool = Abp.Pool.create ~processes:p ~deque_impl:deque () in
-          let result =
-            Fun.protect
-              ~finally:(fun () -> Abp.Pool.shutdown pool)
-              (fun () ->
-                let r = ref 0 in
-                for _ = 1 to !repeats do
-                  r := Abp.Pool.run pool f
-                done;
-                !r)
-          in
-          let t = Abp.Trace.Counters.sum (Abp.Pool.counters pool) in
-          let stolen = t.Abp.Trace.Counters.stolen_tasks in
-          {
-            sv_backend = name;
-            sv_workload = wname;
-            sv_p = p;
-            sv_tinf_nodes = tinf_nodes;
-            sv_stolen = stolen;
-            sv_ratio =
-              float_of_int stolen
-              /. (float_of_int p *. float_of_int tinf_nodes *. float_of_int !repeats);
-            sv_result = result;
-          })
-        workloads)
-    [ (Abp.Pool.Abp, "abp"); (Abp.Pool.Wsm, "wsm") ]
+  List.map
+    (fun (wname, f, tinf_nodes) ->
+      let pool = Abp.Pool.create ~processes:p () in
+      let result =
+        Fun.protect
+          ~finally:(fun () -> Abp.Pool.shutdown pool)
+          (fun () ->
+            let r = ref 0 in
+            for _ = 1 to !repeats do
+              r := Abp.Pool.run pool f
+            done;
+            !r)
+      in
+      let t = Abp.Trace.Counters.sum (Abp.Pool.counters pool) in
+      let stolen = t.Abp.Trace.Counters.stolen_tasks in
+      {
+        sv_workload = wname;
+        sv_p = p;
+        sv_tinf_nodes = tinf_nodes;
+        sv_stolen = stolen;
+        sv_ratio =
+          float_of_int stolen
+          /. (float_of_int p *. float_of_int tinf_nodes *. float_of_int !repeats);
+        sv_result = result;
+      })
+    workloads
 
 (* ------------------------------------------------------------------ *)
 (* Acceptance checks (the ISSUE's E29 criteria).                      *)
@@ -552,24 +470,6 @@ let check_yield = function
         fail "No_yield failed-steals/task %.1f not strictly above Yield_to_all %.1f" fn fa
   | _ -> fail "yield section expects exactly two runs"
 
-let check_backends = function
-  | [ abp; wsm ] ->
-      if abp.b_deque <> "abp" || wsm.b_deque <> "wsm" then
-        fail "backend rows out of order (%s, %s)" abp.b_deque wsm.b_deque;
-      if abp.b_result <> wsm.b_result then
-        fail "backends disagree on the workload result (%d vs %d)" abp.b_result wsm.b_result;
-      (* The ABP pool never takes the claim-discard path, so any nonzero
-         count there means the counter plumbing is wrong. *)
-      if abp.b_duplicates <> 0 then
-        fail "abp backend reported %d duplicate steals" abp.b_duplicates;
-      if wsm.b_duplicates < 0 then fail "negative duplicate_steals";
-      if not !smoke then begin
-        if wsm.b_c1 <= 0.0 then fail "wsm fit c1 = %.3f <= 0" wsm.b_c1;
-        if wsm.b_max_ratio > 20.0 then
-          fail "wsm backend exceeds 20x the unit-constant bound (max ratio %.2f)" wsm.b_max_ratio
-      end
-  | _ -> fail "backend section expects exactly two rows"
-
 let check_antagonist = function
   | [ base; loaded ] ->
       if base.a_result <> loaded.a_result then fail "antagonist changed the workload result";
@@ -578,30 +478,21 @@ let check_antagonist = function
   | _ -> fail "antagonist section expects exactly two runs"
 
 let check_steal_volume = function
-  | [ at; ac; wt; wc ] as rows ->
-      if at.sv_backend <> "abp" || at.sv_workload <> "tree" || ac.sv_workload <> "chain"
-         || wt.sv_backend <> "wsm" || wt.sv_workload <> "tree" || wc.sv_workload <> "chain"
-      then fail "steal_volume rows out of order";
-      if at.sv_result <> wt.sv_result then
-        fail "steal_volume backends disagree on the tree result (%d vs %d)" at.sv_result
-          wt.sv_result;
-      if ac.sv_result <> wc.sv_result then
-        fail "steal_volume backends disagree on the chain result (%d vs %d)" ac.sv_result
-          wc.sv_result;
+  | [ tree; chain ] as rows ->
+      if tree.sv_workload <> "tree" || chain.sv_workload <> "chain" then
+        fail "steal_volume rows out of order";
       List.iter
         (fun sv ->
-          if sv.sv_stolen < 0 then
-            fail "steal_volume %s/%s: negative stolen_tasks" sv.sv_backend sv.sv_workload;
-          if sv.sv_tinf_nodes < 1 then
-            fail "steal_volume %s/%s: degenerate Tinf" sv.sv_backend sv.sv_workload;
+          if sv.sv_stolen < 0 then fail "steal_volume %s: negative stolen_tasks" sv.sv_workload;
+          if sv.sv_tinf_nodes < 1 then fail "steal_volume %s: degenerate Tinf" sv.sv_workload;
           (* The O(P*Tinf) steal-count bound: the measured volume must sit
              under a generous constant times P*Tinf.  Asserted full-mode
              only — smoke trees are tiny and timing-noisy. *)
           if (not !smoke) && sv.sv_ratio > steal_ratio_cap then
-            fail "steal_volume %s/%s: stolen/(P*Tinf) = %.2f exceeds the %.0fx cap" sv.sv_backend
-              sv.sv_workload sv.sv_ratio steal_ratio_cap)
+            fail "steal_volume %s: stolen/(P*Tinf) = %.2f exceeds the %.0fx cap" sv.sv_workload
+              sv.sv_ratio steal_ratio_cap)
         rows
-  | _ -> fail "steal_volume section expects four rows (2 backends x 2 workloads)"
+  | _ -> fail "steal_volume section expects two rows (tree, chain)"
 
 (* ------------------------------------------------------------------ *)
 (* JSON out (hand-rolled: fixed ASCII keys, numbers only).            *)
@@ -617,30 +508,25 @@ let point_json pt =
 
 let gated_json g =
   Printf.sprintf
-    {|    {"label":"%s","adversary":"%s","yield":"%s","p":%d,"seconds":%s,"pbar":%.4f,"pbar_procs":%.4f,"quanta":%d,"gate_suspends":%d,"suspended_seconds":%s,"steal_attempts":%d,"successful_steals":%d,"tasks":%d,"failed_per_task":%.2f,"duplicate_steals":%d,"result":%d}|}
+    {|    {"label":"%s","adversary":"%s","yield":"%s","p":%d,"seconds":%s,"pbar":%.4f,"pbar_procs":%.4f,"quanta":%d,"gate_suspends":%d,"suspended_seconds":%s,"steal_attempts":%d,"successful_steals":%d,"tasks":%d,"failed_per_task":%.2f,"result":%d}|}
     g.g_label g.g_adversary g.g_yield g.g_p (f6 g.g_median) g.g_pbar g.g_pbar_procs g.g_quanta
     g.g_suspends (f6 g.g_suspended_s) g.g_attempts g.g_successes g.g_tasks (failed_per_task g)
-    g.g_duplicates g.g_result
+    g.g_result
 
 let antag_json a =
   Printf.sprintf {|    {"spinners":%d,"p":%d,"seconds":%s,"result":%d}|} a.a_spinners a.a_p
     (f6 a.a_seconds) a.a_result
 
-let backend_json b =
-  Printf.sprintf
-    {|    {"deque":"%s","c1":%.4f,"cinf":%.4f,"r2":%.4f,"max_ratio":%.3f,"duplicate_steals":%d,"result":%d}|}
-    b.b_deque b.b_c1 b.b_cinf b.b_r2 b.b_max_ratio b.b_duplicates b.b_result
-
 let steal_volume_json sv =
   Printf.sprintf
-    {|    {"deque":"%s","workload":"%s","p":%d,"tinf_nodes":%d,"stolen_tasks":%d,"steal_ratio":%.3f,"result":%d}|}
-    sv.sv_backend sv.sv_workload sv.sv_p sv.sv_tinf_nodes sv.sv_stolen sv.sv_ratio sv.sv_result
+    {|    {"workload":"%s","p":%d,"tinf_nodes":%d,"stolen_tasks":%d,"steal_ratio":%.3f,"result":%d}|}
+    sv.sv_workload sv.sv_p sv.sv_tinf_nodes sv.sv_stolen sv.sv_ratio sv.sv_result
 
-let to_json points fit ratio advs yields antags backends svs =
+let to_json points fit ratio advs yields antags svs =
   String.concat "\n"
     ([
        "{";
-       {|  "schema": "abp-mp/3",|};
+       {|  "schema": "abp-mp/4",|};
        Printf.sprintf {|  "mode": "%s",|} (if !smoke then "smoke" else "full");
        Printf.sprintf {|  "repeats": %d,|} !repeats;
        Printf.sprintf {|  "quantum_ms": %.3f,|} (quantum () *. 1e3);
@@ -655,8 +541,6 @@ let to_json points fit ratio advs yields antags backends svs =
     @ [ String.concat ",\n" (List.map gated_json yields) ]
     @ [ "  ],"; {|  "antagonist": [|} ]
     @ [ String.concat ",\n" (List.map antag_json antags) ]
-    @ [ "  ],"; {|  "backends": [|} ]
-    @ [ String.concat ",\n" (List.map backend_json backends) ]
     @ [ "  ],"; {|  "steal_volume": [|} ]
     @ [ String.concat ",\n" (List.map steal_volume_json svs) ]
     @ [ "  ]"; "}"; "" ])
@@ -676,7 +560,7 @@ let validate path =
   in
   let required =
     [
-      {|"schema": "abp-mp/3"|};
+      {|"schema": "abp-mp/4"|};
       {|"mode"|};
       {|"quantum_ms"|};
       {|"fit"|};
@@ -694,10 +578,6 @@ let validate path =
       {|"gate_suspends"|};
       {|"antagonist"|};
       {|"spinners"|};
-      {|"backends"|};
-      {|"deque":"abp"|};
-      {|"deque":"wsm"|};
-      {|"duplicate_steals"|};
       {|"steal_volume"|};
       {|"tinf_nodes"|};
       {|"stolen_tasks"|};
@@ -782,23 +662,14 @@ let () =
     (fun a -> Printf.printf "  antagonist %d spinners: T %.3fs\n" a.a_spinners a.a_seconds)
     antags;
   check_antagonist antags;
-  let backends = run_backends ips in
-  List.iter
-    (fun b ->
-      Printf.printf
-        "  backend %-4s c1 %.2f  cinf %.2f  r2 %.3f  max ratio %.2f  duplicate steals %d\n"
-        b.b_deque b.b_c1 b.b_cinf b.b_r2 b.b_max_ratio b.b_duplicates)
-    backends;
-  check_backends backends;
   let svs = run_steal_volume ips in
   List.iter
     (fun sv ->
-      Printf.printf "  steal volume %-4s %-5s P*Tinf %d  stolen %d  ratio %.2f\n" sv.sv_backend
-        sv.sv_workload (sv.sv_p * sv.sv_tinf_nodes) sv.sv_stolen sv.sv_ratio)
+      Printf.printf "  steal volume %-5s P*Tinf %d  stolen %d  ratio %.2f\n" sv.sv_workload (sv.sv_p * sv.sv_tinf_nodes) sv.sv_stolen sv.sv_ratio)
     svs;
   check_steal_volume svs;
   let oc = open_out !json_file in
-  output_string oc (to_json points fit ratio advs yields antags backends svs);
+  output_string oc (to_json points fit ratio advs yields antags svs);
   close_out oc;
   validate !json_file;
   Printf.printf "wrote %s (schema ok)\n" !json_file

@@ -15,7 +15,7 @@
    and the client-observed end-to-end latency distribution (p50 / p99
    via Abp.Descriptive.quantile), then emit machine-readable JSON
    (default BENCH_serve.json) with a stable schema, diffable build over
-   build like BENCH_throughput.json:
+   build:
 
      dune exec bench/exp_serve.exe                    # full run
      dune exec bench/exp_serve.exe -- --smoke         # CI smoke
@@ -167,8 +167,8 @@ let to_json cells comparisons =
     @ [ String.concat ",\n" (List.map comparison_json comparisons) ]
     @ [ "  ]"; "}"; "" ])
 
-(* Schema check on the written file, same discipline as E26: required
-   keys present, braces balanced, nonzero exit on failure. *)
+(* Schema check on the written file: required keys present, braces
+   balanced, nonzero exit on failure. *)
 let validate path =
   let ic = open_in path in
   let len = in_channel_length ic in

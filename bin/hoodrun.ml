@@ -48,15 +48,14 @@ let json_escape s =
     s;
   Buffer.contents b
 
-(* Machine-readable result record, one JSON object per run, consumed by
-   perf-trajectory tooling alongside bench/exp_throughput.exe. *)
+(* Machine-readable result record, one JSON object per run. *)
 let write_json file ~workload ~n ~p ~deque ~batch ~yield ~mp ~elapsed ~result ~attempts
-    ~successes ~stolen ~duplicates =
+    ~successes ~stolen =
   let oc = open_out file in
   Printf.fprintf oc
-    {|{"schema":"hoodrun/3","workload":"%s","n":%d,"p":%d,"deque":"%s","batch":%d,"yield":"%s","seconds":%.6f,"result":%d,"steal_attempts":%d,"successful_steals":%d,"stolen_tasks":%d,"duplicate_steals":%d|}
+    {|{"schema":"hoodrun/4","workload":"%s","n":%d,"p":%d,"deque":"%s","batch":%d,"yield":"%s","seconds":%.6f,"result":%d,"steal_attempts":%d,"successful_steals":%d,"stolen_tasks":%d|}
     (json_escape workload) n p (json_escape deque) batch (json_escape yield) elapsed result
-    attempts successes stolen duplicates;
+    attempts successes stolen;
   (match mp with
   | None -> ()
   | Some m ->
@@ -98,11 +97,10 @@ let run workload n p grain batch deque yield adversary quantum_ms antagonist see
     | "abp" -> Abp.Pool.Abp
     | "circular" -> Abp.Pool.Circular
     | "locked" -> Abp.Pool.Locked
-    | "wsm" -> Abp.Pool.Wsm
     | other ->
         (* A clean one-liner, not an Invalid_argument rendering through
            fatal_guard: name the offender and the valid choices. *)
-        Printf.eprintf "hoodrun: unknown deque %S (valid: abp, circular, locked, wsm)\n%!" other;
+        Printf.eprintf "hoodrun: unknown deque %S (valid: abp, circular, locked)\n%!" other;
         exit 1
   in
   let yield_kind = make_yield yield in
@@ -205,8 +203,7 @@ let run workload n p grain batch deque yield adversary quantum_ms antagonist see
       write_json file ~workload ~n ~p ~deque ~batch ~yield ~mp ~elapsed ~result
         ~attempts:(Abp.Pool.steal_attempts pool)
         ~successes:(Abp.Pool.successful_steals pool)
-        ~stolen:totals.Abp.Trace.Counters.stolen_tasks
-        ~duplicates:totals.Abp.Trace.Counters.duplicate_steals;
+        ~stolen:totals.Abp.Trace.Counters.stolen_tasks;
       Format.printf "json result written to %s@." file)
     json_file;
   match (sink, trace_file) with
@@ -237,7 +234,7 @@ let cmd =
                 native on circular/locked, degrades to single steals on abp)")
   in
   let deque =
-    Arg.(value & opt string "abp" & info [ "deque" ] ~doc:"abp|circular|locked|wsm")
+    Arg.(value & opt string "abp" & info [ "deque" ] ~doc:"abp|circular|locked")
   in
   let yield =
     Arg.(

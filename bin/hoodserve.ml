@@ -60,8 +60,7 @@ let json_lane ~(ls : Abp.Serve.lane_stats) ~latency =
    dependency, schema-stamped for the CI artifact check. *)
 let write_json file ~p ~shards ~affinity ~clients ~requests ~fib ~await_depth ~backend_ms
     ~use_lanes ~lane_share ~open_loop ~arrival ~rate ~shed ~elapsed ~throughput
-    ~(st : Abp.Serve.stats) ~conserved ~cross ~fiber ~routes ~depths ~lane_json ~deadline_misses
-    ~elastic ~min_shards ~max_shards ~active_shards ~supervisor_json ~resizes_json =
+    ~(st : Abp.Serve.stats) ~conserved ~cross ~fiber ~routes ~depths ~lane_json ~deadline_misses =
   let cross_polls, cross_steals, cross_tasks = cross in
   let suspensions, resumes, suspended_peak = fiber in
   let int_array a =
@@ -69,15 +68,14 @@ let write_json file ~p ~shards ~affinity ~clients ~requests ~fib ~await_depth ~b
   in
   let oc = open_out file in
   Printf.fprintf oc
-    {|{"schema":"hoodserve/4","p":%d,"shards":%d,"affinity":"%s","clients":%d,"requests":%d,"fib":%d,"await_depth":%d,"backend_ms":%.3f,"lanes":%b,"lane_share":%.3f,"open_loop":%b,"arrival":"%s","rate_rps":%.1f,"shed":%d,"elapsed_s":%.6f,"throughput_rps":%.1f,"accepted":%d,"completed":%d,"rejected":%d,"cancelled":%d,"exceptions":%d,"suspended":%d,"conserved":%b,"deadline_misses":%d,"cross_polls":%d,"cross_shard_steals":%d,"cross_stolen_tasks":%d,"suspensions":%d,"resumes":%d,"suspended_peak":%d,"elastic":%b,"min_shards":%d,"max_shards":%d,"active_shards":%d,"supervisor":%s,"resize_events":%s,"route_counts":%s,"inbox_depths":%s,"lane_latency":%s}|}
+    {|{"schema":"hoodserve/5","p":%d,"shards":%d,"affinity":"%s","clients":%d,"requests":%d,"fib":%d,"await_depth":%d,"backend_ms":%.3f,"lanes":%b,"lane_share":%.3f,"open_loop":%b,"arrival":"%s","rate_rps":%.1f,"shed":%d,"elapsed_s":%.6f,"throughput_rps":%.1f,"accepted":%d,"completed":%d,"rejected":%d,"cancelled":%d,"exceptions":%d,"suspended":%d,"conserved":%b,"deadline_misses":%d,"cross_polls":%d,"cross_shard_steals":%d,"cross_stolen_tasks":%d,"suspensions":%d,"resumes":%d,"suspended_peak":%d,"route_counts":%s,"inbox_depths":%s,"lane_latency":%s}|}
     p shards (affinity_name affinity) clients requests fib await_depth backend_ms use_lanes
     lane_share open_loop
     (if open_loop then arrival_name arrival else "closed")
     rate shed elapsed throughput st.Abp.Serve.accepted st.Abp.Serve.completed
     st.Abp.Serve.rejected st.Abp.Serve.cancelled st.Abp.Serve.exceptions st.Abp.Serve.suspended
     conserved deadline_misses cross_polls cross_steals cross_tasks suspensions resumes
-    suspended_peak elastic min_shards max_shards active_shards supervisor_json resizes_json
-    (int_array routes) (int_array depths) lane_json;
+    suspended_peak (int_array routes) (int_array depths) lane_json;
   output_char oc '\n';
   close_out oc
 
@@ -103,29 +101,11 @@ let on_dwell_s = 0.010
 let off_dwell_s = 0.020
 
 let run p shards affinity clients requests fib await_depth backend_ms inbox batch deadline
-    use_lanes lane_share open_loop arrival rate elastic min_shards max_shards tick_ms high_depth
-    low_depth up_after down_after trace_file json_file =
+    use_lanes lane_share open_loop arrival rate trace_file json_file =
  fatal_guard "hoodserve" @@ fun () ->
   if clients < 1 then raise (Invalid_argument "clients >= 1 required");
   if shards < 1 then raise (Invalid_argument "shards >= 1 required");
   if shards > 256 then raise (Invalid_argument "shards <= 256 required");
-  (* Elastic mode builds the topology at --max-shards (all pools exist
-     up front; the supervisor toggles routing-table membership within
-     [--min-shards, --max-shards]). *)
-  let max_shards = Option.value max_shards ~default:shards in
-  let shards = if elastic then max_shards else shards in
-  if elastic then begin
-    if max_shards < 1 || max_shards > 256 then
-      raise (Invalid_argument "max-shards in [1,256] required");
-    if min_shards < 1 || min_shards > max_shards then
-      raise (Invalid_argument "min-shards in [1,max-shards] required");
-    if tick_ms <= 0.0 || tick_ms > 1000.0 then
-      raise (Invalid_argument "tick-ms in (0,1000] required");
-    if low_depth < 0.0 || high_depth <= low_depth then
-      raise (Invalid_argument "need 0 <= low-depth < high-depth");
-    if up_after < 1 || down_after < 1 then
-      raise (Invalid_argument "up-after/down-after >= 1 required")
-  end;
   if await_depth < 0 || await_depth > 64 then
     raise (Invalid_argument "await-depth in [0,64] required");
   if backend_ms < 0.0 || backend_ms > 1000.0 then
@@ -142,24 +122,6 @@ let run p shards affinity clients requests fib await_depth backend_ms inbox batc
       trace_file
   in
   let s = Abp.Shard.create ~processes:p ~inbox_capacity:inbox ~batch ?traces:sinks ~shards () in
-  let sup =
-    if not elastic then None
-    else begin
-      let policy =
-        {
-          Abp.Supervisor.tick_s = tick_ms /. 1000.0;
-          high_depth;
-          low_depth;
-          up_after;
-          down_after;
-          cooldown_ticks = 4;
-        }
-      in
-      let sup = Abp.Supervisor.create ~policy ~min_shards ~max_shards s in
-      Abp.Supervisor.start sup;
-      Some sup
-    end
-  in
   (* With --await-depth > 0 each request suspends on a simulated
      downstream backend between compute slices: the body awaits a
      promise fulfilled by an external backend domain ~backend_ms later,
@@ -232,10 +194,6 @@ let run p shards affinity clients requests fib await_depth backend_ms inbox batc
   in
   Array.iter Domain.join ds;
   let arrivals_done = Abp.Clock.now () in
-  (* Stop the control plane before the topology starts closing: a
-     mid-drain resize would refuse anyway, stopping first keeps the
-     drain prompt. *)
-  Option.iter Abp.Supervisor.stop sup;
   let st = Abp.Shard.drain s in
   Option.iter Abp.Backend.stop backend;
   if open_loop then Atomic.set completed st.Abp.Serve.completed;
@@ -278,21 +236,6 @@ let run p shards affinity clients requests fib await_depth backend_ms inbox batc
     + (Abp.Shard.lane_stats s Abp.Serve.Deadline).Abp.Serve.lane_misses
   in
   if deadline_misses > 0 then Format.printf "deadline misses: %d@." deadline_misses;
-  (match sup with
-  | Some sup ->
-      Format.printf "supervisor: %d ticks, %d up / %d down, %d migrated, %d shards active@."
-        (Abp.Supervisor.ticks sup)
-        (Abp.Supervisor.scale_up_count sup)
-        (Abp.Supervisor.scale_down_count sup)
-        (Abp.Supervisor.migrated sup) (Abp.Shard.active_count s);
-      List.iter
-        (fun (r : Abp.Supervisor.resize) ->
-          Format.printf "  resize %s shard %d -> %d active (t+%.1fms)@."
-            (Abp.Supervisor.direction_name r.Abp.Supervisor.dir)
-            r.Abp.Supervisor.shard r.Abp.Supervisor.active_after
-            (Abp.Clock.to_ms (r.Abp.Supervisor.at_ns - t0)))
-        (Abp.Supervisor.resizes sup)
-  | None -> ());
   let routes = Abp.Shard.route_counts s in
   let depths = Abp.Shard.inbox_depths s in
   let lane_json =
@@ -314,36 +257,9 @@ let run p shards affinity clients requests fib await_depth backend_ms inbox batc
   Abp.Shard.shutdown s;
   Option.iter
     (fun file ->
-      let supervisor_json =
-        match sup with
-        | None -> "null"
-        | Some sup ->
-            Printf.sprintf {|{"ticks":%d,"scale_ups":%d,"scale_downs":%d,"migrated":%d}|}
-              (Abp.Supervisor.ticks sup)
-              (Abp.Supervisor.scale_up_count sup)
-              (Abp.Supervisor.scale_down_count sup)
-              (Abp.Supervisor.migrated sup)
-      in
-      let resizes_json =
-        match sup with
-        | None -> "[]"
-        | Some sup ->
-            "["
-            ^ String.concat ","
-                (List.map
-                   (fun (r : Abp.Supervisor.resize) ->
-                     Printf.sprintf {|{"at_ms":%.3f,"dir":"%s","shard":%d,"active_after":%d}|}
-                       (Abp.Clock.to_ms (r.Abp.Supervisor.at_ns - t0))
-                       (Abp.Supervisor.direction_name r.Abp.Supervisor.dir)
-                       r.Abp.Supervisor.shard r.Abp.Supervisor.active_after)
-                   (Abp.Supervisor.resizes sup))
-            ^ "]"
-      in
       write_json file ~p ~shards ~affinity ~clients ~requests ~fib ~await_depth ~backend_ms
         ~use_lanes ~lane_share ~open_loop ~arrival ~rate ~shed:(Atomic.get shed) ~elapsed
-        ~throughput ~st ~conserved ~cross ~fiber ~routes ~depths ~lane_json ~deadline_misses
-        ~elastic ~min_shards ~max_shards ~active_shards:(Abp.Shard.active_count s)
-        ~supervisor_json ~resizes_json;
+        ~throughput ~st ~conserved ~cross ~fiber ~routes ~depths ~lane_json ~deadline_misses;
       Format.printf "json written to %s@." file)
     json_file;
   (match (sinks, trace_file) with
@@ -452,56 +368,6 @@ let cmd =
       & info [ "rate" ] ~docv:"RPS"
           ~doc:"total open-loop offered load, requests per second (in (0,1e7])")
   in
-  let elastic =
-    Arg.(
-      value & flag
-      & info [ "elastic" ]
-          ~doc:"run the elastic scheduling supervisor: the topology is built at \
-                $(b,--max-shards) and a control-plane domain grows/shrinks the active shard \
-                count within [$(b,--min-shards), $(b,--max-shards)], migrating queued work and \
-                parked continuations off quiesced shards")
-  in
-  let min_shards =
-    Arg.(
-      value & opt int 1
-      & info [ "min-shards" ] ~docv:"N" ~doc:"lower bound on active shards under $(b,--elastic)")
-  in
-  let max_shards =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-shards" ] ~docv:"N"
-          ~doc:"upper bound on active shards under $(b,--elastic) (default: $(b,--shards))")
-  in
-  let tick_ms =
-    Arg.(
-      value & opt float 5.0
-      & info [ "tick-ms" ] ~docv:"MS" ~doc:"supervisor sampling period, milliseconds")
-  in
-  let high_depth =
-    Arg.(
-      value & opt float 8.0
-      & info [ "high-depth" ] ~docv:"D"
-          ~doc:"overload watermark: queued tasks per active shard above which the supervisor \
-                grows (after $(b,--up-after) consecutive ticks)")
-  in
-  let low_depth =
-    Arg.(
-      value & opt float 1.0
-      & info [ "low-depth" ] ~docv:"D"
-          ~doc:"underload watermark: queued tasks per active shard below which the supervisor \
-                shrinks (after $(b,--down-after) consecutive ticks)")
-  in
-  let up_after =
-    Arg.(
-      value & opt int 3
-      & info [ "up-after" ] ~docv:"T" ~doc:"consecutive overloaded ticks before growing")
-  in
-  let down_after =
-    Arg.(
-      value & opt int 10
-      & info [ "down-after" ] ~docv:"T" ~doc:"consecutive underloaded ticks before shrinking")
-  in
   let trace_file =
     Arg.(
       value
@@ -516,14 +382,13 @@ let cmd =
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
-          ~doc:"write a machine-readable run summary (schema hoodserve/4) to $(docv)")
+          ~doc:"write a machine-readable run summary (schema hoodserve/5) to $(docv)")
   in
   Cmd.v
     (Cmd.info "hoodserve" ~doc:"Serve external requests on the Hood work-stealing runtime")
     Term.(
       const run $ p $ shards $ affinity $ clients $ requests $ fib $ await_depth $ backend_ms
-      $ inbox $ batch $ deadline $ use_lanes $ lane_share $ open_loop $ arrival $ rate $ elastic
-      $ min_shards $ max_shards $ tick_ms $ high_depth $ low_depth $ up_after $ down_after
+      $ inbox $ batch $ deadline $ use_lanes $ lane_share $ open_loop $ arrival $ rate
       $ trace_file $ json_file)
 
 let () = exit (Cmd.eval cmd)

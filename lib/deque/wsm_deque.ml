@@ -54,10 +54,10 @@
    a later index [c + k*len] whose publication required [con >= c]
    beforehand, covering [c] inductively.)
 
-   Consequences for the scheduler: extraction is at-least-once, so the
-   pool layer must discard duplicates (see the per-task claim flag in
-   {!Abp_hood.Pool}, a single [Atomic.compare_and_set] at *execution*
-   time, off the steal path).  Serially — with no concurrent
+   Consequences for a scheduler: extraction is at-least-once, so the
+   layer above must discard duplicates (e.g. a per-task claim flag, a
+   single [Atomic.compare_and_set] at *execution* time, off the steal
+   path).  Serially — with no concurrent
    extraction — the deque is exactly-once and [pop_bottom] agrees with
    the ideal LIFO {!Spec.Reference}; [pop_top] may return [Empty]
    while private work exists (only published work is visible to
@@ -182,8 +182,8 @@ let pop_bottom_detailed t =
   end
   else
     (* Nothing private: reclaim the published task, racing thieves on
-       equal read/write-only terms.  Both sides may win — the claim
-       flag upstairs discards the duplicate execution. *)
+       equal read/write-only terms.  Both sides may win — the layer
+       above must discard the duplicate execution. *)
     take_published t
 
 let pop_top_detailed = take_published

@@ -21,12 +21,13 @@
     exactly-once and [pop_bottom] agrees step-for-step with the LIFO
     {!Spec.Reference}.
 
-    {b Scheduler integration.}  A pool running this backend must make
-    execution at-most-once itself: {!Abp_hood.Pool} wraps each task in
-    a per-task claim flag resolved by a single
-    [Atomic.compare_and_set] at execution time — off the steal path,
-    preserving the fence-free property where it matters — and counts
-    discarded duplicates in the [duplicate_steals] telemetry counter.
+    {b Scheduler integration.}  A scheduler running on this deque must
+    make execution at-most-once itself, e.g. with a per-task claim flag
+    resolved by a single [Atomic.compare_and_set] at execution time —
+    off the steal path, preserving the fence-free property where it
+    matters.  {!Abp_hood.Pool} does not offer this deque as a backend:
+    its owner path is slower than {!Atomic_deque}'s and the claim flag
+    would cost every task an allocation and a CAS.
 
     Use {!Spec.Multiset_reference} (with [allows_multiplicity = true])
     as the differential-test oracle; {!Spec.Reference} would flag the

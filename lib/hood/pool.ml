@@ -1,4 +1,4 @@
-type deque_impl = Abp | Circular | Locked | Wsm
+type deque_impl = Abp | Circular | Locked
 
 (* What a thief does on an empty-handed trip through the loop (Figure 3
    line 15).  [Yield_local] is the classic backoff ladder; [No_yield] the
@@ -52,8 +52,8 @@ type external_source = {
    came up empty, so a balanced shard never crosses the boundary.  The
    policy (victim choice, rate limit, steal-up-to-half quota) lives
    entirely in the closure ({!Abp_serve.Shard}); the pool only fixes
-   where in the Figure 3 order the poll happens and does the claim-wrap/
-   surplus/telemetry bookkeeping.  [remote_pending] keeps a thief from
+   where in the Figure 3 order the poll happens and does the surplus/
+   telemetry bookkeeping.  [remote_pending] keeps a thief from
    parking while a remote shard still has drainable work. *)
 type remote_source = {
   remote_steal : int -> (unit -> unit) list;
@@ -88,13 +88,6 @@ type shared = {
      lib/serve mode, where work arrives through [externals] rather than
      a [run] caller); [run] is rejected on such pools. *)
   all_spawned : bool;
-  (* At-most-once execution guard for deque backends with multiplicity
-     (Wsm): every task entering a deque is wrapped in a per-task claim
-     flag resolved by one CAS at execution time, so a task surfaced
-     twice by the fence-free steal path runs once and the loser's copy
-     is discarded (counted in [duplicate_steals]).  False for the
-     exactly-once backends, which pay nothing. *)
-  claim_tasks : bool;
   counters : Counters.t array;  (* per-worker; the sink's records when traced *)
   trace : Sink.t option;
   (* Thief parking: idle thieves that exhaust their backoff block here
@@ -136,12 +129,11 @@ type shared = {
   mutable fsched : Fiber.sched;
 }
 
-(* The executing worker's counter record, published to task closures via
-   DLS so the claim guard's duplicate-discard path can attribute the
-   discard to whichever worker ran the losing copy.  Kept separate from
-   [context_key] (below): closures need only the counters, and this key
-   avoids a forward reference to the [worker] variant from inside the
-   [Impl] functor. *)
+(* The executing worker's counter record, published via DLS so code
+   running inside a task (the serving layer's lane arbiter, the fiber
+   hooks) can attribute telemetry to whichever worker runs it.  Kept
+   separate from [context_key] (below): those callers need only the
+   counters. *)
 let exec_counters_key : Counters.t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
@@ -163,20 +155,6 @@ let note_deadline_miss () =
   match !(Domain.DLS.get exec_counters_key) with
   | Some c -> c.Counters.deadline_misses <- c.Counters.deadline_misses + 1
   | None -> ()
-
-(* Wrap a task in a fresh claim flag: the first executor wins the CAS
-   and runs it; any later executor of a duplicate copy (same closure,
-   same flag) discards it and bumps its own [duplicate_steals].  The CAS
-   happens at execution time, off the steal path — the fence-free
-   [pop_top] stays read/write-only. *)
-let claim_wrap task =
-  let claimed = Atomic.make false in
-  fun () ->
-    if Atomic.compare_and_set claimed false true then task ()
-    else
-      match !(Domain.DLS.get exec_counters_key) with
-      | Some c -> c.Counters.duplicate_steals <- c.Counters.duplicate_steals + 1
-      | None -> ()
 
 (* The whole scheduling loop is a functor over the deque signature: each
    instantiation's [push_bottom]/[pop_*_detailed] are direct, statically
@@ -246,11 +224,6 @@ module Impl (D : Spec.DETAILED) = struct
     | Some g -> if not (g.poll w.id) then checkpoint_blocked w g
 
   let push_task w task =
-    (* Claim-wrap at the single entry point for new tasks, so every
-       closure a Wsm deque can duplicate carries exactly one flag.
-       Stolen surpluses re-pushed by [repush_surplus] are already
-       wrapped (the wrap travels with the closure). *)
-    let task = if w.pool.shared.claim_tasks then claim_wrap task else task in
     let d = w.pool.deques.(w.id) in
     D.push_bottom d task;
     let c = w.c in
@@ -347,14 +320,7 @@ module Impl (D : Spec.DETAILED) = struct
       | None -> None
       | Some ext -> (
           c.Counters.inject_polls <- c.Counters.inject_polls + 1;
-          (* Externally submitted tasks enter the deque layer here for
-             the first time (the surplus is re-pushed below), so this is
-             their claim-wrap point on a multiplicity backend. *)
-          let drained =
-            let ts = ext.ext_drain pool.shared.batch in
-            if pool.shared.claim_tasks then List.map claim_wrap ts else ts
-          in
-          match drained with
+          match ext.ext_drain pool.shared.batch with
           | [] -> None
           | task :: rest ->
               let got = 1 + List.length rest in
@@ -374,14 +340,7 @@ module Impl (D : Spec.DETAILED) = struct
       | None -> None
       | Some r -> (
           c.Counters.cross_polls <- c.Counters.cross_polls + 1;
-          (* Tasks arriving from a remote pool may already carry a claim
-             flag (wrapped at their home pool); wrapping again is
-             harmless — the inner flag still decides. *)
-          let drained =
-            let ts = r.remote_steal pool.shared.batch in
-            if pool.shared.claim_tasks then List.map claim_wrap ts else ts
-          in
-          match drained with
+          match r.remote_steal pool.shared.batch with
           | [] -> None
           | task :: rest ->
               let got = 1 + List.length rest in
@@ -396,9 +355,8 @@ module Impl (D : Spec.DETAILED) = struct
        right after the steal attempt and before NEW external work (the
        injector): a resume is the tail of an already-admitted task, so
        finishing in-flight work takes priority over admitting more.
-       Drained one at a time — a resume is executed directly, never
-       re-enters a deque, so no claim-wrap is needed even on a
-       multiplicity backend (queue pop is exactly-once). *)
+       Drained one at a time — a resume is executed directly and never
+       re-enters a deque. *)
     let resume () =
       if Atomic.get pool.shared.resume_n = 0 then None
       else begin
@@ -546,35 +504,29 @@ module Impl (D : Spec.DETAILED) = struct
      steal-up-to-half quota ([Spec.batch_quota] inside [pop_top_n]).
      No counters are touched here — the caller is not one of this pool's
      workers and must not write their padded records; the thief's own
-     pool attributes the transfer to its cross_* counters. *)
-  let steal_external t ~victim ~max =
-    if victim < 0 || victim >= t.shared.size then
-      invalid_arg "Pool.steal_from: victim out of range";
-    D.pop_top_n t.deques.(victim) max
+     pool attributes the transfer to its cross_* counters.  [steal_from]
+     has already validated [victim] and [max]. *)
+  let steal_external t ~victim ~max = D.pop_top_n t.deques.(victim) max
 end
 
 module Abp_impl = Impl (Abp_deque.Atomic_deque)
 module Circular_impl = Impl (Abp_deque.Circular_deque)
 module Locked_impl = Impl (Abp_deque.Locked_deque)
-module Wsm_impl = Impl (Abp_deque.Wsm_deque)
 
 type t =
   | Abp_pool of Abp_impl.t
   | Circular_pool of Circular_impl.t
   | Locked_pool of Locked_impl.t
-  | Wsm_pool of Wsm_impl.t
 
 type worker =
   | Abp_worker of Abp_impl.worker
   | Circular_worker of Circular_impl.worker
   | Locked_worker of Locked_impl.worker
-  | Wsm_worker of Wsm_impl.worker
 
 let shared_of = function
   | Abp_pool p -> p.Abp_impl.shared
   | Circular_pool p -> p.Circular_impl.shared
   | Locked_pool p -> p.Locked_impl.shared
-  | Wsm_pool p -> p.Wsm_impl.shared
 
 (* Per-domain worker identity. *)
 let context_key : worker option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
@@ -588,7 +540,6 @@ let pool_of = function
   | Abp_worker w -> Abp_pool w.Abp_impl.pool
   | Circular_worker w -> Circular_pool w.Circular_impl.pool
   | Locked_worker w -> Locked_pool w.Locked_impl.pool
-  | Wsm_worker w -> Wsm_pool w.Wsm_impl.pool
 
 let size t = (shared_of t).size
 let batch_size t = (shared_of t).batch
@@ -602,7 +553,6 @@ let deque_size t i =
   | Abp_pool p -> Abp_impl.deque_size p i
   | Circular_pool p -> Circular_impl.deque_size p i
   | Locked_pool p -> Locked_impl.deque_size p i
-  | Wsm_pool p -> Wsm_impl.deque_size p i
 
 (* Aggregates on demand from the per-worker records; exact once the
    workers have quiesced (after [run] returns / after [shutdown]),
@@ -621,37 +571,31 @@ let push_task w task =
   | Abp_worker w -> Abp_impl.push_task w task
   | Circular_worker w -> Circular_impl.push_task w task
   | Locked_worker w -> Locked_impl.push_task w task
-  | Wsm_worker w -> Wsm_impl.push_task w task
 
 let try_get_task = function
   | Abp_worker w -> Abp_impl.try_get_task w
   | Circular_worker w -> Circular_impl.try_get_task w
   | Locked_worker w -> Locked_impl.try_get_task w
-  | Wsm_worker w -> Wsm_impl.try_get_task w
 
 let local_deque_size = function
   | Abp_worker w -> Abp_impl.local_size w
   | Circular_worker w -> Circular_impl.local_size w
   | Locked_worker w -> Locked_impl.local_size w
-  | Wsm_worker w -> Wsm_impl.local_size w
 
 let checkpoint = function
   | Abp_worker w -> Abp_impl.checkpoint w
   | Circular_worker w -> Circular_impl.checkpoint w
   | Locked_worker w -> Locked_impl.checkpoint w
-  | Wsm_worker w -> Wsm_impl.checkpoint w
 
 let worker_counters = function
   | Abp_worker w -> w.Abp_impl.c
   | Circular_worker w -> w.Circular_impl.c
   | Locked_worker w -> w.Locked_impl.c
-  | Wsm_worker w -> w.Wsm_impl.c
 
 let worker_id = function
   | Abp_worker w -> w.Abp_impl.id
   | Circular_worker w -> w.Circular_impl.id
   | Locked_worker w -> w.Locked_impl.id
-  | Wsm_worker w -> w.Wsm_impl.id
 
 (* The calling domain's worker index within its own pool, or [None] off
    the pool — the shard selector for per-worker sharded telemetry
@@ -666,7 +610,6 @@ let help_until w stop =
   | Abp_worker w -> Abp_impl.help_until w stop
   | Circular_worker w -> Circular_impl.help_until w stop
   | Locked_worker w -> Locked_impl.help_until w stop
-  | Wsm_worker w -> Wsm_impl.help_until w stop
 
 (* The pool's fiber scheduler, for layers that install their own
    handler on top (Serve wraps it to count suspended requests). *)
@@ -771,7 +714,7 @@ let make_fiber_sched sh =
   in
   { Fiber.schedule; on_suspend; on_resume }
 
-let create ?processes ?deque_capacity ?(yield_between_steals = true) ?yield_kind
+let create ?processes ?deque_capacity ?(yield_kind = Yield_local)
     ?(park_threshold = default_park_threshold) ?(deque_impl = Abp) ?(batch = 0) ?trace
     ?external_source ?remote_source ?(spawn_all = false) ?gate () =
   let processes = Option.value processes ~default:(Domain.recommended_domain_count ()) in
@@ -780,12 +723,6 @@ let create ?processes ?deque_capacity ?(yield_between_steals = true) ?yield_kind
   if batch < 0 then invalid_arg "Pool.create: batch >= 0 required";
   (* 0 and 1 both mean classic single-task transfer. *)
   let batch = max 1 batch in
-  (* [yield_kind] wins over the legacy boolean when both are given. *)
-  let yield_kind =
-    match yield_kind with
-    | Some k -> k
-    | None -> if yield_between_steals then Yield_local else No_yield
-  in
   (match trace with
   | Some s when Sink.workers s <> processes ->
       invalid_arg "Pool.create: trace sink must have one worker per process"
@@ -803,7 +740,6 @@ let create ?processes ?deque_capacity ?(yield_between_steals = true) ?yield_kind
       externals = external_source;
       remotes = remote_source;
       all_spawned = spawn_all;
-      claim_tasks = deque_impl = Wsm;
       counters =
         (match trace with
         | Some s -> Sink.per_worker s
@@ -867,18 +803,6 @@ let create ?processes ?deque_capacity ?(yield_between_steals = true) ?yield_kind
           let w = Locked_impl.make_worker it id in
           with_context (Locked_worker w) (fun () -> Locked_impl.worker_loop w));
       Locked_pool it
-  | Wsm ->
-      let it =
-        {
-          Wsm_impl.shared;
-          deques =
-            Array.init processes (fun _ -> Abp_deque.Wsm_deque.create ?capacity:deque_capacity ());
-        }
-      in
-      spawn_workers (fun id ->
-          let w = Wsm_impl.make_worker it id in
-          with_context (Wsm_worker w) (fun () -> Wsm_impl.worker_loop w));
-      Wsm_pool it
 
 let reraise_pending sh =
   match Atomic.exchange sh.pending_exn None with
@@ -928,7 +852,6 @@ let run pool f =
         | Abp_pool it -> Abp_worker (Abp_impl.make_worker it 0)
         | Circular_pool it -> Circular_worker (Circular_impl.make_worker it 0)
         | Locked_pool it -> Locked_worker (Locked_impl.make_worker it 0)
-        | Wsm_pool it -> Wsm_worker (Wsm_impl.make_worker it 0)
       in
       with_context w (fun () ->
           (* The body runs as a fiber on this domain (worker 0).  If it
@@ -957,13 +880,13 @@ let run pool f =
           | None -> assert false))
 
 let steal_from pool ~victim ~max =
+  if victim < 0 || victim >= size pool then invalid_arg "Pool.steal_from: victim out of range";
   if max <= 0 then []
   else
     match pool with
     | Abp_pool p -> Abp_impl.steal_external p ~victim ~max
     | Circular_pool p -> Circular_impl.steal_external p ~victim ~max
     | Locked_pool p -> Locked_impl.steal_external p ~victim ~max
-    | Wsm_pool p -> Wsm_impl.steal_external p ~victim ~max
 
 let shutdown pool =
   let sh = shared_of pool in

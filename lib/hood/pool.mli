@@ -26,7 +26,7 @@
       after [park_threshold] consecutive empty-handed trips it parks on
       a condition variable until the next [push_task] (which wakes a
       parked thief with a single atomic read on the fast path) or
-      {!shutdown}.  [yield_between_steals:false] (the E12/E15 ablation)
+      {!shutdown}.  [~yield_kind:No_yield] (the E12/E15 ablation)
       disables all three stages: thieves spin hot, exactly the paper's
       "no yield" pathology.
 
@@ -49,19 +49,6 @@ type deque_impl =
       (** the growable Chase-Lev-style extension
           ({!Abp_deque.Circular_deque}) — never overflows *)
   | Locked  (** mutex-protected baseline ({!Abp_deque.Locked_deque}) *)
-  | Wsm
-      (** the fence-free deque with multiplicity
-          ({!Abp_deque.Wsm_deque}, after Castañeda–Piña): no CAS and no
-          fence on the steal path, at the price of occasional duplicate
-          extractions.  The pool keeps scheduler-level semantics
-          exactly-once by wrapping every task entering a deque in a
-          per-task claim flag, resolved by a single
-          [Atomic.compare_and_set] at {e execution} time — off the
-          steal path — so a duplicated task runs once and the losing
-          copy is discarded, counted in the executing worker's
-          [duplicate_steals] telemetry
-          ({!Abp_trace.Counters.t.duplicate_steals}).  The other
-          backends pay nothing for this guard. *)
 
 type yield_kind =
   | No_yield
@@ -161,7 +148,6 @@ type remote_source = {
 val create :
   ?processes:int ->
   ?deque_capacity:int ->
-  ?yield_between_steals:bool ->
   ?yield_kind:yield_kind ->
   ?park_threshold:int ->
   ?deque_impl:deque_impl ->
@@ -180,18 +166,16 @@ val create :
     ABP deque is a fixed array, as in the paper; default
     {!Abp_deque.Atomic_deque.default_capacity} = 65536 slots, plenty for
     divide-and-conquer workloads whose deque depth is logarithmic).
-    [yield_between_steals] (default true) controls the Figure 3 yield
-    between failed steal attempts and the backoff/parking that extends
-    it; disabling it is the E15 ablation showing thieves monopolizing
-    the processor.  [yield_kind] is the finer-grained selector (it wins
-    over the boolean when both are given): [No_yield] ≡
-    [yield_between_steals:false], [Yield_local] ≡ the default, and
+    [yield_kind] (default {!Yield_local}) selects what a thief does
+    between failed steal attempts: [No_yield] disables the Figure 3
+    yield and the backoff/parking that extends it (the E15 ablation
+    showing thieves monopolizing the processor), and
     [Yield_to_random]/[Yield_to_all] additionally escalate each failed
     steal to the attached [gate] — the paper's kernel yield directives,
     enforced by the {!Abp_mp} controller.  [park_threshold] (default 16) is the number of
     consecutive empty-handed worker-loop trips before an idle thief
     parks; [0] parks after the first failed trip (it still yields
-    once), and it only applies when [yield_between_steals] is [true].
+    once), and it does not apply under [No_yield].
     [deque_impl] selects the worker-deque implementation (default
     {!Abp}).  Requires [processes >= 1], [park_threshold >= 0] and
     [batch >= 0].
@@ -318,9 +302,7 @@ val steal_from : t -> victim:int -> max:int -> (unit -> unit) list
     sharded topology ({!Abp_serve.Shard}) to let one shard's thief
     relieve another shard's overload.  Returns [[]] when [max <= 0].
     None of [t]'s per-worker counters are touched: the calling pool
-    attributes the transfer to its own cross-shard telemetry.  On a
-    {!Wsm} pool the returned closures carry their claim flags, so
-    exactly-once execution is preserved across the pool boundary.
+    attributes the transfer to its own cross-shard telemetry.
     @raise Invalid_argument if [victim] is out of range. *)
 
 val shutdown : t -> unit

@@ -1,79 +1,36 @@
-(* Elastic scheduling supervisor: the control plane that grows and
-   shrinks a sharded topology's active set the way the paper's kernel
-   grows and shrinks a computation's processor set.
+(* Elastic resizing: manual grow/shrink of a sharded topology's active
+   set, the way the paper's kernel grows and shrinks a computation's
+   processor set.  Workers never see this module except through the
+   routing-table swap and the resume-inbox redirect that
+   [Shard.quiesce]/[reactivate] perform. *)
 
-   One dedicated domain samples per-shard signals the data plane already
-   produces — injector/lane depth, deadline misses, and (under a lib/mp
-   adversary) the time-weighted effective processor count P-bar — on a
-   configurable tick, entirely off the worker hot path: workers never
-   see the supervisor except through the routing table swap and the
-   resume-inbox redirect that [Shard.quiesce]/[reactivate] perform. *)
-
-module Pool = Abp_hood.Pool
 module Counters = Abp_trace.Counters
 module Clock = Abp_trace.Clock
 module Sink = Abp_trace.Sink
 module Event = Abp_trace.Event
-
-type policy = {
-  tick_s : float;
-  high_depth : float;
-  low_depth : float;
-  up_after : int;
-  down_after : int;
-  cooldown_ticks : int;
-}
-
-let default_policy =
-  {
-    tick_s = 0.005;
-    high_depth = 8.0;
-    low_depth = 1.0;
-    up_after = 3;
-    down_after = 10;
-    cooldown_ticks = 4;
-  }
 
 type direction = Up | Down
 type resize = { at_ns : int; dir : direction; shard : int; active_after : int }
 
 type t = {
   shard : Shard.t;
-  policy : policy;
-  clock : unit -> int;
-  pbar : (unit -> float) option;
-  (* Denominator for the P-bar capacity fraction: the topology's full
-     worker count. *)
-  full_capacity : float;
   trace : Sink.t option;
   min_shards : int;
   max_shards : int;
-  (* The supervisor's own counter record, single-writer from the
-     control domain (and from [stop] after the join).  Cross-domain
-     contributions (the migration forwarders run wherever a fulfil
-     happens) go through [migrated] and are folded in at each tick. *)
+  (* The supervisor's own counter record, written only by the caller of
+     the scale operations.  Cross-domain contributions (the migration
+     forwarders run wherever a fulfil happens) go through [migrated]
+     and are folded in by [counters]. *)
   ctrs : Counters.t;
   migrated : int Atomic.t;
   (* Resize-event log, newest first; readers snapshot under the lock. *)
   resize_log : resize list ref;
   log_lock : Mutex.t;
-  stop_flag : bool Atomic.t;
-  mutable dom : unit Domain.t option;
-  (* Hysteresis state; control-domain (or manual single-caller) only. *)
-  mutable over_ticks : int;
-  mutable under_ticks : int;
-  mutable cooldown : int;
-  mutable last_misses : int;
 }
 
-let create ?(policy = default_policy) ?(clock = Clock.now) ?pbar ?trace ?(min_shards = 1)
-    ?max_shards shard =
+let create ?trace ?(min_shards = 1) ?max_shards shard =
   let k = Shard.shards shard in
   let max_shards = Option.value max_shards ~default:k in
-  if policy.tick_s <= 0.0 then invalid_arg "Supervisor.create: tick_s > 0 required";
-  if policy.up_after < 1 || policy.down_after < 1 then
-    invalid_arg "Supervisor.create: up_after/down_after >= 1 required";
-  if policy.cooldown_ticks < 0 then invalid_arg "Supervisor.create: cooldown_ticks >= 0 required";
   if min_shards < 1 || min_shards > k then
     invalid_arg "Supervisor.create: min_shards must be in [1, shards]";
   if max_shards < min_shards || max_shards > k then
@@ -83,10 +40,6 @@ let create ?(policy = default_policy) ?(clock = Clock.now) ?pbar ?trace ?(min_sh
   | _ -> ());
   {
     shard;
-    policy;
-    clock;
-    pbar;
-    full_capacity = float_of_int (Shard.size shard);
     trace;
     min_shards;
     max_shards;
@@ -94,36 +47,7 @@ let create ?(policy = default_policy) ?(clock = Clock.now) ?pbar ?trace ?(min_sh
     migrated = Atomic.make 0;
     resize_log = ref [];
     log_lock = Mutex.create ();
-    stop_flag = Atomic.make false;
-    dom = None;
-    over_ticks = 0;
-    under_ticks = 0;
-    cooldown = 0;
-    last_misses = 0;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Signals                                                             *)
-
-let total_misses t =
-  let m lane = (Shard.lane_stats t.shard lane).Serve.lane_misses in
-  m Serve.Deadline + m Serve.Bulk
-
-let active_depth t act =
-  Array.fold_left (fun acc i -> acc + Serve.inbox_depth (Shard.serve t.shard i)) 0 act
-
-(* Effective-capacity fraction from the lib/mp gates: with an adversary
-   holding P-bar of the topology's P workers runnable, a given queue
-   depth represents proportionally more backlog per unit of capacity.
-   Clamped away from zero so a fully-gated interval cannot divide the
-   watermark into oblivion. *)
-let capacity_fraction t =
-  match t.pbar with
-  | None -> 1.0
-  | Some f -> Float.max 0.125 (Float.min 1.0 (f () /. t.full_capacity))
-
-(* ------------------------------------------------------------------ *)
-(* Resizing                                                            *)
 
 let record t dir shard =
   let n = Shard.active_count t.shard in
@@ -131,7 +55,7 @@ let record t dir shard =
   | Up -> t.ctrs.Counters.scale_ups <- t.ctrs.Counters.scale_ups + 1
   | Down -> t.ctrs.Counters.scale_downs <- t.ctrs.Counters.scale_downs + 1);
   Mutex.lock t.log_lock;
-  t.resize_log := { at_ns = t.clock (); dir; shard; active_after = n } :: !(t.resize_log);
+  t.resize_log := { at_ns = Clock.now (); dir; shard; active_after = n } :: !(t.resize_log);
   Mutex.unlock t.log_lock;
   match t.trace with Some s -> Sink.emit s ~worker:0 ~arg:n Event.Scale | None -> ()
 
@@ -174,59 +98,6 @@ let scale_down t =
     | None -> false
   end
 
-(* ------------------------------------------------------------------ *)
-(* The control loop                                                    *)
-
-let tick t =
-  t.ctrs.Counters.supervisor_ticks <- t.ctrs.Counters.supervisor_ticks + 1;
-  let act = Shard.active_shards t.shard in
-  let n = Array.length act in
-  let misses = total_misses t in
-  let miss_delta = misses - t.last_misses in
-  t.last_misses <- misses;
-  let per_shard =
-    float_of_int (active_depth t act) /. float_of_int (max 1 n) /. capacity_fraction t
-  in
-  let overloaded = per_shard > t.policy.high_depth || miss_delta > 0 in
-  let underloaded = (not overloaded) && per_shard < t.policy.low_depth in
-  if t.cooldown > 0 then t.cooldown <- t.cooldown - 1
-  else begin
-    t.over_ticks <- (if overloaded then t.over_ticks + 1 else 0);
-    t.under_ticks <- (if underloaded then t.under_ticks + 1 else 0);
-    if t.over_ticks >= t.policy.up_after then begin
-      if n < t.max_shards && scale_up t then t.cooldown <- t.policy.cooldown_ticks;
-      t.over_ticks <- 0
-    end
-    else if t.under_ticks >= t.policy.down_after then begin
-      if n > t.min_shards && scale_down t then t.cooldown <- t.policy.cooldown_ticks;
-      t.under_ticks <- 0
-    end
-  end;
-  t.ctrs.Counters.migrated_continuations <- Atomic.get t.migrated
-
-let loop t =
-  while not (Atomic.get t.stop_flag) do
-    Unix.sleepf t.policy.tick_s;
-    if not (Atomic.get t.stop_flag) then tick t
-  done
-
-let start t =
-  if Atomic.get t.stop_flag then invalid_arg "Supervisor.start: supervisor was stopped";
-  match t.dom with
-  | Some _ -> invalid_arg "Supervisor.start: already started"
-  | None -> t.dom <- Some (Domain.spawn (fun () -> loop t))
-
-let stop t =
-  if not (Atomic.exchange t.stop_flag true) then begin
-    (match t.dom with Some d -> Domain.join d | None -> ());
-    t.dom <- None;
-    t.ctrs.Counters.migrated_continuations <- Atomic.get t.migrated
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry                                                           *)
-
-let ticks t = t.ctrs.Counters.supervisor_ticks
 let scale_up_count t = t.ctrs.Counters.scale_ups
 let scale_down_count t = t.ctrs.Counters.scale_downs
 let migrated t = Atomic.get t.migrated

@@ -1,52 +1,29 @@
-(** Elastic scheduling supervisor: adaptive shard scaling with
+(** Elastic resizing of a sharded topology: manual scale operations with
     parked-continuation migration.
 
     The paper's setting is scheduling under {e changing} processor
     availability — the kernel grows and shrinks what a computation
     actually gets, and the work stealer adapts within
-    O(T{_1}/P̄ + T{_∞}·P/P̄).  This module plays the kernel's role for a
-    sharded serving topology ({!Shard}): a dedicated control-plane
-    domain samples per-shard signals the data plane already produces —
-    injector and lane depth, {!Serve.lane_stats} deadline misses, and
-    (when a {!Abp_mp} adversary is active) the time-weighted effective
-    processor count P̄ — on a configurable tick, and drives a
-    grow/shrink policy with hysteresis:
+    O(T{_1}/P̄ + T{_∞}·P/P̄).  This module lets a caller play that role
+    for a sharded serving topology ({!Shard}), one resize at a time:
 
-    - {b grow}: under sustained overload (per-active-shard depth above
-      [high_depth], normalized by the P̄ capacity fraction, or fresh
-      deadline misses) for [up_after] consecutive ticks, reactivate a
-      quiesced spare ({!Shard.reactivate});
-    - {b shrink}: under sustained underload (normalized depth below
-      [low_depth]) for [down_after] consecutive ticks, quiesce the
-      least-loaded shard ({!Shard.quiesce}): stop its admission, swap
-      the routing table, pump its queued jobs and {e migrate its parked
-      fiber continuations} to the least-loaded survivor via the resume
-      inbox — no awaiter is stranded, and conservation holds shard-wise
+    - {!scale_up} reactivates a quiesced spare ({!Shard.reactivate});
+    - {!scale_down} quiesces the least-loaded active shard
+      ({!Shard.quiesce}): stop its admission, swap the routing table,
+      pump its queued jobs and {e migrate its parked fiber
+      continuations} to the least-loaded survivor via the resume inbox
+      — no awaiter is stranded, and conservation holds shard-wise
       across every resize.
 
-    Every resize starts a [cooldown_ticks] refractory period.  The
-    whole loop lives off the worker hot path: workers only ever observe
-    the swapped routing table and the redirected resume inbox. *)
-
-type policy = {
-  tick_s : float;  (** sampling period, seconds *)
-  high_depth : float;
-      (** overload watermark: queued tasks per active shard (at full
-          capacity; divided by the P̄ fraction under an adversary) *)
-  low_depth : float;  (** underload watermark, same unit *)
-  up_after : int;  (** consecutive overloaded ticks before growing *)
-  down_after : int;  (** consecutive underloaded ticks before shrinking *)
-  cooldown_ticks : int;  (** refractory ticks after any resize *)
-}
-
-val default_policy : policy
-(** 5 ms tick, grow above 8 queued/shard after 3 ticks, shrink below 1
-    queued/shard after 10 ticks, 4-tick cooldown. *)
+    Each resize is logged, counted and (when traced) emitted as an
+    {!Abp_trace.Event.Scale} event.  Nothing here runs on the worker
+    hot path: workers only ever observe the swapped routing table and
+    the redirected resume inbox. *)
 
 type direction = Up | Down
 
 type resize = {
-  at_ns : int;  (** timestamp ([clock] at record time) *)
+  at_ns : int;  (** {!Abp_trace.Clock.now} at record time *)
   dir : direction;
   shard : int;  (** the shard activated (Up) or quiesced (Down) *)
   active_after : int;  (** active-shard count after the resize *)
@@ -54,55 +31,27 @@ type resize = {
 
 type t
 
-val create :
-  ?policy:policy ->
-  ?clock:(unit -> int) ->
-  ?pbar:(unit -> float) ->
-  ?trace:Abp_trace.Sink.t ->
-  ?min_shards:int ->
-  ?max_shards:int ->
-  Shard.t ->
-  t
-(** Build a supervisor over an existing topology (all of whose pools
-    were created up front — OCaml domains cannot be restarted, so
-    "scaling" toggles routing-table membership).  [pbar] supplies the
-    adversary's current time-weighted effective processor count
-    ({!Abp_mp.Controller.pbar}); when given, the depth watermarks are
-    normalized by [pbar / total_workers] so backlog is measured per
-    unit of {e effective} capacity.  [trace], when given, receives one
+val create : ?trace:Abp_trace.Sink.t -> ?min_shards:int -> ?max_shards:int -> Shard.t -> t
+(** Wrap an existing topology (all of whose pools were created up front
+    — OCaml domains cannot be restarted, so "scaling" toggles
+    routing-table membership).  [trace], when given, receives one
     {!Abp_trace.Event.Scale} event per resize on worker 0 (pass a
-    dedicated 1-worker sink — the supervisor is not a pool worker).
+    dedicated 1-worker sink — the caller is not a pool worker).
     [min_shards]/[max_shards] clamp the active count (defaults: 1 and
-    the topology's shard count).  The control domain is NOT started;
-    call {!start}, or drive {!scale_up}/{!scale_down} manually (tests).
-    @raise Invalid_argument on a non-positive tick, hysteresis
-    thresholds < 1, or bounds outside [1 <= min <= max <= shards]. *)
-
-val start : t -> unit
-(** Spawn the control domain.
-    @raise Invalid_argument if already started or already stopped. *)
-
-val stop : t -> unit
-(** Stop and join the control domain (no-op if never started).
-    Idempotent.  Call this {e before} {!Shard.drain}/{!Shard.shutdown}
-    so the supervisor cannot race a closing topology (resizes refuse
-    once closing is raised, so the race is benign — stopping first just
-    keeps shutdown prompt). *)
+    the topology's shard count).
+    @raise Invalid_argument on bounds outside
+    [1 <= min <= max <= shards]. *)
 
 val scale_up : t -> bool
-(** Manually reactivate the lowest-numbered quiesced spare.  [false]
-    when already at [max_shards], no spare exists, or the topology is
-    closing.  Not for concurrent use with a running control domain
-    (single control-plane writer). *)
+(** Reactivate the lowest-numbered quiesced spare.  [false] when
+    already at [max_shards], no spare exists, or the topology is
+    closing.  Single caller: not for concurrent use. *)
 
 val scale_down : t -> bool
-(** Manually quiesce the least-loaded active shard into the least-loaded
+(** Quiesce the least-loaded active shard into the least-loaded
     survivor.  [false] at [min_shards] (or with one active shard), or
-    when the topology is closing.  Same single-writer caveat as
+    when the topology is closing.  Same single-caller rule as
     {!scale_up}. *)
-
-val ticks : t -> int
-(** Control-loop ticks executed so far. *)
 
 val scale_up_count : t -> int
 
@@ -118,9 +67,9 @@ val resizes : t -> resize list
 (** The resize-event log, chronological. *)
 
 val counters : t -> Abp_trace.Counters.t
-(** Snapshot of the supervisor's counter record ([supervisor_ticks],
-    [scale_ups], [scale_downs], [migrated_continuations]) — add it to a
-    report's worker records for a full-system view. *)
+(** Snapshot of the supervisor's counter record ([scale_ups],
+    [scale_downs], [migrated_continuations]) — add it to a report's
+    worker records for a full-system view. *)
 
 val direction_name : direction -> string
 (** ["up"] / ["down"]. *)

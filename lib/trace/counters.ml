@@ -23,14 +23,12 @@ type t = {
   mutable gate_suspends : int;
   mutable gate_wait_ns : int;
   mutable directed_yields : int;
-  mutable duplicate_steals : int;
   mutable suspensions : int;
   mutable resumes : int;
   mutable suspended_peak : int;
   mutable lane_polls : int;
   mutable lane_tasks : int;
   mutable deadline_misses : int;
-  mutable supervisor_ticks : int;
   mutable scale_ups : int;
   mutable scale_downs : int;
   mutable migrated_continuations : int;
@@ -84,14 +82,12 @@ let create () =
       gate_suspends = 0;
       gate_wait_ns = 0;
       directed_yields = 0;
-      duplicate_steals = 0;
       suspensions = 0;
       resumes = 0;
       suspended_peak = 0;
       lane_polls = 0;
       lane_tasks = 0;
       deadline_misses = 0;
-      supervisor_ticks = 0;
       scale_ups = 0;
       scale_downs = 0;
       migrated_continuations = 0;
@@ -124,14 +120,12 @@ let reset c =
   c.gate_suspends <- 0;
   c.gate_wait_ns <- 0;
   c.directed_yields <- 0;
-  c.duplicate_steals <- 0;
   c.suspensions <- 0;
   c.resumes <- 0;
   c.suspended_peak <- 0;
   c.lane_polls <- 0;
   c.lane_tasks <- 0;
   c.deadline_misses <- 0;
-  c.supervisor_ticks <- 0;
   c.scale_ups <- 0;
   c.scale_downs <- 0;
   c.migrated_continuations <- 0;
@@ -200,14 +194,12 @@ let add ~into c =
   into.gate_suspends <- into.gate_suspends + c.gate_suspends;
   into.gate_wait_ns <- into.gate_wait_ns + c.gate_wait_ns;
   into.directed_yields <- into.directed_yields + c.directed_yields;
-  into.duplicate_steals <- into.duplicate_steals + c.duplicate_steals;
   into.suspensions <- into.suspensions + c.suspensions;
   into.resumes <- into.resumes + c.resumes;
   into.suspended_peak <- max into.suspended_peak c.suspended_peak;
   into.lane_polls <- into.lane_polls + c.lane_polls;
   into.lane_tasks <- into.lane_tasks + c.lane_tasks;
   into.deadline_misses <- into.deadline_misses + c.deadline_misses;
-  into.supervisor_ticks <- into.supervisor_ticks + c.supervisor_ticks;
   into.scale_ups <- into.scale_ups + c.scale_ups;
   into.scale_downs <- into.scale_downs + c.scale_downs;
   into.migrated_continuations <- into.migrated_continuations + c.migrated_continuations;
@@ -250,14 +242,12 @@ let fields c =
     ("gate_suspends", c.gate_suspends);
     ("gate_wait_ns", c.gate_wait_ns);
     ("directed_yields", c.directed_yields);
-    ("duplicate_steals", c.duplicate_steals);
     ("suspensions", c.suspensions);
     ("resumes", c.resumes);
     ("suspended_peak", c.suspended_peak);
     ("lane_polls", c.lane_polls);
     ("lane_tasks", c.lane_tasks);
     ("deadline_misses", c.deadline_misses);
-    ("supervisor_ticks", c.supervisor_ticks);
     ("scale_ups", c.scale_ups);
     ("scale_downs", c.scale_downs);
     ("migrated_continuations", c.migrated_continuations);
@@ -277,14 +267,13 @@ let complete c =
 
 let pp ppf c =
   Fmt.pf ppf
-    "steals %d/%d (empty %d, cas-lost %d) push/pop %d/%d yields %d parks %d spins %d hiwater %d%s%s%s%s%s%s%s%s%s%s"
+    "steals %d/%d (empty %d, cas-lost %d) push/pop %d/%d yields %d parks %d spins %d hiwater %d%s%s%s%s%s%s%s%s%s"
     c.successful_steals c.steal_attempts c.steal_empties c.cas_failures_pop_top c.pushes c.pops
     c.yields c.parks c.lock_spins c.deque_high_water
     (if c.stolen_tasks > c.successful_steals then
        Printf.sprintf " batched %d tasks/%d batch-steals (max %d)" c.stolen_tasks c.batch_steals
          c.max_steal_batch
      else "")
-    (if c.duplicate_steals > 0 then Printf.sprintf " dup-steals %d" c.duplicate_steals else "")
     (if c.inject_tasks > 0 || c.inject_polls > 0 then
        Printf.sprintf " inject %d/%d%s" c.inject_tasks c.inject_polls
          (if c.inject_batches > 0 then Printf.sprintf " (%d batched)" c.inject_batches else "")
@@ -294,9 +283,9 @@ let pp ppf c =
      else "")
     (if c.lane_polls > 0 then Printf.sprintf " lane %d/%d" c.lane_tasks c.lane_polls else "")
     (if c.deadline_misses > 0 then Printf.sprintf " deadline-misses %d" c.deadline_misses else "")
-    (if c.supervisor_ticks > 0 || c.scale_ups > 0 || c.scale_downs > 0 then
-       Printf.sprintf " scale +%d/-%d (%d ticks, %d migrated)" c.scale_ups c.scale_downs
-         c.supervisor_ticks c.migrated_continuations
+    (if c.scale_ups > 0 || c.scale_downs > 0 then
+       Printf.sprintf " scale +%d/-%d (%d migrated)" c.scale_ups c.scale_downs
+         c.migrated_continuations
      else "")
     (if c.suspensions > 0 || c.resumes > 0 then
        Printf.sprintf " fiber-susp %d/%d (peak %d)" c.resumes c.suspensions c.suspended_peak

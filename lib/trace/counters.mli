@@ -85,13 +85,6 @@ type t = {
       (** stage-1 yields escalated to the gate controller under
           [Yield_to_random]/[Yield_to_all] (the paper's yieldToRandom /
           yieldToAll kernel directives) *)
-  mutable duplicate_steals : int;
-      (** tasks surfaced by the deque but discarded at execution time
-          because another worker had already claimed them — nonzero only
-          on the {!Abp_deque.Wsm_deque} backend, whose fence-free
-          [pop_top] is allowed multiplicity; the pool's per-task claim
-          flag keeps execution exactly-once and counts the discards
-          here *)
   mutable suspensions : int;
       (** fiber suspensions: tasks that performed [Await] on a pending
           {!Abp_fiber.Fiber.Promise.t} and parked their continuation,
@@ -122,14 +115,13 @@ type t = {
           — completion or exception — landed {e after} the ticket's
           absolute deadline.  Counted by the worker that settled the
           ticket; cancellations are not misses (they never ran) *)
-  mutable supervisor_ticks : int;
-      (** sampling ticks executed by the elastic {!Abp_serve.Supervisor}
-          control loop (single-writer: the supervisor's own record) *)
   mutable scale_ups : int;
-      (** shard activations driven by the supervisor (reactivations of a
-          quiesced spare under sustained overload) *)
+      (** shard activations performed by {!Abp_serve.Supervisor.scale_up}
+          (reactivations of a quiesced spare; single-writer: the
+          supervisor's own record) *)
   mutable scale_downs : int;
-      (** shard quiescences driven by the supervisor (admission stopped,
+      (** shard quiescences performed by
+          {!Abp_serve.Supervisor.scale_down} (admission stopped,
           injectors drained, parked continuations migrated) *)
   mutable migrated_continuations : int;
       (** parked fiber continuations re-homed to a surviving shard's

@@ -2,7 +2,7 @@
    of the paper's Figure 3 yield): idle thieves park after
    [park_threshold] empty-handed trips, a [push_task] wakes them with
    bounded latency, no task is lost across a park/unpark race
-   (conservation), the [yield_between_steals:false] ablation never
+   (conservation), the [~yield_kind:No_yield] ablation never
    yields or parks, and a task that raises in a worker loop is recorded
    in [Counters.task_exceptions] and re-raised at the [run]/[shutdown]
    boundary instead of killing its domain. *)
@@ -100,7 +100,7 @@ let conservation_across_park_unpark () =
   Alcotest.(check bool) "steal breakdown complete" true (Counters.complete t)
 
 let ablation_never_parks_or_yields () =
-  let pool = Pool.create ~processes:3 ~yield_between_steals:false () in
+  let pool = Pool.create ~processes:3 ~yield_kind:Pool.No_yield () in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->

@@ -266,34 +266,6 @@ let wsm_deque_stress () =
         (c.Counters.successful_steals + c.Counters.steal_empties))
     thief_counters
 
-(* Pool-level exactly-once on the wsm backend: the deque may surface a
-   task closure twice, but the per-task claim flag must discard the
-   duplicate before it runs.  Every cell is bumped exactly once, and
-   discarded duplicates stay visible in the telemetry: at quiescence
-   pops + stolen tasks = pushes + duplicate_steals. *)
-let wsm_pool_exactly_once () =
-  let p = wsm_procs () in
-  let n = 50_000 in
-  let cells = Array.init n (fun _ -> Atomic.make 0) in
-  let sink = Sink.create ~workers:p () in
-  let pool = Abp_hood.Pool.create ~processes:p ~deque_impl:Abp_hood.Pool.Wsm ~trace:sink () in
-  Fun.protect
-    ~finally:(fun () -> Abp_hood.Pool.shutdown pool)
-    (fun () ->
-      Abp_hood.Pool.run pool (fun () ->
-          Abp_hood.Par.parallel_for ~grain:1 ~lo:0 ~hi:n (fun i -> Atomic.incr cells.(i))));
-  Array.iteri
-    (fun i c ->
-      let got = Atomic.get c in
-      if got <> 1 then Alcotest.failf "cell %d executed %d times (want exactly 1)" i got)
-    cells;
-  let totals = Sink.totals sink in
-  Alcotest.(check bool) "attempts fully classified" true (Counters.complete totals);
-  Alcotest.(check bool) "duplicates never negative" true (totals.Counters.duplicate_steals >= 0);
-  Alcotest.(check int) "pops + stolen tasks = pushes + discarded duplicates"
-    (totals.Counters.pushes + totals.Counters.duplicate_steals)
-    (totals.Counters.pops + totals.Counters.stolen_tasks)
-
 let tests =
   [
     Alcotest.test_case "owner vs 3 thieves on ABP deque" `Quick atomic_deque_stress;
@@ -304,5 +276,4 @@ let tests =
       untraced_pool_accessors_are_sums;
     Alcotest.test_case "wsm deque: owner vs thieves, at-least-once + counted duplicates" `Quick
       wsm_deque_stress;
-    Alcotest.test_case "wsm pool: exactly-once via claim flag" `Quick wsm_pool_exactly_once;
   ]

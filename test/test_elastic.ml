@@ -1,7 +1,7 @@
 (* Elastic resizing: the supervisor's scale ops, parked-continuation
    migration across a quiesce, conservation across forced resize
-   storms, the degenerate min=max configuration, the close/resize race,
-   and the deadline-lane bypass of the cross-shard steal throttle.
+   storms, the close/resize race, and the deadline-lane bypass of the
+   cross-shard steal throttle.
 
    Worker counts honour ABP_MP_PROCS (like test_mp) so CI can rerun the
    suite oversubscribed. *)
@@ -110,7 +110,6 @@ let storm_conservation () =
   done;
   Atomic.set stop true;
   Array.iter Domain.join gens;
-  Supervisor.stop sup;
   let st = Shard.drain topo in
   Alcotest.(check int) "every cycle collapsed and rebuilt" (2 * cycles)
     (Supervisor.scale_down_count sup);
@@ -125,39 +124,6 @@ let storm_conservation () =
   Alcotest.(check bool) "supervisor counters track the ledger" true
     ((Supervisor.counters sup).Abp_trace.Counters.scale_ups = Supervisor.scale_up_count sup);
   Backend.stop backend;
-  Shard.shutdown topo
-
-(* ------------------------------------------------------------------ *)
-(* min_shards = max_shards degenerates to a static topology: the
-   control loop ticks but never resizes. *)
-let min_eq_max_is_static () =
-  let topo = Shard.create ~processes:1 ~shards:2 () in
-  let sup =
-    Supervisor.create
-      ~policy:
-        {
-          Supervisor.tick_s = 0.001;
-          high_depth = 0.5;
-          low_depth = 0.4;
-          up_after = 1;
-          down_after = 1;
-          cooldown_ticks = 0;
-        }
-      ~min_shards:2 ~max_shards:2 topo
-  in
-  Supervisor.start sup;
-  for i = 1 to 200 do
-    ignore (Shard.submit topo (fun () -> i * i))
-  done;
-  Alcotest.(check bool) "control loop ran" true
-    (wait_until (fun () -> Supervisor.ticks sup > 5));
-  Supervisor.stop sup;
-  Alcotest.(check int) "no scale-ups" 0 (Supervisor.scale_up_count sup);
-  Alcotest.(check int) "no scale-downs" 0 (Supervisor.scale_down_count sup);
-  Alcotest.(check int) "empty resize log" 0 (List.length (Supervisor.resizes sup));
-  Alcotest.(check int) "both shards active" 2 (Shard.active_count topo);
-  ignore (Shard.drain topo);
-  Alcotest.(check bool) "conserved" true (Shard.conserved topo);
   Shard.shutdown topo
 
 (* ------------------------------------------------------------------ *)
@@ -198,11 +164,6 @@ let supervisor_validation () =
     (bad (fun () -> Supervisor.create ~min_shards:2 ~max_shards:1 topo));
   Alcotest.(check bool) "max > shards rejected" true
     (bad (fun () -> Supervisor.create ~max_shards:3 topo));
-  Alcotest.(check bool) "zero tick rejected" true
-    (bad (fun () ->
-         Supervisor.create
-           ~policy:{ Supervisor.default_policy with Supervisor.tick_s = 0.0 }
-           topo));
   Shard.shutdown topo
 
 (* ------------------------------------------------------------------ *)
@@ -261,7 +222,6 @@ let tests =
     Alcotest.test_case "quiesce migrates a parked continuation" `Quick
       quiesce_migrates_parked_continuation;
     Alcotest.test_case "conservation across 100 forced resize cycles" `Slow storm_conservation;
-    Alcotest.test_case "min = max degenerates to static" `Quick min_eq_max_is_static;
     Alcotest.test_case "resize refused once closing" `Quick resize_refused_when_closing;
     Alcotest.test_case "supervisor constructor validation" `Quick supervisor_validation;
     Alcotest.test_case "deadline lane bypasses cross_period" `Quick

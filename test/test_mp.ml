@@ -311,36 +311,6 @@ let batched_suspension_conservation () =
         t.Counters.pushes
         (t.Counters.pops + t.Counters.stolen_tasks))
 
-(* The wsm backend under the kernel adversary: quantum-scale suspensions
-   park workers mid-invocation on the fence-free steal path — exactly
-   the window where two thieves can read the same [con] and surface the
-   same task twice.  The claim flag must keep execution exactly-once
-   (the workload result is the proof), and the discarded duplicates must
-   stay visible and balanced in the telemetry. *)
-let wsm_conservation_under_duty () =
-  let p = procs () in
-  let gate = Gate.create ~num_workers:p in
-  let pool = Pool.create ~processes:p ~deque_impl:Pool.Wsm ~gate:(Gate.hook gate) () in
-  let adv = Adversary_spec.parse ~num_processes:p ~rng:(rng 8) "duty:on=1,off=1" in
-  let c = Controller.create ~quantum:1e-3 ~gate ~pool adv in
-  Controller.start c;
-  Fun.protect
-    ~finally:(fun () ->
-      Controller.stop c;
-      Pool.shutdown pool)
-    (fun () ->
-      for _ = 1 to 3 do
-        let v = Pool.run pool workload in
-        Alcotest.(check int) "wsm result correct under duty" workload_expect v
-      done);
-  let t = totals pool in
-  Alcotest.(check bool) "duplicates counted, never negative" true
-    (t.Counters.duplicate_steals >= 0);
-  Alcotest.(check int)
-    "pops + stolen tasks = pushes + discarded duplicates"
-    (t.Counters.pushes + t.Counters.duplicate_steals)
-    (t.Counters.pops + t.Counters.stolen_tasks)
-
 (* Serve.drain with the adversary still scheduling: admission stats
    must balance even though workers were suspended mid-service. *)
 let serve_drain_conservation_under_adversary () =
@@ -592,8 +562,6 @@ let tests =
       parked_thief_wakes_into_closed_gate;
     Alcotest.test_case "batched suspension conservation" `Slow
       batched_suspension_conservation;
-    Alcotest.test_case "wsm conservation under duty adversary" `Slow
-      wsm_conservation_under_duty;
     Alcotest.test_case "serve drain conservation under adversary" `Slow
       serve_drain_conservation_under_adversary;
     Alcotest.test_case "shard conservation under adversary" `Slow

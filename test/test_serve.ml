@@ -436,7 +436,20 @@ let shard_create_validation () =
       ignore (Shard.create ~shards:2 ~cross_quota:0 ()));
   Alcotest.check_raises "traces length mismatch rejected"
     (Invalid_argument "Shard.create: traces must have one entry per shard") (fun () ->
-      ignore (Shard.create ~shards:2 ~traces:[| Abp_trace.Sink.create ~workers:1 () |] ()))
+      ignore (Shard.create ~shards:2 ~traces:[| Abp_trace.Sink.create ~workers:1 () |] ()));
+  (* The cross-shard steal entry point validates its victim before
+     anything else, including an empty [~max:0] request. *)
+  with_shard ~processes:1 ~shards:1 (fun s ->
+      let pool = Serve.pool (Shard.serve s 0) in
+      List.iter
+        (fun (victim, max) ->
+          Alcotest.check_raises
+            (Printf.sprintf "steal_from victim %d max %d rejected" victim max)
+            (Invalid_argument "Pool.steal_from: victim out of range")
+            (fun () -> ignore (Abp_hood.Pool.steal_from pool ~victim ~max)))
+        [ (1, 1); (-1, 1); (1, 0) ];
+      Alcotest.(check int) "in-range max 0 steals nothing" 0
+        (List.length (Abp_hood.Pool.steal_from pool ~victim:0 ~max:0)))
 
 let shard_routing_is_stable () =
   with_shard ~processes:1 ~shards:4 (fun s ->

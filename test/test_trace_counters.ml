@@ -216,19 +216,17 @@ let fields_cover_every_counter () =
       "gate_suspends";
       "gate_wait_ns";
       "directed_yields";
-      "duplicate_steals";
       "suspensions";
       "resumes";
       "suspended_peak";
       "lane_polls";
       "lane_tasks";
       "deadline_misses";
-      "supervisor_ticks";
       "scale_ups";
       "scale_downs";
       "migrated_continuations";
     ];
-  Alcotest.(check int) "exactly the 35 fields" 35 (List.length names)
+  Alcotest.(check int) "exactly the 33 fields" 33 (List.length names)
 
 let victim_vectors_grow_sum_and_export () =
   (* The per-victim steal vector is a growable side table, deliberately
