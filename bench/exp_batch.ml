@@ -264,56 +264,22 @@ let to_json steal pfor serve =
     @ [ String.concat ",\n" (List.map serve_json serve) ]
     @ [ "  ]"; "}"; "" ])
 
-(* Schema check on the written file: every required key present, braces
-   and brackets balanced.  Failing this makes the binary exit nonzero,
-   which is what the CI smoke step asserts. *)
-let validate path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let contains affix =
-    let n = String.length affix and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
-    n = 0 || go 0
-  in
-  let required =
-    [
-      {|"schema": "abp-batch/1"|};
-      {|"mode"|};
-      {|"repeats"|};
-      {|"steal"|};
-      {|"pfor"|};
-      {|"serve"|};
-      {|"stolen_tasks"|};
-      {|"batch_steals"|};
-      {|"policy":"lazy"|};
-      {|"inject_batches"|};
-      {|"seconds_median"|};
-    ]
-  in
-  let missing = List.filter (fun k -> not (contains k)) required in
-  let balanced open_c close_c =
-    let depth = ref 0 and ok = ref true in
-    String.iter
-      (fun ch ->
-        if ch = open_c then incr depth
-        else if ch = close_c then begin
-          decr depth;
-          if !depth < 0 then ok := false
-        end)
-      s;
-    !ok && !depth = 0
-  in
-  if missing <> [] then begin
-    Printf.eprintf "BENCH_batch.json schema check FAILED; missing: %s\n"
-      (String.concat ", " missing);
-    exit 1
-  end;
-  if not (balanced '{' '}' && balanced '[' ']') then begin
-    Printf.eprintf "BENCH_batch.json schema check FAILED: unbalanced braces\n";
-    exit 1
-  end
+let validate =
+  Schema.check ~label:"BENCH_batch.json"
+    ~required:
+      [
+        {|"schema": "abp-batch/1"|};
+        {|"mode"|};
+        {|"repeats"|};
+        {|"steal"|};
+        {|"pfor"|};
+        {|"serve"|};
+        {|"stolen_tasks"|};
+        {|"batch_steals"|};
+        {|"policy":"lazy"|};
+        {|"inject_batches"|};
+        {|"seconds_median"|};
+      ]
 
 let () =
   Arg.parse spec

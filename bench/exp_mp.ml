@@ -545,66 +545,33 @@ let to_json points fit ratio advs yields antags svs =
     @ [ String.concat ",\n" (List.map steal_volume_json svs) ]
     @ [ "  ]"; "}"; "" ])
 
-(* Schema check on the written file: every required key present, braces
-   and brackets balanced.  Failing this makes the binary exit nonzero,
-   which is what the CI smoke step asserts. *)
-let validate path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let contains affix =
-    let n = String.length affix and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
-    n = 0 || go 0
-  in
-  let required =
-    [
-      {|"schema": "abp-mp/4"|};
-      {|"mode"|};
-      {|"quantum_ms"|};
-      {|"fit"|};
-      {|"c1"|};
-      {|"cinf"|};
-      {|"max_ratio"|};
-      {|"pbar"|};
-      {|"pbar_procs"|};
-      {|"adversaries"|};
-      {|"adversary":"dedicated"|};
-      {|"adversary":"starve-workers:width=2"|};
-      {|"yield":"all"|};
-      {|"yield":"none"|};
-      {|"failed_per_task"|};
-      {|"gate_suspends"|};
-      {|"antagonist"|};
-      {|"spinners"|};
-      {|"steal_volume"|};
-      {|"tinf_nodes"|};
-      {|"stolen_tasks"|};
-      {|"steal_ratio"|};
-    ]
-  in
-  let missing = List.filter (fun k -> not (contains k)) required in
-  let balanced open_c close_c =
-    let depth = ref 0 and ok = ref true in
-    String.iter
-      (fun ch ->
-        if ch = open_c then incr depth
-        else if ch = close_c then begin
-          decr depth;
-          if !depth < 0 then ok := false
-        end)
-      s;
-    !ok && !depth = 0
-  in
-  if missing <> [] then begin
-    Printf.eprintf "BENCH_mp.json schema check FAILED; missing: %s\n" (String.concat ", " missing);
-    exit 1
-  end;
-  if not (balanced '{' '}' && balanced '[' ']') then begin
-    Printf.eprintf "BENCH_mp.json schema check FAILED: unbalanced braces\n";
-    exit 1
-  end
+let validate =
+  Schema.check ~label:"BENCH_mp.json"
+    ~required:
+      [
+        {|"schema": "abp-mp/4"|};
+        {|"mode"|};
+        {|"quantum_ms"|};
+        {|"fit"|};
+        {|"c1"|};
+        {|"cinf"|};
+        {|"max_ratio"|};
+        {|"pbar"|};
+        {|"pbar_procs"|};
+        {|"adversaries"|};
+        {|"adversary":"dedicated"|};
+        {|"adversary":"starve-workers:width=2"|};
+        {|"yield":"all"|};
+        {|"yield":"none"|};
+        {|"failed_per_task"|};
+        {|"gate_suspends"|};
+        {|"antagonist"|};
+        {|"spinners"|};
+        {|"steal_volume"|};
+        {|"tinf_nodes"|};
+        {|"stolen_tasks"|};
+        {|"steal_ratio"|};
+      ]
 
 let () =
   Arg.parse spec

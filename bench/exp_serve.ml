@@ -167,55 +167,22 @@ let to_json cells comparisons =
     @ [ String.concat ",\n" (List.map comparison_json comparisons) ]
     @ [ "  ]"; "}"; "" ])
 
-(* Schema check on the written file: required keys present, braces
-   balanced, nonzero exit on failure. *)
-let validate path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let contains affix =
-    let n = String.length affix and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
-    n = 0 || go 0
-  in
-  let required =
-    [
-      {|"schema": "abp-serve/1"|};
-      {|"mode"|};
-      {|"fib_n"|};
-      {|"runs"|};
-      {|"comparison"|};
-      {|"system":"serve"|};
-      {|"system":"central"|};
-      {|"throughput_rps"|};
-      {|"p50_s"|};
-      {|"p99_s"|};
-      {|"speedup"|};
-    ]
-  in
-  let missing = List.filter (fun k -> not (contains k)) required in
-  let balanced open_c close_c =
-    let depth = ref 0 and ok = ref true in
-    String.iter
-      (fun ch ->
-        if ch = open_c then incr depth
-        else if ch = close_c then begin
-          decr depth;
-          if !depth < 0 then ok := false
-        end)
-      s;
-    !ok && !depth = 0
-  in
-  if missing <> [] then begin
-    Printf.eprintf "BENCH_serve.json schema check FAILED; missing: %s\n"
-      (String.concat ", " missing);
-    exit 1
-  end;
-  if not (balanced '{' '}' && balanced '[' ']') then begin
-    Printf.eprintf "BENCH_serve.json schema check FAILED: unbalanced braces\n";
-    exit 1
-  end
+let validate =
+  Schema.check ~label:"BENCH_serve.json"
+    ~required:
+      [
+        {|"schema": "abp-serve/1"|};
+        {|"mode"|};
+        {|"fib_n"|};
+        {|"runs"|};
+        {|"comparison"|};
+        {|"system":"serve"|};
+        {|"system":"central"|};
+        {|"throughput_rps"|};
+        {|"p50_s"|};
+        {|"p99_s"|};
+        {|"speedup"|};
+      ]
 
 let () =
   Arg.parse spec

@@ -385,60 +385,27 @@ let to_json ~ops ~ns_per_op ~record_pass ~capacity ~curves ~laned ~laneless ~rat
         "";
       ])
 
-(* Schema check on the written file, same discipline as E27: required
-   keys present, braces balanced, nonzero exit on failure. *)
-let validate path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let contains affix =
-    let n = String.length affix and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
-    n = 0 || go 0
-  in
-  let required =
-    [
-      {|"schema": "abp-tail/1"|};
-      {|"mode"|};
-      {|"capacity_rps"|};
-      {|"record_micro"|};
-      {|"ns_per_op"|};
-      {|"curves"|};
-      {|"arrival":"poisson"|};
-      {|"arrival":"burst"|};
-      {|"p50_ms"|};
-      {|"p99_ms"|};
-      {|"p999_ms"|};
-      {|"lanes_vs_laneless"|};
-      {|"ratio"|};
-      {|"soak"|};
-      {|"conserved"|};
-      {|"suspended"|};
-    ]
-  in
-  let missing = List.filter (fun k -> not (contains k)) required in
-  let balanced open_c close_c =
-    let depth = ref 0 and ok = ref true in
-    String.iter
-      (fun ch ->
-        if ch = open_c then incr depth
-        else if ch = close_c then begin
-          decr depth;
-          if !depth < 0 then ok := false
-        end)
-      s;
-    !ok && !depth = 0
-  in
-  if missing <> [] then begin
-    Printf.eprintf "BENCH_tail.json schema check FAILED; missing: %s\n"
-      (String.concat ", " missing);
-    exit 1
-  end;
-  if not (balanced '{' '}' && balanced '[' ']') then begin
-    Printf.eprintf "BENCH_tail.json schema check FAILED: unbalanced braces\n";
-    exit 1
-  end
+let validate =
+  Schema.check ~label:"BENCH_tail.json"
+    ~required:
+      [
+        {|"schema": "abp-tail/1"|};
+        {|"mode"|};
+        {|"capacity_rps"|};
+        {|"record_micro"|};
+        {|"ns_per_op"|};
+        {|"curves"|};
+        {|"arrival":"poisson"|};
+        {|"arrival":"burst"|};
+        {|"p50_ms"|};
+        {|"p99_ms"|};
+        {|"p999_ms"|};
+        {|"lanes_vs_laneless"|};
+        {|"ratio"|};
+        {|"soak"|};
+        {|"conserved"|};
+        {|"suspended"|};
+      ]
 
 let () =
   Arg.parse spec

@@ -34,30 +34,20 @@ module Fiber = Abp_fiber.Fiber
 
 let default_park_threshold = 16
 
-(* An external task source (the lib/serve injector inbox): polled by a
-   worker only after its own deque pop AND a steal attempt both came up
-   empty — the Figure 3 loop order extended with a third, lowest-priority
-   source — and consulted by the parking protocol so a thief never blocks
-   while externally submitted work is pending.  [ext_drain n] removes up
-   to [n] tasks in one poll (the batch counterpart of the old
-   one-at-a-time [ext_poll]); a non-batched pool simply drains with
-   [n = 1]. *)
-type external_source = {
-  ext_drain : int -> (unit -> unit) list;
-  ext_pending : unit -> bool;
-}
-
-(* A remote (cross-shard) work source: polled strictly after every
-   intra-pool source — own deque, one steal attempt, own injector — all
-   came up empty, so a balanced shard never crosses the boundary.  The
-   policy (victim choice, rate limit, steal-up-to-half quota) lives
-   entirely in the closure ({!Abp_serve.Shard}); the pool only fixes
-   where in the Figure 3 order the poll happens and does the surplus/
-   telemetry bookkeeping.  [remote_pending] keeps a thief from
-   parking while a remote shard still has drainable work. *)
-type remote_source = {
-  remote_steal : int -> (unit -> unit) list;
-  remote_pending : unit -> bool;
+(* A work source polled after the own-deque pop and the steal attempt
+   have both come up empty — Figure 3's two sources extended by an
+   ordered list (the resume inbox, then the caller's [sources]).  The
+   worker walks the list and runs the first task any source yields;
+   [pending] is the advisory emptiness check the parking protocol ORs
+   over the whole list.  All per-source telemetry lives in the source:
+   [note] bumps its counters on every poll (with the number of tasks
+   taken, 0 when empty), and [event], if any, is emitted on a
+   non-empty take. *)
+type source = {
+  take : int -> (unit -> unit) list;
+  pending : unit -> bool;
+  note : Counters.t -> int -> unit;
+  event : Abp_trace.Event.kind option;
 }
 
 (* State independent of the deque implementation.  Note what is NOT
@@ -78,14 +68,15 @@ type shared = {
      field per scheduling-loop iteration. *)
   gate : gate_hook option;
   (* Batched transfer quota: a thief asks a victim for up to [batch]
-     tasks per steal and an idle worker drains up to [batch] injector
-     tasks per poll.  [1] is classic single-task stealing (the paper's
+     tasks per steal and an idle worker takes up to [batch] tasks per
+     source poll.  [1] is classic single-task stealing (the paper's
      protocol, and the default). *)
   batch : int;
-  externals : external_source option;
-  remotes : remote_source option;
+  (* Polled in order after the steal: the resume inbox first, then the
+     [sources] given to [create]. *)
+  sources : source array;
   (* [spawn_all]: every worker including id 0 is a spawned domain (the
-     lib/serve mode, where work arrives through [externals] rather than
+     lib/serve mode, where work arrives through [sources] rather than
      a [run] caller); [run] is rejected on such pools. *)
   all_spawned : bool;
   counters : Counters.t array;  (* per-worker; the sink's records when traced *)
@@ -102,11 +93,11 @@ type shared = {
   pending_exn : (exn * Printexc.raw_backtrace) option Atomic.t;
   (* Fiber resume inbox: parked continuations made ready by a fulfil
      that happened OFF this pool's workers (a backend domain, another
-     pool's worker with no context).  Workers drain it in the scheduling
-     loop; [resume_n] (padded) gives waiters and the parking protocol a
-     lock-free emptiness check.  A fulfil performed ON a worker skips
-     this entirely — the continuation goes straight onto that worker's
-     own deque like any spawned task. *)
+     pool's worker with no context).  Workers drain it as [sources.(0)];
+     [resume_n] (padded) gives its [pending] check a lock-free emptiness
+     test.  A fulfil performed ON a worker skips this entirely — the
+     continuation goes straight onto that worker's own deque like any
+     spawned task. *)
   resume_lock : Mutex.t;
   resume_q : (unit -> unit) Queue.t;
   resume_n : int Atomic.t;
@@ -138,7 +129,7 @@ let exec_counters_key : Counters.t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 (* Attribute deadline-lane arbiter telemetry to the executing worker.
-   Called by the serving layer from inside its [ext_drain] closure,
+   Called by the serving layer from inside its lane source's [take],
    which runs under [with_context] in the worker loop, so the DLS slot
    is populated; a non-worker caller (unit tests driving the closure
    directly) is a silent no-op. *)
@@ -237,7 +228,7 @@ module Impl (D : Spec.DETAILED) = struct
      empty: thieves would find nothing) or keep a chunk sequential. *)
   let local_size w = D.size w.pool.deques.(w.id)
 
-  (* A multi-task acquisition (batched steal or injector drain) keeps
+  (* A multi-task acquisition (batched steal or source take) keeps
      one task to run now and re-homes the surplus on the thief's own
      deque, pushed in list order so the oldest surplus task sits at the
      top — exactly where the next thief's [popTop] looks, preserving the
@@ -260,128 +251,84 @@ module Impl (D : Spec.DETAILED) = struct
       wake_waiters w.pool.shared
     end
 
-  let try_get_task w =
+  (* One steal attempt from a uniformly random other victim. *)
+  let steal w =
     let pool = w.pool in
     let c = w.c in
-    let steal () =
-      if pool.shared.size = 1 then None
-      else begin
-        (* One steal attempt from a uniformly random other victim. *)
-        let v = Abp_stats.Rng.int w.rng_state (pool.shared.size - 1) in
-        let victim = if v >= w.id then v + 1 else v in
-        c.Counters.steal_attempts <- c.Counters.steal_attempts + 1;
-        if pool.shared.batch > 1 then begin
-          (* Batched steal: up to [batch] tasks, capped at half the
-             victim's observed size by the deque's [Spec.batch_quota].
-             The batch API folds a lost CAS into the empty result, so a
-             [[]] here lands in [steal_empties] (documented in
-             {!Abp_trace.Counters}). *)
-          match D.pop_top_n pool.deques.(victim) pool.shared.batch with
-          | [] ->
-              c.Counters.steal_empties <- c.Counters.steal_empties + 1;
-              emit w ~arg:victim Abp_trace.Event.Idle;
-              None
-          | task :: rest ->
-              let got = 1 + List.length rest in
-              c.Counters.successful_steals <- c.Counters.successful_steals + 1;
-              c.Counters.stolen_tasks <- c.Counters.stolen_tasks + got;
-              if got >= 2 then c.Counters.batch_steals <- c.Counters.batch_steals + 1;
-              Counters.note_batch c got;
-              Counters.note_victim c victim;
-              emit w ~arg:victim Abp_trace.Event.Steal;
-              repush_surplus w rest;
-              Some task
-        end
-        else
-          match D.pop_top_detailed pool.deques.(victim) with
-          | Spec.Got task ->
-              c.Counters.successful_steals <- c.Counters.successful_steals + 1;
-              c.Counters.stolen_tasks <- c.Counters.stolen_tasks + 1;
-              Counters.note_batch c 1;
-              Counters.note_victim c victim;
-              emit w ~arg:victim Abp_trace.Event.Steal;
-              Some task
-          | Spec.Empty ->
-              c.Counters.steal_empties <- c.Counters.steal_empties + 1;
-              emit w ~arg:victim Abp_trace.Event.Idle;
-              None
-          | Spec.Contended ->
-              c.Counters.cas_failures_pop_top <- c.Counters.cas_failures_pop_top + 1;
-              emit w ~arg:victim Abp_trace.Event.Idle;
-              None
+    if pool.shared.size = 1 then None
+    else begin
+      let v = Abp_stats.Rng.int w.rng_state (pool.shared.size - 1) in
+      let victim = if v >= w.id then v + 1 else v in
+      c.Counters.steal_attempts <- c.Counters.steal_attempts + 1;
+      if pool.shared.batch > 1 then begin
+        (* Batched steal: up to [batch] tasks, capped at half the
+           victim's observed size by the deque's [Spec.batch_quota].
+           The batch API folds a lost CAS into the empty result, so a
+           [[]] here lands in [steal_empties] (documented in
+           {!Abp_trace.Counters}). *)
+        match D.pop_top_n pool.deques.(victim) pool.shared.batch with
+        | [] ->
+            c.Counters.steal_empties <- c.Counters.steal_empties + 1;
+            emit w ~arg:victim Abp_trace.Event.Idle;
+            None
+        | task :: rest ->
+            let got = 1 + List.length rest in
+            c.Counters.successful_steals <- c.Counters.successful_steals + 1;
+            c.Counters.stolen_tasks <- c.Counters.stolen_tasks + got;
+            if got >= 2 then c.Counters.batch_steals <- c.Counters.batch_steals + 1;
+            Counters.note_batch c got;
+            Counters.note_victim c victim;
+            emit w ~arg:victim Abp_trace.Event.Steal;
+            repush_surplus w rest;
+            Some task
       end
+      else
+        match D.pop_top_detailed pool.deques.(victim) with
+        | Spec.Got task ->
+            c.Counters.successful_steals <- c.Counters.successful_steals + 1;
+            c.Counters.stolen_tasks <- c.Counters.stolen_tasks + 1;
+            Counters.note_batch c 1;
+            Counters.note_victim c victim;
+            emit w ~arg:victim Abp_trace.Event.Steal;
+            Some task
+        | Spec.Empty ->
+            c.Counters.steal_empties <- c.Counters.steal_empties + 1;
+            emit w ~arg:victim Abp_trace.Event.Idle;
+            None
+        | Spec.Contended ->
+            c.Counters.cas_failures_pop_top <- c.Counters.cas_failures_pop_top + 1;
+            emit w ~arg:victim Abp_trace.Event.Idle;
+            None
+    end
+
+  (* Past the steal: the first source in list order that yields.  A
+     multi-task take keeps one task and re-homes the surplus, exactly
+     like a batched steal. *)
+  let poll_sources w =
+    let sh = w.pool.shared in
+    let n = Array.length sh.sources in
+    let rec go i =
+      if i >= n then None
+      else
+        let s = Array.unsafe_get sh.sources i in
+        match s.take sh.batch with
+        | [] ->
+            s.note w.c 0;
+            go (i + 1)
+        | task :: rest ->
+            let got = 1 + List.length rest in
+            s.note w.c got;
+            (match s.event with Some k -> emit w ~arg:got k | None -> ());
+            repush_surplus w rest;
+            Some task
     in
-    (* Lowest-priority source: the external injector inbox, polled only
-       once the local deque and one steal attempt have both failed.  A
-       batched pool drains up to [batch] submissions per poll,
-       amortizing the inbox's CAS cursor over the whole batch. *)
-    let inject () =
-      match pool.shared.externals with
-      | None -> None
-      | Some ext -> (
-          c.Counters.inject_polls <- c.Counters.inject_polls + 1;
-          match ext.ext_drain pool.shared.batch with
-          | [] -> None
-          | task :: rest ->
-              let got = 1 + List.length rest in
-              c.Counters.inject_tasks <- c.Counters.inject_tasks + got;
-              if got >= 2 then c.Counters.inject_batches <- c.Counters.inject_batches + 1;
-              Counters.note_batch c got;
-              emit w Abp_trace.Event.Inject;
-              repush_surplus w rest;
-              Some task)
-    in
-    (* Last resort: cross the shard boundary.  The closure decides
-       whether to actually touch a remote shard this trip (rate limit,
-       victim preference); an empty answer is indistinguishable from
-       "remote shards are balanced", which is the common case. *)
-    let remote () =
-      match pool.shared.remotes with
-      | None -> None
-      | Some r -> (
-          c.Counters.cross_polls <- c.Counters.cross_polls + 1;
-          match r.remote_steal pool.shared.batch with
-          | [] -> None
-          | task :: rest ->
-              let got = 1 + List.length rest in
-              c.Counters.cross_shard_steals <- c.Counters.cross_shard_steals + 1;
-              c.Counters.cross_stolen_tasks <- c.Counters.cross_stolen_tasks + got;
-              Counters.note_batch c got;
-              emit w ~arg:got Abp_trace.Event.Cross;
-              repush_surplus w rest;
-              Some task)
-    in
-    (* Resumed continuations made ready by an off-pool fulfil.  Polled
-       right after the steal attempt and before NEW external work (the
-       injector): a resume is the tail of an already-admitted task, so
-       finishing in-flight work takes priority over admitting more.
-       Drained one at a time — a resume is executed directly and never
-       re-enters a deque. *)
-    let resume () =
-      if Atomic.get pool.shared.resume_n = 0 then None
-      else begin
-        Mutex.lock pool.shared.resume_lock;
-        let task =
-          if Queue.is_empty pool.shared.resume_q then None
-          else begin
-            Atomic.decr pool.shared.resume_n;
-            Some (Queue.pop pool.shared.resume_q)
-          end
-        in
-        Mutex.unlock pool.shared.resume_lock;
-        task
-      end
-    in
-    let steal_then_inject () =
-      match steal () with
-      | Some task -> Some task
-      | None -> (
-          match resume () with
-          | Some task -> Some task
-          | None -> (
-              match inject () with Some task -> Some task | None -> remote ()))
-    in
-    match D.pop_bottom_detailed pool.deques.(w.id) with
+    go 0
+
+  let steal_then_sources w = match steal w with Some _ as got -> got | None -> poll_sources w
+
+  let try_get_task w =
+    let c = w.c in
+    match D.pop_bottom_detailed w.pool.deques.(w.id) with
     | Spec.Got task ->
         c.Counters.pops <- c.Counters.pops + 1;
         emit w Abp_trace.Event.Execute;
@@ -389,17 +336,14 @@ module Impl (D : Spec.DETAILED) = struct
     | Spec.Contended ->
         (* Lost the deque's last task to a thief mid-popBottom. *)
         c.Counters.cas_failures_pop_bottom <- c.Counters.cas_failures_pop_bottom + 1;
-        steal_then_inject ()
-    | Spec.Empty -> steal_then_inject ()
+        steal_then_sources w
+    | Spec.Empty -> steal_then_sources w
 
+  (* The parking check: some deque is non-empty, or some source is
+     pending. *)
   let has_work t =
-    let d = t.deques in
-    let n = Array.length d in
-    let rec go i = i < n && (D.size (Array.unsafe_get d i) > 0 || go (i + 1)) in
-    go 0
-    || Atomic.get t.shared.resume_n > 0
-    || (match t.shared.externals with Some ext -> ext.ext_pending () | None -> false)
-    || (match t.shared.remotes with Some r -> r.remote_pending () | None -> false)
+    Array.exists (fun d -> D.size d > 0) t.deques
+    || Array.exists (fun s -> s.pending ()) t.shared.sources
 
   let park w =
     let sh = w.pool.shared in
@@ -536,10 +480,10 @@ let current () =
   | Some w -> w
   | None -> failwith "Hood: not inside a pool worker (use Pool.run)"
 
-let pool_of = function
-  | Abp_worker w -> Abp_pool w.Abp_impl.pool
-  | Circular_worker w -> Circular_pool w.Circular_impl.pool
-  | Locked_worker w -> Locked_pool w.Locked_impl.pool
+let worker_shared = function
+  | Abp_worker w -> w.Abp_impl.pool.Abp_impl.shared
+  | Circular_worker w -> w.Circular_impl.pool.Circular_impl.shared
+  | Locked_worker w -> w.Locked_impl.pool.Locked_impl.shared
 
 let size t = (shared_of t).size
 let batch_size t = (shared_of t).batch
@@ -559,7 +503,6 @@ let deque_size t i =
    advisory while they run. *)
 let steal_attempts t = (Counters.sum (shared_of t).counters).Counters.steal_attempts
 let successful_steals t = (Counters.sum (shared_of t).counters).Counters.successful_steals
-let trace t = (shared_of t).trace
 let counters t = (shared_of t).counters
 let parked_workers t = Atomic.get (shared_of t).n_parked
 
@@ -624,7 +567,7 @@ let suspended t = Atomic.get (shared_of t).n_suspended
    [Future.force] fallback loop): running a task RAW there would let
    the helped task's [Await] be captured by the enclosing task's
    handler, parking the helper itself. *)
-let run_task w task = Fiber.run (shared_of (pool_of w)).fsched task
+let run_task w task = Fiber.run (worker_shared w).fsched task
 
 let with_context w f =
   let slot = Domain.DLS.get context_key in
@@ -645,7 +588,7 @@ let with_context w f =
 let emit_fiber_event arg =
   match !(Domain.DLS.get context_key) with
   | Some w -> (
-      match (shared_of (pool_of w)).trace with
+      match (worker_shared w).trace with
       | Some s -> Sink.emit s ~worker:(worker_id w) ~arg Abp_trace.Event.Fiber
       | None -> ())
   | None -> ()
@@ -714,9 +657,36 @@ let make_fiber_sched sh =
   in
   { Fiber.schedule; on_suspend; on_resume }
 
+(* The resume inbox as the first source: one continuation per poll (a
+   resume is executed directly and never re-enters a deque), ahead of
+   every caller source because a resume is the tail of an
+   already-admitted task — finishing in-flight work takes priority over
+   admitting more.  It feeds no counter. *)
+let resume_source ~lock ~q ~n =
+  {
+    take =
+      (fun _ ->
+        if Atomic.get n = 0 then []
+        else begin
+          Mutex.lock lock;
+          let got =
+            if Queue.is_empty q then []
+            else begin
+              Atomic.decr n;
+              [ Queue.pop q ]
+            end
+          in
+          Mutex.unlock lock;
+          got
+        end);
+    pending = (fun () -> Atomic.get n > 0);
+    note = (fun _ _ -> ());
+    event = None;
+  }
+
 let create ?processes ?deque_capacity ?(yield_kind = Yield_local)
     ?(park_threshold = default_park_threshold) ?(deque_impl = Abp) ?(batch = 0) ?trace
-    ?external_source ?remote_source ?(spawn_all = false) ?gate () =
+    ?(sources = []) ?(spawn_all = false) ?gate () =
   let processes = Option.value processes ~default:(Domain.recommended_domain_count ()) in
   if processes < 1 then invalid_arg "Pool.create: processes >= 1 required";
   if park_threshold < 0 then invalid_arg "Pool.create: park_threshold >= 0 required";
@@ -727,6 +697,8 @@ let create ?processes ?deque_capacity ?(yield_kind = Yield_local)
   | Some s when Sink.workers s <> processes ->
       invalid_arg "Pool.create: trace sink must have one worker per process"
   | _ -> ());
+  let resume_lock = Mutex.create () and resume_q = Queue.create () in
+  let resume_n = Padding.atomic 0 in
   let shared =
     {
       shutdown_flag = Atomic.make false;
@@ -737,8 +709,8 @@ let create ?processes ?deque_capacity ?(yield_kind = Yield_local)
       park_threshold;
       gate;
       batch;
-      externals = external_source;
-      remotes = remote_source;
+      sources =
+        Array.of_list (resume_source ~lock:resume_lock ~q:resume_q ~n:resume_n :: sources);
       all_spawned = spawn_all;
       counters =
         (match trace with
@@ -749,9 +721,9 @@ let create ?processes ?deque_capacity ?(yield_kind = Yield_local)
       park_cond = Condition.create ();
       n_parked = Padding.atomic 0;
       pending_exn = Atomic.make None;
-      resume_lock = Mutex.create ();
-      resume_q = Queue.create ();
-      resume_n = Padding.atomic 0;
+      resume_lock;
+      resume_q;
+      resume_n;
       resume_redirect = None;
       n_suspended = Padding.atomic 0;
       fsched = Fiber.inline_sched;

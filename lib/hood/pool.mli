@@ -94,7 +94,7 @@ type gate_hook = {
     the top of the worker loop (so after each completed task), between
     failed steal attempts, before parking, and inside {!Future.force}'s
     help loop — points where the worker holds no
-    acquired-but-unpublished tasks: batched steal/inject surplus is
+    acquired-but-unpublished tasks: batched steal/source surplus is
     re-pushed onto the worker's own deque {e before} the next safe
     point, so suspending a worker never strands transferable work.
 
@@ -102,48 +102,37 @@ type gate_hook = {
     blocked at a gate cannot observe the shutdown flag);
     {!Abp_mp.Controller.stop} does this. *)
 
-type external_source = {
-  ext_drain : int -> (unit -> unit) list;
-      (** [ext_drain n] dequeues up to [n] externally submitted tasks
-          ([n >= 1]; [[]] when none are pending).  A non-batched pool
-          drains with [n = 1], so a source backed by a one-at-a-time
-          queue can simply loop its pop. *)
-  ext_pending : unit -> bool;  (** advisory: is the source non-empty? *)
+type source = {
+  take : int -> (unit -> unit) list;
+      (** [take n] removes up to [n] tasks ([n >= 1], the pool's
+          {!batch_size}); [[]] is the common, cheap answer.  Must not
+          block.  A source backed by a one-at-a-time queue may simply
+          return one task. *)
+  pending : unit -> bool;
+      (** advisory: could [take] yield work now?  The parking protocol
+          ORs this over every source, so a thief never blocks while a
+          source has work. *)
+  note : Abp_trace.Counters.t -> int -> unit;
+      (** [note c got] is the source's own telemetry, called on every
+          poll with the polling worker's counter record and the number
+          of tasks taken ([0] when empty). *)
+  event : Abp_trace.Event.kind option;
+      (** emitted on a non-empty take, with [arg] = tasks taken *)
 }
-(** An external task source — in practice the {!Abp_serve} injector
-    inbox, a bounded multi-producer queue filled by [submit] calls from
-    arbitrary domains.  A worker polls it only after its own-deque pop
-    {e and} a steal attempt both came up empty, preserving the Figure 3
-    priority order (own deque, then steal) and adding the inbox as a
-    third, lowest-priority source; the parking protocol consults
-    [ext_pending] so a thief never blocks while submitted work is
-    pending.  External producers must call {!wake} after enqueueing.
-    With [batch > 1] a single poll drains up to [batch] tasks: one is
-    run immediately, the surplus is pushed onto the polling worker's own
-    deque (stealable by everyone, and waking parked thieves). *)
-
-type remote_source = {
-  remote_steal : int -> (unit -> unit) list;
-      (** [remote_steal n] tries to acquire up to [n] tasks ([n >= 1])
-          from outside the pool — another shard's deques (via
-          {!steal_from}) or its injector inbox.  All policy (victim
-          choice, rate limiting, the steal-up-to-half quota) lives in
-          this closure; returning [[]] is the common, cheap case.  Must
-          not block. *)
-  remote_pending : unit -> bool;
-      (** advisory: does any remote shard have drainable work?  Consulted
-          by the parking protocol so a thief never blocks while a remote
-          imbalance persists. *)
-}
-(** A remote (cross-shard) work source — the overflow path of the
-    sharded serving topology ({!Abp_serve.Shard}).  Polled {e strictly
-    last} in the scheduling loop: own-deque pop, one intra-pool steal
-    attempt, and the own injector must all come up empty first, so a
-    balanced shard never pays a cross-shard cache miss.  Acquisitions
-    are counted in the thief's [cross_polls] / [cross_shard_steals] /
-    [cross_stolen_tasks] telemetry and surface as [Cross] events; a
-    multi-task acquisition keeps one task and re-homes the surplus on
-    the thief's own deque exactly like a batched steal. *)
+(** A work source beyond the paper's two.  A worker acquires work in
+    one fixed order: its own deque's bottom, then {e one} steal attempt
+    on a random victim, then the sources in list order — the pool's
+    fiber resume inbox first (continuations made ready by an off-pool
+    fulfil; it feeds no counter), then the [sources] given to {!create}
+    in the order given.  {!Abp_serve.Serve} passes its lane arbiter
+    (deadline lane, bulk lane) followed by the cross-shard overflow of
+    {!Abp_serve.Shard}, so the full order is own deque, steal, resume
+    inbox, lanes, cross-shard — Figure 3's order extended, with a
+    balanced shard never paying a cross-shard miss.  The first source
+    that yields wins; a multi-task take keeps one task and pushes the
+    surplus onto the worker's own deque (stealable, and waking parked
+    thieves), like a batched steal.  Producers outside the pool must
+    call {!wake} after making a source non-empty. *)
 
 val create :
   ?processes:int ->
@@ -153,8 +142,7 @@ val create :
   ?deque_impl:deque_impl ->
   ?batch:int ->
   ?trace:Abp_trace.Sink.t ->
-  ?external_source:external_source ->
-  ?remote_source:remote_source ->
+  ?sources:source list ->
   ?spawn_all:bool ->
   ?gate:gate_hook ->
   unit ->
@@ -184,11 +172,10 @@ val create :
     victim for up to [batch] tasks per steal (the deque grants at most
     half the victim's observed size — {!Abp_deque.Spec.batch_quota}),
     runs one, and pushes the surplus onto its own deque; idle workers
-    likewise drain up to [batch] injector tasks per poll.  [0] and [1]
+    likewise take up to [batch] tasks per source poll.  [0] and [1]
     both mean classic single-task transfer, the paper's protocol.
     Batching changes {e how many} tasks one acquisition moves, not the
-    acquisition order: the own-deque / steal / inject priority and the
-    parking protocol are unchanged.  On the {!Abp} deque the batch
+    acquisition order (see {!source}) or the parking protocol.  On the {!Abp} deque the batch
     degrades to single steals (its Figure 5 packed-[age] CAS transfers
     one item by design; see {!Abp_deque.Atomic_deque}) — use
     {!Circular} or {!Locked} for native batching.
@@ -203,17 +190,12 @@ val create :
     events stamped with the sink's clock.  Read the sink after
     {!shutdown} (aggregation while domains run is racy).
 
-    [external_source] attaches an external task inbox (see
-    {!external_source}); polls and acquisitions are counted in the
-    per-worker [inject_polls]/[inject_tasks] telemetry.
-
-    [remote_source] attaches a cross-shard overflow source (see
-    {!remote_source}), polled only after the own deque, a steal attempt,
-    and the injector all came up empty.
+    [sources] (default none) are polled after the resume inbox, in list
+    order (see {!source}).
 
     [spawn_all] (default false) spawns all [processes] workers as
     domains, including worker 0 — the service mode used by
-    {!Abp_serve.Serve}, where tasks arrive through [external_source]
+    {!Abp_serve.Serve}, where tasks arrive through [sources]
     instead of a {!run} caller.  {!run} raises [Failure] on such a
     pool.
 
@@ -262,9 +244,9 @@ val suspended : t -> int
 
 val wake : t -> unit
 (** Wake every parked thief (no-op when none are parked: one atomic read
-    on the fast path).  External producers call this after pushing into
-    the pool's [external_source] so a fully parked pool notices the new
-    work. *)
+    on the fast path).  External producers call this after making one of
+    the pool's [sources] non-empty so a fully parked pool notices the
+    new work. *)
 
 val resume_external : t -> (unit -> unit) -> unit
 (** [resume_external t k] enqueues the ready continuation [k] on [t]'s
@@ -333,7 +315,7 @@ val self_id : unit -> int option
 val note_lane : polls:int -> tasks:int -> unit
 (** Attribute deadline-lane arbiter telemetry ([lane_polls] /
     [lane_tasks], {!Abp_trace.Counters}) to the calling worker's own
-    counter record.  For the serving layer's [ext_drain] closure, which
+    counter record.  For the serving layer's lane source, whose [take]
     executes on a worker domain but is written outside the pool; a
     non-worker caller is a no-op. *)
 
@@ -342,7 +324,6 @@ val note_deadline_miss : unit -> unit
     ([deadline_misses], {!Abp_trace.Counters}) against the calling
     worker's record; a non-worker caller is a no-op. *)
 
-val pool_of : worker -> t
 val push_task : worker -> (unit -> unit) -> unit
 val try_get_task : worker -> (unit -> unit) option
 val relax : unit -> unit
@@ -389,9 +370,6 @@ val successful_steals : t -> int
 val parked_workers : t -> int
 (** Number of thieves currently parked on the pool's condition variable
     (advisory snapshot). *)
-
-val trace : t -> Abp_trace.Sink.t option
-(** The sink passed to {!create}, if any. *)
 
 val counters : t -> Abp_trace.Counters.t array
 (** Per-worker telemetry records (the sink's records when traced, a

@@ -43,7 +43,8 @@ val try_pop_n : 'a t -> int -> 'a list
 (** [try_pop_n t n] dequeues up to [n] items (oldest first) as a loop of
     independent {!try_pop}s; [[]] when the queue is empty.  Interleaved
     consumers may split a batch — each pop linearizes on its own.  Backs
-    the pool's batched injector drain ([ext_drain]).  Requires
+    the batched [take] of {!Serve}'s lane source
+    ({!Abp_hood.Pool.source}).  Requires
     [n >= 1]. *)
 
 val size : 'a t -> int
@@ -51,5 +52,5 @@ val size : 'a t -> int
     depth gauge reported by {!Serve.pp_report}. *)
 
 val is_empty : 'a t -> bool
-(** [size t = 0]; the pool's parking protocol uses this as the
-    [ext_pending] check. *)
+(** [size t = 0]; {!Serve}'s lane source uses this as its [pending]
+    check, which the pool's parking protocol consults. *)

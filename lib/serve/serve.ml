@@ -2,6 +2,7 @@ module Pool = Abp_hood.Pool
 module Padding = Abp_deque.Padding
 module Fiber = Abp_fiber.Fiber
 module Clock = Abp_trace.Clock
+module Counters = Abp_trace.Counters
 module Log_histogram = Abp_stats.Log_histogram
 
 (* [lane] is defined before [reason] on purpose: both have a [Deadline]
@@ -83,7 +84,6 @@ type t = {
   pool : Pool.t;
   inbox : job Injector.t;  (* bulk lane *)
   dl_inbox : job Injector.t;  (* deadline lane, polled first *)
-  clock : unit -> int;  (* monotonic nanoseconds *)
   admitting : bool Atomic.t;
   stopped : bool Atomic.t;
   (* Admission counters, each on its own cache line (written from many
@@ -137,8 +137,8 @@ type 'a ticket = {
   cell : 'a cell Atomic.t;
   srv : t;
   tk_lane : lane;
-  submitted : int;  (* ns, against [srv.clock] *)
-  t_deadline : int option;  (* absolute ns, against [srv.clock] *)
+  submitted : int;  (* ns, against [Clock.now] *)
+  t_deadline : int option;  (* absolute ns, against [Clock.now] *)
   notify : ('a outcome -> unit) option;
       (* Invoked exactly once, at the ticket's terminal transition
          (Finished/Excepted in the worker, Dropped in the canceller) —
@@ -167,8 +167,8 @@ let wait_until s settled =
     Atomic.decr s.waiters
   done
 
-(* Earliest-deadline-first over one drained batch.  The consumer (the
-   pool's inject/remote path) runs the list HEAD immediately and
+(* Earliest-deadline-first over one drained batch.  The consumer (a
+   pool's source poll) runs the list HEAD immediately and
    re-pushes the tail bottom-up onto the worker's deque, which the
    owner pops LIFO — so the batch is returned earliest-due first with
    the tail reversed: the owner then executes the whole batch in
@@ -186,18 +186,29 @@ let edf_order js =
   | [] -> []
   | hd :: tl -> hd :: List.rev tl
 
-let create ?processes ?deque_capacity ?park_threshold ?deque_impl ?batch ?yield_kind ?gate
-    ?(inbox_capacity = 1024) ?(clock = Clock.now) ?trace ?remote_source () =
+(* The lane source's telemetry: every poll counts in [inject_polls]; a
+   non-empty one in [inject_tasks], [inject_batches] (two or more tasks)
+   and the batch histogram. *)
+let note_inject c got =
+  c.Counters.inject_polls <- c.Counters.inject_polls + 1;
+  if got > 0 then begin
+    c.Counters.inject_tasks <- c.Counters.inject_tasks + got;
+    if got >= 2 then c.Counters.inject_batches <- c.Counters.inject_batches + 1;
+    Counters.note_batch c got
+  end
+
+let create ?processes ?park_threshold ?batch ?yield_kind ?gate ?(inbox_capacity = 1024) ?trace
+    ?overflow () =
   let inbox = Injector.create ~capacity:inbox_capacity () in
   let dl_inbox = Injector.create ~capacity:inbox_capacity () in
   let credit = Padding.atomic 0 in
   let drain_dl n = edf_order (Injector.try_pop_n dl_inbox n) in
-  (* The lane arbiter behind the pool's external source: deadline lane
-     first in EDF order, bulk when it is empty — except that accrued
-     bulk credit forces a bulk-first poll (anti-starvation).  A drain
-     never mixes lanes, so the telemetry and the EDF order of the
+  (* The lane arbiter, the pool's source right after its resume inbox:
+     deadline lane first in EDF order, bulk when it is empty — except
+     that accrued bulk credit forces a bulk-first poll (anti-starvation).
+     A take never mixes lanes, so the telemetry and the EDF order of the
      surplus stay lane-pure. *)
-  let ext_drain n =
+  let take n =
     let bulk_first =
       Atomic.get credit >= bulk_credit_period - 1 && not (Injector.is_empty inbox)
     in
@@ -219,15 +230,17 @@ let create ?processes ?deque_capacity ?park_threshold ?deque_impl ?batch ?yield_
     Pool.note_lane ~polls:1 ~tasks:(List.length dl);
     List.map (fun j -> j.run) (match dl with [] -> bulk | _ -> dl)
   in
-  let external_source =
+  let lanes =
     {
-      Pool.ext_drain;
-      ext_pending = (fun () -> not (Injector.is_empty dl_inbox && Injector.is_empty inbox));
+      Pool.take;
+      pending = (fun () -> not (Injector.is_empty dl_inbox && Injector.is_empty inbox));
+      note = note_inject;
+      event = Some Abp_trace.Event.Inject;
     }
   in
   let pool =
-    Pool.create ?processes ?deque_capacity ?park_threshold ?deque_impl ?batch ?yield_kind ?gate
-      ?trace ~external_source ?remote_source ~spawn_all:true ()
+    Pool.create ?processes ?park_threshold ?batch ?yield_kind ?gate ?trace
+      ~sources:(lanes :: Option.to_list overflow) ~spawn_all:true ()
   in
   let shards = Pool.size pool in
   (* ~1 h of nanoseconds per histogram: far beyond any realistic
@@ -260,7 +273,6 @@ let create ?processes ?deque_capacity ?park_threshold ?deque_impl ?batch ?yield_
     pool;
     inbox;
     dl_inbox;
-    clock;
     admitting = Atomic.make true;
     stopped = Atomic.make false;
     accepted = Padding.atomic 0;
@@ -357,7 +369,7 @@ let make_job s tk f =
        it.  Note that [run_h] therefore measures claim-to-settle
        request latency, await time included. *)
     Fiber.run s.fsched (fun () ->
-        let start = s.clock () in
+        let start = Clock.now () in
         let expired = match tk.t_deadline with Some dl -> start > dl | None -> false in
         if expired then ignore (drop s tk Deadline)
         else if Atomic.compare_and_set tk.cell Queued Started then begin
@@ -374,7 +386,7 @@ let make_job s tk f =
               Atomic.incr s.exceptions;
               Atomic.incr l.l_exceptions;
               notify_tk tk (Raised e));
-          let settle = s.clock () in
+          let settle = Clock.now () in
           (* Deadline-miss accounting: the ticket settled (either way)
              past its absolute deadline.  A drop before the claim is a
              cancellation, not a miss — it never ran. *)
@@ -415,7 +427,7 @@ let try_submit_gen ~count_reject ?notify s ?(lane = (Bulk : lane)) ?deadline f =
     Error Draining
   end
   else begin
-    let now = s.clock () in
+    let now = Clock.now () in
     let tk =
       {
         cell = Atomic.make Queued;

@@ -35,8 +35,8 @@
 
     {2 Clock and latency}
 
-    Timestamps come from a monotonic nanosecond [clock] (default
-    {!Abp_trace.Clock.now}); deadlines are measured against it.
+    Timestamps come from the monotonic nanosecond clock
+    {!Abp_trace.Clock.now}; deadlines are measured against it.
     Latencies are recorded into per-worker-sharded log-scale histograms
     ({!Abp_stats.Log_histogram.Sharded}) — plain writes into the
     executing worker's own shard, no shared atomics on the record path —
@@ -147,26 +147,25 @@ val lanes : lane list
 
 val create :
   ?processes:int ->
-  ?deque_capacity:int ->
   ?park_threshold:int ->
-  ?deque_impl:Abp_hood.Pool.deque_impl ->
   ?batch:int ->
   ?yield_kind:Abp_hood.Pool.yield_kind ->
   ?gate:Abp_hood.Pool.gate_hook ->
   ?inbox_capacity:int ->
-  ?clock:(unit -> int) ->
   ?trace:Abp_trace.Sink.t ->
-  ?remote_source:Abp_hood.Pool.remote_source ->
+  ?overflow:Abp_hood.Pool.source ->
   unit ->
   t
 (** Start the service: a {!Abp_hood.Pool} in [spawn_all] mode (all
     [processes] workers are domains) wired to two fresh injector inboxes
     (bulk and deadline lane) of [inbox_capacity] slots each (default
-    1024, rounded up to a power of two).  [clock] (default
-    {!Abp_trace.Clock.now}) returns monotonic nanoseconds and stamps
-    submissions, starts and completions; deadlines are measured against
-    it.  [batch] (default 0 = off) enables batched work transfer in the
-    pool ({!Abp_hood.Pool.create}): an idle worker drains up to [batch]
+    1024, rounded up to a power of two).  The pool gets two sources
+    ({!Abp_hood.Pool.source}) after its resume inbox: the lane arbiter
+    over both inboxes, then [overflow] if given — {!Shard}'s cross-shard
+    source, so this service's idle workers relieve sibling shards only
+    after every intra-shard source came up empty.  [batch] (default 0 =
+    off) enables batched work transfer in the pool
+    ({!Abp_hood.Pool.create}): an idle worker drains up to [batch]
     submissions per poll ({!Injector.try_pop_n}) — running one and
     spreading the rest through its own deque for stealing — and thieves
     steal up to [batch] tasks at a time; a drained deadline batch is EDF
@@ -175,16 +174,12 @@ val create :
     multiprogramming harness ({!Abp_mp}): an adversary may suspend
     workers mid-service, and the drain conservation invariant must
     still hold — reopen the gates ({!Abp_mp.Controller.stop}) before
-    {!shutdown}.  The remaining parameters are
-    passed to {!Abp_hood.Pool.create}; with [trace] attached, injector
+    {!shutdown}.  [processes], [park_threshold] and [trace] are passed
+    to {!Abp_hood.Pool.create}; with [trace] attached, lane-source
     polls/acquisitions appear in the per-worker
     [inject_polls]/[inject_tasks]/[inject_batches] counters, lane
-    arbitration in [lane_polls]/[lane_tasks], and as
-    [Inject] events in the Chrome export.  [remote_source] attaches a
-    cross-shard overflow source to the pool
-    ({!Abp_hood.Pool.remote_source}) — used by {!Shard} to let this
-    service's idle workers relieve sibling shards after every intra-shard
-    source came up empty. *)
+    arbitration in [lane_polls]/[lane_tasks], and as [Inject] events in
+    the Chrome export. *)
 
 val size : t -> int
 (** Worker count [P]. *)
@@ -308,7 +303,7 @@ val steal_inbox : t -> int -> (unit -> unit) list
 (** [steal_inbox s n] removes up to [n] queued jobs from [s]'s inboxes —
     deadline lane first, in EDF order — and returns their run closures:
     the cross-shard overflow entry point used by a sibling shard's
-    {!Abp_hood.Pool.remote_source}.  The jobs keep their closures over
+    overflow source ({!Abp_hood.Pool.source}).  The jobs keep their closures over
     [s]'s tickets and counters, so [s]'s conservation invariant holds no
     matter which pool runs them (the runner's pool counts them in its
     own cross-shard telemetry).  Returns [[]] for [n <= 0].  Callable

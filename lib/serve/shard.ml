@@ -64,7 +64,7 @@ let thief_key : thief Domain.DLS.key =
       })
 
 (* The closures below are built before the serve array exists (each
-   serve's pool needs its remote source at creation), so they read the
+   serve's pool needs its overflow source at creation), so they read the
    array through [cell], set once after construction.  A worker that
    races construction sees [[||]] and treats the topology as unsharded —
    no remote work, nothing pending. *)
@@ -98,7 +98,7 @@ let deadline_relief serves st my k quota =
   in
   scan 0
 
-let remote_steal cell live ~cross_period ~cross_quota my n =
+let cross_take cell live ~cross_period ~cross_quota my n =
   let serves = Atomic.get cell in
   let k = Array.length serves in
   if k <= 1 || not (Atomic.get live.(my)) then []
@@ -157,7 +157,7 @@ let remote_steal cell live ~cross_period ~cross_quota my n =
 (* Advisory view for the parking protocol: is there anything a
    cross-shard steal could still acquire?  O(total workers), but only
    consulted when a thief is about to block. *)
-let remote_pending cell live my () =
+let cross_pending cell live my () =
   let serves = Atomic.get cell in
   let k = Array.length serves in
   Atomic.get live.(my)
@@ -180,9 +180,19 @@ let remote_pending cell live my () =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
-let create ?processes ?deque_capacity ?park_threshold ?deque_impl ?batch ?yield_kind ?gates
-    ?inbox_capacity ?clock ?traces ?(cross_period = 8) ?(cross_quota = 4)
-    ~shards () =
+(* The overflow source's telemetry: every poll counts in [cross_polls];
+   a non-empty one in [cross_shard_steals], [cross_stolen_tasks] and the
+   batch histogram. *)
+let note_cross c got =
+  c.Counters.cross_polls <- c.Counters.cross_polls + 1;
+  if got > 0 then begin
+    c.Counters.cross_shard_steals <- c.Counters.cross_shard_steals + 1;
+    c.Counters.cross_stolen_tasks <- c.Counters.cross_stolen_tasks + got;
+    Counters.note_batch c got
+  end
+
+let create ?processes ?park_threshold ?batch ?yield_kind ?gates ?inbox_capacity ?traces
+    ?(cross_period = 8) ?(cross_quota = 4) ~shards () =
   if shards < 1 then invalid_arg "Shard.create: shards >= 1 required";
   if cross_period < 1 then invalid_arg "Shard.create: cross_period >= 1 required";
   if cross_quota < 1 then invalid_arg "Shard.create: cross_quota >= 1 required";
@@ -198,20 +208,22 @@ let create ?processes ?deque_capacity ?park_threshold ?deque_impl ?batch ?yield_
   let live = Array.init shards (fun _ -> Atomic.make true) in
   let serves =
     Array.init shards (fun i ->
-        let remote_source =
+        let overflow =
           if shards = 1 then None
           else
             Some
               {
-                Pool.remote_steal = remote_steal cell live ~cross_period ~cross_quota i;
-                remote_pending = remote_pending cell live i;
+                Pool.take = cross_take cell live ~cross_period ~cross_quota i;
+                pending = cross_pending cell live i;
+                note = note_cross;
+                event = Some Abp_trace.Event.Cross;
               }
         in
-        Serve.create ?processes ?deque_capacity ?park_threshold ?deque_impl ?batch ?yield_kind
+        Serve.create ?processes ?park_threshold ?batch ?yield_kind
           ?gate:(match gates with Some a -> Some a.(i) | None -> None)
-          ?inbox_capacity ?clock
+          ?inbox_capacity
           ?trace:(match traces with Some a -> Some a.(i) | None -> None)
-          ?remote_source ())
+          ?overflow ())
   in
   Atomic.set cell serves;
   {

@@ -15,9 +15,10 @@
        {!route_counts}.}
     {- {b Bounded cross-shard overflow}: a worker follows the Figure 3
        order {e within its shard} first — own deque, one intra-shard
-       steal attempt, own injector — and only when all three come up
-       empty does it poll the remote source
-       ({!Abp_hood.Pool.remote_source}).  That poll is rate-limited (one
+       steal attempt, resume inbox, own lanes — and only when all of
+       them come up empty does it poll the overflow source, the last
+       entry of its pool's source list ({!Abp_hood.Pool.source}).  That
+       poll is rate-limited (one
        real attempt per [cross_period] empty-handed trips), prefers the
        last productive victim (the localized-stealing policy of
        Suksompong–Leiserson–Schardl), and otherwise tries one random
@@ -37,7 +38,7 @@
 
     A submission that flips a shard's inbox from empty to nonempty wakes
     every sibling pool's parked thieves (not just its own shard's), and
-    the parking protocol consults the remote source's pending check — so
+    the parking protocol consults the overflow source's pending check — so
     a fully parked shard group never strands a submission on a busy
     sibling (the cross-pool lost-wakeup regression in [test_backoff]). *)
 
@@ -45,14 +46,11 @@ type t
 
 val create :
   ?processes:int ->
-  ?deque_capacity:int ->
   ?park_threshold:int ->
-  ?deque_impl:Abp_hood.Pool.deque_impl ->
   ?batch:int ->
   ?yield_kind:Abp_hood.Pool.yield_kind ->
   ?gates:Abp_hood.Pool.gate_hook array ->
   ?inbox_capacity:int ->
-  ?clock:(unit -> int) ->
   ?traces:Abp_trace.Sink.t array ->
   ?cross_period:int ->
   ?cross_quota:int ->
@@ -61,9 +59,7 @@ val create :
   t
 (** Start [shards] micropools of [processes] workers each (so
     [shards * processes] worker domains total).  [processes],
-    [deque_capacity], [park_threshold], [deque_impl], [batch],
-    [yield_kind], [inbox_capacity] and [clock] (monotonic nanoseconds,
-    default {!Abp_trace.Clock.now}) are
+    [park_threshold], [batch], [yield_kind] and [inbox_capacity] are
     forwarded to each {!Serve.create} identically; [gates] and [traces],
     when given, must have exactly one entry per shard (per-shard
     preemption gates let the {!Abp_mp} adversary suspend shards
@@ -75,7 +71,7 @@ val create :
     exhausted every intra-shard source.  [cross_quota] (default 4) caps
     the tasks moved per cross-shard acquisition (further capped by the
     pool's [batch] and the victim deque's steal-up-to-half quota).  With
-    [shards = 1] no remote source is attached and the group degenerates
+    [shards = 1] no overflow source is attached and the group degenerates
     to a plain {!Serve} service with zero cross-shard overhead.
 
     @raise Invalid_argument if [shards < 1], [cross_period < 1],
@@ -229,7 +225,7 @@ val inbox_depths : t -> int array
 (** Per-shard injector depth gauge (advisory). *)
 
 val cross_polls : t -> int
-(** Total remote-source polls across all pools (rate-limited trips
+(** Total overflow-source polls across all pools (rate-limited trips
     included — an immediately-declined trip still counts one poll).
     Exact after the group quiesces. *)
 

@@ -20,7 +20,8 @@ type kind =
   | Inject
       (** an externally submitted task was acquired from the pool's
           injector inbox ({!Abp_serve}), after both the own-deque pop and
-          a steal attempt failed (Hood runtime only) *)
+          a steal attempt failed ([arg] is the number of tasks taken;
+          Hood runtime only) *)
   | Cross
       (** a task was acquired across a shard boundary — stolen from a
           remote micropool's deques or drained from a remote shard's

@@ -4,7 +4,9 @@
    ones, a producer burst larger than the batch size cannot strand
    parked workers (the lost-wakeup regression for the batch drain
    path), the Abp deque's single-steal fallback is observable end to
-   end, and Serve's batched injector drain is counted. *)
+   end, Serve's batched injector drain is counted, and the pool's work
+   sources are polled in list order with every one consulted before a
+   worker parks. *)
 
 module Pool = Abp_hood.Pool
 module Par = Abp_hood.Par
@@ -112,46 +114,136 @@ let lazy_parallel_for_correct () =
           Par.parallel_for ~lo:7 ~hi:8 (fun i -> one := i);
           Alcotest.(check int) "singleton range" 7 !one))
 
+(* A pool source over an injector; its takes count in [inject_tasks]. *)
+let injector_source inj =
+  {
+    Pool.take = (fun n -> Injector.try_pop_n inj n);
+    pending = (fun () -> not (Injector.is_empty inj));
+    note = (fun c got -> c.Counters.inject_tasks <- c.Counters.inject_tasks + got);
+    event = None;
+  }
+
 (* Lost-wakeup regression for the batch paths: bursts of external tasks
    larger than the batch size, each followed by a single wake, against
-   aggressively parking workers (threshold 0).  If the injector drain's
-   surplus re-push failed to wake parked thieves, or parking ignored
-   [ext_pending], a burst could strand with every worker parked. *)
+   aggressively parking workers (threshold 0).  If a source take's
+   surplus re-push failed to wake parked thieves, or parking ignored a
+   source's [pending], a burst could strand with every worker parked.
+   Run with the burst in the only source, and in the second of two
+   sources (the first stays empty), so the parking check must look past
+   the first entry of the list. *)
 let burst_larger_than_batch_cannot_strand () =
-  let inj : (unit -> unit) Injector.t = Injector.create ~capacity:1024 () in
-  let source =
+  List.iter
+    (fun (n_sources, into) ->
+      let injs = List.init n_sources (fun _ -> Injector.create ~capacity:1024 ()) in
+      let inj = List.nth injs into in
+      let pool =
+        Pool.create ~processes:3 ~deque_impl:Pool.Circular ~batch:2 ~park_threshold:0
+          ~sources:(List.map injector_source injs) ~spawn_all:true ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Pool.shutdown pool)
+        (fun () ->
+          let executed = Atomic.make 0 in
+          let rounds = 20 and burst = 16 in
+          for round = 1 to rounds do
+            (* Let the workers go idle (parking is racy; best effort). *)
+            ignore (wait_until ~timeout:0.05 (fun () -> Pool.parked_workers pool > 0));
+            for _ = 1 to burst do
+              Alcotest.(check bool) "burst fits inbox" true
+                (Injector.try_push inj (fun () -> Atomic.incr executed))
+            done;
+            (* One wake for the whole burst: draining + surplus re-push
+               must propagate it to the other workers. *)
+            Pool.wake pool;
+            Alcotest.(check bool)
+              (Printf.sprintf "source %d of %d, round %d: all %d tasks executed" (into + 1)
+                 n_sources round (round * burst))
+              true
+              (wait_until (fun () -> Atomic.get executed = round * burst))
+          done;
+          let t = totals pool in
+          Alcotest.(check int) "every injected task acquired" (rounds * burst)
+            t.Counters.inject_tasks))
+    [ (1, 0); (2, 1) ]
+
+(* The race the parking check closes, made deterministic: the last
+   source's task arrives just after its take came up empty, and no wake
+   follows — a producer's push landing between the worker's poll and
+   its park.  The lone worker must see it through [pending] instead of
+   parking for good. *)
+let late_arrival_seen_by_parking_check () =
+  let armed = Atomic.make false and queued = Atomic.make false and ran = Atomic.make 0 in
+  let late =
     {
-      Pool.ext_drain = (fun n -> Injector.try_pop_n inj n);
-      ext_pending = (fun () -> not (Injector.is_empty inj));
+      Pool.take =
+        (fun _ ->
+          if Atomic.exchange queued false then [ (fun () -> Atomic.incr ran) ]
+          else begin
+            if Atomic.exchange armed false then Atomic.set queued true;
+            []
+          end);
+      pending = (fun () -> Atomic.get queued);
+      note = (fun _ _ -> ());
+      event = None;
     }
   in
   let pool =
-    Pool.create ~processes:3 ~deque_impl:Pool.Circular ~batch:2 ~park_threshold:0
-      ~external_source:source ~spawn_all:true ()
+    Pool.create ~processes:1 ~park_threshold:0
+      ~sources:[ injector_source (Injector.create ()); late ]
+      ~spawn_all:true ()
   in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
-      let executed = Atomic.make 0 in
-      let rounds = 20 and burst = 16 in
-      for round = 1 to rounds do
-        (* Let the workers go idle (parking is racy; best effort). *)
-        ignore (wait_until ~timeout:0.05 (fun () -> Pool.parked_workers pool > 0));
-        for _ = 1 to burst do
-          Alcotest.(check bool) "burst fits inbox" true
-            (Injector.try_push inj (fun () -> Atomic.incr executed))
-        done;
-        (* One wake for the whole burst: draining + surplus re-push must
-           propagate it to the other workers. *)
+      for round = 1 to 5 do
+        Alcotest.(check bool) "worker parked" true
+          (wait_until (fun () -> Pool.parked_workers pool = 1));
+        Atomic.set armed true;
         Pool.wake pool;
         Alcotest.(check bool)
-          (Printf.sprintf "round %d: all %d tasks executed" round (round * burst))
+          (Printf.sprintf "round %d: late task ran" round)
           true
-          (wait_until (fun () -> Atomic.get executed = round * burst))
+          (wait_until ~timeout:5.0 (fun () -> Atomic.get ran = round))
+      done)
+
+(* The poll order is the list order: one worker, held busy by a blocker
+   while both sources fill, must then run every task of the first
+   source before any of the second. *)
+let sources_polled_in_list_order () =
+  let first = Injector.create ~capacity:64 () and second = Injector.create ~capacity:64 () in
+  let pool =
+    Pool.create ~processes:1
+      ~sources:[ injector_source first; injector_source second ]
+      ~spawn_all:true ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      let release = Atomic.make false and started = Atomic.make false in
+      let log = ref [] and ran = Atomic.make 0 in
+      let record tag () =
+        log := tag :: !log;
+        Atomic.incr ran
+      in
+      assert (
+        Injector.try_push second (fun () ->
+            Atomic.set started true;
+            while not (Atomic.get release) do
+              Domain.cpu_relax ()
+            done));
+      Pool.wake pool;
+      Alcotest.(check bool) "blocker running" true (wait_until (fun () -> Atomic.get started));
+      for i = 1 to 8 do
+        assert (Injector.try_push second (record (Printf.sprintf "second %d" i)));
+        assert (Injector.try_push first (record (Printf.sprintf "first %d" i)))
       done;
-      let t = totals pool in
-      Alcotest.(check int) "every injected task acquired" (rounds * burst)
-        t.Counters.inject_tasks)
+      Atomic.set release true;
+      Alcotest.(check bool) "all ran" true (wait_until (fun () -> Atomic.get ran = 16));
+      Alcotest.(check (list string))
+        "first source drained before the second"
+        (List.init 8 (fun i -> Printf.sprintf "first %d" (i + 1))
+        @ List.init 8 (fun i -> Printf.sprintf "second %d" (i + 1)))
+        (List.rev !log))
 
 (* Serve with batching: all workers blocked, then a 10-task burst, then
    release — the first inbox poll after release finds the full burst and
@@ -199,4 +291,7 @@ let tests =
     Alcotest.test_case "burst > batch cannot strand parked workers" `Quick
       burst_larger_than_batch_cannot_strand;
     Alcotest.test_case "serve: batched inbox drain counted" `Quick serve_batched_drain_counted;
+    Alcotest.test_case "sources polled in list order" `Quick sources_polled_in_list_order;
+    Alcotest.test_case "parking sees a late source task" `Quick
+      late_arrival_seen_by_parking_check;
   ]
