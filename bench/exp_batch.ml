@@ -80,11 +80,11 @@ let measure_steal n p batch =
     s_batch = batch;
     s_median = median !timings;
     s_min = minimum !timings;
-    s_attempts = t.Abp.Trace.Counters.steal_attempts;
-    s_successes = t.Abp.Trace.Counters.successful_steals;
-    s_stolen = t.Abp.Trace.Counters.stolen_tasks;
-    s_batch_steals = t.Abp.Trace.Counters.batch_steals;
-    s_max_batch = t.Abp.Trace.Counters.max_steal_batch;
+    s_attempts = Abp.Trace.Counters.(get t steal_attempts);
+    s_successes = Abp.Trace.Counters.(get t successful_steals);
+    s_stolen = Abp.Trace.Counters.(get t stolen_tasks);
+    s_batch_steals = Abp.Trace.Counters.(get t batch_steals);
+    s_max_batch = Abp.Trace.Counters.(get t max_steal_batch);
     s_result = !value;
   }
 
@@ -127,7 +127,7 @@ let measure_pfor policy grain n p =
     f_p = p;
     f_median = median !timings;
     f_min = minimum !timings;
-    f_pushes = t.Abp.Trace.Counters.pushes;
+    f_pushes = Abp.Trace.Counters.(get t pushes);
     f_checksum = Array.fold_left ( + ) 0 out;
   }
 
@@ -183,9 +183,9 @@ let measure_serve p batch =
     v_requests = producers * per;
     v_seconds = elapsed;
     v_req_per_s = float_of_int st.Abp.Serve.completed /. elapsed;
-    v_inject_polls = t.Abp.Trace.Counters.inject_polls;
-    v_inject_tasks = t.Abp.Trace.Counters.inject_tasks;
-    v_inject_batches = t.Abp.Trace.Counters.inject_batches;
+    v_inject_polls = Abp.Trace.Counters.(get t inject_polls);
+    v_inject_tasks = Abp.Trace.Counters.(get t inject_tasks);
+    v_inject_batches = Abp.Trace.Counters.(get t inject_batches);
     v_completed = st.Abp.Serve.completed;
   }
 

@@ -76,8 +76,7 @@ type cell = {
 
 let fiber_counters s =
   let t = Abp.Trace_counters.sum (Abp.Pool.counters (Abp.Serve.pool s)) in
-  (t.Abp.Trace_counters.suspensions, t.Abp.Trace_counters.resumes,
-   t.Abp.Trace_counters.suspended_peak)
+  Abp.Trace_counters.(get t suspensions, get t resumes, get t suspended_peak)
 
 let drain_checked ~label s =
   let st = Abp.Serve.drain s in

@@ -176,11 +176,11 @@ let measure_gated ~label ~spec ~p ~yield ~seed f =
     g_pbar = Abp.Controller.pbar c;
     g_pbar_procs = Abp.Controller.pbar_procs c;
     g_quanta = Abp.Controller.quanta c;
-    g_suspends = t.Abp.Trace.Counters.gate_suspends;
+    g_suspends = Abp.Trace.Counters.(get t gate_suspends);
     g_suspended_s = Abp.Controller.suspended_seconds c;
-    g_attempts = t.Abp.Trace.Counters.steal_attempts;
-    g_successes = t.Abp.Trace.Counters.successful_steals;
-    g_tasks = t.Abp.Trace.Counters.pushes;
+    g_attempts = Abp.Trace.Counters.(get t steal_attempts);
+    g_successes = Abp.Trace.Counters.(get t successful_steals);
+    g_tasks = Abp.Trace.Counters.(get t pushes);
     g_result = !value;
   }
 
@@ -390,7 +390,7 @@ let run_steal_volume ips =
             !r)
       in
       let t = Abp.Trace.Counters.sum (Abp.Pool.counters pool) in
-      let stolen = t.Abp.Trace.Counters.stolen_tasks in
+      let stolen = Abp.Trace.Counters.(get t stolen_tasks) in
       {
         sv_workload = wname;
         sv_p = p;

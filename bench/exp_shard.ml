@@ -112,12 +112,8 @@ let measure ~shards =
   let st = Abp.Shard.drain s in
   check_invariants ~label:(Printf.sprintf "shards=%d" shards) s;
   let inject_polls =
-    let sum = ref 0 in
-    for i = 0 to shards - 1 do
-      let c = Abp.Trace_counters.sum (Abp.Pool.counters (Abp.Serve.pool (Abp.Shard.serve s i))) in
-      sum := !sum + c.Abp.Trace_counters.inject_polls
-    done;
-    !sum
+    let counters i = Abp.Pool.counters (Abp.Serve.pool (Abp.Shard.serve s i)) in
+    Abp.Trace_counters.(get (sum (Array.concat (List.init shards counters))) inject_polls)
   in
   let cross_polls = Abp.Shard.cross_polls s in
   let cross_shard_steals = Abp.Shard.cross_shard_steals s in

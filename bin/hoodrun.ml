@@ -108,10 +108,7 @@ let run workload n p grain batch deque yield adversary quantum_ms antagonist see
      [?grain] is omitted). *)
   let grain_opt = if grain = 0 then None else Some grain in
   let sink =
-    Option.map
-      (fun _ ->
-        Abp.Trace.Sink.create ~ring_capacity:(1 lsl 16) ~clock:Unix.gettimeofday ~workers:p ())
-      trace_file
+    Option.map (fun _ -> Abp.Trace.Sink.create ~ring_capacity:(1 lsl 16) ~workers:p ()) trace_file
   in
   let gate = Option.map (fun _ -> Abp.Gate.create ~num_workers:p) adversary in
   let pool =
@@ -186,7 +183,7 @@ let run workload n p grain batch deque yield adversary quantum_ms antagonist see
     (Abp.Pool.yield_kind_name (Abp.Pool.yield_kind pool))
     (if Abp.Pool.batch_size pool > 1 then
        Printf.sprintf "  batch=%d (moved %d tasks)" (Abp.Pool.batch_size pool)
-         totals.Abp.Trace.Counters.stolen_tasks
+         Abp.Trace.Counters.(get totals stolen_tasks)
      else "");
   Option.iter
     (fun m ->
@@ -194,7 +191,7 @@ let run workload n p grain batch deque yield adversary quantum_ms antagonist see
         "adversary %s: %d quanta of %.1fms  Pbar=%.2f (granted-workers %.2f of %d)  suspended \
          %.3fs over %d gate stops%s@."
         m.mp_adversary m.mp_quanta (m.mp_quantum *. 1e3) m.mp_pbar m.mp_pbar_procs p
-        m.mp_suspended_s totals.Abp.Trace.Counters.gate_suspends
+        m.mp_suspended_s Abp.Trace.Counters.(get totals gate_suspends)
         (if m.mp_antagonist > 0 then Printf.sprintf "  antagonist=%d spinners" m.mp_antagonist
          else ""))
     mp;
@@ -203,7 +200,7 @@ let run workload n p grain batch deque yield adversary quantum_ms antagonist see
       write_json file ~workload ~n ~p ~deque ~batch ~yield ~mp ~elapsed ~result
         ~attempts:(Abp.Pool.steal_attempts pool)
         ~successes:(Abp.Pool.successful_steals pool)
-        ~stolen:totals.Abp.Trace.Counters.stolen_tasks;
+        ~stolen:Abp.Trace.Counters.(get totals stolen_tasks);
       Format.printf "json result written to %s@." file)
     json_file;
   match (sink, trace_file) with

@@ -79,18 +79,12 @@ let write_json file ~p ~shards ~affinity ~clients ~requests ~fib ~await_depth ~b
   output_char oc '\n';
   close_out oc
 
-(* Aggregate fiber telemetry over every shard's pool: total suspensions
-   and resumes, and the largest per-shard suspended peak (peaks of
-   different pools are concurrent gauges — they max, not sum). *)
-let fiber_counters s shards =
-  let susp = ref 0 and res = ref 0 and peak = ref 0 in
-  for i = 0 to shards - 1 do
-    let c = Abp.Trace_counters.sum (Abp.Pool.counters (Abp.Serve.pool (Abp.Shard.serve s i))) in
-    susp := !susp + c.Abp.Trace_counters.suspensions;
-    res := !res + c.Abp.Trace_counters.resumes;
-    peak := max !peak c.Abp.Trace_counters.suspended_peak
-  done;
-  (!susp, !res, !peak)
+(* Every shard's per-worker counters in one aggregate: the counter
+   kinds sum the event counts and max the suspended peak (peaks of
+   different pools are concurrent gauges). *)
+let shard_totals s shards =
+  let counters i = Abp.Pool.counters (Abp.Serve.pool (Abp.Shard.serve s i)) in
+  Abp.Trace_counters.sum (Array.concat (List.init shards counters))
 
 (* Burst arrivals: a two-state MMPP — ON at 3x the nominal rate for
    ~10ms, OFF (silent) for ~20ms — so the long-run average offered load
@@ -117,8 +111,7 @@ let run p shards affinity clients requests fib await_depth backend_ms inbox batc
     Option.map
       (fun _ ->
         Array.init shards (fun _ ->
-            Abp.Trace.Sink.create ~ring_capacity:(1 lsl 16) ~clock:Unix.gettimeofday ~workers:p
-              ()))
+            Abp.Trace.Sink.create ~ring_capacity:(1 lsl 16) ~workers:p ()))
       trace_file
   in
   let s = Abp.Shard.create ~processes:p ~inbox_capacity:inbox ~batch ?traces:sinks ~shards () in
@@ -224,10 +217,12 @@ let run p shards affinity clients requests fib await_depth backend_ms inbox batc
     Format.printf "%a" Abp.Serve.pp_report (Abp.Shard.serve s i)
   done;
   let conserved = Abp.Shard.conserved s in
+  let totals = shard_totals s shards in
+  let count = Abp.Trace_counters.get totals in
   let cross =
-    (Abp.Shard.cross_polls s, Abp.Shard.cross_shard_steals s, Abp.Shard.cross_stolen_tasks s)
+    Abp.Trace_counters.(count cross_polls, count cross_shard_steals, count cross_stolen_tasks)
   in
-  let fiber = fiber_counters s shards in
+  let fiber = Abp.Trace_counters.(count suspensions, count resumes, count suspended_peak) in
   (let susp, res, peak = fiber in
    if susp > 0 then
      Format.printf "fiber: %d suspensions, %d resumes, suspended peak %d@." susp res peak);

@@ -136,15 +136,15 @@ let exec_counters_key : Counters.t option ref Domain.DLS.key =
 let note_lane ~polls ~tasks =
   match !(Domain.DLS.get exec_counters_key) with
   | Some c ->
-      c.Counters.lane_polls <- c.Counters.lane_polls + polls;
-      c.Counters.lane_tasks <- c.Counters.lane_tasks + tasks
+      Counters.add_n c Counters.lane_polls polls;
+      Counters.add_n c Counters.lane_tasks tasks
   | None -> ()
 
 (* Same attribution pattern for a ticket settled past its deadline: the
    worker that ran the job counts the miss. *)
 let note_deadline_miss () =
   match !(Domain.DLS.get exec_counters_key) with
-  | Some c -> c.Counters.deadline_misses <- c.Counters.deadline_misses + 1
+  | Some c -> Counters.incr c Counters.deadline_misses
   | None -> ()
 
 (* The whole scheduling loop is a functor over the deque signature: each
@@ -194,10 +194,10 @@ module Impl (D : Spec.DETAILED) = struct
      term), and bracket it with Suspend/Resume events. *)
   let checkpoint_blocked w g =
     let c = w.c in
-    c.Counters.gate_suspends <- c.Counters.gate_suspends + 1;
+    Counters.incr c Counters.gate_suspends;
     emit w Abp_trace.Event.Suspend;
     let secs = g.wait w.id in
-    c.Counters.gate_wait_ns <- c.Counters.gate_wait_ns + int_of_float (secs *. 1e9);
+    Counters.add_n c Counters.gate_wait_ns (int_of_float (secs *. 1e9));
     emit w Abp_trace.Event.Resume
 
   (* Safe-point check of the multiprogramming preemption gate.  Called
@@ -218,8 +218,8 @@ module Impl (D : Spec.DETAILED) = struct
     let d = w.pool.deques.(w.id) in
     D.push_bottom d task;
     let c = w.c in
-    c.Counters.pushes <- c.Counters.pushes + 1;
-    Counters.note_depth c (D.size d);
+    Counters.incr c Counters.pushes;
+    Counters.note_max c Counters.deque_high_water (D.size d);
     emit w Abp_trace.Event.Spawn;
     wake_waiters w.pool.shared
 
@@ -244,9 +244,9 @@ module Impl (D : Spec.DETAILED) = struct
       List.iter
         (fun task ->
           D.push_bottom d task;
-          c.Counters.pushes <- c.Counters.pushes + 1)
+          Counters.incr c Counters.pushes)
         rest;
-      Counters.note_depth c (D.size d);
+      Counters.note_max c Counters.deque_high_water (D.size d);
       emit w Abp_trace.Event.Spawn;
       wake_waiters w.pool.shared
     end
@@ -259,7 +259,7 @@ module Impl (D : Spec.DETAILED) = struct
     else begin
       let v = Abp_stats.Rng.int w.rng_state (pool.shared.size - 1) in
       let victim = if v >= w.id then v + 1 else v in
-      c.Counters.steal_attempts <- c.Counters.steal_attempts + 1;
+      Counters.incr c Counters.steal_attempts;
       if pool.shared.batch > 1 then begin
         (* Batched steal: up to [batch] tasks, capped at half the
            victim's observed size by the deque's [Spec.batch_quota].
@@ -268,14 +268,14 @@ module Impl (D : Spec.DETAILED) = struct
            {!Abp_trace.Counters}). *)
         match D.pop_top_n pool.deques.(victim) pool.shared.batch with
         | [] ->
-            c.Counters.steal_empties <- c.Counters.steal_empties + 1;
+            Counters.incr c Counters.steal_empties;
             emit w ~arg:victim Abp_trace.Event.Idle;
             None
         | task :: rest ->
             let got = 1 + List.length rest in
-            c.Counters.successful_steals <- c.Counters.successful_steals + 1;
-            c.Counters.stolen_tasks <- c.Counters.stolen_tasks + got;
-            if got >= 2 then c.Counters.batch_steals <- c.Counters.batch_steals + 1;
+            Counters.incr c Counters.successful_steals;
+            Counters.add_n c Counters.stolen_tasks got;
+            if got >= 2 then Counters.incr c Counters.batch_steals;
             Counters.note_batch c got;
             Counters.note_victim c victim;
             emit w ~arg:victim Abp_trace.Event.Steal;
@@ -285,18 +285,18 @@ module Impl (D : Spec.DETAILED) = struct
       else
         match D.pop_top_detailed pool.deques.(victim) with
         | Spec.Got task ->
-            c.Counters.successful_steals <- c.Counters.successful_steals + 1;
-            c.Counters.stolen_tasks <- c.Counters.stolen_tasks + 1;
+            Counters.incr c Counters.successful_steals;
+            Counters.incr c Counters.stolen_tasks;
             Counters.note_batch c 1;
             Counters.note_victim c victim;
             emit w ~arg:victim Abp_trace.Event.Steal;
             Some task
         | Spec.Empty ->
-            c.Counters.steal_empties <- c.Counters.steal_empties + 1;
+            Counters.incr c Counters.steal_empties;
             emit w ~arg:victim Abp_trace.Event.Idle;
             None
         | Spec.Contended ->
-            c.Counters.cas_failures_pop_top <- c.Counters.cas_failures_pop_top + 1;
+            Counters.incr c Counters.cas_failures_pop_top;
             emit w ~arg:victim Abp_trace.Event.Idle;
             None
     end
@@ -330,12 +330,12 @@ module Impl (D : Spec.DETAILED) = struct
     let c = w.c in
     match D.pop_bottom_detailed w.pool.deques.(w.id) with
     | Spec.Got task ->
-        c.Counters.pops <- c.Counters.pops + 1;
+        Counters.incr c Counters.pops;
         emit w Abp_trace.Event.Execute;
         Some task
     | Spec.Contended ->
         (* Lost the deque's last task to a thief mid-popBottom. *)
-        c.Counters.cas_failures_pop_bottom <- c.Counters.cas_failures_pop_bottom + 1;
+        Counters.incr c Counters.cas_failures_pop_bottom;
         steal_then_sources w
     | Spec.Empty -> steal_then_sources w
 
@@ -362,7 +362,7 @@ module Impl (D : Spec.DETAILED) = struct
        its deque write before our registration, in which case [has_work]
        observes the task.  Either way no task is stranded. *)
     if (not (Atomic.get sh.shutdown_flag)) && not (has_work w.pool) then begin
-      w.c.Counters.parks <- w.c.Counters.parks + 1;
+      Counters.incr w.c Counters.parks;
       emit w Abp_trace.Event.Park;
       Condition.wait sh.park_cond sh.park_lock
     end;
@@ -387,12 +387,12 @@ module Impl (D : Spec.DETAILED) = struct
     | No_yield -> ()
     | kind ->
         let c = w.c in
-        c.Counters.yields <- c.Counters.yields + 1;
+        Counters.incr c Counters.yields;
         emit w Abp_trace.Event.Yield;
         Domain.cpu_relax ();
         (match sh.gate with
         | Some g when kind = Yield_to_random || kind = Yield_to_all ->
-            c.Counters.directed_yields <- c.Counters.directed_yields + 1;
+            Counters.incr c Counters.directed_yields;
             g.on_steal_fail w.id
         | _ -> ());
         let k = w.failed_steals in
@@ -417,7 +417,7 @@ module Impl (D : Spec.DETAILED) = struct
          the first failure for the run/shutdown boundary and keep
          scheduling. *)
       let bt = Printexc.get_raw_backtrace () in
-      w.c.Counters.task_exceptions <- w.c.Counters.task_exceptions + 1;
+      Counters.incr w.c Counters.task_exceptions;
       ignore (Atomic.compare_and_set w.pool.shared.pending_exn None (Some (e, bt)))
 
   let worker_loop w =
@@ -501,8 +501,9 @@ let deque_size t i =
 (* Aggregates on demand from the per-worker records; exact once the
    workers have quiesced (after [run] returns / after [shutdown]),
    advisory while they run. *)
-let steal_attempts t = (Counters.sum (shared_of t).counters).Counters.steal_attempts
-let successful_steals t = (Counters.sum (shared_of t).counters).Counters.successful_steals
+let total t id = Counters.get (Counters.sum (shared_of t).counters) id
+let steal_attempts t = total t Counters.steal_attempts
+let successful_steals t = total t Counters.successful_steals
 let counters t = (shared_of t).counters
 let parked_workers t = Atomic.get (shared_of t).n_parked
 
@@ -643,15 +644,15 @@ let make_fiber_sched sh =
     let n = 1 + Atomic.fetch_and_add sh.n_suspended 1 in
     (match !(Domain.DLS.get exec_counters_key) with
     | Some c ->
-        c.Counters.suspensions <- c.Counters.suspensions + 1;
-        if n > c.Counters.suspended_peak then c.Counters.suspended_peak <- n
+        Counters.incr c Counters.suspensions;
+        Counters.note_max c Counters.suspended_peak n
     | None -> ());
     emit_fiber_event 0
   in
   let on_resume () =
     Atomic.decr sh.n_suspended;
     (match !(Domain.DLS.get exec_counters_key) with
-    | Some c -> c.Counters.resumes <- c.Counters.resumes + 1
+    | Some c -> Counters.incr c Counters.resumes
     | None -> ());
     emit_fiber_event 1
   in

@@ -37,7 +37,7 @@ let popcount set = Array.fold_left (fun n b -> if b then n + 1 else n) 0 set
    worker acquired (own pops + stolen + injected).  A worker that moved
    since the last quantum, or whose deque is non-empty, counts as
    holding work; an idle thief counts as empty-handed. *)
-let progress c = Counters.(c.pops + c.stolen_tasks + c.inject_tasks)
+let progress c = Counters.(get c pops + get c stolen_tasks + get c inject_tasks)
 
 let quantum_step t prev_progress last_granted =
   (* Convert the thieves' directed yields into kernel obligations.

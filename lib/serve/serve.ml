@@ -190,10 +190,10 @@ let edf_order js =
    non-empty one in [inject_tasks], [inject_batches] (two or more tasks)
    and the batch histogram. *)
 let note_inject c got =
-  c.Counters.inject_polls <- c.Counters.inject_polls + 1;
+  Counters.incr c Counters.inject_polls;
   if got > 0 then begin
-    c.Counters.inject_tasks <- c.Counters.inject_tasks + got;
-    if got >= 2 then c.Counters.inject_batches <- c.Counters.inject_batches + 1;
+    Counters.add_n c Counters.inject_tasks got;
+    if got >= 2 then Counters.incr c Counters.inject_batches;
     Counters.note_batch c got
   end
 

@@ -184,10 +184,10 @@ let cross_pending cell live my () =
    a non-empty one in [cross_shard_steals], [cross_stolen_tasks] and the
    batch histogram. *)
 let note_cross c got =
-  c.Counters.cross_polls <- c.Counters.cross_polls + 1;
+  Counters.incr c Counters.cross_polls;
   if got > 0 then begin
-    c.Counters.cross_shard_steals <- c.Counters.cross_shard_steals + 1;
-    c.Counters.cross_stolen_tasks <- c.Counters.cross_stolen_tasks + got;
+    Counters.incr c Counters.cross_shard_steals;
+    Counters.add_n c Counters.cross_stolen_tasks got;
     Counters.note_batch c got
   end
 
@@ -429,26 +429,14 @@ let sojourn_latency t =
 let route_counts t = Array.map Atomic.get t.routed
 let inbox_depths t = Array.map Serve.inbox_depth t.serves
 
-let cross_counters t =
-  Array.fold_left
-    (fun (p, s, k) sv ->
-      let c = Counters.sum (Pool.counters (Serve.pool sv)) in
-      ( p + c.Counters.cross_polls,
-        s + c.Counters.cross_shard_steals,
-        k + c.Counters.cross_stolen_tasks ))
-    (0, 0, 0) t.serves
+(* Every shard's per-worker counters in one aggregate. *)
+let totals t =
+  let pools = Array.to_list t.serves |> List.map Serve.pool in
+  Counters.sum (Array.concat (List.map Pool.counters pools))
 
-let cross_polls t =
-  let p, _, _ = cross_counters t in
-  p
-
-let cross_shard_steals t =
-  let _, s, _ = cross_counters t in
-  s
-
-let cross_stolen_tasks t =
-  let _, _, k = cross_counters t in
-  k
+let cross_polls t = Counters.get (totals t) Counters.cross_polls
+let cross_shard_steals t = Counters.get (totals t) Counters.cross_shard_steals
+let cross_stolen_tasks t = Counters.get (totals t) Counters.cross_stolen_tasks
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -589,13 +577,16 @@ let reactivate t ~shard =
 
 let pp_report ppf t =
   let st = stats t in
-  let polls, csteals, ctasks = cross_counters t in
+  let c = totals t in
   Fmt.pf ppf "=== shard report (%d shards, %d workers total) ===@." t.shards (size t);
   Fmt.pf ppf "accepted %d  completed %d  rejected %d  cancelled %d  exceptions %d  suspended %d@."
     st.Serve.accepted st.Serve.completed st.Serve.rejected st.Serve.cancelled st.Serve.exceptions
     st.Serve.suspended;
-  Fmt.pf ppf "cross-shard: polls %d  steals %d  tasks %d (period %d, quota %d)@." polls csteals
-    ctasks t.cross_period t.cross_quota;
+  Fmt.pf ppf "cross-shard: polls %d  steals %d  tasks %d (period %d, quota %d)@."
+    (Counters.get c Counters.cross_polls)
+    (Counters.get c Counters.cross_shard_steals)
+    (Counters.get c Counters.cross_stolen_tasks)
+    t.cross_period t.cross_quota;
   Array.iteri
     (fun i s ->
       let sst = Serve.stats s in

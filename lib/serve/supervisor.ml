@@ -52,8 +52,8 @@ let create ?trace ?(min_shards = 1) ?max_shards shard =
 let record t dir shard =
   let n = Shard.active_count t.shard in
   (match dir with
-  | Up -> t.ctrs.Counters.scale_ups <- t.ctrs.Counters.scale_ups + 1
-  | Down -> t.ctrs.Counters.scale_downs <- t.ctrs.Counters.scale_downs + 1);
+  | Up -> Counters.incr t.ctrs Counters.scale_ups
+  | Down -> Counters.incr t.ctrs Counters.scale_downs);
   Mutex.lock t.log_lock;
   t.resize_log := { at_ns = Clock.now (); dir; shard; active_after = n } :: !(t.resize_log);
   Mutex.unlock t.log_lock;
@@ -98,13 +98,13 @@ let scale_down t =
     | None -> false
   end
 
-let scale_up_count t = t.ctrs.Counters.scale_ups
-let scale_down_count t = t.ctrs.Counters.scale_downs
+let scale_up_count t = Counters.get t.ctrs Counters.scale_ups
+let scale_down_count t = Counters.get t.ctrs Counters.scale_downs
 let migrated t = Atomic.get t.migrated
 
 let counters t =
   let c = Counters.copy t.ctrs in
-  c.Counters.migrated_continuations <- Atomic.get t.migrated;
+  Counters.add_n c Counters.migrated_continuations (Atomic.get t.migrated);
   c
 
 let resizes t =

@@ -79,8 +79,8 @@ let emit st p ?arg kind =
 let do_push st p v =
   Node_deque.push_bottom st.deques.(p) v;
   let c = st.counters.(p) in
-  c.Counters.pushes <- c.Counters.pushes + 1;
-  Counters.note_depth c (Node_deque.size st.deques.(p));
+  Counters.incr c Counters.pushes;
+  Counters.note_max c Counters.deque_high_water (Node_deque.size st.deques.(p));
   emit st p ~arg:v Abp_trace.Event.Spawn
 
 let do_pop_bottom st p =
@@ -88,7 +88,7 @@ let do_pop_bottom st p =
   | Some v ->
       st.assigned.(p) <- v;
       let c = st.counters.(p) in
-      c.Counters.pops <- c.Counters.pops + 1
+      Counters.incr c Counters.pops
   | None -> ()
 
 (* Executing node [u] enables each successor whose in-degree drops to 0;
@@ -117,14 +117,14 @@ let request_pop_bottom st p =
 
 let perform_pop_top st p victim =
   let c = st.counters.(p) in
-  c.Counters.steal_attempts <- c.Counters.steal_attempts + 1;
+  Counters.incr c Counters.steal_attempts;
   if st.thief_since.(p) < 0 then st.thief_since.(p) <- st.cur_round;
   match Node_deque.pop_top st.deques.(victim) with
   | Some v ->
       st.assigned.(p) <- v;
-      c.Counters.successful_steals <- c.Counters.successful_steals + 1;
+      Counters.incr c Counters.successful_steals;
       (* The simulator always transfers one node per steal. *)
-      c.Counters.stolen_tasks <- c.Counters.stolen_tasks + 1;
+      Counters.incr c Counters.stolen_tasks;
       Counters.note_batch c 1;
       emit st p ~arg:victim Abp_trace.Event.Steal;
       st.steal_latencies <- (st.cur_round - st.thief_since.(p) + 1) :: st.steal_latencies;
@@ -132,10 +132,10 @@ let perform_pop_top st p victim =
   | None ->
       (* The simulator serializes deque methods, so a NIL here is a
          genuinely empty victim, never a lost CAS. *)
-      c.Counters.steal_empties <- c.Counters.steal_empties + 1;
+      Counters.incr c Counters.steal_empties;
       emit st p ~arg:victim Abp_trace.Event.Idle;
       (* yield between consecutive steal attempts (Figure 3, line 15) *)
-      c.Counters.yields <- c.Counters.yields + 1;
+      Counters.incr c Counters.yields;
       emit st p Abp_trace.Event.Yield;
       Yield.on_yield st.yield ~proc:p
 
@@ -176,8 +176,8 @@ let steal_attempt st p =
     (* No victims exist; a lone process just spins (cannot happen on a
        connected dag before completion unless blocked on itself). *)
     let c = st.counters.(p) in
-    c.Counters.steal_attempts <- c.Counters.steal_attempts + 1;
-    c.Counters.steal_empties <- c.Counters.steal_empties + 1;
+    Counters.incr c Counters.steal_attempts;
+    Counters.incr c Counters.steal_empties;
     emit st p Abp_trace.Event.Idle
   end
   else begin
@@ -228,7 +228,7 @@ let action st p =
       end
       else begin
         let c = st.counters.(p) in
-        c.Counters.lock_spins <- c.Counters.lock_spins + 1
+        Counters.incr c Counters.lock_spins
       end
   | Idle ->
       if st.assigned.(p) >= 0 then execute_node st p
@@ -268,7 +268,7 @@ let pp_trace_table ~num_processes ~rounds ~sets ppf trace =
   done
 
 let total_attempts st =
-  Array.fold_left (fun acc c -> acc + c.Counters.steal_attempts) 0 st.counters
+  Array.fold_left (fun acc c -> acc + Counters.get c Counters.steal_attempts) 0 st.counters
 
 let run_internal ~tracing ?trace cfg dag =
   if cfg.num_processes < 1 then invalid_arg "Engine.run: num_processes >= 1 required";
@@ -383,10 +383,10 @@ let run_internal ~tracing ?trace cfg dag =
       work = Metrics.work dag;
       span = st.span;
       num_processes = p;
-      steal_attempts = totals.Counters.steal_attempts;
-      successful_steals = totals.Counters.successful_steals;
-      lock_spins = totals.Counters.lock_spins;
-      yield_calls = totals.Counters.yields;
+      steal_attempts = Counters.get totals Counters.steal_attempts;
+      successful_steals = Counters.get totals Counters.successful_steals;
+      lock_spins = Counters.get totals Counters.lock_spins;
+      yield_calls = Counters.get totals Counters.yields;
       invariant_violations = List.rev st.violations;
       steal_latencies = Array.of_list (List.rev st.steal_latencies);
       per_worker = st.counters;

@@ -1,6 +1,6 @@
-let histogram_of sink field =
+let histogram_of sink id =
   let samples =
-    Array.map (fun c -> float_of_int (field c)) (Sink.per_worker sink)
+    Array.map (fun c -> float_of_int (Counters.get c id)) (Sink.per_worker sink)
   in
   let hi = Array.fold_left max 0.0 samples +. 1.0 in
   let bins = min 10 (max 1 (Array.length samples)) in
@@ -10,18 +10,19 @@ let histogram_of sink field =
 
 let pp ppf sink =
   let totals = Sink.totals sink in
+  let count = Counters.get totals in
   Fmt.pf ppf "=== scheduler telemetry (%d workers) ===@." (Sink.workers sink);
   Fmt.pf ppf "totals: %a@." Counters.pp totals;
   Fmt.pf ppf "steal-attempt breakdown: %d = %d success + %d empty + %d cas-lost%s@."
-    totals.Counters.steal_attempts totals.Counters.successful_steals
-    totals.Counters.steal_empties totals.Counters.cas_failures_pop_top
+    (count Counters.steal_attempts) (count Counters.successful_steals)
+    (count Counters.steal_empties) (count Counters.cas_failures_pop_top)
     (if Counters.complete totals then "" else " (+ unclassified)");
-  (if totals.Counters.stolen_tasks > totals.Counters.successful_steals then
+  (if count Counters.stolen_tasks > count Counters.successful_steals then
      let hist = Counters.batch_hist totals in
      Fmt.pf ppf
        "batched transfer: %d tasks over %d steals (%d batched, max %d); tasks/transfer:"
-       totals.Counters.stolen_tasks totals.Counters.successful_steals
-       totals.Counters.batch_steals totals.Counters.max_steal_batch;
+       (count Counters.stolen_tasks) (count Counters.successful_steals)
+       (count Counters.batch_steals) (count Counters.max_steal_batch);
      Array.iteri
        (fun i v ->
          if v > 0 then Fmt.pf ppf " %s:%d" Counters.batch_bucket_labels.(i) v)
@@ -61,9 +62,9 @@ let pp ppf sink =
       per_worker
   end;
   Fmt.pf ppf "@.steal attempts per worker:@.%a" Abp_stats.Histogram.pp
-    (histogram_of sink (fun c -> c.Counters.steal_attempts));
+    (histogram_of sink Counters.steal_attempts);
   Fmt.pf ppf "@.successful steals per worker:@.%a" Abp_stats.Histogram.pp
-    (histogram_of sink (fun c -> c.Counters.successful_steals));
+    (histogram_of sink Counters.successful_steals);
   if Sink.events_enabled sink then
     Fmt.pf ppf "@.events retained: %d  dropped: %d@."
       (List.length (Sink.events sink))

@@ -5,5 +5,5 @@
 
 val pp : Format.formatter -> Sink.t -> unit
 
-val histogram_of : Sink.t -> (Counters.t -> int) -> Abp_stats.Histogram.t
+val histogram_of : Sink.t -> Counters.id -> Abp_stats.Histogram.t
 (** Histogram of a chosen per-worker counter (one sample per worker). *)

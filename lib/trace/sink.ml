@@ -1,17 +1,15 @@
 type t = {
   counters : Counters.t array;
   rings : Ring.t array;
-  clock : unit -> float;
   enabled : bool;
 }
 
-let create ?(ring_capacity = 0) ?(clock = Sys.time) ~workers () =
+let create ?(ring_capacity = 0) ~workers () =
   if workers < 1 then invalid_arg "Sink.create: workers >= 1 required";
   if ring_capacity < 0 then invalid_arg "Sink.create: ring_capacity >= 0 required";
   {
     counters = Array.init workers (fun _ -> Counters.create ());
     rings = Array.init workers (fun _ -> Ring.create ~capacity:ring_capacity);
-    clock;
     enabled = ring_capacity > 0;
   }
 
@@ -22,7 +20,7 @@ let events_enabled t = t.enabled
 let emit_at t ~worker ~time ?(arg = -1) kind =
   if t.enabled then Ring.add t.rings.(worker) { Event.kind; worker; time; arg }
 
-let emit t ~worker ?arg kind = emit_at t ~worker ~time:(t.clock ()) ?arg kind
+let emit t ~worker ?arg kind = emit_at t ~worker ~time:(Clock.to_s (Clock.now ())) ?arg kind
 
 let totals t = Counters.sum t.counters
 let per_worker t = t.counters

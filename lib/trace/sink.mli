@@ -10,14 +10,11 @@
 
 type t
 
-val create : ?ring_capacity:int -> ?clock:(unit -> float) -> workers:int -> unit -> t
+val create : ?ring_capacity:int -> workers:int -> unit -> t
 (** [workers >= 1] records and rings.  [ring_capacity] (default 0)
     bounds each worker's event ring; 0 disables event collection
     entirely ({!events_enabled} is false and emits are no-ops, so a
-    counters-only sink costs nothing per event).  [clock] (default
-    [Sys.time]) stamps events emitted through {!emit}; producers with a
-    logical clock (the simulator's round number) use {!emit_at}
-    instead. *)
+    counters-only sink costs nothing per event). *)
 
 val workers : t -> int
 val counters : t -> int -> Counters.t
@@ -26,10 +23,12 @@ val counters : t -> int -> Counters.t
 val events_enabled : t -> bool
 
 val emit : t -> worker:int -> ?arg:int -> Event.kind -> unit
-(** Append an event stamped with the sink's clock ([arg] default [-1]). *)
+(** Append an event stamped with the monotonic clock, in seconds
+    ([Clock.to_s (Clock.now ())]; [arg] default [-1]). *)
 
 val emit_at : t -> worker:int -> time:float -> ?arg:int -> Event.kind -> unit
-(** Append an event with an explicit timestamp (e.g. a kernel round). *)
+(** Append an event with an explicit timestamp: producers with a logical
+    clock (the simulator's round number) use this instead of {!emit}. *)
 
 val totals : t -> Counters.t
 (** Fresh aggregate over all workers. *)

@@ -43,7 +43,7 @@ let idle_thieves_park () =
         (wait_until (fun () -> Pool.parked_workers pool = 2)));
   (* shutdown returned, so the broadcast woke them; counters are now
      quiesced. *)
-  Alcotest.(check bool) "parks counted" true ((totals pool).Counters.parks >= 2);
+  Alcotest.(check bool) "parks counted" true (Counters.get (totals pool) Counters.parks >= 2);
   Alcotest.(check int) "nobody left parked" 0 (Pool.parked_workers pool)
 
 let push_wakes_parked_thief () =
@@ -69,9 +69,9 @@ let push_wakes_parked_thief () =
     (Printf.sprintf "wake-on-push latency %.3fs within bound" latency)
     true (latency < 10.0);
   let t = totals pool in
-  Alcotest.(check bool) "the thief parked at least once" true (t.Counters.parks >= 1);
+  Alcotest.(check bool) "the thief parked at least once" true (Counters.get t Counters.parks >= 1);
   Alcotest.(check int) "the pushed task was stolen, not popped" 1
-    t.Counters.successful_steals
+    (Counters.get t Counters.successful_steals)
 
 let conservation_across_park_unpark () =
   (* Aggressive parking (threshold 0) while real work flows through:
@@ -94,9 +94,9 @@ let conservation_across_park_unpark () =
   done;
   Alcotest.(check int) "reduce value" !want got;
   let t = totals pool in
-  Alcotest.(check bool) "thieves actually parked" true (t.Counters.parks >= 1);
-  Alcotest.(check int) "pushes = pops + steals at quiescence" t.Counters.pushes
-    (t.Counters.pops + t.Counters.successful_steals);
+  Alcotest.(check bool) "thieves actually parked" true (Counters.get t Counters.parks >= 1);
+  Alcotest.(check int) "pushes = pops + steals at quiescence" (Counters.get t Counters.pushes)
+    (Counters.get t Counters.pops + Counters.get t Counters.successful_steals);
   Alcotest.(check bool) "steal breakdown complete" true (Counters.complete t)
 
 let ablation_never_parks_or_yields () =
@@ -108,8 +108,8 @@ let ablation_never_parks_or_yields () =
       Alcotest.(check int) "fib value" 2584 got;
       Alcotest.(check int) "no thief parked mid-run" 0 (Pool.parked_workers pool));
   let t = totals pool in
-  Alcotest.(check int) "no yields in ablation" 0 t.Counters.yields;
-  Alcotest.(check int) "no parks in ablation" 0 t.Counters.parks
+  Alcotest.(check int) "no yields in ablation" 0 (Counters.get t Counters.yields);
+  Alcotest.(check int) "no parks in ablation" 0 (Counters.get t Counters.parks)
 
 let negative_park_threshold_rejected () =
   Alcotest.check_raises "park_threshold validated"
@@ -128,9 +128,9 @@ let task_exception_reraised_at_run () =
               (* Wait for the worker loop to catch and record it, so the
                  re-raise deterministically happens at this run's exit. *)
               ignore
-                (wait_until (fun () -> (totals pool).Counters.task_exceptions = 1))));
+                (wait_until (fun () -> Counters.get (totals pool) Counters.task_exceptions = 1))));
       Alcotest.(check int) "exception recorded in counters" 1
-        (totals pool).Counters.task_exceptions;
+        (Counters.get (totals pool) Counters.task_exceptions);
       (* The worker domain survived: the pool still computes. *)
       let got = Pool.run pool (fun () -> Par.fib 15) in
       Alcotest.(check int) "pool still works after task exception" 610 got)
@@ -149,7 +149,7 @@ let task_exception_reraised_at_shutdown () =
           raise Boom));
   Atomic.set gate true;
   Alcotest.(check bool) "exception recorded after run returned" true
-    (wait_until (fun () -> (totals pool).Counters.task_exceptions = 1));
+    (wait_until (fun () -> Counters.get (totals pool) Counters.task_exceptions = 1));
   Alcotest.check_raises "shutdown re-raises the pending exception" Boom (fun () ->
       Pool.shutdown pool);
   (* Idempotent shutdown does not raise twice. *)

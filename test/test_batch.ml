@@ -59,13 +59,13 @@ let batched_pool_conservation () =
   let t = totals pool in
   Alcotest.(check int)
     "pushes = pops + stolen_tasks"
-    t.Counters.pushes
-    (t.Counters.pops + t.Counters.stolen_tasks);
+    (Counters.get t Counters.pushes)
+    (Counters.get t Counters.pops + Counters.get t Counters.stolen_tasks);
   Alcotest.(check bool) "breakdown complete" true (Counters.complete t);
   Alcotest.(check bool) "stolen_tasks >= successful_steals" true
-    (t.Counters.stolen_tasks >= t.Counters.successful_steals);
+    (Counters.get t Counters.stolen_tasks >= Counters.get t Counters.successful_steals);
   Alcotest.(check bool) "batch_steals <= successful_steals" true
-    (t.Counters.batch_steals <= t.Counters.successful_steals)
+    (Counters.get t Counters.batch_steals <= Counters.get t Counters.successful_steals)
 
 (* The documented Abp degradation: with [batch] set on an Abp pool every
    steal still moves exactly one task, so stolen_tasks equals
@@ -79,12 +79,13 @@ let abp_batch_degrades_to_single_steals () =
   in
   Alcotest.(check int) "fib correct" 46368 result;
   let t = totals pool in
-  Alcotest.(check int) "one task per steal" t.Counters.successful_steals t.Counters.stolen_tasks;
-  Alcotest.(check int) "no batched steals" 0 t.Counters.batch_steals;
+  Alcotest.(check int) "one task per steal" (Counters.get t Counters.successful_steals)
+    (Counters.get t Counters.stolen_tasks);
+  Alcotest.(check int) "no batched steals" 0 (Counters.get t Counters.batch_steals);
   Alcotest.(check int)
     "pushes = pops + stolen_tasks"
-    t.Counters.pushes
-    (t.Counters.pops + t.Counters.stolen_tasks)
+    (Counters.get t Counters.pushes)
+    (Counters.get t Counters.pops + Counters.get t Counters.stolen_tasks)
 
 (* Lazy splitting must compute exactly what the eager policies compute. *)
 let lazy_parallel_for_correct () =
@@ -119,7 +120,7 @@ let injector_source inj =
   {
     Pool.take = (fun n -> Injector.try_pop_n inj n);
     pending = (fun () -> not (Injector.is_empty inj));
-    note = (fun c got -> c.Counters.inject_tasks <- c.Counters.inject_tasks + got);
+    note = (fun c got -> Counters.add_n c Counters.inject_tasks got);
     event = None;
   }
 
@@ -163,7 +164,7 @@ let burst_larger_than_batch_cannot_strand () =
           done;
           let t = totals pool in
           Alcotest.(check int) "every injected task acquired" (rounds * burst)
-            t.Counters.inject_tasks))
+            (Counters.get t Counters.inject_tasks)))
     [ (1, 0); (2, 1) ]
 
 (* The race the parking check closes, made deterministic: the last
@@ -269,11 +270,12 @@ let serve_batched_drain_counted () =
   Alcotest.(check int) "all completed" 12 st.Serve.completed;
   let t = Counters.sum (Pool.counters (Serve.pool s)) in
   Serve.shutdown s;
-  Alcotest.(check int) "all 12 acquired from inbox" 12 t.Counters.inject_tasks;
+  Alcotest.(check int) "all 12 acquired from inbox" 12 (Counters.get t Counters.inject_tasks);
   Alcotest.(check bool)
-    (Printf.sprintf "batched drain happened (inject_batches = %d)" t.Counters.inject_batches)
+    (Printf.sprintf "batched drain happened (inject_batches = %d)"
+       (Counters.get t Counters.inject_batches))
     true
-    (t.Counters.inject_batches > 0);
+    (Counters.get t Counters.inject_batches > 0);
   List.iter
     (fun tk ->
       match Serve.poll tk with

@@ -33,34 +33,34 @@ let stress ops =
   let thief i =
     let c = thief_counters.(i) in
     while Atomic.get remaining > 0 do
-      c.Counters.steal_attempts <- c.Counters.steal_attempts + 1;
+      Counters.incr c Counters.steal_attempts;
       (match ops.pop_top () with
       | Spec.Got v ->
-          c.Counters.successful_steals <- c.Counters.successful_steals + 1;
-          c.Counters.stolen_tasks <- c.Counters.stolen_tasks + 1;
+          Counters.incr c Counters.successful_steals;
+          Counters.incr c Counters.stolen_tasks;
           take v
       | Spec.Empty ->
-          c.Counters.steal_empties <- c.Counters.steal_empties + 1;
-          c.Counters.yields <- c.Counters.yields + 1;
+          Counters.incr c Counters.steal_empties;
+          Counters.incr c Counters.yields;
           Domain.cpu_relax ()
       | Spec.Contended ->
-          c.Counters.cas_failures_pop_top <- c.Counters.cas_failures_pop_top + 1)
+          Counters.incr c Counters.cas_failures_pop_top)
     done
   in
   let domains = Array.init n_thieves (fun i -> Domain.spawn (fun () -> thief i)) in
   let owner_pop () =
     match ops.pop_bottom () with
     | Spec.Got v ->
-        owner.Counters.pops <- owner.Counters.pops + 1;
+        Counters.incr owner Counters.pops;
         take v
     | Spec.Empty -> ()
     | Spec.Contended ->
         (* The deque's last item was stolen mid-popBottom. *)
-        owner.Counters.cas_failures_pop_bottom <- owner.Counters.cas_failures_pop_bottom + 1
+        Counters.incr owner Counters.cas_failures_pop_bottom
   in
   for v = 0 to n_items - 1 do
     ops.push v;
-    owner.Counters.pushes <- owner.Counters.pushes + 1;
+    Counters.incr owner Counters.pushes;
     (* Interleave owner pops with pushes so the owner also drains the
        deque to empty mid-run (exercising the ABP reset / tag-bump path
        while thieves race the last item). *)
@@ -83,12 +83,14 @@ let check_stress name (owner, thieves, seen) =
     seen;
   Alcotest.(check int) (name ^ ": no value lost") 0 !lost;
   Alcotest.(check int) (name ^ ": no value popped twice") 0 !duplicated;
-  Alcotest.(check int) (name ^ ": all pushes counted") n_items owner.Counters.pushes;
-  let stolen = Array.fold_left (fun a c -> a + c.Counters.successful_steals) 0 thieves in
+  Alcotest.(check int) (name ^ ": all pushes counted") n_items (Counters.get owner Counters.pushes);
+  let stolen =
+    Array.fold_left (fun a c -> a + Counters.get c Counters.successful_steals) 0 thieves
+  in
   Alcotest.(check int)
     (name ^ ": owner pops + thief steals = pushes")
     n_items
-    (owner.Counters.pops + stolen);
+    (Counters.get owner Counters.pops + stolen);
   Array.iteri
     (fun i c ->
       let name = Printf.sprintf "%s: thief %d" name i in
@@ -96,8 +98,8 @@ let check_stress name (owner, thieves, seen) =
       (* attempts − successes is exactly the empties plus the lost CASes *)
       Alcotest.(check int)
         (name ^ " failures = attempts - successes")
-        (c.Counters.steal_attempts - c.Counters.successful_steals)
-        (c.Counters.steal_empties + c.Counters.cas_failures_pop_top))
+        (Counters.get c Counters.steal_attempts - Counters.get c Counters.successful_steals)
+        (Counters.get c Counters.steal_empties + Counters.get c Counters.cas_failures_pop_top))
     thieves
 
 let atomic_deque_stress () =
@@ -138,25 +140,26 @@ let pool_instrumented_arithmetic () =
   let totals = Sink.totals sink in
   Alcotest.(check bool) "attempts fully classified" true (Counters.complete totals);
   Alcotest.(check bool) "successes <= attempts" true
-    (totals.Counters.successful_steals <= totals.Counters.steal_attempts);
+    (Counters.get totals Counters.successful_steals <= Counters.get totals Counters.steal_attempts);
   Alcotest.(check int) "cas failures consistent with attempts - successes"
-    (totals.Counters.steal_attempts - totals.Counters.successful_steals)
-    (totals.Counters.steal_empties + totals.Counters.cas_failures_pop_top);
+    (Counters.get totals Counters.steal_attempts - Counters.get totals Counters.successful_steals)
+    (Counters.get totals Counters.steal_empties
+    + Counters.get totals Counters.cas_failures_pop_top);
   (* At shutdown every pushed task has been executed by someone. *)
-  Alcotest.(check int) "pushes = owner pops + steals" totals.Counters.pushes
-    (totals.Counters.pops + totals.Counters.successful_steals);
+  Alcotest.(check int) "pushes = owner pops + steals" (Counters.get totals Counters.pushes)
+    (Counters.get totals Counters.pops + Counters.get totals Counters.successful_steals);
   (* The sink and the pool's legacy aggregate counters agree. *)
   Alcotest.(check int) "sink attempts = pool attempts"
     (Abp_hood.Pool.steal_attempts pool)
-    totals.Counters.steal_attempts;
+    (Counters.get totals Counters.steal_attempts);
   Alcotest.(check int) "sink successes = pool successes"
     (Abp_hood.Pool.successful_steals pool)
-    totals.Counters.successful_steals;
+    (Counters.get totals Counters.successful_steals);
   (* Per-worker records the pool exposes are the sink's own records. *)
   let pw = Abp_hood.Pool.counters pool in
   Alcotest.(check int) "per-worker width" p (Array.length pw);
-  Alcotest.(check int) "per-worker sums to totals" totals.Counters.steal_attempts
-    (Counters.sum pw).Counters.steal_attempts
+  Alcotest.(check int) "per-worker sums to totals" (Counters.get totals Counters.steal_attempts)
+    (Counters.get (Counters.sum pw) Counters.steal_attempts)
 
 (* The pool's aggregate accessors are derived — sums over the per-worker
    records, no shared atomics on the steal path — so on an untraced pool
@@ -173,15 +176,15 @@ let untraced_pool_accessors_are_sums () =
   Alcotest.(check int) "one record per worker" 4 (Array.length pw);
   let totals = Counters.sum pw in
   Alcotest.(check int) "steal_attempts accessor = per-worker sum"
-    totals.Counters.steal_attempts
+    (Counters.get totals Counters.steal_attempts)
     (Abp_hood.Pool.steal_attempts pool);
   Alcotest.(check int) "successful_steals accessor = per-worker sum"
-    totals.Counters.successful_steals
+    (Counters.get totals Counters.successful_steals)
     (Abp_hood.Pool.successful_steals pool);
   Alcotest.(check bool) "attempts fully classified" true (Counters.complete totals);
-  Alcotest.(check int) "pushes = pops + steals" totals.Counters.pushes
-    (totals.Counters.pops + totals.Counters.successful_steals);
-  Alcotest.(check int) "no task exceptions" 0 totals.Counters.task_exceptions
+  Alcotest.(check int) "pushes = pops + steals" (Counters.get totals Counters.pushes)
+    (Counters.get totals Counters.pops + Counters.get totals Counters.successful_steals);
+  Alcotest.(check int) "no task exceptions" 0 (Counters.get totals Counters.task_exceptions)
 
 (* --- wsm: the fence-free multiplicity deque -------------------------- *)
 
@@ -217,29 +220,29 @@ let wsm_deque_stress () =
   let thief i =
     let c = thief_counters.(i) in
     while Atomic.get remaining > 0 do
-      c.Counters.steal_attempts <- c.Counters.steal_attempts + 1;
+      Counters.incr c Counters.steal_attempts;
       match Abp_deque.Wsm_deque.pop_top_detailed d with
       | Spec.Got v ->
-          c.Counters.successful_steals <- c.Counters.successful_steals + 1;
+          Counters.incr c Counters.successful_steals;
           take v
       | Spec.Empty ->
-          c.Counters.steal_empties <- c.Counters.steal_empties + 1;
+          Counters.incr c Counters.steal_empties;
           Domain.cpu_relax ()
-      | Spec.Contended -> c.Counters.cas_failures_pop_top <- c.Counters.cas_failures_pop_top + 1
+      | Spec.Contended -> Counters.incr c Counters.cas_failures_pop_top
     done
   in
   let domains = Array.init n_thieves (fun i -> Domain.spawn (fun () -> thief i)) in
   let owner_pop () =
     match Abp_deque.Wsm_deque.pop_bottom_detailed d with
     | Spec.Got v ->
-        owner.Counters.pops <- owner.Counters.pops + 1;
+        Counters.incr owner Counters.pops;
         take v
     | Spec.Empty -> ()
     | Spec.Contended -> Alcotest.fail "wsm popBottom returned Contended"
   in
   for v = 0 to wsm_n_items - 1 do
     Abp_deque.Wsm_deque.push_bottom d v;
-    owner.Counters.pushes <- owner.Counters.pushes + 1;
+    Counters.incr owner Counters.pushes;
     if v mod 7 = 0 then owner_pop ()
   done;
   while Atomic.get remaining > 0 do
@@ -249,21 +252,23 @@ let wsm_deque_stress () =
   let lost = ref 0 in
   Array.iter (fun slot -> if Atomic.get slot = 0 then incr lost) seen;
   Alcotest.(check int) "wsm: no value lost" 0 !lost;
-  Alcotest.(check int) "wsm: all pushes counted" wsm_n_items owner.Counters.pushes;
+  Alcotest.(check int) "wsm: all pushes counted" wsm_n_items (Counters.get owner Counters.pushes);
   Alcotest.(check bool) "wsm: duplicate count sane" true (Atomic.get duplicates >= 0);
-  let stolen = Array.fold_left (fun a c -> a + c.Counters.successful_steals) 0 thief_counters in
+  let stolen =
+    Array.fold_left (fun a c -> a + Counters.get c Counters.successful_steals) 0 thief_counters
+  in
   Alcotest.(check int) "wsm: pops + steals = pushes + duplicates"
     (wsm_n_items + Atomic.get duplicates)
-    (owner.Counters.pops + stolen);
+    (Counters.get owner Counters.pops + stolen);
   Array.iteri
     (fun i c ->
       let name = Printf.sprintf "wsm: thief %d" i in
       Alcotest.(check int) (name ^ " no Contended (no-CAS popTop)") 0
-        c.Counters.cas_failures_pop_top;
+        (Counters.get c Counters.cas_failures_pop_top);
       Alcotest.(check int)
         (name ^ " attempts = successes + empties")
-        c.Counters.steal_attempts
-        (c.Counters.successful_steals + c.Counters.steal_empties))
+        (Counters.get c Counters.steal_attempts)
+        (Counters.get c Counters.successful_steals + Counters.get c Counters.steal_empties))
     thief_counters
 
 let tests =

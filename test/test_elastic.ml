@@ -122,7 +122,8 @@ let storm_conservation () =
   Alcotest.(check int) "nothing suspended after drain" 0 st.Serve.suspended;
   Alcotest.(check bool) "conserved shard-wise" true (Shard.conserved topo);
   Alcotest.(check bool) "supervisor counters track the ledger" true
-    ((Supervisor.counters sup).Abp_trace.Counters.scale_ups = Supervisor.scale_up_count sup);
+    (Abp_trace.Counters.get (Supervisor.counters sup) Abp_trace.Counters.scale_ups
+    = Supervisor.scale_up_count sup);
   Backend.stop backend;
   Shard.shutdown topo
 

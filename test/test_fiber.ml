@@ -50,7 +50,7 @@ let rec poll_outcome p =
 
 let pool_fiber_counters pool =
   let t = Counters.sum (Pool.counters pool) in
-  (t.Counters.suspensions, t.Counters.resumes, t.Counters.suspended_peak)
+  Counters.(get t suspensions, get t resumes, get t suspended_peak)
 
 (* ------------------------------------------------------------------ *)
 (* Promise semantics (no scheduler involved)                           *)

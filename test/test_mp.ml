@@ -180,12 +180,13 @@ let rotor_controller_under_load () =
       let rec go tries =
         let v = Pool.run pool workload in
         Alcotest.(check int) "fib correct under rotor" workload_expect v;
-        if totals pool |> fun t -> t.Counters.gate_suspends = 0 && tries > 0 then go (tries - 1)
+        if totals pool |> fun t -> Counters.get t Counters.gate_suspends = 0 && tries > 0 then
+          go (tries - 1)
       in
       go 20;
       Alcotest.(check bool) "controller issued quanta" true (Controller.quanta c > 0);
       Alcotest.(check bool) "workers suspended at gates" true
-        ((totals pool).Counters.gate_suspends > 0);
+        (Counters.get (totals pool) Counters.gate_suspends > 0);
       Alcotest.(check bool) "gate time was integrated" true
         (Controller.suspended_seconds c > 0.0));
   Alcotest.(check string) "adversary name surfaced" "oblivious-rotor"
@@ -308,8 +309,8 @@ let batched_suspension_conservation () =
       let t = totals pool in
       Alcotest.(check int)
         "pushes = pops + stolen_tasks at quiescence"
-        t.Counters.pushes
-        (t.Counters.pops + t.Counters.stolen_tasks))
+        (Counters.get t Counters.pushes)
+        (Counters.get t Counters.pops + Counters.get t Counters.stolen_tasks))
 
 (* Serve.drain with the adversary still scheduling: admission stats
    must balance even though workers were suspended mid-service. *)
@@ -455,8 +456,8 @@ let parked_continuation_survives_gate_cycle () =
       Alcotest.(check (option int)) "value survived the gate cycle" (Some 777)
         (Atomic.get result);
       let t = Counters.sum (Pool.counters pool) in
-      Alcotest.(check int) "one suspension" 1 t.Counters.suspensions;
-      Alcotest.(check int) "one resume" 1 t.Counters.resumes;
+      Alcotest.(check int) "one suspension" 1 (Counters.get t Counters.suspensions);
+      Alcotest.(check int) "one resume" 1 (Counters.get t Counters.resumes);
       Alcotest.(check int) "nothing left suspended" 0 (Pool.suspended pool))
 
 (* Await-heavy sharded service under per-shard duty-cycle adversaries:
@@ -529,8 +530,8 @@ let fiber_await_shard_under_adversary () =
   let susp = ref 0 and res = ref 0 in
   for i = 0 to shards - 1 do
     let t = Counters.sum (Pool.counters (Serve.pool (Shard.serve s i))) in
-    susp := !susp + t.Counters.suspensions;
-    res := !res + t.Counters.resumes
+    susp := !susp + Counters.get t Counters.suspensions;
+    res := !res + Counters.get t Counters.resumes
   done;
   Alcotest.(check int) "suspensions balance resumes across shards" !res !susp;
   Alcotest.(check bool) "requests actually suspended" true (!susp > 0)

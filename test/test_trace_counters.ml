@@ -31,24 +31,28 @@ let check_counters_match_result name (r : Run_result.t) =
   Alcotest.(check int) (name ^ ": per_worker length") r.Run_result.num_processes
     (Array.length r.Run_result.per_worker);
   Alcotest.(check int) (name ^ ": steal_attempts") r.Run_result.steal_attempts
-    totals.Counters.steal_attempts;
+    (Counters.get totals Counters.steal_attempts);
   Alcotest.(check int) (name ^ ": successful_steals") r.Run_result.successful_steals
-    totals.Counters.successful_steals;
-  Alcotest.(check int) (name ^ ": yield_calls") r.Run_result.yield_calls totals.Counters.yields;
-  Alcotest.(check int) (name ^ ": lock_spins") r.Run_result.lock_spins totals.Counters.lock_spins;
+    (Counters.get totals Counters.successful_steals);
+  Alcotest.(check int) (name ^ ": yield_calls") r.Run_result.yield_calls
+    (Counters.get totals Counters.yields);
+  Alcotest.(check int) (name ^ ": lock_spins") r.Run_result.lock_spins
+    (Counters.get totals Counters.lock_spins);
   (* Every completed attempt is classified: success or empty victim (the
      simulator serializes methods, so no CAS failures ever). *)
   Alcotest.(check bool) (name ^ ": breakdown complete") true (Counters.complete totals);
-  Alcotest.(check int) (name ^ ": no cas failures in sim") 0 totals.Counters.cas_failures_pop_top;
+  Alcotest.(check int) (name ^ ": no cas failures in sim") 0
+    (Counters.get totals Counters.cas_failures_pop_top);
   (* Owner accounting: every push is eventually popped or stolen. *)
   Alcotest.(check int)
     (name ^ ": pushes = pops + steals")
-    totals.Counters.pushes
-    (totals.Counters.pops + totals.Counters.successful_steals);
+    (Counters.get totals Counters.pushes)
+    (Counters.get totals Counters.pops + Counters.get totals Counters.successful_steals);
   (* Parking and task-exception capture are Hood-runtime mechanisms; the
      simulator never touches those counters. *)
-  Alcotest.(check int) (name ^ ": no parks in sim") 0 totals.Counters.parks;
-  Alcotest.(check int) (name ^ ": no task exceptions in sim") 0 totals.Counters.task_exceptions
+  Alcotest.(check int) (name ^ ": no parks in sim") 0 (Counters.get totals Counters.parks);
+  Alcotest.(check int) (name ^ ": no task exceptions in sim") 0
+    (Counters.get totals Counters.task_exceptions)
 
 let counters_match_across_configs () =
   let dag = Generators.spawn_tree ~depth:7 ~leaf_work:3 in
@@ -93,9 +97,9 @@ let sink_sees_the_same_counters () =
   check_counters_match_result "sink run" r;
   let totals = Sink.totals sink in
   Alcotest.(check int) "sink attempts = result attempts" r.Run_result.steal_attempts
-    totals.Counters.steal_attempts;
+    (Counters.get totals Counters.steal_attempts);
   Alcotest.(check int) "sink successes = result successes" r.Run_result.successful_steals
-    totals.Counters.successful_steals;
+    (Counters.get totals Counters.successful_steals);
   (* Events: stamped with rounds in [1, rounds], sorted, and covering
      every executed node exactly once (ring is large enough here). *)
   let events = Sink.events sink in
@@ -134,6 +138,30 @@ let ring_bounds_and_counts_drops () =
     (fun (e : Event.t) ->
       Alcotest.(check bool) "late events" true (e.Event.time > 1.0))
     (Sink.events sink)
+
+(* Runtime events are stamped with the monotonic clock (the one Serve
+   and the supervisor use), in seconds: every event of a Hood run falls
+   between two [Clock.now] readings taken around it. *)
+let hood_events_use_the_monotonic_clock () =
+  let now_s () = Abp_trace.Clock.to_s (Abp_trace.Clock.now ()) in
+  let p = 2 in
+  let sink = Sink.create ~ring_capacity:(1 lsl 12) ~workers:p () in
+  let before = now_s () in
+  let pool = Abp_hood.Pool.create ~processes:p ~trace:sink () in
+  Abp_hood.Pool.run pool (fun () ->
+      let rec fib n = if n < 2 then n else fib (n - 1) + fib (n - 2) in
+      let futs = List.init 16 (fun _ -> Abp_hood.Future.spawn (fun () -> fib 12)) in
+      List.iter (fun f -> ignore (Abp_hood.Future.force f)) futs);
+  Abp_hood.Pool.shutdown pool;
+  let after = now_s () in
+  let events = Sink.events sink in
+  Alcotest.(check bool) "events collected" true (events <> []);
+  List.iter
+    (fun (e : Event.t) ->
+      if e.Event.time < before || e.Event.time > after then
+        Alcotest.failf "event %s at %.6f outside [%.6f, %.6f]" (Event.kind_name e.Event.kind)
+          e.Event.time before after)
+    events
 
 let sink_wrong_width_rejected () =
   let dag = Generators.chain ~n:4 in
@@ -179,10 +207,10 @@ let prop_counters_consistent_on_random_dags =
       let r = Engine.run (cfg ~seed:(Int64.of_int seed) ~p ()) dag in
       let totals = Counters.sum r.Run_result.per_worker in
       r.Run_result.completed
-      && totals.Counters.steal_attempts = r.Run_result.steal_attempts
-      && totals.Counters.successful_steals = r.Run_result.successful_steals
-      && totals.Counters.yields = r.Run_result.yield_calls
-      && totals.Counters.lock_spins = r.Run_result.lock_spins
+      && Counters.get totals Counters.steal_attempts = r.Run_result.steal_attempts
+      && Counters.get totals Counters.successful_steals = r.Run_result.successful_steals
+      && Counters.get totals Counters.yields = r.Run_result.yield_calls
+      && Counters.get totals Counters.lock_spins = r.Run_result.lock_spins
       && Counters.complete totals)
 
 let fields_cover_every_counter () =
@@ -228,6 +256,95 @@ let fields_cover_every_counter () =
     ];
   Alcotest.(check int) "exactly the 33 fields" 33 (List.length names)
 
+(* How each counter combines is part of its meaning: peaks (high-water
+   marks) aggregate by max, everything else by sum.  Pinned by name so a
+   counter cannot silently change kind. *)
+let peak_counters = [ "deque_high_water"; "max_steal_batch"; "suspended_peak" ]
+
+(* [c] is fresh, so adding sets. *)
+let set_every_field c v =
+  Counters.add_n c Counters.pushes (v 0);
+  Counters.add_n c Counters.pops (v 1);
+  Counters.add_n c Counters.steal_attempts (v 2);
+  Counters.add_n c Counters.successful_steals (v 3);
+  Counters.add_n c Counters.stolen_tasks (v 4);
+  Counters.add_n c Counters.batch_steals (v 5);
+  Counters.add_n c Counters.steal_empties (v 6);
+  Counters.add_n c Counters.cas_failures_pop_top (v 7);
+  Counters.add_n c Counters.cas_failures_pop_bottom (v 8);
+  Counters.add_n c Counters.yields (v 9);
+  Counters.add_n c Counters.lock_spins (v 10);
+  Counters.add_n c Counters.deque_high_water (v 11);
+  Counters.add_n c Counters.max_steal_batch (v 12);
+  Counters.add_n c Counters.parks (v 13);
+  Counters.add_n c Counters.task_exceptions (v 14);
+  Counters.add_n c Counters.inject_polls (v 15);
+  Counters.add_n c Counters.inject_tasks (v 16);
+  Counters.add_n c Counters.inject_batches (v 17);
+  Counters.add_n c Counters.cross_polls (v 18);
+  Counters.add_n c Counters.cross_shard_steals (v 19);
+  Counters.add_n c Counters.cross_stolen_tasks (v 20);
+  Counters.add_n c Counters.gate_suspends (v 21);
+  Counters.add_n c Counters.gate_wait_ns (v 22);
+  Counters.add_n c Counters.directed_yields (v 23);
+  Counters.add_n c Counters.suspensions (v 24);
+  Counters.add_n c Counters.resumes (v 25);
+  Counters.add_n c Counters.suspended_peak (v 26);
+  Counters.add_n c Counters.lane_polls (v 27);
+  Counters.add_n c Counters.lane_tasks (v 28);
+  Counters.add_n c Counters.deadline_misses (v 29);
+  Counters.add_n c Counters.scale_ups (v 30);
+  Counters.add_n c Counters.scale_downs (v 31);
+  Counters.add_n c Counters.migrated_continuations (v 32)
+
+let aggregation_kinds_pinned () =
+  let value_a i = 100 + i and value_b i = 200 - (3 * i) in
+  let a = Counters.create () and b = Counters.create () in
+  set_every_field a value_a;
+  set_every_field b value_b;
+  Counters.note_batch a 1;
+  Counters.note_batch b 20;
+  Counters.note_victim a 1;
+  Counters.note_victim b 3;
+  let expected =
+    List.mapi
+      (fun i (name, _) ->
+        (name, if List.mem name peak_counters then max (value_a i) (value_b i)
+               else value_a i + value_b i))
+      (Counters.fields a)
+  in
+  let check_combined label c =
+    List.iter2
+      (fun (name, want) (name', got) ->
+        Alcotest.(check string) (label ^ ": field order") name name';
+        Alcotest.(check int) (label ^ ": " ^ name) want got)
+      expected (Counters.fields c)
+  in
+  check_combined "sum" (Counters.sum [| a; b |]);
+  Alcotest.(check int) "three peaks, thirty sums" 30
+    (List.length (List.filter (fun (n, _) -> not (List.mem n peak_counters)) expected));
+  let a' = Counters.copy a in
+  Counters.add ~into:a b;
+  check_combined "add" a;
+  Alcotest.(check (array int)) "add: batch histogram" [| 1; 0; 0; 0; 0; 1 |]
+    (Counters.batch_hist a);
+  Alcotest.(check int) "add: victims" 2
+    (Array.fold_left ( + ) 0 (Counters.victim_counts a));
+  (* The copy taken before [add] kept a's own values. *)
+  List.iteri
+    (fun i (name, v) -> Alcotest.(check int) ("copy independent: " ^ name) (value_a i) v)
+    (Counters.fields a');
+  Alcotest.(check (array int)) "copy independent: batch histogram" [| 1; 0; 0; 0; 0; 0 |]
+    (Counters.batch_hist a');
+  Alcotest.(check int) "copy independent: victims" 1
+    (Array.fold_left ( + ) 0 (Counters.victim_counts a'));
+  Counters.reset a;
+  List.iter (fun (name, v) -> Alcotest.(check int) ("reset: " ^ name) 0 v) (Counters.fields a);
+  Alcotest.(check (array int)) "reset: batch histogram" (Array.make Counters.batch_buckets 0)
+    (Counters.batch_hist a);
+  Alcotest.(check bool) "reset: victims" true
+    (Array.for_all (fun v -> v = 0) (Counters.victim_counts a))
+
 let victim_vectors_grow_sum_and_export () =
   (* The per-victim steal vector is a growable side table, deliberately
      OUTSIDE [fields]: it grows on demand, sums element-wise under
@@ -270,7 +387,7 @@ let victim_vectors_grow_sum_and_export () =
   Abp_hood.Pool.shutdown pool;
   let per_worker = Sink.per_worker sink in
   let total_steals =
-    Array.fold_left (fun acc c -> acc + c.Counters.successful_steals) 0 per_worker
+    Array.fold_left (fun acc c -> acc + Counters.get c Counters.successful_steals) 0 per_worker
   in
   let matrix_total =
     Array.fold_left
@@ -298,6 +415,8 @@ let tests =
     Alcotest.test_case "counters match run_result (models x policies x seeds)" `Quick
       counters_match_across_configs;
     Alcotest.test_case "fields cover every counter" `Quick fields_cover_every_counter;
+    Alcotest.test_case "aggregation kinds: peaks max, the rest sum; reset; copy" `Quick
+      aggregation_kinds_pinned;
     Alcotest.test_case "victim vectors: grow, sum, matrix export" `Quick
       victim_vectors_grow_sum_and_export;
     Alcotest.test_case "locked model: spins attributed per worker" `Quick
@@ -307,6 +426,8 @@ let tests =
     Alcotest.test_case "event ring bounds retention and counts drops" `Quick
       ring_bounds_and_counts_drops;
     Alcotest.test_case "sink width mismatch rejected" `Quick sink_wrong_width_rejected;
+    Alcotest.test_case "hood events stamped with the monotonic clock" `Quick
+      hood_events_use_the_monotonic_clock;
     Alcotest.test_case "chrome + report exporters render" `Quick exporters_render;
     QCheck_alcotest.to_alcotest prop_counters_consistent_on_random_dags;
   ]
