@@ -163,20 +163,20 @@ let measure_serve p batch =
   let requests = if !smoke then 1_000 else 10_000 in
   let producers = 2 in
   let per = requests / producers in
-  let s = Abp.Serve.create ~processes:p ~batch ~inbox_capacity:512 () in
+  let s = Abp.Shard.create ~processes:p ~batch ~inbox_capacity:512 ~shards:1 () in
   let t0 = now () in
   let ds =
     Array.init producers (fun _ ->
         Domain.spawn (fun () ->
             for _ = 1 to per do
-              ignore (Abp.Serve.submit s (fun () -> Sys.opaque_identity (fib_seq 15)))
+              ignore (Abp.Shard.submit s (fun () -> Sys.opaque_identity (fib_seq 15)))
             done))
   in
   Array.iter Domain.join ds;
-  let st = Abp.Serve.drain s in
+  let st = Abp.Shard.drain s in
   let elapsed = now () -. t0 in
-  let t = Abp.Trace.Counters.sum (Abp.Pool.counters (Abp.Serve.pool s)) in
-  Abp.Serve.shutdown s;
+  let t = Abp.Trace.Counters.sum (Abp.Pool.counters (Abp.Serve.pool (Abp.Shard.serve s 0))) in
+  Abp.Shard.shutdown s;
   {
     v_p = p;
     v_batch = batch;

@@ -75,11 +75,11 @@ type cell = {
 }
 
 let fiber_counters s =
-  let t = Abp.Trace_counters.sum (Abp.Pool.counters (Abp.Serve.pool s)) in
+  let t = Abp.Trace_counters.sum (Abp.Pool.counters (Abp.Serve.pool (Abp.Shard.serve s 0))) in
   Abp.Trace_counters.(get t suspensions, get t resumes, get t suspended_peak)
 
 let drain_checked ~label s =
-  let st = Abp.Serve.drain s in
+  let st = Abp.Shard.drain s in
   let susp, res, _peak = fiber_counters s in
   if st.Abp.Serve.suspended <> 0 then begin
     Printf.eprintf "%s: %d requests still suspended after drain\n" label st.Abp.Serve.suspended;
@@ -110,7 +110,7 @@ let run_closed_loop ~label ~clients ~per_client ~mk_serve body =
     Array.init clients (fun _ ->
         Domain.spawn (fun () ->
             for _ = 1 to per_client do
-              let t = Abp.Serve.submit s (fun () -> body backend delay) in
+              let t = Abp.Shard.submit s (fun () -> body backend delay) in
               match Abp.Serve.await t with
               | Abp.Serve.Returned _ -> Atomic.incr completed
               | Abp.Serve.Raised e -> raise e
@@ -123,7 +123,7 @@ let run_closed_loop ~label ~clients ~per_client ~mk_serve body =
   let susp, res, peak = fiber_counters s in
   Abp.Backend.stop backend;
   finish ();
-  Abp.Serve.shutdown s;
+  Abp.Shard.shutdown s;
   let requests = Atomic.get completed in
   if requests <> clients * per_client then begin
     Printf.eprintf "%s: completed %d of %d requests\n" label requests (clients * per_client);
@@ -145,7 +145,7 @@ let run_closed_loop ~label ~clients ~per_client ~mk_serve body =
     },
     st )
 
-let plain_serve () = (Abp.Serve.create ~processes:p ~inbox_capacity:1024 (), fun () -> ())
+let plain_serve () = (Abp.Shard.create ~processes:p ~inbox_capacity:1024 ~shards:1 (), fun () -> ())
 
 (* The async body: one compute slice, one suspension on the backend. *)
 let async_body backend delay =
@@ -180,14 +180,14 @@ let volume_body backend delay =
 let gated_serve () =
   let gate = Abp.Gate.create ~num_workers:p in
   let s =
-    Abp.Serve.create ~processes:p ~inbox_capacity:1024 ~yield_kind:Abp.Pool.Yield_to_all
-      ~gate:(Abp.Gate.hook gate) ()
+    Abp.Shard.create ~processes:p ~inbox_capacity:1024 ~yield_kind:Abp.Pool.Yield_to_all
+      ~gates:[| Abp.Gate.hook gate |] ~shards:1 ()
   in
   let rng = Abp.Rng.create ~seed:31L () in
   let adv = Abp.Adversary_spec.parse ~num_processes:p ~rng "duty:on=2,off=1" in
   let c =
     Abp.Controller.create ~quantum:2e-3 ~yield:Abp.Yield.Yield_to_all ~gate
-      ~pool:(Abp.Serve.pool s) adv
+      ~pool:(Abp.Serve.pool (Abp.Shard.serve s 0)) adv
   in
   Abp.Controller.start c;
   (* Gates must reopen before drain/shutdown joins the workers. *)

@@ -92,13 +92,13 @@ let run_clients ~clients ~per_client ~(request : int -> int -> float * int) =
 
 let measure_serve ~p ~clients =
   let n = fib_n () in
-  let s = Abp.Serve.create ~processes:p ~inbox_capacity:256 () in
+  let s = Abp.Shard.create ~processes:p ~inbox_capacity:256 ~shards:1 () in
   Fun.protect
-    ~finally:(fun () -> Abp.Serve.shutdown s)
+    ~finally:(fun () -> Abp.Shard.shutdown s)
     (fun () ->
       let request _ _ =
         let t0 = now () in
-        let t = Abp.Serve.submit s (fun () -> fib_seq n) in
+        let t = Abp.Shard.submit s (fun () -> fib_seq n) in
         match Abp.Serve.await t with
         | Abp.Serve.Returned v -> (now () -. t0, v)
         | Abp.Serve.Raised e -> raise e
@@ -107,7 +107,7 @@ let measure_serve ~p ~clients =
       let seconds, latencies, checksum =
         run_clients ~clients ~per_client:(requests_per_client ()) ~request
       in
-      let st = Abp.Serve.drain s in
+      let st = Abp.Shard.drain s in
       if st.Abp.Serve.accepted
          <> st.Abp.Serve.completed + st.Abp.Serve.cancelled + st.Abp.Serve.exceptions
       then failwith "exp_serve: drain invariant violated";

@@ -138,7 +138,7 @@ let measure_record () =
 (* mixed workload, the denominator for the offered-load fractions.    *)
 
 let calibrate () =
-  let s = Abp.Serve.create ~processes:p_workers ~inbox_capacity:4096 () in
+  let s = Abp.Shard.create ~processes:p_workers ~inbox_capacity:4096 ~shards:1 () in
   let reqs_per_client = if !smoke then 60 else 400 in
   let clients = 2 * p_workers in
   let t0 = now () in
@@ -150,12 +150,12 @@ let calibrate () =
               let dl = Abp.Rng.bernoulli rng ~p:dl_share in
               let lane : Abp.Serve.lane = if dl then Deadline else Bulk in
               let n = if dl then dl_fib else bulk_fib in
-              ignore (Abp.Serve.await (Abp.Serve.submit s ~lane (fun () -> fib_seq n)))
+              ignore (Abp.Serve.await (Abp.Shard.submit s ~lane (fun () -> fib_seq n)))
             done))
   in
   Array.iter Domain.join ds;
   let dt = now () - t0 in
-  Abp.Serve.shutdown s;
+  Abp.Shard.shutdown s;
   float_of_int (clients * reqs_per_client) /. Abp.Clock.to_s dt
 
 (* ------------------------------------------------------------------ *)
@@ -164,7 +164,7 @@ let calibrate () =
 type lane_summary = { samples : int; p50_ms : float; p99_ms : float; p999_ms : float }
 
 let lane_summary s lane =
-  match Abp.Serve.lane_sojourn_latency s lane with
+  match Abp.Shard.lane_sojourn_latency s lane with
   | None -> { samples = 0; p50_ms = 0.0; p99_ms = 0.0; p999_ms = 0.0 }
   | Some l ->
       {
@@ -189,29 +189,29 @@ type curve_cell = {
 let measure_curve ~capacity ~arrival ~load =
   let rate = capacity *. load in
   let total = max 400 (int_of_float (rate *. curve_duration_s ())) in
-  let s = Abp.Serve.create ~processes:p_workers ~inbox_capacity:4096 () in
+  let s = Abp.Shard.create ~processes:p_workers ~inbox_capacity:4096 ~shards:1 () in
   let emit rng =
     let dl = Abp.Rng.bernoulli rng ~p:dl_share in
     let lane : Abp.Serve.lane = if dl then Deadline else Bulk in
     let n = if dl then dl_fib else bulk_fib in
-    match Abp.Serve.try_submit s ~lane (fun () -> fib_seq n) with
+    match Abp.Shard.try_submit s ~lane (fun () -> fib_seq n) with
     | Ok _ -> false
     | Error _ -> true
   in
   let arrivals, shed = drive ~arrival ~rate ~total ~emit in
-  let st = Abp.Serve.drain s in
+  let st = Abp.Shard.drain s in
   let cc_bulk = lane_summary s Abp.Serve.Bulk
   and cc_dl = lane_summary s Abp.Serve.Deadline in
   let lane_ok =
     List.for_all
       (fun lane ->
-        let ls = Abp.Serve.lane_stats s lane in
+        let ls = Abp.Shard.lane_stats s lane in
         ls.Abp.Serve.lane_accepted
         = ls.Abp.Serve.lane_completed + ls.Abp.Serve.lane_cancelled
           + ls.Abp.Serve.lane_exceptions)
       Abp.Serve.lanes
   in
-  Abp.Serve.shutdown s;
+  Abp.Shard.shutdown s;
   let cc_conserved =
     st.Abp.Serve.accepted = st.Abp.Serve.completed + st.Abp.Serve.cancelled + st.Abp.Serve.exceptions
     && st.Abp.Serve.suspended = 0
@@ -241,7 +241,7 @@ type mix_run = { mr_samples : int; mr_p50_ms : float; mr_p99_ms : float; mr_shed
 let measure_mix ~capacity ~lanes_on =
   let rate = capacity *. 0.7 in
   let total = max 800 (int_of_float (rate *. mix_duration_s ())) in
-  let s = Abp.Serve.create ~processes:p_workers ~inbox_capacity:4096 () in
+  let s = Abp.Shard.create ~processes:p_workers ~inbox_capacity:4096 ~shards:1 () in
   let dl_h = H.Sharded.create ~shards:p_workers () in
   let emit rng =
     let dl = Abp.Rng.bernoulli rng ~p:dl_share in
@@ -256,11 +256,11 @@ let measure_mix ~capacity ~lanes_on =
       end;
       v
     in
-    match Abp.Serve.try_submit s ~lane body with Ok _ -> false | Error _ -> true
+    match Abp.Shard.try_submit s ~lane body with Ok _ -> false | Error _ -> true
   in
   let arrivals, shed = drive ~arrival:Burst ~rate ~total ~emit in
-  let st = Abp.Serve.drain s in
-  Abp.Serve.shutdown s;
+  let st = Abp.Shard.drain s in
+  Abp.Shard.shutdown s;
   if
     st.Abp.Serve.accepted
     <> st.Abp.Serve.completed + st.Abp.Serve.cancelled + st.Abp.Serve.exceptions
@@ -290,7 +290,7 @@ let measure_soak () =
   let gens = 4 in
   let per = total / gens in
   let requests = per * gens in
-  let s = Abp.Serve.create ~processes:p_workers ~inbox_capacity:4096 () in
+  let s = Abp.Shard.create ~processes:p_workers ~inbox_capacity:4096 ~shards:1 () in
   let backend = Abp.Backend.create ~workers:2 () in
   let t0 = now () in
   let ds =
@@ -302,30 +302,30 @@ let measure_soak () =
                 (* await path: park on a simulated backend, resume via
                    the external-fulfiller re-injection *)
                 ignore
-                  (Abp.Serve.submit s ~lane (fun () ->
+                  (Abp.Shard.submit s ~lane (fun () ->
                        Abp.Fiber.await (Abp.Backend.call backend ~delay:0.0002 i)))
               else if i mod 509 = 0 then
-                ignore (Abp.Serve.submit s ~lane (fun () -> failwith "soak: planned failure"))
+                ignore (Abp.Shard.submit s ~lane (fun () -> failwith "soak: planned failure"))
               else if i mod 2048 = g then
                 (* already-expired deadline: dropped as Cancelled at dequeue *)
-                ignore (Abp.Serve.submit s ~lane ~deadline:0.0 (fun () -> fib_seq 1))
-              else ignore (Abp.Serve.submit s ~lane (fun () -> fib_seq 1))
+                ignore (Abp.Shard.submit s ~lane ~deadline:0.0 (fun () -> fib_seq 1))
+              else ignore (Abp.Shard.submit s ~lane (fun () -> fib_seq 1))
             done))
   in
   Array.iter Domain.join ds;
-  let st = Abp.Serve.drain s in
+  let st = Abp.Shard.drain s in
   let dt = now () - t0 in
   let lane_ok =
     List.for_all
       (fun lane ->
-        let ls = Abp.Serve.lane_stats s lane in
+        let ls = Abp.Shard.lane_stats s lane in
         ls.Abp.Serve.lane_accepted
         = ls.Abp.Serve.lane_completed + ls.Abp.Serve.lane_cancelled
           + ls.Abp.Serve.lane_exceptions)
       Abp.Serve.lanes
   in
   Abp.Backend.stop backend;
-  Abp.Serve.shutdown s;
+  Abp.Shard.shutdown s;
   let sk_conserved =
     st.Abp.Serve.accepted = requests
     && st.Abp.Serve.accepted

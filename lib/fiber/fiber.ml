@@ -156,12 +156,17 @@ let spawn f =
    The resumption closure re-checks the promise state when it finally
    runs (the fulfil happens-before the schedule, so the state is
    terminal by then), fires [on_resume], and continues or discontinues
-   the one-shot continuation under the context flag. *)
+   the one-shot continuation under the context flag.
+
+   The flag is set around the whole handler, not inside the handled
+   body: when the body suspends, [match_with] returns with the body's
+   frames captured in the continuation, so a flag restore inside them
+   would not run until the resume, and the flag would stay set on this
+   domain after [run] returned. *)
 let run sched body =
   let open Effect.Deep in
-  match_with
-    (fun () -> with_ctx_flag body)
-    ()
+  with_ctx_flag @@ fun () ->
+  match_with body ()
     {
       retc = (fun () -> ());
       exnc = raise;

@@ -58,7 +58,7 @@ val start : t -> unit
 val stop : t -> unit
 (** Stop the controller: opens {e all} gates, uninstalls the steal-fail
     handler and joins the domain.  {b Must} be called before
-    [Pool.shutdown]/[Serve.shutdown] — a worker blocked at a closed gate
+    [Pool.shutdown]/[Shard.shutdown] — a worker blocked at a closed gate
     cannot see the shutdown flag.  Idempotent. *)
 
 val quanta : t -> int

@@ -22,9 +22,10 @@ val create : num_workers:int -> t
 val num_workers : t -> int
 
 val hook : t -> Abp_hood.Pool.gate_hook
-(** The hook to pass to {!Abp_hood.Pool.create} (or
-    {!Abp_serve.Serve.create}).  Its [on_steal_fail] forwards to the
-    handler installed with {!set_steal_fail} ([ignore] initially). *)
+(** The hook to pass to {!Abp_hood.Pool.create} (or as one entry of
+    {!Abp_serve.Shard.create}'s [gates]).  Its [on_steal_fail] forwards
+    to the handler installed with {!set_steal_fail} ([ignore]
+    initially). *)
 
 val set : t -> bool array -> unit
 (** [set t granted] opens gate [i] iff [granted.(i)], waking any worker

@@ -29,4 +29,4 @@ val stop : t -> unit
 (** Stop accepting calls, fulfil everything still queued (honouring due
     times), and join the backend domains.  Every promise returned by
     {!call} is resolved once [stop] returns — the precondition for a
-    clean {!Serve.drain} of awaiting requests. *)
+    clean {!Shard.drain} of awaiting requests. *)

@@ -27,8 +27,8 @@ type 'a t
 val create : ?capacity:int -> unit -> 'a t
 (** [capacity] (default 1024, rounded up to a power of two, minimum 2)
     bounds the number of enqueued-but-not-yet-consumed items; a full
-    inbox is the backpressure signal {!Serve.try_submit} surfaces as
-    [Rejected].  Requires [capacity >= 1]. *)
+    inbox is the backpressure signal {!Shard.try_submit} surfaces as
+    [Error Inbox_full].  Requires [capacity >= 1]. *)
 
 val capacity : 'a t -> int
 (** The rounded-up slot count. *)

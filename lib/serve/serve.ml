@@ -48,10 +48,10 @@ type latency = {
   max : float;
 }
 
-(* What the inboxes hold: the work itself, an abort hook so [shutdown]
+(* What the inboxes hold: the work itself, an abort hook so a shutdown
    can drop still-queued tasks without running them, and the EDF key
    ([due], absolute ns) the deadline-lane drain sorts by.  All close
-   over the ticket cell, so the record stays monomorphic. *)
+   over the ticket, so the record stays monomorphic. *)
 type job = { run : unit -> unit; abort : unit -> unit; due : int }
 
 (* Per-lane admission counters, each padded (written from many
@@ -129,22 +129,16 @@ type t = {
 
 let bulk_credit_period = 4
 
-(* The ticket cell: [Queued] until a worker (or canceller) claims it;
-   only workers move it to [Started]; every other state is terminal. *)
-type 'a cell = Queued | Started | Finished of 'a | Excepted of exn | Dropped of reason
-
+(* [claimed] is the claim word: a worker starting the task and a
+   dropper (cancel, deadline, shutdown) race to flip it, and the winner
+   alone fulfils [promise] — so every ticket settles exactly once. *)
 type 'a ticket = {
-  cell : 'a cell Atomic.t;
+  claimed : bool Atomic.t;
+  promise : 'a outcome Fiber.Promise.t;
   srv : t;
   tk_lane : lane;
   submitted : int;  (* ns, against [Clock.now] *)
   t_deadline : int option;  (* absolute ns, against [Clock.now] *)
-  notify : ('a outcome -> unit) option;
-      (* Invoked exactly once, at the ticket's terminal transition
-         (Finished/Excepted in the worker, Dropped in the canceller) —
-         the ticket-to-promise bridge behind [submit_async].  The cell's
-         terminal CAS already guarantees at-most-once, so the callback
-         never needs its own guard. *)
 }
 
 let signal_done s =
@@ -324,14 +318,11 @@ let lane_stats s lane =
     lane_misses = Atomic.get l.l_misses;
   }
 
-let suspended s = Atomic.get s.suspended_now
-
 let lane_depth s lane =
   Injector.size (match lane with Bulk -> s.inbox | Deadline -> s.dl_inbox)
 
 let inbox_depth s = Injector.size s.inbox + Injector.size s.dl_inbox
 let inbox_high_water s = Atomic.get s.high_water
-let inbox_capacity s = Injector.capacity s.inbox
 
 let note_high_water s =
   let d = inbox_depth s in
@@ -341,17 +332,19 @@ let note_high_water s =
   in
   go ()
 
-let notify_tk tk o = match tk.notify with Some n -> n o | None -> ()
+let claim tk = Atomic.compare_and_set tk.claimed false true
 
+(* The promise is fulfilled before the counters move, so a [drain] that
+   sees the ledger settled never finds a pending ticket. *)
 let drop s tk why =
-  if Atomic.compare_and_set tk.cell Queued (Dropped why) then begin
-    Atomic.incr s.cancelled;
-    Atomic.incr s.by_lane.(lane_idx tk.tk_lane).l_cancelled;
-    notify_tk tk (Cancelled why);
-    signal_done s;
-    true
-  end
-  else false
+  claim tk
+  && begin
+       Fiber.Promise.fulfil tk.promise (Cancelled why);
+       Atomic.incr s.cancelled;
+       Atomic.incr s.by_lane.(lane_idx tk.tk_lane).l_cancelled;
+       signal_done s;
+       true
+     end
 
 (* The executing worker's shard slot for the latency histograms; an
    off-pool settle (an external domain running the job closure in a
@@ -364,28 +357,26 @@ let make_job s tk f =
     (* The whole body — claim, work, settle — runs under the serve
        fiber handler.  If [f] awaits a pending promise, [run] returns
        with the continuation (including the settlement code below)
-       parked, and the worker moves on: the ticket stays [Started] and
-       the request counts in [suspended_now] until its resume settles
-       it.  Note that [run_h] therefore measures claim-to-settle
-       request latency, await time included. *)
+       parked, and the worker moves on: the ticket stays claimed but
+       unsettled, and the request counts in [suspended_now] until its
+       resume settles it.  Note that [run_h] therefore measures
+       claim-to-settle request latency, await time included. *)
     Fiber.run s.fsched (fun () ->
         let start = Clock.now () in
         let expired = match tk.t_deadline with Some dl -> start > dl | None -> false in
         if expired then ignore (drop s tk Deadline)
-        else if Atomic.compare_and_set tk.cell Queued Started then begin
+        else if claim tk then begin
           let l = s.by_lane.(lane_idx tk.tk_lane) in
           Log_histogram.Sharded.record lat.queue_h ~shard:(rec_shard ()) (start - tk.submitted);
           (match f () with
           | v ->
-              Atomic.set tk.cell (Finished v);
+              Fiber.Promise.fulfil tk.promise (Returned v);
               Atomic.incr s.completed;
-              Atomic.incr l.l_completed;
-              notify_tk tk (Returned v)
+              Atomic.incr l.l_completed
           | exception e ->
-              Atomic.set tk.cell (Excepted e);
+              Fiber.Promise.fulfil tk.promise (Raised e);
               Atomic.incr s.exceptions;
-              Atomic.incr l.l_exceptions;
-              notify_tk tk (Raised e));
+              Atomic.incr l.l_exceptions);
           let settle = Clock.now () in
           (* Deadline-miss accounting: the ticket settled (either way)
              past its absolute deadline.  A drop before the claim is a
@@ -414,128 +405,93 @@ let make_job s tk f =
   in
   { run; abort; due }
 
-(* [count_reject]: a blocking [submit] retries a full inbox rather than
-   refusing, so its transient full-inbox probes must not count as
-   rejections. *)
-let try_submit_gen ~count_reject ?notify s ?(lane = (Bulk : lane)) ?deadline f =
+let refuse s li ~count_reject why =
+  if count_reject then begin
+    Atomic.incr s.rejected;
+    Atomic.incr s.by_lane.(li).l_rejected
+  end;
+  Error why
+
+(* [accepted] is raised before admission is re-checked and before the
+   push.  With [drain]'s store-then-read of the same two atomics this is
+   a Dekker pair: either the re-check sees admission closed and rolls
+   back, or [drain] counts this task and waits for it.  A task visible
+   to workers is therefore always counted.  Every rollback signals, so
+   a [drain] that already counted it re-checks the ledger. *)
+let admit s ~count_reject ?(lane = (Bulk : lane)) ?deadline f =
   let li = lane_idx lane in
-  if not (Atomic.get s.admitting) then begin
-    if count_reject then begin
-      Atomic.incr s.rejected;
-      Atomic.incr s.by_lane.(li).l_rejected
-    end;
-    Error Draining
-  end
+  if not (Atomic.get s.admitting) then refuse s li ~count_reject Draining
   else begin
     let now = Clock.now () in
     let tk =
       {
-        cell = Atomic.make Queued;
+        claimed = Atomic.make false;
+        promise = Fiber.Promise.create ();
         srv = s;
         tk_lane = lane;
         submitted = now;
         t_deadline = Option.map (fun d -> now + Clock.of_s d) deadline;
-        notify;
       }
     in
-    (* [accepted] is raised before the push so the drain condition
-       [completed + cancelled + exceptions >= accepted] can never be
-       satisfied by a task that is visible to workers but not yet
-       counted; a failed push rolls it back immediately. *)
     Atomic.incr s.accepted;
     Atomic.incr s.by_lane.(li).l_accepted;
     let target = match lane with Bulk -> s.inbox | Deadline -> s.dl_inbox in
-    if Injector.try_push target (make_job s tk f) then begin
-      note_high_water s;
-      Pool.wake s.pool;
-      Ok tk
-    end
-    else begin
-      Atomic.decr s.accepted;
-      Atomic.decr s.by_lane.(li).l_accepted;
-      if count_reject then begin
-        Atomic.incr s.rejected;
-        Atomic.incr s.by_lane.(li).l_rejected
-      end;
-      Error Inbox_full
-    end
+    let refused =
+      if not (Atomic.get s.admitting) then Some Draining
+      else if Injector.try_push target (make_job s tk f) then None
+      else Some Inbox_full
+    in
+    match refused with
+    | None ->
+        note_high_water s;
+        Pool.wake s.pool;
+        Ok tk
+    | Some why ->
+        Atomic.decr s.accepted;
+        Atomic.decr s.by_lane.(li).l_accepted;
+        signal_done s;
+        refuse s li ~count_reject why
   end
 
-let try_submit s ?lane ?deadline f = try_submit_gen ~count_reject:true s ?lane ?deadline f
-let try_submit_quiet s ?lane ?deadline f = try_submit_gen ~count_reject:false s ?lane ?deadline f
-
-let rec submit s ?lane ?deadline f =
-  match try_submit_gen ~count_reject:false s ?lane ?deadline f with
-  | Ok tk -> tk
-  | Error Draining -> failwith "Serve.submit: admission stopped (draining or shut down)"
-  | Error Inbox_full ->
-      Domain.cpu_relax ();
-      submit s ?lane ?deadline f
-
 let cancel tk = drop tk.srv tk Explicit
-let ticket_lane tk = tk.tk_lane
+let outcome tk = tk.promise
+let poll tk = Fiber.Promise.try_await tk.promise
 
-(* Promise-returning admission: the ticket's terminal transition
-   fulfils the promise with the request's outcome, so the caller —
-   typically another fiber — can [await] it instead of blocking a
-   thread in [await]'s condvar protocol.  The ticket is not returned:
-   the promise IS the handle (cancellation still goes through
-   [try_submit] + [cancel] when needed). *)
-let try_submit_async_gen ~count_reject s ?lane ?deadline f =
-  let p = Fiber.Promise.create () in
-  let notify o = ignore (Fiber.Promise.try_fulfil p o) in
-  match try_submit_gen ~count_reject ~notify s ?lane ?deadline f with
-  | Ok _tk -> Ok p
-  | Error _ as e -> e
-
-let try_submit_async s ?lane ?deadline f =
-  try_submit_async_gen ~count_reject:true s ?lane ?deadline f
-
-let try_submit_async_quiet s ?lane ?deadline f =
-  try_submit_async_gen ~count_reject:false s ?lane ?deadline f
-
-let rec submit_async s ?lane ?deadline f =
-  match try_submit_async_gen ~count_reject:false s ?lane ?deadline f with
-  | Ok p -> p
-  | Error Draining -> failwith "Serve.submit_async: admission stopped (draining or shut down)"
-  | Error Inbox_full ->
-      Domain.cpu_relax ();
-      submit_async s ?lane ?deadline f
-
-let poll tk =
-  match Atomic.get tk.cell with
-  | Queued | Started -> None
-  | Finished v -> Some (Returned v)
-  | Excepted e -> Some (Raised e)
-  | Dropped r -> Some (Cancelled r)
-
+(* Inside a request (or any pool task) the waiter suspends and frees
+   its worker; an outside domain parks on the condition variable. *)
 let await tk =
-  let s = tk.srv in
-  wait_until s (fun () -> Option.is_some (poll tk));
-  match poll tk with Some o -> o | None -> assert false
+  if Fiber.in_context () then Fiber.await tk.promise
+  else begin
+    wait_until tk.srv (fun () -> Fiber.Promise.is_resolved tk.promise);
+    Option.get (poll tk)
+  end
 
-let settled s =
-  Atomic.get s.completed + Atomic.get s.cancelled + Atomic.get s.exceptions
-  >= Atomic.get s.accepted
-
+(* Once admission is closed, settlements only raise the left side
+   towards the final [accepted], and [accepted] only exceeds it by
+   acceptances a racing [admit] is about to roll back.  So a snapshot
+   that balances is exact: [drain] returns that snapshot rather than a
+   later read, which a late rollback could still inflate. *)
 let drain s =
   Atomic.set s.admitting false;
   (* Parked thieves must come back for the remaining inbox tasks. *)
   Pool.wake s.pool;
-  wait_until s (fun () -> settled s);
-  stats s
+  let last = ref (stats s) in
+  wait_until s (fun () ->
+      let st = stats s in
+      last := st;
+      st.completed + st.cancelled + st.exceptions >= st.accepted);
+  !last
 
 let stop_admission s = Atomic.set s.admitting false
 
-(* Reopen admission on a quiesced-then-reactivated service.  Refuses to
-   resurrect a shut-down service: [drain]/[shutdown] closed admission
-   for good. *)
+(* Reopen admission on a quiesced-then-reactivated micropool.  Refuses
+   to resurrect one whose workers were joined. *)
 let resume_admission s = if not (Atomic.get s.stopped) then Atomic.set s.admitting true
 
 (* Another shard's thief takes up to [n] queued jobs, deadline lane
    first (in EDF order) — a cross-shard relief thief must not grab bulk
    work while deadline-class requests queue behind it.  The jobs keep
-   their closures over THIS service's ticket cells and counters, so the
+   their closures over THIS micropool's tickets and counters, so the
    per-service conservation invariant is unaffected by where they
    run. *)
 let steal_inbox s n =
@@ -571,10 +527,6 @@ let drop_queued s =
   drop_all s.dl_inbox;
   drop_all s.inbox
 
-let shutdown s =
-  join_workers s;
-  drop_queued s
-
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
 
@@ -596,22 +548,12 @@ let latency_of_histogram h =
           | None -> 0.0);
       }
 
-let lane_queue_hist s lane = Log_histogram.Sharded.merged s.lat.(lane_idx lane).queue_h
-let lane_run_hist s lane = Log_histogram.Sharded.merged s.lat.(lane_idx lane).run_h
-let lane_sojourn_hist s lane = Log_histogram.Sharded.merged s.lat.(lane_idx lane).sojourn_h
-
-let lane_queue_latency s lane = latency_of_histogram (lane_queue_hist s lane)
-let lane_run_latency s lane = latency_of_histogram (lane_run_hist s lane)
+let lane_hist pick s lane = Log_histogram.Sharded.merged (pick s.lat.(lane_idx lane))
+let lane_sojourn_hist = lane_hist (fun l -> l.sojourn_h)
 let lane_sojourn_latency s lane = latency_of_histogram (lane_sojourn_hist s lane)
 
-let merged_over_lanes hist_of s =
-  match List.map (hist_of s) lanes with
-  | [ a; b ] -> Log_histogram.merge a b
-  | _ -> assert false
-
-let queue_latency s = latency_of_histogram (merged_over_lanes lane_queue_hist s)
-let run_latency s = latency_of_histogram (merged_over_lanes lane_run_hist s)
-let sojourn_latency s = latency_of_histogram (merged_over_lanes lane_sojourn_hist s)
+let merged_over_lanes pick s =
+  Log_histogram.merge (lane_hist pick s Bulk) (lane_hist pick s Deadline)
 
 let pp_latency ppf l =
   Fmt.pf ppf "n=%d mean %.3fms p50 %.3fms p90 %.3fms p99 %.3fms p999 %.3fms max %.3fms" l.samples
@@ -623,11 +565,13 @@ let pp_report ppf s =
   Fmt.pf ppf "accepted %d  completed %d  rejected %d  cancelled %d  exceptions %d@." st.accepted
     st.completed st.rejected st.cancelled st.exceptions;
   Fmt.pf ppf "inbox: depth %d  high-water %d  capacity %d@." (inbox_depth s)
-    (inbox_high_water s) (inbox_capacity s);
-  (match queue_latency s with
+    (inbox_high_water s) (Injector.capacity s.inbox);
+  let q = merged_over_lanes (fun l -> l.queue_h) s in
+  let r = merged_over_lanes (fun l -> l.run_h) s in
+  (match latency_of_histogram q with
   | Some l -> Fmt.pf ppf "queue latency: %a@." pp_latency l
   | None -> Fmt.pf ppf "queue latency: no samples@.");
-  (match run_latency s with
+  (match latency_of_histogram r with
   | Some l -> Fmt.pf ppf "run latency:   %a@." pp_latency l
   | None -> Fmt.pf ppf "run latency:   no samples@.");
   List.iter
@@ -642,7 +586,5 @@ let pp_report ppf s =
         | None -> ()
       end)
     lanes;
-  let q = merged_over_lanes lane_queue_hist s in
   if Log_histogram.count q > 0 then Fmt.pf ppf "queue latency histogram (ns): %a@." Log_histogram.pp q;
-  let r = merged_over_lanes lane_run_hist s in
   if Log_histogram.count r > 0 then Fmt.pf ppf "run latency histogram (ns):   %a@." Log_histogram.pp r

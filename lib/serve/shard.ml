@@ -247,7 +247,7 @@ let serve t i =
   if i < 0 || i >= t.shards then invalid_arg "Shard.serve: shard index out of range";
   t.serves.(i)
 
-let size t = Array.fold_left (fun acc s -> acc + Serve.size s) 0 t.serves
+let size t = Array.fold_left (fun acc s -> acc + Pool.size (Serve.pool s)) 0 t.serves
 
 (* ------------------------------------------------------------------ *)
 (* Routing and submission                                              *)
@@ -263,103 +263,58 @@ let shard_of_key t key =
 let wake_siblings t i =
   Array.iteri (fun j s -> if j <> i then Pool.wake (Serve.pool s)) t.serves
 
-(* One admission attempt against shard [i].  The empty->nonempty
-   transition of [i]'s inbox is detected against the pre-push depth: if
-   this submission is (racily) the one that made the inbox nonempty,
-   every sibling pool is woken so a parked thief of an idle shard can
-   cross-steal it — [Serve.try_submit] itself only wakes shard [i]'s own
-   pool.  Waking is cheap when nobody is parked (one atomic read per
-   sibling), and over-waking is harmless; the losing racer's extra wake
-   is absorbed the same way. *)
-let submit_on ~count_reject t i ?lane ?deadline f =
-  let s = t.serves.(i) in
-  let was_empty = Serve.inbox_depth s = 0 in
-  let r =
-    if count_reject then Serve.try_submit s ?lane ?deadline f
-    else Serve.try_submit_quiet s ?lane ?deadline f
-  in
-  (match r with
-  | Ok _ ->
-      Atomic.incr t.routed.(i);
-      if was_empty && t.shards > 1 then wake_siblings t i
-  | Error _ -> ());
-  r
-
 let route t = function
   | Some key -> shard_of_key t key
   | None ->
       let act = Atomic.get t.active in
       act.(Atomic.fetch_and_add t.rr 1 land max_int mod Array.length act)
 
-(* A [Draining] refusal while the topology is NOT closing means the
-   submitter raced a quiesce with a stale routing-table read: the table
-   swap happens before the victim's admission stop, so re-reading the
-   table is guaranteed to exclude the quiesced shard and the retry
-   terminates.  A closing topology refuses for good. *)
-let rec try_submit t ?key ?lane ?deadline f =
-  match submit_on ~count_reject:true t (route t key) ?lane ?deadline f with
-  | Error Serve.Draining when not (Atomic.get t.closing) -> try_submit t ?key ?lane ?deadline f
-  | r -> r
+(* One admission attempt on the shard [key] routes to.  The
+   empty->nonempty transition of the target inbox is detected against
+   the pre-push depth: if this submission is (racily) the one that made
+   it nonempty, every sibling pool is woken so a parked thief of an idle
+   shard can cross-steal it — [Serve.admit] itself only wakes its own
+   pool.  Waking is cheap when nobody is parked (one atomic read per
+   sibling), and over-waking is harmless.
 
-(* Async admission attempt against shard [i]; same wake-siblings
-   empty->nonempty protocol as [submit_on]. *)
-let submit_async_on ~count_reject t i ?lane ?deadline f =
+   A [Draining] refusal while the topology is NOT closing means the
+   submitter raced a quiesce with a stale routing-table read: the table
+   swap happens before the victim's admission stop, so re-routing is
+   guaranteed to exclude the quiesced shard and the retry terminates.
+   A closing topology refuses for good. *)
+let rec submit_on ~count_reject t ?key ?lane ?deadline f =
+  let i = route t key in
   let s = t.serves.(i) in
   let was_empty = Serve.inbox_depth s = 0 in
-  let r =
-    if count_reject then Serve.try_submit_async s ?lane ?deadline f
-    else Serve.try_submit_async_quiet s ?lane ?deadline f
-  in
-  (match r with
-  | Ok _ ->
+  match Serve.admit s ~count_reject ?lane ?deadline f with
+  | Ok _ as r ->
       Atomic.incr t.routed.(i);
-      if was_empty && t.shards > 1 then wake_siblings t i
-  | Error _ -> ());
-  r
-
-let rec try_submit_async t ?key ?lane ?deadline f =
-  match submit_async_on ~count_reject:true t (route t key) ?lane ?deadline f with
+      if was_empty && t.shards > 1 then wake_siblings t i;
+      r
   | Error Serve.Draining when not (Atomic.get t.closing) ->
-      try_submit_async t ?key ?lane ?deadline f
-  | r -> r
+      submit_on ~count_reject t ?key ?lane ?deadline f
+  | Error _ as r -> r
 
-let rec submit_async t ?key ?lane ?deadline f =
-  match submit_async_on ~count_reject:false t (route t key) ?lane ?deadline f with
-  | Ok p -> p
-  | Error Serve.Draining ->
-      (* Stale route into a mid-quiesce shard: re-route through the
-         fresh table (see [try_submit]).  Refuse only when closing. *)
-      if Atomic.get t.closing then
-        failwith "Shard.submit_async: admission stopped (draining or shut down)"
-      else submit_async t ?key ?lane ?deadline f
-  | Error Serve.Inbox_full ->
-      (* Same backpressure policy as [submit]: keyless submissions
-         re-route via round-robin, keyed ones keep shard affinity. *)
-      Domain.cpu_relax ();
-      submit_async t ?key ?lane ?deadline f
+let try_submit t ?key ?lane ?deadline f = submit_on ~count_reject:true t ?key ?lane ?deadline f
 
+(* Backpressure retries are not refusals, so they do not count in
+   [rejected].  A keyless retry re-routes through the round-robin cursor
+   and lands on the next shard rather than hammering the full one; a
+   keyed one stays on its shard to preserve affinity. *)
 let rec submit t ?key ?lane ?deadline f =
-  match submit_on ~count_reject:false t (route t key) ?lane ?deadline f with
+  match submit_on ~count_reject:false t ?key ?lane ?deadline f with
   | Ok tk -> tk
-  | Error Serve.Draining ->
-      if Atomic.get t.closing then
-        failwith "Shard.submit: admission stopped (draining or shut down)"
-      else submit t ?key ?lane ?deadline f
+  | Error Serve.Draining -> failwith "Shard.submit: admission stopped (draining or shut down)"
   | Error Serve.Inbox_full ->
-      (* Backpressure: spin politely.  A keyless submission re-routes
-         through the round-robin cursor, so it lands on the next shard
-         rather than hammering the full one; a keyed submission must
-         stay on its shard to preserve affinity. *)
       Domain.cpu_relax ();
       submit t ?key ?lane ?deadline f
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry                                                           *)
 
-let stats t =
+let sum_stats sts =
   Array.fold_left
-    (fun acc s ->
-      let st = Serve.stats s in
+    (fun acc st ->
       {
         Serve.accepted = acc.Serve.accepted + st.Serve.accepted;
         completed = acc.Serve.completed + st.Serve.completed;
@@ -369,7 +324,9 @@ let stats t =
         suspended = acc.Serve.suspended + st.Serve.suspended;
       })
     { Serve.accepted = 0; completed = 0; rejected = 0; cancelled = 0; exceptions = 0; suspended = 0 }
-    t.serves
+    sts
+
+let stats t = sum_stats (Array.map Serve.stats t.serves)
 
 (* Await-aware conservation: a request parked on a promise is accepted
    but neither completed nor cancelled, so the quiescent-point identity
@@ -458,8 +415,7 @@ let drain t =
   close t;
   Array.iter Serve.stop_admission t.serves;
   Array.iter (fun s -> Pool.wake (Serve.pool s)) t.serves;
-  Array.iter (fun s -> ignore (Serve.drain s)) t.serves;
-  stats t
+  sum_stats (Array.map Serve.drain t.serves)
 
 (* Shutdown ordering: join ALL pools before dropping ANY queue.  A task
    queued on shard [i] may be cross-stolen and running on shard [j]'s

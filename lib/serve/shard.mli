@@ -1,32 +1,31 @@
-(** Sharded multi-pool serving: k micropools behind one submission API.
+(** The server: [k] serving micropools behind one submission API.
 
-    A {!Serve} service funnels every request through a single bounded
-    injector — a central-list bottleneck once submitters outnumber the
-    inbox's cache line.  A shard group replaces it with [k] independent
-    micropools ({!Serve.t}), each with its own injector, workers, and
-    latency telemetry, plus two cross-shard mechanisms that keep the
-    topology one logical service:
+    This is the only way to build a server — [create ~shards:1] for a
+    single micropool.  Each shard is one {!Serve.t} (reached through
+    {!serve}) with its own inboxes, workers and latency telemetry.
+    Submission is {!try_submit} (refuse when full) or {!submit} (wait
+    under backpressure); both return a {!Serve.ticket}, whose outcome is
+    read with {!Serve.poll}, {!Serve.await} or {!Serve.outcome} and
+    dropped early with {!Serve.cancel}.  With [k > 1], two cross-shard
+    mechanisms keep the topology one logical service:
 
     {ul
-    {- {b Routing}: {!submit}/{!try_submit} place each request on one
-       shard — by the hash of a caller-supplied affinity [key] (stable:
-       equal keys always land on the same shard), or round-robin when no
-       key is given.  The per-shard admission histogram is
-       {!route_counts}.}
+    {- {b Routing}: each request goes to one shard — by the hash of a
+       caller-supplied affinity [key] (stable: equal keys always land on
+       the same shard), or round-robin when no key is given.  The
+       per-shard admission histogram is {!route_counts}.}
     {- {b Bounded cross-shard overflow}: a worker follows the Figure 3
        order {e within its shard} first — own deque, one intra-shard
        steal attempt, resume inbox, own lanes — and only when all of
        them come up empty does it poll the overflow source, the last
        entry of its pool's source list ({!Abp_hood.Pool.source}).  That
-       poll is rate-limited (one
-       real attempt per [cross_period] empty-handed trips), prefers the
-       last productive victim (the localized-stealing policy of
-       Suksompong–Leiserson–Schardl), and otherwise tries one random
-       remote shard: a random victim deque first (steal-up-to-half via
-       {!Abp_hood.Pool.steal_from}), then that shard's inbox
-       ({!Serve.steal_inbox}), taking at most
-       [min cross_quota batch] tasks.  So load imbalance drains without
-       recreating the all-to-all stealing a single flat pool exhibits.}}
+       poll is rate-limited (one real attempt per [cross_period]
+       empty-handed trips), prefers the last productive victim (the
+       localized-stealing policy of Suksompong–Leiserson–Schardl), and
+       otherwise tries one random remote shard: a random victim deque
+       first (steal-up-to-half via {!Abp_hood.Pool.steal_from}), then
+       that shard's inbox ({!Serve.steal_inbox}), taking at most
+       [min cross_quota batch] tasks.}}
 
     Cross-stolen jobs keep their closures over their {e home} shard's
     tickets and admission counters, so each shard's conservation
@@ -59,20 +58,23 @@ val create :
   t
 (** Start [shards] micropools of [processes] workers each (so
     [shards * processes] worker domains total).  [processes],
-    [park_threshold], [batch], [yield_kind] and [inbox_capacity] are
-    forwarded to each {!Serve.create} identically; [gates] and [traces],
-    when given, must have exactly one entry per shard (per-shard
-    preemption gates let the {!Abp_mp} adversary suspend shards
-    independently; per-shard sinks keep the one-record-per-worker
-    discipline).
+    [park_threshold] and [yield_kind] go to each shard's
+    {!Abp_hood.Pool.create}, with its defaults.  [inbox_capacity] (default 1024, rounded up to a
+    power of two) sizes each lane inbox.  [batch] (default 0 = off)
+    turns on batched work transfer: an idle worker drains up to [batch]
+    submissions per poll, and thieves steal up to [batch] tasks at a
+    time.  [gates] and [traces], when given, must have exactly one entry
+    per shard: per-shard preemption gates let the {!Abp_mp} adversary
+    suspend shards independently (reopen them with
+    {!Abp_mp.Controller.stop} before {!drain} or {!shutdown}), and
+    per-shard sinks keep the one-record-per-worker discipline.
 
     [cross_period] (default 8) rate-limits cross-shard stealing: a thief
     makes one real cross-shard attempt per [cross_period] trips that
     exhausted every intra-shard source.  [cross_quota] (default 4) caps
     the tasks moved per cross-shard acquisition (further capped by the
     pool's [batch] and the victim deque's steal-up-to-half quota).  With
-    [shards = 1] no overflow source is attached and the group degenerates
-    to a plain {!Serve} service with zero cross-shard overhead.
+    [shards = 1] no overflow source is attached.
 
     @raise Invalid_argument if [shards < 1], [cross_period < 1],
     [cross_quota < 1], or a [gates]/[traces] array length mismatches
@@ -148,45 +150,20 @@ val try_submit :
   (unit -> 'a) ->
   ('a Serve.ticket, Serve.reject) result
 (** Admit a task on the shard selected by [key] (or round-robin without
-    one), without blocking; semantics per shard are {!Serve.try_submit}
-    ([lane], default [Bulk], selects the shard-local admission lane).
-    If the submission flips the target inbox empty->nonempty, every
-    sibling pool is woken so an idle shard's parked thief can
-    cross-steal it. *)
+    one), without blocking.  [lane] (default [Bulk]) selects the
+    shard-local admission lane.  [deadline] is relative (seconds from
+    now): an admitted task still queued past it is dropped as
+    [Cancelled Deadline], and in the deadline lane it is the EDF key.
+    Every refusal — [Inbox_full] or [Draining] — counts in [rejected].
+    Callable from any domain, including inside a request. *)
 
 val submit :
   t -> ?key:'k -> ?lane:Serve.lane -> ?deadline:float -> (unit -> 'a) -> 'a Serve.ticket
-(** Blocking submit: spins politely under backpressure.  A keyless
-    submission re-routes round-robin on each retry (landing on the next
-    shard instead of hammering a full inbox); a keyed submission stays
-    on its shard to preserve affinity.  The wait does not inflate any
-    shard's [rejected].
-    @raise Failure once admission has been stopped by {!drain} or
-    {!shutdown}. *)
-
-val try_submit_async :
-  t ->
-  ?key:'k ->
-  ?lane:Serve.lane ->
-  ?deadline:float ->
-  (unit -> 'a) ->
-  ('a Serve.outcome Abp_fiber.Fiber.Promise.t, Serve.reject) result
-(** Promise-returning admission on the shard selected by [key] (or
-    round-robin): per-shard semantics are {!Serve.try_submit_async},
-    with the same empty->nonempty sibling-wake protocol as
-    {!try_submit}. *)
-
-val submit_async :
-  t ->
-  ?key:'k ->
-  ?lane:Serve.lane ->
-  ?deadline:float ->
-  (unit -> 'a) ->
-  'a Serve.outcome Abp_fiber.Fiber.Promise.t
-(** Blocking async admission: backpressure policy of {!submit}
-    (keyless retries re-route round-robin, keyed ones keep affinity;
-    no [rejected] inflation), handle semantics of
-    {!Serve.submit_async}.
+(** Like {!try_submit} but spins politely while the inbox is full.  A
+    keyless submission re-routes round-robin on each retry (landing on
+    the next shard instead of hammering a full inbox); a keyed
+    submission stays on its shard to preserve affinity.  The wait does
+    not inflate any shard's [rejected].
     @raise Failure once admission has been stopped by {!drain} or
     {!shutdown}. *)
 
@@ -240,14 +217,20 @@ val cross_stolen_tasks : t -> int
 val drain : t -> Serve.stats
 (** Stop admission on every shard {e first}, then run everything already
     accepted to a terminal state and return the aggregate stats, for
-    which the conservation invariant holds shard-wise.  Idempotent. *)
+    which the conservation invariant holds shard-wise.  A submission
+    racing the drain is either counted and waited for or rolled back
+    and refused, so the returned ledger is final ([rejected] aside).
+    Blocks until every promise an accepted request awaits is resolved.
+    Idempotent. *)
 
 val shutdown : t -> unit
 (** Stop admission everywhere, join {e all} shards' worker domains, and
     only then drop still-queued tasks as [Cancelled Shutdown] — a task
     queued on one shard may be running on another shard's worker until
-    the joins complete.  No task runs after [shutdown] returns.
-    Idempotent. *)
+    the joins complete.  No task runs after [shutdown] returns.  Call
+    {!drain} first for a graceful stop: a request still parked on a
+    promise when the workers are joined never settles, and its ticket
+    stays pending.  Idempotent. *)
 
 val pp_report : Format.formatter -> t -> unit
 (** Aggregate admission counters, cross-shard steal telemetry, and a

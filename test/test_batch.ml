@@ -11,6 +11,7 @@
 module Pool = Abp_hood.Pool
 module Par = Abp_hood.Par
 module Serve = Abp_serve.Serve
+module Shard = Abp_serve.Shard
 module Injector = Abp_serve.Injector
 module Counters = Abp_trace.Counters
 
@@ -250,7 +251,7 @@ let sources_polled_in_list_order () =
    release — the first inbox poll after release finds the full burst and
    must drain more than one task ([inject_batches > 0]). *)
 let serve_batched_drain_counted () =
-  let s = Serve.create ~processes:2 ~batch:4 ~inbox_capacity:512 () in
+  let s = Shard.create ~processes:2 ~batch:4 ~inbox_capacity:512 ~shards:1 () in
   let gate = Atomic.make false and started = Atomic.make 0 in
   let blocker () =
     Atomic.incr started;
@@ -258,18 +259,18 @@ let serve_batched_drain_counted () =
       Domain.cpu_relax ()
     done
   in
-  let _b1 = Serve.submit s blocker and _b2 = Serve.submit s blocker in
+  let _b1 = Shard.submit s blocker and _b2 = Shard.submit s blocker in
   Alcotest.(check bool) "both workers blocked" true
     (wait_until (fun () -> Atomic.get started = 2));
   (* Both workers spin on the gate: the burst sits untouched in the
      inbox until release. *)
-  let burst = List.init 10 (fun i -> Serve.submit s (fun () -> i)) in
-  Alcotest.(check int) "burst queued" 10 (Serve.inbox_depth s);
+  let burst = List.init 10 (fun i -> Shard.submit s (fun () -> i)) in
+  Alcotest.(check int) "burst queued" 10 (Shard.inbox_depths s).(0);
   Atomic.set gate true;
-  let st = Serve.drain s in
+  let st = Shard.drain s in
   Alcotest.(check int) "all completed" 12 st.Serve.completed;
-  let t = Counters.sum (Pool.counters (Serve.pool s)) in
-  Serve.shutdown s;
+  let t = Counters.sum (Pool.counters (Serve.pool (Shard.serve s 0))) in
+  Shard.shutdown s;
   Alcotest.(check int) "all 12 acquired from inbox" 12 (Counters.get t Counters.inject_tasks);
   Alcotest.(check bool)
     (Printf.sprintf "batched drain happened (inject_batches = %d)"

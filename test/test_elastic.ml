@@ -54,7 +54,7 @@ let quiesce_migrates_parked_continuation () =
   let pr : int Fiber.Promise.t = Fiber.Promise.create () in
   let t = Shard.submit topo ~key:0 (fun () -> Fiber.await pr + 1) in
   Alcotest.(check bool) "request parked" true
-    (wait_until (fun () -> Serve.suspended (Shard.serve topo a) = 1));
+    (wait_until (fun () -> (Serve.stats (Shard.serve topo a)).Serve.suspended = 1));
   let migrated_late = ref 0 in
   (match Shard.quiesce ~on_migrate:(fun () -> incr migrated_late) topo ~shard:a ~target:b with
   | Some _ -> ()
@@ -69,7 +69,7 @@ let quiesce_migrates_parked_continuation () =
   Alcotest.(check bool) "redirect forwarded the continuation" true (!migrated_late >= 1);
   ignore (Shard.drain topo);
   Alcotest.(check bool) "conserved" true (Shard.conserved topo);
-  Alcotest.(check int) "nothing left suspended" 0 (Serve.suspended (Shard.serve topo a));
+  Alcotest.(check int) "nothing left suspended" 0 (Serve.stats (Shard.serve topo a)).Serve.suspended;
   Shard.shutdown topo
 
 (* ------------------------------------------------------------------ *)
@@ -206,17 +206,17 @@ let deadline_lane_bypasses_cross_period () =
    still completes — a miss is settled-but-late, not a conservation
    term). *)
 let deadline_miss_counted () =
-  let s = Serve.create ~processes:1 () in
-  let t = Serve.submit s ~lane:Serve.Deadline ~deadline:0.05 (fun () -> Unix.sleepf 0.1) in
+  let s = Shard.create ~processes:1 ~shards:1 () in
+  let t = Shard.submit s ~lane:Serve.Deadline ~deadline:0.05 (fun () -> Unix.sleepf 0.1) in
   (match Serve.await t with
   | Serve.Returned () -> ()
   | _ -> Alcotest.fail "late request should still complete");
-  let ls = Serve.lane_stats s Serve.Deadline in
+  let ls = Shard.lane_stats s Serve.Deadline in
   Alcotest.(check bool) "miss recorded" true (ls.Serve.lane_misses >= 1);
   Alcotest.(check int) "still conserved: completed" 1 ls.Serve.lane_completed;
-  let st = Serve.drain s in
+  let st = Shard.drain s in
   Alcotest.(check int) "accepted" 1 st.Serve.accepted;
-  Serve.shutdown s
+  Shard.shutdown s
 
 let tests =
   [

@@ -98,6 +98,22 @@ let inline_sched_suspends_and_resumes () =
   Promise.fulfil p 41;
   Alcotest.(check int) "fulfil drove the continuation" 42 !r
 
+(* [Serve.await] and [Future.force] pick suspension by [in_context], so
+   the flag must be cleared when [run] returns — also when it returns
+   because the body parked. *)
+let inline_sched_context_flag_restored () =
+  let p = Promise.create () in
+  let inside = ref false and after_resume = ref false in
+  Fiber.run Fiber.inline_sched (fun () ->
+      inside := Fiber.in_context ();
+      ignore (Fiber.await p : int);
+      after_resume := Fiber.in_context ());
+  Alcotest.(check bool) "set inside the body" true !inside;
+  Alcotest.(check bool) "cleared after the body parked" false (Fiber.in_context ());
+  Promise.fulfil p 1;
+  Alcotest.(check bool) "set in the resumed continuation" true !after_resume;
+  Alcotest.(check bool) "cleared after the resume" false (Fiber.in_context ())
+
 let inline_sched_discontinues_on_fail () =
   let p = Promise.create () in
   let observed = ref "" in
@@ -208,34 +224,36 @@ let future_both_evaluation_order () =
       Alcotest.(check bool) "g ran inline" true (Atomic.get g_ran_before_force))
 
 (* ------------------------------------------------------------------ *)
-(* Serve: promise-returning admission                                  *)
+(* Serve: a ticket's outcome promise                                   *)
 
 let with_serve ?processes ?inbox_capacity f =
-  let s = Serve.create ?processes ?inbox_capacity () in
-  Fun.protect ~finally:(fun () -> Serve.shutdown s) (fun () -> f s)
+  let s = Shard.create ?processes ?inbox_capacity ~shards:1 () in
+  Fun.protect ~finally:(fun () -> Shard.shutdown s) (fun () -> f s)
 
-let serve_submit_async_returns () =
+let outcome_of tk = poll_outcome (Serve.outcome tk)
+
+let serve_outcome_returns () =
   with_serve ~processes:(procs ()) (fun s ->
-      let p = Serve.submit_async s (fun () -> fib_seq 12) in
-      (match poll_outcome p with
+      let p = Shard.submit s (fun () -> fib_seq 12) in
+      (match outcome_of p with
       | Serve.Returned v -> Alcotest.(check int) "value" (fib_seq 12) v
       | _ -> Alcotest.fail "expected Returned");
-      let q = Serve.submit_async s (fun () -> raise Boom) in
-      (match poll_outcome q with
+      let q = Shard.submit s (fun () -> raise Boom) in
+      (match outcome_of q with
       | Serve.Raised Boom -> ()
       | _ -> Alcotest.fail "expected Raised Boom");
-      let st = Serve.drain s in
+      let st = Shard.drain s in
       Alcotest.(check int) "conserved at drain" st.Serve.accepted
         (st.Serve.completed + st.Serve.cancelled + st.Serve.exceptions);
       Alcotest.(check int) "one exception" 1 st.Serve.exceptions)
 
-(* A queued-but-never-started async submission must settle its promise
-   as Cancelled: deadline expiry observed at dequeue time... *)
-let serve_submit_async_deadline_cancelled () =
+(* A queued-but-never-started submission must settle its promise as
+   Cancelled: deadline expiry observed at dequeue time... *)
+let serve_outcome_deadline_cancelled () =
   with_serve ~processes:1 (fun s ->
       let release = Atomic.make false in
       let blocker =
-        Serve.submit_async s (fun () ->
+        Shard.submit s (fun () ->
             while not (Atomic.get release) do
               Domain.cpu_relax ()
             done;
@@ -243,26 +261,26 @@ let serve_submit_async_deadline_cancelled () =
       in
       (* The only worker is pinned; this submission sits queued past
          its (already expired) deadline. *)
-      let doomed = Serve.submit_async s ~deadline:1e-9 (fun () -> 1) in
+      let doomed = Shard.submit s ~deadline:1e-9 (fun () -> 1) in
       Unix.sleepf 0.005;
       Atomic.set release true;
-      (match poll_outcome doomed with
+      (match outcome_of doomed with
       | Serve.Cancelled Serve.Deadline -> ()
       | Serve.Cancelled _ -> Alcotest.fail "cancelled for the wrong reason"
       | _ -> Alcotest.fail "expected Cancelled Deadline");
-      (match poll_outcome blocker with
+      (match outcome_of blocker with
       | Serve.Returned 0 -> ()
       | _ -> Alcotest.fail "blocker should complete");
-      let st = Serve.drain s in
+      let st = Shard.drain s in
       Alcotest.(check int) "cancelled counted" 1 st.Serve.cancelled)
 
-(* ...and shutdown drop: stop the workers with the task still queued,
-   then drop the queue — the promise must settle Cancelled Shutdown. *)
-let serve_submit_async_shutdown_cancelled () =
-  let s = Serve.create ~processes:1 () in
+(* ...and shutdown drop: stop the workers with the task still queued —
+   the promise must settle Cancelled Shutdown. *)
+let serve_outcome_shutdown_cancelled () =
+  let s = Shard.create ~processes:1 ~inbox_capacity:2 ~shards:1 () in
   let release = Atomic.make false in
   let blocker =
-    Serve.submit_async s (fun () ->
+    Shard.submit s (fun () ->
         while not (Atomic.get release) do
           Domain.cpu_relax ()
         done;
@@ -271,28 +289,37 @@ let serve_submit_async_shutdown_cancelled () =
   (* Wait until the blocker holds the only worker, so the next
      submission stays queued. *)
   Alcotest.(check bool) "blocker started" true
-    (eventually (fun () -> (Serve.stats s).Serve.accepted = 1 && Serve.inbox_depth s = 0));
-  let doomed = Serve.submit_async s (fun () -> 1) in
-  Serve.stop_admission s;
-  Atomic.set release true;
-  Serve.join_workers s;
-  Serve.drop_queued s;
+    (eventually (fun () -> (Shard.stats s).Serve.accepted = 1 && (Shard.inbox_depths s).(0) = 0));
+  let doomed = Serve.outcome (Shard.submit s (fun () -> 1)) in
+  ignore (Shard.submit s (fun () -> 2));
+  (* The two-slot inbox is now full.  Release the blocker only once
+     shutdown has closed admission (a probe turns from Inbox_full to
+     Draining), so the worker cannot reach [doomed] before the join. *)
+  let releaser =
+    Domain.spawn (fun () ->
+        while Shard.try_submit s (fun () -> 0) = Error Serve.Inbox_full do
+          Domain.cpu_relax ()
+        done;
+        Atomic.set release true)
+  in
+  Shard.shutdown s;
+  Domain.join releaser;
   (match Promise.try_await doomed with
   | Some (Serve.Cancelled Serve.Shutdown) -> ()
-  | _ -> Alcotest.fail "expected Cancelled Shutdown after drop_queued");
-  match poll_outcome blocker with
+  | _ -> Alcotest.fail "expected Cancelled Shutdown after shutdown");
+  match outcome_of blocker with
   | Serve.Returned 0 -> ()
   | _ -> Alcotest.fail "started task should have completed"
 
-let serve_try_submit_async_rejects_when_draining () =
+let serve_try_submit_rejects_when_draining () =
   with_serve ~processes:1 (fun s ->
-      ignore (Serve.drain s);
-      (match Serve.try_submit_async s (fun () -> 0) with
+      ignore (Shard.drain s);
+      (match Shard.try_submit s (fun () -> 0) with
       | Error Serve.Draining -> ()
       | _ -> Alcotest.fail "expected Draining reject");
-      Alcotest.check_raises "submit_async raises once draining"
-        (Failure "Serve.submit_async: admission stopped (draining or shut down)") (fun () ->
-          ignore (Serve.submit_async s (fun () -> 0))))
+      Alcotest.check_raises "submit raises once draining"
+        (Failure "Shard.submit: admission stopped (draining or shut down)") (fun () ->
+          ignore (Shard.submit s (fun () -> 0))))
 
 (* ------------------------------------------------------------------ *)
 (* The await-aware conservation identity, observed mid-flight           *)
@@ -301,12 +328,12 @@ let serve_suspended_identity_midflight () =
   with_serve ~processes:(procs ()) (fun s ->
       let gatep : int Promise.t = Promise.create () in
       let n = 4 in
-      let tickets = List.init n (fun _ -> Serve.submit s (fun () -> Fiber.await gatep)) in
+      let tickets = List.init n (fun _ -> Shard.submit s (fun () -> Fiber.await gatep)) in
       (* Quiescent point: all n requests accepted, started, and parked
          on the promise; no worker holds any of them on its stack. *)
       Alcotest.(check bool) "all requests parked" true
-        (eventually (fun () -> Serve.suspended s = n));
-      let st = Serve.stats s in
+        (eventually (fun () -> (Shard.stats s).Serve.suspended = n));
+      let st = Shard.stats s in
       Alcotest.(check int) "accepted" n st.Serve.accepted;
       Alcotest.(check int) "none completed while parked" 0 st.Serve.completed;
       Alcotest.(check int) "suspended gauge" n st.Serve.suspended;
@@ -319,12 +346,12 @@ let serve_suspended_identity_midflight () =
           | Serve.Returned 7 -> ()
           | _ -> Alcotest.fail "parked request should resume with the fulfilled value")
         tickets;
-      let st = Serve.drain s in
+      let st = Shard.drain s in
       Alcotest.(check int) "completed after fulfil" n st.Serve.completed;
       Alcotest.(check int) "identity collapses at drain" st.Serve.accepted
         (st.Serve.completed + st.Serve.cancelled + st.Serve.exceptions);
       Alcotest.(check int) "suspended zero at drain" 0 st.Serve.suspended;
-      let susp, res, peak = pool_fiber_counters (Serve.pool s) in
+      let susp, res, peak = pool_fiber_counters (Serve.pool (Shard.serve s 0)) in
       Alcotest.(check int) "suspensions" n susp;
       Alcotest.(check int) "resumes" n res;
       Alcotest.(check bool) "peak within [1..n]" true (peak >= 1 && peak <= n))
@@ -347,12 +374,12 @@ let backend_basics () =
       ignore (Backend.create ~workers:0 ()))
 
 let counters_balance_under_async_load () =
-  let s = Serve.create ~processes:(procs ()) ~inbox_capacity:256 () in
+  let s = Shard.create ~processes:(procs ()) ~inbox_capacity:256 ~shards:1 () in
   let b = Backend.create ~workers:2 () in
   Fun.protect
     ~finally:(fun () ->
       Backend.stop b;
-      Serve.shutdown s)
+      Shard.shutdown s)
     (fun () ->
       let clients = 4 and per_client = 100 and depth = 2 in
       let ds =
@@ -360,23 +387,23 @@ let counters_balance_under_async_load () =
             Domain.spawn (fun () ->
                 for _ = 1 to per_client do
                   let p =
-                    Serve.submit_async s (fun () ->
+                    Shard.submit s (fun () ->
                         let v = ref (fib_seq 8) in
                         for _ = 1 to depth do
                           v := Fiber.await (Backend.call b ~delay:2e-4 !v)
                         done;
                         !v)
                   in
-                  match poll_outcome p with
+                  match outcome_of p with
                   | Serve.Returned _ -> ()
                   | _ -> Alcotest.fail "async request should return"
                 done))
       in
       Array.iter Domain.join ds;
-      let st = Serve.drain s in
+      let st = Shard.drain s in
       Alcotest.(check int) "all completed" (clients * per_client) st.Serve.completed;
       Alcotest.(check int) "suspended zero at drain" 0 st.Serve.suspended;
-      let susp, res, peak = pool_fiber_counters (Serve.pool s) in
+      let susp, res, peak = pool_fiber_counters (Serve.pool (Shard.serve s 0)) in
       Alcotest.(check int) "suspensions balance resumes exactly" res susp;
       Alcotest.(check bool) "requests actually suspended" true (susp > 0);
       Alcotest.(check bool) "peak gauge positive" true (peak > 0);
@@ -397,12 +424,12 @@ let shard_async_conservation () =
       let n = 40 in
       let ps =
         List.init n (fun i ->
-            Shard.submit_async s ~key:i (fun () ->
+            Shard.submit s ~key:i (fun () ->
                 Fiber.await (Backend.call b ~delay:1e-4 (i * 2))))
       in
       List.iteri
         (fun i p ->
-          match poll_outcome p with
+          match outcome_of p with
           | Serve.Returned v -> Alcotest.(check int) "routed value" (i * 2) v
           | _ -> Alcotest.fail "shard async request should return")
         ps;
@@ -419,6 +446,8 @@ let tests =
       inline_sched_suspends_and_resumes;
     Alcotest.test_case "inline sched: fail discontinues into the body" `Quick
       inline_sched_discontinues_on_fail;
+    Alcotest.test_case "inline sched: context flag restored after a park" `Quick
+      inline_sched_context_flag_restored;
     Alcotest.test_case "pool: await external fulfil (resume inbox)" `Quick
       pool_await_external_fulfil;
     Alcotest.test_case "pool: Fiber.spawn/await fan-out" `Quick pool_fiber_spawn_await;
@@ -427,13 +456,13 @@ let tests =
       future_exception_propagates;
     Alcotest.test_case "future: both runs g inline before force" `Quick
       future_both_evaluation_order;
-    Alcotest.test_case "serve: submit_async Returned/Raised" `Quick serve_submit_async_returns;
-    Alcotest.test_case "serve: submit_async deadline -> Cancelled" `Quick
-      serve_submit_async_deadline_cancelled;
-    Alcotest.test_case "serve: submit_async shutdown -> Cancelled" `Quick
-      serve_submit_async_shutdown_cancelled;
+    Alcotest.test_case "serve: outcome Returned/Raised" `Quick serve_outcome_returns;
+    Alcotest.test_case "serve: outcome deadline -> Cancelled" `Quick
+      serve_outcome_deadline_cancelled;
+    Alcotest.test_case "serve: outcome shutdown -> Cancelled" `Quick
+      serve_outcome_shutdown_cancelled;
     Alcotest.test_case "serve: async admission rejected when draining" `Quick
-      serve_try_submit_async_rejects_when_draining;
+      serve_try_submit_rejects_when_draining;
     Alcotest.test_case "serve: extended identity mid-flight + collapse at drain" `Quick
       serve_suspended_identity_midflight;
     Alcotest.test_case "backend simulator basics" `Quick backend_basics;

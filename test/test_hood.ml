@@ -257,7 +257,7 @@ let central_vs_ws_lock_surface () =
 (* --- Central_pool as an external-submission baseline ------------------ *)
 
 (* spawn is callable from a domain that is not a pool worker (no run, no
-   DLS context): the work-sharing counterpart of Serve.submit. *)
+   DLS context): the work-sharing counterpart of Shard.submit. *)
 let central_pool_external_spawn () =
   let pool = Central_pool.create ~processes:3 () in
   Fun.protect

@@ -10,6 +10,7 @@
 module Pool = Abp_hood.Pool
 module Par = Abp_hood.Par
 module Serve = Abp_serve.Serve
+module Shard = Abp_serve.Shard
 module Counters = Abp_trace.Counters
 module Gate = Abp_mp.Gate
 module Controller = Abp_mp.Controller
@@ -312,31 +313,32 @@ let batched_suspension_conservation () =
         (Counters.get t Counters.pushes)
         (Counters.get t Counters.pops + Counters.get t Counters.stolen_tasks))
 
-(* Serve.drain with the adversary still scheduling: admission stats
-   must balance even though workers were suspended mid-service. *)
+(* A one-shard drain with the adversary still scheduling: admission
+   stats must balance even though workers were suspended mid-service. *)
 let serve_drain_conservation_under_adversary () =
   let p = procs () in
   let gate = Gate.create ~num_workers:p in
   let srv =
-    Serve.create ~processes:p ~yield_kind:Pool.Yield_to_random ~gate:(Gate.hook gate) ()
+    Shard.create ~processes:p ~yield_kind:Pool.Yield_to_random ~gates:[| Gate.hook gate |]
+      ~shards:1 ()
   in
   let adv =
     Adversary_spec.parse ~num_processes:p ~rng:(rng 6) "markov:up=0.4,down=0.2"
   in
   let c =
     Controller.create ~quantum:1e-3 ~yield:Yield.Yield_to_random ~gate
-      ~pool:(Serve.pool srv) adv
+      ~pool:(Serve.pool (Shard.serve srv 0)) adv
   in
   Controller.start c;
   let stats =
     Fun.protect
       ~finally:(fun () ->
         Controller.stop c;
-        Serve.shutdown srv)
+        Shard.shutdown srv)
       (fun () ->
         let tickets =
           List.init 200 (fun i ->
-              Serve.try_submit srv (fun () ->
+              Shard.try_submit srv (fun () ->
                   if i mod 50 = 49 then failwith "boom" else Par.fib 12))
         in
         (* Cancel a few; whether each cancel wins the race is immaterial,
@@ -347,7 +349,7 @@ let serve_drain_conservation_under_adversary () =
             | Ok t when i mod 7 = 0 -> ignore (Serve.cancel t)
             | _ -> ())
           tickets;
-        Serve.drain srv)
+        Shard.drain srv)
   in
   Alcotest.(check bool) "service made progress" true (stats.Serve.completed > 0);
   Alcotest.(check int) "accepted = completed + cancelled + exceptions"
@@ -361,7 +363,6 @@ let serve_drain_conservation_under_adversary () =
    individually and the cross-steal telemetry must obey its bounds.
    With ABP_MP_PROCS > cores this also runs oversubscribed. *)
 let shard_conservation_under_adversary () =
-  let module Shard = Abp_serve.Shard in
   let shards = 2 in
   let p = procs () in
   let gates = Array.init shards (fun _ -> Gate.create ~num_workers:p) in
@@ -468,7 +469,6 @@ let parked_continuation_survives_gate_cycle () =
    every shard pool.  With ABP_MP_PROCS > cores this runs
    oversubscribed. *)
 let fiber_await_shard_under_adversary () =
-  let module Shard = Abp_serve.Shard in
   let module Backend = Abp_serve.Backend in
   let shards = 2 in
   let p = procs () in
@@ -498,7 +498,7 @@ let fiber_await_shard_under_adversary () =
         let outcomes =
           List.init 200 (fun i ->
               let key = if i mod 4 < 3 then Some "hot" else None in
-              Shard.submit_async s ?key (fun () ->
+              Serve.outcome @@ Shard.submit s ?key (fun () ->
                   if i mod 40 = 39 then
                     (* Failure delivered INTO a parked continuation:
                        the discontinue path under the adversary. *)

@@ -1,13 +1,14 @@
 (* Tests for the serving layer: the injector queue's conservation under
    real multi-domain concurrency, admission control (backpressure,
    deadlines, cancellation), the drain invariant under multi-producer
-   stress, and shutdown semantics. *)
+   stress, and shutdown semantics.  The single-micropool tests run on a
+   one-shard server. *)
 
 open Abp_serve
 
 let with_serve ?processes ?inbox_capacity ?batch f =
-  let s = Serve.create ?processes ?inbox_capacity ?batch () in
-  Fun.protect ~finally:(fun () -> Serve.shutdown s) (fun () -> f s)
+  let s = Shard.create ?processes ?inbox_capacity ?batch ~shards:1 () in
+  Fun.protect ~finally:(fun () -> Shard.shutdown s) (fun () -> f s)
 
 (* ------------------------------------------------------------------ *)
 (* Injector *)
@@ -96,11 +97,11 @@ let injector_mpmc_conservation () =
 
 let submit_and_await () =
   with_serve ~processes:3 (fun s ->
-      let t = Serve.submit s (fun () -> 6 * 7) in
+      let t = Shard.submit s (fun () -> 6 * 7) in
       (match Serve.await t with
       | Serve.Returned v -> Alcotest.(check int) "value" 42 v
       | _ -> Alcotest.fail "expected Returned");
-      let st = Serve.drain s in
+      let st = Shard.drain s in
       Alcotest.(check int) "accepted" 1 st.Serve.accepted;
       Alcotest.(check int) "completed" 1 st.Serve.completed)
 
@@ -109,7 +110,7 @@ let submitted_task_uses_parallel_skeletons () =
      pool with Par/Future and get real stealing. *)
   let rec fib_seq n = if n < 2 then n else fib_seq (n - 1) + fib_seq (n - 2) in
   with_serve ~processes:4 (fun s ->
-      let tickets = List.init 8 (fun i -> Serve.submit s (fun () -> Abp_hood.Par.fib (15 + (i mod 3)))) in
+      let tickets = List.init 8 (fun i -> Shard.submit s (fun () -> Abp_hood.Par.fib (15 + (i mod 3)))) in
       List.iteri
         (fun i t ->
           match Serve.await t with
@@ -121,15 +122,15 @@ let submitted_task_uses_parallel_skeletons () =
 let exceptions_are_contained () =
   let exception Boom in
   with_serve ~processes:2 (fun s ->
-      let bad = Serve.submit s (fun () -> raise Boom) in
-      let good = Serve.submit s (fun () -> 1) in
+      let bad = Shard.submit s (fun () -> raise Boom) in
+      let good = Shard.submit s (fun () -> 1) in
       (match Serve.await bad with
       | Serve.Raised Boom -> ()
       | _ -> Alcotest.fail "expected Raised Boom");
       (match Serve.await good with
       | Serve.Returned 1 -> ()
       | _ -> Alcotest.fail "service survived the exception");
-      let st = Serve.drain s in
+      let st = Shard.drain s in
       Alcotest.(check int) "exceptions counted" 1 st.Serve.exceptions;
       Alcotest.(check int) "completion accounting" st.Serve.accepted
         (st.Serve.completed + st.Serve.cancelled + st.Serve.exceptions))
@@ -140,7 +141,7 @@ let with_blocked_worker ?inbox_capacity ?batch f =
   with_serve ~processes:1 ?inbox_capacity ?batch (fun s ->
       let release = Atomic.make false in
       let blocker =
-        Serve.submit s (fun () ->
+        Shard.submit s (fun () ->
             while not (Atomic.get release) do
               Domain.cpu_relax ()
             done)
@@ -151,12 +152,12 @@ let try_submit_backpressure () =
   with_blocked_worker ~inbox_capacity:2 (fun s ~release ~blocker ->
       (* Wait for the worker to dequeue the blocker, leaving the inbox
          empty with 2 slots. *)
-      while Serve.inbox_depth s > 0 do
+      while Serve.inbox_depth (Shard.serve s 0) > 0 do
         Domain.cpu_relax ()
       done;
-      let a = Serve.try_submit s (fun () -> 1) in
-      let b = Serve.try_submit s (fun () -> 2) in
-      let c = Serve.try_submit s (fun () -> 3) in
+      let a = Shard.try_submit s (fun () -> 1) in
+      let b = Shard.try_submit s (fun () -> 2) in
+      let c = Shard.try_submit s (fun () -> 3) in
       (match (a, b) with
       | Ok _, Ok _ -> ()
       | _ -> Alcotest.fail "two submissions fit the inbox");
@@ -167,14 +168,14 @@ let try_submit_backpressure () =
       (match blocker |> Serve.await with
       | Serve.Returned () -> ()
       | _ -> Alcotest.fail "blocker completes");
-      let st = Serve.drain s in
+      let st = Shard.drain s in
       Alcotest.(check int) "accepted: blocker + 2" 3 st.Serve.accepted;
       Alcotest.(check int) "rejected only when full" 1 st.Serve.rejected;
       Alcotest.(check int) "all accepted completed" 3 st.Serve.completed)
 
 let deadline_drops_queued_task () =
   with_blocked_worker (fun s ~release ~blocker ->
-      let doomed = Serve.submit s ~deadline:0.0005 (fun () -> 42) in
+      let doomed = Shard.submit s ~deadline:0.0005 (fun () -> 42) in
       (* Let the deadline lapse while the only worker is still busy. *)
       Unix.sleepf 0.01;
       Atomic.set release true;
@@ -183,14 +184,14 @@ let deadline_drops_queued_task () =
       | Serve.Returned _ -> Alcotest.fail "expired task must not run"
       | _ -> Alcotest.fail "expected Cancelled Deadline");
       ignore (Serve.await blocker);
-      let st = Serve.drain s in
+      let st = Shard.drain s in
       Alcotest.(check int) "cancelled counted" 1 st.Serve.cancelled;
       Alcotest.(check int) "invariant" st.Serve.accepted
         (st.Serve.completed + st.Serve.cancelled + st.Serve.exceptions))
 
 let cancel_before_start () =
   with_blocked_worker (fun s ~release ~blocker ->
-      let victim = Serve.submit s (fun () -> 42) in
+      let victim = Shard.submit s (fun () -> 42) in
       Alcotest.(check bool) "cancel wins the race" true (Serve.cancel victim);
       Alcotest.(check bool) "second cancel is a no-op" false (Serve.cancel victim);
       Atomic.set release true;
@@ -200,42 +201,100 @@ let cancel_before_start () =
       (match Serve.await blocker with
       | Serve.Returned () -> ()
       | _ -> Alcotest.fail "blocker unaffected");
-      let st = Serve.drain s in
+      let st = Shard.drain s in
       Alcotest.(check int) "cancelled" 1 st.Serve.cancelled)
 
 let cancel_after_completion_fails () =
   with_serve ~processes:2 (fun s ->
-      let t = Serve.submit s (fun () -> 1) in
+      let t = Shard.submit s (fun () -> 1) in
       (match Serve.await t with Serve.Returned 1 -> () | _ -> Alcotest.fail "completes");
       Alcotest.(check bool) "too late to cancel" false (Serve.cancel t))
 
 let drain_stops_admission () =
   with_serve ~processes:2 (fun s ->
-      let t = Serve.submit s (fun () -> 7) in
-      let st = Serve.drain s in
+      let t = Shard.submit s (fun () -> 7) in
+      let st = Shard.drain s in
       Alcotest.(check int) "ran the accepted task" 1 st.Serve.completed;
       (match Serve.await t with Serve.Returned 7 -> () | _ -> Alcotest.fail "value");
-      (match Serve.try_submit s (fun () -> 8) with
+      (match Shard.try_submit s (fun () -> 8) with
       | Error Serve.Draining -> ()
       | _ -> Alcotest.fail "admission must be closed");
       Alcotest.check_raises "submit raises after drain"
-        (Failure "Serve.submit: admission stopped (draining or shut down)") (fun () ->
-          ignore (Serve.submit s (fun () -> 9))))
+        (Failure "Shard.submit: admission stopped (draining or shut down)") (fun () ->
+          ignore (Shard.submit s (fun () -> 9))))
+
+(* A request that awaits another request's ticket suspends instead of
+   blocking its worker, so even a one-worker server completes both.  The
+   poll is bounded: were [await] to block the only worker, the test
+   cancels the inner ticket to free it and fails instead of hanging. *)
+let await_inside_request_p1 () =
+  with_serve ~processes:1 (fun s ->
+      let inner = Atomic.make None in
+      let outer =
+        Shard.submit s (fun () ->
+            let tk = Shard.submit s (fun () -> 41) in
+            Atomic.set inner (Some tk);
+            match Serve.await tk with Serve.Returned v -> v + 1 | _ -> -1)
+      in
+      let give_up = Unix.gettimeofday () +. 5.0 in
+      while Serve.poll outer = None && Unix.gettimeofday () < give_up do
+        Unix.sleepf 0.001
+      done;
+      let settled = Serve.poll outer in
+      if settled = None then Option.iter (fun tk -> ignore (Serve.cancel tk)) (Atomic.get inner);
+      (match settled with
+      | Some (Serve.Returned 42) -> ()
+      | Some _ -> Alcotest.fail "nested request settled with the wrong outcome"
+      | None -> Alcotest.fail "outer request still pending after 5 s");
+      let st = Shard.drain s in
+      Alcotest.(check int) "both requests completed" 2 st.Serve.completed)
+
+(* Admission racing drain: submitter domains hammer [try_submit] while
+   [drain] runs.  An acceptance either happens before drain reads the
+   ledger (and drain waits for it) or is rolled back, so the ledger drain
+   returned is final.  Only [rejected] may still grow: the submitters'
+   own refusals after drain returned. *)
+let drain_races_admission () =
+  for _ = 1 to 10 do
+    let s = Shard.create ~processes:1 ~inbox_capacity:64 ~shards:1 () in
+    let started = Atomic.make 0 in
+    let submitter () =
+      Atomic.incr started;
+      let rec loop () =
+        match Shard.try_submit s (fun () -> ()) with
+        | Error Serve.Draining -> ()
+        | Ok _ | Error Serve.Inbox_full -> loop ()
+      in
+      loop ()
+    in
+    let ds = Array.init 2 (fun _ -> Domain.spawn submitter) in
+    while Atomic.get started < 2 do
+      Domain.cpu_relax ()
+    done;
+    let st = Shard.drain s in
+    Array.iter Domain.join ds;
+    let after = Shard.stats s in
+    Shard.shutdown s;
+    Alcotest.(check bool) "drain's ledger is final" true
+      ({ after with Serve.rejected = st.Serve.rejected } = st);
+    Alcotest.(check int) "conserved" st.Serve.accepted
+      (st.Serve.completed + st.Serve.cancelled + st.Serve.exceptions)
+  done
 
 let shutdown_drops_queued_and_is_idempotent () =
   let executed = Atomic.make 0 in
-  let s = Serve.create ~processes:1 () in
+  let s = Shard.create ~processes:1 ~shards:1 () in
   let release = Atomic.make false in
   let started = Atomic.make false in
   let blocker =
-    Serve.submit s (fun () ->
+    Shard.submit s (fun () ->
         Atomic.set started true;
         while not (Atomic.get release) do
           Domain.cpu_relax ()
         done;
         Atomic.incr executed)
   in
-  let queued = List.init 5 (fun i -> Serve.submit s (fun () -> Atomic.incr executed; i)) in
+  let queued = List.init 5 (fun i -> Shard.submit s (fun () -> Atomic.incr executed; i)) in
   (* Wait until the worker is actually mid-run on the blocker; otherwise
      shutdown could drop it while it is still queued. *)
   while not (Atomic.get started) do
@@ -244,12 +303,12 @@ let shutdown_drops_queued_and_is_idempotent () =
   Atomic.set release true;
   (* The blocker is mid-run; shutdown lets it finish, then joins the
      worker and drops whatever it did not get to. *)
-  Serve.shutdown s;
-  Serve.shutdown s;
+  Shard.shutdown s;
+  Shard.shutdown s;
   (match Serve.await blocker with
   | Serve.Returned () -> ()
   | _ -> Alcotest.fail "started task ran to completion");
-  let st = Serve.stats s in
+  let st = Shard.stats s in
   Alcotest.(check int) "no task runs after shutdown" st.Serve.completed (Atomic.get executed);
   Alcotest.(check int) "every accepted task reached a terminal state" st.Serve.accepted
     (st.Serve.completed + st.Serve.cancelled + st.Serve.exceptions);
@@ -269,7 +328,7 @@ let shutdown_drops_queued_and_is_idempotent () =
    occurring only on a full inbox, and observed per-submitter outcomes
    summing to the service's own counters. *)
 let drain_invariant_multi_producer () =
-  let s = Serve.create ~processes:4 ~inbox_capacity:16 () in
+  let s = Shard.create ~processes:4 ~inbox_capacity:16 ~shards:1 () in
   let submitters = 4 and per_submitter = 500 in
   let observed_accepted = Atomic.make 0 and observed_rejected = Atomic.make 0 in
   let executed = Atomic.make 0 in
@@ -277,7 +336,7 @@ let drain_invariant_multi_producer () =
     let tickets = ref [] in
     for i = 0 to per_submitter - 1 do
       match
-        Serve.try_submit s (fun () ->
+        Shard.try_submit s (fun () ->
             Atomic.incr executed;
             (d * per_submitter) + i)
       with
@@ -292,7 +351,7 @@ let drain_invariant_multi_producer () =
   in
   let ds = Array.init submitters (fun d -> Domain.spawn (submitter d)) in
   Array.iter Domain.join ds;
-  let st = Serve.drain s in
+  let st = Shard.drain s in
   Alcotest.(check int) "accepted matches submitters' view" (Atomic.get observed_accepted)
     st.Serve.accepted;
   Alcotest.(check int) "rejected matches submitters' view" (Atomic.get observed_rejected)
@@ -303,22 +362,22 @@ let drain_invariant_multi_producer () =
   Alcotest.(check int) "nothing cancelled without deadlines" 0 st.Serve.cancelled;
   Alcotest.(check int) "every completed task actually ran" st.Serve.completed
     (Atomic.get executed);
-  Serve.shutdown s;
+  Shard.shutdown s;
   Alcotest.(check int) "no task runs after shutdown" st.Serve.completed (Atomic.get executed)
 
 let telemetry_counts_injection () =
   let sink = Abp_trace.Sink.create ~workers:2 () in
-  let s = Serve.create ~processes:2 ~trace:sink () in
-  let tickets = List.init 50 (fun i -> Serve.submit s (fun () -> i * i)) in
+  let s = Shard.create ~processes:2 ~traces:[| sink |] ~shards:1 () in
+  let tickets = List.init 50 (fun i -> Shard.submit s (fun () -> i * i)) in
   List.iter (fun t -> ignore (Serve.await t)) tickets;
-  ignore (Serve.drain s);
-  Serve.shutdown s;
+  ignore (Shard.drain s);
+  Shard.shutdown s;
   let totals = Abp_trace.Sink.totals sink in
   Alcotest.(check bool) "all tasks entered through the injector" true
     (Abp_trace.Counters.(get totals inject_tasks) = 50);
   Alcotest.(check bool) "acquisitions never exceed polls" true
     Abp_trace.Counters.(get totals inject_polls >= get totals inject_tasks);
-  Alcotest.(check bool) "high-water gauge saw traffic" true (Serve.inbox_high_water s >= 1)
+  Alcotest.(check bool) "high-water gauge saw traffic" true (Serve.inbox_high_water (Shard.serve s 0) >= 1)
 
 let contains s affix =
   let n = String.length affix and m = String.length s in
@@ -327,9 +386,9 @@ let contains s affix =
 
 let report_renders () =
   with_serve ~processes:2 (fun s ->
-      let tickets = List.init 20 (fun i -> Serve.submit s (fun () -> i)) in
+      let tickets = List.init 20 (fun i -> Shard.submit s (fun () -> i)) in
       List.iter (fun t -> ignore (Serve.await t)) tickets;
-      let text = Format.asprintf "%a" Serve.pp_report s in
+      let text = Format.asprintf "%a" Serve.pp_report (Shard.serve s 0) in
       List.iter
         (fun needle ->
           Alcotest.(check bool) (needle ^ " present") true (contains text needle))
@@ -347,19 +406,24 @@ let lane_conservation_and_latency () =
       let tks =
         List.init n (fun i ->
             let lane = if i mod 4 = 0 then (Serve.Deadline : Serve.lane) else Serve.Bulk in
-            (lane, Serve.submit s ~lane (fun () -> i * i)))
+            (lane, Shard.submit s ~lane (fun () -> i * i)))
       in
       List.iter
-        (fun (lane, tk) ->
-          Alcotest.(check bool) "ticket remembers its lane" true (Serve.ticket_lane tk = lane);
+        (fun (_, tk) ->
           match Serve.await tk with
           | Serve.Returned _ -> ()
           | _ -> Alcotest.fail "lane submission completes")
         tks;
-      let st = Serve.drain s in
-      let bulk = Serve.lane_stats s Serve.Bulk and dl = Serve.lane_stats s Serve.Deadline in
+      let st = Shard.drain s in
+      let bulk = Shard.lane_stats s Serve.Bulk and dl = Shard.lane_stats s Serve.Deadline in
       Alcotest.(check int) "deadline lane accepted" (n / 4) dl.Serve.lane_accepted;
       Alcotest.(check int) "bulk lane accepted" (n - (n / 4)) bulk.Serve.lane_accepted;
+      (* each ticket settled on the lane it was admitted on *)
+      let on lane = List.length (List.filter (fun (l, _) -> l = lane) tks) in
+      Alcotest.(check int) "deadline tickets settled on their lane" (on Serve.Deadline)
+        dl.Serve.lane_completed;
+      Alcotest.(check int) "bulk tickets settled on their lane" (on Serve.Bulk)
+        bulk.Serve.lane_completed;
       (* lane-wise conservation, and the lanes partition the totals *)
       List.iter
         (fun ls ->
@@ -371,14 +435,14 @@ let lane_conservation_and_latency () =
       Alcotest.(check int) "lanes partition completed" st.Serve.completed
         (bulk.Serve.lane_completed + dl.Serve.lane_completed);
       (* per-lane latency recorded for every settled request *)
-      (match (Serve.lane_sojourn_latency s Serve.Bulk, Serve.lane_sojourn_latency s Serve.Deadline)
+      (match (Shard.lane_sojourn_latency s Serve.Bulk, Shard.lane_sojourn_latency s Serve.Deadline)
        with
       | Some lb, Some ld ->
           Alcotest.(check int) "bulk sojourn samples" bulk.Serve.lane_completed lb.Serve.samples;
           Alcotest.(check int) "deadline sojourn samples" dl.Serve.lane_completed ld.Serve.samples;
           Alcotest.(check bool) "p999 >= p50" true (ld.Serve.p999 >= ld.Serve.p50)
       | _ -> Alcotest.fail "both lanes have sojourn latency");
-      match Serve.sojourn_latency s with
+      match Shard.sojourn_latency s with
       | Some l -> Alcotest.(check int) "merged sojourn samples" st.Serve.completed l.Serve.samples
       | None -> Alcotest.fail "merged sojourn latency present")
 
@@ -390,29 +454,29 @@ let deadline_lane_runs_first () =
      relative order of the deadline tasks and that the first completion
      is a deadline task. *)
   with_blocked_worker ~batch:8 (fun s ~release ~blocker ->
-      while Serve.inbox_depth s > 0 do
+      while Serve.inbox_depth (Shard.serve s 0) > 0 do
         Domain.cpu_relax ()
       done;
       let order = Atomic.make [] in
       let note tag () = Atomic.set order (tag :: Atomic.get order) in
       for i = 0 to 7 do
-        ignore (Serve.submit s (note (Printf.sprintf "b%d" i)))
+        ignore (Shard.submit s (note (Printf.sprintf "b%d" i)))
       done;
-      Alcotest.(check int) "bulk lane depth" 8 (Serve.lane_depth s Serve.Bulk);
+      Alcotest.(check int) "bulk lane depth" 8 (Serve.lane_depth (Shard.serve s 0) Serve.Bulk);
       (* reversed explicit deadlines: d0 gets the LATEST deadline, d3
          the earliest, so EDF must reverse submission order *)
       for i = 0 to 3 do
         ignore
-          (Serve.submit s ~lane:Serve.Deadline
+          (Shard.submit s ~lane:Serve.Deadline
              ~deadline:(float_of_int (40 - (10 * i)))
              (note (Printf.sprintf "d%d" i)))
       done;
-      Alcotest.(check int) "deadline lane depth" 4 (Serve.lane_depth s Serve.Deadline);
+      Alcotest.(check int) "deadline lane depth" 4 (Serve.lane_depth (Shard.serve s 0) Serve.Deadline);
       Atomic.set release true;
       (match Serve.await blocker with
       | Serve.Returned () -> ()
       | _ -> Alcotest.fail "blocker completes");
-      ignore (Serve.drain s);
+      ignore (Shard.drain s);
       let ran = List.rev (Atomic.get order) in
       Alcotest.(check int) "all ran" 12 (List.length ran);
       let pos tag = Option.get (List.find_index (String.equal tag) ran) in
@@ -594,7 +658,7 @@ let shard_lane_passthrough () =
       let ps =
         List.init n (fun i ->
             let lane = if i mod 3 = 0 then (Serve.Deadline : Serve.lane) else Serve.Bulk in
-            Shard.submit_async t ~key:i ~lane (fun () -> i))
+            Serve.outcome (Shard.submit t ~key:i ~lane (fun () -> i)))
       in
       List.iter
         (fun p ->
@@ -641,6 +705,9 @@ let tests =
     Alcotest.test_case "cancel before start" `Quick cancel_before_start;
     Alcotest.test_case "cancel after completion fails" `Quick cancel_after_completion_fails;
     Alcotest.test_case "drain stops admission" `Quick drain_stops_admission;
+    Alcotest.test_case "await inside a request at P = 1 completes" `Quick
+      await_inside_request_p1;
+    Alcotest.test_case "drain races admission: ledger is final" `Quick drain_races_admission;
     Alcotest.test_case "shutdown drops queued, idempotent" `Quick
       shutdown_drops_queued_and_is_idempotent;
     Alcotest.test_case "drain invariant under 4-domain stress" `Quick
