@@ -92,9 +92,11 @@ let rec spin_tree d iters =
 
 (* Serial spawn chain: n+1 nodes in strict sequence, T1 = Tinf = n+1
    node-times — the maximal-span counterpart to the tree, pinning the
-   Tinf*P/Pbar coefficient in the fit.  Each link is a real spawn, so
-   the chain hops across workers by stealing and crosses a gate safe
-   point ([Future.force]'s help loop) at every node. *)
+   Tinf*P/Pbar coefficient in the fit.  Each link is a real spawn that
+   is forced at once, so the work-first join runs it inline: the chain
+   stays on one worker (a thief only takes a link in the moment between
+   its spawn and its force) and crosses a gate safe point
+   ([Future.force]'s checkpoint) at every node. *)
 let rec spin_chain n iters =
   spin_work iters;
   if n = 0 then 1

@@ -1,50 +1,76 @@
-(* Futures are promises resolved by a spawned pool task.  [force] has
-   two waiting strategies:
+(* A future is the promise its spawned task resolves, plus the task
+   closure itself — the identity the work-first join looks for on the
+   forcer's deque.  A pending [force] has three join strategies, tried
+   in this order:
 
-   - In a fiber context (any task body, and the [Pool.run] body — i.e.
-     essentially always on the new runtime), a pending [force] suspends
-     via [Await]: the continuation parks on the promise and the worker
-     returns to the scheduling loop.  The worker never sits on the
-     join, and the blocked computation costs no stack.
+   - Inline an unstolen child (the work-first rule of Figure 3 and
+     Hood).  A child no thief took is still at the bottom of the
+     forcer's own deque — the parent-first spawn put it there and
+     every spawn made since has been joined.  [Pool.pop_own] pops it
+     and the forcer runs it on its own stack: no effect capture, no
+     waiter CAS, no continuation push/pop.  In a fiber context the
+     task runs raw: if it awaits, the enclosing handler parks it
+     together with its parent, which is waiting on it anyway.
 
-   - Outside any fiber handler (defensive fallback: code calling
-     [force] from a context the pool did not wrap), the classic
-     helping loop: run local or stolen tasks while polling.  Helped
-     tasks are executed via [Pool.run_task] so each gets its own
-     handler — run raw, a helped task's [Await] would be captured by
-     an enclosing handler and park the helper itself. *)
+   - Suspend (in a fiber context — any task body, and the [Pool.run]
+     body).  The bottom was something else (the child was stolen, or
+     sits under a later spawn not yet forced or a resumed
+     continuation) or the deque was empty:
+     the other task goes straight back and [force] performs [Await].
+     The continuation parks on the promise and the worker returns to
+     the scheduling loop; the blocked computation costs no stack.
+
+   - Help (outside any fiber handler: code calling [force] from a
+     context the pool did not wrap).  Run local or stolen tasks while
+     polling, each via [Pool.run_task] so it gets its own handler — run
+     raw, a helped task's [Await] would be captured by an enclosing
+     handler and park the helper itself.  The inlined child goes
+     through [Pool.run_task] here too. *)
 
 module Fiber = Abp_fiber.Fiber
 
-type 'a t = 'a Fiber.Promise.t
+type 'a t = { promise : 'a Fiber.Promise.t; task : unit -> unit }
 
 let spawn f =
   let w = Pool.current () in
   let promise = Fiber.Promise.create () in
-  Pool.push_task w (fun () ->
-      match f () with
-      | v -> Fiber.Promise.fulfil promise v
-      | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          ignore (Fiber.Promise.try_fail ~bt promise e));
-  promise
+  let task () =
+    match f () with
+    | v -> Fiber.Promise.fulfil promise v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        ignore (Fiber.Promise.try_fail ~bt promise e)
+  in
+  Pool.push_task w task;
+  { promise; task }
 
-let is_resolved = Fiber.Promise.is_resolved
+let is_resolved t = Fiber.Promise.is_resolved t.promise
 
-let force p =
-  match Fiber.Promise.try_await p with
+let force { promise; task } =
+  match Fiber.Promise.try_await promise with
   | Some v -> v
   | None ->
-      if Fiber.in_context () then Fiber.Promise.await p
+      let w = Pool.current () in
+      (* Gate safe point (the worker holds no unpublished tasks
+         here): a chain of inline joins must still honour
+         multiprogramming suspensions at every node. *)
+      Pool.checkpoint w;
+      if Fiber.in_context () then begin
+        (* After an inline run the promise is resolved, so [await]
+           returns the value or re-raises with the original
+           backtrace. *)
+        if Pool.pop_own w task then task ();
+        Fiber.Promise.await promise
+      end
       else begin
-        let w = Pool.current () in
+        (* Out of context the inlined child may park under its own
+           handler, leaving the promise pending: fall into the help
+           loop either way. *)
+        if Pool.pop_own w task then Pool.run_task w task;
         let rec wait () =
-          match Fiber.Promise.try_await p with
+          match Fiber.Promise.try_await promise with
           | Some v -> v
           | None ->
-              (* Gate safe point: a worker helping inside [force] must
-                 honour multiprogramming suspensions just like the outer
-                 worker loop (it holds no unpublished tasks here). *)
               Pool.checkpoint w;
               (match Pool.try_get_task w with
               | Some task -> Pool.run_task w task

@@ -3,18 +3,24 @@
 
     [spawn] pushes a task onto the calling worker's deque bottom (the
     thread-creation action of the scheduling loop); [force] joins.  A
-    future is an {!Abp_fiber.Fiber.Promise.t} resolved by the spawned
-    task, and a pending [force] called from a fiber context (any task
-    body on the pool) {e suspends}: the continuation parks on the
-    promise and the worker returns to the Figure 3 loop — a blocked
-    join never occupies its process.  Outside a fiber context [force]
-    falls back to the classic helping loop (execute local or stolen
-    tasks while polling), mirroring how a blocked thread's process pops
-    a new assigned thread in the paper's loop. *)
+    pending [force] has three join strategies, tried in order:
 
-type 'a t = 'a Abp_fiber.Fiber.Promise.t
-(** A future is its underlying promise: [Fiber.await]-able directly,
-    and resolvable only by the spawned task. *)
+    - {b Inline an unstolen child} (the work-first rule of the Figure 3
+      loop and Hood): if the child is still at the bottom of the
+      forcer's own deque, no thief took it, so [force] pops it and runs
+      it inline — no suspension, no synchronization beyond the deque's
+      own last-element case.
+    - {b Suspend} (in a fiber context — any task body on the pool, and
+      the {!Pool.run} body): otherwise the continuation parks on the
+      future's promise and the worker returns to the Figure 3 loop — a
+      blocked join never occupies its process.
+    - {b Help} (outside a fiber context): the classic helping loop,
+      executing local or stolen tasks while polling, mirroring how a
+      blocked thread's process pops a new assigned thread in the
+      paper's loop. *)
+
+type 'a t
+(** A pending or resolved result of a {!spawn}ed computation. *)
 
 val spawn : (unit -> 'a) -> 'a t
 (** Must be called from inside {!Pool.run} (or a task).  The computation
@@ -22,9 +28,12 @@ val spawn : (unit -> 'a) -> 'a t
     {!force}. *)
 
 val force : 'a t -> 'a
-(** Wait for the value: suspend the current fiber when pending (in a
-    fiber context), or help compute it (out of context).  Re-raises the
-    task's exception, with its original backtrace, if it failed. *)
+(** Wait for the value: run the child inline if it is unstolen,
+    otherwise suspend the current fiber (in a fiber context) or help
+    compute it (out of context).  Every pending [force] passes one
+    {!Pool.checkpoint} gate safe point first.  Must be called on a pool
+    worker.  Re-raises the task's exception, with its original
+    backtrace, if it failed. *)
 
 val is_resolved : 'a t -> bool
 

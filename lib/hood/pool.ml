@@ -203,8 +203,10 @@ module Impl (D : Spec.DETAILED) = struct
   (* Safe-point check of the multiprogramming preemption gate.  Called
      only where the worker holds no acquired-but-unpublished tasks: at
      the top of the scheduling loop (i.e. after each completed task),
-     between failed steal attempts, before parking, and in
-     {!Future.force}'s help loop.  Batched acquisitions re-push their
+     between failed steal attempts, before parking, once per pending
+     {!Future.force} (before its work-first pop, so a chain of inline
+     joins still crosses a safe point at every node) and each trip
+     around its help loop.  Batched acquisitions re-push their
      surplus onto the worker's own deque inside [try_get_task], before
      any of these points can be reached, so a worker suspended at a gate
      can never strand transferable work — everything it owns sits in its
@@ -338,6 +340,29 @@ module Impl (D : Spec.DETAILED) = struct
         Counters.incr c Counters.cas_failures_pop_bottom;
         steal_then_sources w
     | Spec.Empty -> steal_then_sources w
+
+  (* Work-first join ({!Future.force}): pop the own deque's bottom and
+     report whether it is [task] (physical equality on the closure) —
+     Manticore's [@pop-new-end].  A hit is an ordinary pop; the caller
+     runs the task inline.  Anything else is pushed straight back and
+     counts nothing, so [pushes = pops + stolen_tasks] still holds at
+     quiescence; the re-push wakes parked thieves like any push, since
+     one may have parked while the deque looked empty. *)
+  let pop_own w task =
+    let d = w.pool.deques.(w.id) in
+    match D.pop_bottom_detailed d with
+    | Spec.Got t when t == task ->
+        Counters.incr w.c Counters.pops;
+        emit w Abp_trace.Event.Execute;
+        true
+    | Spec.Got t ->
+        D.push_bottom d t;
+        wake_waiters w.pool.shared;
+        false
+    | Spec.Contended ->
+        Counters.incr w.c Counters.cas_failures_pop_bottom;
+        false
+    | Spec.Empty -> false
 
   (* The parking check: some deque is non-empty, or some source is
      pending. *)
@@ -521,6 +546,12 @@ let try_get_task = function
   | Circular_worker w -> Circular_impl.try_get_task w
   | Locked_worker w -> Locked_impl.try_get_task w
 
+let pop_own w task =
+  match w with
+  | Abp_worker w -> Abp_impl.pop_own w task
+  | Circular_worker w -> Circular_impl.pop_own w task
+  | Locked_worker w -> Locked_impl.pop_own w task
+
 let local_deque_size = function
   | Abp_worker w -> Abp_impl.local_size w
   | Circular_worker w -> Circular_impl.local_size w
@@ -565,7 +596,7 @@ let suspended t = Atomic.get (shared_of t).n_suspended
 
 (* Run one task under the pool's fiber handler, exactly as the worker
    loop would.  For helpers executing tasks outside [exec] (the
-   [Future.force] fallback loop): running a task RAW there would let
+   [Future.force] out-of-context path): running a task RAW there would let
    the helped task's [Await] be captured by the enclosing task's
    handler, parking the helper itself. *)
 let run_task w task = Fiber.run (worker_shared w).fsched task

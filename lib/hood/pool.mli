@@ -92,8 +92,9 @@ type gate_hook = {
     multiprogramming harness's stand-in for the kernel's right to
     deschedule a process.  The pool polls it at {e safe points} only —
     the top of the worker loop (so after each completed task), between
-    failed steal attempts, before parking, and inside {!Future.force}'s
-    help loop — points where the worker holds no
+    failed steal attempts, before parking, and inside {!Future.force}
+    (once before its work-first pop, then each trip around its help
+    loop) — points where the worker holds no
     acquired-but-unpublished tasks: batched steal/source surplus is
     re-pushed onto the worker's own deque {e before} the next safe
     point, so suspending a worker never strands transferable work.
@@ -326,12 +327,23 @@ val note_deadline_miss : unit -> unit
 
 val push_task : worker -> (unit -> unit) -> unit
 val try_get_task : worker -> (unit -> unit) option
+
+val pop_own : worker -> (unit -> unit) -> bool
+(** [pop_own w task] is the work-first join primitive (owner only):
+    pop [w]'s own deque bottom and return [true] iff it is [task]
+    (physical equality), which the caller must then run — a hit counts
+    one [pops].  Any other task is pushed straight back and [false]
+    returned, counting nothing, so [pushes = pops + stolen_tasks] still
+    holds; [false] also when the deque is empty or the pop lost its
+    last task to a thief (counted in [cas_failures_pop_bottom]).  No
+    synchronization beyond the deque's own last-element case. *)
+
 val relax : unit -> unit
 
 val run_task : worker -> (unit -> unit) -> unit
 (** Execute one task under the worker's pool's fiber handler, exactly
     as the worker loop would.  Helpers running tasks outside the loop
-    ({!Future.force}'s out-of-context fallback) must use this rather
+    ({!Future.force}'s out-of-context path) must use this rather
     than calling the closure raw: an un-handled task could otherwise
     perform [Await] into the {e enclosing} task's handler and park the
     helper itself. *)
@@ -348,9 +360,12 @@ val fiber_sched : t -> Abp_fiber.Fiber.sched
 
 val checkpoint : worker -> unit
 (** Gate safe point: blocks while the worker's preemption gate is
-    closed (no-op on ungated pools).  {!Future.force} calls this each
-    trip around its help loop so a worker blocked on a future still
-    honours suspensions. *)
+    closed (no-op on ungated pools).  {!Future.force} calls this once
+    on every pending join, before the join fast path ({!pop_own}, the
+    work-first inline run of an unstolen child), so a chain of inline
+    joins keeps one safe point per node; out of context it also calls
+    it each trip around its help loop, so a worker blocked on a future
+    still honours suspensions. *)
 
 val local_deque_size : worker -> int
 (** Observed size of the worker's own deque — the lazy-splitting signal

@@ -4,8 +4,8 @@
     processor: each pool worker owns a gate; while the gate is open the
     worker runs normally, and when the {!Controller} closes it the
     worker blocks at its next {e safe point} — after finishing a task,
-    between steal attempts, before parking, or around the
-    {!Abp_hood.Future.force} help loop (see
+    between steal attempts, before parking, or at every pending
+    {!Abp_hood.Future.force} join and around its help loop (see
     {!Abp_hood.Pool.gate_hook}).  Safe points are placed where the
     worker holds no acquired-but-unpublished tasks, so a suspended
     worker never strands work: everything it owns is in its deque,

@@ -1,7 +1,8 @@
 (* Tests for the fiber subsystem: promise semantics, the Await handler
    in isolation (inline scheduler), suspension and resumption through
    the real pool (external fulfillers exercising the resume inbox),
-   the Future bridge (suspending force, exception propagation, [both]
+   the Future bridge (the work-first inline join and its suspending
+   miss path under each deque, exception propagation, [both]
    evaluation order), promise-returning Serve/Shard admission, the
    await-aware conservation identity mid-flight and at drain, and the
    suspension telemetry counters. *)
@@ -222,6 +223,112 @@ let future_both_evaluation_order () =
       Alcotest.(check int) "f's value" (fib_seq 12) a;
       Alcotest.(check int) "g's value" 99 b;
       Alcotest.(check bool) "g ran inline" true (Atomic.get g_ran_before_force))
+
+(* The work-first join, under each deque implementation.  A 1-worker
+   pool has no thieves, so which strategy [force] takes is fixed by the
+   spawn order alone. *)
+
+let deque_impls = [ ("abp", Pool.Abp); ("circular", Pool.Circular); ("locked", Pool.Locked) ]
+
+let with_pool1 deque_impl f =
+  let pool = Pool.create ~processes:1 ~deque_impl () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+
+let pool_totals pool =
+  let t = Counters.sum (Pool.counters pool) in
+  Counters.(get t pushes, get t pops, get t stolen_tasks, get t suspensions, get t resumes)
+
+let check_conserved pool =
+  let pushes, pops, stolen, _, _ = pool_totals pool in
+  Alcotest.(check int) "pushes = pops + stolen_tasks" pushes (pops + stolen);
+  Alcotest.(check int) "nothing left suspended" 0 (Pool.suspended pool)
+
+(* Every child of a [both] tree is still at the forcer's deque bottom
+   when it is joined, so no join suspends. *)
+let future_unstolen_inline deque_impl () =
+  with_pool1 deque_impl (fun pool ->
+      let rec fib n =
+        if n < 8 then fib_seq n
+        else
+          let a, b = Future.both (fun () -> fib (n - 1)) (fun () -> fib (n - 2)) in
+          a + b
+      in
+      Alcotest.(check int) "fib" (fib_seq 16) (Pool.run pool (fun () -> fib 16));
+      let pushes, pops, _, susp, _ = pool_totals pool in
+      Alcotest.(check bool) "children were spawned" true (pushes > 0);
+      Alcotest.(check int) "no join suspended" 0 susp;
+      Alcotest.(check int) "pushes = pops" pushes pops)
+
+(* Forcing the older of two futures finds the younger at the bottom:
+   the miss pushes it back and suspends exactly once. *)
+let future_miss_suspends deque_impl () =
+  with_pool1 deque_impl (fun pool ->
+      let a, b =
+        Pool.run pool (fun () ->
+            let fa = Future.spawn (fun () -> fib_seq 10) in
+            let fb = Future.spawn (fun () -> fib_seq 11) in
+            let a = Future.force fa in
+            (a, Future.force fb))
+      in
+      Alcotest.(check int) "a" (fib_seq 10) a;
+      Alcotest.(check int) "b" (fib_seq 11) b;
+      let _, _, _, susp, res = pool_totals pool in
+      Alcotest.(check int) "one suspension" 1 susp;
+      Alcotest.(check int) "one resume" 1 res;
+      check_conserved pool)
+
+let future_inline_exception deque_impl () =
+  with_pool1 deque_impl (fun pool ->
+      let raised = Failure "inline child" in
+      let observed =
+        Pool.run pool (fun () ->
+            let f = Future.spawn (fun () -> raise raised) in
+            match Future.force f with (_ : int) -> None | exception e -> Some e)
+      in
+      Alcotest.(check bool) "the child's exception re-raised at force" true
+        (match observed with Some e -> e == raised | None -> false);
+      let _, _, _, susp, _ = pool_totals pool in
+      Alcotest.(check int) "joined inline" 0 susp;
+      check_conserved pool)
+
+(* An inlined child that awaits parks together with its parent: one
+   suspension covers both, and the fulfil resumes the whole chain.  The
+   helper fulfils once the child has reached its await and something
+   is parked (or after the bound, so a failing run cannot hang). *)
+let future_inline_child_awaits deque_impl () =
+  with_pool1 deque_impl (fun pool ->
+      let p = Promise.create () in
+      let awaiting = Atomic.make false in
+      let helper =
+        Domain.spawn (fun () ->
+            ignore (eventually (fun () -> Atomic.get awaiting && Pool.suspended pool >= 1));
+            Promise.fulfil p 41)
+      in
+      let child () =
+        Atomic.set awaiting true;
+        Fiber.await p + 1
+      in
+      let v = Pool.run pool (fun () -> Future.force (Future.spawn child)) in
+      Domain.join helper;
+      Alcotest.(check int) "value after the fulfil" 42 v;
+      let _, _, _, susp, res = pool_totals pool in
+      Alcotest.(check int) "parent and child parked as one" 1 susp;
+      Alcotest.(check int) "one resume" 1 res;
+      check_conserved pool)
+
+let work_first_tests =
+  List.concat_map
+    (fun (name, impl) ->
+      let case label f =
+        Alcotest.test_case (Printf.sprintf "future: %s (%s)" label name) `Quick (f impl)
+      in
+      [
+        case "unstolen joins run inline" future_unstolen_inline;
+        case "miss pushes back and suspends" future_miss_suspends;
+        case "inline child's exception re-raised" future_inline_exception;
+        case "inlined child awaits with its parent" future_inline_child_awaits;
+      ])
+    deque_impls
 
 (* ------------------------------------------------------------------ *)
 (* Serve: a ticket's outcome promise                                   *)
@@ -456,6 +563,9 @@ let tests =
       future_exception_propagates;
     Alcotest.test_case "future: both runs g inline before force" `Quick
       future_both_evaluation_order;
+  ]
+  @ work_first_tests
+  @ [
     Alcotest.test_case "serve: outcome Returned/Raised" `Quick serve_outcome_returns;
     Alcotest.test_case "serve: outcome deadline -> Cancelled" `Quick
       serve_outcome_deadline_cancelled;
