@@ -18,9 +18,12 @@
      the paper's model, documented in Abp_mp.Controller), but the
      yield-less pool must burn strictly more failed steal attempts per
      completed task.
-   - antagonist: background spinner domains instead of gates.  Their
-     processor share is invisible to the controller, so these runs are
-     reported but excluded from the fit.
+   - antagonist: the paper's hardware matrix, {Abp, Locked} x
+     {No_yield, Yield_local}, each run beside 0 and 4 background
+     spinner domains instead of gates; full mode prints each cell's
+     slowdown under load.  The spinners' processor share is invisible
+     to the controller, so these runs are reported but excluded from
+     the fit.
    - steal_volume: measured stolen_tasks on ungated tree/chain runs,
      normalized by the P*Tinf steal-count bound (the
      work-stealing steal volume is O(P*Tinf) in expectation — the bound
@@ -28,7 +31,7 @@
      ratio is the empirical constant; full mode asserts it stays under
      a generous cap.
 
-   Emits machine-readable JSON (default BENCH_mp.json, schema abp-mp/4),
+   Emits machine-readable JSON (default BENCH_mp.json, schema abp-mp/5),
    then re-reads and schema-checks it, exiting nonzero on a malformed
    document or a failed acceptance check — CI relies on this:
 
@@ -48,6 +51,8 @@ let spec =
   ]
 
 let now = Unix.gettimeofday
+
+let fail fmt = Printf.ksprintf (fun m -> Printf.eprintf "E29 check FAILED: %s\n" m; exit 1) fmt
 
 let median xs =
   let a = Array.of_list xs in
@@ -319,30 +324,64 @@ let run_yield ips =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Section 4: background-load antagonist (no gates).                  *)
+(* Section 4: the hardware matrix under background load (no gates).   *)
 
-type antag_result = { a_spinners : int; a_p : int; a_seconds : float; a_result : int }
+(* {Abp, Locked} x {No_yield, Yield_local}, each run beside 0 and then
+   4 spinner domains, which take processor time the pool cannot see:
+   with 2 workers on a 2-core host, P̄ < P really holds.  The paper
+   (Section 4.4, Theorems 11-12, and the Hood experiments) predicts
+   that the slowdown under load grows sharply when the deque is not
+   non-blocking (a preempted lock holder stalls every thief) or the
+   thief does not yield (it burns the quantum of a preempted peer that
+   holds the work). *)
+type antag_cell = {
+  a_deque : string;
+  a_yield : string;
+  a_p : int;
+  a_alone : float;  (* median T with no spinners *)
+  a_loaded : float;  (* median T beside [antag_spinners] spinners *)
+  a_result : int;
+}
+
+let antag_spinners = 4
+let slowdown a = a.a_loaded /. a.a_alone
 
 let run_antagonist ips =
   let p = 2 in
   let f = fine_tree ips (if !smoke then 0.03 else 0.1) in
-  List.map
-    (fun spinners ->
-      let antag = Abp.Antagonist.start ~spinners in
-      let pool = Abp.Pool.create ~processes:p () in
-      let timings = ref [] and value = ref 0 in
-      Fun.protect
-        ~finally:(fun () ->
-          Abp.Pool.shutdown pool;
-          Abp.Antagonist.stop antag)
-        (fun () ->
-          for _ = 1 to !repeats do
-            let t0 = now () in
-            value := Abp.Pool.run pool f;
-            timings := (now () -. t0) :: !timings
-          done);
-      { a_spinners = spinners; a_p = p; a_seconds = median !timings; a_result = !value })
-    [ 0; 4 ]
+  let timed deque_impl yield_kind spinners =
+    let antag = Abp.Antagonist.start ~spinners in
+    let pool = Abp.Pool.create ~processes:p ~deque_impl ~yield_kind () in
+    let timings = ref [] and value = ref 0 in
+    Fun.protect
+      ~finally:(fun () ->
+        Abp.Pool.shutdown pool;
+        Abp.Antagonist.stop antag)
+      (fun () ->
+        for _ = 1 to !repeats do
+          let t0 = now () in
+          value := Abp.Pool.run pool f;
+          timings := (now () -. t0) :: !timings
+        done);
+    (median !timings, !value)
+  in
+  List.concat_map
+    (fun (dname, deque_impl) ->
+      List.map
+        (fun yield_kind ->
+          let alone, r0 = timed deque_impl yield_kind 0 in
+          let loaded, r1 = timed deque_impl yield_kind antag_spinners in
+          if r0 <> r1 then fail "antagonist %s changed the workload result" dname;
+          {
+            a_deque = dname;
+            a_yield = Abp.Pool.yield_kind_name yield_kind;
+            a_p = p;
+            a_alone = alone;
+            a_loaded = loaded;
+            a_result = r0;
+          })
+        [ Abp.Pool.No_yield; Abp.Pool.Yield_local ])
+    [ ("abp", Abp.Pool.Abp); ("locked", Abp.Pool.Locked) ]
 
 (* ------------------------------------------------------------------ *)
 (* Section 5: steal-volume validation — measured stolen_tasks against *)
@@ -408,8 +447,6 @@ let run_steal_volume ips =
 (* ------------------------------------------------------------------ *)
 (* Acceptance checks (the ISSUE's E29 criteria).                      *)
 
-let fail fmt = Printf.ksprintf (fun m -> Printf.eprintf "E29 check FAILED: %s\n" m; exit 1) fmt
-
 let check_fit points fit ratio =
   if List.length points < 4 then fail "too few fit points (%d)" (List.length points);
   List.iter
@@ -472,12 +509,21 @@ let check_yield = function
         fail "No_yield failed-steals/task %.1f not strictly above Yield_to_all %.1f" fn fa
   | _ -> fail "yield section expects exactly two runs"
 
-let check_antagonist = function
-  | [ base; loaded ] ->
-      if base.a_result <> loaded.a_result then fail "antagonist changed the workload result";
-      if (not !smoke) && not (loaded.a_seconds > base.a_seconds *. 1.2) then
-        fail "4 spinners did not slow the run (%.3fs vs %.3fs)" loaded.a_seconds base.a_seconds
-  | _ -> fail "antagonist section expects exactly two runs"
+(* Every cell computed the same value; full mode also asserts that the
+   default configuration (abp/local) really was slowed by the load. *)
+let check_antagonist cells =
+  if List.length cells <> 4 then fail "antagonist matrix expects 4 cells";
+  List.iter
+    (fun a ->
+      if a.a_result <> (List.hd cells).a_result then
+        fail "antagonist %s/%s changed the workload result" a.a_deque a.a_yield)
+    cells;
+  List.iter
+    (fun a ->
+      if (not !smoke) && a.a_deque = "abp" && a.a_yield = "local" && slowdown a <= 1.2 then
+        fail "%d spinners did not slow the abp/local run (%.3fs vs %.3fs)" antag_spinners
+          a.a_loaded a.a_alone)
+    cells
 
 let check_steal_volume = function
   | [ tree; chain ] as rows ->
@@ -516,8 +562,10 @@ let gated_json g =
     g.g_result
 
 let antag_json a =
-  Printf.sprintf {|    {"spinners":%d,"p":%d,"seconds":%s,"result":%d}|} a.a_spinners a.a_p
-    (f6 a.a_seconds) a.a_result
+  Printf.sprintf
+    {|    {"deque":"%s","yield":"%s","p":%d,"spinners":%d,"seconds_alone":%s,"seconds_loaded":%s,"slowdown":%.3f,"result":%d}|}
+    a.a_deque a.a_yield a.a_p antag_spinners (f6 a.a_alone) (f6 a.a_loaded) (slowdown a)
+    a.a_result
 
 let steal_volume_json sv =
   Printf.sprintf
@@ -528,7 +576,7 @@ let to_json points fit ratio advs yields antags svs =
   String.concat "\n"
     ([
        "{";
-       {|  "schema": "abp-mp/4",|};
+       {|  "schema": "abp-mp/5",|};
        Printf.sprintf {|  "mode": "%s",|} (if !smoke then "smoke" else "full");
        Printf.sprintf {|  "repeats": %d,|} !repeats;
        Printf.sprintf {|  "quantum_ms": %.3f,|} (quantum () *. 1e3);
@@ -551,7 +599,7 @@ let validate =
   Schema.check ~label:"BENCH_mp.json"
     ~required:
       [
-        {|"schema": "abp-mp/4"|};
+        {|"schema": "abp-mp/5"|};
         {|"mode"|};
         {|"quantum_ms"|};
         {|"fit"|};
@@ -569,6 +617,9 @@ let validate =
         {|"gate_suspends"|};
         {|"antagonist"|};
         {|"spinners"|};
+        {|"deque":"locked"|};
+        {|"yield":"local"|};
+        {|"slowdown"|};
         {|"steal_volume"|};
         {|"tinf_nodes"|};
         {|"stolen_tasks"|};
@@ -628,7 +679,9 @@ let () =
   check_yield yields;
   let antags = run_antagonist ips in
   List.iter
-    (fun a -> Printf.printf "  antagonist %d spinners: T %.3fs\n" a.a_spinners a.a_seconds)
+    (fun a ->
+      Printf.printf "  antagonist %-6s yield=%-5s T %.3fs alone, %.3fs beside %d spinners: slowdown %.2fx\n"
+        a.a_deque a.a_yield a.a_alone a.a_loaded antag_spinners (slowdown a))
     antags;
   check_antagonist antags;
   let svs = run_steal_volume ips in

@@ -60,22 +60,28 @@ let json_lane ~(ls : Abp.Serve.lane_stats) ~latency =
    dependency, schema-stamped for the CI artifact check. *)
 let write_json file ~p ~shards ~affinity ~clients ~requests ~fib ~await_depth ~backend_ms
     ~use_lanes ~lane_share ~open_loop ~arrival ~rate ~shed ~elapsed ~throughput
-    ~(st : Abp.Serve.stats) ~conserved ~cross ~fiber ~routes ~depths ~lane_json ~deadline_misses =
+    ~(st : Abp.Serve.stats) ~conserved ~cross ~fiber ~late ~routes ~depths ~lane_json
+    ~deadline_misses =
   let cross_polls, cross_steals, cross_tasks = cross in
   let suspensions, resumes, suspended_peak = fiber in
+  let late_p50, late_p99 =
+    match late with
+    | Some (p50, p99) -> (Printf.sprintf "%.2f" p50, Printf.sprintf "%.2f" p99)
+    | None -> ("null", "null")
+  in
   let int_array a =
     "[" ^ String.concat "," (Array.to_list (Array.map string_of_int a)) ^ "]"
   in
   let oc = open_out file in
   Printf.fprintf oc
-    {|{"schema":"hoodserve/5","p":%d,"shards":%d,"affinity":"%s","clients":%d,"requests":%d,"fib":%d,"await_depth":%d,"backend_ms":%.3f,"lanes":%b,"lane_share":%.3f,"open_loop":%b,"arrival":"%s","rate_rps":%.1f,"shed":%d,"elapsed_s":%.6f,"throughput_rps":%.1f,"accepted":%d,"completed":%d,"rejected":%d,"cancelled":%d,"exceptions":%d,"suspended":%d,"conserved":%b,"deadline_misses":%d,"cross_polls":%d,"cross_shard_steals":%d,"cross_stolen_tasks":%d,"suspensions":%d,"resumes":%d,"suspended_peak":%d,"route_counts":%s,"inbox_depths":%s,"lane_latency":%s}|}
+    {|{"schema":"hoodserve/6","p":%d,"shards":%d,"affinity":"%s","clients":%d,"requests":%d,"fib":%d,"await_depth":%d,"backend_ms":%.3f,"lanes":%b,"lane_share":%.3f,"open_loop":%b,"arrival":"%s","rate_rps":%.1f,"shed":%d,"elapsed_s":%.6f,"throughput_rps":%.1f,"accepted":%d,"completed":%d,"rejected":%d,"cancelled":%d,"exceptions":%d,"suspended":%d,"conserved":%b,"deadline_misses":%d,"cross_polls":%d,"cross_shard_steals":%d,"cross_stolen_tasks":%d,"suspensions":%d,"resumes":%d,"suspended_peak":%d,"backend_late_us_p50":%s,"backend_late_us_p99":%s,"route_counts":%s,"inbox_depths":%s,"lane_latency":%s}|}
     p shards (affinity_name affinity) clients requests fib await_depth backend_ms use_lanes
     lane_share open_loop
     (if open_loop then arrival_name arrival else "closed")
     rate shed elapsed throughput st.Abp.Serve.accepted st.Abp.Serve.completed
     st.Abp.Serve.rejected st.Abp.Serve.cancelled st.Abp.Serve.exceptions st.Abp.Serve.suspended
     conserved deadline_misses cross_polls cross_steals cross_tasks suspensions resumes
-    suspended_peak (int_array routes) (int_array depths) lane_json;
+    suspended_peak late_p50 late_p99 (int_array routes) (int_array depths) lane_json;
   output_char oc '\n';
   close_out oc
 
@@ -223,9 +229,22 @@ let run p shards affinity clients requests fib await_depth backend_ms inbox batc
     Abp.Trace_counters.(count cross_polls, count cross_shard_steals, count cross_stolen_tasks)
   in
   let fiber = Abp.Trace_counters.(count suspensions, count resumes, count suspended_peak) in
+  (* Backend lateness is the timer's share of an await (fulfil time
+     minus due time), apart from the scheduler's resume lag. *)
+  let late =
+    Option.bind backend (fun b ->
+        let h = Abp.Backend.lateness b in
+        if Abp.Log_histogram.count h = 0 then None
+        else
+          let us q = float_of_int (Abp.Log_histogram.quantile h q) /. 1e3 in
+          Some (us 0.5, us 0.99))
+  in
   (let susp, res, peak = fiber in
    if susp > 0 then
-     Format.printf "fiber: %d suspensions, %d resumes, suspended peak %d@." susp res peak);
+     Format.printf "fiber: %d suspensions, %d resumes, suspended peak %d%s@." susp res peak
+       (match late with
+       | Some (p50, p99) -> Printf.sprintf "; backend lateness p50 %.1fus p99 %.1fus" p50 p99
+       | None -> ""));
   let deadline_misses =
     (Abp.Shard.lane_stats s Abp.Serve.Bulk).Abp.Serve.lane_misses
     + (Abp.Shard.lane_stats s Abp.Serve.Deadline).Abp.Serve.lane_misses
@@ -254,7 +273,7 @@ let run p shards affinity clients requests fib await_depth backend_ms inbox batc
     (fun file ->
       write_json file ~p ~shards ~affinity ~clients ~requests ~fib ~await_depth ~backend_ms
         ~use_lanes ~lane_share ~open_loop ~arrival ~rate ~shed:(Atomic.get shed) ~elapsed
-        ~throughput ~st ~conserved ~cross ~fiber ~routes ~depths ~lane_json ~deadline_misses;
+        ~throughput ~st ~conserved ~cross ~fiber ~late ~routes ~depths ~lane_json ~deadline_misses;
       Format.printf "json written to %s@." file)
     json_file;
   (match (sinks, trace_file) with
@@ -377,7 +396,7 @@ let cmd =
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
-          ~doc:"write a machine-readable run summary (schema hoodserve/5) to $(docv)")
+          ~doc:"write a machine-readable run summary (schema hoodserve/6) to $(docv)")
   in
   Cmd.v
     (Cmd.info "hoodserve" ~doc:"Serve external requests on the Hood work-stealing runtime")

@@ -54,25 +54,30 @@ let parallel_for ?grain ~lo ~hi f =
       in
       if hi > lo then go lo hi
 
-let rec lazy_reduce_go ~init ~combine map lo hi w =
+(* [lazy_reduce_go ~init ~combine map acc lo hi w] is [acc] combined
+   with the reduction of [lo, hi).  The accumulator is threaded down so
+   the chunk branch ends in a tail call: a range that never splits (P =
+   1, or every worker busy) runs as a loop in constant stack, as
+   [lazy_for_go] does.  A spawned right half starts from [init]. *)
+let rec lazy_reduce_go ~init ~combine map acc lo hi w =
   if hi - lo <= 1 then begin
-    if hi > lo then combine init (map lo) else init
+    if hi > lo then combine acc (map lo) else acc
   end
   else if Pool.local_deque_size w = 0 then begin
     let mid = lo + ((hi - lo) / 2) in
     let right =
-      Future.spawn (fun () -> lazy_reduce_go ~init ~combine map mid hi (Pool.current ()))
+      Future.spawn (fun () -> lazy_reduce_go ~init ~combine map init mid hi (Pool.current ()))
     in
-    let left_v = lazy_reduce_go ~init ~combine map lo mid w in
+    let left_v = lazy_reduce_go ~init ~combine map acc lo mid w in
     combine left_v (Future.force right)
   end
   else begin
     let stop = min hi (lo + lazy_chunk) in
-    let acc = ref init in
+    let acc = ref acc in
     for i = lo to stop - 1 do
       acc := combine !acc (map i)
     done;
-    if stop < hi then combine !acc (lazy_reduce_go ~init ~combine map stop hi w) else !acc
+    lazy_reduce_go ~init ~combine map !acc stop hi w
   end
 
 (* [map] is positional (like [parallel_for]'s body) so that [?grain] is
@@ -81,7 +86,8 @@ let rec lazy_reduce_go ~init ~combine map lo hi w =
    have type [?grain:int -> _]. *)
 let parallel_reduce ?grain ~lo ~hi ~init ~combine map =
   match grain with
-  | None -> if hi <= lo then init else lazy_reduce_go ~init ~combine map lo hi (Pool.current ())
+  | None ->
+      if hi <= lo then init else lazy_reduce_go ~init ~combine map init lo hi (Pool.current ())
   | Some grain ->
       if grain < 1 then invalid_arg "Par.parallel_reduce: grain >= 1 required";
       let rec go lo hi =

@@ -1,9 +1,10 @@
 type deque_impl = Abp | Circular | Locked
 
 (* What a thief does on an empty-handed trip through the loop (Figure 3
-   line 15).  [Yield_local] is the classic backoff ladder; [No_yield] the
-   hot-spin ablation; the directed kinds additionally report the failed
-   steal to the preemption-gate controller, which applies the paper's
+   line 15).  [Yield_local] is the classic backoff ladder, starting with
+   an OS yield; [No_yield] the hot-spin ablation; with a gate attached,
+   the directed kinds swap the OS yield for a report to the
+   preemption-gate controller, which applies the paper's
    yieldToRandom/yieldToAll kernel-directive semantics (Section 4.4).
    Without a gate attached they behave exactly like [Yield_local]. *)
 type yield_kind = No_yield | Yield_local | Yield_to_random | Yield_to_all
@@ -395,15 +396,18 @@ module Impl (D : Spec.DETAILED) = struct
     Mutex.unlock sh.park_lock
 
   (* An empty-handed trip through the loop (Figure 3 line 15, extended):
-     stage 1 is the paper's yield between failed steal attempts; stage 2
-     a bounded exponential cpu_relax backoff; stage 3 parks until the
-     next push.  A spurious or stale wakeup only sends the thief around
-     the loop again.  With [No_yield] (the E12/E15 ablation) thieves
-     spin hot exactly as before: no yield, no backoff, no parking.
-     Under [Yield_to_random]/[Yield_to_all] with a gate attached, the
-     stage-1 yield is additionally reported to the gate controller,
-     which registers the paper's kernel-directive obligation and later
-     closes this worker's gate until the obligation discharges. *)
+     stage 1 is the paper's yield between failed steal attempts, a real
+     OS yield ([Clock.yield_cpu], i.e. sched_yield) so that a peer
+     preempted on this core runs now; stage 2 a bounded exponential
+     cpu_relax backoff; stage 3 parks until the next push.  A spurious
+     or stale wakeup only sends the thief around the loop again.  With
+     [No_yield] (the E12/E15 ablation) thieves spin hot: no yield, no
+     backoff, no parking.  Under [Yield_to_random]/[Yield_to_all] with
+     a gate attached, the gate controller plays the kernel: stage 1 is
+     a PAUSE plus a report to the controller, which registers the
+     paper's kernel-directive obligation and later closes this
+     worker's gate until the obligation discharges.  Without a gate a
+     directed kind is exactly [Yield_local]. *)
   let backoff_spin_cap = 6  (* at most 2^6 = 64 relaxes per failed trip *)
 
   let idle w =
@@ -414,12 +418,12 @@ module Impl (D : Spec.DETAILED) = struct
         let c = w.c in
         Counters.incr c Counters.yields;
         emit w Abp_trace.Event.Yield;
-        Domain.cpu_relax ();
         (match sh.gate with
         | Some g when kind = Yield_to_random || kind = Yield_to_all ->
             Counters.incr c Counters.directed_yields;
+            Domain.cpu_relax ();
             g.on_steal_fail w.id
-        | _ -> ());
+        | _ -> Abp_trace.Clock.yield_cpu ());
         let k = w.failed_steals in
         w.failed_steals <- k + 1;
         if k >= sh.park_threshold then park w

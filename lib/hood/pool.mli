@@ -22,7 +22,8 @@
       live on distinct cache lines ({!Abp_deque.Padding}) — no false
       sharing between the owner's pushes and the thieves' CASes.
     - An idle thief backs off adaptively: first the paper's Figure 3
-      yield ([Domain.cpu_relax]), then a bounded exponential spin, and
+      yield (an OS yield, {!Abp_trace.Clock.yield_cpu}), then a bounded
+      exponential spin, and
       after [park_threshold] consecutive empty-handed trips it parks on
       a condition variable until the next [push_task] (which wakes a
       parked thief with a single atomic read on the fast path) or
@@ -56,14 +57,19 @@ type yield_kind =
           no parking (the E12/E15 "no yield" ablation, and the paper's
           pathological configuration under an adversarial kernel) *)
   | Yield_local
-      (** the default: the Figure 3 yield ([Domain.cpu_relax]) followed
-          by bounded exponential backoff and parking *)
+      (** the default: the Figure 3 yield — [sched_yield] through
+          {!Abp_trace.Clock.yield_cpu}, so a peer the OS preempted on
+          this core runs now — followed by bounded exponential backoff
+          and parking *)
   | Yield_to_random
-      (** [Yield_local], plus each failed steal is reported to the
-          attached {!gate_hook} so the multiprogramming controller can
-          apply the paper's yieldToRandom kernel directive: the thief is
+      (** with a gate attached, each failed steal is reported to the
+          {!gate_hook} so the multiprogramming controller can apply the
+          paper's yieldToRandom kernel directive: the thief is
           descheduled until a random other process has been granted a
-          quantum.  Without a gate this is exactly [Yield_local]. *)
+          quantum.  The controller plays the kernel here, so stage 1 is
+          a PAUSE plus that report instead of an OS yield; backoff and
+          parking follow as under [Yield_local].  Without a gate this
+          is exactly [Yield_local]. *)
   | Yield_to_all
       (** as [Yield_to_random] but with the yieldToAll directive: the
           thief is descheduled until every other process has been

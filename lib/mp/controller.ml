@@ -2,6 +2,7 @@ module Pool = Abp_hood.Pool
 module Adversary = Abp_kernel.Adversary
 module Yield = Abp_kernel.Yield
 module Counters = Abp_trace.Counters
+module Clock = Abp_trace.Clock
 
 type t = {
   gate : Gate.t;
@@ -41,9 +42,15 @@ let progress c = Counters.(get c pops + get c stolen_tasks + get c inject_tasks)
 
 let quantum_step t prev_progress last_granted =
   (* Convert the thieves' directed yields into kernel obligations.
-     Only this domain touches the tracker, so no lock is needed. *)
+     Only this domain touches the tracker, so no lock is needed.  The
+     gate is cooperative, so a thief whose gate closed may still fail a
+     steal on its way to the next safe point; a process the kernel has
+     descheduled cannot yield, so that report is dropped.  Kept, it
+     could target another revoked thief that did the same, and the two
+     obligations would wait on each other forever. *)
   Array.iteri
-    (fun i pending -> if Atomic.exchange pending false then Yield.on_yield t.yield ~proc:i)
+    (fun i pending ->
+      if Atomic.exchange pending false && last_granted.(i) then Yield.on_yield t.yield ~proc:i)
     t.pending_yield;
   (* A yield was raised during the previous quantum, i.e. while
      [last_granted] was the set actually running — the analogue of the
@@ -53,7 +60,10 @@ let quantum_step t prev_progress last_granted =
      when they yielded, so both obligations clear.  Without this, a
      cycle leaves both permanently descheduled — [repair] waits for a
      target that [repair] itself keeps revoking — which on hardware is
-     a deadlock if one of them suspended mid-task at its gate. *)
+     a deadlock if one of them suspended mid-task at its gate.  With
+     both rules, every obligation's yielder ran in the quantum before
+     it was raised, which discharged any older obligation aimed at it,
+     so no cycle can form. *)
   Yield.note_scheduled t.yield last_granted;
   let p = Pool.size t.pool in
   let counters = Pool.counters t.pool in
@@ -87,26 +97,36 @@ let quantum_step t prev_progress last_granted =
   Atomic.incr t.quanta;
   popcount granted
 
+(* One step per quantum, on absolute deadlines: [Clock.sleep_until]
+   never returns early and runs with 1 ns timer slack, so a tick lands
+   within microseconds of its deadline instead of a whole default slack
+   (50 µs) late.  A step that overruns its quantum is not caught up
+   with a burst of back-to-back steps: the next deadline is clamped to
+   the present, and the schedule carries on from there. *)
 let loop t =
   let prev_progress = Array.make (Pool.size t.pool) 0 in
   (* Gates start open, so the window before the first step counts as
      fully granted. *)
   let last_granted = Array.make (Pool.size t.pool) true in
   let prev_granted = ref (Pool.size t.pool) in
-  let last = ref (Unix.gettimeofday ()) in
+  let quantum_ns = Clock.of_s t.quantum in
+  let last = ref (Clock.now ()) in
+  let next = ref !last in
   while not (Atomic.get t.stop_flag) do
-    let g = quantum_step t prev_progress last_granted in
-    let now = Unix.gettimeofday () in
-    (* Wall clock: an NTP step can make [now < !last]; clamp so a
-       backwards jump cannot drive the utilization integrals negative. *)
-    let dt = Float.max 0.0 (now -. !last) in
+    (* Stamp the step before it applies the new set: opening gates
+       wakes workers that can preempt this domain mid-step, and the
+       set takes effect as the first gate opens, not when the step
+       returns. *)
+    let now = Clock.now () in
+    let dt = Clock.to_s (now - !last) in
     Atomic.set t.time_total (Atomic.get t.time_total +. dt);
     Atomic.set t.time_procs (Atomic.get t.time_procs +. (float_of_int !prev_granted *. dt));
     Atomic.set t.time_hw
       (Atomic.get t.time_hw +. (float_of_int (min !prev_granted t.ncores) *. dt));
     last := now;
-    prev_granted := g;
-    Unix.sleepf t.quantum
+    prev_granted := quantum_step t prev_progress last_granted;
+    next := max (!next + quantum_ns) (Clock.now ());
+    Clock.sleep_until !next
   done
 
 let create ?(quantum = 1e-3) ?(yield = Yield.No_yield) ?ncores ?rng ~gate ~pool adversary =

@@ -1,7 +1,9 @@
 (** The kernel adversary, run against the real pool.
 
     A controller domain divides wall-clock time into {e quanta}
-    (default 1 ms).  Each quantum it rebuilds the adversary's view of
+    (default 1 ms), ticking on absolute deadlines through
+    {!Abp_trace.Clock.sleep_until}; a tick that overruns its quantum
+    re-anchors the schedule instead of catching up.  Each quantum it rebuilds the adversary's view of
     the scheduler, asks the {!Abp_kernel.Adversary} which workers the
     kernel deigns to run, repairs that set against outstanding yield
     obligations ({!Abp_kernel.Yield.repair}) and applies it to the
@@ -32,7 +34,11 @@
     next quantum the controller converts pending flags into kernel
     obligations ({!Abp_kernel.Yield.on_yield}), which [repair] then
     enforces: a yielding thief is descheduled in favour of the workers
-    it yielded to, exactly the substitution of Section 4.4. *)
+    it yielded to, exactly the substitution of Section 4.4.  A flag
+    raised by a worker that was not granted the last quantum (a
+    revoked thief still on its way to a safe point) is dropped: a
+    descheduled process cannot yield, and keeping such reports let
+    two revoked thieves hold obligations on each other forever. *)
 
 type t
 

@@ -10,6 +10,7 @@
 
 module Fiber = Abp_fiber.Fiber
 module Clock = Abp_trace.Clock
+module Log_histogram = Abp_stats.Log_histogram
 
 type t = {
   lock : Mutex.t;
@@ -20,9 +21,12 @@ type t = {
   mutable stopped : bool;
   mutable workers : unit Domain.t list;
   calls : int Atomic.t;
+  (* Fulfil time minus due time, in ns; shard i is written only by
+     backend domain i. *)
+  late : Log_histogram.Sharded.t;
 }
 
-let worker_loop b =
+let worker_loop b i =
   let rec loop () =
     Mutex.lock b.lock;
     while Queue.is_empty b.q && not b.stopped do
@@ -36,6 +40,7 @@ let worker_loop b =
       let due, fulfil = Queue.pop b.q in
       Mutex.unlock b.lock;
       Clock.sleep_until due;
+      Log_histogram.Sharded.record b.late ~shard:i (Clock.now () - due);
       fulfil ();
       loop ()
     end
@@ -52,9 +57,10 @@ let create ?(workers = 1) () =
       stopped = false;
       workers = [];
       calls = Atomic.make 0;
+      late = Log_histogram.Sharded.create ~shards:workers ();
     }
   in
-  b.workers <- List.init workers (fun _ -> Domain.spawn (fun () -> worker_loop b));
+  b.workers <- List.init workers (fun i -> Domain.spawn (fun () -> worker_loop b i));
   b
 
 let call b ~delay v =
@@ -72,6 +78,7 @@ let call b ~delay v =
   p
 
 let calls b = Atomic.get b.calls
+let lateness b = Log_histogram.Sharded.merged b.late
 
 let stop b =
   Mutex.lock b.lock;

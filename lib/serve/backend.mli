@@ -25,6 +25,16 @@ val call : t -> delay:float -> 'a -> 'a Abp_fiber.Fiber.Promise.t
 val calls : t -> int
 (** Total {!call}s accepted so far. *)
 
+val lateness : t -> Abp_stats.Log_histogram.t
+(** How late each fulfil came: fulfil time minus due time, in
+    nanoseconds, one sample per fulfilled call (recorded just before
+    the promise is fulfilled, so a call whose promise has resolved is
+    counted).  This is the timer's share of an await's latency, apart
+    from the scheduler's resume lag.  Never negative: the backend
+    sleeps with {!Abp_trace.Clock.sleep_until}, which never returns
+    early.  A fresh merge of the per-domain histograms; read it after
+    the calls of interest have resolved. *)
+
 val stop : t -> unit
 (** Stop accepting calls, fulfil everything still queued (honouring due
     times), and join the backend domains.  Every promise returned by

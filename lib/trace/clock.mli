@@ -27,7 +27,21 @@ val of_s : float -> int
 val to_ms : int -> float
 (** Nanoseconds to milliseconds. *)
 
-val sleep_until : int -> unit
-(** Sleep (via [Unix.sleepf]) until {!now} reaches the given absolute
-    timestamp; returns immediately if it already has.  Re-checks after
-    every wakeup, so an early [sleepf] return only re-sleeps. *)
+external sleep_until : int -> unit = "abp_clock_sleep_until"
+(** [sleep_until due] blocks the calling thread until {!now} reaches
+    the absolute timestamp [due]; returns at once if it already has.
+    One absolute [clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME)], so
+    it never returns early and a signal only resumes the same sleep.
+    On Linux the first call on a thread sets that thread's timer slack
+    to 1 ns ([prctl(PR_SET_TIMERSLACK)]): the default 50 µs slack
+    would otherwise make every wait overshoot by about that much.
+    Only threads that sleep through this function get the new slack;
+    other platforms fall back to a relative [nanosleep] loop.  The
+    runtime lock is released while sleeping, so a sleeping domain
+    never delays a stop-the-world collection. *)
+
+external yield_cpu : unit -> unit = "abp_clock_yield_cpu"
+(** Hand the processor back to the OS scheduler: [sched_yield()] with
+    the runtime lock released.  Unlike [Domain.cpu_relax] (a PAUSE the
+    OS never sees), another runnable thread on this core gets to run
+    now.  Costs one syscall when nothing else is runnable. *)

@@ -147,7 +147,7 @@ let hoodserve_sharded_json_schema () =
     (fun key ->
       Alcotest.(check bool) (Printf.sprintf "json has %s" key) true (contains s key))
     [
-      {|"schema":"hoodserve/5"|};
+      {|"schema":"hoodserve/6"|};
       {|"shards":3|};
       {|"affinity":"key"|};
       {|"conserved":true|};
@@ -158,6 +158,7 @@ let hoodserve_sharded_json_schema () =
       {|"inbox_depths"|};
       {|"throughput_rps"|};
       {|"await_depth":0|};
+      {|"backend_late_us_p50":null|};
       {|"suspended":0|};
       {|"suspensions":0|};
       {|"resumes":0|};
@@ -186,7 +187,7 @@ let hoodserve_await_json_schema () =
     (fun key ->
       Alcotest.(check bool) (Printf.sprintf "json has %s" key) true (contains s key))
     [
-      {|"schema":"hoodserve/5"|};
+      {|"schema":"hoodserve/6"|};
       {|"await_depth":2|};
       {|"backend_ms":0.200|};
       {|"conserved":true|};
@@ -198,7 +199,12 @@ let hoodserve_await_json_schema () =
       {|"suspensions":|};
       {|"resumes":|};
       {|"suspended_peak":|};
-    ]
+      (* one lateness sample per backend fulfil, so never null here *)
+      {|"backend_late_us_p50":|};
+      {|"backend_late_us_p99":|};
+    ];
+  Alcotest.(check bool) "backend lateness reported" false
+    (contains s {|"backend_late_us_p50":null|})
 
 (* Open-loop lanes run: requests arrive on a Poisson clock split across
    the bulk and deadline lanes, and the JSON must carry the per-lane
@@ -222,7 +228,7 @@ let hoodserve_open_loop_lanes_json_schema () =
     (fun key ->
       Alcotest.(check bool) (Printf.sprintf "json has %s" key) true (contains s key))
     [
-      {|"schema":"hoodserve/5"|};
+      {|"schema":"hoodserve/6"|};
       {|"lanes":true|};
       {|"open_loop":true|};
       {|"arrival":"poisson"|};

@@ -480,6 +480,22 @@ let backend_basics () =
     (Invalid_argument "Backend.create: workers >= 1 required") (fun () ->
       ignore (Backend.create ~workers:0 ()))
 
+(* Every fulfil is recorded once, and none is early: a negative sample
+   (counted in [underflow]) would mean a promise resolved before its
+   due time. *)
+let backend_lateness_recorded () =
+  let b = Backend.create ~workers:2 () in
+  Fun.protect
+    ~finally:(fun () -> Backend.stop b)
+    (fun () ->
+      let n = 200 in
+      let ps = List.init n (fun i -> Backend.call b ~delay:(1e-5 *. float_of_int (i mod 30)) i) in
+      Alcotest.(check bool) "all settled" true
+        (eventually (fun () -> List.for_all Promise.is_resolved ps));
+      let h = Backend.lateness b in
+      Alcotest.(check int) "one sample per call" n (Abp_stats.Log_histogram.count h);
+      Alcotest.(check int) "no early fulfil" 0 (Abp_stats.Log_histogram.underflow h))
+
 let counters_balance_under_async_load () =
   let s = Shard.create ~processes:(procs ()) ~inbox_capacity:256 ~shards:1 () in
   let b = Backend.create ~workers:2 () in
@@ -576,6 +592,8 @@ let tests =
     Alcotest.test_case "serve: extended identity mid-flight + collapse at drain" `Quick
       serve_suspended_identity_midflight;
     Alcotest.test_case "backend simulator basics" `Quick backend_basics;
+    Alcotest.test_case "backend lateness: one sample per call, none early" `Quick
+      backend_lateness_recorded;
     Alcotest.test_case "counters balance under async load" `Quick
       counters_balance_under_async_load;
     Alcotest.test_case "shard: async admission conserves" `Quick shard_async_conservation;

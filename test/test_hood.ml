@@ -195,6 +195,44 @@ let all_deque_impls_compute_fib () =
           Alcotest.(check int) (name ^ " fib 20") (fib_seq 20) got))
     [ ("abp", Pool.Abp); ("circular", Pool.Circular); ("locked", Pool.Locked) ]
 
+(* An associative but non-commutative monoid over index intervals:
+   combining [i, j) with [j, k) gives [i, k), anything out of order is
+   [Disordered].  A reduction that permutes or drops an element cannot
+   come out as the full interval. *)
+type span = Empty | Span of int * int | Disordered
+
+let span_combine a b =
+  match (a, b) with
+  | Empty, x | x, Empty -> x
+  | Span (i, j), Span (j', k) when j = j' -> Span (i, k)
+  | _ -> Disordered
+
+let parallel_reduce_keeps_order () =
+  let n = 20_000 in
+  List.iter
+    (fun (name, deque_impl) ->
+      List.iter
+        (fun processes ->
+          let pool = Pool.create ~processes ~deque_impl () in
+          Fun.protect
+            ~finally:(fun () -> Pool.shutdown pool)
+            (fun () ->
+              List.iter
+                (fun grain ->
+                  let got =
+                    Pool.run pool (fun () ->
+                        Par.parallel_reduce ?grain ~lo:0 ~hi:n ~init:Empty
+                          ~combine:span_combine (fun i -> Span (i, i + 1)))
+                  in
+                  let label =
+                    Printf.sprintf "%s P=%d grain %s" name processes
+                      (match grain with None -> "lazy" | Some g -> string_of_int g)
+                  in
+                  Alcotest.(check bool) label true (got = Span (0, n)))
+                [ None; Some 64 ]))
+        [ 1; 2 ])
+    [ ("abp", Pool.Abp); ("circular", Pool.Circular); ("locked", Pool.Locked) ]
+
 let circular_impl_survives_deep_spawns () =
   (* The ABP deque would need capacity planning here; the circular one
      grows on demand from a tiny initial buffer. *)
@@ -334,6 +372,7 @@ let tests =
     Alcotest.test_case "parallel_for covers range" `Quick parallel_for_covers_range;
     Alcotest.test_case "parallel_for empty range" `Quick parallel_for_empty_range;
     Alcotest.test_case "parallel_reduce sum" `Quick parallel_reduce_sum;
+    Alcotest.test_case "parallel_reduce keeps order" `Quick parallel_reduce_keeps_order;
     Alcotest.test_case "parallel_map" `Quick parallel_map_matches;
     Alcotest.test_case "parallel_map: f exactly once (effectful)" `Quick
       parallel_map_applies_f_exactly_once;

@@ -163,6 +163,29 @@ let hood_events_use_the_monotonic_clock () =
           e.Event.time before after)
     events
 
+(* [Clock.sleep_until] is one absolute clock_nanosleep: it may return
+   late (the OS decides when the thread runs again) but never before
+   its deadline, whatever the delay. *)
+let sleep_until_never_early () =
+  let module Clock = Abp_trace.Clock in
+  for i = 0 to 199 do
+    let delay_ns = 1000 * (20 + (i * 137 mod 281)) in
+    let due = Clock.now () + delay_ns in
+    Clock.sleep_until due;
+    let woke = Clock.now () in
+    if woke < due then Alcotest.failf "sleep %d (%d ns) woke %d ns early" i delay_ns (due - woke)
+  done
+
+(* A deadline already passed returns without sleeping.  The bound is
+   loose (a preempted test thread can lose a timeslice); a past due time
+   mistaken for a far-future one would block for seconds or forever. *)
+let sleep_until_past_returns () =
+  let module Clock = Abp_trace.Clock in
+  let t0 = Clock.now () in
+  List.iter Clock.sleep_until [ t0 - 1_000_000_000; t0; 0; min_int ];
+  let took = Clock.now () - t0 in
+  Alcotest.(check bool) (Printf.sprintf "returned at once (%d ns)" took) true (took < 50_000_000)
+
 let sink_wrong_width_rejected () =
   let dag = Generators.chain ~n:4 in
   let sink = Sink.create ~workers:3 () in
@@ -426,6 +449,9 @@ let tests =
     Alcotest.test_case "event ring bounds retention and counts drops" `Quick
       ring_bounds_and_counts_drops;
     Alcotest.test_case "sink width mismatch rejected" `Quick sink_wrong_width_rejected;
+    Alcotest.test_case "Clock.sleep_until never returns early" `Quick sleep_until_never_early;
+    Alcotest.test_case "Clock.sleep_until on a past deadline returns at once" `Quick
+      sleep_until_past_returns;
     Alcotest.test_case "hood events stamped with the monotonic clock" `Quick
       hood_events_use_the_monotonic_clock;
     Alcotest.test_case "chrome + report exporters render" `Quick exporters_render;
