@@ -17,8 +17,9 @@ let scenarios =
 
 (* The fiber promise protocol is a different machine from the deque
    explorer (awaiters/fulfiller instead of owner/thieves), so the
-   [fiber_await] scenario gets its own dispatch: exhaustive
-   exactly-once-resumption check at 1..3 racing awaiters. *)
+   [fiber_await] scenario gets its own dispatch (as does [future_cell],
+   below): exhaustive exactly-once-resumption check at 1..3 racing
+   awaiters. *)
 let run_fiber_await () =
   let any_violation = ref false in
   List.iter
@@ -36,10 +37,28 @@ let run_fiber_await () =
     [ 1; 2; 3 ];
   !any_violation
 
+(* The lean future's cell protocol ([future_cell]): one executor
+   publishes while 1..3 forcers race to install the promise; both the
+   direct-value and the installed-promise paths must be reachable. *)
+let run_future_cell () =
+  let any_violation = ref false in
+  List.iter
+    (fun k ->
+      let r = Abp.Future_model.explore ~forcers:k in
+      Format.printf "%-16s (%d forcers + 1 executor): %a@." "future_cell" k
+        Abp.Future_model.pp_report r;
+      if r.Abp.Future_model.violations <> [] then any_violation := true;
+      if r.Abp.Future_model.direct_gets = 0 || r.Abp.Future_model.promise_gets = 0 then begin
+        Format.printf "future_cell: path coverage incomplete at %d forcers@." k;
+        any_violation := true
+      end)
+    [ 1; 2; 3 ];
+  !any_violation
+
 let run scenario tag_width =
   let deque_chosen =
     if scenario = "all" then scenarios
-    else if scenario = "fiber_await" then []
+    else if scenario = "fiber_await" || scenario = "future_cell" then []
     else
       match List.assoc_opt scenario scenarios with
       | Some p -> [ (scenario, p) ]
@@ -56,6 +75,8 @@ let run scenario tag_width =
     deque_chosen;
   if scenario = "all" || scenario = "fiber_await" then
     if run_fiber_await () then any_violation := true;
+  if scenario = "all" || scenario = "future_cell" then
+    if run_future_cell () then any_violation := true;
   if !any_violation then exit 2
 
 let cmd =
@@ -63,7 +84,7 @@ let cmd =
     Arg.(
       value
       & opt string "all"
-      & info [ "scenario" ] ~doc:"all|aba|wraparound|two-thieves|owner-vs-thief|fiber_await")
+      & info [ "scenario" ] ~doc:"all|aba|wraparound|two-thieves|owner-vs-thief|fiber_await|future_cell")
   in
   let tag_width =
     Arg.(

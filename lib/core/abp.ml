@@ -27,7 +27,8 @@
       one-shot continuation on the promise and returns the worker to
       the Figure 3 loop, and [fulfil] re-injects the continuation as an
       ordinary task.  {!Fiber_model} exhaustively model-checks the
-      park/fulfil race for exactly-once resumption.
+      park/fulfil race for exactly-once resumption, and
+      {!Future_model} the lean future's publish/install race.
     - {!Serve}, {!Injector}, {!Shard}: the serving layer — external
       task submission from arbitrary domains through a bounded
       multi-producer injector inbox, with admission control
@@ -105,6 +106,7 @@ module Run_result = Abp_sim.Run_result
 module Explorer = Abp_mcheck.Explorer
 module Wsm_explorer = Abp_mcheck.Wsm_explorer
 module Fiber_model = Abp_mcheck.Fiber_model
+module Future_model = Abp_mcheck.Future_model
 module Mcheck_props = Abp_mcheck.Props
 
 (* Telemetry *)

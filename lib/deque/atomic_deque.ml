@@ -157,6 +157,6 @@ let bot_of t = Atomic.get t.bot
 
 let size t =
   let b = bot_of t and tp = top_of t in
-  max 0 (b - tp)
+  Int.max 0 (b - tp)
 
 let is_empty t = size t = 0

@@ -228,7 +228,7 @@ let pop_top_n t n =
 
 let size t =
   let b = Atomic.get t.bottom and tp = Atomic.get t.top in
-  max 0 (b - tp)
+  Int.max 0 (b - tp)
 
 let is_empty t = size t = 0
 let capacity t = (Atomic.get t.active).mask + 1

@@ -115,6 +115,10 @@ type _ Effect.t +=
    over the helping loop. *)
 let ctx_key = Domain.DLS.new_key (fun () -> ref false)
 
+type flag = bool ref
+
+let context_flag () = Domain.DLS.get ctx_key
+let[@inline] flag_set (f : flag) = !f
 let in_context () = !(Domain.DLS.get ctx_key)
 
 let with_ctx_flag f =

@@ -110,4 +110,17 @@ val spawn : (unit -> 'a) -> 'a Promise.t
 val in_context : unit -> bool
 (** [true] while the calling code runs under a {!run} handler on this
     domain (including resumed continuations).  [Hood.Future.force]
-    uses this to choose suspension over its helping-loop fallback. *)
+    reads this flag (through {!flag_set}) to choose suspension over its
+    helping-loop fallback. *)
+
+type flag
+(** One domain's fiber-context flag, the cell {!in_context} reads. *)
+
+val context_flag : unit -> flag
+(** The calling domain's flag, for a runtime that keeps per-domain
+    state: Hood's worker record caches it so that [Future.force] tests
+    the flag without a second domain-local-storage lookup. *)
+
+val flag_set : flag -> bool
+(** [flag_set (context_flag ())] = [in_context ()], on the domain the
+    flag was taken from. *)

@@ -28,7 +28,7 @@ let rec lazy_for_go f lo hi w =
     Future.force right
   end
   else begin
-    let stop = min hi (lo + lazy_chunk) in
+    let stop = Int.min hi (lo + lazy_chunk) in
     for i = lo to stop - 1 do
       f i
     done;
@@ -72,7 +72,7 @@ let rec lazy_reduce_go ~init ~combine map acc lo hi w =
     combine left_v (Future.force right)
   end
   else begin
-    let stop = min hi (lo + lazy_chunk) in
+    let stop = Int.min hi (lo + lazy_chunk) in
     let acc = ref acc in
     for i = lo to stop - 1 do
       acc := combine !acc (map i)
@@ -143,7 +143,7 @@ let nqueens n =
       placement;
     !ok
   in
-  let cutoff = max 0 (n - 3) in
+  let cutoff = Int.max 0 (n - 3) in
   let rec count placement =
     let row = Array.length placement in
     if row = n then 1

@@ -148,11 +148,14 @@ let note_deadline_miss () =
   | Some c -> Counters.incr c Counters.deadline_misses
   | None -> ()
 
-(* The whole scheduling loop is a functor over the deque signature: each
-   instantiation's [push_bottom]/[pop_*_detailed] are direct, statically
-   known calls (monomorphic, inlinable), where the previous design paid
-   an indirect call through a closure record for every deque method.
-   The Abp/Circular/Locked selection happens once, at [create]. *)
+(* The whole scheduling loop is a functor over the deque signature,
+   instantiated once per deque.  The Abp/Circular/Locked selection
+   happens once, at [create]; after that each public entry point below
+   costs one dispatch branch.  Inside the functor a deque method is
+   still a closure call: without flambda the compiler neither
+   specializes nor inlines a functor body, so [push_task] reaches
+   [D.push_bottom] through [caml_apply2] and [D.size] through an
+   indirect call.  Inlining them would need flambda. *)
 module Impl (D : Spec.DETAILED) = struct
   type t = { shared : shared; deques : (unit -> unit) D.t array }
 
@@ -161,6 +164,9 @@ module Impl (D : Spec.DETAILED) = struct
     id : int;
     rng_state : Abp_stats.Rng.t;
     c : Counters.t;  (* own padded record, hoisted out of the loops *)
+    in_fiber : Fiber.flag;
+        (* this domain's fiber-context flag (a worker record is made on
+           its own domain and used only there) *)
     mutable failed_steals : int;
         (* consecutive empty-handed trips through the worker loop;
            resets on any acquired task, drives the backoff *)
@@ -172,6 +178,7 @@ module Impl (D : Spec.DETAILED) = struct
       id;
       rng_state = Abp_stats.Rng.create ~seed:(Int64.of_int (0x9E36 + id)) ();
       c = pool.shared.counters.(id);
+      in_fiber = Fiber.context_flag ();
       failed_steals = 0;
     }
 
@@ -428,7 +435,7 @@ module Impl (D : Spec.DETAILED) = struct
         w.failed_steals <- k + 1;
         if k >= sh.park_threshold then park w
         else
-          for _ = 1 to 1 lsl min k backoff_spin_cap do
+          for _ = 1 to 1 lsl Int.min k backoff_spin_cap do
             Domain.cpu_relax ()
           done
 
@@ -536,9 +543,9 @@ let successful_steals t = total t Counters.successful_steals
 let counters t = (shared_of t).counters
 let parked_workers t = Atomic.get (shared_of t).n_parked
 
-(* The per-task dispatch: a three-way branch to the monomorphic
-   implementation (the deque methods inside each branch are direct
-   calls), replacing the old per-deque-method indirect calls. *)
+(* The per-task dispatch: a three-way branch to the functor instance
+   for the pool's deque (inside it, each deque method is a closure
+   call; see [Impl]). *)
 let push_task w task =
   match w with
   | Abp_worker w -> Abp_impl.push_task w task
@@ -565,6 +572,13 @@ let checkpoint = function
   | Abp_worker w -> Abp_impl.checkpoint w
   | Circular_worker w -> Circular_impl.checkpoint w
   | Locked_worker w -> Locked_impl.checkpoint w
+
+(* [Fiber.in_context ()] for the calling worker, without the DLS
+   lookup. *)
+let in_fiber = function
+  | Abp_worker w -> Fiber.flag_set w.Abp_impl.in_fiber
+  | Circular_worker w -> Fiber.flag_set w.Circular_impl.in_fiber
+  | Locked_worker w -> Fiber.flag_set w.Locked_impl.in_fiber
 
 let worker_counters = function
   | Abp_worker w -> w.Abp_impl.c
@@ -728,7 +742,7 @@ let create ?processes ?deque_capacity ?(yield_kind = Yield_local)
   if park_threshold < 0 then invalid_arg "Pool.create: park_threshold >= 0 required";
   if batch < 0 then invalid_arg "Pool.create: batch >= 0 required";
   (* 0 and 1 both mean classic single-task transfer. *)
-  let batch = max 1 batch in
+  let batch = Int.max 1 batch in
   (match trace with
   | Some s when Sink.workers s <> processes ->
       invalid_arg "Pool.create: trace sink must have one worker per process"

@@ -11,9 +11,15 @@
 
     {2 Hot-path design}
 
-    - The scheduling loop is compiled once per deque implementation (a
-      functor over {!Abp_deque.Spec.DETAILED}), so every deque method is
-      a direct, monomorphic call — no closure-record indirection.
+    - The scheduling loop is a functor over {!Abp_deque.Spec.DETAILED},
+      instantiated once per deque implementation: an operation costs
+      one dispatch branch on the pool's deque kind, and each deque
+      method inside it is a closure call: without flambda a functor
+      body is not inlined, so neither are the deque methods.
+    - No generic comparison on the owner path: the deques' [size], the
+      lazy [Par] loops and the backoff use int-typed [Int.min]/[Int.max]
+      (CI's "No generic compare on the owner path" step checks the
+      release objects).
     - All steal accounting is per-worker, in cache-line-padded
       {!Abp_trace.Counters} records: a steal attempt (successful or
       failed) writes no shared atomic.  The aggregate accessors below
@@ -343,6 +349,11 @@ val pop_own : worker -> (unit -> unit) -> bool
     holds; [false] also when the deque is empty or the pop lost its
     last task to a thief (counted in [cas_failures_pop_bottom]).  No
     synchronization beyond the deque's own last-element case. *)
+
+val in_fiber : worker -> bool
+(** [Fiber.in_context ()] for the calling domain's own worker, read
+    from a flag the worker record caches, without a domain-local-storage
+    lookup. *)
 
 val relax : unit -> unit
 

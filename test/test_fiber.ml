@@ -316,6 +316,111 @@ let future_inline_child_awaits deque_impl () =
       Alcotest.(check int) "one resume" 1 res;
       check_conserved pool)
 
+(* A second task forces a future while its spawner is inlining it.  The
+   inlined child awaits an external promise, which parks it together
+   with its spawner; the worker then runs the second task, whose force
+   finds the cell unpublished and installs the future's promise.  The
+   child's publish must fulfil that promise: both forcers get the same
+   value.  Three suspensions: spawner+child, the second forcer, and the
+   spawner's join of the second task (its continuation sits on the
+   bottom, a miss). *)
+let forced_during_inline deque_impl child_outcome =
+  with_pool1 deque_impl (fun pool ->
+      let p = Promise.create () in
+      let helper =
+        Domain.spawn (fun () ->
+            ignore (eventually (fun () -> Pool.suspended pool >= 2));
+            Promise.fulfil p 41)
+      in
+      let seen_by_second = ref true and seen_by_child = ref true in
+      let outcome f = match Future.force f with v -> Ok v | exception e -> Error e in
+      let first, second =
+        Pool.run pool (fun () ->
+            let fut = ref None in
+            let second =
+              Future.spawn (fun () ->
+                  let f = Option.get !fut in
+                  seen_by_second := Future.is_resolved f;
+                  outcome f)
+            in
+            let f =
+              Future.spawn (fun () ->
+                  let v = Fiber.await p in
+                  seen_by_child := Future.is_resolved (Option.get !fut);
+                  child_outcome v)
+            in
+            fut := Some f;
+            let first = outcome f in
+            (first, Future.force second))
+      in
+      Domain.join helper;
+      Alcotest.(check bool) "second forcer found the future pending" false !seen_by_second;
+      Alcotest.(check bool) "pending while the child still runs" false !seen_by_child;
+      let _, _, _, susp, res = pool_totals pool in
+      Alcotest.(check int) "three suspensions" 3 susp;
+      Alcotest.(check int) "three resumes" 3 res;
+      check_conserved pool;
+      (first, second))
+
+let future_forced_during_inline deque_impl () =
+  match forced_during_inline deque_impl (fun v -> string_of_int (v + 1)) with
+  | Ok a, Ok b ->
+      Alcotest.(check string) "spawner's value" "42" a;
+      Alcotest.(check bool) "second forcer got the same value" true (a == b)
+  | _ -> Alcotest.fail "both forcers should get the value"
+
+let future_forced_during_inline_raises deque_impl () =
+  let raised = Failure "inlined child" in
+  match forced_during_inline deque_impl (fun _ -> raise raised) with
+  | Error a, Error b ->
+      Alcotest.(check bool) "spawner re-raised the child's exception" true (a == raised);
+      Alcotest.(check bool) "second forcer re-raised the same value" true (b == raised)
+  | _ -> Alcotest.fail "both forcers should re-raise"
+
+(* A second force reads the published cell: the same value, whether the
+   first join ran inline or waited on the promise. *)
+let future_forced_twice deque_impl () =
+  with_pool1 deque_impl (fun pool ->
+      let inline_twice, waited_twice =
+        Pool.run pool (fun () ->
+            let f = Future.spawn (fun () -> ref 1) in
+            let a = Future.force f in
+            let inline_twice = a == Future.force f in
+            let fa = Future.spawn (fun () -> ref 2) in
+            let fb = Future.spawn (fun () -> ref 3) in
+            let a = Future.force fa in
+            let waited_twice = a == Future.force fa in
+            ignore (Future.force fb);
+            (inline_twice, waited_twice))
+      in
+      Alcotest.(check bool) "inline join, forced twice" true inline_twice;
+      Alcotest.(check bool) "waited join, forced twice" true waited_twice;
+      check_conserved pool)
+
+(* [is_resolved] before and after the join, on both resolved shapes: a
+   cell the task published into, and an installed promise it
+   fulfilled. *)
+let future_is_resolved deque_impl () =
+  with_pool1 deque_impl (fun pool ->
+      let before, after, waited, other =
+        Pool.run pool (fun () ->
+            let f = Future.spawn (fun () -> 1) in
+            let before = Future.is_resolved f in
+            ignore (Future.force f);
+            let after = Future.is_resolved f in
+            let fa = Future.spawn (fun () -> 2) in
+            let fb = Future.spawn (fun () -> 3) in
+            ignore (Future.force fa);
+            let waited = Future.is_resolved fa and other = Future.is_resolved fb in
+            ignore (Future.force fb);
+            (before, after, waited, other))
+      in
+      Alcotest.(check bool) "pending before the join" false before;
+      Alcotest.(check bool) "resolved after an inline join" true after;
+      Alcotest.(check bool) "resolved after a waited join" true waited;
+      Alcotest.(check bool) "the younger sibling ran first" true other;
+      check_conserved pool)
+
 let work_first_tests =
   List.concat_map
     (fun (name, impl) ->
@@ -327,6 +432,10 @@ let work_first_tests =
         case "miss pushes back and suspends" future_miss_suspends;
         case "inline child's exception re-raised" future_inline_exception;
         case "inlined child awaits with its parent" future_inline_child_awaits;
+        case "second forcer during an inline join" future_forced_during_inline;
+        case "second forcer during a raising inline join" future_forced_during_inline_raises;
+        case "forced twice returns the same value" future_forced_twice;
+        case "is_resolved before and after the join" future_is_resolved;
       ])
     deque_impls
 

@@ -222,6 +222,28 @@ let fiber_await_rejects_zero_awaiters () =
     (Invalid_argument "Fiber_model.explore: need at least one awaiter") (fun () ->
       ignore (Fiber_model.explore ~awaiters:0))
 
+(* Lean future cell: every interleaving of k forcers racing to install
+   a promise while the executor publishes delivers the value to each
+   forcer exactly once and parks none forever.  Both delivery paths
+   (the executor's CAS wins and forcers read the cell; a forcer's
+   install wins and the executor fulfils the promise) must be
+   reachable, or the model is not exercising the race. *)
+let future_cell_exactly_once () =
+  List.iter
+    (fun k ->
+      let name = Printf.sprintf "future_cell k=%d" k in
+      let r = Future_model.explore ~forcers:k in
+      Alcotest.(check (list string)) (name ^ ": no violations") [] r.Future_model.violations;
+      Alcotest.(check bool) (name ^ ": terminal states") true (r.Future_model.complete_executions > 0);
+      Alcotest.(check bool) (name ^ ": direct path reached") true (r.Future_model.direct_gets > 0);
+      Alcotest.(check bool) (name ^ ": promise path reached") true (r.Future_model.promise_gets > 0))
+    [ 1; 2; 3 ]
+
+let future_cell_rejects_zero_forcers () =
+  Alcotest.check_raises "k=0 rejected"
+    (Invalid_argument "Future_model.explore: need at least one forcer") (fun () ->
+      ignore (Future_model.explore ~forcers:0))
+
 let prop_random_programs_safe =
   QCheck2.Test.make ~name:"random programs meet relaxed semantics" ~count:25
     QCheck2.Gen.(triple (int_range 1 1000) (int_range 1 5) (int_range 0 2))
@@ -258,5 +280,9 @@ let tests =
       fiber_await_exactly_once;
     Alcotest.test_case "fiber_await: rejects zero awaiters" `Quick
       fiber_await_rejects_zero_awaiters;
+    Alcotest.test_case "future_cell: every forcer gets the value exactly once" `Quick
+      future_cell_exactly_once;
+    Alcotest.test_case "future_cell: rejects zero forcers" `Quick
+      future_cell_rejects_zero_forcers;
     QCheck_alcotest.to_alcotest prop_random_programs_safe;
   ]
