@@ -129,7 +129,6 @@ module Central_pool = Abp_hood.Central_pool
 module Serve = Abp_serve.Serve
 module Injector = Abp_serve.Injector
 module Shard = Abp_serve.Shard
-module Supervisor = Abp_serve.Supervisor
 module Backend = Abp_serve.Backend
 
 (* Multiprogramming harness: the kernel adversary on hardware *)

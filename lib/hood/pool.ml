@@ -102,14 +102,6 @@ type shared = {
   resume_lock : Mutex.t;
   resume_q : (unit -> unit) Queue.t;
   resume_n : int Atomic.t;
-  (* Elastic quiesce ([Abp_serve.Supervisor]): when set, continuations
-     bound for this pool's resume inbox are handed to the closure
-     instead (the adopting pool's [resume_external]).  Read and written
-     only under [resume_lock], so installation atomically splits the
-     stream: everything queued before the install is drained by
-     [redirect_resumes] itself, everything after goes through the
-     forwarder — no continuation is ever stranded in between. *)
-  mutable resume_redirect : ((unit -> unit) -> unit) option;
   (* Continuations currently parked on promises under this pool's
      handler: the gauge behind the await-aware conservation invariant
      and the [suspended_peak] counter. *)
@@ -651,26 +643,14 @@ let emit_fiber_event arg =
    — the same lost-wakeup argument as [push_task]/[wake_waiters]. *)
 let resume_push sh k =
   Mutex.lock sh.resume_lock;
-  match sh.resume_redirect with
-  | Some fwd ->
-      (* Quiesced pool: hand the continuation to the adopter.  [fwd]
-         runs outside our lock (it takes the target pool's own
-         [resume_lock], never nested with ours).  Redirect chains
-         (i -> j -> k when the adopter itself later quiesced) terminate
-         as long as forwarders always point at a pool that was active
-         at install time and are cleared before reactivation — the
-         supervisor's invariant. *)
-      Mutex.unlock sh.resume_lock;
-      fwd k
-  | None ->
-      Queue.push k sh.resume_q;
-      Atomic.incr sh.resume_n;
-      Mutex.unlock sh.resume_lock;
-      if Atomic.get sh.n_parked > 0 then begin
-        Mutex.lock sh.park_lock;
-        Condition.broadcast sh.park_cond;
-        Mutex.unlock sh.park_lock
-      end
+  Queue.push k sh.resume_q;
+  Atomic.incr sh.resume_n;
+  Mutex.unlock sh.resume_lock;
+  if Atomic.get sh.n_parked > 0 then begin
+    Mutex.lock sh.park_lock;
+    Condition.broadcast sh.park_cond;
+    Mutex.unlock sh.park_lock
+  end
 
 (* The pool's fiber scheduler — the [sched] record [Fiber.run] is
    parameterized by, installed around every task body by [exec].  The
@@ -774,7 +754,6 @@ let create ?processes ?deque_capacity ?(yield_kind = Yield_local)
       resume_lock;
       resume_q;
       resume_n;
-      resume_redirect = None;
       n_suspended = Padding.atomic 0;
       fsched = Fiber.inline_sched;
     }
@@ -838,28 +817,6 @@ let wake pool =
     Condition.broadcast sh.park_cond;
     Mutex.unlock sh.park_lock
   end
-
-let resume_external pool k = resume_push (shared_of pool) k
-
-let redirect_resumes pool fwd =
-  let sh = shared_of pool in
-  Mutex.lock sh.resume_lock;
-  sh.resume_redirect <- Some fwd;
-  (* Drain what was queued before the install under the same lock hold,
-     so no continuation can slip between "redirect on" and "queue
-     empty": anything pushed after this point goes through [fwd] in
-     [resume_push] itself. *)
-  let pending = Queue.create () in
-  Queue.transfer sh.resume_q pending;
-  Atomic.set sh.resume_n 0;
-  Mutex.unlock sh.resume_lock;
-  Queue.iter fwd pending
-
-let clear_resume_redirect pool =
-  let sh = shared_of pool in
-  Mutex.lock sh.resume_lock;
-  sh.resume_redirect <- None;
-  Mutex.unlock sh.resume_lock
 
 let run pool f =
   let sh = shared_of pool in

@@ -261,32 +261,6 @@ val wake : t -> unit
     the pool's [sources] non-empty so a fully parked pool notices the
     new work. *)
 
-val resume_external : t -> (unit -> unit) -> unit
-(** [resume_external t k] enqueues the ready continuation [k] on [t]'s
-    fiber resume inbox and wakes parked thieves — the same path an
-    off-pool {!Abp_fiber.Promise} fulfil takes.  Safe from any domain.
-    Honors [t]'s resume redirect when one is installed (see
-    {!redirect_resumes}), so a forwarder may target a pool that has
-    itself been quiesced in the meantime. *)
-
-val redirect_resumes : t -> ((unit -> unit) -> unit) -> unit
-(** [redirect_resumes t fwd] installs [fwd] as the destination for every
-    continuation subsequently bound for [t]'s resume inbox, and
-    forwards anything already queued through [fwd] before returning —
-    atomically with the installation, so no continuation is stranded in
-    the window.  The elastic supervisor's migration primitive: [fwd] is
-    typically [resume_external target] plus accounting.  [fwd] must not
-    re-enter [t]'s own inbox (the supervisor points it at a pool that
-    is active at install time and clears it before reactivating [t]).
-    Workers of [t] keep running; only the {e external-fulfil} resume
-    path is re-homed — a fulfil performed on a worker still pushes onto
-    that worker's own deque. *)
-
-val clear_resume_redirect : t -> unit
-(** Remove the redirect installed by {!redirect_resumes} (no-op when
-    none): new off-pool resumes land in [t]'s own inbox again.  Must be
-    called before [t] is put back into admission rotation. *)
-
 val steal_from : t -> victim:int -> max:int -> (unit -> unit) list
 (** [steal_from t ~victim ~max] is the external steal entry point: take
     up to [max] tasks off worker [victim]'s deque top, subject to the
@@ -367,10 +341,10 @@ val run_task : worker -> (unit -> unit) -> unit
 
 val fiber_sched : t -> Abp_fiber.Fiber.sched
 (** The pool's fiber scheduler: ready continuations are pushed onto the
-    current worker's deque (when scheduled from a worker — of this pool
-    or, after a cross-shard migration, another) or enqueued on the
-    pool's resume inbox and parked thieves woken (when scheduled from
-    an external domain, e.g. a backend fulfilling a promise).  Layers
+    current worker's deque (when scheduled from a worker of any pool)
+    or enqueued on the pool's resume inbox and parked thieves woken
+    (when scheduled from an external domain, e.g. a backend fulfilling
+    a promise).  Layers
     installing their own handler around task bodies ({!Abp_serve.Serve})
     wrap this record's hooks so the pool's gauge and telemetry keep
     counting. *)

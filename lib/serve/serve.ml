@@ -484,10 +484,6 @@ let drain s =
 
 let stop_admission s = Atomic.set s.admitting false
 
-(* Reopen admission on a quiesced-then-reactivated micropool.  Refuses
-   to resurrect one whose workers were joined. *)
-let resume_admission s = if not (Atomic.get s.stopped) then Atomic.set s.admitting true
-
 (* Another shard's thief takes up to [n] queued jobs, deadline lane
    first (in EDF order) — a cross-shard relief thief must not grab bulk
    work while deadline-class requests queue behind it.  The jobs keep

@@ -193,10 +193,6 @@ val stop_admission : t -> unit
 (** Stop admission only: later submissions are [Draining]-refused,
     accepted work keeps running.  Idempotent. *)
 
-val resume_admission : t -> unit
-(** Reopen admission after {!stop_admission} — {!Shard.reactivate}'s
-    path.  A no-op once workers have been joined.  Idempotent. *)
-
 val join_workers : t -> unit
 (** Stop admission and join this micropool's worker domains {e without}
     dropping queued tasks: a sibling shard may still cross-steal them.

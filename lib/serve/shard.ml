@@ -14,22 +14,6 @@ type t = {
      shard each accepted submission was routed to.  One padded atomic per
      shard — submitters from many domains bump them concurrently. *)
   routed : int Atomic.t array;
-  (* Elastic routing table: the sorted indices of the currently active
-     shards.  Routing snapshots the whole array through one atomic read
-     (rendezvous-safe: a submitter always sees a coherent table, never a
-     half-swapped one), and [quiesce]/[reactivate] publish a fresh array
-     under [resize_lock].  Initially all of [0 .. shards-1]. *)
-  active : int array Atomic.t;
-  (* Per-shard liveness for the cross-steal policy (kept in sync with
-     [active] under [resize_lock]): a quiesced shard's thieves stop
-     crossing the boundary as thieves, while remaining valid VICTIMS so
-     siblings help drain stragglers. *)
-  live : bool Atomic.t array;
-  (* Serializes quiesce/reactivate against each other and against
-     drain/shutdown ([closing] is raised under this lock, after which
-     resizes refuse). *)
-  resize_lock : Mutex.t;
-  closing : bool Atomic.t;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -98,10 +82,10 @@ let deadline_relief serves st my k quota =
   in
   scan 0
 
-let cross_take cell live ~cross_period ~cross_quota my n =
+let cross_take cell ~cross_period ~cross_quota my n =
   let serves = Atomic.get cell in
   let k = Array.length serves in
-  if k <= 1 || not (Atomic.get live.(my)) then []
+  if k <= 1 then []
   else begin
     let st = Domain.DLS.get thief_key in
     st.probe <- st.probe + 1;
@@ -157,11 +141,9 @@ let cross_take cell live ~cross_period ~cross_quota my n =
 (* Advisory view for the parking protocol: is there anything a
    cross-shard steal could still acquire?  O(total workers), but only
    consulted when a thief is about to block. *)
-let cross_pending cell live my () =
+let cross_pending cell my () =
   let serves = Atomic.get cell in
   let k = Array.length serves in
-  Atomic.get live.(my)
-  &&
   let shard_has j =
     j <> my
     && begin
@@ -205,7 +187,6 @@ let create ?processes ?park_threshold ?batch ?yield_kind ?gates ?inbox_capacity 
       invalid_arg "Shard.create: traces must have one entry per shard"
   | _ -> ());
   let cell = Atomic.make [||] in
-  let live = Array.init shards (fun _ -> Atomic.make true) in
   let serves =
     Array.init shards (fun i ->
         let overflow =
@@ -213,8 +194,8 @@ let create ?processes ?park_threshold ?batch ?yield_kind ?gates ?inbox_capacity 
           else
             Some
               {
-                Pool.take = cross_take cell live ~cross_period ~cross_quota i;
-                pending = cross_pending cell live i;
+                Pool.take = cross_take cell ~cross_period ~cross_quota i;
+                pending = cross_pending cell i;
                 note = note_cross;
                 event = Some Abp_trace.Event.Cross;
               }
@@ -233,10 +214,6 @@ let create ?processes ?park_threshold ?batch ?yield_kind ?gates ?inbox_capacity 
     cross_quota;
     rr = Padding.atomic 0;
     routed = Array.init shards (fun _ -> Padding.atomic 0);
-    active = Padding.atomic (Array.init shards (fun i -> i));
-    live;
-    resize_lock = Mutex.create ();
-    closing = Atomic.make false;
   }
 
 let shards t = t.shards
@@ -252,22 +229,16 @@ let size t = Array.fold_left (fun acc s -> acc + Pool.size (Serve.pool s)) 0 t.s
 (* ------------------------------------------------------------------ *)
 (* Routing and submission                                              *)
 
-(* Both routes snapshot the active table with one atomic read: a resize
-   publishes a whole fresh array, so a submitter sees either the old or
-   the new topology, never a mix.  Affinity keys re-route automatically
-   when the table changes (the modulus moves with the active count). *)
-let shard_of_key t key =
-  let act = Atomic.get t.active in
-  act.(Hashtbl.hash key mod Array.length act)
+(* Equal keys always land on the same shard: the shard count never
+   changes after [create]. *)
+let shard_of_key t key = Hashtbl.hash key mod t.shards
 
 let wake_siblings t i =
   Array.iteri (fun j s -> if j <> i then Pool.wake (Serve.pool s)) t.serves
 
 let route t = function
   | Some key -> shard_of_key t key
-  | None ->
-      let act = Atomic.get t.active in
-      act.(Atomic.fetch_and_add t.rr 1 land max_int mod Array.length act)
+  | None -> Atomic.fetch_and_add t.rr 1 land max_int mod t.shards
 
 (* One admission attempt on the shard [key] routes to.  The
    empty->nonempty transition of the target inbox is detected against
@@ -275,14 +246,9 @@ let route t = function
    it nonempty, every sibling pool is woken so a parked thief of an idle
    shard can cross-steal it — [Serve.admit] itself only wakes its own
    pool.  Waking is cheap when nobody is parked (one atomic read per
-   sibling), and over-waking is harmless.
-
-   A [Draining] refusal while the topology is NOT closing means the
-   submitter raced a quiesce with a stale routing-table read: the table
-   swap happens before the victim's admission stop, so re-routing is
-   guaranteed to exclude the quiesced shard and the retry terminates.
-   A closing topology refuses for good. *)
-let rec submit_on ~count_reject t ?key ?lane ?deadline f =
+   sibling), and over-waking is harmless.  Only [drain] and [shutdown]
+   stop admission, so a [Draining] refusal is final. *)
+let submit_on ~count_reject t ?key ?lane ?deadline f =
   let i = route t key in
   let s = t.serves.(i) in
   let was_empty = Serve.inbox_depth s = 0 in
@@ -291,8 +257,6 @@ let rec submit_on ~count_reject t ?key ?lane ?deadline f =
       Atomic.incr t.routed.(i);
       if was_empty && t.shards > 1 then wake_siblings t i;
       r
-  | Error Serve.Draining when not (Atomic.get t.closing) ->
-      submit_on ~count_reject t ?key ?lane ?deadline f
   | Error _ as r -> r
 
 let try_submit t ?key ?lane ?deadline f = submit_on ~count_reject:true t ?key ?lane ?deadline f
@@ -402,17 +366,7 @@ let cross_stolen_tasks t = Counters.get (totals t) Counters.cross_stolen_tasks
    a still-admitting sibling could keep feeding tasks that this shard's
    thieves cross-steal, and the per-shard settled conditions would chase
    a moving target. *)
-(* Raise [closing] under the resize lock: any in-flight quiesce or
-   reactivate completes first, and every later resize attempt refuses —
-   the elastic supervisor can never resurrect admission on a topology
-   that has started to drain or shut down. *)
-let close t =
-  Mutex.lock t.resize_lock;
-  Atomic.set t.closing true;
-  Mutex.unlock t.resize_lock
-
 let drain t =
-  close t;
   Array.iter Serve.stop_admission t.serves;
   Array.iter (fun s -> Pool.wake (Serve.pool s)) t.serves;
   sum_stats (Array.map Serve.drain t.serves)
@@ -423,110 +377,9 @@ let drain t =
    terminal, and the global no-task-runs-after-shutdown guarantee
    carries over from the single-pool case. *)
 let shutdown t =
-  close t;
   Array.iter Serve.stop_admission t.serves;
   Array.iter Serve.join_workers t.serves;
   Array.iter Serve.drop_queued t.serves
-
-(* ------------------------------------------------------------------ *)
-(* Elastic resizing                                                    *)
-
-let active_shards t = Array.copy (Atomic.get t.active)
-let active_count t = Array.length (Atomic.get t.active)
-
-let is_active t i =
-  if i < 0 || i >= t.shards then invalid_arg "Shard.is_active: shard index out of range";
-  Atomic.get t.live.(i)
-
-let check_idx name t i =
-  if i < 0 || i >= t.shards then invalid_arg (Printf.sprintf "Shard.%s: shard index out of range" name)
-
-(* Quiesce shard [shard], migrating its displaced work to [target]:
-
-   1. publish a routing table without it — new submissions re-route
-      (keyed ones because the modulus changed, keyless ones because the
-      round-robin walks the new table);
-   2. clear its live flag — its thieves stop crossing the boundary
-      (it remains a valid victim, so siblings drain stragglers);
-   3. stop admission — a submitter that raced in with the OLD table is
-      [Draining]-bounced into a retry that must see the new one;
-   4. pump its still-queued jobs into [target]'s resume inbox (the jobs
-      close over the victim's tickets and counters, so the victim's
-      conservation ledger is preserved wherever they run);
-   5. redirect its fiber resume inbox to [target]: every parked
-      continuation later fulfilled off-pool (a Backend domain) resumes
-      on [target] instead of the quiesced pool — no awaiter is
-      stranded.  Continuations fulfilled ON a worker were never routed
-      through the inbox (they run on the fulfiller's own deque).
-
-   [on_migrate] is invoked once per migrated item, including late
-   arrivals forwarded by the redirect after this call returns (the
-   supervisor's [migrated_continuations] counter).  Returns the number
-   migrated synchronously, or [None] if the resize was refused (topology
-   closing, shard not active, target not active or equal, or last
-   active shard). *)
-let quiesce ?(on_migrate = fun () -> ()) t ~shard ~target =
-  check_idx "quiesce" t shard;
-  check_idx "quiesce" t target;
-  Mutex.lock t.resize_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.resize_lock)
-    (fun () ->
-      let act = Atomic.get t.active in
-      let mem i = Array.exists (( = ) i) act in
-      if Atomic.get t.closing || (not (mem shard)) || shard = target || (not (mem target))
-        || Array.length act <= 1
-      then None
-      else begin
-        let act' = Array.of_seq (Seq.filter (( <> ) shard) (Array.to_seq act)) in
-        Atomic.set t.active act';
-        Atomic.set t.live.(shard) false;
-        let sv = t.serves.(shard) and tg = t.serves.(target) in
-        Serve.stop_admission sv;
-        let migrated = ref 0 in
-        let fwd k =
-          incr migrated;
-          on_migrate ();
-          Pool.resume_external (Serve.pool tg) k
-        in
-        let rec pump () =
-          match Serve.steal_inbox sv 64 with
-          | [] -> ()
-          | jobs ->
-              List.iter fwd jobs;
-              pump ()
-        in
-        pump ();
-        (* The redirect's closure keeps counting late arrivals through
-           [on_migrate]; synchronous drainage below is folded into the
-           same counter by [redirect_resumes]'s atomic install+drain. *)
-        Pool.redirect_resumes (Serve.pool sv) fwd;
-        Pool.wake (Serve.pool tg);
-        Some !migrated
-      end)
-
-(* Put a quiesced shard back into rotation.  Order matters: the resume
-   redirect is cleared FIRST (new off-pool fulfils land home again),
-   then admission reopens, then the live flag and the routing table
-   flip — a submitter can never route to a shard that would bounce
-   it. *)
-let reactivate t ~shard =
-  check_idx "reactivate" t shard;
-  Mutex.lock t.resize_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.resize_lock)
-    (fun () ->
-      let act = Atomic.get t.active in
-      if Atomic.get t.closing || Array.exists (( = ) shard) act then false
-      else begin
-        Pool.clear_resume_redirect (Serve.pool t.serves.(shard));
-        Serve.resume_admission t.serves.(shard);
-        Atomic.set t.live.(shard) true;
-        let act' = Array.append act [| shard |] in
-        Array.sort compare act';
-        Atomic.set t.active act';
-        true
-      end)
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)

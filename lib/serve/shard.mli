@@ -25,7 +25,10 @@
        otherwise tries one random remote shard: a random victim deque
        first (steal-up-to-half via {!Abp_hood.Pool.steal_from}), then
        that shard's inbox ({!Serve.steal_inbox}), taking at most
-       [min cross_quota batch] tasks.}}
+       [min cross_quota batch] tasks.  The pool's batch is 1 unless
+       [batch >= 2], so at the default [batch] every cross-shard
+       acquisition moves exactly one task and [cross_quota] does not
+       bind.}}
 
     Cross-stolen jobs keep their closures over their {e home} shard's
     tickets and admission counters, so each shard's conservation
@@ -73,8 +76,9 @@ val create :
     makes one real cross-shard attempt per [cross_period] trips that
     exhausted every intra-shard source.  [cross_quota] (default 4) caps
     the tasks moved per cross-shard acquisition (further capped by the
-    pool's [batch] and the victim deque's steal-up-to-half quota).  With
-    [shards = 1] no overflow source is attached.
+    pool's [batch] and the victim deque's steal-up-to-half quota).  It
+    binds only with [batch >= 2]: below that each acquisition moves one
+    task.  With [shards = 1] no overflow source is attached.
 
     @raise Invalid_argument if [shards < 1], [cross_period < 1],
     [cross_quota < 1], or a [gates]/[traces] array length mismatches
@@ -96,51 +100,8 @@ val serve : t -> int -> Serve.t
     of range. *)
 
 val shard_of_key : t -> 'k -> int
-(** The shard a given affinity key routes to ([Hashtbl.hash key] modulo
-    the {e active} table): stable while the topology is static, so equal
-    keys share a shard's cache footprint; a resize re-routes keys over
-    the surviving shards (one routing-table read, rendezvous-safe). *)
-
-(** {2 Elastic resizing}
-
-    The supervisor-facing entry points ({!Abp_serve.Supervisor} drives
-    them; tests may call them directly).  All shards' pools exist for
-    the topology's whole lifetime — OCaml domains cannot be restarted —
-    so "scaling" toggles membership in the routing table: a quiesced
-    shard admits nothing, routes nothing and steals nothing, but its
-    workers stay alive to finish what they hold. *)
-
-val active_shards : t -> int array
-(** Sorted indices of the currently active shards (a fresh copy). *)
-
-val active_count : t -> int
-(** [Array.length (active_shards t)]. *)
-
-val is_active : t -> int -> bool
-(** Whether shard [i] is in the routing table.
-    @raise Invalid_argument if [i] is out of range. *)
-
-val quiesce : ?on_migrate:(unit -> unit) -> t -> shard:int -> target:int -> int option
-(** [quiesce t ~shard ~target] takes [shard] out of rotation and
-    migrates its displaced work to [target]: swaps the routing table,
-    stops admission, pumps still-queued jobs into [target]'s fiber
-    resume inbox, and redirects [shard]'s resume inbox so parked
-    continuations later fulfilled off-pool resume on [target] — no
-    awaiter is stranded, and the migrated jobs keep their closures over
-    [shard]'s tickets so conservation holds shard-wise across the
-    resize.  [on_migrate] fires once per migrated item (including late
-    redirect forwards after the call returns).  Returns the count
-    migrated synchronously, or [None] when refused: topology closing
-    (drain/shutdown started), [shard] not active, [target] not active
-    or equal to [shard], or [shard] is the last active one.
-    @raise Invalid_argument on an out-of-range index. *)
-
-val reactivate : t -> shard:int -> bool
-(** Put a quiesced shard back into rotation: clear its resume redirect,
-    reopen admission, and re-insert it into the routing table (in that
-    order, so no submitter routes to a shard that would bounce it).
-    Returns [false] when refused (closing, or already active).
-    @raise Invalid_argument on an out-of-range index. *)
+(** The shard a given affinity key routes to: [Hashtbl.hash key] modulo
+    {!shards}.  Equal keys always share a shard's cache footprint. *)
 
 val try_submit :
   t ->
@@ -154,7 +115,8 @@ val try_submit :
     shard-local admission lane.  [deadline] is relative (seconds from
     now): an admitted task still queued past it is dropped as
     [Cancelled Deadline], and in the deadline lane it is the EDF key.
-    Every refusal — [Inbox_full] or [Draining] — counts in [rejected].
+    Every refusal — [Inbox_full], or [Draining] once {!drain} or
+    {!shutdown} has begun — counts in [rejected].
     Callable from any domain, including inside a request. *)
 
 val submit :

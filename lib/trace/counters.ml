@@ -52,9 +52,6 @@ let suspended_peak = peak "suspended_peak"
 let lane_polls = sum "lane_polls"
 let lane_tasks = sum "lane_tasks"
 let deadline_misses = sum "deadline_misses"
-let scale_ups = sum "scale_ups"
-let scale_downs = sum "scale_downs"
-let migrated_continuations = sum "migrated_continuations"
 
 let table = Array.of_list (List.rev !declared)
 let scalars = Array.length table

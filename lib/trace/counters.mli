@@ -166,23 +166,6 @@ val deadline_misses : id
     absolute deadline.  Counted by the worker that settled the
     ticket; cancellations are not misses (they never ran) *)
 
-val scale_ups : id
-(** shard activations performed by {!Abp_serve.Supervisor.scale_up}
-    (reactivations of a quiesced spare; single-writer: the
-    supervisor's own record) *)
-
-val scale_downs : id
-(** shard quiescences performed by
-    {!Abp_serve.Supervisor.scale_down} (admission stopped,
-    injectors drained, parked continuations migrated) *)
-
-val migrated_continuations : id
-(** parked fiber continuations re-homed to a surviving shard's
-    resume inbox during a quiesce, plus queued injector closures
-    forwarded the same way — every one resumes exactly once on its
-    new home, so the aggregate [resumes = suspensions] identity is
-    unaffected *)
-
 val create : unit -> t
 (** All counters zero.  The slot array keeps a spare cache line before
     and after its live slots, and the record holding it is padded with

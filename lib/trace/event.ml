@@ -10,7 +10,6 @@ type kind =
   | Suspend
   | Resume
   | Fiber
-  | Scale
 
 type t = { kind : kind; worker : int; time : float; arg : int }
 
@@ -26,7 +25,6 @@ let kind_name = function
   | Suspend -> "suspend"
   | Resume -> "resume"
   | Fiber -> "fiber"
-  | Scale -> "scale"
 
 let pp ppf e =
   Fmt.pf ppf "[%g] w%d %s%s" e.time e.worker (kind_name e.kind)

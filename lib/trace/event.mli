@@ -40,10 +40,6 @@ type kind =
           continuation (freeing the worker), [arg = 1] when a parked
           continuation was resumed on this worker
           ({!Abp_fiber.Fiber}; Hood runtime only) *)
-  | Scale
-      (** an elastic-supervisor resize: a shard was activated or
-          quiesced ({!Abp_serve.Supervisor}; [arg] is the number of
-          active shards {e after} the resize) *)
 
 type t = { kind : kind; worker : int; time : float; arg : int }
 

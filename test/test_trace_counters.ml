@@ -140,7 +140,7 @@ let ring_bounds_and_counts_drops () =
     (Sink.events sink)
 
 (* Runtime events are stamped with the monotonic clock (the one Serve
-   and the supervisor use), in seconds: every event of a Hood run falls
+   uses), in seconds: every event of a Hood run falls
    between two [Clock.now] readings taken around it. *)
 let hood_events_use_the_monotonic_clock () =
   let now_s () = Abp_trace.Clock.to_s (Abp_trace.Clock.now ()) in
@@ -273,11 +273,8 @@ let fields_cover_every_counter () =
       "lane_polls";
       "lane_tasks";
       "deadline_misses";
-      "scale_ups";
-      "scale_downs";
-      "migrated_continuations";
     ];
-  Alcotest.(check int) "exactly the 33 fields" 33 (List.length names)
+  Alcotest.(check int) "exactly the 30 fields" 30 (List.length names)
 
 (* How each counter combines is part of its meaning: peaks (high-water
    marks) aggregate by max, everything else by sum.  Pinned by name so a
@@ -315,10 +312,7 @@ let set_every_field c v =
   Counters.add_n c Counters.suspended_peak (v 26);
   Counters.add_n c Counters.lane_polls (v 27);
   Counters.add_n c Counters.lane_tasks (v 28);
-  Counters.add_n c Counters.deadline_misses (v 29);
-  Counters.add_n c Counters.scale_ups (v 30);
-  Counters.add_n c Counters.scale_downs (v 31);
-  Counters.add_n c Counters.migrated_continuations (v 32)
+  Counters.add_n c Counters.deadline_misses (v 29)
 
 let aggregation_kinds_pinned () =
   let value_a i = 100 + i and value_b i = 200 - (3 * i) in
@@ -344,7 +338,7 @@ let aggregation_kinds_pinned () =
       expected (Counters.fields c)
   in
   check_combined "sum" (Counters.sum [| a; b |]);
-  Alcotest.(check int) "three peaks, thirty sums" 30
+  Alcotest.(check int) "three peaks, twenty-seven sums" 27
     (List.length (List.filter (fun (n, _) -> not (List.mem n peak_counters)) expected));
   let a' = Counters.copy a in
   Counters.add ~into:a b;
