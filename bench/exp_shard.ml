@@ -48,7 +48,6 @@ let requests_per_client () = if !smoke then 150 else 2_000
 let total_workers () = if !smoke then 2 else 4
 let clients () = if !smoke then 4 else 8
 let shard_counts () = if !smoke then [ 1; 2 ] else [ 1; 2; 4 ]
-let cross_quota = 4
 
 type cell = {
   shards : int;
@@ -68,26 +67,23 @@ type cell = {
 let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
 
 (* Invariants checked on every cell, measured or adversarial: per-shard
-   conservation, and the cross-steal accounting bounds (an acquisition
-   implies a poll; a task count implies quota-bounded acquisitions). *)
+   conservation, and the cross-steal accounting (an acquisition implies
+   a poll, and each acquisition moves exactly one task). *)
 let check_invariants ~label s =
   if not (Abp.Shard.conserved s) then die "E30 %s: conservation invariant violated" label;
   let polls = Abp.Shard.cross_polls s
   and steals = Abp.Shard.cross_shard_steals s
   and tasks = Abp.Shard.cross_stolen_tasks s in
   if steals > polls then die "E30 %s: cross_shard_steals %d > cross_polls %d" label steals polls;
-  if tasks > cross_quota * steals then
-    die "E30 %s: cross_stolen_tasks %d exceed quota %d x %d steals" label tasks cross_quota
-      steals;
-  if tasks < steals then die "E30 %s: cross_stolen_tasks %d < cross_shard_steals %d" label tasks
-      steals
+  if tasks <> steals then
+    die "E30 %s: cross_stolen_tasks %d <> cross_shard_steals %d" label tasks steals
 
 let measure ~shards =
   let total = total_workers () in
   let p_per_shard = max 1 (total / shards) in
   let n = fib_n () in
   let s =
-    Abp.Shard.create ~processes:p_per_shard ~inbox_capacity:256 ~cross_quota ~shards ()
+    Abp.Shard.create ~processes:p_per_shard ~inbox_capacity:256 ~shards ()
   in
   let clients = clients () in
   let per_client = requests_per_client () in
@@ -157,7 +153,7 @@ let measure_adversary ~shards =
   let p_per_shard = max 1 (total / shards) in
   let gates = Array.init shards (fun _ -> Abp.Gate.create ~num_workers:p_per_shard) in
   let s =
-    Abp.Shard.create ~processes:p_per_shard ~inbox_capacity:256 ~cross_quota
+    Abp.Shard.create ~processes:p_per_shard ~inbox_capacity:256
       ~yield_kind:Abp.Pool.Yield_to_random
       ~gates:(Array.map Abp.Gate.hook gates)
       ~shards ()
@@ -231,12 +227,11 @@ let to_json cells adversaries headline =
   String.concat "\n"
     ([
        "{";
-       {|  "schema": "abp-shard/1",|};
+       {|  "schema": "abp-shard/2",|};
        Printf.sprintf {|  "mode": "%s",|} (if !smoke then "smoke" else "full");
        Printf.sprintf {|  "fib_n": %d,|} (fib_n ());
        Printf.sprintf {|  "requests_per_client": %d,|} (requests_per_client ());
        Printf.sprintf {|  "total_workers": %d,|} (total_workers ());
-       Printf.sprintf {|  "cross_quota": %d,|} cross_quota;
        {|  "runs": [|};
      ]
     @ [ String.concat ",\n" (List.map cell_json cells) ]
@@ -249,10 +244,9 @@ let validate =
   Schema.check ~label:"BENCH_shard.json"
     ~required:
       [
-        {|"schema": "abp-shard/1"|};
+        {|"schema": "abp-shard/2"|};
         {|"mode"|};
         {|"total_workers"|};
-        {|"cross_quota"|};
         {|"runs"|};
         {|"adversary"|};
         {|"headline"|};

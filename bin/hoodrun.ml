@@ -49,12 +49,12 @@ let json_escape s =
   Buffer.contents b
 
 (* Machine-readable result record, one JSON object per run. *)
-let write_json file ~workload ~n ~p ~deque ~batch ~yield ~mp ~elapsed ~result ~attempts
+let write_json file ~workload ~n ~p ~deque ~yield ~mp ~elapsed ~result ~attempts
     ~successes ~stolen =
   let oc = open_out file in
   Printf.fprintf oc
-    {|{"schema":"hoodrun/4","workload":"%s","n":%d,"p":%d,"deque":"%s","batch":%d,"yield":"%s","seconds":%.6f,"result":%d,"steal_attempts":%d,"successful_steals":%d,"stolen_tasks":%d|}
-    (json_escape workload) n p (json_escape deque) batch (json_escape yield) elapsed result
+    {|{"schema":"hoodrun/5","workload":"%s","n":%d,"p":%d,"deque":"%s","yield":"%s","seconds":%.6f,"result":%d,"steal_attempts":%d,"successful_steals":%d,"stolen_tasks":%d|}
+    (json_escape workload) n p (json_escape deque) (json_escape yield) elapsed result
     attempts successes stolen;
   (match mp with
   | None -> ()
@@ -89,7 +89,7 @@ let kernel_yield = function
   | Abp.Pool.Yield_to_random -> Abp.Yield.Yield_to_random
   | Abp.Pool.Yield_to_all -> Abp.Yield.Yield_to_all
 
-let run workload n p grain batch deque yield adversary quantum_ms antagonist seed trace_file
+let run workload n p grain deque yield adversary quantum_ms antagonist seed trace_file
     json_file =
  fatal_guard "hoodrun" @@ fun () ->
   let deque_impl =
@@ -112,7 +112,7 @@ let run workload n p grain batch deque yield adversary quantum_ms antagonist see
   in
   let gate = Option.map (fun _ -> Abp.Gate.create ~num_workers:p) adversary in
   let pool =
-    Abp.Pool.create ~processes:p ~deque_impl ~batch ~yield_kind
+    Abp.Pool.create ~processes:p ~deque_impl ~yield_kind
       ?gate:(Option.map Abp.Gate.hook gate)
       ?trace:sink ()
   in
@@ -176,15 +176,11 @@ let run workload n p grain batch deque yield adversary quantum_ms antagonist see
   in
   Abp.Pool.shutdown pool;
   let totals = Abp.Trace.Counters.sum (Abp.Pool.counters pool) in
-  Format.printf "%s(%d) = %d  on P=%d in %.3fs  steals %d/%d  yield=%s%s@." workload n result p
+  Format.printf "%s(%d) = %d  on P=%d in %.3fs  steals %d/%d  yield=%s@." workload n result p
     elapsed
     (Abp.Pool.successful_steals pool)
     (Abp.Pool.steal_attempts pool)
-    (Abp.Pool.yield_kind_name (Abp.Pool.yield_kind pool))
-    (if Abp.Pool.batch_size pool > 1 then
-       Printf.sprintf "  batch=%d (moved %d tasks)" (Abp.Pool.batch_size pool)
-         Abp.Trace.Counters.(get totals stolen_tasks)
-     else "");
+    (Abp.Pool.yield_kind_name (Abp.Pool.yield_kind pool));
   Option.iter
     (fun m ->
       Format.printf
@@ -197,7 +193,7 @@ let run workload n p grain batch deque yield adversary quantum_ms antagonist see
     mp;
   Option.iter
     (fun file ->
-      write_json file ~workload ~n ~p ~deque ~batch ~yield ~mp ~elapsed ~result
+      write_json file ~workload ~n ~p ~deque ~yield ~mp ~elapsed ~result
         ~attempts:(Abp.Pool.steal_attempts pool)
         ~successes:(Abp.Pool.successful_steals pool)
         ~stolen:Abp.Trace.Counters.(get totals stolen_tasks);
@@ -222,13 +218,6 @@ let cmd =
     Arg.(
       value & opt int 0
       & info [ "grain" ] ~doc:"sequential grain for reduce; 0 = lazy binary splitting (default)")
-  in
-  let batch =
-    Arg.(
-      value & opt int 0
-      & info [ "batch" ] ~docv:"K"
-          ~doc:"batched work transfer: steal/drain up to $(docv) tasks per acquisition (0 = off; \
-                native on circular/locked, degrades to single steals on abp)")
   in
   let deque =
     Arg.(value & opt string "abp" & info [ "deque" ] ~doc:"abp|circular|locked")
@@ -281,7 +270,7 @@ let cmd =
   Cmd.v
     (Cmd.info "hoodrun" ~doc:"Run workloads on the Hood work-stealing runtime")
     Term.(
-      const run $ workload $ n $ p $ grain $ batch $ deque $ yield $ adversary $ quantum_ms
+      const run $ workload $ n $ p $ grain $ deque $ yield $ adversary $ quantum_ms
       $ antagonist $ seed $ trace_file $ json_file)
 
 let () = exit (Cmd.eval cmd)

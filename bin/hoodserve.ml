@@ -100,7 +100,7 @@ let on_dwell_s = 0.010
 
 let off_dwell_s = 0.020
 
-let run p shards affinity clients requests fib await_depth backend_ms inbox batch deadline
+let run p shards affinity clients requests fib await_depth backend_ms inbox deadline
     use_lanes lane_share open_loop arrival rate trace_file json_file =
  fatal_guard "hoodserve" @@ fun () ->
   if clients < 1 then raise (Invalid_argument "clients >= 1 required");
@@ -120,7 +120,7 @@ let run p shards affinity clients requests fib await_depth backend_ms inbox batc
             Abp.Trace.Sink.create ~ring_capacity:(1 lsl 16) ~workers:p ()))
       trace_file
   in
-  let s = Abp.Shard.create ~processes:p ~inbox_capacity:inbox ~batch ?traces:sinks ~shards () in
+  let s = Abp.Shard.create ~processes:p ~inbox_capacity:inbox ?traces:sinks ~shards () in
   (* With --await-depth > 0 each request suspends on a simulated
      downstream backend between compute slices: the body awaits a
      promise fulfilled by an external backend domain ~backend_ms later,
@@ -333,27 +333,19 @@ let cmd =
   let inbox =
     Arg.(value & opt int 256 & info [ "inbox" ] ~doc:"injector inbox capacity (per shard, per lane)")
   in
-  let batch =
-    Arg.(
-      value & opt int 0
-      & info [ "batch" ] ~docv:"K"
-          ~doc:"batched work transfer: idle workers drain up to $(docv) inbox submissions per \
-                poll and thieves steal up to $(docv) tasks (0 = off)")
-  in
   let deadline =
     Arg.(
       value
       & opt (some float) None
       & info [ "deadline" ] ~docv:"SECONDS"
-          ~doc:"per-request relative deadline; still-queued requests past it are dropped (and \
-                it is the EDF key within the deadline lane)")
+          ~doc:"per-request relative deadline; still-queued requests past it are dropped")
   in
   let use_lanes =
     Arg.(
       value & flag
       & info [ "lanes" ]
           ~doc:"route a $(b,--lane-share) fraction of requests through the high-priority \
-                deadline lane (polled first by workers, EDF-ish order)")
+                deadline lane (polled first by workers, FIFO within the lane)")
   in
   let lane_share =
     Arg.(
@@ -402,7 +394,7 @@ let cmd =
     (Cmd.info "hoodserve" ~doc:"Serve external requests on the Hood work-stealing runtime")
     Term.(
       const run $ p $ shards $ affinity $ clients $ requests $ fib $ await_depth $ backend_ms
-      $ inbox $ batch $ deadline $ use_lanes $ lane_share $ open_loop $ arrival $ rate
+      $ inbox $ deadline $ use_lanes $ lane_share $ open_loop $ arrival $ rate
       $ trace_file $ json_file)
 
 let () = exit (Cmd.eval cmd)

@@ -136,21 +136,6 @@ let pop_bottom t =
     end
   end
 
-(* Batched steal fallback: the ABP deque transfers exactly one item per
-   steal, by design.  Its packed [age] CAS (Figure 5 line 6) validates a
-   single [top] index; advancing [top] by [k] in one CAS is unsound for
-   the same owner-race reason as in {!Circular_deque} (the owner's
-   popBottom fast path takes [bot-1 > top] with no CAS), and a CAS-loop
-   batch would additionally race the owner's reset path, which stores
-   [bot = 0] and re-tags [age] mid-sequence — a claimed-but-not-yet-read
-   range can be recycled under the thief.  Rather than perturb the
-   verified Figure 4-5 protocol (whose exact semantics the model checker
-   and the paper's bounds depend on), [pop_top_n] here degrades to at
-   most one item per invocation; batching is a Circular/Locked feature. *)
-let pop_top_n t n =
-  if n < 1 then invalid_arg "Atomic_deque.pop_top_n: n >= 1 required";
-  match pop_top t with Some x -> [ x ] | None -> []
-
 let top_of t = Age.top (Age.of_packed (Atomic.get t.age))
 let tag_of t = Age.tag (Age.of_packed (Atomic.get t.age))
 let bot_of t = Atomic.get t.bot

@@ -34,18 +34,6 @@ val pop_bottom_detailed : 'a t -> 'a Spec.detailed
     when the last item was stolen during the invocation (the line-11 CAS
     lost), {!Spec.Empty} otherwise. *)
 
-(** {2 Batched stealing}
-
-    {!Spec.S.pop_top_n} on this deque returns {e at most one} item: the
-    Figure 5 protocol transfers one item per packed-[age] CAS by design,
-    and both a single CAS advancing [top] by [k] (unsound against the
-    owner's CAS-free fast path) and a CAS loop (races the owner's
-    [bot = 0] reset-and-retag path, which can recycle a claimed range
-    mid-batch) would change the verified Figure 4-5 semantics.  The
-    scheduler's batch mode therefore degrades gracefully to single
-    steals on [Abp] pools; use [Circular] or [Locked] for native
-    batching. *)
-
 val tag_of : 'a t -> int
 (** Current tag value (diagnostics/tests). *)
 

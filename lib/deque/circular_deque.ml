@@ -179,53 +179,6 @@ let pop_top t =
     if Atomic.compare_and_set t.top tp (tp + 1) then x else None
   end
 
-(* Batched steal: transfer up to [batch_quota] items with one deque
-   traversal — one victim selection, one wakeup, one scheduling
-   round-trip for the whole batch.
-
-   Why this is a CAS *per item* and not one CAS advancing [top] by [k]:
-   the owner's [pop_bottom] fast path takes slot [b-1] with no CAS
-   whenever it observes [b-1 > top].  A thief that claims the range
-   [t, t+k) with a single CAS [t -> t+k] can interleave with an owner
-   that popped down into that range *before* the CAS landed: the owner
-   reads [top = t], takes slot [t+1] without synchronizing, and the
-   thief's CAS still succeeds ([top] was never touched) — slot [t+1] is
-   consumed twice.  The single-item steal is immune because the claimed
-   slot equals the CAS-validated index itself: a conflicting owner take
-   of slot [t] requires its fresh [top] read to be [< t], which
-   contradicts the monotonicity of [top] given that the thief read
-   [bottom > t] before the owner's store of [bottom = t].  (This is why
-   owner-LIFO Chase-Lev stealers — e.g. crossbeam-deque's Lifo flavor —
-   also steal batches one CAS at a time; single-CAS range claims are
-   only sound when the owner consumes from the same end with a CAS, as
-   in Go's runqueue.)  Each iteration therefore re-reads [bottom] and
-   claims exactly one validated slot; the items after the first are
-   uncontended in the common case, so the batch still costs far less
-   than [k] independent steals. *)
-let pop_top_n t n =
-  if n < 1 then invalid_arg "Circular_deque.pop_top_n: n >= 1 required";
-  let tp0 = Atomic.get t.top in
-  let b0 = Atomic.get t.bottom in
-  let k = Spec.batch_quota ~size:(b0 - tp0) n in
-  if k = 0 then []
-  else
-    let rec claim acc got tp =
-      if got >= k then List.rev acc
-      else
-        let b = Atomic.get t.bottom in
-        if b <= tp then List.rev acc
-        else begin
-          let buf = Atomic.get t.active in
-          let x = get buf tp in
-          if Atomic.compare_and_set t.top tp (tp + 1) then
-            match x with
-            | Some v -> claim (v :: acc) (got + 1) (tp + 1)
-            | None -> List.rev acc
-          else List.rev acc (* lost [top] to a racing thief: stop *)
-        end
-    in
-    claim [] 0 tp0
-
 let size t =
   let b = Atomic.get t.bottom and tp = Atomic.get t.top in
   Int.max 0 (b - tp)

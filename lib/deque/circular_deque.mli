@@ -36,19 +36,6 @@ val initial_capacity : 'a t -> int
 (** The creation-time capacity (rounded up to a power of two): the
     floor the Section 4 reclamation never shrinks below. *)
 
-(** {2 Batched stealing}
-
-    {!Spec.S.pop_top_n} is native here: one traversal claims up to
-    {!Spec.batch_quota} consecutive topmost items, re-validating
-    [bottom] and CASing [top] once {e per item}.  A single CAS advancing
-    [top] by [k] would be unsound against the owner's CAS-free
-    [pop_bottom] fast path (an owner pop inside the claimed range can
-    land before the thief's CAS and the item is consumed twice — see the
-    implementation comment for the interleaving); per-item validation
-    keeps each claim exactly as safe as an individual [pop_top] while
-    still amortizing the victim selection, the cache-line transfer burst
-    and the scheduler round-trip over the whole batch. *)
-
 val grows : 'a t -> int
 (** Number of buffer-doubling events so far (diagnostics). *)
 

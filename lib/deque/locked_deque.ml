@@ -64,24 +64,6 @@ let pop_top t =
         x
       end)
 
-(* Batched steal under one lock acquisition: the whole batch costs a
-   single lock/unlock pair, which is the point — the mutex round-trip,
-   not the item copy, dominates a locked steal. *)
-let pop_top_n t n =
-  if n < 1 then invalid_arg "Locked_deque.pop_top_n: n >= 1 required";
-  with_lock t (fun () ->
-      let k = Spec.batch_quota ~size:t.count n in
-      let out = ref [] in
-      for _ = 1 to k do
-        (match t.items.(t.head) with
-        | Some v -> out := v :: !out
-        | None -> assert false);
-        t.items.(t.head) <- None;
-        t.head <- (t.head + 1) mod Array.length t.items;
-        t.count <- t.count - 1
-      done;
-      List.rev !out)
-
 let size t = with_lock t (fun () -> t.count)
 let is_empty t = size t = 0
 

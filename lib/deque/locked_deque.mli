@@ -18,8 +18,3 @@ val pop_bottom_detailed : 'a t -> 'a Spec.detailed
 
 val pop_top_detailed : 'a t -> 'a Spec.detailed
 (** See {!pop_bottom_detailed}. *)
-
-(** {!Spec.S.pop_top_n} is native here and trivially linearizable: the
-    whole batch (up to {!Spec.batch_quota} items) is removed under a
-    single lock acquisition, so a batched steal costs one mutex
-    round-trip instead of [k]. *)

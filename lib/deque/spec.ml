@@ -11,17 +11,9 @@ module type S = sig
   val push_bottom : 'a t -> 'a -> unit
   val pop_bottom : 'a t -> 'a option
   val pop_top : 'a t -> 'a option
-  val pop_top_n : 'a t -> int -> 'a list
   val is_empty : 'a t -> bool
   val size : 'a t -> int
 end
-
-(* Shared steal-up-to-half policy: how many of [size] observed items a
-   batched steal may claim, capped by the thief's request [n].  At least
-   one (when the deque is non-empty), at most half rounded up — the
-   victim keeps the other half, so a loaded owner is never drained by a
-   single steal. *)
-let batch_quota ~size n = if size <= 0 then 0 else min n ((size + 1) / 2)
 
 (* The instrumented-scheduler view of a deque: the pop methods preserve
    the cause of a NIL so telemetry can count CAS failures separately
@@ -36,7 +28,6 @@ module type DETAILED = sig
   val push_bottom : 'a t -> 'a -> unit
   val pop_bottom_detailed : 'a t -> 'a detailed
   val pop_top_detailed : 'a t -> 'a detailed
-  val pop_top_n : 'a t -> int -> 'a list
   val size : 'a t -> int
 end
 
@@ -61,23 +52,6 @@ module Reference = struct
     | top :: rest ->
         t.items <- rest;
         Some top
-
-  (* Oracle semantics of the batched steal: exactly [batch_quota]
-     topmost items, top first.  The concurrent implementations may
-     return fewer under contention (a prefix of this). *)
-  let pop_top_n t n =
-    if n < 1 then invalid_arg "Reference.pop_top_n: n >= 1 required";
-    let k = batch_quota ~size:(List.length t.items) n in
-    let rec take acc k items =
-      if k = 0 then (List.rev acc, items)
-      else
-        match items with
-        | [] -> (List.rev acc, [])
-        | x :: rest -> take (x :: acc) (k - 1) rest
-    in
-    let taken, rest = take [] k t.items in
-    t.items <- rest;
-    taken
 
   let is_empty t = t.items = []
   let size t = List.length t.items

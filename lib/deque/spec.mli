@@ -42,19 +42,6 @@ module type S = sig
   (** Thief method; may spuriously return [None] under contention per the
       relaxed semantics. *)
 
-  val pop_top_n : 'a t -> int -> 'a list
-  (** Batched thief method (extension beyond the paper): remove up to
-      [min n (batch_quota)] consecutive items from the top in one
-      invocation, topmost first — at most {e half} of the observed
-      occupancy (rounded up, see {!batch_quota}), so a single steal
-      never drains a loaded victim.  The result linearizes as a sequence
-      of at most [n] individual [pop_top]s: each returned item is one
-      legal [pop_top] result, and an early cut-off (fewer items than the
-      quota, or [[]]) is legal exactly where a [pop_top] NIL would be
-      under the relaxed semantics.  Implementations without a safe
-      native batch ({!Atomic_deque}) may return at most one item.
-      Requires [n >= 1]. *)
-
   val is_empty : 'a t -> bool
   (** Advisory snapshot; racy under concurrency. *)
 
@@ -75,12 +62,6 @@ module type DETAILED = sig
   val pop_top_detailed : 'a t -> 'a detailed
   (** Thief pop with the cause of a NIL preserved: [Contended] for a
       lost CAS (implementations without a CAS report only [Empty]). *)
-
-  val pop_top_n : 'a t -> int -> 'a list
-  (** Batched steal; see {!S.pop_top_n}.  The instrumented pool uses it
-      when batching is enabled; an empty result is counted as a steal
-      that found the victim empty (batch mode does not distinguish a
-      lost CAS from emptiness). *)
 
   val size : 'a t -> int
 end
@@ -137,10 +118,3 @@ end
     be judged "was pushed and not yet popped more times than pushed"
     without assuming exactly-once extraction.  Push {e distinct} values
     (e.g. a running integer) for meaningful verdicts. *)
-
-val batch_quota : size:int -> int -> int
-(** [batch_quota ~size n] is the steal-up-to-half policy shared by every
-    {!S.pop_top_n} implementation: the number of items a batched steal
-    may claim from a deque of observed occupancy [size] when the thief
-    asked for at most [n] — [0] when empty, otherwise
-    [min n ((size + 1) / 2)] (at least one, at most half rounded up). *)

@@ -188,14 +188,6 @@ let pop_bottom_detailed t =
 
 let pop_top_detailed = take_published
 
-let pop_top_n t n =
-  if n < 1 then invalid_arg "Wsm_deque.pop_top_n: n >= 1 required";
-  (* Single-item fallback, like {!Atomic_deque}: the board exposes at
-     most one pending task by construction, so a larger batch has
-     nothing more to take; the result trivially linearizes as one
-     legal [pop_top]. *)
-  match take_published t with Spec.Got v -> [ v ] | Spec.Empty | Spec.Contended -> []
-
 let to_option = function Spec.Got x -> Some x | Spec.Empty | Spec.Contended -> None
 let pop_bottom t = to_option (pop_bottom_detailed t)
 let pop_top t = to_option (pop_top_detailed t)

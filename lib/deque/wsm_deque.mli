@@ -49,6 +49,4 @@ val board_length : int
 (** Capacity of the publication ring visible to thieves.  The board
     holds at most {e one} pending task at any time (the globally
     oldest); the ring depth only spaces out index reuse, shrinking the
-    window in which a stale thief can manufacture a duplicate.
-    Consequently {!pop_top_n} is a single-item fallback, as
-    {!Atomic_deque}'s is. *)
+    window in which a stale thief can manufacture a duplicate. *)

@@ -41,13 +41,13 @@ let default_park_threshold = 16
    worker walks the list and runs the first task any source yields;
    [pending] is the advisory emptiness check the parking protocol ORs
    over the whole list.  All per-source telemetry lives in the source:
-   [note] bumps its counters on every poll (with the number of tasks
-   taken, 0 when empty), and [event], if any, is emitted on a
-   non-empty take. *)
+   [note] bumps its counters on every poll (told whether the take
+   yielded a task), and [event], if any, is emitted on a non-empty
+   take. *)
 type source = {
-  take : int -> (unit -> unit) list;
+  take : unit -> (unit -> unit) option;
   pending : unit -> bool;
-  note : Counters.t -> int -> unit;
+  note : Counters.t -> bool -> unit;
   event : Abp_trace.Event.kind option;
 }
 
@@ -68,11 +68,6 @@ type shared = {
      pool created without one pays a single branch on this immutable
      field per scheduling-loop iteration. *)
   gate : gate_hook option;
-  (* Batched transfer quota: a thief asks a victim for up to [batch]
-     tasks per steal and an idle worker takes up to [batch] tasks per
-     source poll.  [1] is classic single-task stealing (the paper's
-     protocol, and the default). *)
-  batch : int;
   (* Polled in order after the steal: the resume inbox first, then the
      [sources] given to [create]. *)
   sources : source array;
@@ -206,11 +201,11 @@ module Impl (D : Spec.DETAILED) = struct
      between failed steal attempts, before parking, once per pending
      {!Future.force} (before its work-first pop, so a chain of inline
      joins still crosses a safe point at every node) and each trip
-     around its help loop.  Batched acquisitions re-push their
-     surplus onto the worker's own deque inside [try_get_task], before
-     any of these points can be reached, so a worker suspended at a gate
-     can never strand transferable work — everything it owns sits in its
-     deque, stealable by the workers that remain scheduled. *)
+     around its help loop.  Every acquisition moves exactly one task,
+     which the worker runs before its next safe point, so a worker
+     suspended at a gate can never strand transferable work — everything
+     else it owns sits in its deque, stealable by the workers that
+     remain scheduled. *)
   let[@inline] checkpoint w =
     match w.pool.shared.gate with
     | None -> ()
@@ -230,29 +225,6 @@ module Impl (D : Spec.DETAILED) = struct
      empty: thieves would find nothing) or keep a chunk sequential. *)
   let local_size w = D.size w.pool.deques.(w.id)
 
-  (* A multi-task acquisition (batched steal or source take) keeps
-     one task to run now and re-homes the surplus on the thief's own
-     deque, pushed in list order so the oldest surplus task sits at the
-     top — exactly where the next thief's [popTop] looks, preserving the
-     outermost-first stealing order the paper's space/communication
-     bounds rely on.  Each re-push counts as an ordinary [pushes] (the
-     conservation law becomes [pushes = pops + stolen_tasks] at
-     quiescence), and waiters are woken once: the surplus is stealable
-     work that parked thieves must notice. *)
-  let repush_surplus w rest =
-    if rest <> [] then begin
-      let d = w.pool.deques.(w.id) in
-      let c = w.c in
-      List.iter
-        (fun task ->
-          D.push_bottom d task;
-          Counters.incr c Counters.pushes)
-        rest;
-      Counters.note_max c Counters.deque_high_water (D.size d);
-      emit w Abp_trace.Event.Spawn;
-      wake_waiters w.pool.shared
-    end
-
   (* One steal attempt from a uniformly random other victim. *)
   let steal w =
     let pool = w.pool in
@@ -262,67 +234,39 @@ module Impl (D : Spec.DETAILED) = struct
       let v = Abp_stats.Rng.int w.rng_state (pool.shared.size - 1) in
       let victim = if v >= w.id then v + 1 else v in
       Counters.incr c Counters.steal_attempts;
-      if pool.shared.batch > 1 then begin
-        (* Batched steal: up to [batch] tasks, capped at half the
-           victim's observed size by the deque's [Spec.batch_quota].
-           The batch API folds a lost CAS into the empty result, so a
-           [[]] here lands in [steal_empties] (documented in
-           {!Abp_trace.Counters}). *)
-        match D.pop_top_n pool.deques.(victim) pool.shared.batch with
-        | [] ->
-            Counters.incr c Counters.steal_empties;
-            emit w ~arg:victim Abp_trace.Event.Idle;
-            None
-        | task :: rest ->
-            let got = 1 + List.length rest in
-            Counters.incr c Counters.successful_steals;
-            Counters.add_n c Counters.stolen_tasks got;
-            if got >= 2 then Counters.incr c Counters.batch_steals;
-            Counters.note_batch c got;
-            Counters.note_victim c victim;
-            emit w ~arg:victim Abp_trace.Event.Steal;
-            repush_surplus w rest;
-            Some task
-      end
-      else
-        match D.pop_top_detailed pool.deques.(victim) with
-        | Spec.Got task ->
-            Counters.incr c Counters.successful_steals;
-            Counters.incr c Counters.stolen_tasks;
-            Counters.note_batch c 1;
-            Counters.note_victim c victim;
-            emit w ~arg:victim Abp_trace.Event.Steal;
-            Some task
-        | Spec.Empty ->
-            Counters.incr c Counters.steal_empties;
-            emit w ~arg:victim Abp_trace.Event.Idle;
-            None
-        | Spec.Contended ->
-            Counters.incr c Counters.cas_failures_pop_top;
-            emit w ~arg:victim Abp_trace.Event.Idle;
-            None
+      match D.pop_top_detailed pool.deques.(victim) with
+      | Spec.Got task ->
+          Counters.incr c Counters.successful_steals;
+          Counters.incr c Counters.stolen_tasks;
+          Counters.note_victim c victim;
+          emit w ~arg:victim Abp_trace.Event.Steal;
+          Some task
+      | Spec.Empty ->
+          Counters.incr c Counters.steal_empties;
+          emit w ~arg:victim Abp_trace.Event.Idle;
+          None
+      | Spec.Contended ->
+          Counters.incr c Counters.cas_failures_pop_top;
+          emit w ~arg:victim Abp_trace.Event.Idle;
+          None
     end
 
-  (* Past the steal: the first source in list order that yields.  A
-     multi-task take keeps one task and re-homes the surplus, exactly
-     like a batched steal. *)
+  (* Past the steal: the first source in list order that yields. *)
   let poll_sources w =
-    let sh = w.pool.shared in
-    let n = Array.length sh.sources in
+    let sources = w.pool.shared.sources in
+    let n = Array.length sources in
     let rec go i =
       if i >= n then None
       else
-        let s = Array.unsafe_get sh.sources i in
-        match s.take sh.batch with
-        | [] ->
-            s.note w.c 0;
+        let s = Array.unsafe_get sources i in
+        match s.take () with
+        | None ->
+            s.note w.c false;
             go (i + 1)
-        | task :: rest ->
-            let got = 1 + List.length rest in
-            s.note w.c got;
-            (match s.event with Some k -> emit w ~arg:got k | None -> ());
-            repush_surplus w rest;
-            Some task
+        | Some _ as got ->
+            s.note w.c true;
+            (match s.event with Some k -> emit w k | None -> ());
+            got
     in
     go 0
 
@@ -471,14 +415,15 @@ module Impl (D : Spec.DETAILED) = struct
 
   let deque_size t i = D.size t.deques.(i)
 
-  (* External steal entry point: a worker of ANOTHER pool takes up to
-     [max] tasks off [victim]'s deque top, subject to the deque's own
-     steal-up-to-half quota ([Spec.batch_quota] inside [pop_top_n]).
-     No counters are touched here — the caller is not one of this pool's
-     workers and must not write their padded records; the thief's own
-     pool attributes the transfer to its cross_* counters.  [steal_from]
-     has already validated [victim] and [max]. *)
-  let steal_external t ~victim ~max = D.pop_top_n t.deques.(victim) max
+  (* External steal entry point: a worker of ANOTHER pool takes one
+     task off [victim]'s deque top.  No counters are touched here — the
+     caller is not one of this pool's workers and must not write their
+     padded records; the thief's own pool attributes the transfer to its
+     cross_* counters.  [steal_from] has already validated [victim]. *)
+  let steal_external t ~victim =
+    match D.pop_top_detailed t.deques.(victim) with
+    | Spec.Got task -> Some task
+    | Spec.Empty | Spec.Contended -> None
 end
 
 module Abp_impl = Impl (Abp_deque.Atomic_deque)
@@ -514,7 +459,6 @@ let worker_shared = function
   | Locked_worker w -> w.Locked_impl.pool.Locked_impl.shared
 
 let size t = (shared_of t).size
-let batch_size t = (shared_of t).batch
 let yield_kind t = (shared_of t).yield_kind
 let relax () = Domain.cpu_relax ()
 
@@ -695,15 +639,15 @@ let make_fiber_sched sh =
 let resume_source ~lock ~q ~n =
   {
     take =
-      (fun _ ->
-        if Atomic.get n = 0 then []
+      (fun () ->
+        if Atomic.get n = 0 then None
         else begin
           Mutex.lock lock;
           let got =
-            if Queue.is_empty q then []
+            if Queue.is_empty q then None
             else begin
               Atomic.decr n;
-              [ Queue.pop q ]
+              Some (Queue.pop q)
             end
           in
           Mutex.unlock lock;
@@ -715,14 +659,11 @@ let resume_source ~lock ~q ~n =
   }
 
 let create ?processes ?deque_capacity ?(yield_kind = Yield_local)
-    ?(park_threshold = default_park_threshold) ?(deque_impl = Abp) ?(batch = 0) ?trace
-    ?(sources = []) ?(spawn_all = false) ?gate () =
+    ?(park_threshold = default_park_threshold) ?(deque_impl = Abp) ?trace ?(sources = [])
+    ?(spawn_all = false) ?gate () =
   let processes = Option.value processes ~default:(Domain.recommended_domain_count ()) in
   if processes < 1 then invalid_arg "Pool.create: processes >= 1 required";
   if park_threshold < 0 then invalid_arg "Pool.create: park_threshold >= 0 required";
-  if batch < 0 then invalid_arg "Pool.create: batch >= 0 required";
-  (* 0 and 1 both mean classic single-task transfer. *)
-  let batch = Int.max 1 batch in
   (match trace with
   | Some s when Sink.workers s <> processes ->
       invalid_arg "Pool.create: trace sink must have one worker per process"
@@ -738,7 +679,6 @@ let create ?processes ?deque_capacity ?(yield_kind = Yield_local)
       yield_kind;
       park_threshold;
       gate;
-      batch;
       sources =
         Array.of_list (resume_source ~lock:resume_lock ~q:resume_q ~n:resume_n :: sources);
       all_spawned = spawn_all;
@@ -858,14 +798,12 @@ let run pool f =
           | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
           | None -> assert false))
 
-let steal_from pool ~victim ~max =
+let steal_from pool ~victim =
   if victim < 0 || victim >= size pool then invalid_arg "Pool.steal_from: victim out of range";
-  if max <= 0 then []
-  else
-    match pool with
-    | Abp_pool p -> Abp_impl.steal_external p ~victim ~max
-    | Circular_pool p -> Circular_impl.steal_external p ~victim ~max
-    | Locked_pool p -> Locked_impl.steal_external p ~victim ~max
+  match pool with
+  | Abp_pool p -> Abp_impl.steal_external p ~victim
+  | Circular_pool p -> Circular_impl.steal_external p ~victim
+  | Locked_pool p -> Locked_impl.steal_external p ~victim
 
 let shutdown pool =
   let sh = shared_of pool in

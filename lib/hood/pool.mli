@@ -107,30 +107,27 @@ type gate_hook = {
     failed steal attempts, before parking, and inside {!Future.force}
     (once before its work-first pop, then each trip around its help
     loop) — points where the worker holds no
-    acquired-but-unpublished tasks: batched steal/source surplus is
-    re-pushed onto the worker's own deque {e before} the next safe
-    point, so suspending a worker never strands transferable work.
+    acquired-but-unpublished tasks: every acquisition moves one task,
+    which the worker runs before its next safe point, so suspending a
+    worker never strands transferable work.
 
     The gate owner must reopen all gates before {!shutdown} (a worker
     blocked at a gate cannot observe the shutdown flag);
     {!Abp_mp.Controller.stop} does this. *)
 
 type source = {
-  take : int -> (unit -> unit) list;
-      (** [take n] removes up to [n] tasks ([n >= 1], the pool's
-          {!batch_size}); [[]] is the common, cheap answer.  Must not
-          block.  A source backed by a one-at-a-time queue may simply
-          return one task. *)
+  take : unit -> (unit -> unit) option;
+      (** removes at most one task; [None] is the common, cheap answer.
+          Must not block. *)
   pending : unit -> bool;
       (** advisory: could [take] yield work now?  The parking protocol
           ORs this over every source, so a thief never blocks while a
           source has work. *)
-  note : Abp_trace.Counters.t -> int -> unit;
-      (** [note c got] is the source's own telemetry, called on every
-          poll with the polling worker's counter record and the number
-          of tasks taken ([0] when empty). *)
-  event : Abp_trace.Event.kind option;
-      (** emitted on a non-empty take, with [arg] = tasks taken *)
+  note : Abp_trace.Counters.t -> bool -> unit;
+      (** [note c hit] is the source's own telemetry, called on every
+          poll with the polling worker's counter record and whether the
+          take yielded a task. *)
+  event : Abp_trace.Event.kind option;  (** emitted on a non-empty take *)
 }
 (** A work source beyond the paper's two.  A worker acquires work in
     one fixed order: its own deque's bottom, then {e one} steal attempt
@@ -142,10 +139,8 @@ type source = {
     {!Abp_serve.Shard}, so the full order is own deque, steal, resume
     inbox, lanes, cross-shard — Figure 3's order extended, with a
     balanced shard never paying a cross-shard miss.  The first source
-    that yields wins; a multi-task take keeps one task and pushes the
-    surplus onto the worker's own deque (stealable, and waking parked
-    thieves), like a batched steal.  Producers outside the pool must
-    call {!wake} after making a source non-empty. *)
+    that yields wins.  Producers outside the pool must call {!wake}
+    after making a source non-empty. *)
 
 val create :
   ?processes:int ->
@@ -153,7 +148,6 @@ val create :
   ?yield_kind:yield_kind ->
   ?park_threshold:int ->
   ?deque_impl:deque_impl ->
-  ?batch:int ->
   ?trace:Abp_trace.Sink.t ->
   ?sources:source list ->
   ?spawn_all:bool ->
@@ -178,20 +172,9 @@ val create :
     parks; [0] parks after the first failed trip (it still yields
     once), and it does not apply under [No_yield].
     [deque_impl] selects the worker-deque implementation (default
-    {!Abp}).  Requires [processes >= 1], [park_threshold >= 0] and
-    [batch >= 0].
-
-    [batch] (default 0) enables batched work transfer: a thief asks its
-    victim for up to [batch] tasks per steal (the deque grants at most
-    half the victim's observed size — {!Abp_deque.Spec.batch_quota}),
-    runs one, and pushes the surplus onto its own deque; idle workers
-    likewise take up to [batch] tasks per source poll.  [0] and [1]
-    both mean classic single-task transfer, the paper's protocol.
-    Batching changes {e how many} tasks one acquisition moves, not the
-    acquisition order (see {!source}) or the parking protocol.  On the {!Abp} deque the batch
-    degrades to single steals (its Figure 5 packed-[age] CAS transfers
-    one item by design; see {!Abp_deque.Atomic_deque}) — use
-    {!Circular} or {!Locked} for native batching.
+    {!Abp}).  Requires [processes >= 1] and [park_threshold >= 0].
+    Every acquisition — own-deque pop, steal, source take — moves
+    exactly one task, the paper's protocol.
 
     [trace] attaches a telemetry sink (one worker per process, else
     [Invalid_argument]): every worker then counts its pushes, pops,
@@ -219,10 +202,6 @@ val create :
 
 val size : t -> int
 (** The number of processes [P]. *)
-
-val batch_size : t -> int
-(** The normalized batch quota: [1] for a classic single-transfer pool
-    ([batch] 0 or 1 at {!create}), the configured value otherwise. *)
 
 val yield_kind : t -> yield_kind
 (** The thief idle policy selected at {!create}. *)
@@ -261,15 +240,13 @@ val wake : t -> unit
     the pool's [sources] non-empty so a fully parked pool notices the
     new work. *)
 
-val steal_from : t -> victim:int -> max:int -> (unit -> unit) list
-(** [steal_from t ~victim ~max] is the external steal entry point: take
-    up to [max] tasks off worker [victim]'s deque top, subject to the
-    deque's own steal-up-to-half quota ({!Abp_deque.Spec.batch_quota};
-    the {!Abp} backend transfers at most one task per call by design).
-    Safe to call from any domain — it runs the same lock-free/locked
-    [pop_top_n] protocol an intra-pool thief would — and used by the
+val steal_from : t -> victim:int -> (unit -> unit) option
+(** [steal_from t ~victim] is the external steal entry point: take one
+    task off worker [victim]'s deque top.  Safe to call from any domain
+    — it runs the same lock-free/locked [popTop] an intra-pool thief
+    would ([None] on an empty deque or a lost race) — and used by the
     sharded topology ({!Abp_serve.Shard}) to let one shard's thief
-    relieve another shard's overload.  Returns [[]] when [max <= 0].
+    relieve another shard's overload.
     None of [t]'s per-worker counters are touched: the calling pool
     attributes the transfer to its own cross-shard telemetry.
     @raise Invalid_argument if [victim] is out of range. *)

@@ -32,18 +32,6 @@ let owner_vs_thief_interleave =
     thieves = [ [ Sd.Pop_top; Sd.Pop_top ] ];
   }
 
-(* A batched steal linearizes as a sequence of individual popTops (the
-   {!Abp_deque.Spec.S.pop_top_n} contract): one thief issuing three
-   consecutive popTops against an owner that refills and drains around
-   it explores every interleaving a size-3 batch can produce, including
-   the owner's reset/retag path landing mid-batch. *)
-let batched_thief =
-  {
-    Explorer.owner =
-      [ Sd.Push_bottom 1; Sd.Push_bottom 2; Sd.Push_bottom 3; Sd.Push_bottom 4; Sd.Pop_bottom; Sd.Pop_bottom ];
-    thieves = [ [ Sd.Pop_top; Sd.Pop_top; Sd.Pop_top ] ];
-  }
-
 module Ws = Abp_deque.Wsm_step
 
 (* The wsm backend's owner/thief race around the unfenced cursor reads:

@@ -22,15 +22,6 @@ val owner_vs_thief_interleave : Explorer.program
 (** Pushes and owner pops racing one thief around the one-element state,
     where the [popBottom]/[popTop] cas race lives. *)
 
-val batched_thief : Explorer.program
-(** One thief issuing three consecutive [popTop]s — the shape a
-    [pop_top_n _ 3] batch linearizes to (see
-    {!Abp_deque.Spec.S.pop_top_n}) — racing an owner that pushes four
-    values and pops two, so the owner's reset/retag path can land
-    between the batch's steps.  Verifies that a batch built from
-    individual [popTop]s stays conservation-safe under every
-    interleaving. *)
-
 val wsm_thief : Wsm_explorer.program
 (** The {!Abp_deque.Wsm_deque} owner/thief race around the unfenced
     cursor reads: two thieves race the same published window while the

@@ -67,22 +67,6 @@ let rec try_pop t =
   else if d < 0 then None (* slot not yet published: queue empty *)
   else try_pop t
 
-(* Batched drain: a loop of independent [try_pop]s, each linearizable on
-   its own.  No attempt is made to claim a contiguous ticket range in one
-   CAS — interleaved consumers simply split the batch, which is exactly
-   the behaviour the serve layer wants (no task is held hostage by a
-   stalled drainer). *)
-let try_pop_n t n =
-  if n < 1 then invalid_arg "Injector.try_pop_n: n >= 1 required";
-  let rec go acc k =
-    if k = 0 then List.rev acc
-    else
-      match try_pop t with
-      | Some v -> go (v :: acc) (k - 1)
-      | None -> List.rev acc
-  in
-  go [] n
-
 let size t =
   let n = Atomic.get t.tail - Atomic.get t.head in
   if n < 0 then 0 else if n > t.mask + 1 then t.mask + 1 else n

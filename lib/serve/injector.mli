@@ -39,14 +39,6 @@ val try_push : 'a t -> 'a -> bool
 val try_pop : 'a t -> 'a option
 (** Dequeue; [None] when the queue is empty (never blocks). *)
 
-val try_pop_n : 'a t -> int -> 'a list
-(** [try_pop_n t n] dequeues up to [n] items (oldest first) as a loop of
-    independent {!try_pop}s; [[]] when the queue is empty.  Interleaved
-    consumers may split a batch — each pop linearizes on its own.  Backs
-    the batched [take] of {!Serve}'s lane source
-    ({!Abp_hood.Pool.source}).  Requires
-    [n >= 1]. *)
-
 val size : 'a t -> int
 (** Advisory occupancy snapshot (exact when quiescent) — the injector
     depth gauge reported by {!Serve.pp_report}. *)

@@ -48,11 +48,10 @@ type latency = {
   max : float;
 }
 
-(* What the inboxes hold: the work itself, an abort hook so a shutdown
-   can drop still-queued tasks without running them, and the EDF key
-   ([due], absolute ns) the deadline-lane drain sorts by.  All close
-   over the ticket, so the record stays monomorphic. *)
-type job = { run : unit -> unit; abort : unit -> unit; due : int }
+(* What the inboxes hold: the work itself and an abort hook so a
+   shutdown can drop still-queued tasks without running them.  Both
+   close over the ticket, so the record stays monomorphic. *)
+type job = { run : unit -> unit; abort : unit -> unit }
 
 (* Per-lane admission counters, each padded (written from many
    domains).  The lane-wise invariant [lane_accepted = lane_completed +
@@ -161,68 +160,43 @@ let wait_until s settled =
     Atomic.decr s.waiters
   done
 
-(* Earliest-deadline-first over one drained batch.  The consumer (a
-   pool's source poll) runs the list HEAD immediately and
-   re-pushes the tail bottom-up onto the worker's deque, which the
-   owner pops LIFO — so the batch is returned earliest-due first with
-   the tail reversed: the owner then executes the whole batch in
-   ascending-due order, while thieves (stealing from the top) take the
-   latest-due, least urgent jobs.  Ordering is per-acquisition — tasks
-   already spread across deques keep their positions — which is the
-   "EDF-ish" the lane promises: strict global EDF would put a shared
-   priority queue back on the hot path. *)
-let edf_order js =
-  match
-    match js with
-    | [] | [ _ ] -> js
-    | _ -> List.stable_sort (fun a b -> compare a.due b.due) js
-  with
-  | [] -> []
-  | hd :: tl -> hd :: List.rev tl
-
-(* The lane source's telemetry: every poll counts in [inject_polls]; a
-   non-empty one in [inject_tasks], [inject_batches] (two or more tasks)
-   and the batch histogram. *)
-let note_inject c got =
+(* The lane source's telemetry: every poll counts in [inject_polls], a
+   non-empty one also in [inject_tasks]. *)
+let note_inject c hit =
   Counters.incr c Counters.inject_polls;
-  if got > 0 then begin
-    Counters.add_n c Counters.inject_tasks got;
-    if got >= 2 then Counters.incr c Counters.inject_batches;
-    Counters.note_batch c got
-  end
+  if hit then Counters.incr c Counters.inject_tasks
 
-let create ?processes ?park_threshold ?batch ?yield_kind ?gate ?(inbox_capacity = 1024) ?trace
+let run_of = function Some j -> Some j.run | None -> None
+
+let create ?processes ?park_threshold ?yield_kind ?gate ?(inbox_capacity = 1024) ?trace
     ?overflow () =
   let inbox = Injector.create ~capacity:inbox_capacity () in
   let dl_inbox = Injector.create ~capacity:inbox_capacity () in
   let credit = Padding.atomic 0 in
-  let drain_dl n = edf_order (Injector.try_pop_n dl_inbox n) in
+  let poll_deadline () =
+    let j = Injector.try_pop dl_inbox in
+    Pool.note_lane ~polls:1 ~tasks:(if Option.is_some j then 1 else 0);
+    j
+  in
   (* The lane arbiter, the pool's source right after its resume inbox:
-     deadline lane first in EDF order, bulk when it is empty — except
-     that accrued bulk credit forces a bulk-first poll (anti-starvation).
-     A take never mixes lanes, so the telemetry and the EDF order of the
-     surplus stay lane-pure. *)
-  let take n =
-    let bulk_first =
-      Atomic.get credit >= bulk_credit_period - 1 && not (Injector.is_empty inbox)
-    in
-    let dl, bulk =
-      if bulk_first then begin
-        match Injector.try_pop_n inbox n with
-        | [] -> (drain_dl n, [])
-        | js ->
-            Atomic.set credit 0;
-            ([], js)
-      end
-      else
-        match drain_dl n with
-        | [] -> ([], Injector.try_pop_n inbox n)
-        | js ->
-            if not (Injector.is_empty inbox) then Atomic.incr credit;
-            (js, [])
-    in
-    Pool.note_lane ~polls:1 ~tasks:(List.length dl);
-    List.map (fun j -> j.run) (match dl with [] -> bulk | _ -> dl)
+     one job per take, deadline lane first, bulk when it is empty —
+     except that accrued bulk credit forces a bulk-first poll
+     (anti-starvation).  Each lane is FIFO. *)
+  let take () =
+    run_of
+      (if Atomic.get credit >= bulk_credit_period - 1 && not (Injector.is_empty inbox) then
+         match Injector.try_pop inbox with
+         | Some _ as j ->
+             Atomic.set credit 0;
+             Pool.note_lane ~polls:1 ~tasks:0;
+             j
+         | None -> poll_deadline ()
+       else
+         match poll_deadline () with
+         | Some _ as j ->
+             if not (Injector.is_empty inbox) then Atomic.incr credit;
+             j
+         | None -> Injector.try_pop inbox)
   in
   let lanes =
     {
@@ -233,7 +207,7 @@ let create ?processes ?park_threshold ?batch ?yield_kind ?gate ?(inbox_capacity 
     }
   in
   let pool =
-    Pool.create ?processes ?park_threshold ?batch ?yield_kind ?gate ?trace
+    Pool.create ?processes ?park_threshold ?yield_kind ?gate ?trace
       ~sources:(lanes :: Option.to_list overflow) ~spawn_all:true ()
   in
   let shards = Pool.size pool in
@@ -398,12 +372,7 @@ let make_job s tk f =
            counted and signalled. *))
   in
   let abort () = ignore (drop s tk Shutdown) in
-  let due =
-    match tk.tk_lane with
-    | Bulk -> max_int
-    | Deadline -> ( match tk.t_deadline with Some d -> d | None -> tk.submitted)
-  in
-  { run; abort; due }
+  { run; abort }
 
 let refuse s li ~count_reject why =
   if count_reject then begin
@@ -484,26 +453,21 @@ let drain s =
 
 let stop_admission s = Atomic.set s.admitting false
 
-(* Another shard's thief takes up to [n] queued jobs, deadline lane
-   first (in EDF order) — a cross-shard relief thief must not grab bulk
-   work while deadline-class requests queue behind it.  The jobs keep
-   their closures over THIS micropool's tickets and counters, so the
-   per-service conservation invariant is unaffected by where they
-   run. *)
-let steal_inbox s n =
-  if n <= 0 then []
-  else
-    let dl = edf_order (Injector.try_pop_n s.dl_inbox n) in
-    let rest = n - List.length dl in
-    let bulk = if rest > 0 then Injector.try_pop_n s.inbox rest else [] in
-    List.map (fun j -> j.run) (dl @ bulk)
+(* Another shard's thief takes one queued job, deadline lane first — a
+   cross-shard relief thief must not grab bulk work while
+   deadline-class requests queue behind it.  The job keeps its closures
+   over THIS micropool's ticket and counters, so the per-service
+   conservation invariant is unaffected by where it runs. *)
+let steal_inbox s =
+  match Injector.try_pop s.dl_inbox with
+  | Some j -> Some j.run
+  | None -> run_of (Injector.try_pop s.inbox)
 
 (* Deadline-lane-only variant: the lane-aware cross-steal path uses it
    to relieve a sibling's deadline burst without touching its bulk
-   backlog (and without consuming the thief's bulk cross-steal
-   budget). *)
-let steal_inbox_deadline s n =
-  if n <= 0 then [] else List.map (fun j -> j.run) (edf_order (Injector.try_pop_n s.dl_inbox n))
+   backlog (and without waiting out the thief's bulk cross-steal
+   rate limit). *)
+let steal_inbox_deadline s = run_of (Injector.try_pop s.dl_inbox)
 
 let join_workers s =
   Atomic.set s.admitting false;

@@ -15,9 +15,9 @@
     There are two admission lanes, each with its own inbox:
     {!lane.Bulk} (the default) and {!lane.Deadline} for latency-critical
     requests.  The worker-side arbiter polls the deadline lane {e
-    first}, draining it in earliest-deadline-first order (per drained
-    batch — "EDF-ish"; the EDF key is the absolute deadline when given,
-    else the submission time).  An anti-starvation credit guarantees the
+    first}, one job per poll, FIFO within the lane (submission order;
+    a deadline only decides when a still-queued task is dropped).  An
+    anti-starvation credit guarantees the
     bulk lane at least a 1-in-4 share of non-empty polls under sustained
     deadline traffic.  Per-lane counters ({!lane_stats}) and per-lane
     latency histograms keep the two classes separately observable.
@@ -54,8 +54,8 @@ type t
 type lane =
   | Bulk  (** default lane: throughput-oriented background work *)
   | Deadline
-      (** high-priority lane: polled first by workers, drained in
-          EDF-ish order *)
+      (** high-priority lane: polled first by workers, FIFO within the
+          lane *)
 
 type reason =
   | Deadline  (** still queued when its deadline expired *)
@@ -143,7 +143,6 @@ val cancel : 'a ticket -> bool
 val create :
   ?processes:int ->
   ?park_threshold:int ->
-  ?batch:int ->
   ?yield_kind:Abp_hood.Pool.yield_kind ->
   ?gate:Abp_hood.Pool.gate_hook ->
   ?inbox_capacity:int ->
@@ -156,12 +155,10 @@ val create :
     ({!Abp_hood.Pool.source}) after its resume inbox: the lane arbiter
     over both inboxes (of [inbox_capacity] slots each, default 1024,
     rounded up to a power of two), then [overflow] if given — the
-    cross-shard source.  With [batch] on, an idle worker drains up to
-    [batch] submissions per poll ({!Injector.try_pop_n}); a drained
-    deadline batch is EDF sorted before it spreads.  With [trace]
-    attached, lane polls appear in the per-worker
-    [inject_polls]/[inject_tasks]/[inject_batches] and
-    [lane_polls]/[lane_tasks] counters and as [Inject] events. *)
+    cross-shard source.  Each poll takes at most one submission.  With
+    [trace] attached, lane polls appear in the per-worker
+    [inject_polls]/[inject_tasks] and [lane_polls]/[lane_tasks]
+    counters and as [Inject] events. *)
 
 val admit :
   t ->
@@ -174,8 +171,7 @@ val admit :
     {!Shard.try_submit} and {!Shard.submit}.  [lane] (default [Bulk])
     selects the inbox; [deadline] is relative (seconds from now) — an
     admitted task still queued past it is dropped as
-    [Cancelled Deadline], and in the deadline lane it is also the EDF
-    key.  [count_reject] decides whether a refusal counts in
+    [Cancelled Deadline].  [count_reject] decides whether a refusal counts in
     [rejected].  The acceptance is counted before admission is
     re-checked, so a concurrent {!drain} either waits for this task or
     sees it rolled back.  Callable from any domain. *)
@@ -203,17 +199,16 @@ val drop_queued : t -> unit
     Only meaningful once no worker of any pool can still dequeue from
     this micropool's inboxes ({!Shard.shutdown} sequences this). *)
 
-val steal_inbox : t -> int -> (unit -> unit) list
-(** [steal_inbox s n] removes up to [n] queued jobs from [s]'s inboxes —
-    deadline lane first, in EDF order — and returns their run closures:
-    the cross-shard overflow entry point.  The jobs keep their closures
-    over [s]'s tickets and counters, so [s]'s ledger holds no matter
-    which pool runs them.  Returns [[]] for [n <= 0].  Callable from any
-    domain. *)
+val steal_inbox : t -> (unit -> unit) option
+(** [steal_inbox s] removes one queued job from [s]'s inboxes —
+    deadline lane first — and returns its run closure: the cross-shard
+    overflow entry point.  The job keeps its closures over [s]'s ticket
+    and counters, so [s]'s ledger holds no matter which pool runs it.
+    Callable from any domain. *)
 
-val steal_inbox_deadline : t -> int -> (unit -> unit) list
-(** Like {!steal_inbox} but draining the {e deadline lane only} (EDF
-    order): the lane-aware cross-steal path. *)
+val steal_inbox_deadline : t -> (unit -> unit) option
+(** Like {!steal_inbox} but taking from the {e deadline lane only}: the
+    lane-aware cross-steal path. *)
 
 (** {2 Telemetry} *)
 

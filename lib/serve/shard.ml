@@ -6,7 +6,6 @@ type t = {
   serves : Serve.t array;
   shards : int;
   cross_period : int;
-  cross_quota : int;
   (* Round-robin cursor for keyless routing; one fetch-and-add per
      submission, on its own cache line. *)
   rr : int Atomic.t;
@@ -53,89 +52,87 @@ let thief_key : thief Domain.DLS.key =
    races construction sees [[||]] and treats the topology as unsharded —
    no remote work, nothing pending. *)
 
-let try_victim serves j victim quota =
+let try_victim serves j victim =
   let s = serves.(j) in
-  if victim >= 0 then Pool.steal_from (Serve.pool s) ~victim ~max:quota
-  else Serve.steal_inbox s quota
+  if victim >= 0 then Pool.steal_from (Serve.pool s) ~victim else Serve.steal_inbox s
 
 (* Lane-aware relief: scan the siblings for queued deadline-lane work
-   and drain it (EDF order, deadline lane ONLY) ahead of any bulk
+   and take one job (deadline lane ONLY) ahead of any bulk
    cross-steal.  This path deliberately bypasses the [cross_period]
    throttle — a deadline burst on one shard must not wait out an idle
    sibling's rate limiter — while bulk keeps the existing budget; the
    scan is a handful of atomic depth reads per empty-handed trip.  The
    start offset rotates with the thief's probe counter so concurrent
    thieves fan out over different siblings. *)
-let deadline_relief serves st my k quota =
+let deadline_relief serves st my k =
   let rec scan i =
-    if i >= k then []
+    if i >= k then None
     else
       let j = (st.probe + i) mod k in
       if j = my || Serve.lane_depth serves.(j) Serve.Deadline = 0 then scan (i + 1)
       else
-        match Serve.steal_inbox_deadline serves.(j) quota with
-        | [] -> scan (i + 1)
-        | got ->
+        match Serve.steal_inbox_deadline serves.(j) with
+        | None -> scan (i + 1)
+        | Some _ as got ->
             st.last_shard <- j;
             st.last_victim <- -1;
             got
   in
   scan 0
 
-let cross_take cell ~cross_period ~cross_quota my n =
+let cross_take cell ~cross_period my () =
   let serves = Atomic.get cell in
   let k = Array.length serves in
-  if k <= 1 then []
+  if k <= 1 then None
   else begin
     let st = Domain.DLS.get thief_key in
     st.probe <- st.probe + 1;
-    let dl = deadline_relief serves st my k (max 1 (min n cross_quota)) in
-    if dl <> [] then dl
-    else
-    (* Rate limit: only every [cross_period]-th empty-handed trip
-       actually touches a remote shard; the other trips return
-       immediately, so transient imbalance is absorbed locally and the
-       steady state never degenerates into all-to-all stealing. *)
-    if st.probe mod cross_period <> 0 then []
-    else begin
-      let quota = max 1 (min n cross_quota) in
-      (* 1. The last productive victim first (the localized-stealing
-         preference): a shard that overflowed once is likely still the
-         hot one, and revisiting it keeps the traffic pairwise. *)
-      let from_last =
-        if st.last_shard < 0 || st.last_shard >= k || st.last_shard = my then []
-        else
-          let victim =
-            if st.last_victim < Pool.size (Serve.pool serves.(st.last_shard)) then
-              st.last_victim
-            else -1
+    match deadline_relief serves st my k with
+    | Some _ as got -> got
+    | None ->
+        (* Rate limit: only every [cross_period]-th empty-handed trip
+           actually touches a remote shard; the other trips return
+           immediately, so transient imbalance is absorbed locally and
+           the steady state never degenerates into all-to-all
+           stealing. *)
+        if st.probe mod cross_period <> 0 then None
+        else begin
+          (* 1. The last productive victim first (the localized-stealing
+             preference): a shard that overflowed once is likely still
+             the hot one, and revisiting it keeps the traffic pairwise. *)
+          let from_last =
+            if st.last_shard < 0 || st.last_shard >= k || st.last_shard = my then None
+            else
+              let victim =
+                if st.last_victim < Pool.size (Serve.pool serves.(st.last_shard)) then
+                  st.last_victim
+                else -1
+              in
+              try_victim serves st.last_shard victim
           in
-          try_victim serves st.last_shard victim quota
-      in
-      if from_last <> [] then from_last
-      else begin
-        st.last_shard <- -1;
-        (* 2. One uniformly random remote shard: a random victim deque
-           first (steal-up-to-half, enforced by the deque's batch
-           quota), then that shard's injector inbox. *)
-        let j0 = Abp_stats.Rng.int st.rng (k - 1) in
-        let j = if j0 >= my then j0 + 1 else j0 in
-        let p = Serve.pool serves.(j) in
-        let v = Abp_stats.Rng.int st.rng (Pool.size p) in
-        match Pool.steal_from p ~victim:v ~max:quota with
-        | _ :: _ as got ->
-            st.last_shard <- j;
-            st.last_victim <- v;
-            got
-        | [] -> (
-            match Serve.steal_inbox serves.(j) quota with
-            | [] -> []
-            | got ->
-                st.last_shard <- j;
-                st.last_victim <- -1;
-                got)
-      end
-    end
+          match from_last with
+          | Some _ -> from_last
+          | None -> (
+              st.last_shard <- -1;
+              (* 2. One uniformly random remote shard: a random victim
+                 deque first, then that shard's injector inbox. *)
+              let j0 = Abp_stats.Rng.int st.rng (k - 1) in
+              let j = if j0 >= my then j0 + 1 else j0 in
+              let p = Serve.pool serves.(j) in
+              let v = Abp_stats.Rng.int st.rng (Pool.size p) in
+              match Pool.steal_from p ~victim:v with
+              | Some _ as got ->
+                  st.last_shard <- j;
+                  st.last_victim <- v;
+                  got
+              | None -> (
+                  match Serve.steal_inbox serves.(j) with
+                  | None -> None
+                  | Some _ as got ->
+                      st.last_shard <- j;
+                      st.last_victim <- -1;
+                      got))
+        end
   end
 
 (* Advisory view for the parking protocol: is there anything a
@@ -162,22 +159,20 @@ let cross_pending cell my () =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
-(* The overflow source's telemetry: every poll counts in [cross_polls];
-   a non-empty one in [cross_shard_steals], [cross_stolen_tasks] and the
-   batch histogram. *)
-let note_cross c got =
+(* The overflow source's telemetry: every poll counts in [cross_polls],
+   a non-empty one also in [cross_shard_steals] and
+   [cross_stolen_tasks]. *)
+let note_cross c hit =
   Counters.incr c Counters.cross_polls;
-  if got > 0 then begin
+  if hit then begin
     Counters.incr c Counters.cross_shard_steals;
-    Counters.add_n c Counters.cross_stolen_tasks got;
-    Counters.note_batch c got
+    Counters.incr c Counters.cross_stolen_tasks
   end
 
-let create ?processes ?park_threshold ?batch ?yield_kind ?gates ?inbox_capacity ?traces
-    ?(cross_period = 8) ?(cross_quota = 4) ~shards () =
+let create ?processes ?park_threshold ?yield_kind ?gates ?inbox_capacity ?traces
+    ?(cross_period = 8) ~shards () =
   if shards < 1 then invalid_arg "Shard.create: shards >= 1 required";
   if cross_period < 1 then invalid_arg "Shard.create: cross_period >= 1 required";
-  if cross_quota < 1 then invalid_arg "Shard.create: cross_quota >= 1 required";
   (match gates with
   | Some a when Array.length a <> shards ->
       invalid_arg "Shard.create: gates must have one entry per shard"
@@ -194,13 +189,13 @@ let create ?processes ?park_threshold ?batch ?yield_kind ?gates ?inbox_capacity 
           else
             Some
               {
-                Pool.take = cross_take cell ~cross_period ~cross_quota i;
+                Pool.take = cross_take cell ~cross_period i;
                 pending = cross_pending cell i;
                 note = note_cross;
                 event = Some Abp_trace.Event.Cross;
               }
         in
-        Serve.create ?processes ?park_threshold ?batch ?yield_kind
+        Serve.create ?processes ?park_threshold ?yield_kind
           ?gate:(match gates with Some a -> Some a.(i) | None -> None)
           ?inbox_capacity
           ?trace:(match traces with Some a -> Some a.(i) | None -> None)
@@ -211,14 +206,12 @@ let create ?processes ?park_threshold ?batch ?yield_kind ?gates ?inbox_capacity 
     serves;
     shards;
     cross_period;
-    cross_quota;
     rr = Padding.atomic 0;
     routed = Array.init shards (fun _ -> Padding.atomic 0);
   }
 
 let shards t = t.shards
 let cross_period t = t.cross_period
-let cross_quota t = t.cross_quota
 
 let serve t i =
   if i < 0 || i >= t.shards then invalid_arg "Shard.serve: shard index out of range";
@@ -391,11 +384,11 @@ let pp_report ppf t =
   Fmt.pf ppf "accepted %d  completed %d  rejected %d  cancelled %d  exceptions %d  suspended %d@."
     st.Serve.accepted st.Serve.completed st.Serve.rejected st.Serve.cancelled st.Serve.exceptions
     st.Serve.suspended;
-  Fmt.pf ppf "cross-shard: polls %d  steals %d  tasks %d (period %d, quota %d)@."
+  Fmt.pf ppf "cross-shard: polls %d  steals %d  tasks %d (period %d)@."
     (Counters.get c Counters.cross_polls)
     (Counters.get c Counters.cross_shard_steals)
     (Counters.get c Counters.cross_stolen_tasks)
-    t.cross_period t.cross_quota;
+    t.cross_period;
   Array.iteri
     (fun i s ->
       let sst = Serve.stats s in

@@ -23,12 +23,9 @@
        empty-handed trips), prefers the last productive victim (the
        localized-stealing policy of Suksompong–Leiserson–Schardl), and
        otherwise tries one random remote shard: a random victim deque
-       first (steal-up-to-half via {!Abp_hood.Pool.steal_from}), then
-       that shard's inbox ({!Serve.steal_inbox}), taking at most
-       [min cross_quota batch] tasks.  The pool's batch is 1 unless
-       [batch >= 2], so at the default [batch] every cross-shard
-       acquisition moves exactly one task and [cross_quota] does not
-       bind.}}
+       first ({!Abp_hood.Pool.steal_from}), then that shard's inbox
+       ({!Serve.steal_inbox}).  Every cross-shard acquisition moves
+       exactly one task.}}
 
     Cross-stolen jobs keep their closures over their {e home} shard's
     tickets and admission counters, so each shard's conservation
@@ -49,13 +46,11 @@ type t
 val create :
   ?processes:int ->
   ?park_threshold:int ->
-  ?batch:int ->
   ?yield_kind:Abp_hood.Pool.yield_kind ->
   ?gates:Abp_hood.Pool.gate_hook array ->
   ?inbox_capacity:int ->
   ?traces:Abp_trace.Sink.t array ->
   ?cross_period:int ->
-  ?cross_quota:int ->
   shards:int ->
   unit ->
   t
@@ -63,10 +58,8 @@ val create :
     [shards * processes] worker domains total).  [processes],
     [park_threshold] and [yield_kind] go to each shard's
     {!Abp_hood.Pool.create}, with its defaults.  [inbox_capacity] (default 1024, rounded up to a
-    power of two) sizes each lane inbox.  [batch] (default 0 = off)
-    turns on batched work transfer: an idle worker drains up to [batch]
-    submissions per poll, and thieves steal up to [batch] tasks at a
-    time.  [gates] and [traces], when given, must have exactly one entry
+    power of two) sizes each lane inbox; the deadline lane is polled
+    first and is FIFO within the lane, like the bulk lane.  [gates] and [traces], when given, must have exactly one entry
     per shard: per-shard preemption gates let the {!Abp_mp} adversary
     suspend shards independently (reopen them with
     {!Abp_mp.Controller.stop} before {!drain} or {!shutdown}), and
@@ -74,15 +67,11 @@ val create :
 
     [cross_period] (default 8) rate-limits cross-shard stealing: a thief
     makes one real cross-shard attempt per [cross_period] trips that
-    exhausted every intra-shard source.  [cross_quota] (default 4) caps
-    the tasks moved per cross-shard acquisition (further capped by the
-    pool's [batch] and the victim deque's steal-up-to-half quota).  It
-    binds only with [batch >= 2]: below that each acquisition moves one
-    task.  With [shards = 1] no overflow source is attached.
+    exhausted every intra-shard source.  With [shards = 1] no overflow
+    source is attached.
 
-    @raise Invalid_argument if [shards < 1], [cross_period < 1],
-    [cross_quota < 1], or a [gates]/[traces] array length mismatches
-    [shards]. *)
+    @raise Invalid_argument if [shards < 1], [cross_period < 1], or a
+    [gates]/[traces] array length mismatches [shards]. *)
 
 val shards : t -> int
 (** Number of micropools [k]. *)
@@ -91,8 +80,6 @@ val size : t -> int
 (** Total worker count across all shards. *)
 
 val cross_period : t -> int
-
-val cross_quota : t -> int
 
 val serve : t -> int -> Serve.t
 (** [serve t i] is shard [i]'s underlying service, for per-shard stats,
@@ -114,7 +101,8 @@ val try_submit :
     one), without blocking.  [lane] (default [Bulk]) selects the
     shard-local admission lane.  [deadline] is relative (seconds from
     now): an admitted task still queued past it is dropped as
-    [Cancelled Deadline], and in the deadline lane it is the EDF key.
+    [Cancelled Deadline]; it does not reorder the deadline lane, which
+    stays FIFO within the lane.
     Every refusal — [Inbox_full], or [Draining] once {!drain} or
     {!shutdown} has begun — counts in [rejected].
     Callable from any domain, including inside a request. *)
@@ -173,8 +161,8 @@ val cross_shard_steals : t -> int
     always [<= cross_polls]. *)
 
 val cross_stolen_tasks : t -> int
-(** Total tasks moved across shard boundaries; with quota [q] per
-    acquisition, [cross_stolen_tasks <= q * cross_shard_steals]. *)
+(** Total tasks moved across shard boundaries.  Each acquisition moves
+    one task, so this equals {!cross_shard_steals}. *)
 
 val drain : t -> Serve.stats
 (** Stop admission on every shard {e first}, then run everything already

@@ -123,9 +123,7 @@ let perform_pop_top st p victim =
   | Some v ->
       st.assigned.(p) <- v;
       Counters.incr c Counters.successful_steals;
-      (* The simulator always transfers one node per steal. *)
       Counters.incr c Counters.stolen_tasks;
-      Counters.note_batch c 1;
       emit st p ~arg:victim Abp_trace.Event.Steal;
       st.steal_latencies <- (st.cur_round - st.thief_since.(p) + 1) :: st.steal_latencies;
       st.thief_since.(p) <- -1

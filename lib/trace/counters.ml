@@ -2,8 +2,7 @@
    counter is declared exactly once below; its position in the
    declaration order is its slot (and its place in [fields]), and its
    kind alone decides how [add]/[sum] combine it.  Nothing after the
-   declarations names a counter except [note_batch] (which feeds
-   [max_steal_batch] with the histogram) and [consistent]/[complete]. *)
+   declarations names a counter except [consistent]/[complete]. *)
 
 type kind = Sum | Peak
 type id = int
@@ -27,19 +26,16 @@ let pops = sum "pops"
 let steal_attempts = sum "steal_attempts"
 let successful_steals = sum "successful_steals"
 let stolen_tasks = sum "stolen_tasks"
-let batch_steals = sum "batch_steals"
 let steal_empties = sum "steal_empties"
 let cas_failures_pop_top = sum "cas_failures_pop_top"
 let cas_failures_pop_bottom = sum "cas_failures_pop_bottom"
 let yields = sum "yields"
 let lock_spins = sum "lock_spins"
 let deque_high_water = peak "deque_high_water"
-let max_steal_batch = peak "max_steal_batch"
 let parks = sum "parks"
 let task_exceptions = sum "task_exceptions"
 let inject_polls = sum "inject_polls"
 let inject_tasks = sum "inject_tasks"
-let inject_batches = sum "inject_batches"
 let cross_polls = sum "cross_polls"
 let cross_shard_steals = sum "cross_shard_steals"
 let cross_stolen_tasks = sum "cross_stolen_tasks"
@@ -56,28 +52,14 @@ let deadline_misses = sum "deadline_misses"
 let table = Array.of_list (List.rev !declared)
 let scalars = Array.length table
 
-(* Tasks-per-steal histogram buckets: 1, 2, 3-4, 5-8, 9-16, >16. *)
-let batch_buckets = 6
-let batch_bucket_labels = [| "1"; "2"; "3-4"; "5-8"; "9-16"; ">16" |]
-
-let batch_bucket n =
-  if n <= 1 then 0
-  else if n = 2 then 1
-  else if n <= 4 then 2
-  else if n <= 8 then 3
-  else if n <= 16 then 4
-  else 5
-
-(* Slot layout: one spare cache line, the declared scalars, the
-   histogram buckets, then at least one more spare line, rounded up to a
-   line multiple.  Each array is single-writer-hot (its owning worker
-   bumps it on every scheduler action), so its live slots must share no
-   line with whatever the allocator places before or after it. *)
-let hist = first + scalars
-
+(* Slot layout: one spare cache line, the declared scalars, then at
+   least one more spare line, rounded up to a line multiple.  Each array
+   is single-writer-hot (its owning worker bumps it on every scheduler
+   action), so its live slots must share no line with whatever the
+   allocator places before or after it. *)
 let width =
   let line = Abp_deque.Padding.cache_line_words in
-  line * ((hist + batch_buckets + (2 * line) - 1) / line)
+  line * ((first + scalars + (2 * line) - 1) / line)
 
 (* Every bump reads [slots], so the record is padded as well: a line it
    shared with another worker's writes would miss on each bump. *)
@@ -97,17 +79,11 @@ let[@inline] incr c id = add_n c id 1
 let[@inline] note_max c id n = if n > c.slots.(id) then c.slots.(id) <- n
 
 let reset c =
-  Array.fill c.slots first (hist + batch_buckets - first) 0;
+  Array.fill c.slots first scalars 0;
   Array.fill c.victims 0 (Array.length c.victims) 0
 
 let copy c =
   Abp_deque.Padding.copy_as_padded { slots = Array.copy c.slots; victims = Array.copy c.victims }
-
-(* One steal (or injector drain) transferred [n] tasks: feed the
-   tasks-per-transfer telemetry. *)
-let note_batch c n =
-  note_max c max_steal_batch n;
-  incr c (hist + batch_bucket n)
 
 (* Ensure the victim vector spans index [v]; doubling keeps growth
    amortized O(1) per note on the (cold) first steals from new victims. *)
@@ -136,9 +112,6 @@ let add ~into c =
       | Sum -> add_n into id (get c id)
       | Peak -> note_max into id (get c id))
     table;
-  for b = hist to hist + batch_buckets - 1 do
-    add_n into b (get c b)
-  done;
   if Array.length c.victims > 0 then begin
     ensure_victims into (Array.length c.victims - 1);
     Array.iteri (fun i v -> into.victims.(i) <- into.victims.(i) + v) c.victims
@@ -151,14 +124,12 @@ let sum cs =
   acc
 
 let fields c = List.init scalars (fun i -> (fst table.(i), get c (first + i)))
-let batch_hist c = Array.sub c.slots hist batch_buckets
 
 let consistent c =
   List.for_all (fun (_, v) -> v >= 0) (fields c)
   && get c successful_steals + get c steal_empties + get c cas_failures_pop_top
      <= get c steal_attempts
-  && get c stolen_tasks >= get c successful_steals
-  && get c batch_steals <= get c successful_steals
+  && get c stolen_tasks = get c successful_steals
 
 let complete c =
   consistent c

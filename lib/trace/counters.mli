@@ -10,9 +10,7 @@
     (Section 5) count: steal attempts and successes, the CAS failures
     that distinguish contention from emptiness in [popTop]/[popBottom],
     owner pushes/pops, yields between failed steal attempts, lock spins
-    (Locked-deque models only), and the deque's high-water mark — plus
-    the batched-transfer telemetry added with steal-half scheduling:
-    tasks moved per steal, batch sizes, and injector batch drains.
+    (Locked-deque models only), and the deque's high-water mark.
 
     {2 Declared counters}
 
@@ -22,8 +20,8 @@
     order is the {!fields} order, and the kind decides aggregation:
     - a {e sum} counter counts events; {!add}/{!sum} add it up;
     - a {e peak} counter is a high-water mark raised with {!note_max};
-      {!add}/{!sum} take the max.  The peaks are {!deque_high_water},
-      {!max_steal_batch} and {!suspended_peak}.
+      {!add}/{!sum} take the max.  The peaks are {!deque_high_water}
+      and {!suspended_peak}.
 
     Adding a counter therefore takes that one declaration plus its
     [val] and doc below; {!create}, {!reset}, {!copy}, {!add}, {!sum},
@@ -34,9 +32,8 @@
     slot of the worker's int array, with no allocation or name lookup. *)
 
 type t
-(** One worker's counters: the declared scalars and the batch
-    histogram in one cache-line-padded int array, plus the growable
-    victim vector. *)
+(** One worker's counters: the declared scalars in one
+    cache-line-padded int array, plus the growable victim vector. *)
 
 type id
 (** A declared counter: its slot in every {!t}. *)
@@ -45,26 +42,16 @@ val pushes : id  (** [pushBottom] invocations by the owner *)
 
 val pops : id  (** successful [popBottom]s *)
 
-val steal_attempts : id  (** completed [popTop]/[pop_top_n] invocations *)
+val steal_attempts : id  (** completed [popTop] invocations *)
 
-val successful_steals : id
-(** steal {e operations} that returned at least one task.  With
-    batching, one successful steal may move several tasks; the
-    per-task total is {!stolen_tasks}, keeping
-    [successful_steals <= steal_attempts] and the
-    {!consistent}/{!complete} breakdowns intact. *)
+val successful_steals : id  (** [popTop]s that returned a task *)
 
 val stolen_tasks : id
-(** total tasks acquired via stealing; equals
-    [successful_steals] when batching is off *)
+(** total tasks acquired via stealing; every steal moves one task,
+    so this equals [successful_steals].  The conservation law
+    [pushes = pops + stolen_tasks] is stated over it. *)
 
-val batch_steals : id  (** successful steals that moved {e two or more} tasks *)
-
-val steal_empties : id
-(** steals that found the deque empty.  A batched [pop_top_n]
-    returning [[]] lands here: the batch API does not distinguish
-    a lost CAS from emptiness, so batch-mode contention is folded
-    into this bucket. *)
+val steal_empties : id  (** steals that found the deque empty *)
 
 val cas_failures_pop_top : id  (** [popTop]s that lost the [age]/[top] CAS to a racing process *)
 
@@ -75,10 +62,6 @@ val yields : id  (** yields between failed steal attempts *)
 val lock_spins : id  (** actions burnt spinning on a deque lock *)
 
 val deque_high_water : id  (** maximum observed deque size *)
-
-val max_steal_batch : id
-(** largest number of tasks moved by a single steal or injector
-    drain *)
 
 val parks : id
 (** times an idle thief exhausted its backoff and blocked on the
@@ -97,8 +80,6 @@ val inject_polls : id
 
 val inject_tasks : id  (** externally submitted tasks actually acquired from the inbox *)
 
-val inject_batches : id  (** injector polls that drained {e two or more} tasks at once *)
-
 val cross_polls : id
 (** polls of the pool's remote (cross-shard) work source, made only
     after the own deque, an intra-pool steal attempt, and the own
@@ -106,12 +87,12 @@ val cross_polls : id
     sharded Figure 3 order ({!Abp_serve.Shard}) *)
 
 val cross_shard_steals : id
-(** cross-shard polls that acquired at least one task from a remote
-    shard (deque steal or remote-inbox drain) *)
+(** cross-shard polls that acquired a task from a remote shard (deque
+    steal or remote-inbox take) *)
 
 val cross_stolen_tasks : id
-(** total tasks acquired across shard boundaries; equals
-    [cross_shard_steals] when every cross poll moves one task *)
+(** total tasks acquired across shard boundaries; every cross poll
+    moves one task, so this equals [cross_shard_steals] *)
 
 val gate_suspends : id
 (** times the worker blocked at a closed preemption gate — the
@@ -185,31 +166,9 @@ val note_max : t -> id -> int -> unit
 val get : t -> id -> int
 
 val reset : t -> unit
-(** Zero every counter, the batch histogram and the victim vector. *)
+(** Zero every counter and the victim vector. *)
 
 val copy : t -> t
-
-val batch_buckets : int
-(** Number of buckets in the tasks-per-transfer histogram (6). *)
-
-val batch_bucket_labels : string array
-(** Human-readable bucket bounds: [1], [2], [3-4], [5-8], [9-16], [>16]. *)
-
-val batch_bucket : int -> int
-(** [batch_bucket n] is the histogram index for a transfer of [n]
-    tasks. *)
-
-val note_batch : t -> int -> unit
-(** [note_batch c n] records that one steal (or injector drain)
-    transferred [n] tasks: raises {!max_steal_batch} and bumps the
-    matching histogram bucket. *)
-
-val batch_hist : t -> int array
-(** Copy of the tasks-per-transfer histogram over {!batch_buckets}
-    fixed buckets, indexable by {!batch_bucket} / labelled by
-    {!batch_bucket_labels}; fed by {!note_batch} on every successful
-    steal and injector drain.  Not part of {!fields} (exporters get
-    scalars). *)
 
 val note_victim : t -> int -> unit
 (** [note_victim c v] counts one successful steal from victim [v],
@@ -228,16 +187,16 @@ val victim_counts : t -> int array
 
 val add : into:t -> t -> unit
 (** Accumulate counter-wise by kind: sums add, peaks combine by [max];
-    the batch histogram and victim vector add element-wise (the victim
-    vector grows to the longer operand). *)
+    the victim vector adds element-wise (growing to the longer
+    operand). *)
 
 val sum : t array -> t
 (** Fresh aggregate of all records (empty array => all zeros). *)
 
 val consistent : t -> bool
 (** [successful_steals + steal_empties + cas_failures_pop_top
-    <= steal_attempts], [stolen_tasks >= successful_steals],
-    [batch_steals <= successful_steals], and every counter non-negative. *)
+    <= steal_attempts], [stolen_tasks = successful_steals], and every
+    counter non-negative. *)
 
 val complete : t -> bool
 (** Like {!consistent} but with equality: every completed steal attempt
@@ -246,8 +205,7 @@ val complete : t -> bool
 
 val fields : t -> (string * int) list
 (** Stable [(name, value)] view for exporters: every declared counter,
-    in declaration order (the batch histogram is exposed via
-    {!batch_hist}). *)
+    in declaration order. *)
 
 val pp : Format.formatter -> t -> unit
 (** The non-zero counters as [name value], space-separated, in

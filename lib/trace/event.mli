@@ -20,13 +20,12 @@ type kind =
   | Inject
       (** an externally submitted task was acquired from the pool's
           injector inbox ({!Abp_serve}), after both the own-deque pop and
-          a steal attempt failed ([arg] is the number of tasks taken;
-          Hood runtime only) *)
+          a steal attempt failed (Hood runtime only) *)
   | Cross
       (** a task was acquired across a shard boundary — stolen from a
           remote micropool's deques or drained from a remote shard's
           inbox — after every intra-shard source failed
-          ({!Abp_serve.Shard}; [arg] is the number of tasks moved) *)
+          ({!Abp_serve.Shard}) *)
   | Suspend
       (** the worker reached a gate safe point with its preemption gate
           closed and blocked (the multiprogramming harness's cooperative

@@ -17,17 +17,6 @@ let pp ppf sink =
     (count Counters.steal_attempts) (count Counters.successful_steals)
     (count Counters.steal_empties) (count Counters.cas_failures_pop_top)
     (if Counters.complete totals then "" else " (+ unclassified)");
-  (if count Counters.stolen_tasks > count Counters.successful_steals then
-     let hist = Counters.batch_hist totals in
-     Fmt.pf ppf
-       "batched transfer: %d tasks over %d steals (%d batched, max %d); tasks/transfer:"
-       (count Counters.stolen_tasks) (count Counters.successful_steals)
-       (count Counters.batch_steals) (count Counters.max_steal_batch);
-     Array.iteri
-       (fun i v ->
-         if v > 0 then Fmt.pf ppf " %s:%d" Counters.batch_bucket_labels.(i) v)
-       hist;
-     Fmt.pf ppf "@.");
   Fmt.pf ppf "@.%-8s" "worker";
   List.iter (fun (name, _) -> Fmt.pf ppf "%s  " name) (Counters.fields totals);
   Fmt.pf ppf "@.";

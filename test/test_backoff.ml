@@ -5,12 +5,15 @@
    (conservation), the [~yield_kind:No_yield] ablation never
    yields or parks, and a task that raises in a worker loop is recorded
    in [Counters.task_exceptions] and re-raised at the [run]/[shutdown]
-   boundary instead of killing its domain. *)
+   boundary instead of killing its domain.  The pool's extra work
+   sources are polled in list order, and every one is consulted before
+   a worker parks. *)
 
 module Pool = Abp_hood.Pool
 module Future = Abp_hood.Future
 module Par = Abp_hood.Par
 module Counters = Abp_trace.Counters
+module Injector = Abp_serve.Injector
 
 exception Boom
 
@@ -169,7 +172,7 @@ let shard_submit_wakes_remote_parked_thief () =
   let module Shard = Abp_serve.Shard in
   let module Serve = Abp_serve.Serve in
   let s =
-    Shard.create ~processes:1 ~park_threshold:0 ~cross_period:1 ~cross_quota:1 ~shards:2 ()
+    Shard.create ~processes:1 ~park_threshold:0 ~cross_period:1 ~shards:2 ()
   in
   let release = Atomic.make false in
   Fun.protect
@@ -223,6 +226,206 @@ let shard_submit_wakes_remote_parked_thief () =
       | _ -> Alcotest.fail "blocker completed");
   Alcotest.(check bool) "conserved after shutdown" true (Abp_serve.Shard.conserved s)
 
+(* A pool source over an injector; its takes count in [inject_tasks]. *)
+let injector_source inj =
+  {
+    Pool.take = (fun () -> Injector.try_pop inj);
+    pending = (fun () -> not (Injector.is_empty inj));
+    note = (fun c hit -> if hit then Counters.incr c Counters.inject_tasks);
+    event = None;
+  }
+
+(* Lost-wakeup regression for the source path: bursts of external tasks,
+   each followed by a single wake, against aggressively parking workers
+   (threshold 0).  If the wake missed a parked thief, or parking ignored
+   a source's [pending], a burst could strand with every worker parked.
+   Run with the burst in the only source, and in the second of two
+   sources (the first stays empty), so the parking check must look past
+   the first entry of the list. *)
+let source_burst_cannot_strand () =
+  List.iter
+    (fun (n_sources, into) ->
+      let injs = List.init n_sources (fun _ -> Injector.create ~capacity:1024 ()) in
+      let inj = List.nth injs into in
+      let pool =
+        Pool.create ~processes:3 ~park_threshold:0 ~sources:(List.map injector_source injs)
+          ~spawn_all:true ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Pool.shutdown pool)
+        (fun () ->
+          let executed = Atomic.make 0 in
+          let rounds = 20 and burst = 16 in
+          for round = 1 to rounds do
+            (* Let the workers go idle (parking is racy; best effort). *)
+            ignore (wait_until ~timeout:0.05 (fun () -> Pool.parked_workers pool > 0));
+            for _ = 1 to burst do
+              Alcotest.(check bool) "burst fits inbox" true
+                (Injector.try_push inj (fun () -> Atomic.incr executed))
+            done;
+            (* One wake for the whole burst: it must reach every parked
+               worker, and none may park again while the source is
+               non-empty. *)
+            Pool.wake pool;
+            Alcotest.(check bool)
+              (Printf.sprintf "source %d of %d, round %d: all %d tasks executed" (into + 1)
+                 n_sources round (round * burst))
+              true
+              (wait_until (fun () -> Atomic.get executed = round * burst))
+          done;
+          let t = totals pool in
+          Alcotest.(check int) "every injected task acquired" (rounds * burst)
+            (Counters.get t Counters.inject_tasks)))
+    [ (1, 0); (2, 1) ]
+
+(* The race the parking check closes, made deterministic: the last
+   source's task arrives just after its take came up empty, and no wake
+   follows — a producer's push landing between the worker's poll and
+   its park.  The lone worker must see it through [pending] instead of
+   parking for good. *)
+let late_arrival_seen_by_parking_check () =
+  let armed = Atomic.make false and queued = Atomic.make false and ran = Atomic.make 0 in
+  let late =
+    {
+      Pool.take =
+        (fun () ->
+          if Atomic.exchange queued false then Some (fun () -> Atomic.incr ran)
+          else begin
+            if Atomic.exchange armed false then Atomic.set queued true;
+            None
+          end);
+      pending = (fun () -> Atomic.get queued);
+      note = (fun _ _ -> ());
+      event = None;
+    }
+  in
+  let pool =
+    Pool.create ~processes:1 ~park_threshold:0
+      ~sources:[ injector_source (Injector.create ()); late ]
+      ~spawn_all:true ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      for round = 1 to 5 do
+        Alcotest.(check bool) "worker parked" true
+          (wait_until (fun () -> Pool.parked_workers pool = 1));
+        Atomic.set armed true;
+        Pool.wake pool;
+        Alcotest.(check bool)
+          (Printf.sprintf "round %d: late task ran" round)
+          true
+          (wait_until ~timeout:5.0 (fun () -> Atomic.get ran = round))
+      done)
+
+(* The order one worker runs tasks in: held busy by a blocker taken from
+   [blocker_from] while [fill record] queues tasks that log their tags,
+   then released; returns the tags once [expect] tasks ran. *)
+let run_order ~sources ~blocker_from ~expect fill =
+  let pool =
+    Pool.create ~processes:1 ~sources:(List.map injector_source sources) ~spawn_all:true ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      let release = Atomic.make false and started = Atomic.make false in
+      let log = ref [] and ran = Atomic.make 0 in
+      let record tag () =
+        log := tag :: !log;
+        Atomic.incr ran
+      in
+      assert (
+        Injector.try_push blocker_from (fun () ->
+            Atomic.set started true;
+            while not (Atomic.get release) do
+              Domain.cpu_relax ()
+            done));
+      Pool.wake pool;
+      Alcotest.(check bool) "blocker running" true (wait_until (fun () -> Atomic.get started));
+      fill record;
+      Atomic.set release true;
+      Alcotest.(check bool) "all ran" true (wait_until (fun () -> Atomic.get ran = expect));
+      List.rev !log)
+
+(* The poll order is the list order: once both sources fill, every task
+   of the first runs before any of the second. *)
+let sources_polled_in_list_order () =
+  let first = Injector.create ~capacity:64 () and second = Injector.create ~capacity:64 () in
+  let order =
+    run_order ~sources:[ first; second ] ~blocker_from:second ~expect:16 (fun record ->
+        for i = 1 to 8 do
+          assert (Injector.try_push second (record (Printf.sprintf "second %d" i)));
+          assert (Injector.try_push first (record (Printf.sprintf "first %d" i)))
+        done)
+  in
+  Alcotest.(check (list string))
+    "first source drained before the second"
+    (List.init 8 (fun i -> Printf.sprintf "first %d" (i + 1))
+    @ List.init 8 (fun i -> Printf.sprintf "second %d" (i + 1)))
+    order
+
+(* The acquisition order puts the worker's own deque ahead of every
+   source: children a source task pushes run (newest first) before the
+   next source task. *)
+let own_deque_before_sources () =
+  let inj = Injector.create ~capacity:64 () in
+  let order =
+    run_order ~sources:[ inj ] ~blocker_from:inj ~expect:5 (fun record ->
+        assert (
+          Injector.try_push inj (fun () ->
+              record "s1" ();
+              let w = Pool.current () in
+              List.iter (fun c -> Pool.push_task w (record c)) [ "c1"; "c2"; "c3" ]));
+        assert (Injector.try_push inj (record "s2")))
+  in
+  Alcotest.(check (list string))
+    "own deque drained before the next source task"
+    [ "s1"; "c3"; "c2"; "c1"; "s2" ] order
+
+(* A source's [note] runs on every poll, its hit flag is true exactly
+   when the take yielded a task, and its [event] is emitted once per
+   non-empty take with no subject ([arg] -1). *)
+let source_note_and_event_per_take () =
+  let inj = Injector.create ~capacity:64 () in
+  let takes = Atomic.make 0 and notes = Atomic.make 0 and hits = Atomic.make 0 in
+  let source =
+    {
+      Pool.take =
+        (fun () ->
+          Atomic.incr takes;
+          Injector.try_pop inj);
+      pending = (fun () -> not (Injector.is_empty inj));
+      note =
+        (fun _ hit ->
+          Atomic.incr notes;
+          if hit then Atomic.incr hits);
+      event = Some Abp_trace.Event.Inject;
+    }
+  in
+  let sink = Abp_trace.Sink.create ~ring_capacity:4096 ~workers:1 () in
+  let pool = Pool.create ~processes:1 ~trace:sink ~sources:[ source ] ~spawn_all:true () in
+  let n = 20 and ran = Atomic.make 0 in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      for _ = 1 to n do
+        assert (Injector.try_push inj (fun () -> Atomic.incr ran))
+      done;
+      Pool.wake pool;
+      Alcotest.(check bool) "every source task ran" true
+        (wait_until (fun () -> Atomic.get ran = n)));
+  Alcotest.(check int) "one note per take" (Atomic.get takes) (Atomic.get notes);
+  Alcotest.(check int) "hits = tasks taken" n (Atomic.get hits);
+  let injects =
+    List.filter
+      (fun e -> e.Abp_trace.Event.kind = Abp_trace.Event.Inject)
+      (Abp_trace.Sink.events sink)
+  in
+  Alcotest.(check int) "no events dropped" 0 (Abp_trace.Sink.dropped sink);
+  Alcotest.(check int) "one event per non-empty take" n (List.length injects);
+  Alcotest.(check bool) "events carry no subject" true
+    (List.for_all (fun e -> e.Abp_trace.Event.arg = -1) injects)
+
 let tests =
   [
     Alcotest.test_case "idle thieves park" `Quick idle_thieves_park;
@@ -237,4 +440,12 @@ let tests =
       task_exception_reraised_at_shutdown;
     Alcotest.test_case "shard submit wakes a remote parked thief" `Quick
       shard_submit_wakes_remote_parked_thief;
+    Alcotest.test_case "source burst cannot strand parked workers" `Quick
+      source_burst_cannot_strand;
+    Alcotest.test_case "sources polled in list order" `Quick sources_polled_in_list_order;
+    Alcotest.test_case "source note and event once per take" `Quick
+      source_note_and_event_per_take;
+    Alcotest.test_case "own deque polled before sources" `Quick own_deque_before_sources;
+    Alcotest.test_case "parking sees a late source task" `Quick
+      late_arrival_seen_by_parking_check;
   ]

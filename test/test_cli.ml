@@ -3,12 +3,20 @@
    surfaced as an uncaught backtrace through the cmdliner evaluator.
 
    The test stanza declares ../bin/{hoodrun,simrun,hoodserve}.exe as
-   deps, so dune builds them before the suite runs (cwd is
-   _build/default/test). *)
+   deps, so dune builds them before the suite runs.  They are found next
+   to this test executable, not through the working directory, so the
+   suite runs from any directory. *)
 
+let bin_dir =
+  Filename.concat (Filename.dirname Sys.executable_name)
+    (Filename.concat Filename.parent_dir_name "bin")
+
+(* [cmd] starts with the binary's file name, e.g. ["hoodrun.exe fib"]. *)
 let run_capturing cmd =
   let err = Filename.temp_file "abp_cli" ".stderr" in
-  let code = Sys.command (Printf.sprintf "%s >/dev/null 2>%s" cmd err) in
+  let code =
+    Sys.command (Printf.sprintf "%s/%s >/dev/null 2>%s" (Filename.quote bin_dir) cmd err)
+  in
   let ic = open_in err in
   let n = in_channel_length ic in
   let stderr_text = really_input_string ic n in
@@ -21,31 +29,56 @@ let contains s affix =
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   n = 0 || go 0
 
+(* Run [cmd] with [--json FILE] appended and return the JSON text. *)
+let run_json cmd =
+  let json = Filename.temp_file "abp_cli" ".json" in
+  let code, err = run_capturing (Printf.sprintf "%s --json %s" cmd json) in
+  Alcotest.(check int) "exit 0" 0 code;
+  Alcotest.(check string) "silent stderr" "" err;
+  let ic = open_in json in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove json;
+  s
+
+(* The non-negative integer value of ["key":N] in a flat JSON object. *)
+let json_int s key =
+  let affix = Printf.sprintf "%S:" key in
+  let n = String.length affix and m = String.length s in
+  let rec find i =
+    if i + n > m then Alcotest.failf "json has no %s" key
+    else if String.sub s i n = affix then i + n
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let rec stop j = if j < m && s.[j] >= '0' && s.[j] <= '9' then stop (j + 1) else j in
+  int_of_string (String.sub s start (stop start - start))
+
 let hoodrun_crash_exits_nonzero () =
-  let code, err = run_capturing "../bin/hoodrun.exe crash -n 64 -p 2" in
+  let code, err = run_capturing "hoodrun.exe crash -n 64 -p 2" in
   Alcotest.(check int) "exit code 1" 1 code;
   Alcotest.(check bool) "fatal prefix on stderr" true (contains err "hoodrun: fatal:");
   Alcotest.(check bool) "task exception message on stderr" true
     (contains err "crash workload task failure")
 
 let hoodrun_success_exits_zero () =
-  let code, err = run_capturing "../bin/hoodrun.exe fib -n 10 -p 2" in
+  let code, err = run_capturing "hoodrun.exe fib -n 10 -p 2" in
   Alcotest.(check int) "exit code 0" 0 code;
   Alcotest.(check string) "silent stderr" "" err
 
 let hoodrun_unknown_workload_exits_nonzero () =
-  let code, err = run_capturing "../bin/hoodrun.exe nosuch -n 4 -p 1" in
+  let code, err = run_capturing "hoodrun.exe nosuch -n 4 -p 1" in
   Alcotest.(check int) "exit code 1" 1 code;
   Alcotest.(check bool) "names the workload" true (contains err "unknown workload")
 
 let simrun_unknown_dag_exits_nonzero () =
-  let code, err = run_capturing "../bin/simrun.exe --dag nosuch -p 2" in
+  let code, err = run_capturing "simrun.exe --dag nosuch -p 2" in
   Alcotest.(check int) "exit code 1" 1 code;
   Alcotest.(check bool) "fatal prefix on stderr" true (contains err "simrun: fatal:");
   Alcotest.(check bool) "names the dag family" true (contains err "unknown dag family")
 
 let simrun_success_exits_zero () =
-  let code, _ = run_capturing "../bin/simrun.exe --dag tree --depth 4 -p 4" in
+  let code, _ = run_capturing "simrun.exe --dag tree --depth 4 -p 4" in
   Alcotest.(check int) "exit code 0" 0 code
 
 (* The adversary grammar is one module (Abp_kernel.Adversary_spec)
@@ -55,12 +88,12 @@ let simrun_success_exits_zero () =
 
 let shared_adversary_spec_accepted_by_both () =
   let code, err =
-    run_capturing "../bin/simrun.exe --dag tree --depth 4 -p 4 --adversary duty:on=2,off=1"
+    run_capturing "simrun.exe --dag tree --depth 4 -p 4 --adversary duty:on=2,off=1"
   in
   Alcotest.(check int) "simrun accepts duty:on=2,off=1" 0 code;
   Alcotest.(check string) "simrun silent stderr" "" err;
   let code, err =
-    run_capturing "../bin/hoodrun.exe fib -n 12 -p 2 --adversary duty:on=2,off=1 --yield all"
+    run_capturing "hoodrun.exe fib -n 12 -p 2 --adversary duty:on=2,off=1 --yield all"
   in
   Alcotest.(check int) "hoodrun accepts duty:on=2,off=1" 0 code;
   Alcotest.(check string) "hoodrun silent stderr" "" err
@@ -73,33 +106,24 @@ let shared_adversary_spec_rejected_by_both () =
       Alcotest.(check bool) (binary ^ " names the bad parameter") true
         (contains err "does not take parameter"))
     [
-      ("simrun", "../bin/simrun.exe --dag tree --depth 4 -p 4 --adversary duty:bogus=1");
-      ("hoodrun", "../bin/hoodrun.exe fib -n 12 -p 2 --adversary duty:bogus=1");
+      ("simrun", "simrun.exe --dag tree --depth 4 -p 4 --adversary duty:bogus=1");
+      ("hoodrun", "hoodrun.exe fib -n 12 -p 2 --adversary duty:bogus=1");
     ];
-  let code, err = run_capturing "../bin/hoodrun.exe fib -n 12 -p 2 --adversary nosuch" in
+  let code, err = run_capturing "hoodrun.exe fib -n 12 -p 2 --adversary nosuch" in
   Alcotest.(check int) "hoodrun rejects unknown adversary" 1 code;
   Alcotest.(check bool) "unknown adversary named" true (contains err "nosuch")
 
 let hoodrun_mp_json_schema () =
-  let json = Filename.temp_file "abp_cli" ".json" in
-  let code, err =
-    run_capturing
-      (Printf.sprintf
-         "../bin/hoodrun.exe fib -n 20 -p 2 --adversary duty:on=2,off=1 --yield random \
-          --quantum 0.5 --json %s"
-         json)
+  let s =
+    run_json
+      "hoodrun.exe fib -n 20 -p 2 --adversary duty:on=2,off=1 --yield random \
+        --quantum 0.5"
   in
-  Alcotest.(check int) "exit 0" 0 code;
-  Alcotest.(check string) "silent stderr" "" err;
-  let ic = open_in json in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove json;
   List.iter
     (fun key ->
       Alcotest.(check bool) (Printf.sprintf "json has %s" key) true (contains s key))
     [
-      {|"schema":"hoodrun/4"|};
+      {|"schema":"hoodrun/5"|};
       {|"adversary":"duty:on=2,off=1"|};
       {|"yield":"random"|};
       {|"pbar"|};
@@ -115,7 +139,7 @@ let hoodrun_unknown_deque_exits_nonzero () =
   List.iter
     (fun bad ->
       let code, err =
-        run_capturing (Printf.sprintf "../bin/hoodrun.exe fib -n 10 -p 2 --deque %s" bad)
+        run_capturing (Printf.sprintf "hoodrun.exe fib -n 10 -p 2 --deque %s" bad)
       in
       Alcotest.(check int) (bad ^ ": exit code 1") 1 code;
       Alcotest.(check bool) (bad ^ ": names the bad backend") true
@@ -129,20 +153,11 @@ let hoodrun_unknown_deque_exits_nonzero () =
    conserved, schema-stamped JSON summary; an invalid shard count must
    exit 1 with the fatal prefix, not a backtrace. *)
 let hoodserve_sharded_json_schema () =
-  let json = Filename.temp_file "abp_cli" ".json" in
-  let code, err =
-    run_capturing
-      (Printf.sprintf
-         "../bin/hoodserve.exe -p 1 --shards 3 --affinity key --clients 3 --requests 40 \
-          --fib 10 --json %s"
-         json)
+  let s =
+    run_json
+      "hoodserve.exe -p 1 --shards 3 --affinity key --clients 3 --requests 40 \
+        --fib 10"
   in
-  Alcotest.(check int) "exit 0" 0 code;
-  Alcotest.(check string) "silent stderr" "" err;
-  let ic = open_in json in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove json;
   List.iter
     (fun key ->
       Alcotest.(check bool) (Printf.sprintf "json has %s" key) true (contains s key))
@@ -169,20 +184,11 @@ let hoodserve_sharded_json_schema () =
    JSON must show balanced fiber telemetry (suspensions = resumes =
    requests x depth) with nothing left suspended after drain. *)
 let hoodserve_await_json_schema () =
-  let json = Filename.temp_file "abp_cli" ".json" in
-  let code, err =
-    run_capturing
-      (Printf.sprintf
-         "../bin/hoodserve.exe -p 2 --clients 2 --requests 50 --fib 8 --await-depth 2 \
-          --backend-ms 0.2 --json %s"
-         json)
+  let s =
+    run_json
+      "hoodserve.exe -p 2 --clients 2 --requests 50 --fib 8 --await-depth 2 \
+        --backend-ms 0.2"
   in
-  Alcotest.(check int) "exit 0" 0 code;
-  Alcotest.(check string) "silent stderr" "" err;
-  let ic = open_in json in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove json;
   List.iter
     (fun key ->
       Alcotest.(check bool) (Printf.sprintf "json has %s" key) true (contains s key))
@@ -210,20 +216,11 @@ let hoodserve_await_json_schema () =
    the bulk and deadline lanes, and the JSON must carry the per-lane
    latency blocks with log-histogram percentiles (p50/p99/p999). *)
 let hoodserve_open_loop_lanes_json_schema () =
-  let json = Filename.temp_file "abp_cli" ".json" in
-  let code, err =
-    run_capturing
-      (Printf.sprintf
-         "../bin/hoodserve.exe -p 2 --clients 2 --requests 60 --fib 8 --lanes \
-          --lane-share 0.25 --open-loop --arrival poisson --rate 4000 --json %s"
-         json)
+  let s =
+    run_json
+      "hoodserve.exe -p 2 --clients 2 --requests 60 --fib 8 --lanes \
+        --lane-share 0.25 --open-loop --arrival poisson --rate 4000"
   in
-  Alcotest.(check int) "exit 0" 0 code;
-  Alcotest.(check string) "silent stderr" "" err;
-  let ic = open_in json in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove json;
   List.iter
     (fun key ->
       Alcotest.(check bool) (Printf.sprintf "json has %s" key) true (contains s key))
@@ -243,7 +240,7 @@ let hoodserve_open_loop_lanes_json_schema () =
 
 let hoodserve_hash_affinity_succeeds () =
   let code, err =
-    run_capturing "../bin/hoodserve.exe -p 1 --shards 2 --affinity hash --clients 2 --requests 30 --fib 8"
+    run_capturing "hoodserve.exe -p 1 --shards 2 --affinity hash --clients 2 --requests 30 --fib 8"
   in
   Alcotest.(check int) "exit 0" 0 code;
   Alcotest.(check string) "silent stderr" "" err
@@ -257,31 +254,56 @@ let hoodserve_invalid_shards_exit_nonzero () =
         (contains err "hoodserve: fatal:");
       Alcotest.(check bool) (label ^ " no backtrace") false (contains err "Raised at"))
     [
-      ("shards 0", "../bin/hoodserve.exe --shards 0 --clients 1 --requests 1");
-      ("shards 257", "../bin/hoodserve.exe --shards 257 --clients 1 --requests 1");
-      ("await-depth -1", "../bin/hoodserve.exe --await-depth=-1 --clients 1 --requests 1");
-      ("await-depth 65", "../bin/hoodserve.exe --await-depth 65 --clients 1 --requests 1");
-      ("backend-ms -1", "../bin/hoodserve.exe --backend-ms=-1 --clients 1 --requests 1");
-      ("backend-ms 1001", "../bin/hoodserve.exe --backend-ms 1001 --clients 1 --requests 1");
-      ("rate 0", "../bin/hoodserve.exe --open-loop --rate 0 --clients 1 --requests 1");
+      ("shards 0", "hoodserve.exe --shards 0 --clients 1 --requests 1");
+      ("shards 257", "hoodserve.exe --shards 257 --clients 1 --requests 1");
+      ("await-depth -1", "hoodserve.exe --await-depth=-1 --clients 1 --requests 1");
+      ("await-depth 65", "hoodserve.exe --await-depth 65 --clients 1 --requests 1");
+      ("backend-ms -1", "hoodserve.exe --backend-ms=-1 --clients 1 --requests 1");
+      ("backend-ms 1001", "hoodserve.exe --backend-ms 1001 --clients 1 --requests 1");
+      ("rate 0", "hoodserve.exe --open-loop --rate 0 --clients 1 --requests 1");
       ( "rate 1e8",
-        "../bin/hoodserve.exe --open-loop --rate 100000000 --clients 1 --requests 1" );
+        "hoodserve.exe --open-loop --rate 100000000 --clients 1 --requests 1" );
       ( "lane-share 1.5",
-        "../bin/hoodserve.exe --lanes --lane-share 1.5 --clients 1 --requests 1" );
+        "hoodserve.exe --lanes --lane-share 1.5 --clients 1 --requests 1" );
       ( "lane-share -0.1",
-        "../bin/hoodserve.exe --lanes --lane-share=-0.1 --clients 1 --requests 1" );
+        "hoodserve.exe --lanes --lane-share=-0.1 --clients 1 --requests 1" );
     ];
   (* The range must be named in the message, not just the fatal prefix. *)
-  let _, err = run_capturing "../bin/hoodserve.exe --open-loop --rate 0 --clients 1 --requests 1" in
+  let _, err = run_capturing "hoodserve.exe --open-loop --rate 0 --clients 1 --requests 1" in
   Alcotest.(check bool) "rate range named" true (contains err "rate in (0,1e7] required");
   let _, err =
-    run_capturing "../bin/hoodserve.exe --lanes --lane-share 1.5 --clients 1 --requests 1"
+    run_capturing "hoodserve.exe --lanes --lane-share 1.5 --clients 1 --requests 1"
   in
   Alcotest.(check bool) "lane-share range named" true
     (contains err "lane-share in [0,1] required");
   (* An unknown affinity policy is a cmdliner enum error: exit 124. *)
-  let code, _ = run_capturing "../bin/hoodserve.exe --affinity nosuch --clients 1 --requests 1" in
+  let code, _ = run_capturing "hoodserve.exe --affinity nosuch --clients 1 --requests 1" in
   Alcotest.(check bool) "unknown affinity rejected" true (code <> 0)
+
+(* One task per steal, as the JSON reports it, on every backend. *)
+let hoodrun_json_one_task_per_steal () =
+  List.iter
+    (fun deque ->
+      let s =
+        run_json (Printf.sprintf "hoodrun.exe nqueens -n 10 -p 2 --deque %s" deque)
+      in
+      Alcotest.(check int) (deque ^ ": stolen_tasks = successful_steals")
+        (json_int s "successful_steals") (json_int s "stolen_tasks");
+      Alcotest.(check bool) (deque ^ ": steals <= attempts") true
+        (json_int s "successful_steals" <= json_int s "steal_attempts"))
+    [ "abp"; "circular"; "locked" ]
+
+(* One task per cross-shard steal, and no more steals than polls. *)
+let hoodserve_json_one_task_per_cross_steal () =
+  let s =
+    run_json
+      "hoodserve.exe -p 1 --shards 2 --affinity key --clients 2 --requests 60 --fib 12"
+  in
+  Alcotest.(check bool) "conserved" true (contains s {|"conserved":true|});
+  Alcotest.(check int) "cross_stolen_tasks = cross_shard_steals"
+    (json_int s "cross_shard_steals") (json_int s "cross_stolen_tasks");
+  Alcotest.(check bool) "cross steals <= cross polls" true
+    (json_int s "cross_shard_steals" <= json_int s "cross_polls")
 
 let tests =
   [
@@ -300,7 +322,11 @@ let tests =
     Alcotest.test_case "hoodrun: mp json schema" `Quick hoodrun_mp_json_schema;
     Alcotest.test_case "hoodrun: unknown deque exits 1 + lists backends" `Quick
       hoodrun_unknown_deque_exits_nonzero;
+    Alcotest.test_case "hoodrun: json reports one task per steal" `Quick
+      hoodrun_json_one_task_per_steal;
     Alcotest.test_case "hoodserve: sharded json schema" `Quick hoodserve_sharded_json_schema;
+    Alcotest.test_case "hoodserve: json reports one task per cross steal" `Quick
+      hoodserve_json_one_task_per_cross_steal;
     Alcotest.test_case "hoodserve: await-heavy json schema" `Quick hoodserve_await_json_schema;
     Alcotest.test_case "hoodserve: open-loop lanes json schema" `Quick
       hoodserve_open_loop_lanes_json_schema;

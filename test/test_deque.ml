@@ -271,14 +271,18 @@ let prop_circular_shrink_differential =
       && Circular_deque.size d = Spec.Reference.size oracle
       && Circular_deque.capacity d >= Circular_deque.initial_capacity d)
 
-let circular_concurrent_conservation () =
-  let d : int Circular_deque.t = Circular_deque.create ~capacity:4 () in
+(* Concurrent conservation: two thief domains racing a pushing/popping
+   owner; every value is consumed exactly once.  [capacity] must cover
+   every push on the fixed-array deque, whose [bot] resets only when the
+   owner empties it. *)
+let concurrent_conservation (module D : Spec.S) ~capacity () =
+  let d : int D.t = D.create ~capacity () in
   let n = 20_000 in
   let stop = Atomic.make false in
   let stolen_sum = Atomic.make 0 and stolen_count = Atomic.make 0 in
   let thief () =
     let rec loop () =
-      match Circular_deque.pop_top d with
+      match D.pop_top d with
       | Some v ->
           ignore (Atomic.fetch_and_add stolen_sum v);
           ignore (Atomic.fetch_and_add stolen_count 1);
@@ -290,21 +294,21 @@ let circular_concurrent_conservation () =
   let thieves = Array.init 2 (fun _ -> Domain.spawn thief) in
   let own_sum = ref 0 and own_count = ref 0 in
   for i = 1 to n do
-    Circular_deque.push_bottom d i;
+    D.push_bottom d i;
     if i mod 3 = 0 then
-      match Circular_deque.pop_bottom d with
+      match D.pop_bottom d with
       | Some v ->
           own_sum := !own_sum + v;
           incr own_count
       | None -> ()
   done;
   let rec drain () =
-    match Circular_deque.pop_bottom d with
+    match D.pop_bottom d with
     | Some v ->
         own_sum := !own_sum + v;
         incr own_count;
         drain ()
-    | None -> if not (Circular_deque.is_empty d) then drain ()
+    | None -> if not (D.is_empty d) then drain ()
   in
   drain ();
   Atomic.set stop true;
@@ -312,88 +316,19 @@ let circular_concurrent_conservation () =
   Alcotest.(check int) "every value consumed once" n (!own_count + Atomic.get stolen_count);
   Alcotest.(check int) "sum conserved" (n * (n + 1) / 2) (!own_sum + Atomic.get stolen_sum)
 
-(* --- batched stealing (pop_top_n) ------------------------------------ *)
-
-let batch_quota_policy () =
-  Alcotest.(check int) "empty grants nothing" 0 (Spec.batch_quota ~size:0 10);
-  Alcotest.(check int) "negative size grants nothing" 0 (Spec.batch_quota ~size:(-1) 4);
-  Alcotest.(check int) "one of one" 1 (Spec.batch_quota ~size:1 10);
-  Alcotest.(check int) "half rounded up" 3 (Spec.batch_quota ~size:6 10);
-  Alcotest.(check int) "odd half rounded up" 4 (Spec.batch_quota ~size:7 10);
-  Alcotest.(check int) "capped by n" 2 (Spec.batch_quota ~size:100 2)
-
-let invalid_n_message (module D : Spec.S) =
-  (* Each implementation names itself in the invalid_arg message. *)
-  let d : int D.t = D.create () in
-  try
-    ignore (D.pop_top_n d 0);
-    assert false
-  with Invalid_argument m -> m
-
-(* Native batch implementations take exactly the steal-half quota from a
-   quiescent deque, oldest first. *)
-let pop_top_n_smoke (module D : Spec.S) () =
-  let d : int D.t = D.create () in
-  for i = 1 to 6 do
-    D.push_bottom d i
-  done;
-  Alcotest.(check (list int)) "takes half, oldest first" [ 1; 2; 3 ] (D.pop_top_n d 10);
-  Alcotest.(check int) "leaves the rest" 3 (D.size d);
-  Alcotest.(check (list int)) "n caps the batch" [ 4 ] (D.pop_top_n d 1);
-  Alcotest.(check (option int)) "owner still sees newest" (Some 6) (D.pop_bottom d);
-  Alcotest.(check (list int)) "drains" [ 5 ] (D.pop_top_n d 8);
-  Alcotest.(check (list int)) "empty batch" [] (D.pop_top_n d 4);
-  Alcotest.check_raises "n >= 1 enforced" (Invalid_argument (invalid_n_message (module D)))
-    (fun () -> ignore (D.pop_top_n d 0))
-
-(* The documented Abp fallback: at most one item, Figure 5 semantics
-   untouched. *)
-let abp_pop_top_n_fallback () =
-  let d : int Atomic_deque.t = Atomic_deque.create ~capacity:8 () in
-  for i = 1 to 6 do
-    Atomic_deque.push_bottom d i
-  done;
-  Alcotest.(check (list int)) "single item despite big n" [ 1 ] (Atomic_deque.pop_top_n d 10);
-  Alcotest.(check int) "rest untouched" 5 (Atomic_deque.size d);
-  Alcotest.(check (list int)) "again one" [ 2 ] (Atomic_deque.pop_top_n d 3)
-
-(* Differential: a serial [pop_top_n] must linearize as a prefix of
-   individual oracle popTops — and for native implementations, exactly
-   the steal-half quota of them. *)
-let differential_batch (module D : Spec.S) ~native ~ops ~seed () =
-  let rng = Rng.create ~seed () in
-  let d = D.create ~capacity:4096 () in
-  let oracle = Spec.Reference.create () in
-  let next = ref 0 in
-  for _ = 1 to ops do
-    match Rng.int rng 4 with
-    | 0 ->
-        incr next;
-        D.push_bottom d !next;
-        Spec.Reference.push_bottom oracle !next
-    | 1 ->
-        let got = D.pop_bottom d and want = Spec.Reference.pop_bottom oracle in
-        Alcotest.(check (option int)) "pop_bottom agrees" want got
-    | 2 ->
-        let got = D.pop_top d and want = Spec.Reference.pop_top oracle in
-        Alcotest.(check (option int)) "pop_top agrees" want got
-    | _ ->
-        let n = 1 + Rng.int rng 8 in
-        let quota = Spec.batch_quota ~size:(Spec.Reference.size oracle) n in
-        let got = D.pop_top_n d n in
-        if native then
-          Alcotest.(check int) "native batch takes the full quota" quota (List.length got);
-        (* Whatever was taken must be the next [len] individual popTops. *)
-        let want = List.init (List.length got) (fun _ -> Spec.Reference.pop_top oracle) in
-        Alcotest.(check (list int)) "batch linearizes as popTops"
-          (List.filter_map Fun.id want) got
-  done;
-  Alcotest.(check int) "final size agrees" (Spec.Reference.size oracle) (D.size d)
-
-(* qcheck: random op sequences including batched steals. *)
-let prop_differential_batch name (module D : Spec.S) =
+(* Serially no process races the caller, so a [DETAILED] pop never
+   reports [Contended]: [Got v] is exactly the oracle's [Some v] and
+   [Empty] its [None].  These are the operations the pool's scheduling
+   loop and {!Abp_hood.Pool.steal_from} run, one task per call. *)
+let prop_detailed_differential name (module D : Spec.DETAILED) =
+  let agrees got want =
+    match (got, want) with
+    | Spec.Got v, Some w -> v = w
+    | Spec.Empty, None -> true
+    | _ -> false
+  in
   QCheck2.Test.make ~name ~count:50
-    QCheck2.Gen.(list_size (int_range 1 200) (int_range 0 3))
+    QCheck2.Gen.(list_size (int_range 1 200) (int_range 0 2))
     (fun ops ->
       let d = D.create ~capacity:1024 () in
       let oracle = Spec.Reference.create () in
@@ -406,57 +341,10 @@ let prop_differential_batch name (module D : Spec.S) =
               D.push_bottom d !next;
               Spec.Reference.push_bottom oracle !next;
               true
-          | 1 -> D.pop_bottom d = Spec.Reference.pop_bottom oracle
-          | 2 -> D.pop_top d = Spec.Reference.pop_top oracle
-          | _ -> D.pop_top_n d 4 = Spec.Reference.pop_top_n oracle 4)
-        ops)
-
-(* Concurrent conservation with batched thieves: two domains stealing
-   with [pop_top_n] against a pushing/popping owner; every value must be
-   consumed exactly once. *)
-let circular_concurrent_conservation_batched () =
-  let d : int Circular_deque.t = Circular_deque.create ~capacity:4 () in
-  let n = 20_000 in
-  let stop = Atomic.make false in
-  let stolen_sum = Atomic.make 0 and stolen_count = Atomic.make 0 in
-  let thief () =
-    let rec loop () =
-      match Circular_deque.pop_top_n d 4 with
-      | [] -> if Atomic.get stop then () else (Domain.cpu_relax (); loop ())
-      | vs ->
-          List.iter
-            (fun v ->
-              ignore (Atomic.fetch_and_add stolen_sum v);
-              ignore (Atomic.fetch_and_add stolen_count 1))
-            vs;
-          loop ()
-    in
-    loop ()
-  in
-  let thieves = Array.init 2 (fun _ -> Domain.spawn thief) in
-  let own_sum = ref 0 and own_count = ref 0 in
-  for i = 1 to n do
-    Circular_deque.push_bottom d i;
-    if i mod 3 = 0 then
-      match Circular_deque.pop_bottom d with
-      | Some v ->
-          own_sum := !own_sum + v;
-          incr own_count
-      | None -> ()
-  done;
-  let rec drain () =
-    match Circular_deque.pop_bottom d with
-    | Some v ->
-        own_sum := !own_sum + v;
-        incr own_count;
-        drain ()
-    | None -> if not (Circular_deque.is_empty d) then drain ()
-  in
-  drain ();
-  Atomic.set stop true;
-  Array.iter Domain.join thieves;
-  Alcotest.(check int) "every value consumed once" n (!own_count + Atomic.get stolen_count);
-  Alcotest.(check int) "sum conserved" (n * (n + 1) / 2) (!own_sum + Atomic.get stolen_sum)
+          | 1 -> agrees (D.pop_bottom_detailed d) (Spec.Reference.pop_bottom oracle)
+          | _ -> agrees (D.pop_top_detailed d) (Spec.Reference.pop_top oracle))
+        ops
+      && D.size d = Spec.Reference.size oracle)
 
 (* --- wsm: the fence-free multiplicity deque -------------------------- *)
 
@@ -501,23 +389,54 @@ let wsm_serial_differential ~ops ~seed () =
      than it claims. *)
   Alcotest.(check bool) "early Nil path exercised" true (!nil_early > 0)
 
-(* The documented wsm fallback: pop_top_n takes at most the one published
-   item, and an empty window yields an empty batch until the owner's next
-   push or popBottom republishes. *)
-let wsm_pop_top_n_fallback () =
+(* A wsm thief sees only the published window: one item at a time,
+   and an early NIL once that window is drained while the owner still
+   holds private work, until the owner's next pop republishes the next
+   oldest item. *)
+let wsm_pop_top_published_window () =
   let d : int Wsm_deque.t = Wsm_deque.create ~capacity:8 () in
   for i = 1 to 6 do
     Wsm_deque.push_bottom d i
   done;
-  Alcotest.(check (list int)) "single item despite big n" [ 1 ] (Wsm_deque.pop_top_n d 10);
+  Alcotest.(check (option int)) "the oldest item" (Some 1) (Wsm_deque.pop_top d);
   Alcotest.(check int) "rest untouched" 5 (Wsm_deque.size d);
-  Alcotest.(check (list int)) "drained window yields empty batch" [] (Wsm_deque.pop_top_n d 3);
+  Alcotest.(check (option int)) "drained window yields NIL" None (Wsm_deque.pop_top d);
+  Alcotest.(check int) "NIL removed nothing" 5 (Wsm_deque.size d);
   Alcotest.(check (option int)) "owner pops newest" (Some 6) (Wsm_deque.pop_bottom d);
-  Alcotest.(check (list int)) "owner's pop republished the next oldest" [ 2 ]
-    (Wsm_deque.pop_top_n d 3);
-  Alcotest.check_raises "n >= 1 enforced"
-    (Invalid_argument "Wsm_deque.pop_top_n: n >= 1 required") (fun () ->
-      ignore (Wsm_deque.pop_top_n d 0))
+  Alcotest.(check (option int)) "owner's pop republished the next oldest" (Some 2)
+    (Wsm_deque.pop_top d)
+
+(* The relaxed serial contract of [pop_top_detailed] on wsm: [Got v] is
+   always the oracle's next popTop, an [Empty] may come early (the
+   oracle is then left alone), and [Contended] never happens without a
+   racing process; the owner's pops are exact. *)
+let prop_wsm_detailed_relaxed =
+  QCheck2.Test.make ~name:"wsm detailed ops meet the relaxed oracle" ~count:50
+    QCheck2.Gen.(list_size (int_range 1 200) (int_range 0 2))
+    (fun ops ->
+      let d : int Wsm_deque.t = Wsm_deque.create ~capacity:256 () in
+      let oracle = Spec.Reference.create () in
+      let next = ref 0 in
+      List.for_all
+        (fun op ->
+          match op with
+          | 0 ->
+              incr next;
+              Wsm_deque.push_bottom d !next;
+              Spec.Reference.push_bottom oracle !next;
+              true
+          | 1 -> (
+              match (Wsm_deque.pop_bottom_detailed d, Spec.Reference.pop_bottom oracle) with
+              | Spec.Got v, Some w -> v = w
+              | Spec.Empty, None -> true
+              | _ -> false)
+          | _ -> (
+              match Wsm_deque.pop_top_detailed d with
+              | Spec.Got v -> Spec.Reference.pop_top oracle = Some v
+              | Spec.Empty -> true
+              | Spec.Contended -> false))
+        ops
+      && Wsm_deque.size d = Spec.Reference.size oracle)
 
 (* --- the multiset oracle --------------------------------------------- *)
 
@@ -581,31 +500,6 @@ let prop_multiset_differential name (module D : Spec.S) ~allows_multiplicity =
       Spec.Multiset_reference.legal ~allows_multiplicity m
       && Spec.Multiset_reference.outstanding m = 0)
 
-(* Batch early-cutoff legality, uniform across every backend including
-   wsm's single-item fallback: whatever [pop_top_n d n] returns must be
-   at most [n] items and linearize as exactly that many individual
-   oracle popTops, oldest first; an empty batch pops nothing. *)
-let prop_batch_linearizes name (module D : Spec.S) =
-  QCheck2.Test.make ~name ~count:50
-    QCheck2.Gen.(list_size (int_range 1 150) (pair (int_range 0 1) (int_range 1 6)))
-    (fun ops ->
-      let d = D.create ~capacity:1024 () in
-      let oracle = Spec.Reference.create () in
-      let next = ref 0 in
-      List.for_all
-        (fun (op, n) ->
-          match op with
-          | 0 ->
-              incr next;
-              D.push_bottom d !next;
-              Spec.Reference.push_bottom oracle !next;
-              true
-          | _ ->
-              let got = D.pop_top_n d n in
-              List.length got <= n
-              && List.for_all (fun v -> Spec.Reference.pop_top oracle = Some v) got)
-        ops)
-
 let tests =
   [
     Alcotest.test_case "atomic: smoke" `Quick (lifo_fifo_smoke (module Atomic_deque));
@@ -633,31 +527,25 @@ let tests =
     Alcotest.test_case "circular: index space never exhausts" `Quick circular_no_reset_needed;
     Alcotest.test_case "circular: shrinks after drain" `Quick circular_shrinks_after_drain;
     QCheck_alcotest.to_alcotest prop_circular_shrink_differential;
-    Alcotest.test_case "circular: concurrent conservation" `Quick circular_concurrent_conservation;
-    Alcotest.test_case "batch_quota: steal-half policy" `Quick batch_quota_policy;
-    Alcotest.test_case "circular: pop_top_n smoke" `Quick (pop_top_n_smoke (module Circular_deque));
-    Alcotest.test_case "locked: pop_top_n smoke" `Quick (pop_top_n_smoke (module Locked_deque));
-    Alcotest.test_case "reference: pop_top_n smoke" `Quick (pop_top_n_smoke (module Spec.Reference));
-    Alcotest.test_case "atomic: pop_top_n single-item fallback" `Quick abp_pop_top_n_fallback;
-    Alcotest.test_case "circular: batch differential" `Quick
-      (differential_batch (module Circular_deque) ~native:true ~ops:5000 ~seed:104L);
-    Alcotest.test_case "locked: batch differential" `Quick
-      (differential_batch (module Locked_deque) ~native:true ~ops:5000 ~seed:105L);
-    Alcotest.test_case "atomic: batch differential (prefix)" `Quick
-      (differential_batch (module Atomic_deque) ~native:false ~ops:5000 ~seed:106L);
-    Alcotest.test_case "circular: concurrent conservation, batched thieves" `Quick
-      circular_concurrent_conservation_batched;
+    Alcotest.test_case "circular: concurrent conservation" `Quick
+      (concurrent_conservation (module Circular_deque) ~capacity:4);
+    Alcotest.test_case "locked: concurrent conservation" `Quick
+      (concurrent_conservation (module Locked_deque) ~capacity:4);
     QCheck_alcotest.to_alcotest (prop_differential "atomic matches oracle" (module Atomic_deque));
     QCheck_alcotest.to_alcotest (prop_differential "locked matches oracle" (module Locked_deque));
     QCheck_alcotest.to_alcotest (prop_differential "circular matches oracle" (module Circular_deque));
     QCheck_alcotest.to_alcotest
-      (prop_differential_batch "circular batched steal matches oracle" (module Circular_deque));
+      (prop_detailed_differential "atomic detailed ops match oracle" (module Atomic_deque));
     QCheck_alcotest.to_alcotest
-      (prop_differential_batch "locked batched steal matches oracle" (module Locked_deque));
+      (prop_detailed_differential "circular detailed ops match oracle" (module Circular_deque));
+    QCheck_alcotest.to_alcotest
+      (prop_detailed_differential "locked detailed ops match oracle" (module Locked_deque));
     Alcotest.test_case "wsm: smoke" `Quick (lifo_fifo_smoke (module Wsm_deque));
     Alcotest.test_case "wsm: serial differential (relaxed popTop)" `Quick
       (wsm_serial_differential ~ops:5000 ~seed:107L);
-    Alcotest.test_case "wsm: pop_top_n single-item fallback" `Quick wsm_pop_top_n_fallback;
+    Alcotest.test_case "wsm: popTop sees only the published window" `Quick
+      wsm_pop_top_published_window;
+    QCheck_alcotest.to_alcotest prop_wsm_detailed_relaxed;
     Alcotest.test_case "multiset oracle: rejects mutant traces" `Quick multiset_rejects_mutants;
     QCheck_alcotest.to_alcotest
       (prop_multiset_differential "atomic exactly-once vs multiset oracle" (module Atomic_deque)
@@ -671,12 +559,4 @@ let tests =
     QCheck_alcotest.to_alcotest
       (prop_multiset_differential "wsm vs multiset oracle (multiplicity allowed)"
          (module Wsm_deque) ~allows_multiplicity:true);
-    QCheck_alcotest.to_alcotest
-      (prop_batch_linearizes "atomic batch linearizes as popTops" (module Atomic_deque));
-    QCheck_alcotest.to_alcotest
-      (prop_batch_linearizes "circular batch linearizes as popTops" (module Circular_deque));
-    QCheck_alcotest.to_alcotest
-      (prop_batch_linearizes "locked batch linearizes as popTops" (module Locked_deque));
-    QCheck_alcotest.to_alcotest
-      (prop_batch_linearizes "wsm batch linearizes as popTops" (module Wsm_deque));
   ]

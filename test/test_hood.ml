@@ -133,56 +133,10 @@ let steals_happen_with_multiple_processes () =
 
 (* Conservation stress of the atomic deque under real domain concurrency:
    one owner pushes/pops, thieves steal; every value is consumed exactly
-   once. *)
-let atomic_deque_conservation () =
-  let module D = Abp_deque.Atomic_deque in
-  (* bot is an absolute index in the ABP deque (it resets only when the
-     owner empties the deque), so capacity must cover all pushes. *)
-  let d : int D.t = D.create ~capacity:(1 lsl 15) () in
-  let n = 20_000 in
-  let stop = Atomic.make false in
-  let stolen_sum = Atomic.make 0 and stolen_count = Atomic.make 0 in
-  let thief () =
-    let rec loop () =
-      match D.pop_top d with
-      | Some v ->
-          ignore (Atomic.fetch_and_add stolen_sum v);
-          ignore (Atomic.fetch_and_add stolen_count 1);
-          loop ()
-      | None -> if Atomic.get stop then () else (Domain.cpu_relax (); loop ())
-    in
-    loop ()
-  in
-  let thieves = Array.init 2 (fun _ -> Domain.spawn thief) in
-  let own_sum = ref 0 and own_count = ref 0 in
-  for i = 1 to n do
-    D.push_bottom d i;
-    (* Periodically pop a batch from the bottom. *)
-    if i mod 3 = 0 then
-      match D.pop_bottom d with
-      | Some v ->
-          own_sum := !own_sum + v;
-          incr own_count
-      | None -> ()
-  done;
-  (* Drain the rest as the owner. *)
-  let rec drain () =
-    match D.pop_bottom d with
-    | Some v ->
-        own_sum := !own_sum + v;
-        incr own_count;
-        drain ()
-    | None -> if not (D.is_empty d) then drain ()
-  in
-  drain ();
-  Atomic.set stop true;
-  Array.iter Domain.join thieves;
-  (* Late steals could still be in flight before join; after join, the
-     deque must be empty and counts must add up. *)
-  let total_count = !own_count + Atomic.get stolen_count in
-  let total_sum = !own_sum + Atomic.get stolen_sum in
-  Alcotest.(check int) "every value consumed once" n total_count;
-  Alcotest.(check int) "sum conserved" (n * (n + 1) / 2) total_sum
+   once.  [bot] is an absolute index in the ABP deque, so the capacity
+   covers all pushes. *)
+let atomic_deque_conservation =
+  Test_deque.concurrent_conservation (module Abp_deque.Atomic_deque) ~capacity:(1 lsl 15)
 
 let all_deque_impls_compute_fib () =
   List.iter
@@ -194,6 +148,68 @@ let all_deque_impls_compute_fib () =
           let got = Pool.run pool (fun () -> Par.fib 20) in
           Alcotest.(check int) (name ^ " fib 20") (fib_seq 20) got))
     [ ("abp", Pool.Abp); ("circular", Pool.Circular); ("locked", Pool.Locked) ]
+
+module Counters = Abp_trace.Counters
+
+(* Every steal moves exactly one task on each backend, so at quiescence
+   the conservation law holds with [stolen_tasks = successful_steals]
+   and every steal attempt is classified. *)
+let one_task_per_steal deque_impl () =
+  let pool = Pool.create ~processes:4 ~deque_impl () in
+  let got =
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () -> Pool.run pool (fun () -> Par.fib 24))
+  in
+  Alcotest.(check int) "fib 24" (fib_seq 24) got;
+  let t = Counters.sum (Pool.counters pool) in
+  let get = Counters.get t in
+  Alcotest.(check int) "pushes = pops + stolen_tasks" (get Counters.pushes)
+    (get Counters.pops + get Counters.stolen_tasks);
+  Alcotest.(check int) "one task per steal" (get Counters.successful_steals)
+    (get Counters.stolen_tasks);
+  Alcotest.(check bool) "breakdown complete" true (Counters.complete t)
+
+(* [steal_from] is the external steal: one task per call off the
+   victim's deque top — the oldest first — [None] once the deque is
+   empty, and none of the pool's own steal counters move. *)
+let steal_from_takes_oldest deque_impl () =
+  let pool = Pool.create ~processes:1 ~deque_impl () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      Pool.run pool (fun () ->
+          let w = Pool.current () in
+          let tasks = List.init 3 (fun _ -> fun () -> ()) in
+          List.iter (Pool.push_task w) tasks;
+          List.iteri
+            (fun i task ->
+              match Pool.steal_from pool ~victim:0 with
+              | Some got ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "steal %d is push %d" i i)
+                    true (got == task)
+              | None -> Alcotest.failf "steal %d came back empty" i)
+            tasks;
+          Alcotest.(check bool) "empty deque yields nothing" true
+            (Option.is_none (Pool.steal_from pool ~victim:0))));
+  let t = Counters.sum (Pool.counters pool) in
+  Alcotest.(check int) "pushes counted" 3 (Counters.get t Counters.pushes);
+  List.iter
+    (fun (name, id) -> Alcotest.(check int) (name ^ " untouched") 0 (Counters.get t id))
+    [
+      ("steal_attempts", Counters.steal_attempts);
+      ("successful_steals", Counters.successful_steals);
+      ("stolen_tasks", Counters.stolen_tasks);
+    ]
+
+let create_validation () =
+  Alcotest.check_raises "processes = 0 rejected"
+    (Invalid_argument "Pool.create: processes >= 1 required") (fun () ->
+      ignore (Pool.create ~processes:0 ()));
+  Alcotest.check_raises "trace width mismatch rejected"
+    (Invalid_argument "Pool.create: trace sink must have one worker per process") (fun () ->
+      ignore (Pool.create ~processes:2 ~trace:(Abp_trace.Sink.create ~workers:3 ()) ()))
 
 (* An associative but non-commutative monoid over index intervals:
    combining [i, j) with [j, k) gives [i, k), anything out of order is
@@ -366,6 +382,34 @@ let central_pool_shutdown_race () =
           (Central_pool.force pool fut))
     futures
 
+(* Lazy splitting must compute exactly what the eager policies compute. *)
+let lazy_parallel_for_correct () =
+  let pool = Pool.create ~processes:4 ~deque_impl:Pool.Circular () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      Pool.run pool (fun () ->
+          let n = 10_000 in
+          let lazy_out = Array.make n 0 and eager_out = Array.make n 0 in
+          Par.parallel_for ~lo:0 ~hi:n (fun i -> lazy_out.(i) <- (i * 3) + 1);
+          Par.parallel_for ~grain:64 ~lo:0 ~hi:n (fun i -> eager_out.(i) <- (i * 3) + 1);
+          Alcotest.(check bool) "lazy = eager element-wise" true (lazy_out = eager_out);
+          let lazy_sum =
+            Par.parallel_reduce ~lo:0 ~hi:n ~init:0 ~combine:( + ) (fun i -> i land 15)
+          in
+          let eager_sum =
+            Par.parallel_reduce ~grain:64 ~lo:0 ~hi:n ~init:0 ~combine:( + ) (fun i -> i land 15)
+          in
+          Alcotest.(check int) "lazy reduce = eager reduce" eager_sum lazy_sum;
+          let mapped = Par.parallel_map_array (fun x -> x * x) (Array.init 1000 Fun.id) in
+          Alcotest.(check bool) "lazy map_array correct" true
+            (mapped = Array.init 1000 (fun i -> i * i));
+          (* Empty and single-element ranges. *)
+          Par.parallel_for ~lo:5 ~hi:5 (fun _ -> Alcotest.fail "empty range ran");
+          let one = ref 0 in
+          Par.parallel_for ~lo:7 ~hi:8 (fun i -> one := i);
+          Alcotest.(check int) "singleton range" 7 !one))
+
 let tests =
   [
     Alcotest.test_case "fib matches sequential" `Quick fib_matches_sequential;
@@ -388,6 +432,17 @@ let tests =
     Alcotest.test_case "all deque impls: fib" `Quick all_deque_impls_compute_fib;
     Alcotest.test_case "circular impl: deep spawns, tiny buffer" `Quick
       circular_impl_survives_deep_spawns;
+    Alcotest.test_case "lazy splitting computes eager answers" `Quick lazy_parallel_for_correct;
+    Alcotest.test_case "circular pool: one task per steal" `Quick
+      (one_task_per_steal Pool.Circular);
+    Alcotest.test_case "locked pool: one task per steal" `Quick (one_task_per_steal Pool.Locked);
+    Alcotest.test_case "steal_from takes the oldest task (abp)" `Quick
+      (steal_from_takes_oldest Pool.Abp);
+    Alcotest.test_case "steal_from takes the oldest task (circular)" `Quick
+      (steal_from_takes_oldest Pool.Circular);
+    Alcotest.test_case "steal_from takes the oldest task (locked)" `Quick
+      (steal_from_takes_oldest Pool.Locked);
+    Alcotest.test_case "create validation" `Quick create_validation;
     Alcotest.test_case "central pool: fib" `Quick central_pool_fib_matches;
     Alcotest.test_case "central pool: exceptions" `Quick central_pool_exceptions;
     Alcotest.test_case "central pool: lock surface" `Quick central_vs_ws_lock_surface;

@@ -36,11 +36,21 @@ let two_thieves_safe () = verified "two thieves" (Explorer.explore Props.two_thi
 let owner_vs_thief_safe () =
   verified "owner vs thief" (Explorer.explore Props.owner_vs_thief_interleave)
 
-(* A pop_top_n batch linearizes as consecutive single popTops
-   (Spec.S.pop_top_n); exhaustively interleaving that shape against an
-   owner that refills/drains — including its reset/retag path — must
+(* One thief issuing three consecutive popTops against an owner that
+   pushes four values and pops two, so the owner's reset/retag path can
+   land between any two of the thief's steps; every interleaving must
    stay conservation-safe. *)
-let batched_thief_safe () = verified "batched thief" (Explorer.explore Props.batched_thief)
+let thief_run_vs_owner_reset_safe () =
+  verified "thief run vs owner reset"
+    (Explorer.explore
+       {
+         Explorer.owner =
+           [
+             Sd.Push_bottom 1; Sd.Push_bottom 2; Sd.Push_bottom 3; Sd.Push_bottom 4; Sd.Pop_bottom;
+             Sd.Pop_bottom;
+           ];
+         thieves = [ [ Sd.Pop_top; Sd.Pop_top; Sd.Pop_top ] ];
+       })
 
 let empty_program () =
   let r = Explorer.explore { Explorer.owner = []; thieves = [] } in
@@ -261,7 +271,7 @@ let tests =
     Alcotest.test_case "wraparound width 2 safe" `Quick wraparound_width2_safe;
     Alcotest.test_case "two thieves" `Quick two_thieves_safe;
     Alcotest.test_case "owner vs thief" `Quick owner_vs_thief_safe;
-    Alcotest.test_case "batched thief (pop_top_n as popTop sequence)" `Quick batched_thief_safe;
+    Alcotest.test_case "thief popTop run vs owner reset" `Quick thief_run_vs_owner_reset_safe;
     Alcotest.test_case "empty program" `Quick empty_program;
     Alcotest.test_case "thief on empty deque" `Quick thief_on_empty_deque;
     Alcotest.test_case "rejects owner op in thief" `Quick rejects_owner_op_in_thief;

@@ -6,8 +6,8 @@
 
 open Abp_serve
 
-let with_serve ?processes ?inbox_capacity ?batch f =
-  let s = Shard.create ?processes ?inbox_capacity ?batch ~shards:1 () in
+let with_serve ?processes ?inbox_capacity f =
+  let s = Shard.create ?processes ?inbox_capacity ~shards:1 () in
   Fun.protect ~finally:(fun () -> Shard.shutdown s) (fun () -> f s)
 
 (* ------------------------------------------------------------------ *)
@@ -137,8 +137,8 @@ let exceptions_are_contained () =
 
 (* Deterministic admission tests run on a single busy worker: the first
    submitted task blocks it, so everything behind queues in the inbox. *)
-let with_blocked_worker ?inbox_capacity ?batch f =
-  with_serve ~processes:1 ?inbox_capacity ?batch (fun s ->
+let with_blocked_worker ?inbox_capacity f =
+  with_serve ~processes:1 ?inbox_capacity (fun s ->
       let release = Atomic.make false in
       let blocker =
         Shard.submit s (fun () ->
@@ -477,13 +477,13 @@ let lane_conservation_and_latency () =
       | None -> Alcotest.fail "merged sojourn latency present")
 
 let deadline_lane_runs_first () =
-  (* With the single worker blocked, queue bulk then deadline work; the
-     arbiter must start deadline-lane tasks first (EDF by explicit
-     deadline), with the bulk anti-starvation credit letting bulk
-     through at least once per 4 non-empty polls.  We assert the
-     relative order of the deadline tasks and that the first completion
-     is a deadline task. *)
-  with_blocked_worker ~batch:8 (fun s ~release ~blocker ->
+  (* With the single worker blocked, queue eight bulk tasks, then four
+     deadline tasks whose deadlines run in reverse submission order.
+     Each arbiter poll takes one task: the deadline lane first, FIFO
+     within the lane (the deadlines do not reorder it), except that
+     after three deadline polls with bulk waiting the anti-starvation
+     credit lets one bulk task through. *)
+  with_blocked_worker (fun s ~release ~blocker ->
       while Serve.inbox_depth (Shard.serve s 0) > 0 do
         Domain.cpu_relax ()
       done;
@@ -493,8 +493,6 @@ let deadline_lane_runs_first () =
         ignore (Shard.submit s (note (Printf.sprintf "b%d" i)))
       done;
       Alcotest.(check int) "bulk lane depth" 8 (Serve.lane_depth (Shard.serve s 0) Serve.Bulk);
-      (* reversed explicit deadlines: d0 gets the LATEST deadline, d3
-         the earliest, so EDF must reverse submission order *)
       for i = 0 to 3 do
         ignore
           (Shard.submit s ~lane:Serve.Deadline
@@ -508,15 +506,36 @@ let deadline_lane_runs_first () =
       | _ -> Alcotest.fail "blocker completes");
       ignore (Shard.drain s);
       let ran = List.rev (Atomic.get order) in
-      Alcotest.(check int) "all ran" 12 (List.length ran);
       let pos tag = Option.get (List.find_index (String.equal tag) ran) in
-      Alcotest.(check bool) "EDF order within the deadline lane" true
-        (pos "d3" < pos "d2" && pos "d2" < pos "d1" && pos "d1" < pos "d0");
-      Alcotest.(check bool) "a deadline task ran before the last bulk task" true
-        (pos "d3" < pos "b7"))
+      Alcotest.(check string) "the deadline lane runs first" "d0" (List.hd ran);
+      Alcotest.(check bool) "FIFO within the deadline lane" true
+        (pos "d0" < pos "d1" && pos "d1" < pos "d2" && pos "d2" < pos "d3");
+      Alcotest.(check bool) "the bulk credit lets bulk through" true (pos "b0" < pos "d3");
+      Alcotest.(check (list string))
+        "one task per poll: three deadline, one bulk, the last deadline, then bulk"
+        [ "d0"; "d1"; "d2"; "b0"; "d3"; "b1"; "b2"; "b3"; "b4"; "b5"; "b6"; "b7" ]
+        ran)
 
-let with_shard ?processes ?inbox_capacity ?cross_period ?cross_quota ~shards f =
-  let s = Shard.create ?processes ?inbox_capacity ?cross_period ?cross_quota ~shards () in
+let bulk_lane_runs_fifo () =
+  (* With the single worker blocked and the deadline lane empty, each
+     arbiter poll takes the oldest bulk task. *)
+  with_blocked_worker (fun s ~release ~blocker ->
+      while Serve.inbox_depth (Shard.serve s 0) > 0 do
+        Domain.cpu_relax ()
+      done;
+      let order = Atomic.make [] in
+      let note tag () = Atomic.set order (tag :: Atomic.get order) in
+      let tags = List.init 8 (Printf.sprintf "b%d") in
+      List.iter (fun tag -> ignore (Shard.submit s (note tag))) tags;
+      Atomic.set release true;
+      (match Serve.await blocker with
+      | Serve.Returned () -> ()
+      | _ -> Alcotest.fail "blocker completes");
+      ignore (Shard.drain s);
+      Alcotest.(check (list string)) "submission order" tags (List.rev (Atomic.get order)))
+
+let with_shard ?processes ?inbox_capacity ?cross_period ~shards f =
+  let s = Shard.create ?processes ?inbox_capacity ?cross_period ~shards () in
   Fun.protect ~finally:(fun () -> Shard.shutdown s) (fun () -> f s)
 
 let shard_create_validation () =
@@ -525,25 +544,21 @@ let shard_create_validation () =
   Alcotest.check_raises "cross_period = 0 rejected"
     (Invalid_argument "Shard.create: cross_period >= 1 required") (fun () ->
       ignore (Shard.create ~shards:2 ~cross_period:0 ()));
-  Alcotest.check_raises "cross_quota = 0 rejected"
-    (Invalid_argument "Shard.create: cross_quota >= 1 required") (fun () ->
-      ignore (Shard.create ~shards:2 ~cross_quota:0 ()));
   Alcotest.check_raises "traces length mismatch rejected"
     (Invalid_argument "Shard.create: traces must have one entry per shard") (fun () ->
       ignore (Shard.create ~shards:2 ~traces:[| Abp_trace.Sink.create ~workers:1 () |] ()));
-  (* The cross-shard steal entry point validates its victim before
-     anything else, including an empty [~max:0] request. *)
+  (* The cross-shard steal entry point validates its victim. *)
   with_shard ~processes:1 ~shards:1 (fun s ->
       let pool = Serve.pool (Shard.serve s 0) in
       List.iter
-        (fun (victim, max) ->
+        (fun victim ->
           Alcotest.check_raises
-            (Printf.sprintf "steal_from victim %d max %d rejected" victim max)
+            (Printf.sprintf "steal_from victim %d rejected" victim)
             (Invalid_argument "Pool.steal_from: victim out of range")
-            (fun () -> ignore (Abp_hood.Pool.steal_from pool ~victim ~max)))
-        [ (1, 1); (-1, 1); (1, 0) ];
-      Alcotest.(check int) "in-range max 0 steals nothing" 0
-        (List.length (Abp_hood.Pool.steal_from pool ~victim:0 ~max:0)))
+            (fun () -> ignore (Abp_hood.Pool.steal_from pool ~victim)))
+        [ 1; -1 ];
+      Alcotest.(check bool) "an idle in-range victim yields nothing" true
+        (Option.is_none (Abp_hood.Pool.steal_from pool ~victim:0)))
 
 let shard_routing_is_stable () =
   with_shard ~processes:1 ~shards:4 (fun s ->
@@ -593,14 +608,11 @@ let shard_single_degenerates_to_serve () =
 
 (* The multi-domain stress: submitting domains race keyed and keyless
    traffic onto a skewed k-shard group; cross-shard stealing moves work,
-   yet every shard's own conservation invariant holds and the
-   cross-steal telemetry obeys its bounds.  Returns the cross-shard
-   acquisitions and the tasks they moved. *)
-let shard_skew_run ?batch ~cross_quota () =
+   yet every shard's own conservation invariant holds and each
+   cross-shard acquisition moves exactly one task. *)
+let shard_conservation_multi_domain () =
   let shards = 3 in
-  let s =
-    Shard.create ~processes:2 ~inbox_capacity:32 ?batch ~cross_period:2 ~cross_quota ~shards ()
-  in
+  let s = Shard.create ~processes:2 ~inbox_capacity:32 ~cross_period:2 ~shards () in
   let submitters = 4 and per_submitter = 300 in
   let executed = Atomic.make 0 in
   let ds =
@@ -624,29 +636,12 @@ let shard_skew_run ?batch ~cross_quota () =
   Alcotest.(check int) "all completed" n st.Serve.completed;
   Alcotest.(check int) "every completed task ran" n (Atomic.get executed);
   Alcotest.(check bool) "per-shard conservation" true (Shard.conserved s);
-  (* Cross-steal telemetry bounds. *)
-  let polls = Shard.cross_polls s
-  and steals = Shard.cross_shard_steals s
-  and tasks = Shard.cross_stolen_tasks s in
-  Alcotest.(check bool) "steals <= polls" true (steals <= polls);
-  Alcotest.(check bool) "tasks >= steals" true (tasks >= steals);
-  Alcotest.(check bool) "tasks <= quota * steals" true (tasks <= Shard.cross_quota s * steals);
+  let steals = Shard.cross_shard_steals s in
+  Alcotest.(check bool) "steals <= polls" true (steals <= Shard.cross_polls s);
+  Alcotest.(check int) "one task per cross steal" steals (Shard.cross_stolen_tasks s);
   Alcotest.(check int) "route histogram sums to accepted" n
     (Array.fold_left ( + ) 0 (Shard.route_counts s));
-  Shard.shutdown s;
-  (steals, tasks)
-
-(* At the default batch the pool asks its overflow source for one task,
-   so every cross-shard acquisition moves exactly one and [cross_quota]
-   does not bind. *)
-let shard_conservation_multi_domain () =
-  let steals, tasks = shard_skew_run ~cross_quota:4 () in
-  Alcotest.(check int) "default batch: one task per cross steal" steals tasks
-
-(* With [batch] above the quota, the quota is what caps each cross-shard
-   acquisition: the run's [tasks <= quota * steals] check can fail. *)
-let shard_cross_quota_binds_with_batch () =
-  ignore (shard_skew_run ~batch:8 ~cross_quota:2 ())
+  Shard.shutdown s
 
 let shard_shutdown_resolves_every_ticket () =
   let s = Shard.create ~processes:1 ~shards:2 () in
@@ -765,7 +760,7 @@ let key_for s want =
    deadline lane is relieved promptly by an idle remote worker even
    while the home worker is pinned. *)
 let deadline_lane_bypasses_cross_period () =
-  let topo = Shard.create ~processes:1 ~cross_period:1_000_000 ~cross_quota:4 ~shards:2 () in
+  let topo = Shard.create ~processes:1 ~cross_period:1_000_000 ~shards:2 () in
   let ka = key_for topo 0 in
   let release = Atomic.make false in
   (* Pin shard 0's only worker. *)
@@ -807,6 +802,62 @@ let deadline_miss_counted () =
   let st = Shard.drain s in
   Alcotest.(check int) "accepted" 1 st.Serve.accepted;
   Shard.shutdown s
+
+(* Cross-shard relief moves one job per steal.  Shard 0's only worker
+   is pinned by a blocker (if the idle sibling happened to steal the
+   blocker, the roles swap and the jobs go to shard 1), and [n] jobs
+   queued on the pinned shard's [lane] can only run through the idle
+   sibling's cross-shard take: the bulk lane through [steal_inbox]
+   under the [cross_period] throttle, the deadline lane through the
+   deadline relief.  Each such steal is counted once, moves exactly one
+   job and emits one [Cross] event with no subject. *)
+let cross_steals_drain_pinned_shard lane () =
+  let sinks = Array.init 2 (fun _ -> Abp_trace.Sink.create ~ring_capacity:4096 ~workers:1 ()) in
+  let topo = Shard.create ~processes:1 ~traces:sinks ~shards:2 () in
+  Fun.protect
+    ~finally:(fun () -> Shard.shutdown topo)
+    (fun () ->
+      let release = Atomic.make false and started = Atomic.make false in
+      let blocker =
+        Shard.submit topo ~key:(key_for topo 0) (fun () ->
+            Atomic.set started true;
+            while not (Atomic.get release) do
+              Domain.cpu_relax ()
+            done)
+      in
+      Alcotest.(check bool) "blocker running" true (wait_until (fun () -> Atomic.get started));
+      (* The steal that moved the blocker, if any, was counted before the
+         blocker ran. *)
+      let blocker_stolen = Shard.cross_shard_steals topo in
+      let pinned = if blocker_stolen = 0 then 0 else 1 in
+      let key = key_for topo pinned in
+      let n = 12 in
+      let ran = Atomic.make 0 in
+      for _ = 1 to n do
+        ignore (Shard.submit topo ~key ~lane (fun () -> Atomic.incr ran))
+      done;
+      Alcotest.(check bool) "every job ran while its home worker was pinned" true
+        (wait_until (fun () -> Atomic.get ran = n));
+      Atomic.set release true;
+      ignore (Serve.await blocker);
+      ignore (Shard.drain topo);
+      Alcotest.(check bool) "conserved" true (Shard.conserved topo);
+      let steals = Shard.cross_shard_steals topo in
+      Alcotest.(check int) "one cross steal per relieved job" (n + blocker_stolen) steals;
+      Alcotest.(check int) "one task per cross steal" steals (Shard.cross_stolen_tasks topo);
+      (* The blocker is a bulk job too. *)
+      let blockers = if lane = Serve.Bulk then 1 else 0 in
+      Alcotest.(check int) "the lane completed every job" (n + blockers)
+        (Shard.lane_stats topo lane).Serve.lane_completed);
+  let cross =
+    Array.to_list sinks
+    |> List.concat_map Abp_trace.Sink.events
+    |> List.filter (fun e -> e.Abp_trace.Event.kind = Abp_trace.Event.Cross)
+  in
+  Alcotest.(check int) "one Cross event per steal" (Shard.cross_shard_steals topo)
+    (List.length cross);
+  Alcotest.(check bool) "Cross events carry no subject" true
+    (List.for_all (fun e -> e.Abp_trace.Event.arg = -1) cross)
 
 module Promise = Abp_fiber.Fiber.Promise
 
@@ -896,16 +947,15 @@ let tests =
     Alcotest.test_case "report renders" `Quick report_renders;
     Alcotest.test_case "lanes: conservation + per-lane latency" `Quick
       lane_conservation_and_latency;
-    Alcotest.test_case "lanes: deadline lane runs first, EDF order" `Quick
+    Alcotest.test_case "lanes: deadline lane runs first, FIFO within the lane" `Quick
       deadline_lane_runs_first;
+    Alcotest.test_case "lanes: bulk lane runs FIFO" `Quick bulk_lane_runs_fifo;
     Alcotest.test_case "shard: create validation" `Quick shard_create_validation;
     Alcotest.test_case "shard: keyed routing is stable" `Quick shard_routing_is_stable;
     Alcotest.test_case "shard: round-robin spreads" `Quick shard_round_robin_spreads;
     Alcotest.test_case "shard: k=1 degenerates to serve" `Quick shard_single_degenerates_to_serve;
     Alcotest.test_case "shard: conservation + cross bounds under 4-domain skew" `Quick
       shard_conservation_multi_domain;
-    Alcotest.test_case "shard: cross_quota binds with batch 8" `Quick
-      shard_cross_quota_binds_with_batch;
     Alcotest.test_case "shard: shutdown resolves every ticket" `Quick
       shard_shutdown_resolves_every_ticket;
     Alcotest.test_case "shard: report renders" `Quick shard_report_renders;
@@ -914,6 +964,10 @@ let tests =
     Alcotest.test_case "deadline lane bypasses cross_period" `Quick
       deadline_lane_bypasses_cross_period;
     Alcotest.test_case "deadline miss counted" `Quick deadline_miss_counted;
+    Alcotest.test_case "shard: cross steals drain a pinned shard's bulk lane" `Quick
+      (cross_steals_drain_pinned_shard Serve.Bulk);
+    Alcotest.test_case "shard: deadline relief drains a pinned shard's deadline lane" `Quick
+      (cross_steals_drain_pinned_shard Serve.Deadline);
     Alcotest.test_case "shard: off-pool fulfil resumes at home" `Quick
       shard_offpool_fulfil_resumes_at_home;
     Alcotest.test_case "shard: worker fulfil resumes a parked request" `Quick

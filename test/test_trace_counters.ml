@@ -248,19 +248,16 @@ let fields_cover_every_counter () =
       "steal_attempts";
       "successful_steals";
       "stolen_tasks";
-      "batch_steals";
       "steal_empties";
       "cas_failures_pop_top";
       "cas_failures_pop_bottom";
       "yields";
       "lock_spins";
       "deque_high_water";
-      "max_steal_batch";
       "parks";
       "task_exceptions";
       "inject_polls";
       "inject_tasks";
-      "inject_batches";
       "cross_polls";
       "cross_shard_steals";
       "cross_stolen_tasks";
@@ -274,12 +271,12 @@ let fields_cover_every_counter () =
       "lane_tasks";
       "deadline_misses";
     ];
-  Alcotest.(check int) "exactly the 30 fields" 30 (List.length names)
+  Alcotest.(check int) "exactly the 27 fields" 27 (List.length names)
 
 (* How each counter combines is part of its meaning: peaks (high-water
    marks) aggregate by max, everything else by sum.  Pinned by name so a
    counter cannot silently change kind. *)
-let peak_counters = [ "deque_high_water"; "max_steal_batch"; "suspended_peak" ]
+let peak_counters = [ "deque_high_water"; "suspended_peak" ]
 
 (* [c] is fresh, so adding sets. *)
 let set_every_field c v =
@@ -288,39 +285,34 @@ let set_every_field c v =
   Counters.add_n c Counters.steal_attempts (v 2);
   Counters.add_n c Counters.successful_steals (v 3);
   Counters.add_n c Counters.stolen_tasks (v 4);
-  Counters.add_n c Counters.batch_steals (v 5);
-  Counters.add_n c Counters.steal_empties (v 6);
-  Counters.add_n c Counters.cas_failures_pop_top (v 7);
-  Counters.add_n c Counters.cas_failures_pop_bottom (v 8);
-  Counters.add_n c Counters.yields (v 9);
-  Counters.add_n c Counters.lock_spins (v 10);
-  Counters.add_n c Counters.deque_high_water (v 11);
-  Counters.add_n c Counters.max_steal_batch (v 12);
-  Counters.add_n c Counters.parks (v 13);
-  Counters.add_n c Counters.task_exceptions (v 14);
-  Counters.add_n c Counters.inject_polls (v 15);
-  Counters.add_n c Counters.inject_tasks (v 16);
-  Counters.add_n c Counters.inject_batches (v 17);
-  Counters.add_n c Counters.cross_polls (v 18);
-  Counters.add_n c Counters.cross_shard_steals (v 19);
-  Counters.add_n c Counters.cross_stolen_tasks (v 20);
-  Counters.add_n c Counters.gate_suspends (v 21);
-  Counters.add_n c Counters.gate_wait_ns (v 22);
-  Counters.add_n c Counters.directed_yields (v 23);
-  Counters.add_n c Counters.suspensions (v 24);
-  Counters.add_n c Counters.resumes (v 25);
-  Counters.add_n c Counters.suspended_peak (v 26);
-  Counters.add_n c Counters.lane_polls (v 27);
-  Counters.add_n c Counters.lane_tasks (v 28);
-  Counters.add_n c Counters.deadline_misses (v 29)
+  Counters.add_n c Counters.steal_empties (v 5);
+  Counters.add_n c Counters.cas_failures_pop_top (v 6);
+  Counters.add_n c Counters.cas_failures_pop_bottom (v 7);
+  Counters.add_n c Counters.yields (v 8);
+  Counters.add_n c Counters.lock_spins (v 9);
+  Counters.add_n c Counters.deque_high_water (v 10);
+  Counters.add_n c Counters.parks (v 11);
+  Counters.add_n c Counters.task_exceptions (v 12);
+  Counters.add_n c Counters.inject_polls (v 13);
+  Counters.add_n c Counters.inject_tasks (v 14);
+  Counters.add_n c Counters.cross_polls (v 15);
+  Counters.add_n c Counters.cross_shard_steals (v 16);
+  Counters.add_n c Counters.cross_stolen_tasks (v 17);
+  Counters.add_n c Counters.gate_suspends (v 18);
+  Counters.add_n c Counters.gate_wait_ns (v 19);
+  Counters.add_n c Counters.directed_yields (v 20);
+  Counters.add_n c Counters.suspensions (v 21);
+  Counters.add_n c Counters.resumes (v 22);
+  Counters.add_n c Counters.suspended_peak (v 23);
+  Counters.add_n c Counters.lane_polls (v 24);
+  Counters.add_n c Counters.lane_tasks (v 25);
+  Counters.add_n c Counters.deadline_misses (v 26)
 
 let aggregation_kinds_pinned () =
   let value_a i = 100 + i and value_b i = 200 - (3 * i) in
   let a = Counters.create () and b = Counters.create () in
   set_every_field a value_a;
   set_every_field b value_b;
-  Counters.note_batch a 1;
-  Counters.note_batch b 20;
   Counters.note_victim a 1;
   Counters.note_victim b 3;
   let expected =
@@ -338,27 +330,21 @@ let aggregation_kinds_pinned () =
       expected (Counters.fields c)
   in
   check_combined "sum" (Counters.sum [| a; b |]);
-  Alcotest.(check int) "three peaks, twenty-seven sums" 27
+  Alcotest.(check int) "two peaks, twenty-five sums" 25
     (List.length (List.filter (fun (n, _) -> not (List.mem n peak_counters)) expected));
   let a' = Counters.copy a in
   Counters.add ~into:a b;
   check_combined "add" a;
-  Alcotest.(check (array int)) "add: batch histogram" [| 1; 0; 0; 0; 0; 1 |]
-    (Counters.batch_hist a);
   Alcotest.(check int) "add: victims" 2
     (Array.fold_left ( + ) 0 (Counters.victim_counts a));
   (* The copy taken before [add] kept a's own values. *)
   List.iteri
     (fun i (name, v) -> Alcotest.(check int) ("copy independent: " ^ name) (value_a i) v)
     (Counters.fields a');
-  Alcotest.(check (array int)) "copy independent: batch histogram" [| 1; 0; 0; 0; 0; 0 |]
-    (Counters.batch_hist a');
   Alcotest.(check int) "copy independent: victims" 1
     (Array.fold_left ( + ) 0 (Counters.victim_counts a'));
   Counters.reset a;
   List.iter (fun (name, v) -> Alcotest.(check int) ("reset: " ^ name) 0 v) (Counters.fields a);
-  Alcotest.(check (array int)) "reset: batch histogram" (Array.make Counters.batch_buckets 0)
-    (Counters.batch_hist a);
   Alcotest.(check bool) "reset: victims" true
     (Array.for_all (fun v -> v = 0) (Counters.victim_counts a))
 
@@ -427,11 +413,45 @@ let victim_vectors_grow_sum_and_export () =
       (contains ~affix:{|"name":"steal_victims"|} json)
   end
 
+(* [consistent]/[complete] on hand-built records: a steal moves exactly
+   one task, so any gap between [stolen_tasks] and [successful_steals]
+   is a bookkeeping fault, as is a classification exceeding the
+   attempts or a negative counter. *)
+let consistency_predicates () =
+  let record ~attempts ~steals ~tasks ~empties ~cas =
+    let c = Counters.create () in
+    Counters.add_n c Counters.steal_attempts attempts;
+    Counters.add_n c Counters.successful_steals steals;
+    Counters.add_n c Counters.stolen_tasks tasks;
+    Counters.add_n c Counters.steal_empties empties;
+    Counters.add_n c Counters.cas_failures_pop_top cas;
+    c
+  in
+  let check name ~consistent ~complete c =
+    Alcotest.(check bool) (name ^ ": consistent") consistent (Counters.consistent c);
+    Alcotest.(check bool) (name ^ ": complete") complete (Counters.complete c)
+  in
+  check "all zero" ~consistent:true ~complete:true (Counters.create ());
+  check "fully classified" ~consistent:true ~complete:true
+    (record ~attempts:6 ~steals:3 ~tasks:3 ~empties:2 ~cas:1);
+  check "an attempt left unclassified" ~consistent:true ~complete:false
+    (record ~attempts:7 ~steals:3 ~tasks:3 ~empties:2 ~cas:1);
+  check "more tasks than steals" ~consistent:false ~complete:false
+    (record ~attempts:6 ~steals:3 ~tasks:4 ~empties:2 ~cas:1);
+  check "fewer tasks than steals" ~consistent:false ~complete:false
+    (record ~attempts:6 ~steals:3 ~tasks:2 ~empties:2 ~cas:1);
+  check "outcomes exceed attempts" ~consistent:false ~complete:false
+    (record ~attempts:5 ~steals:3 ~tasks:3 ~empties:2 ~cas:1);
+  let negative = Counters.create () in
+  Counters.add_n negative Counters.pushes (-1);
+  check "a negative counter" ~consistent:false ~complete:false negative
+
 let tests =
   [
     Alcotest.test_case "counters match run_result (models x policies x seeds)" `Quick
       counters_match_across_configs;
     Alcotest.test_case "fields cover every counter" `Quick fields_cover_every_counter;
+    Alcotest.test_case "consistent/complete predicates" `Quick consistency_predicates;
     Alcotest.test_case "aggregation kinds: peaks max, the rest sum; reset; copy" `Quick
       aggregation_kinds_pinned;
     Alcotest.test_case "victim vectors: grow, sum, matrix export" `Quick
