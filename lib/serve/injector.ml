@@ -7,7 +7,15 @@ module Padding = Abp_deque.Padding
    [ticket + capacity] for the next lap.  The [head]/[tail] cursors are
    monotonically increasing tickets (never wrapped; at any realistic
    submission rate a 63-bit int outlives the process), each on its own
-   cache line so producers and consumers do not false-share. *)
+   cache line so producers and consumers do not false-share: they are
+   the only words every operation contends on, like the paper's
+   [age]/[bot].  The per-slot sequence numbers are plain atomics, not
+   padded: slots are touched in cursor order, so a domain working
+   through consecutive tickets gains from neighbouring slots sharing a
+   line, and producers and consumers meet on one only when the queue is
+   nearly empty, where they already meet on the cursors.  Unpadded, a
+   slot costs 4 words (a 2-word atomic and its cells in [seq] and
+   [slots]); padding its atomic to a cache line would cost 21. *)
 type 'a t = {
   mask : int;
   seq : int Atomic.t array;
@@ -25,7 +33,7 @@ let create ?(capacity = 1024) () =
   let cap = max 2 (next_pow2 capacity) in
   {
     mask = cap - 1;
-    seq = Array.init cap (fun i -> Padding.atomic i);
+    seq = Array.init cap Atomic.make;
     slots = Array.make cap None;
     tail = Padding.atomic 0;
     head = Padding.atomic 0;

@@ -13,12 +13,17 @@
 
     The implementation is the bounded array queue with per-slot sequence
     numbers (Vyukov's MPMC queue): producers claim a slot by CAS on the
-    (cache-line padded) [tail] cursor, publish by storing the slot's
-    sequence number; consumers symmetrically on [head].  Every method is
-    lock-free: a stalled producer or consumer can delay only the slot it
-    claimed, never the whole queue.  FIFO per producer; no global order
-    guarantee under concurrency (none is needed: fairness at the serve
-    layer comes from the bounded capacity and admission control).
+    [tail] cursor, publish by storing the slot's sequence number;
+    consumers symmetrically on [head].  The two cursors are padded to a
+    cache line each, since every operation contends on one of them; the
+    slots are not, since they are touched in cursor order and a padded
+    slot would cost a cache line where an unpadded one costs 4 words
+    (its 2-word sequence-number atomic and its two array cells).  Every
+    method is lock-free: a stalled producer or consumer can delay only
+    the slot it claimed, never the whole queue.  FIFO per producer; no
+    global order guarantee under concurrency (none is needed: fairness
+    at the serve layer comes from the bounded capacity and admission
+    control).
 
     All functions are safe to call from any domain. *)
 

@@ -41,40 +41,46 @@ let injector_capacity_rounding () =
       ignore (Injector.create ~capacity:0 () : int Injector.t))
 
 (* Multi-domain conservation: every pushed value is popped exactly once,
-   nothing is invented, nothing is lost. *)
-let injector_mpmc_conservation () =
-  let q : int Injector.t = Injector.create ~capacity:64 () in
-  let producers = 3 and per_producer = 5_000 in
+   nothing is invented, nothing is lost.  A blocked producer or consumer
+   spins briefly, then yields the CPU, so the test also makes progress
+   pinned to one CPU. *)
+let injector_conservation ~capacity ~producers ~consumers ~per_producer () =
+  let q : int Injector.t = Injector.create ~capacity () in
   let consumed = Atomic.make 0 and sum = Atomic.make 0 in
   let produced_all = Atomic.make 0 in
+  let relax tries =
+    if tries land 63 = 63 then Abp_trace.Clock.yield_cpu () else Domain.cpu_relax ()
+  in
   let producer p () =
     for i = 0 to per_producer - 1 do
       let v = (p * per_producer) + i in
+      let tries = ref 0 in
       while not (Injector.try_push q v) do
-        Domain.cpu_relax ()
+        relax !tries;
+        incr tries
       done
     done;
     Atomic.incr produced_all
   in
   let consumer () =
-    let rec go () =
+    let rec go tries =
       match Injector.try_pop q with
       | Some v ->
           ignore (Atomic.fetch_and_add sum v);
           ignore (Atomic.fetch_and_add consumed 1);
-          go ()
+          go 0
       | None ->
           if Atomic.get produced_all < producers || not (Injector.is_empty q) then begin
-            Domain.cpu_relax ();
-            go ()
+            relax tries;
+            go (tries + 1)
           end
     in
-    go ()
+    go 0
   in
   let ds =
     Array.append
       (Array.init producers (fun p -> Domain.spawn (producer p)))
-      (Array.init 2 (fun _ -> Domain.spawn consumer))
+      (Array.init consumers (fun _ -> Domain.spawn consumer))
   in
   Array.iter Domain.join ds;
   (* A consumer may exit on a momentarily-empty queue while the last few
@@ -91,6 +97,30 @@ let injector_mpmc_conservation () =
   let n = producers * per_producer in
   Alcotest.(check int) "every value consumed once" n (Atomic.get consumed);
   Alcotest.(check int) "sum conserved" (n * (n - 1) / 2) (Atomic.get sum)
+
+(* The tightest lap: at capacity 2 every slot is reused every other
+   item, so each slot's sequence number cycles through all its states
+   while two producers and two consumers race on it. *)
+let injector_tightest_lap = injector_conservation ~capacity:2 ~producers:2 ~consumers:2 ~per_producer:10_000
+
+(* The slots are unpadded: a slot costs its plain sequence-number atomic
+   (2 words) and its cells in the two arrays, 4 words in all.  A slot
+   padded to a cache line costs 21 words, 11 MB for one of perfbench's
+   65 536-slot lanes. *)
+let injector_slot_words () =
+  let capacity = 65_536 in
+  (* Both counters count the calling domain's allocations.  The minor
+     count is [Gc.minor_words]: [Gc.counters]' own minor count runs short
+     on OCaml 5.1 after a minor collection. *)
+  let allocated () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = allocated () in
+  let q : int Injector.t = Injector.create ~capacity () in
+  let per_slot = (allocated () -. before) /. float_of_int capacity in
+  ignore (Sys.opaque_identity q);
+  if per_slot > 5. then Alcotest.failf "Injector.create allocates %.1f words per slot (> 5)" per_slot
 
 (* ------------------------------------------------------------------ *)
 (* Serve basics *)
@@ -924,7 +954,11 @@ let tests =
   [
     Alcotest.test_case "injector: fifo + full + wraparound" `Quick injector_fifo_single_thread;
     Alcotest.test_case "injector: capacity rounding" `Quick injector_capacity_rounding;
-    Alcotest.test_case "injector: mpmc conservation (domains)" `Quick injector_mpmc_conservation;
+    Alcotest.test_case "injector: mpmc conservation (domains)" `Quick
+      (injector_conservation ~capacity:64 ~producers:3 ~consumers:2 ~per_producer:5_000);
+    Alcotest.test_case "injector: tightest lap, 2 producers x 2 consumers at capacity 2" `Quick
+      injector_tightest_lap;
+    Alcotest.test_case "injector: at most 5 words per slot" `Quick injector_slot_words;
     Alcotest.test_case "submit and await" `Quick submit_and_await;
     Alcotest.test_case "submitted tasks use Par/Future" `Quick
       submitted_task_uses_parallel_skeletons;
