@@ -29,9 +29,10 @@ let fast_path_ns () =
     (Analyze.all ols Instance.monotonic_clock raw)
     None
 
-(* Gate-hook regression budget: the no-gate pool compiles the safe-point
-   check down to nothing (monomorphized functor), so the deque fast path
-   must stay at its historical cost — 28 ns/op for push+popBottom on a
+(* Gate-hook regression budget: the gate lives in the pool, which checks
+   it only at safe points (one never-taken branch on an ungated pool),
+   never inside a deque method, so the deque fast path must stay at its
+   historical cost — 28 ns/op for push+popBottom on a
    quiet machine.  Opt-in (ABP_MICRO_ASSERT=1): absolute ns/op depends
    on the box (a loaded shared runner measures ~33 even at the commit
    before the gates existed), so CI widens the ceiling with

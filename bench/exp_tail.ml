@@ -251,7 +251,7 @@ let measure_mix ~capacity ~lanes_on =
     let body () =
       let v = fib_seq n in
       if dl then begin
-        let shard = match Abp.Pool.self_id () with Some i -> i | None -> 0 in
+        let shard = match Abp_hood.Worker.self_id () with Some i -> i | None -> 0 in
         H.Sharded.record dl_h ~shard (now () - submitted)
       end;
       v

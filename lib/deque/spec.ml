@@ -17,10 +17,10 @@ end
 
 (* The instrumented-scheduler view of a deque: the pop methods preserve
    the cause of a NIL so telemetry can count CAS failures separately
-   from genuine emptiness.  The Hood pool's worker loop is a functor
-   over this signature, so each implementation's methods monomorphize
-   into the scheduling loop instead of being reached through a closure
-   record. *)
+   from genuine emptiness.  The Hood pool takes an implementation as a
+   first-class module of this signature and closes each worker's deque
+   into a record of operations, so its one scheduling loop serves every
+   implementation. *)
 module type DETAILED = sig
   type 'a t
 

@@ -65,9 +65,10 @@ module type DETAILED = sig
 
   val size : 'a t -> int
 end
-(** The instrumented scheduler's view of a deque: what
-    {!Abp_hood.Pool}'s worker-loop functor consumes, so that each
-    implementation's methods monomorphize into the scheduling loop. *)
+(** The instrumented scheduler's view of a deque: {!Abp_hood.Pool.create}
+    takes the selected implementation as a first-class module of this
+    signature and closes each worker's deque into the record of
+    operations its one scheduling loop ({!Abp_hood.Worker}) calls. *)
 
 module Reference : sig
   include S

@@ -20,7 +20,7 @@
    - Inline an unstolen child (the work-first rule of Figure 3 and
      Hood).  A child no thief took is still at the bottom of the
      forcer's own deque — the parent-first spawn put it there and
-     every spawn made since has been joined.  [Pool.pop_own] pops it
+     every spawn made since has been joined.  [Worker.pop_own] pops it
      and the forcer runs it on its own stack: push, pop, the body, one
      CAS and a field read — no promise, no effect capture, no
      continuation push/pop.  In a fiber context the task runs raw: if
@@ -37,10 +37,10 @@
 
    - Help (outside any fiber handler: code calling [force] from a
      context the pool did not wrap).  Run local or stolen tasks while
-     polling the cell, each via [Pool.run_task] so it gets its own
+     polling the cell, each via [Worker.run_task] so it gets its own
      handler — run raw, a helped task's [Await] would be captured by an
      enclosing handler and park the helper itself.  The inlined child
-     goes through [Pool.run_task] here too.  A polling forcer never
+     goes through [Worker.run_task] here too.  A polling forcer never
      installs a promise. *)
 
 module Fiber = Abp_fiber.Fiber
@@ -64,7 +64,7 @@ let publish cell outcome =
     | _ -> assert false
 
 let spawn f =
-  let w = Pool.current () in
+  let w = Worker.current () in
   let cell = Atomic.make Unforced in
   let task () =
     publish cell
@@ -72,7 +72,7 @@ let spawn f =
       | v -> Value v
       | exception e -> Raised (e, Printexc.get_raw_backtrace ()))
   in
-  Pool.push_task w task;
+  Worker.push_task w task;
   { cell; task }
 
 let is_resolved t =
@@ -109,30 +109,30 @@ let force t =
   | Unforced | Waited _ ->
       (* Unpublished, though another forcer may have installed the
          promise already: the child can still sit at our bottom. *)
-      let w = Pool.current () in
+      let w = Worker.current () in
       (* Gate safe point (the worker holds no unpublished tasks
          here): a chain of inline joins must still honour
          multiprogramming suspensions at every node. *)
-      Pool.checkpoint w;
-      if Pool.in_fiber w then begin
+      Worker.checkpoint w;
+      if Worker.in_fiber w then begin
         (* After an inline run the task has published, so [await]
            reads the outcome without suspending. *)
-        if Pool.pop_own w t.task then t.task ();
+        if Worker.pop_own w t.task then t.task ();
         await t
       end
       else begin
         (* Out of context the inlined child may park under its own
            handler, leaving the cell unpublished: fall into the help
            loop either way. *)
-        if Pool.pop_own w t.task then Pool.run_task w t.task;
+        if Worker.pop_own w t.task then Worker.run_task w t.task;
         let rec wait () =
           match poll t with
           | Some v -> v
           | None ->
-              Pool.checkpoint w;
-              (match Pool.try_get_task w with
-              | Some task -> Pool.run_task w task
-              | None -> Pool.relax ());
+              Worker.checkpoint w;
+              (match Worker.try_get_task w with
+              | Some task -> Worker.run_task w task
+              | None -> Domain.cpu_relax ());
               wait ()
         in
         wait ()

@@ -38,7 +38,7 @@ val force : 'a t -> 'a
 (** Wait for the value: run the child inline if it is unstolen,
     otherwise suspend the current fiber (in a fiber context) or help
     compute it (out of context).  Every pending [force] passes one
-    {!Pool.checkpoint} gate safe point first.  Must be called on a pool
+    {!Worker.checkpoint} gate safe point first.  Must be called on a pool
     worker.  Re-raises the task's exception, with its original
     backtrace, if it failed.  Any number of tasks may force the same
     future, any number of times: each gets the same value (or the same

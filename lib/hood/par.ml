@@ -15,15 +15,15 @@ let lazy_chunk = 16
    logarithmically, like the eager version — the grain knob disappears.
 
    The probe must be the {e current} worker's deque: a stolen half
-   re-fetches its context ([Pool.current]) when it starts, because it
+   re-fetches its context ([Worker.current]) when it starts, because it
    may be running on a different domain than the one that spawned it. *)
 let rec lazy_for_go f lo hi w =
   if hi - lo <= 1 then begin
     if hi > lo then f lo
   end
-  else if Pool.local_deque_size w = 0 then begin
+  else if Worker.local_deque_size w = 0 then begin
     let mid = lo + ((hi - lo) / 2) in
-    let right = Future.spawn (fun () -> lazy_for_go f mid hi (Pool.current ())) in
+    let right = Future.spawn (fun () -> lazy_for_go f mid hi (Worker.current ())) in
     lazy_for_go f lo mid w;
     Future.force right
   end
@@ -37,7 +37,7 @@ let rec lazy_for_go f lo hi w =
 
 let parallel_for ?grain ~lo ~hi f =
   match grain with
-  | None -> if hi > lo then lazy_for_go f lo hi (Pool.current ())
+  | None -> if hi > lo then lazy_for_go f lo hi (Worker.current ())
   | Some grain ->
       if grain < 1 then invalid_arg "Par.parallel_for: grain >= 1 required";
       let rec go lo hi =
@@ -63,10 +63,10 @@ let rec lazy_reduce_go ~init ~combine map acc lo hi w =
   if hi - lo <= 1 then begin
     if hi > lo then combine acc (map lo) else acc
   end
-  else if Pool.local_deque_size w = 0 then begin
+  else if Worker.local_deque_size w = 0 then begin
     let mid = lo + ((hi - lo) / 2) in
     let right =
-      Future.spawn (fun () -> lazy_reduce_go ~init ~combine map init mid hi (Pool.current ()))
+      Future.spawn (fun () -> lazy_reduce_go ~init ~combine map init mid hi (Worker.current ()))
     in
     let left_v = lazy_reduce_go ~init ~combine map acc lo mid w in
     combine left_v (Future.force right)
@@ -87,7 +87,7 @@ let rec lazy_reduce_go ~init ~combine map acc lo hi w =
 let parallel_reduce ?grain ~lo ~hi ~init ~combine map =
   match grain with
   | None ->
-      if hi <= lo then init else lazy_reduce_go ~init ~combine map init lo hi (Pool.current ())
+      if hi <= lo then init else lazy_reduce_go ~init ~combine map init lo hi (Worker.current ())
   | Some grain ->
       if grain < 1 then invalid_arg "Par.parallel_reduce: grain >= 1 required";
       let rec go lo hi =

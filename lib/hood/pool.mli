@@ -11,11 +11,11 @@
 
     {2 Hot-path design}
 
-    - The scheduling loop is a functor over {!Abp_deque.Spec.DETAILED},
-      instantiated once per deque implementation: an operation costs
-      one dispatch branch on the pool's deque kind, and each deque
-      method inside it is a closure call: without flambda a functor
-      body is not inlined, so neither are the deque methods.
+    - The scheduling loop exists once ({!Worker}).  [create] selects
+      the deque implementation and closes each worker's deque into a
+      record of its four operations, so a deque method is one closure
+      call whatever [deque_impl] is (without flambda no deque method
+      is inlined into the loop in any case).
     - No generic comparison on the owner path: the deques' [size], the
       lazy [Par] loops and the backoff use int-typed [Int.min]/[Int.max]
       (CI's "No generic compare on the owner path" step checks the
@@ -48,7 +48,7 @@
       Pool.shutdown pool
     ]} *)
 
-type t
+type t = Worker.pool
 
 type deque_impl =
   | Abp  (** the paper's fixed-array deque ({!Abp_deque.Atomic_deque}) *)
@@ -57,7 +57,7 @@ type deque_impl =
           ({!Abp_deque.Circular_deque}) — never overflows *)
   | Locked  (** mutex-protected baseline ({!Abp_deque.Locked_deque}) *)
 
-type yield_kind =
+type yield_kind = Worker.yield_kind =
   | No_yield
       (** thieves spin hot between failed steals — no yield, no backoff,
           no parking (the E12/E15 "no yield" ablation, and the paper's
@@ -86,7 +86,7 @@ val yield_kind_name : yield_kind -> string
 (** Stable lower-case name ("none", "local", "random", "all") — the
     values accepted by [hoodrun --yield]. *)
 
-type gate_hook = {
+type gate_hook = Worker.gate_hook = {
   poll : int -> bool;
       (** [poll i] is [true] when worker [i] may proceed.  Called at
           every safe point; must be cheap when open (the harness's gate
@@ -115,7 +115,7 @@ type gate_hook = {
     blocked at a gate cannot observe the shutdown flag);
     {!Abp_mp.Controller.stop} does this. *)
 
-type source = {
+type source = Worker.source = {
   take : unit -> (unit -> unit) option;
       (** removes at most one task; [None] is the common, cheap answer.
           Must not block. *)
@@ -209,8 +209,7 @@ val yield_kind : t -> yield_kind
 val deque_size : t -> int -> int
 (** [deque_size t i] is the observed size of worker [i]'s deque —
     advisory (racy) while workers run.  The gate controller's view for
-    adaptive adversaries; see also {!local_deque_size} for the owning
-    worker's own probe. *)
+    adaptive adversaries. *)
 
 val run : t -> (unit -> 'a) -> 'a
 (** [run pool f] enters the pool as worker 0 and evaluates [f]; inside
@@ -225,7 +224,16 @@ val run : t -> (unit -> 'a) -> 'a
     so it may [await] promises directly: while the body is suspended,
     the calling domain keeps scheduling pool work and [run] returns
     once the body's continuation — wherever it was resumed — has
-    completed. *)
+    completed.
+
+    Before [f] starts, the caller runs its own deque empty with owner
+    pops only (never a steal): a task an earlier [run] spawned and left
+    unforced runs there unless a thief took it, and the final empty pop
+    resets the deque's indices (Figure 5).  Without it, tasks stolen
+    from worker 0 between runs would leave the fixed-size {!Abp}
+    deque's [bot] where they were pushed, and repeated runs would
+    overflow it.  Until then such a task stays stealable, as after the
+    last [run] (see {!shutdown}). *)
 
 val suspended : t -> int
 (** Number of continuations currently parked on promises under this
@@ -257,90 +265,6 @@ val shutdown : t -> unit
     only if they are reachable by stealing; call this after [run] has
     returned.  Re-raises the first recorded task exception, if any is
     still pending. *)
-
-(**/**)
-
-(* Internal API used by Future/Par. *)
-
-type worker
-(** A worker identity: the pool plus a process index. *)
-
-val current : unit -> worker
-(** The calling domain's worker context.  @raise Failure if the calling
-    domain is not a pool worker. *)
-
-val self_id : unit -> int option
-(** The calling domain's worker index within its own pool, or [None]
-    when not a pool worker — the shard selector for per-worker sharded
-    telemetry ({!Abp_stats.Log_histogram.Sharded}): code that may run
-    either on a worker or on an external domain picks its
-    single-writer slot with it. *)
-
-val note_lane : polls:int -> tasks:int -> unit
-(** Attribute deadline-lane arbiter telemetry ([lane_polls] /
-    [lane_tasks], {!Abp_trace.Counters}) to the calling worker's own
-    counter record.  For the serving layer's lane source, whose [take]
-    executes on a worker domain but is written outside the pool; a
-    non-worker caller is a no-op. *)
-
-val note_deadline_miss : unit -> unit
-(** Count one deadline-lane ticket settled past its deadline
-    ([deadline_misses], {!Abp_trace.Counters}) against the calling
-    worker's record; a non-worker caller is a no-op. *)
-
-val push_task : worker -> (unit -> unit) -> unit
-val try_get_task : worker -> (unit -> unit) option
-
-val pop_own : worker -> (unit -> unit) -> bool
-(** [pop_own w task] is the work-first join primitive (owner only):
-    pop [w]'s own deque bottom and return [true] iff it is [task]
-    (physical equality), which the caller must then run — a hit counts
-    one [pops].  Any other task is pushed straight back and [false]
-    returned, counting nothing, so [pushes = pops + stolen_tasks] still
-    holds; [false] also when the deque is empty or the pop lost its
-    last task to a thief (counted in [cas_failures_pop_bottom]).  No
-    synchronization beyond the deque's own last-element case. *)
-
-val in_fiber : worker -> bool
-(** [Fiber.in_context ()] for the calling domain's own worker, read
-    from a flag the worker record caches, without a domain-local-storage
-    lookup. *)
-
-val relax : unit -> unit
-
-val run_task : worker -> (unit -> unit) -> unit
-(** Execute one task under the worker's pool's fiber handler, exactly
-    as the worker loop would.  Helpers running tasks outside the loop
-    ({!Future.force}'s out-of-context path) must use this rather
-    than calling the closure raw: an un-handled task could otherwise
-    perform [Await] into the {e enclosing} task's handler and park the
-    helper itself. *)
-
-val fiber_sched : t -> Abp_fiber.Fiber.sched
-(** The pool's fiber scheduler: ready continuations are pushed onto the
-    current worker's deque (when scheduled from a worker of any pool)
-    or enqueued on the pool's resume inbox and parked thieves woken
-    (when scheduled from an external domain, e.g. a backend fulfilling
-    a promise).  Layers
-    installing their own handler around task bodies ({!Abp_serve.Serve})
-    wrap this record's hooks so the pool's gauge and telemetry keep
-    counting. *)
-
-val checkpoint : worker -> unit
-(** Gate safe point: blocks while the worker's preemption gate is
-    closed (no-op on ungated pools).  {!Future.force} calls this once
-    on every pending join, before the join fast path ({!pop_own}, the
-    work-first inline run of an unstolen child), so a chain of inline
-    joins keeps one safe point per node; out of context it also calls
-    it each trip around its help loop, so a worker blocked on a future
-    still honours suspensions. *)
-
-val local_deque_size : worker -> int
-(** Observed size of the worker's own deque — the lazy-splitting signal
-    used by {!Par.parallel_for}: an empty own deque means thieves
-    looking here would leave empty-handed, so the loop splits; a
-    non-empty one means stealable work already exists, so it runs a
-    chunk sequentially instead. *)
 
 val steal_attempts : t -> int
 (** Sum of the per-worker [steal_attempts] counters.  Exact once the

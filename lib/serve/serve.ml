@@ -1,4 +1,5 @@
 module Pool = Abp_hood.Pool
+module Worker = Abp_hood.Worker
 module Padding = Abp_deque.Padding
 module Fiber = Abp_fiber.Fiber
 module Clock = Abp_trace.Clock
@@ -166,6 +167,17 @@ let note_inject c hit =
   Counters.incr c Counters.inject_polls;
   if hit then Counters.incr c Counters.inject_tasks
 
+(* The deadline lane's telemetry, written inside the lane source's
+   [take] into the executing worker's own record: every poll counts in
+   [lane_polls], a non-empty one also in [lane_tasks].  A caller off the
+   pool (a test driving the closure directly) counts nothing. *)
+let note_lane hit =
+  match Worker.exec_counters () with
+  | Some c ->
+      Counters.incr c Counters.lane_polls;
+      if hit then Counters.incr c Counters.lane_tasks
+  | None -> ()
+
 let run_of = function Some j -> Some j.run | None -> None
 
 let create ?processes ?park_threshold ?yield_kind ?gate ?(inbox_capacity = 1024) ?trace
@@ -175,7 +187,7 @@ let create ?processes ?park_threshold ?yield_kind ?gate ?(inbox_capacity = 1024)
   let credit = Padding.atomic 0 in
   let poll_deadline () =
     let j = Injector.try_pop dl_inbox in
-    Pool.note_lane ~polls:1 ~tasks:(if Option.is_some j then 1 else 0);
+    note_lane (Option.is_some j);
     j
   in
   (* The lane arbiter, the pool's source right after its resume inbox:
@@ -188,7 +200,7 @@ let create ?processes ?park_threshold ?yield_kind ?gate ?(inbox_capacity = 1024)
          match Injector.try_pop inbox with
          | Some _ as j ->
              Atomic.set credit 0;
-             Pool.note_lane ~polls:1 ~tasks:0;
+             note_lane false;
              j
          | None -> poll_deadline ()
        else
@@ -223,7 +235,7 @@ let create ?processes ?park_threshold ?yield_kind ?gate ?(inbox_capacity = 1024)
     }
   in
   let suspended_now = Padding.atomic 0 in
-  let base = Pool.fiber_sched pool in
+  let base = Worker.fiber_sched pool in
   let fsched =
     {
       base with
@@ -323,7 +335,7 @@ let drop s tk why =
 (* The executing worker's shard slot for the latency histograms; an
    off-pool settle (an external domain running the job closure in a
    test) folds into shard 0. *)
-let rec_shard () = match Pool.self_id () with Some i -> i | None -> 0
+let rec_shard () = match Worker.self_id () with Some i -> i | None -> 0
 
 let make_job s tk f =
   let lat = s.lat.(lane_idx tk.tk_lane) in
@@ -358,7 +370,10 @@ let make_job s tk f =
           (match tk.t_deadline with
           | Some dl when settle > dl ->
               Atomic.incr l.l_misses;
-              Pool.note_deadline_miss ()
+              (* The worker that settled the job counts the miss. *)
+              Option.iter
+                (fun c -> Counters.incr c Counters.deadline_misses)
+                (Worker.exec_counters ())
           | _ -> ());
           (* The settle may run on a different worker (or pool) than the
              start when the body suspended and migrated: record into the

@@ -10,6 +10,7 @@
    a worker parks. *)
 
 module Pool = Abp_hood.Pool
+module Worker = Abp_hood.Worker
 module Future = Abp_hood.Future
 module Par = Abp_hood.Par
 module Counters = Abp_trace.Counters
@@ -56,12 +57,12 @@ let push_wakes_parked_thief () =
       ~finally:(fun () -> Pool.shutdown pool)
       (fun () ->
         Pool.run pool (fun () ->
-            let w = Pool.current () in
+            let w = Worker.current () in
             Alcotest.(check bool) "thief parked before push" true
               (wait_until (fun () -> Pool.parked_workers pool = 1));
             let executed = Atomic.make false in
             let t0 = Unix.gettimeofday () in
-            Pool.push_task w (fun () -> Atomic.set executed true);
+            Worker.push_task w (fun () -> Atomic.set executed true);
             (* Worker 0 only waits — it never pops its own deque here —
                so the task can only run if the push woke the thief. *)
             Alcotest.(check bool) "parked thief executed the task" true
@@ -126,8 +127,8 @@ let task_exception_reraised_at_run () =
     (fun () ->
       Alcotest.check_raises "run re-raises the task's exception" Boom (fun () ->
           Pool.run pool (fun () ->
-              let w = Pool.current () in
-              Pool.push_task w (fun () -> raise Boom);
+              let w = Worker.current () in
+              Worker.push_task w (fun () -> raise Boom);
               (* Wait for the worker loop to catch and record it, so the
                  re-raise deterministically happens at this run's exit. *)
               ignore
@@ -142,10 +143,10 @@ let task_exception_reraised_at_shutdown () =
   let pool = Pool.create ~processes:2 ~park_threshold:0 () in
   let gate = Atomic.make false in
   Pool.run pool (fun () ->
-      let w = Pool.current () in
+      let w = Worker.current () in
       (* The task blocks on [gate], so it cannot have raised before this
          run returns; the exception then surfaces at shutdown. *)
-      Pool.push_task w (fun () ->
+      Worker.push_task w (fun () ->
           while not (Atomic.get gate) do
             Domain.cpu_relax ()
           done;
@@ -374,8 +375,8 @@ let own_deque_before_sources () =
         assert (
           Injector.try_push inj (fun () ->
               record "s1" ();
-              let w = Pool.current () in
-              List.iter (fun c -> Pool.push_task w (record c)) [ "c1"; "c2"; "c3" ]));
+              let w = Worker.current () in
+              List.iter (fun c -> Worker.push_task w (record c)) [ "c1"; "c2"; "c3" ]));
         assert (Injector.try_push inj (record "s2")))
   in
   Alcotest.(check (list string))

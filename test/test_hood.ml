@@ -179,9 +179,9 @@ let steal_from_takes_oldest deque_impl () =
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
       Pool.run pool (fun () ->
-          let w = Pool.current () in
+          let w = Worker.current () in
           let tasks = List.init 3 (fun _ -> fun () -> ()) in
-          List.iter (Pool.push_task w) tasks;
+          List.iter (Worker.push_task w) tasks;
           List.iteri
             (fun i task ->
               match Pool.steal_from pool ~victim:0 with
@@ -202,6 +202,44 @@ let steal_from_takes_oldest deque_impl () =
       ("successful_steals", Counters.successful_steals);
       ("stolen_tasks", Counters.stolen_tasks);
     ]
+
+(* The [run] caller never pops its deque between runs, so its first
+   step is to run that deque empty: the final empty pop resets the Abp
+   deque's indices.  Each run here spawns a future it never forces (at
+   P = 2 the peer usually steals it); twelve runs must fit a four-slot
+   deque.  A last empty run drains what the twelfth left, after which
+   every push is accounted for. *)
+let unforced_spawns_do_not_creep processes () =
+  let pool = Pool.create ~processes ~deque_capacity:4 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      for i = 1 to 12 do
+        Pool.run pool (fun () -> ignore (Future.spawn (fun () -> i)))
+      done;
+      Pool.run pool ignore);
+  let t = Counters.sum (Pool.counters pool) in
+  Alcotest.(check int) "pushes" 12 (Counters.get t Counters.pushes);
+  Alcotest.(check int) "pushes = pops + stolen_tasks" 12
+    (Counters.get t Counters.pops + Counters.get t Counters.stolen_tasks)
+
+(* Ten spawns into four-slot deques: the fixed-array Abp deque
+   overflows and [run] re-raises; the growable Circular and Locked
+   deques compute the sum.  Either way the pool stays usable. *)
+let overflow_leaves_pool_usable deque_impl processes () =
+  let pool = Pool.create ~processes ~deque_capacity:4 ~deque_impl () in
+  let sum n () =
+    let fs = List.init n (fun i -> Future.spawn (fun () -> i)) in
+    List.fold_left (fun acc f -> acc + Future.force f) 0 fs
+  in
+  (match deque_impl with
+  | Pool.Abp ->
+      Alcotest.check_raises "ten spawns overflow" (Failure "Atomic_deque: overflow") (fun () ->
+          ignore (Pool.run pool (sum 10)))
+  | Pool.Circular | Pool.Locked ->
+      Alcotest.(check int) "ten spawns fit" 45 (Pool.run pool (sum 10)));
+  Alcotest.(check int) "next run" 3 (Pool.run pool (sum 3));
+  Pool.shutdown pool
 
 let create_validation () =
   Alcotest.check_raises "processes = 0 rejected"
@@ -443,6 +481,22 @@ let tests =
     Alcotest.test_case "steal_from takes the oldest task (locked)" `Quick
       (steal_from_takes_oldest Pool.Locked);
     Alcotest.test_case "create validation" `Quick create_validation;
+    Alcotest.test_case "run caller's deque resets between runs (P=1)" `Quick
+      (unforced_spawns_do_not_creep 1);
+    Alcotest.test_case "run caller's deque resets between runs (P=2)" `Quick
+      (unforced_spawns_do_not_creep 2);
+    Alcotest.test_case "overflow leaves the pool usable (abp, P=1)" `Quick
+      (overflow_leaves_pool_usable Pool.Abp 1);
+    Alcotest.test_case "overflow leaves the pool usable (abp, P=2)" `Quick
+      (overflow_leaves_pool_usable Pool.Abp 2);
+    Alcotest.test_case "overflow leaves the pool usable (circular, P=1)" `Quick
+      (overflow_leaves_pool_usable Pool.Circular 1);
+    Alcotest.test_case "overflow leaves the pool usable (circular, P=2)" `Quick
+      (overflow_leaves_pool_usable Pool.Circular 2);
+    Alcotest.test_case "overflow leaves the pool usable (locked, P=1)" `Quick
+      (overflow_leaves_pool_usable Pool.Locked 1);
+    Alcotest.test_case "overflow leaves the pool usable (locked, P=2)" `Quick
+      (overflow_leaves_pool_usable Pool.Locked 2);
     Alcotest.test_case "central pool: fib" `Quick central_pool_fib_matches;
     Alcotest.test_case "central pool: exceptions" `Quick central_pool_exceptions;
     Alcotest.test_case "central pool: lock surface" `Quick central_vs_ws_lock_surface;
