@@ -36,6 +36,10 @@ val fib : int -> int
     spawn at every internal node).  Requires [n >= 0]. *)
 
 val nqueens : int -> int
-(** Count the solutions of the n-queens problem with one spawn per row
-    placement above the sequential cutoff — the irregular backtracking
-    workload of the paper's motivation.  Requires [1 <= n <= 13]. *)
+(** Count the solutions of the n-queens problem — the irregular
+    backtracking workload of the paper's motivation.  The board is three
+    bitmasks (occupied columns and the two diagonals), so a node copies
+    nothing.  Each of the first [max 0 (n - 3)] rows spawns one future
+    per safe column, lowest column first, and forces them in reverse
+    spawn order, so an unstolen child is joined inline; the last three
+    rows run as a sequential bitmask search.  Requires [1 <= n <= 13]. *)

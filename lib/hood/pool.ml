@@ -196,8 +196,24 @@ let steal_from (p : t) ~victim =
   | Spec.Got task -> Some task
   | Spec.Empty | Spec.Contended -> None
 
+(* Worker 0's deque has no owner between runs: a task the last [run]
+   spawned and never forced would stay there when the peers exit.  Run
+   it empty on the calling domain as worker 0, before the flag goes up
+   so that the peers can still steal from and help any task it runs;
+   a raising task is recorded and re-raised below.  Skipped while a
+   [run] holds worker 0 (its caller owns the deque) and on a
+   [spawn_all] pool (worker 0 is a domain of its own). *)
+let drain_caller_deque (p : t) =
+  if (not p.all_spawned) && Mutex.try_lock p.run_lock then
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock p.run_lock)
+      (fun () ->
+        let w = Worker.make p 0 in
+        Worker.with_context w (fun () -> Worker.drain_own w))
+
 let shutdown (p : t) =
   if not (Atomic.get p.shutdown_flag) then begin
+    drain_caller_deque p;
     Atomic.set p.shutdown_flag true;
     (* Wake every parked thief so it can observe the flag and exit. *)
     Mutex.lock p.park_lock;

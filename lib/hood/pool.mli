@@ -232,8 +232,8 @@ val run : t -> (unit -> 'a) -> 'a
     resets the deque's indices (Figure 5).  Without it, tasks stolen
     from worker 0 between runs would leave the fixed-size {!Abp}
     deque's [bot] where they were pushed, and repeated runs would
-    overflow it.  Until then such a task stays stealable, as after the
-    last [run] (see {!shutdown}). *)
+    overflow it.  Until then such a task stays stealable; after the
+    last [run], {!shutdown} runs it. *)
 
 val suspended : t -> int
 (** Number of continuations currently parked on promises under this
@@ -261,10 +261,13 @@ val steal_from : t -> victim:int -> (unit -> unit) option
 
 val shutdown : t -> unit
 (** Stop the worker domains (waking any parked thieves) and join them.
-    Idempotent.  Outstanding tasks are completed before workers exit
-    only if they are reachable by stealing; call this after [run] has
-    returned.  Re-raises the first recorded task exception, if any is
-    still pending. *)
+    Idempotent.  Call this after [run] has returned.  First the caller
+    runs worker 0's deque empty as worker 0, as {!run} does at its
+    start, so a task the last [run] spawned and never forced still runs
+    (unless [spawn_all], where worker 0 is a domain of its own).  Tasks
+    left on the other workers' deques run only if a worker reaches them
+    before it sees the flag.  Re-raises the first recorded task
+    exception, if any is still pending, a drained task's included. *)
 
 val steal_attempts : t -> int
 (** Sum of the per-worker [steal_attempts] counters.  Exact once the

@@ -393,7 +393,8 @@ let help_until w stop =
    needs it at the start of each run, because no loop pops its deque
    between runs: without it, tasks stolen from the bottom-indexed array
    would leave [bot] where they were pushed, and the fixed-size Abp
-   deque would creep into overflow one run at a time. *)
+   deque would creep into overflow one run at a time.  [Pool.shutdown]
+   runs it too, so that a task the last run left unforced still runs. *)
 let rec drain_own w =
   checkpoint w;
   match pop_bottom w with

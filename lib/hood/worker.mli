@@ -77,7 +77,7 @@ val help_until : t -> (unit -> bool) -> unit
 val drain_own : t -> unit
 (** Run the worker's own deque empty with owner pops only (never a
     steal), so that its final empty pop performs Figure 5's reset; the
-    [run] caller's first step. *)
+    [run] caller's first step, and the first step of [shutdown]. *)
 
 val wake : pool -> unit
 (** Wake every parked thief; one atomic read when none is parked. *)

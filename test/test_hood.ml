@@ -3,6 +3,7 @@
    conservation stress of the underlying atomic deque. *)
 
 open Abp_hood
+module Counters = Abp_trace.Counters
 
 let with_pool ~processes f =
   let pool = Pool.create ~processes () in
@@ -81,13 +82,71 @@ let parallel_map_singleton () =
       Alcotest.(check (array int)) "singleton mapped" [| 42 |] got;
       Alcotest.(check int) "one application" 1 !calls)
 
+(* Independent n-queens oracle: the diagonals are indexed by [r + c]
+   and [r - c + n - 1] instead of shifted along with the rows.
+   [nodes.(k)] counts the safe placements of rows [0 .. k - 1], so
+   [nodes.(0) = 1] and [nodes.(n)] is the solution count. *)
+let queens_nodes n =
+  let nodes = Array.make (n + 1) 0 in
+  let rec place r cols diag anti =
+    nodes.(r) <- nodes.(r) + 1;
+    if r < n then
+      for c = 0 to n - 1 do
+        let cb = 1 lsl c and db = 1 lsl (r + c) and ab = 1 lsl (r - c + n - 1) in
+        if cols land cb = 0 && diag land db = 0 && anti land ab = 0 then
+          place (r + 1) (cols lor cb) (diag lor db) (anti lor ab)
+      done
+  in
+  place 0 0 0 0;
+  nodes
+
 let nqueens_known_counts () =
   with_pool ~processes:4 (fun pool ->
       List.iter
-        (fun (n, want) ->
-          let got = Pool.run pool (fun () -> Par.nqueens n) in
-          Alcotest.(check int) (Printf.sprintf "nqueens %d" n) want got)
-        [ (1, 1); (4, 2); (6, 4); (8, 92) ])
+        (fun (n, want) -> Alcotest.(check int) (Printf.sprintf "oracle %d" n) want (queens_nodes n).(n))
+        [ (1, 1); (4, 2); (6, 4); (8, 92) ];
+      for n = 1 to 11 do
+        let got = Pool.run pool (fun () -> Par.nqueens n) in
+        Alcotest.(check int) (Printf.sprintf "nqueens %d" n) (queens_nodes n).(n) got
+      done;
+      List.iter
+        (fun n ->
+          Alcotest.check_raises (Printf.sprintf "nqueens %d rejected" n)
+            (Invalid_argument "Par.nqueens: 1 <= n <= 13 required") (fun () ->
+              ignore (Pool.run pool (fun () -> Par.nqueens n))))
+        [ 0; 14 ])
+
+(* The spawn tree: one future per safe placement of rows 1 .. n - 3
+   (253 for n = 7), each joined inline at P = 1. *)
+let nqueens_spawn_tree deque_impl () =
+  let n = 7 in
+  let nodes = queens_nodes n in
+  let want = ref 0 in
+  for k = 1 to n - 3 do
+    want := !want + nodes.(k)
+  done;
+  Alcotest.(check int) "oracle: spawning placements" 253 !want;
+  let pool = Pool.create ~processes:1 ~deque_impl () in
+  let got =
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> Pool.run pool (fun () -> Par.nqueens n))
+  in
+  Alcotest.(check int) "nqueens 7" nodes.(n) got;
+  let t = Counters.sum (Pool.counters pool) in
+  Alcotest.(check int) "one push per spawning placement" !want (Counters.get t Counters.pushes);
+  Alcotest.(check int) "pushes = pops" !want (Counters.get t Counters.pops)
+
+(* The board is three ints: a call allocates only the spawn tree's
+   futures and closures (about 6.6k words; 42.5k when every node
+   copied the board). *)
+let nqueens_allocation () =
+  with_pool ~processes:1 (fun pool ->
+      let words =
+        Pool.run pool (fun () ->
+            let before = Gc.minor_words () in
+            ignore (Sys.opaque_identity (Par.nqueens 7));
+            Gc.minor_words () -. before)
+      in
+      if words > 12_000. then Alcotest.failf "Par.nqueens 7 allocates %.0f minor words (> 12000)" words)
 
 let exceptions_propagate () =
   with_pool ~processes:2 (fun pool ->
@@ -148,8 +207,6 @@ let all_deque_impls_compute_fib () =
           let got = Pool.run pool (fun () -> Par.fib 20) in
           Alcotest.(check int) (name ^ " fib 20") (fib_seq 20) got))
     [ ("abp", Pool.Abp); ("circular", Pool.Circular); ("locked", Pool.Locked) ]
-
-module Counters = Abp_trace.Counters
 
 (* Every steal moves exactly one task on each backend, so at quiescence
    the conservation law holds with [stolen_tasks = successful_steals]
@@ -239,6 +296,43 @@ let overflow_leaves_pool_usable deque_impl processes () =
   | Pool.Circular | Pool.Locked ->
       Alcotest.(check int) "ten spawns fit" 45 (Pool.run pool (sum 10)));
   Alcotest.(check int) "next run" 3 (Pool.run pool (sum 3));
+  Pool.shutdown pool
+
+(* A task the last [run] spawned and never forced still runs at
+   [shutdown].  At P = 2 the peer first steals a blocker that keeps it
+   busy for 50 ms, so that only the shutdown drain can run the task. *)
+let shutdown_runs_unforced_task processes () =
+  let pool = Pool.create ~processes () in
+  let ran = Atomic.make false and blocker_started = Atomic.make false in
+  Pool.run pool (fun () ->
+      if processes > 1 then begin
+        ignore
+          (Future.spawn (fun () ->
+               Atomic.set blocker_started true;
+               let t0 = Unix.gettimeofday () in
+               while Unix.gettimeofday () -. t0 < 0.05 do
+                 Domain.cpu_relax ()
+               done));
+        let t0 = Unix.gettimeofday () in
+        while (not (Atomic.get blocker_started)) && Unix.gettimeofday () -. t0 < 30. do
+          Domain.cpu_relax ()
+        done;
+        Alcotest.(check bool) "the peer runs the blocker" true (Atomic.get blocker_started)
+      end;
+      ignore (Future.spawn (fun () -> Atomic.set ran true)));
+  Pool.shutdown pool;
+  Alcotest.(check bool) "the unforced task ran" true (Atomic.get ran);
+  Alcotest.(check int) "worker 0's deque is empty" 0 (Pool.deque_size pool 0);
+  let t = Counters.sum (Pool.counters pool) in
+  Alcotest.(check int) "pushes = pops + stolen_tasks" (Counters.get t Counters.pushes)
+    (Counters.get t Counters.pops + Counters.get t Counters.stolen_tasks)
+
+let shutdown_reraises_drained_exception () =
+  let exception Boom in
+  let pool = Pool.create ~processes:1 () in
+  (* A raw task: a future would capture the exception in its cell. *)
+  Pool.run pool (fun () -> Worker.push_task (Worker.current ()) (fun () -> raise Boom));
+  Alcotest.check_raises "shutdown re-raises" Boom (fun () -> Pool.shutdown pool);
   Pool.shutdown pool
 
 let create_validation () =
@@ -448,6 +542,60 @@ let lazy_parallel_for_correct () =
           Par.parallel_for ~lo:7 ~hi:8 (fun i -> one := i);
           Alcotest.(check int) "singleton range" 7 !one))
 
+let spin_until ?(timeout = 10.) pred =
+  let t0 = Unix.gettimeofday () in
+  while (not (pred ())) && Unix.gettimeofday () -. t0 < timeout do
+    Domain.cpu_relax ()
+  done;
+  pred ()
+
+(* A lazy loop body that suspends may resume on another worker.  When
+   the loop next splits, it must push onto the deque of the worker it
+   is on now: the deque is owner-only.  At P = 2, body 0 of a 64-index
+   loop awaits a promise that a task on worker 1 fulfils, so it resumes
+   on worker 1.  Meanwhile a task on worker 0 takes the loop's right
+   half off worker 0's deque and then keeps worker 0 busy, so that the
+   resumed loop finds an empty deque after its first chunk and splits.
+   Body 16, the first one after that split, checks where the new right
+   half went. *)
+let lazy_split_after_migration loop () =
+  let pool = Pool.create ~processes:2 () in
+  let p = Abp_fiber.Fiber.Promise.create () in
+  let x_started = Atomic.make false and half_taken = Atomic.make false in
+  let checked = Atomic.make false and resumed_on = Atomic.make None in
+  let sizes = Atomic.make (-1, -1) and ran = Array.make 64 0 in
+  let body i =
+    ran.(i) <- ran.(i) + 1;
+    if i = 0 then begin
+      Worker.push_task (Worker.current ()) (fun () ->
+          let half = Pool.steal_from pool ~victim:0 in
+          Atomic.set half_taken true;
+          ignore (spin_until (fun () -> Atomic.get checked));
+          Option.iter (fun task -> task ()) half);
+      Abp_fiber.Fiber.Promise.await p;
+      Atomic.set resumed_on (Worker.self_id ())
+    end
+    else if i = 16 then begin
+      Atomic.set sizes (Pool.deque_size pool 0, Pool.deque_size pool 1);
+      Atomic.set checked true
+    end
+  in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      Pool.run pool (fun () ->
+          ignore
+            (Future.spawn (fun () ->
+                 Atomic.set x_started true;
+                 ignore (spin_until (fun () -> Atomic.get half_taken));
+                 Abp_fiber.Fiber.Promise.fulfil p ()));
+          Alcotest.(check bool) "worker 1 runs the fulfiller" true
+            (spin_until (fun () -> Atomic.get x_started));
+          loop body));
+  Alcotest.(check (option int)) "body 0 resumed on worker 1" (Some 1) (Atomic.get resumed_on);
+  Alcotest.(check (pair int int)) "the split pushed onto worker 1's deque" (0, 1) (Atomic.get sizes);
+  Alcotest.(check bool) "every body ran once" true (Array.for_all (fun c -> c = 1) ran)
+
 let tests =
   [
     Alcotest.test_case "fib matches sequential" `Quick fib_matches_sequential;
@@ -460,6 +608,10 @@ let tests =
       parallel_map_applies_f_exactly_once;
     Alcotest.test_case "parallel_map: singleton" `Quick parallel_map_singleton;
     Alcotest.test_case "nqueens known counts" `Quick nqueens_known_counts;
+    Alcotest.test_case "nqueens spawn tree (abp)" `Quick (nqueens_spawn_tree Pool.Abp);
+    Alcotest.test_case "nqueens spawn tree (circular)" `Quick (nqueens_spawn_tree Pool.Circular);
+    Alcotest.test_case "nqueens spawn tree (locked)" `Quick (nqueens_spawn_tree Pool.Locked);
+    Alcotest.test_case "nqueens allocation bound" `Quick nqueens_allocation;
     Alcotest.test_case "exceptions propagate" `Quick exceptions_propagate;
     Alcotest.test_case "future both" `Quick future_both;
     Alcotest.test_case "spawn outside run rejected" `Quick run_outside_worker_rejected;
@@ -471,6 +623,14 @@ let tests =
     Alcotest.test_case "circular impl: deep spawns, tiny buffer" `Quick
       circular_impl_survives_deep_spawns;
     Alcotest.test_case "lazy splitting computes eager answers" `Quick lazy_parallel_for_correct;
+    Alcotest.test_case "lazy parallel_for splits where a body resumed" `Quick
+      (lazy_split_after_migration (fun body -> Par.parallel_for ~lo:0 ~hi:64 body));
+    Alcotest.test_case "lazy parallel_reduce splits where a body resumed" `Quick
+      (lazy_split_after_migration (fun body ->
+           ignore
+             (Par.parallel_reduce ~lo:0 ~hi:64 ~init:0 ~combine:( + ) (fun i ->
+                  body i;
+                  i))));
     Alcotest.test_case "circular pool: one task per steal" `Quick
       (one_task_per_steal Pool.Circular);
     Alcotest.test_case "locked pool: one task per steal" `Quick (one_task_per_steal Pool.Locked);
@@ -481,6 +641,12 @@ let tests =
     Alcotest.test_case "steal_from takes the oldest task (locked)" `Quick
       (steal_from_takes_oldest Pool.Locked);
     Alcotest.test_case "create validation" `Quick create_validation;
+    Alcotest.test_case "shutdown runs an unforced task (P=1)" `Quick
+      (shutdown_runs_unforced_task 1);
+    Alcotest.test_case "shutdown runs an unforced task (P=2)" `Quick
+      (shutdown_runs_unforced_task 2);
+    Alcotest.test_case "shutdown re-raises a drained task's exception" `Quick
+      shutdown_reraises_drained_exception;
     Alcotest.test_case "run caller's deque resets between runs (P=1)" `Quick
       (unforced_spawns_do_not_creep 1);
     Alcotest.test_case "run caller's deque resets between runs (P=2)" `Quick
