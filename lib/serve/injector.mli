@@ -18,12 +18,30 @@
     cache line each, since every operation contends on one of them; the
     slots are not, since they are touched in cursor order and a padded
     slot would cost a cache line where an unpadded one costs 4 words
-    (its 2-word sequence-number atomic and its two array cells).  Every
-    method is lock-free: a stalled producer or consumer can delay only
-    the slot it claimed, never the whole queue.  FIFO per producer; no
-    global order guarantee under concurrency (none is needed: fairness
-    at the serve layer comes from the bounded capacity and admission
-    control).
+    (its 2-word sequence-number atomic and its two array cells).
+
+    The slots are allocated in segments of 256 (fewer if [capacity] is
+    smaller), each on the first push that reaches it: [create] allocates
+    only a directory of empty segment cells.  The producer that first
+    reaches a segment installs it with one CAS on its cell (a loser uses
+    the winner's segment); a consumer that finds the cell empty reports
+    the queue empty, since the producer of its ticket has not published.
+    A segment's sequence numbers start at their lap-0 tickets, which is
+    right because tickets advance one by one and a segment is installed
+    before any of its tickets is claimed.  The bound of 256 keeps each
+    segment's arrays, and the directory up to 65 536 slots, within the
+    minor heap's largest block ([Max_young_wosize] = 256 words): a larger
+    array of young atomics is allocated in the major heap after a forced
+    minor collection, which stops every domain.  So [create] at 65 536
+    slots allocates about 850 young words and forces no collection; after
+    one lap every segment exists, at about 4 words per slot.
+
+    Every method is lock-free: a stalled producer or consumer can delay
+    only the slot it claimed, never the whole queue, and a producer
+    stalled while installing a segment holds nothing, since any other
+    producer installs its own.  FIFO per producer; no global order
+    guarantee under concurrency (none is needed: fairness at the serve
+    layer comes from the bounded capacity and admission control).
 
     All functions are safe to call from any domain. *)
 
@@ -31,7 +49,8 @@ type 'a t
 
 val create : ?capacity:int -> unit -> 'a t
 (** [capacity] (default 1024, rounded up to a power of two, minimum 2)
-    bounds the number of enqueued-but-not-yet-consumed items; a full
+    bounds the number of enqueued-but-not-yet-consumed items; the slots
+    are allocated 256 at a time as tickets first reach them; a full
     inbox is the backpressure signal {!Shard.try_submit} surfaces as
     [Error Inbox_full].  Requires [capacity >= 1]. *)
 

@@ -154,7 +154,8 @@ val create :
     documents the shared options.  The pool gets two sources
     ({!Abp_hood.Pool.source}) after its resume inbox: the lane arbiter
     over both inboxes (of [inbox_capacity] slots each, default 1024,
-    rounded up to a power of two; a slot costs about 4 words, so the
+    rounded up to a power of two; slots are allocated 256 at a time as
+    tickets first reach them, about 4 words each, so after one lap the
     two lanes take about [8 * inbox_capacity] words), then [overflow]
     if given — the cross-shard source.  Each poll takes at most one
     submission.  With [trace] attached, lane polls appear in the

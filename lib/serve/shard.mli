@@ -59,9 +59,11 @@ val create :
     [park_threshold] and [yield_kind] go to each shard's
     {!Abp_hood.Pool.create}, with its defaults.  [inbox_capacity] (default 1024, rounded up to a
     power of two) sizes each lane inbox; the deadline lane is polled
-    first and is FIFO within the lane, like the bulk lane.  An inbox
-    slot costs about 4 words, so each shard's two lanes take about
-    [8 * inbox_capacity] words: 512K words (4 MB) at 65 536.  [gates] and [traces], when given, must have exactly one entry
+    first and is FIFO within the lane, like the bulk lane.  Inbox slots
+    are allocated 256 at a time as tickets first reach them, about 4
+    words each, so up to 65 536 the inboxes cost [create] little and
+    force no minor collection, and after one lap each shard's two lanes
+    take about [8 * inbox_capacity] words: 512K words (4 MB) at 65 536.  [gates] and [traces], when given, must have exactly one entry
     per shard: per-shard preemption gates let the {!Abp_mp} adversary
     suspend shards independently (reopen them with
     {!Abp_mp.Controller.stop} before {!drain} or {!shutdown}), and

@@ -13,23 +13,36 @@ let with_serve ?processes ?inbox_capacity f =
 (* ------------------------------------------------------------------ *)
 (* Injector *)
 
-let injector_fifo_single_thread () =
-  let q : int Injector.t = Injector.create ~capacity:8 () in
+(* Fill until a push is refused, drain in order, then run three laps of
+   interleaved pushes and pops with a window of [3/8 capacity] items in
+   flight.  At 1024 slots (four segments) the fill, the drain and every
+   lap cross each segment boundary, and the window is wider than a
+   segment, so the producer and the consumer work in different
+   segments. *)
+let injector_fifo ~capacity () =
+  let q : int Injector.t = Injector.create ~capacity () in
   Alcotest.(check bool) "empty at start" true (Injector.is_empty q);
-  for i = 1 to 8 do
-    Alcotest.(check bool) (Printf.sprintf "push %d" i) true (Injector.try_push q i)
-  done;
-  Alcotest.(check bool) "full" false (Injector.try_push q 99);
-  Alcotest.(check int) "size" 8 (Injector.size q);
-  for i = 1 to 8 do
-    Alcotest.(check (option int)) (Printf.sprintf "pop %d" i) (Some i) (Injector.try_pop q)
-  done;
+  let pushed = ref 0 and popped = ref 0 in
+  let push () = if Injector.try_push q !pushed then (incr pushed; true) else false in
+  let pop () =
+    Alcotest.(check (option int)) "pop in order" (Some !popped) (Injector.try_pop q);
+    incr popped
+  in
+  while push () do () done;
+  Alcotest.(check int) "fills to capacity" capacity !pushed;
+  Alcotest.(check int) "size at full" capacity (Injector.size q);
+  while !popped < !pushed do pop () done;
   Alcotest.(check (option int)) "drained" None (Injector.try_pop q);
-  (* Wrap around the ring a few laps. *)
-  for lap = 0 to 20 do
-    Alcotest.(check bool) "lap push" true (Injector.try_push q lap);
-    Alcotest.(check (option int)) "lap pop" (Some lap) (Injector.try_pop q)
-  done
+  for _ = 1 to 3 * capacity / 8 do
+    Alcotest.(check bool) "window push" true (push ())
+  done;
+  for _ = 1 to 3 * capacity do
+    Alcotest.(check bool) "lap push" true (push ());
+    pop ()
+  done;
+  while !popped < !pushed do pop () done;
+  Alcotest.(check (option int)) "drained after laps" None (Injector.try_pop q);
+  Alcotest.(check bool) "empty at end" true (Injector.is_empty q)
 
 let injector_capacity_rounding () =
   let q : int Injector.t = Injector.create ~capacity:5 () in
@@ -43,13 +56,21 @@ let injector_capacity_rounding () =
 (* Multi-domain conservation: every pushed value is popped exactly once,
    nothing is invented, nothing is lost.  A blocked producer or consumer
    spins briefly, then yields the CPU, so the test also makes progress
-   pinned to one CPU. *)
+   pinned to one CPU.  A queue that stops making progress (a lost slot
+   leaves the consumers waiting, a wrong sequence number leaves the
+   producers facing a full queue) fails the test after 30 s instead of
+   hanging it. *)
 let injector_conservation ~capacity ~producers ~consumers ~per_producer () =
   let q : int Injector.t = Injector.create ~capacity () in
   let consumed = Atomic.make 0 and sum = Atomic.make 0 in
   let produced_all = Atomic.make 0 in
+  let give_up = Abp_trace.Clock.now () + (30 * Abp_trace.Clock.ns_per_s) in
   let relax tries =
-    if tries land 63 = 63 then Abp_trace.Clock.yield_cpu () else Domain.cpu_relax ()
+    if tries land 63 = 63 then begin
+      if Abp_trace.Clock.now () > give_up then failwith "injector: no progress for 30 s";
+      Abp_trace.Clock.yield_cpu ()
+    end
+    else Domain.cpu_relax ()
   in
   let producer p () =
     for i = 0 to per_producer - 1 do
@@ -82,7 +103,10 @@ let injector_conservation ~capacity ~producers ~consumers ~per_producer () =
       (Array.init producers (fun p -> Domain.spawn (producer p)))
       (Array.init consumers (fun _ -> Domain.spawn consumer))
   in
-  Array.iter Domain.join ds;
+  let failures =
+    Array.to_list ds |> List.filter_map (fun d -> try Domain.join d; None with e -> Some e)
+  in
+  (match failures with e :: _ -> raise e | [] -> ());
   (* A consumer may exit on a momentarily-empty queue while the last few
      items are in flight; drain the remainder here. *)
   let rec drain () =
@@ -103,24 +127,57 @@ let injector_conservation ~capacity ~producers ~consumers ~per_producer () =
    while two producers and two consumers race on it. *)
 let injector_tightest_lap = injector_conservation ~capacity:2 ~producers:2 ~consumers:2 ~per_producer:10_000
 
-(* The slots are unpadded: a slot costs its plain sequence-number atomic
-   (2 words) and its cells in the two arrays, 4 words in all.  A slot
-   padded to a cache line costs 21 words, 11 MB for one of perfbench's
-   65 536-slot lanes. *)
-let injector_slot_words () =
+(* Both counters count the calling domain's allocations.  The minor
+   count is [Gc.minor_words]: [Gc.counters]' own minor count runs short
+   on OCaml 5.1 after a minor collection.  The major count is the words
+   allocated directly in the major heap (major minus promoted). *)
+let allocated () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words (), major -. promoted)
+
+(* [create] allocates the segment directory only, young: a perfbench
+   lane of 65 536 slots forces no minor collection (each one stops every
+   domain) and allocates nothing directly in the major heap.  An array of
+   one young atomic per slot would cost 131 074 direct words and a forced
+   collection. *)
+let injector_create_is_young () =
   let capacity = 65_536 in
-  (* Both counters count the calling domain's allocations.  The minor
-     count is [Gc.minor_words]: [Gc.counters]' own minor count runs short
-     on OCaml 5.1 after a minor collection. *)
-  let allocated () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. major -. promoted
-  in
-  let before = allocated () in
+  Gc.minor ();
+  let collections () = (Gc.quick_stat ()).Gc.minor_collections in
+  let c0 = collections () in
+  let minor0, major0 = allocated () in
   let q : int Injector.t = Injector.create ~capacity () in
-  let per_slot = (allocated () -. before) /. float_of_int capacity in
+  let minor1, major1 = allocated () in
+  let c1 = collections () in
   ignore (Sys.opaque_identity q);
-  if per_slot > 5. then Alcotest.failf "Injector.create allocates %.1f words per slot (> 5)" per_slot
+  Alcotest.(check int) "no minor collection" 0 (c1 - c0);
+  Alcotest.(check (float 0.)) "no direct major words" 0. (major1 -. major0);
+  if minor1 -. minor0 > 2048. then
+    Alcotest.failf "Injector.create allocates %.0f minor words (> 2048)" (minor1 -. minor0)
+
+(* Two producers race to install each of 256 fresh segments in the
+   first lap.  With a plain store in place of the install CAS this case
+   lost items in eight runs of ten on two CPUs (at 16 384 slots it
+   passed five of five); pinned to one CPU the race is rare. *)
+let injector_install_race =
+  injector_conservation ~capacity:65_536 ~producers:2 ~consumers:2 ~per_producer:50_000
+
+(* The slots are unpadded: a slot costs its plain sequence-number atomic
+   (2 words) and its cells in the segment's two arrays, 4 words in all.
+   A slot padded to a cache line costs 21 words, 11 MB for one of
+   perfbench's 65 536-slot lanes.  Segments exist once tickets have
+   passed them, so the bound is checked after one full lap. *)
+let injector_lap_words () =
+  let capacity = 65_536 in
+  let q : int Injector.t = Injector.create ~capacity () in
+  for i = 1 to capacity do
+    if not (Injector.try_push q i) then Alcotest.failf "push %d refused" i
+  done;
+  for i = 1 to capacity do
+    if Injector.try_pop q <> Some i then Alcotest.failf "pop %d out of order" i
+  done;
+  let per_slot = float_of_int (Obj.reachable_words (Obj.repr q)) /. float_of_int capacity in
+  if per_slot > 5. then Alcotest.failf "a lapped injector holds %.2f words per slot (> 5)" per_slot
 
 (* ------------------------------------------------------------------ *)
 (* Serve basics *)
@@ -952,13 +1009,18 @@ let shard_worker_fulfil_resumes_parked_request () =
 
 let tests =
   [
-    Alcotest.test_case "injector: fifo + full + wraparound" `Quick injector_fifo_single_thread;
+    Alcotest.test_case "injector: fifo + full + wraparound" `Quick (injector_fifo ~capacity:8);
     Alcotest.test_case "injector: capacity rounding" `Quick injector_capacity_rounding;
     Alcotest.test_case "injector: mpmc conservation (domains)" `Quick
       (injector_conservation ~capacity:64 ~producers:3 ~consumers:2 ~per_producer:5_000);
     Alcotest.test_case "injector: tightest lap, 2 producers x 2 consumers at capacity 2" `Quick
       injector_tightest_lap;
-    Alcotest.test_case "injector: at most 5 words per slot" `Quick injector_slot_words;
+    Alcotest.test_case "injector: at most 5 words per slot after one lap" `Quick injector_lap_words;
+    Alcotest.test_case "injector: create is young, forces no minor GC" `Quick injector_create_is_young;
+    Alcotest.test_case "injector: fifo + full + wraparound across segments" `Quick
+      (injector_fifo ~capacity:1024);
+    Alcotest.test_case "injector: 2 producers x 2 consumers race to install segments" `Quick
+      injector_install_race;
     Alcotest.test_case "submit and await" `Quick submit_and_await;
     Alcotest.test_case "submitted tasks use Par/Future" `Quick
       submitted_task_uses_parallel_skeletons;
