@@ -1,8 +1,8 @@
 (* hoodserve: drive the serving layer from the command line — a load
    generator over Abp.Shard (k micropools; k = 1 is the classic
-   single-inbox Abp.Serve topology) with the full service report
-   (admission counters, routing histogram, cross-shard steal telemetry,
-   inbox gauge, per-lane log-scale latency histograms) and optional
+   single-micropool topology) with the full service report (admission
+   counters, routing histogram, cross-shard steal telemetry, inbox
+   gauges, queue/run and per-lane sojourn latency) and optional
    telemetry.
 
    Two generator modes:
@@ -219,9 +219,6 @@ let run p shards affinity clients requests fib await_depth backend_ms inbox dead
   if Atomic.get shed > 0 then
     Format.printf "shed %d arrivals (open-loop, inbox full)@." (Atomic.get shed);
   Format.printf "%a" Abp.Shard.pp_report s;
-  for i = 0 to shards - 1 do
-    Format.printf "%a" Abp.Serve.pp_report (Abp.Shard.serve s i)
-  done;
   let conserved = Abp.Shard.conserved s in
   let totals = shard_totals s shards in
   let count = Abp.Trace_counters.get totals in
@@ -249,7 +246,6 @@ let run p shards affinity clients requests fib await_depth backend_ms inbox dead
     (Abp.Shard.lane_stats s Abp.Serve.Bulk).Abp.Serve.lane_misses
     + (Abp.Shard.lane_stats s Abp.Serve.Deadline).Abp.Serve.lane_misses
   in
-  if deadline_misses > 0 then Format.printf "deadline misses: %d@." deadline_misses;
   let routes = Abp.Shard.route_counts s in
   let depths = Abp.Shard.inbox_depths s in
   let lane_json =
@@ -259,15 +255,6 @@ let run p shards affinity clients requests fib await_depth backend_ms inbox dead
     Printf.sprintf {|{"bulk":%s,"deadline":%s}|} (block Abp.Serve.Bulk)
       (block Abp.Serve.Deadline)
   in
-  List.iter
-    (fun lane ->
-      match Abp.Shard.lane_sojourn_latency s lane with
-      | Some l ->
-          Format.printf "%s lane sojourn: p50 %.3fms  p99 %.3fms  p999 %.3fms (n=%d)@."
-            (Abp.Serve.lane_name lane) (l.Abp.Serve.p50 *. 1e3) (l.Abp.Serve.p99 *. 1e3)
-            (l.Abp.Serve.p999 *. 1e3) l.Abp.Serve.samples
-      | None -> ())
-    Abp.Serve.lanes;
   Abp.Shard.shutdown s;
   Option.iter
     (fun file ->

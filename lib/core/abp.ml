@@ -29,12 +29,13 @@
       ordinary task.  {!Fiber_model} exhaustively model-checks the
       park/fulfil race for exactly-once resumption, and
       {!Future_model} the lean future's publish/install race.
-    - {!Serve}, {!Injector}, {!Shard}: the serving layer — external
-      task submission from arbitrary domains through a bounded
-      multi-producer injector inbox, with admission control
+    - {!Shard}, {!Serve}, {!Injector}, {!Backend}: the serving layer —
+      external task submission from arbitrary domains through bounded
+      multi-producer injector inboxes, with admission control
       (backpressure, deadlines, cancellation), graceful drain, and the
       sharded multi-pool topology with locality-biased bounded
-      cross-shard stealing.
+      cross-shard stealing.  {!Serve} is [Shard.Serve]: the request
+      vocabulary (lanes, tickets, outcomes) and per-shard views.
     - {!Gate}, {!Controller}, {!Antagonist} (library [abp_mp]): the
       multiprogramming harness — the Section 4.4 kernel adversary
       replayed against the {e real} pool through cooperative preemption
@@ -126,9 +127,9 @@ module Algos = Abp_hood.Algos
 module Central_pool = Abp_hood.Central_pool
 
 (* Serving layer: external task submission over the Hood pool *)
-module Serve = Abp_serve.Serve
-module Injector = Abp_serve.Injector
 module Shard = Abp_serve.Shard
+module Serve = Abp_serve.Shard.Serve
+module Injector = Abp_serve.Injector
 module Backend = Abp_serve.Backend
 
 (* Multiprogramming harness: the kernel adversary on hardware *)

@@ -419,6 +419,7 @@ let current () =
   | None -> failwith "Hood: not inside a pool worker (use Pool.run)"
 
 let self_id () = match !(Domain.DLS.get context_key) with Some w -> Some w.id | None -> None
+let self_pool () = match !(Domain.DLS.get context_key) with Some w -> Some w.pool | None -> None
 let exec_counters () = !(Domain.DLS.get exec_counters_key)
 let in_fiber w = Fiber.flag_set w.in_fiber
 

@@ -1,6 +1,6 @@
 (** The worker side of {!Pool}: one pool's shared state, a worker's
     record, the Figure 3 scheduling loop, and the hooks that {!Future},
-    {!Par} and the serving layer ({!Abp_serve.Serve}) call from inside a
+    {!Par} and the serving layer ({!Abp_serve.Shard}) call from inside a
     task.  Internal to the runtime: the [Abp] umbrella does not
     re-export it, and applications use {!Pool}, {!Future} and {!Par}.
     The types shared with {!Pool} are documented there. *)
@@ -98,6 +98,12 @@ val self_id : unit -> int option
     either on a worker or on an external domain picks its
     single-writer slot with it. *)
 
+val self_pool : unit -> pool option
+(** The pool the calling domain works for, or [None] when not a pool
+    worker.  With {!self_id} it names the executing worker across
+    several pools: the serving layer ({!Abp_serve.Shard}) finds it among
+    its shards' pools by physical equality to pick a group-wide slot. *)
+
 val exec_counters : unit -> Abp_trace.Counters.t option
 (** The executing worker's own counter record, or [None] off the pool:
     where code running inside a task (the serving layer's lane source
@@ -157,5 +163,5 @@ val fiber_sched : pool -> Abp_fiber.Fiber.sched
     or enqueued on the pool's resume inbox and parked thieves woken
     (when scheduled from an external domain, e.g. a backend fulfilling
     a promise).  Layers installing their own handler around task bodies
-    ({!Abp_serve.Serve}) wrap this record's hooks so the pool's gauge
+    ({!Abp_serve.Shard.Serve}) wrap this record's hooks so the pool's gauge
     and telemetry keep counting. *)

@@ -58,10 +58,10 @@ let next_pow2 n =
 
 let create ?(capacity = 1024) () =
   if capacity < 1 then invalid_arg "Injector.create: capacity >= 1 required";
-  let cap = max 2 (next_pow2 capacity) in
+  let cap = Int.max 2 (next_pow2 capacity) in
   {
     mask = cap - 1;
-    dir = Array.init (max 1 (cap lsr seg_bits)) (fun _ -> Atomic.make unset);
+    dir = Array.init (Int.max 1 (cap lsr seg_bits)) (fun _ -> Atomic.make unset);
     tail = Padding.atomic 0;
     head = Padding.atomic 0;
   }

@@ -1,5 +1,5 @@
 (** Bounded multi-producer multi-consumer injector queue (the global
-    inbox of {!Serve}).
+    inboxes of each {!Shard} micropool).
 
     The paper's runtime is closed: work enters only by a worker pushing
     onto its own deque.  Opening the pool to external submission needs
@@ -65,8 +65,8 @@ val try_pop : 'a t -> 'a option
 
 val size : 'a t -> int
 (** Advisory occupancy snapshot (exact when quiescent) — the injector
-    depth gauge reported by {!Serve.pp_report}. *)
+    depth gauge reported by {!Shard.pp_report}. *)
 
 val is_empty : 'a t -> bool
-(** [size t = 0]; {!Serve}'s lane source uses this as its [pending]
+(** [size t = 0]; {!Shard}'s lane source uses this as its [pending]
     check, which the pool's parking protocol consults. *)

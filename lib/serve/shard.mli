@@ -1,8 +1,15 @@
 (** The server: [k] serving micropools behind one submission API.
 
     This is the only way to build a server — [create ~shards:1] for a
-    single micropool.  Each shard is one {!Serve.t} (reached through
-    {!serve}) with its own inboxes, workers and latency telemetry.
+    single micropool.  Each shard is a {!Abp_hood.Pool} in [spawn_all]
+    mode (every worker, worker 0 included, is a spawned domain) fed by
+    two bounded multi-producer {!Injector} inboxes that idle workers poll
+    after their own deque, one steal attempt and their resume inbox —
+    the paper's Figure 3 priority order.  Submitted tasks run in full
+    worker context, so they may use {!Abp_hood.Future} and
+    {!Abp_hood.Par} freely.  {!Serve} holds the request vocabulary and
+    each shard's read views (reached through {!serve}).
+
     Submission is {!try_submit} (refuse when full) or {!submit} (wait
     under backpressure); both return a {!Serve.ticket}, whose outcome is
     read with {!Serve.poll}, {!Serve.await} or {!Serve.outcome} and
@@ -23,13 +30,12 @@
        empty-handed trips), prefers the last productive victim (the
        localized-stealing policy of Suksompong–Leiserson–Schardl), and
        otherwise tries one random remote shard: a random victim deque
-       first ({!Abp_hood.Pool.steal_from}), then that shard's inbox
-       ({!Serve.steal_inbox}).  Every cross-shard acquisition moves
-       exactly one task.}}
+       first ({!Abp_hood.Pool.steal_from}), then that shard's inboxes,
+       deadline lane first.  Every cross-shard acquisition moves exactly
+       one task.}}
 
     Cross-stolen jobs keep their closures over their {e home} shard's
-    tickets and admission counters, so each shard's conservation
-    invariant [accepted = completed + cancelled + exceptions] holds no
+    tickets and ledger, so each shard's conservation invariant holds no
     matter where its tasks run ({!conserved} checks all shards after
     {!drain}/{!shutdown}).  The thief's pool counts the transfer in its
     [cross_polls]/[cross_shard_steals]/[cross_stolen_tasks] telemetry
@@ -39,7 +45,158 @@
     every sibling pool's parked thieves (not just its own shard's), and
     the parking protocol consults the overflow source's pending check — so
     a fully parked shard group never strands a submission on a busy
-    sibling (the cross-pool lost-wakeup regression in [test_backoff]). *)
+    sibling (the cross-pool lost-wakeup regression in [test_backoff]).
+
+    {2 The ledger}
+
+    Each shard counts admissions per lane in padded atomics; its totals
+    ({!Serve.stats}) are the lane sums, so an admission or a settle costs
+    one atomic increment.  Request bodies run under a fiber handler, and
+    a request parked on a promise counts in [suspended], so at every
+    quiescent point
+
+    {[ accepted = completed + cancelled + exceptions + suspended ]}
+
+    per shard, collapsing to [accepted = completed + cancelled +
+    exceptions] once drained ([rejected] counts only refused
+    submissions).  {!drain} can only finish once every promise a request
+    awaits has been resolved; that is the caller's or backend's
+    responsibility.  Latencies go into one set of per-lane log-scale
+    histograms for the whole server ({!Abp_stats.Log_histogram.Sharded}),
+    one slot per (shard, worker) pair — the worker that runs a request,
+    wherever it belongs, records into its own slot — merged at report
+    time. *)
+
+(** Requests and per-shard views. *)
+module Serve : sig
+  type t
+  (** One shard: its pool, lane inboxes and ledger. *)
+
+  (** {2 Lanes}
+
+      There are two admission lanes, each with its own inbox:
+      {!lane.Bulk} (the default) and {!lane.Deadline} for
+      latency-critical requests.  The worker-side arbiter polls the
+      deadline lane {e first}, one job per poll, FIFO within the lane
+      (submission order; a deadline only decides when a still-queued task
+      is dropped).  An anti-starvation credit guarantees the bulk lane at
+      least a 1-in-4 share of non-empty polls under sustained deadline
+      traffic.  Per-lane counters ({!lane_stats}) and per-lane latency
+      histograms ({!Abp_serve.Shard.lane_sojourn_latency}) keep the two
+      classes separately observable. *)
+
+  type lane =
+    | Bulk  (** default lane: throughput-oriented background work *)
+    | Deadline
+        (** high-priority lane: polled first by workers, FIFO within the
+            lane *)
+
+  type reason =
+    | Deadline  (** still queued when its deadline expired *)
+    | Explicit  (** dropped by {!cancel} before it started *)
+    | Shutdown
+        (** still queued when {!Abp_serve.Shard.shutdown} stopped the
+            workers *)
+
+  type 'a outcome = Returned of 'a | Raised of exn | Cancelled of reason
+
+  type reject =
+    | Inbox_full  (** backpressure: the bounded injector inbox is full *)
+    | Draining
+        (** admission stopped by {!Abp_serve.Shard.drain} or
+            {!Abp_serve.Shard.shutdown} *)
+
+  type 'a ticket
+  (** One submitted task: a claim word and an outcome promise.  The claim
+      settles the race between a worker starting the task and {!cancel}
+      (or a deadline or shutdown drop); whoever wins fulfils the promise
+      exactly once.  Started tasks always run to completion. *)
+
+  type stats = {
+    accepted : int;  (** submissions that entered an inbox *)
+    completed : int;  (** tasks that ran and returned normally *)
+    rejected : int;  (** submissions refused (full inbox or draining) *)
+    cancelled : int;  (** accepted tasks dropped before starting *)
+    exceptions : int;  (** tasks that ran and raised *)
+    suspended : int;
+        (** requests currently parked on a promise (started, not yet
+            settled) — the await-aware term; 0 after a drain *)
+  }
+  (** The totals: each field but [suspended] (a per-shard gauge) is the
+      sum of the two lanes' counters. *)
+
+  type lane_stats = {
+    lane_accepted : int;
+    lane_completed : int;
+    lane_rejected : int;
+    lane_cancelled : int;
+    lane_exceptions : int;
+    lane_misses : int;
+        (** settlements (completions or exceptions) that landed past the
+            ticket's absolute deadline; not a conservation term — a miss
+            is a settled request that was merely late.  Drops before the
+            claim count as cancellations, never misses. *)
+  }
+  (** Per-lane counters, the ledger itself.  Once drained,
+      [lane_accepted = lane_completed + lane_cancelled + lane_exceptions]
+      holds per lane. *)
+
+  type latency = {
+    samples : int;  (** observations recorded *)
+    mean : float;
+    p50 : float;
+    p90 : float;
+    p99 : float;
+    p999 : float;
+    max : float;
+  }
+  (** Seconds; quantiles from the merged log-scale histogram, accurate to
+      its bounded relative error (< 1% at the default resolution). *)
+
+  val lane_name : lane -> string
+  (** ["bulk"] / ["deadline"]. *)
+
+  val lanes : lane list
+  (** Both lanes, bulk first. *)
+
+  (** {2 Tickets} *)
+
+  val poll : 'a ticket -> 'a outcome option
+  (** Non-blocking status: [None] while queued or running. *)
+
+  val outcome : 'a ticket -> 'a outcome Abp_fiber.Fiber.Promise.t
+  (** The ticket's outcome promise, fulfilled at its terminal transition
+      (completion, exception, or any [Cancelled _] drop).  A fiber — for
+      example another request — can {!Abp_fiber.Fiber.await} it without
+      occupying a worker. *)
+
+  val await : 'a ticket -> 'a outcome
+  (** Wait for the outcome.  In a fiber context (inside a request or any
+      pool task) the caller suspends and its worker serves other work —
+      so a request waiting on another request frees its worker, even at
+      [P = 1]; elsewhere it parks on a condition variable.  Callable from
+      any domain. *)
+
+  val cancel : 'a ticket -> bool
+  (** Best-effort cancellation: [true] iff the task had not started and
+      is now dropped as [Cancelled Explicit].  [false] if it already
+      started, finished, or was already dropped. *)
+
+  (** {2 One shard's views} *)
+
+  val pool : t -> Abp_hood.Pool.t
+  (** The shard's pool, for telemetry accessors ([counters],
+      [steal_attempts], ...).  With a trace sink attached, lane polls
+      appear in the per-worker [inject_polls]/[inject_tasks] and
+      [lane_polls]/[lane_tasks] counters and as [Inject] events. *)
+
+  val stats : t -> stats
+  (** Advisory snapshot while running; exact after a drain or
+      shutdown. *)
+
+  val lane_stats : t -> lane -> lane_stats
+  (** Per-lane counters; same advisory/exact regime as {!stats}. *)
+end
 
 type t
 
@@ -54,10 +211,10 @@ val create :
   shards:int ->
   unit ->
   t
-(** Start [shards] micropools of [processes] workers each (so
-    [shards * processes] worker domains total).  [processes],
-    [park_threshold] and [yield_kind] go to each shard's
-    {!Abp_hood.Pool.create}, with its defaults.  [inbox_capacity] (default 1024, rounded up to a
+(** Start [shards] micropools of [processes] workers each (default
+    [Domain.recommended_domain_count ()], so [shards * processes] worker
+    domains total).  [park_threshold] and [yield_kind] go to each
+    shard's {!Abp_hood.Pool.create}, with its defaults.  [inbox_capacity] (default 1024, rounded up to a
     power of two) sizes each lane inbox; the deadline lane is polled
     first and is FIFO within the lane, like the bulk lane.  Inbox slots
     are allocated 256 at a time as tickets first reach them, about 4
@@ -74,8 +231,9 @@ val create :
     exhausted every intra-shard source.  With [shards = 1] no overflow
     source is attached.
 
-    @raise Invalid_argument if [shards < 1], [cross_period < 1], or a
-    [gates]/[traces] array length mismatches [shards]. *)
+    @raise Invalid_argument if [shards < 1], [processes < 1],
+    [cross_period < 1], or a [gates]/[traces] array length mismatches
+    [shards]. *)
 
 val shards : t -> int
 (** Number of micropools [k]. *)
@@ -83,12 +241,9 @@ val shards : t -> int
 val size : t -> int
 (** Total worker count across all shards. *)
 
-val cross_period : t -> int
-
 val serve : t -> int -> Serve.t
-(** [serve t i] is shard [i]'s underlying service, for per-shard stats,
-    latency and pool telemetry.  @raise Invalid_argument if [i] is out
-    of range. *)
+(** [serve t i] is shard [i], for its stats and pool telemetry.
+    @raise Invalid_argument if [i] is out of range. *)
 
 val shard_of_key : t -> 'k -> int
 (** The shard a given affinity key routes to: [Hashtbl.hash key] modulo
@@ -137,23 +292,22 @@ val lane_stats : t -> Serve.lane -> Serve.lane_stats
 (** Field-wise sum of the per-shard {!Serve.lane_stats} for one lane. *)
 
 val lane_sojourn_hist : t -> Serve.lane -> Abp_stats.Log_histogram.t
-(** The lane's submission-to-settle latency histogram (nanoseconds)
-    merged across every shard — percentiles over the union of samples,
-    not per-shard averages. *)
+(** The lane's submission-to-settle latency histogram (nanoseconds),
+    merged over every (shard, worker) slot — percentiles over the union
+    of samples, not per-shard averages.  Once drained, its count equals
+    the lane's [lane_completed + lane_exceptions]. *)
 
 val lane_sojourn_latency : t -> Serve.lane -> Serve.latency option
 (** Summary of {!lane_sojourn_hist}; [None] while the lane has no
-    settled requests group-wide. *)
-
-val sojourn_latency : t -> Serve.latency option
-(** Both lanes merged across every shard. *)
+    settled requests. *)
 
 val route_counts : t -> int array
 (** Per-shard count of accepted submissions routed to each shard (the
     shard_route histogram). *)
 
 val inbox_depths : t -> int array
-(** Per-shard injector depth gauge (advisory). *)
+(** Per-shard injector depth gauge, both lanes (advisory): tasks
+    accepted but not yet dequeued. *)
 
 val cross_polls : t -> int
 (** Total overflow-source polls across all pools (rate-limited trips
@@ -187,6 +341,7 @@ val shutdown : t -> unit
     stays pending.  Idempotent. *)
 
 val pp_report : Format.formatter -> t -> unit
-(** Aggregate admission counters, cross-shard steal telemetry, and a
-    per-shard routing/depth line.  See {!Serve.pp_report} for the
-    per-shard deep dive. *)
+(** Human-readable report: aggregate admission counters, cross-shard
+    steal telemetry, one line per shard (routing, ledger, inbox depth
+    and high-water mark), queue and run latency over every shard, and
+    per-lane counters with sojourn latency. *)

@@ -171,7 +171,7 @@ let task_exception_reraised_at_shutdown () =
    discovers which shard ended up busy instead of assuming. *)
 let shard_submit_wakes_remote_parked_thief () =
   let module Shard = Abp_serve.Shard in
-  let module Serve = Abp_serve.Serve in
+  let module Serve = Shard.Serve in
   let s =
     Shard.create ~processes:1 ~park_threshold:0 ~cross_period:1 ~shards:2 ()
   in

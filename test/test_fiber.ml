@@ -11,7 +11,7 @@ module Fiber = Abp_fiber.Fiber
 module Promise = Abp_fiber.Fiber.Promise
 module Pool = Abp_hood.Pool
 module Future = Abp_hood.Future
-module Serve = Abp_serve.Serve
+module Serve = Abp_serve.Shard.Serve
 module Shard = Abp_serve.Shard
 module Backend = Abp_serve.Backend
 module Counters = Abp_trace.Counters

@@ -8,7 +8,7 @@
 
 module Pool = Abp_hood.Pool
 module Par = Abp_hood.Par
-module Serve = Abp_serve.Serve
+module Serve = Abp_serve.Shard.Serve
 module Shard = Abp_serve.Shard
 module Counters = Abp_trace.Counters
 module Gate = Abp_mp.Gate

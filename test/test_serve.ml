@@ -5,6 +5,7 @@
    one-shard server. *)
 
 open Abp_serve
+module Serve = Shard.Serve
 
 let with_serve ?processes ?inbox_capacity f =
   let s = Shard.create ?processes ?inbox_capacity ~shards:1 () in
@@ -239,7 +240,7 @@ let try_submit_backpressure () =
   with_blocked_worker ~inbox_capacity:2 (fun s ~release ~blocker ->
       (* Wait for the worker to dequeue the blocker, leaving the inbox
          empty with 2 slots. *)
-      while Serve.inbox_depth (Shard.serve s 0) > 0 do
+      while (Shard.inbox_depths s).(0) > 0 do
         Domain.cpu_relax ()
       done;
       let a = Shard.try_submit s (fun () -> 1) in
@@ -482,6 +483,11 @@ let drain_invariant_multi_producer () =
   Shard.shutdown s;
   Alcotest.(check int) "no task runs after shutdown" st.Serve.completed (Atomic.get executed)
 
+let contains s affix =
+  let n = String.length affix and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
+  n = 0 || go 0
+
 let telemetry_counts_injection () =
   let sink = Abp_trace.Sink.create ~workers:2 () in
   let s = Shard.create ~processes:2 ~traces:[| sink |] ~shards:1 () in
@@ -494,22 +500,18 @@ let telemetry_counts_injection () =
     (Abp_trace.Counters.(get totals inject_tasks) = 50);
   Alcotest.(check bool) "acquisitions never exceed polls" true
     Abp_trace.Counters.(get totals inject_polls >= get totals inject_tasks);
-  Alcotest.(check bool) "high-water gauge saw traffic" true (Serve.inbox_high_water (Shard.serve s 0) >= 1)
-
-let contains s affix =
-  let n = String.length affix and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
-  n = 0 || go 0
+  let report = Format.asprintf "%a" Shard.pp_report s in
+  Alcotest.(check bool) "high-water gauge saw traffic" false (contains report "high-water 0,")
 
 let report_renders () =
   with_serve ~processes:2 (fun s ->
       let tickets = List.init 20 (fun i -> Shard.submit s (fun () -> i)) in
       List.iter (fun t -> ignore (Serve.await t)) tickets;
-      let text = Format.asprintf "%a" Serve.pp_report (Shard.serve s 0) in
+      let text = Format.asprintf "%a" Shard.pp_report s in
       List.iter
         (fun needle ->
           Alcotest.(check bool) (needle ^ " present") true (contains text needle))
-        [ "serve report"; "accepted"; "inbox"; "queue latency"; "run latency" ])
+        [ "shard report"; "accepted"; "inbox"; "queue latency"; "run latency"; "bulk sojourn" ])
 
 (* ------------------------------------------------------------------ *)
 (* Shard: the sharded multi-pool topology *)
@@ -517,51 +519,156 @@ let report_renders () =
 (* ------------------------------------------------------------------ *)
 (* Lanes *)
 
-let lane_conservation_and_latency () =
-  with_serve ~processes:2 (fun s ->
+(* Spin politely until [pred] holds; false on timeout.  Generous
+   timeout: the CI box may have one CPU. *)
+let wait_until ?(timeout = 30.0) pred =
+  let t0 = Unix.gettimeofday () in
+  let rec go () =
+    pred ()
+    ||
+    if Unix.gettimeofday () -. t0 > timeout then false
+    else begin
+      Domain.cpu_relax ();
+      go ()
+    end
+  in
+  go ()
+
+(* A key routing to shard [want]. *)
+let key_for s want =
+  let rec go k =
+    if k > 10_000 then Alcotest.fail "no key found for shard"
+    else if Shard.shard_of_key s k = want then k
+    else go (k + 1)
+  in
+  go 0
+
+(* The lanes partition the ledger.  Every worker of [shards] shards
+   (two workers in all) is pinned by a blocker while shard 0 queues a
+   mix on both lanes: completions, exceptions, explicit cancels and
+   expired deadlines.  The worker outside shard 0 is released first, so
+   with two shards part of the mix runs through cross steals (the
+   second blocker already did).  After [drain] and again after
+   [shutdown], each lane's counters match the mix, each shard's totals
+   are the sums of its lanes, and the server's totals the sums of the
+   server's lanes. *)
+let lane_conservation_and_latency ~shards () =
+  let s = Shard.create ~processes:(2 / shards) ~shards () in
+  Fun.protect ~finally:(fun () -> Shard.shutdown s) (fun () ->
+      let key = key_for s 0 in
+      let home = Serve.pool (Shard.serve s 0) in
+      let started = Atomic.make 0 in
+      (* A blocker notes whether it runs on a shard-0 worker. *)
+      let blocker () =
+        let release = Atomic.make false and at_home = Atomic.make false in
+        ignore
+          (Shard.submit s ~key (fun () ->
+               (match Abp_hood.Worker.self_pool () with
+               | Some p -> Atomic.set at_home (p == home)
+               | None -> ());
+               Atomic.incr started;
+               while not (Atomic.get release) do
+                 Domain.cpu_relax ()
+               done));
+        (release, at_home)
+      in
+      let a = blocker () in
+      let b = blocker () in
+      Alcotest.(check bool) "both workers pinned" true
+        (wait_until (fun () -> Atomic.get started = 2));
       let n = 200 in
+      let lane_of i = if i mod 4 = 0 then (Serve.Deadline : Serve.lane) else Serve.Bulk in
       let tks =
         List.init n (fun i ->
-            let lane = if i mod 4 = 0 then (Serve.Deadline : Serve.lane) else Serve.Bulk in
-            (lane, Shard.submit s ~lane (fun () -> i * i)))
+            let lane = lane_of i in
+            match i mod 5 with
+            | 0 ->
+                let tk = Shard.submit s ~key ~lane (fun () -> i) in
+                Alcotest.(check bool) "cancel a queued request" true (Serve.cancel tk);
+                tk
+            | 1 -> Shard.submit s ~key ~lane (fun () -> raise Exit)
+            | 2 -> Shard.submit s ~key ~lane ~deadline:1e-9 (fun () -> i)
+            | _ -> Shard.submit s ~key ~lane (fun () -> i))
       in
-      List.iter
-        (fun (_, tk) ->
-          match Serve.await tk with
-          | Serve.Returned _ -> ()
-          | _ -> Alcotest.fail "lane submission completes")
+      (* Release the worker outside shard 0 (either one on one shard),
+         let it settle part of the mix, then release the other. *)
+      let first, second = if Atomic.get (snd a) then (b, a) else (a, b) in
+      Atomic.set (fst first) true;
+      let not_cancelled = List.filteri (fun i _ -> i mod 5 <> 0) tks in
+      Alcotest.(check bool) "part of the mix settles beside a pinned worker" true
+        (wait_until (fun () -> List.exists (fun tk -> Serve.poll tk <> None) not_cancelled));
+      Atomic.set (fst second) true;
+      let check_ledger what (st : Serve.stats) =
+        (* each lane counts the kinds of its own requests *)
+        let expect lane kinds =
+          List.length (List.filteri (fun i _ -> lane_of i = lane && List.mem (i mod 5) kinds) tks)
+        in
+        List.iter
+          (fun lane ->
+            let ls = Shard.lane_stats s lane in
+            let blockers = if lane = Serve.Bulk then 2 else 0 in
+            let name = what ^ ": " ^ Serve.lane_name lane in
+            Alcotest.(check int) (name ^ " accepted") (expect lane [ 0; 1; 2; 3; 4 ] + blockers)
+              ls.Serve.lane_accepted;
+            Alcotest.(check int) (name ^ " completed") (expect lane [ 3; 4 ] + blockers)
+              ls.Serve.lane_completed;
+            Alcotest.(check int) (name ^ " exceptions") (expect lane [ 1 ]) ls.Serve.lane_exceptions;
+            Alcotest.(check int) (name ^ " cancelled") (expect lane [ 0; 2 ])
+              ls.Serve.lane_cancelled)
+          Serve.lanes;
+        (* the lanes partition each shard's totals and the server's *)
+        let partition name (st : Serve.stats) lane_stats =
+          let sum f = List.fold_left (fun acc lane -> acc + f (lane_stats lane)) 0 Serve.lanes in
+          Alcotest.(check (list int))
+            (what ^ ": lanes partition " ^ name)
+            [ st.accepted; st.completed; st.rejected; st.cancelled; st.exceptions ]
+            [
+              sum (fun l -> l.Serve.lane_accepted);
+              sum (fun l -> l.Serve.lane_completed);
+              sum (fun l -> l.Serve.lane_rejected);
+              sum (fun l -> l.Serve.lane_cancelled);
+              sum (fun l -> l.Serve.lane_exceptions);
+            ]
+        in
+        for i = 0 to shards - 1 do
+          let sv = Shard.serve s i in
+          partition (Printf.sprintf "shard %d" i) (Serve.stats sv) (Serve.lane_stats sv)
+        done;
+        partition "the server" (Shard.stats s) (Shard.lane_stats s);
+        Alcotest.(check bool) (what ^ ": result is the server's totals") true (st = Shard.stats s);
+        Alcotest.(check bool) (what ^ ": conserved") true (Shard.conserved s)
+      in
+      check_ledger "drain" (Shard.drain s);
+      List.iteri
+        (fun i tk ->
+          let ok =
+            match (i mod 5, Serve.poll tk) with
+            | 0, Some (Serve.Cancelled Serve.Explicit)
+            | 1, Some (Serve.Raised Exit)
+            | 2, Some (Serve.Cancelled Serve.Deadline) ->
+                true
+            | (3 | 4), Some (Serve.Returned v) -> v = i
+            | _ -> false
+          in
+          Alcotest.(check bool) (Printf.sprintf "request %d settled as its kind says" i) true ok)
         tks;
-      let st = Shard.drain s in
-      let bulk = Shard.lane_stats s Serve.Bulk and dl = Shard.lane_stats s Serve.Deadline in
-      Alcotest.(check int) "deadline lane accepted" (n / 4) dl.Serve.lane_accepted;
-      Alcotest.(check int) "bulk lane accepted" (n - (n / 4)) bulk.Serve.lane_accepted;
-      (* each ticket settled on the lane it was admitted on *)
-      let on lane = List.length (List.filter (fun (l, _) -> l = lane) tks) in
-      Alcotest.(check int) "deadline tickets settled on their lane" (on Serve.Deadline)
-        dl.Serve.lane_completed;
-      Alcotest.(check int) "bulk tickets settled on their lane" (on Serve.Bulk)
-        bulk.Serve.lane_completed;
-      (* lane-wise conservation, and the lanes partition the totals *)
-      List.iter
-        (fun ls ->
-          Alcotest.(check int) "lane conserved" ls.Serve.lane_accepted
-            (ls.Serve.lane_completed + ls.Serve.lane_cancelled + ls.Serve.lane_exceptions))
-        [ bulk; dl ];
-      Alcotest.(check int) "lanes partition accepted" st.Serve.accepted
-        (bulk.Serve.lane_accepted + dl.Serve.lane_accepted);
-      Alcotest.(check int) "lanes partition completed" st.Serve.completed
-        (bulk.Serve.lane_completed + dl.Serve.lane_completed);
+      if shards > 1 then
+        Alcotest.(check bool) "cross steals moved work" true (Shard.cross_shard_steals s > 0);
       (* per-lane latency recorded for every settled request *)
-      (match (Shard.lane_sojourn_latency s Serve.Bulk, Shard.lane_sojourn_latency s Serve.Deadline)
-       with
-      | Some lb, Some ld ->
-          Alcotest.(check int) "bulk sojourn samples" bulk.Serve.lane_completed lb.Serve.samples;
-          Alcotest.(check int) "deadline sojourn samples" dl.Serve.lane_completed ld.Serve.samples;
-          Alcotest.(check bool) "p999 >= p50" true (ld.Serve.p999 >= ld.Serve.p50)
-      | _ -> Alcotest.fail "both lanes have sojourn latency");
-      match Shard.sojourn_latency s with
-      | Some l -> Alcotest.(check int) "merged sojourn samples" st.Serve.completed l.Serve.samples
-      | None -> Alcotest.fail "merged sojourn latency present")
+      List.iter
+        (fun lane ->
+          let ls = Shard.lane_stats s lane in
+          match Shard.lane_sojourn_latency s lane with
+          | Some l ->
+              Alcotest.(check int)
+                (Serve.lane_name lane ^ " sojourn samples")
+                (ls.Serve.lane_completed + ls.Serve.lane_exceptions)
+                l.Serve.samples;
+              Alcotest.(check bool) "p999 >= p50" true (l.Serve.p999 >= l.Serve.p50)
+          | None -> Alcotest.fail "both lanes have sojourn latency")
+        Serve.lanes;
+      Shard.shutdown s;
+      check_ledger "shutdown" (Shard.stats s))
 
 let deadline_lane_runs_first () =
   (* With the single worker blocked, queue eight bulk tasks, then four
@@ -571,7 +678,7 @@ let deadline_lane_runs_first () =
      after three deadline polls with bulk waiting the anti-starvation
      credit lets one bulk task through. *)
   with_blocked_worker (fun s ~release ~blocker ->
-      while Serve.inbox_depth (Shard.serve s 0) > 0 do
+      while (Shard.inbox_depths s).(0) > 0 do
         Domain.cpu_relax ()
       done;
       let order = Atomic.make [] in
@@ -579,14 +686,14 @@ let deadline_lane_runs_first () =
       for i = 0 to 7 do
         ignore (Shard.submit s (note (Printf.sprintf "b%d" i)))
       done;
-      Alcotest.(check int) "bulk lane depth" 8 (Serve.lane_depth (Shard.serve s 0) Serve.Bulk);
+      Alcotest.(check int) "bulk tasks queued" 8 (Shard.inbox_depths s).(0);
       for i = 0 to 3 do
         ignore
           (Shard.submit s ~lane:Serve.Deadline
              ~deadline:(float_of_int (40 - (10 * i)))
              (note (Printf.sprintf "d%d" i)))
       done;
-      Alcotest.(check int) "deadline lane depth" 4 (Serve.lane_depth (Shard.serve s 0) Serve.Deadline);
+      Alcotest.(check int) "deadline tasks queued beside them" 12 (Shard.inbox_depths s).(0);
       Atomic.set release true;
       (match Serve.await blocker with
       | Serve.Returned () -> ()
@@ -607,7 +714,7 @@ let bulk_lane_runs_fifo () =
   (* With the single worker blocked and the deadline lane empty, each
      arbiter poll takes the oldest bulk task. *)
   with_blocked_worker (fun s ~release ~blocker ->
-      while Serve.inbox_depth (Shard.serve s 0) > 0 do
+      while (Shard.inbox_depths s).(0) > 0 do
         Domain.cpu_relax ()
       done;
       let order = Atomic.make [] in
@@ -628,6 +735,9 @@ let with_shard ?processes ?inbox_capacity ?cross_period ~shards f =
 let shard_create_validation () =
   Alcotest.check_raises "shards = 0 rejected" (Invalid_argument "Shard.create: shards >= 1 required")
     (fun () -> ignore (Shard.create ~shards:0 ()));
+  Alcotest.check_raises "processes = 0 rejected"
+    (Invalid_argument "Shard.create: processes >= 1 required") (fun () ->
+      ignore (Shard.create ~processes:0 ~shards:2 ()));
   Alcotest.check_raises "cross_period = 0 rejected"
     (Invalid_argument "Shard.create: cross_period >= 1 required") (fun () ->
       ignore (Shard.create ~shards:2 ~cross_period:0 ()));
@@ -818,30 +928,6 @@ let shard_lane_passthrough () =
             l.Serve.samples
       | None -> Alcotest.fail "sharded deadline latency present")
 
-(* Spin politely until [pred] holds; false on timeout.  Generous
-   timeout: the CI box may have one CPU. *)
-let wait_until ?(timeout = 30.0) pred =
-  let t0 = Unix.gettimeofday () in
-  let rec go () =
-    pred ()
-    ||
-    if Unix.gettimeofday () -. t0 > timeout then false
-    else begin
-      Domain.cpu_relax ();
-      go ()
-    end
-  in
-  go ()
-
-(* A key routing to shard [want]. *)
-let key_for s want =
-  let rec go k =
-    if k > 10_000 then Alcotest.fail "no key found for shard"
-    else if Shard.shard_of_key s k = want then k
-    else go (k + 1)
-  in
-  go 0
-
 (* Deadline-lane pressure bypasses the cross-shard steal throttle: with
    an absurd [cross_period] a sibling's bulk backlog stays put, but its
    deadline lane is relieved promptly by an idle remote worker even
@@ -1007,6 +1093,23 @@ let shard_worker_fulfil_resumes_parked_request () =
         (Shard.route_counts s);
       Alcotest.(check bool) "conserved" true (Shard.conserved s))
 
+(* Every settled request leaves exactly one sojourn sample, wherever it
+   ran.  All traffic is keyed to shard 0, so shard 1's worker runs a
+   share of it through cross steals; a latency slot written by two
+   workers at once would lose samples. *)
+let sojourn_samples_survive_cross_steals () =
+  for _ = 1 to 25 do
+    let s = Shard.create ~processes:1 ~shards:2 () in
+    Fun.protect ~finally:(fun () -> Shard.shutdown s) (fun () ->
+        let key = key_for s 0 in
+        let tickets = Array.init 20_000 (fun i -> Shard.submit s ~key (fun () -> i)) in
+        Array.iter (fun t -> ignore (Serve.await t)) tickets;
+        ignore (Shard.drain s);
+        let ls = Shard.lane_stats s Serve.Bulk in
+        Alcotest.(check int) "one sojourn sample per completed request" ls.Serve.lane_completed
+          (Abp_stats.Log_histogram.count (Shard.lane_sojourn_hist s Serve.Bulk)))
+  done
+
 let tests =
   [
     Alcotest.test_case "injector: fifo + full + wraparound" `Quick (injector_fifo ~capacity:8);
@@ -1042,7 +1145,7 @@ let tests =
     Alcotest.test_case "telemetry: inject counters" `Quick telemetry_counts_injection;
     Alcotest.test_case "report renders" `Quick report_renders;
     Alcotest.test_case "lanes: conservation + per-lane latency" `Quick
-      lane_conservation_and_latency;
+      (lane_conservation_and_latency ~shards:1);
     Alcotest.test_case "lanes: deadline lane runs first, FIFO within the lane" `Quick
       deadline_lane_runs_first;
     Alcotest.test_case "lanes: bulk lane runs FIFO" `Quick bulk_lane_runs_fifo;
@@ -1068,4 +1171,8 @@ let tests =
       shard_offpool_fulfil_resumes_at_home;
     Alcotest.test_case "shard: worker fulfil resumes a parked request" `Quick
       shard_worker_fulfil_resumes_parked_request;
+    Alcotest.test_case "lanes: the ledger partitions across 2 shards" `Quick
+      (lane_conservation_and_latency ~shards:2);
+    Alcotest.test_case "shard: every settle leaves one sojourn sample" `Quick
+      sojourn_samples_survive_cross_steals;
   ]
