@@ -1,99 +1,76 @@
 (* mcheckrun: exhaustively model-check the ABP deque scenarios at a chosen
-   tag width.
+   tag width, and the production fiber promise and future cell.
 
    Examples:
-     mcheckrun                       # all scenarios, full tag
-     mcheckrun --scenario aba --tag-width 0    # exhibit the ABA bug *)
+     mcheckrun                                  # every scenario, full tag
+     mcheckrun --scenario aba --tag-width 0     # exhibit the ABA bug
+     mcheckrun --scenario future_cell           # Future's cell, 1..3 forcers *)
 
 open Cmdliner
+module M = Abp_mcheck
+
+(* A scenario prints its report lines and returns [true] on a violation. *)
+let deque program name tag_width =
+  let r = M.Explorer.explore ~tag_width program in
+  Format.printf "%-16s (%d ops, tag width %d): %a@." name
+    (M.Explorer.program_total_ops program)
+    tag_width M.Explorer.pp_report r;
+  r.violations <> []
+
+(* The promise and the future cell ignore the tag width; each runs at
+   1..3 waiters. *)
+let cell check threads name _ =
+  List.fold_left
+    (fun bad k ->
+      let r = check k in
+      Format.printf "%-16s (%d %s): %a@." name k threads M.Promise_checks.pp_report r;
+      bad || r.run.violations <> [])
+    false [ 1; 2; 3 ]
 
 let scenarios =
   [
-    ("aba", Abp.Mcheck_props.aba_scenario);
-    ("wraparound", Abp.Mcheck_props.wraparound_scenario);
-    ("two-thieves", Abp.Mcheck_props.two_thieves);
-    ("owner-vs-thief", Abp.Mcheck_props.owner_vs_thief_interleave);
+    ("aba", deque M.Props.aba_scenario);
+    ("wraparound", deque M.Props.wraparound_scenario);
+    ("two-thieves", deque M.Props.two_thieves);
+    ("owner-vs-thief", deque M.Props.owner_vs_thief_interleave);
+    ("fiber_await", cell M.Promise_checks.fiber_await "awaiters + 1 fulfiller");
+    ("future_cell", cell M.Promise_checks.future_cell "forcers + 1 executor");
   ]
 
-(* The fiber promise protocol is a different machine from the deque
-   explorer (awaiters/fulfiller instead of owner/thieves), so the
-   [fiber_await] scenario gets its own dispatch (as does [future_cell],
-   below): exhaustive exactly-once-resumption check at 1..3 racing
-   awaiters. *)
-let run_fiber_await () =
-  let any_violation = ref false in
-  List.iter
-    (fun k ->
-      let r = Abp.Fiber_model.explore ~awaiters:k in
-      Format.printf "%-16s (%d awaiters + 1 fulfiller): %a@." "fiber_await" k
-        Abp.Fiber_model.pp_report r;
-      if r.Abp.Fiber_model.violations <> [] then any_violation := true;
-      (* At >= 2 awaiters both resume paths must be reachable. *)
-      if k >= 2 && (r.Abp.Fiber_model.immediate_resumes = 0 || r.Abp.Fiber_model.scheduled_resumes = 0)
-      then begin
-        Format.printf "fiber_await: race coverage incomplete at %d awaiters@." k;
-        any_violation := true
-      end)
-    [ 1; 2; 3 ];
-  !any_violation
-
-(* The lean future's cell protocol ([future_cell]): one executor
-   publishes while 1..3 forcers race to install the promise; both the
-   direct-value and the installed-promise paths must be reachable. *)
-let run_future_cell () =
-  let any_violation = ref false in
-  List.iter
-    (fun k ->
-      let r = Abp.Future_model.explore ~forcers:k in
-      Format.printf "%-16s (%d forcers + 1 executor): %a@." "future_cell" k
-        Abp.Future_model.pp_report r;
-      if r.Abp.Future_model.violations <> [] then any_violation := true;
-      if r.Abp.Future_model.direct_gets = 0 || r.Abp.Future_model.promise_gets = 0 then begin
-        Format.printf "future_cell: path coverage incomplete at %d forcers@." k;
-        any_violation := true
-      end)
-    [ 1; 2; 3 ];
-  !any_violation
-
-let run scenario tag_width =
-  let deque_chosen =
-    if scenario = "all" then scenarios
-    else if scenario = "fiber_await" || scenario = "future_cell" then []
-    else
-      match List.assoc_opt scenario scenarios with
-      | Some p -> [ (scenario, p) ]
-      | None -> raise (Invalid_argument ("unknown scenario: " ^ scenario))
-  in
-  let any_violation = ref false in
-  List.iter
-    (fun (name, program) ->
-      let report = Abp.Explorer.explore ~tag_width program in
-      Format.printf "%-16s (%d ops, tag width %d): %a@." name
-        (Abp.Explorer.program_total_ops program)
-        tag_width Abp.Explorer.pp_report report;
-      if report.Abp.Explorer.violations <> [] then any_violation := true)
-    deque_chosen;
-  if scenario = "all" || scenario = "fiber_await" then
-    if run_fiber_await () then any_violation := true;
-  if scenario = "all" || scenario = "future_cell" then
-    if run_future_cell () then any_violation := true;
-  if !any_violation then exit 2
+let run chosen tag_width =
+  let chosen = Option.fold ~none:scenarios ~some:(fun s -> [ s ]) chosen in
+  let bad = List.fold_left (fun bad (name, check) -> check name tag_width || bad) false chosen in
+  if bad then exit 2
 
 let cmd =
   let scenario =
+    let names = ("all", None) :: List.map (fun ((name, _) as s) -> (name, Some s)) scenarios in
     Arg.(
       value
-      & opt string "all"
-      & info [ "scenario" ] ~doc:"all|aba|wraparound|two-thieves|owner-vs-thief|fiber_await|future_cell")
+      & opt (enum names) None
+      & info [ "scenario" ] ~docv:"NAME"
+          ~doc:
+            ("The scenario to check: " ^ Arg.doc_alts_enum names
+           ^ ".  The deque scenarios run the Step_deque model; fiber_await and \
+              future_cell run the production Fiber promise and Future cell."))
   in
   let tag_width =
+    let max = Abp.Bounded_tag.max_width in
+    let parse s =
+      match int_of_string_opt s with
+      | Some w when w >= 0 && w <= max -> Ok w
+      | _ -> Error (`Msg (Printf.sprintf "expected an integer in 0..%d, got %S" max s))
+    in
     Arg.(
       value
-      & opt int Abp.Bounded_tag.max_width
-      & info [ "tag-width" ] ~doc:"age-tag width in bits (0 disables the tag)")
+      & opt (conv (parse, Format.pp_print_int)) max
+      & info [ "tag-width" ] ~docv:"BITS"
+          ~doc:"Age-tag width of the deque scenarios, 0 (no tag) to the full width.")
   in
   Cmd.v
-    (Cmd.info "mcheckrun" ~doc:"Exhaustively check the ABP deque's relaxed semantics")
+    (Cmd.info "mcheckrun"
+       ~exits:(Cmd.Exit.info 2 ~doc:"on a violation." :: Cmd.Exit.defaults)
+       ~doc:"Exhaustively check the ABP deque's relaxed semantics and the fiber promise")
     Term.(const run $ scenario $ tag_width)
 
 let () = exit (Cmd.eval cmd)

@@ -26,9 +26,11 @@
       an [Await] effect and a promise API; a pending [await] parks the
       one-shot continuation on the promise and returns the worker to
       the Figure 3 loop, and [fulfil] re-injects the continuation as an
-      ordinary task.  {!Fiber_model} exhaustively model-checks the
-      park/fulfil race for exactly-once resumption, and
-      {!Future_model} the lean future's publish/install race.
+      ordinary task.  [Abp_mcheck.Promise_checks] model-checks the
+      production park/fulfil race and the lean future's
+      publish/install race exhaustively, over generated copies of
+      [fiber.ml] and [future_impl.ml] whose every atomic access is a
+      scheduling point.
     - {!Shard}, {!Serve}, {!Injector}, {!Backend}: the serving layer —
       external task submission from arbitrary domains through bounded
       multi-producer injector inboxes, with admission control
@@ -106,8 +108,6 @@ module Run_result = Abp_sim.Run_result
 (* Model checker *)
 module Explorer = Abp_mcheck.Explorer
 module Wsm_explorer = Abp_mcheck.Wsm_explorer
-module Fiber_model = Abp_mcheck.Fiber_model
-module Future_model = Abp_mcheck.Future_model
 module Mcheck_props = Abp_mcheck.Props
 
 (* Telemetry *)

@@ -18,8 +18,11 @@
    count on suspend/resume) and wraps task bodies in {!run}.  This
    keeps the dependency arrow pointing the right way — the pool
    depends on fibers, not vice versa — and makes the suspension
-   protocol testable in isolation (see the [fiber_await] mcheck
-   scenario for the exhaustive interleaving check). *)
+   protocol testable in isolation.  The [fiber_await] mcheck scenario
+   checks this very file over every interleaving: lib/mcheck builds a
+   copy of it whose [Atomic] performs a scheduling effect at each
+   access, so use only [Atomic.make], [get], [set], [exchange],
+   [compare_and_set] and [fetch_and_add] here. *)
 
 module P = struct
   type 'a state =

@@ -19,7 +19,7 @@
 (** Write-once cells resolved with a value ([fulfil]) or an exception
     ([fail]).  Any number of fibers may [await] the same promise; each
     parked continuation is resumed exactly once (checked exhaustively
-    by the [fiber_await] mcheck scenario). *)
+    on this implementation by the [fiber_await] mcheck scenario). *)
 module Promise : sig
   type 'a t
   (** A promise: pending, fulfilled with an ['a], or failed with an

@@ -15,7 +15,10 @@
 
    [Waited] never reverts, so the task's single CAS decides which of the
    two it does, and every forcer that reads [Waited p] waits on the same
-   promise (checked exhaustively by the [future_cell] mcheck scenario).
+   promise (checked exhaustively by the [future_cell] mcheck scenario,
+   which runs a copy of this file generated in lib/mcheck with a
+   scheduling [Atomic], the checked [Fiber] and a [Worker] stub: keep
+   to the [Atomic] and [Worker] functions that copy provides).
    A [Fiber.Promise] exists only when some forcer really waits: the
    child was stolen, or a second task forces the future before the
    first join finishes.  An unstolen join allocates none.

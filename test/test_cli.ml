@@ -2,7 +2,7 @@
    a bad flag) must exit nonzero with the error on stderr — previously it
    surfaced as an uncaught backtrace through the cmdliner evaluator.
 
-   The test stanza declares ../bin/{hoodrun,simrun,hoodserve}.exe as
+   The test stanza declares ../bin/{hoodrun,simrun,hoodserve,mcheckrun}.exe as
    deps, so dune builds them before the suite runs.  They are found next
    to this test executable, not through the working directory, so the
    suite runs from any directory. *)
@@ -280,6 +280,22 @@ let hoodserve_invalid_shards_exit_nonzero () =
   let code, _ = run_capturing "hoodserve.exe --affinity nosuch --clients 1 --requests 1" in
   Alcotest.(check bool) "unknown affinity rejected" true (code <> 0)
 
+(* An unknown scenario and an out-of-range tag width are usage errors
+   (cmdliner's exit 124 with the option named), not uncaught
+   exceptions (exit 125). *)
+let mcheckrun_usage_errors () =
+  List.iter
+    (fun (label, cmd, named) ->
+      let code, err = run_capturing cmd in
+      Alcotest.(check int) (label ^ " exits 124") 124 code;
+      Alcotest.(check bool) (label ^ " names the option") true (contains err named);
+      Alcotest.(check bool) (label ^ " no internal error") false (contains err "internal error"))
+    [
+      ("unknown scenario", "mcheckrun.exe --scenario bogus", "--scenario");
+      ("tag width 99", "mcheckrun.exe --tag-width 99", "0..31");
+      ("tag width -1", "mcheckrun.exe --tag-width=-1", "0..31");
+    ]
+
 (* One task per steal, as the JSON reports it, on every backend. *)
 let hoodrun_json_one_task_per_steal () =
   List.iter
@@ -333,4 +349,6 @@ let tests =
     Alcotest.test_case "hoodserve: hash affinity runs" `Quick hoodserve_hash_affinity_succeeds;
     Alcotest.test_case "hoodserve: invalid shards exit 1" `Quick
       hoodserve_invalid_shards_exit_nonzero;
+    Alcotest.test_case "mcheckrun: bad scenario or tag width is a usage error" `Quick
+      mcheckrun_usage_errors;
   ]
