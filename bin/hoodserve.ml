@@ -59,7 +59,7 @@ let json_lane ~(ls : Abp.Serve.lane_stats) ~latency =
 (* Hand-rolled JSON on the model of the bench executables: no external
    dependency, schema-stamped for the CI artifact check. *)
 let write_json file ~p ~shards ~affinity ~clients ~requests ~fib ~await_depth ~backend_ms
-    ~use_lanes ~lane_share ~open_loop ~arrival ~rate ~shed ~elapsed ~throughput
+    ~use_lanes ~lane_share ~open_loop ~arrival ~rate ~shed ~elapsed ~throughput ~cpu_s
     ~(st : Abp.Serve.stats) ~conserved ~cross ~fiber ~late ~routes ~depths ~lane_json
     ~deadline_misses =
   let cross_polls, cross_steals, cross_tasks = cross in
@@ -74,16 +74,21 @@ let write_json file ~p ~shards ~affinity ~clients ~requests ~fib ~await_depth ~b
   in
   let oc = open_out file in
   Printf.fprintf oc
-    {|{"schema":"hoodserve/6","p":%d,"shards":%d,"affinity":"%s","clients":%d,"requests":%d,"fib":%d,"await_depth":%d,"backend_ms":%.3f,"lanes":%b,"lane_share":%.3f,"open_loop":%b,"arrival":"%s","rate_rps":%.1f,"shed":%d,"elapsed_s":%.6f,"throughput_rps":%.1f,"accepted":%d,"completed":%d,"rejected":%d,"cancelled":%d,"exceptions":%d,"suspended":%d,"conserved":%b,"deadline_misses":%d,"cross_polls":%d,"cross_shard_steals":%d,"cross_stolen_tasks":%d,"suspensions":%d,"resumes":%d,"suspended_peak":%d,"backend_late_us_p50":%s,"backend_late_us_p99":%s,"route_counts":%s,"inbox_depths":%s,"lane_latency":%s}|}
+    {|{"schema":"hoodserve/6","p":%d,"shards":%d,"affinity":"%s","clients":%d,"requests":%d,"fib":%d,"await_depth":%d,"backend_ms":%.3f,"lanes":%b,"lane_share":%.3f,"open_loop":%b,"arrival":"%s","rate_rps":%.1f,"shed":%d,"elapsed_s":%.6f,"throughput_rps":%.1f,"cpu_s":%.3f,"accepted":%d,"completed":%d,"rejected":%d,"cancelled":%d,"exceptions":%d,"suspended":%d,"conserved":%b,"deadline_misses":%d,"cross_polls":%d,"cross_shard_steals":%d,"cross_stolen_tasks":%d,"suspensions":%d,"resumes":%d,"suspended_peak":%d,"backend_late_us_p50":%s,"backend_late_us_p99":%s,"route_counts":%s,"inbox_depths":%s,"lane_latency":%s}|}
     p shards (affinity_name affinity) clients requests fib await_depth backend_ms use_lanes
     lane_share open_loop
     (if open_loop then arrival_name arrival else "closed")
-    rate shed elapsed throughput st.Abp.Serve.accepted st.Abp.Serve.completed
+    rate shed elapsed throughput cpu_s st.Abp.Serve.accepted st.Abp.Serve.completed
     st.Abp.Serve.rejected st.Abp.Serve.cancelled st.Abp.Serve.exceptions st.Abp.Serve.suspended
     conserved deadline_misses cross_polls cross_steals cross_tasks suspensions resumes
     suspended_peak late_p50 late_p99 (int_array routes) (int_array depths) lane_json;
   output_char oc '\n';
   close_out oc
+
+(* Process CPU seconds so far, user + system, over every domain. *)
+let cpu_seconds () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
 
 (* Every shard's per-worker counters in one aggregate: the counter
    kinds sum the event counts and max the suspended peak (peaks of
@@ -142,7 +147,7 @@ let run p shards affinity clients requests fib await_depth backend_ms inbox dead
     else Abp.Serve.Bulk
   in
   let completed = Atomic.make 0 and dropped = Atomic.make 0 and shed = Atomic.make 0 in
-  let t0 = Abp.Clock.now () in
+  let t0 = Abp.Clock.now () and cpu0 = cpu_seconds () in
   let ds =
     Array.init clients (fun client ->
         Domain.spawn (fun () ->
@@ -192,7 +197,7 @@ let run p shards affinity clients requests fib await_depth backend_ms inbox dead
             end))
   in
   Array.iter Domain.join ds;
-  let arrivals_done = Abp.Clock.now () in
+  let arrivals_done = Abp.Clock.now () and cpu_arrivals = cpu_seconds () in
   let st = Abp.Shard.drain s in
   Option.iter Abp.Backend.stop backend;
   if open_loop then Atomic.set completed st.Abp.Serve.completed;
@@ -204,6 +209,9 @@ let run p shards affinity clients requests fib await_depth backend_ms inbox dead
     Abp.Clock.to_s ((if open_loop then Abp.Clock.now () else arrivals_done) - t0)
   in
   let throughput = float_of_int (Atomic.get completed) /. elapsed in
+  let cpu_s = (if open_loop then cpu_seconds () else cpu_arrivals) -. cpu0 in
+  let totals = shard_totals s shards in
+  let count = Abp.Trace_counters.get totals in
   Format.printf
     "%d clients x %d requests (fib %d%s%s) on %d shard(s) x P=%d (affinity %s) in %.3fs  %.0f \
      req/s@."
@@ -214,14 +222,16 @@ let run p shards affinity clients requests fib await_depth backend_ms inbox dead
        Printf.sprintf ", open-loop %s @ %.0f req/s" (arrival_name arrival) rate
      else "")
     shards p (affinity_name affinity) elapsed throughput;
+  (* The price of idle workers that spin and yield before they park:
+     process CPU over the same interval, against the wall clock. *)
+  Format.printf "cpu %.3fs user+sys (%.2f x wall), %d parks@." cpu_s (cpu_s /. elapsed)
+    (count Abp.Trace_counters.parks);
   if Atomic.get dropped > 0 then
     Format.printf "dropped %d requests (deadline/cancel)@." (Atomic.get dropped);
   if Atomic.get shed > 0 then
     Format.printf "shed %d arrivals (open-loop, inbox full)@." (Atomic.get shed);
   Format.printf "%a" Abp.Shard.pp_report s;
   let conserved = Abp.Shard.conserved s in
-  let totals = shard_totals s shards in
-  let count = Abp.Trace_counters.get totals in
   let cross =
     Abp.Trace_counters.(count cross_polls, count cross_shard_steals, count cross_stolen_tasks)
   in
@@ -260,7 +270,8 @@ let run p shards affinity clients requests fib await_depth backend_ms inbox dead
     (fun file ->
       write_json file ~p ~shards ~affinity ~clients ~requests ~fib ~await_depth ~backend_ms
         ~use_lanes ~lane_share ~open_loop ~arrival ~rate ~shed:(Atomic.get shed) ~elapsed
-        ~throughput ~st ~conserved ~cross ~fiber ~late ~routes ~depths ~lane_json ~deadline_misses;
+        ~throughput ~cpu_s ~st ~conserved ~cross ~fiber ~late ~routes ~depths ~lane_json
+        ~deadline_misses;
       Format.printf "json written to %s@." file)
     json_file;
   (match (sinks, trace_file) with

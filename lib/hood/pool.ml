@@ -27,7 +27,7 @@ module Sink = Abp_trace.Sink
 module Padding = Abp_deque.Padding
 module Fiber = Abp_fiber.Fiber
 
-let default_park_threshold = 16
+let default_park_after = 5e-3
 
 let size (p : t) = p.size
 let yield_kind (p : t) = p.yield_kind
@@ -94,11 +94,12 @@ let resume_source ~lock ~q ~n =
   }
 
 let create ?processes ?deque_capacity ?(yield_kind = Yield_local)
-    ?(park_threshold = default_park_threshold) ?(deque_impl = Abp) ?trace ?(sources = [])
+    ?(park_after = default_park_after) ?(deque_impl = Abp) ?trace ?(sources = [])
     ?(spawn_all = false) ?gate () =
   let processes = Option.value processes ~default:(Domain.recommended_domain_count ()) in
   if processes < 1 then invalid_arg "Pool.create: processes >= 1 required";
-  if park_threshold < 0 then invalid_arg "Pool.create: park_threshold >= 0 required";
+  (* Written so that NaN fails too; a float compare, not a generic one. *)
+  if not (park_after >= 0.) then invalid_arg "Pool.create: park_after >= 0 required";
   (match trace with
   | Some s when Sink.workers s <> processes ->
       invalid_arg "Pool.create: trace sink must have one worker per process"
@@ -114,7 +115,9 @@ let create ?processes ?deque_capacity ?(yield_kind = Yield_local)
       domains = [||];
       size = processes;
       yield_kind;
-      park_threshold;
+      (* 10^9 s (about 32 years) or more means never; [Clock.of_s]
+         would overflow on [infinity]. *)
+      park_after_ns = (if park_after >= 1e9 then max_int else Abp_trace.Clock.of_s park_after);
       gate;
       sources =
         Array.of_list (resume_source ~lock:resume_lock ~q:resume_q ~n:resume_n :: sources);

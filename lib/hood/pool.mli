@@ -29,11 +29,13 @@
       sharing between the owner's pushes and the thieves' CASes.
     - An idle thief backs off adaptively: first the paper's Figure 3
       yield (an OS yield, {!Abp_trace.Clock.yield_cpu}), then a bounded
-      exponential spin, and
-      after [park_threshold] consecutive empty-handed trips it parks on
-      a condition variable until the next [push_task] (which wakes a
-      parked thief with a single atomic read on the fast path) or
-      {!shutdown}.  [~yield_kind:No_yield] (the E12/E15 ablation)
+      exponential spin, and once it has been idle for [park_after]
+      seconds (5 ms by default) it parks on a condition variable until
+      the next [push_task] (which wakes a parked thief with a single
+      atomic read on the fast path) or {!shutdown}.  The window is
+      time, not a trip count, so that a worker idle only between two
+      requests of a serving workload stays awake, at the price of the
+      CPU its yields burn (E34).  [~yield_kind:No_yield] (the E12/E15 ablation)
       disables all three stages: thieves spin hot, exactly the paper's
       "no yield" pathology.
 
@@ -146,7 +148,7 @@ val create :
   ?processes:int ->
   ?deque_capacity:int ->
   ?yield_kind:yield_kind ->
-  ?park_threshold:int ->
+  ?park_after:float ->
   ?deque_impl:deque_impl ->
   ?trace:Abp_trace.Sink.t ->
   ?sources:source list ->
@@ -167,12 +169,14 @@ val create :
     showing thieves monopolizing the processor), and
     [Yield_to_random]/[Yield_to_all] additionally escalate each failed
     steal to the attached [gate] — the paper's kernel yield directives,
-    enforced by the {!Abp_mp} controller.  [park_threshold] (default 16) is the number of
-    consecutive empty-handed worker-loop trips before an idle thief
-    parks; [0] parks after the first failed trip (it still yields
+    enforced by the {!Abp_mp} controller.  [park_after] (default
+    [5e-3]) is the seconds an idle thief must have been idle, counted
+    from its first empty-handed worker-loop trip after a task, before
+    it parks; [0.] parks on the first failed trip (it still yields
     once), and it does not apply under [No_yield].
     [deque_impl] selects the worker-deque implementation (default
-    {!Abp}).  Requires [processes >= 1] and [park_threshold >= 0].
+    {!Abp}).  Requires [processes >= 1] and [park_after >= 0.] (NaN
+    is rejected).
     Every acquisition — own-deque pop, steal, source take — moves
     exactly one task, the paper's protocol.
 

@@ -69,7 +69,7 @@ type pool = {
   mutable domains : unit Domain.t array;
   size : int;
   yield_kind : yield_kind;
-  park_threshold : int;
+  park_after_ns : int;  (* idle time before a thief parks; [Pool.create]'s [park_after] *)
   (* The multiprogramming gate, if any.  Checked at safe points only; a
      pool created without one pays a single branch on this immutable
      field per scheduling-loop iteration. *)
@@ -126,6 +126,9 @@ type t = {
   mutable failed_steals : int;
       (* consecutive empty-handed trips through the worker loop;
          resets on any acquired task, drives the backoff *)
+  mutable idle_since : int;
+      (* [Clock.now] at the first of those trips: the start of the idle
+         window that decides when the thief parks *)
 }
 
 let make pool id =
@@ -137,6 +140,7 @@ let make pool id =
     c = pool.counters.(id);
     in_fiber = Fiber.context_flag ();
     failed_steals = 0;
+    idle_since = 0;
   }
 
 (* Counter bumps write only the worker's own padded record (cache-
@@ -317,8 +321,12 @@ let park w =
    stage 1 is the paper's yield between failed steal attempts, a real
    OS yield ([Clock.yield_cpu], i.e. sched_yield) so that a peer
    preempted on this core runs now; stage 2 a bounded exponential
-   cpu_relax backoff; stage 3 parks until the next push.  A spurious
-   or stale wakeup only sends the thief around the loop again.  With
+   cpu_relax backoff; stage 3 parks until the next push, once the
+   thief has been idle for [park_after_ns], timed from the first empty
+   trip after a task.  The window is time, not a trip count, because a
+   trip lasts anywhere from one syscall to a peer's whole timeslice.
+   A spurious or stale wakeup only sends the thief around the loop
+   again, where its window has long expired.  With
    [No_yield] (the E12/E15 ablation) thieves spin hot: no yield, no
    backoff, no parking.  Under [Yield_to_random]/[Yield_to_all] with
    a gate attached, the gate controller plays the kernel: stage 1 is
@@ -344,7 +352,9 @@ let idle w =
       | _ -> Abp_trace.Clock.yield_cpu ());
       let k = w.failed_steals in
       w.failed_steals <- k + 1;
-      if k >= p.park_threshold then park w
+      let now = Abp_trace.Clock.now () in
+      if k = 0 then w.idle_since <- now;
+      if now - w.idle_since >= p.park_after_ns then park w
       else
         for _ = 1 to 1 lsl Int.min k backoff_spin_cap do
           Domain.cpu_relax ()

@@ -36,7 +36,7 @@ type pool = {
   mutable domains : unit Domain.t array;
   size : int;
   yield_kind : yield_kind;
-  park_threshold : int;
+  park_after_ns : int;
   gate : gate_hook option;
   sources : source array;  (** the resume inbox, then [create]'s sources *)
   all_spawned : bool;

@@ -191,7 +191,7 @@ module Serve = struct
     let h () = Log_histogram.Sharded.create ~max_value ~shards:slots () in
     Array.init 2 (fun _ -> { queue_h = h (); run_h = h (); sojourn_h = h () })
 
-  let create ~processes ?park_threshold ?yield_kind ?gate ?(inbox_capacity = 1024) ?trace
+  let create ~processes ?park_after ?yield_kind ?gate ?(inbox_capacity = 1024) ?trace
       ?overflow ~lat ~group () =
     let inbox = Injector.create ~capacity:inbox_capacity () in
     let dl_inbox = Injector.create ~capacity:inbox_capacity () in
@@ -230,7 +230,7 @@ module Serve = struct
       }
     in
     let pool =
-      Pool.create ~processes ?park_threshold ?yield_kind ?gate ?trace
+      Pool.create ~processes ?park_after ?yield_kind ?gate ?trace
         ~sources:(lanes :: Option.to_list overflow) ~spawn_all:true ()
     in
     let suspended_now = Padding.atomic 0 in
@@ -673,7 +673,7 @@ let note_cross c hit =
     Counters.incr c Counters.cross_stolen_tasks
   end
 
-let create ?processes ?park_threshold ?yield_kind ?gates ?inbox_capacity ?traces
+let create ?processes ?park_after ?yield_kind ?gates ?inbox_capacity ?traces
     ?(cross_period = 8) ~shards () =
   if shards < 1 then invalid_arg "Shard.create: shards >= 1 required";
   if cross_period < 1 then invalid_arg "Shard.create: cross_period >= 1 required";
@@ -705,7 +705,7 @@ let create ?processes ?park_threshold ?yield_kind ?gates ?inbox_capacity ?traces
                 event = Some Abp_trace.Event.Cross;
               }
         in
-        Serve.create ~processes ?park_threshold ?yield_kind
+        Serve.create ~processes ?park_after ?yield_kind
           ?gate:(Option.map (fun a -> a.(i)) gates)
           ?inbox_capacity
           ?trace:(Option.map (fun a -> a.(i)) traces)

@@ -202,7 +202,7 @@ type t
 
 val create :
   ?processes:int ->
-  ?park_threshold:int ->
+  ?park_after:float ->
   ?yield_kind:Abp_hood.Pool.yield_kind ->
   ?gates:Abp_hood.Pool.gate_hook array ->
   ?inbox_capacity:int ->
@@ -213,8 +213,9 @@ val create :
   t
 (** Start [shards] micropools of [processes] workers each (default
     [Domain.recommended_domain_count ()], so [shards * processes] worker
-    domains total).  [park_threshold] and [yield_kind] go to each
-    shard's {!Abp_hood.Pool.create}, with its defaults.  [inbox_capacity] (default 1024, rounded up to a
+    domains total).  [park_after] (the seconds a worker
+    stays idle before it parks) and [yield_kind] go to each shard's
+    {!Abp_hood.Pool.create}, with its defaults.  [inbox_capacity] (default 1024, rounded up to a
     power of two) sizes each lane inbox; the deadline lane is polled
     first and is FIFO within the lane, like the bulk lane.  Inbox slots
     are allocated 256 at a time as tickets first reach them, about 4

@@ -1,7 +1,7 @@
 (* Backoff and parking semantics of the Hood pool (the stage-3 extension
-   of the paper's Figure 3 yield): idle thieves park after
-   [park_threshold] empty-handed trips, a [push_task] wakes them with
-   bounded latency, no task is lost across a park/unpark race
+   of the paper's Figure 3 yield): idle thieves park once they have
+   been idle for [park_after] seconds and not before, a [push_task]
+   wakes them with bounded latency, no task is lost across a park/unpark race
    (conservation), the [~yield_kind:No_yield] ablation never
    yields or parks, and a task that raises in a worker loop is recorded
    in [Counters.task_exceptions] and re-raised at the [run]/[shutdown]
@@ -36,10 +36,10 @@ let wait_until ?(timeout = 30.0) pred =
   go ()
 
 let idle_thieves_park () =
-  (* park_threshold 0: a thief parks after its first empty-handed trip,
+  (* park_after 0: a thief parks on its first empty-handed trip,
      so with no work both spawned workers must end up on the condition
      variable. *)
-  let pool = Pool.create ~processes:3 ~park_threshold:0 () in
+  let pool = Pool.create ~processes:3 ~park_after:0. () in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
@@ -51,7 +51,7 @@ let idle_thieves_park () =
   Alcotest.(check int) "nobody left parked" 0 (Pool.parked_workers pool)
 
 let push_wakes_parked_thief () =
-  let pool = Pool.create ~processes:2 ~park_threshold:0 () in
+  let pool = Pool.create ~processes:2 ~park_after:0. () in
   let latency =
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
@@ -78,10 +78,10 @@ let push_wakes_parked_thief () =
     (Counters.get t Counters.successful_steals)
 
 let conservation_across_park_unpark () =
-  (* Aggressive parking (threshold 0) while real work flows through:
+  (* Aggressive parking (park_after 0) while real work flows through:
      thieves park and get woken many times, and still every pushed task
      is executed exactly once — pushes = pops + steals at quiescence. *)
-  let pool = Pool.create ~processes:4 ~park_threshold:0 () in
+  let pool = Pool.create ~processes:4 ~park_after:0. () in
   let n = 50_000 in
   let got =
     Fun.protect
@@ -115,13 +115,58 @@ let ablation_never_parks_or_yields () =
   Alcotest.(check int) "no yields in ablation" 0 (Counters.get t Counters.yields);
   Alcotest.(check int) "no parks in ablation" 0 (Counters.get t Counters.parks)
 
-let negative_park_threshold_rejected () =
-  Alcotest.check_raises "park_threshold validated"
-    (Invalid_argument "Pool.create: park_threshold >= 0 required") (fun () ->
-      ignore (Pool.create ~processes:1 ~park_threshold:(-1) ()))
+let invalid_park_after_rejected () =
+  List.iter
+    (fun park_after ->
+      Alcotest.check_raises
+        (Printf.sprintf "park_after %g rejected" park_after)
+        (Invalid_argument "Pool.create: park_after >= 0 required")
+        (fun () -> ignore (Pool.create ~processes:1 ~park_after ())))
+    [ -1e-3; Float.nan ]
+
+(* The idle window, one way: with the default [park_after] an idle pool
+   still parks every thief, and so does an idle shard group, whose
+   workers are all spawned domains.  A change that turned the window
+   into spinning forever would burn the CPU of every idle pool. *)
+let default_window_parks_idle_workers () =
+  let pool = Pool.create ~processes:3 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      Alcotest.(check bool) "both thieves of an idle pool parked" true
+        (wait_until (fun () -> Pool.parked_workers pool = 2)));
+  let module Shard = Abp_serve.Shard in
+  let s = Shard.create ~processes:2 ~shards:2 () in
+  Fun.protect
+    ~finally:(fun () -> Shard.shutdown s)
+    (fun () ->
+      let parked i = Pool.parked_workers (Shard.Serve.pool (Shard.serve s i)) in
+      Alcotest.(check bool) "every worker of an idle shard group parked" true
+        (wait_until (fun () -> parked 0 = 2 && parked 1 = 2)))
+
+(* The other way: a thief idle for less than its window does not park.
+   With a 1 s window, a task pushed 50 ms after the pool started (its
+   thief idle throughout) is stolen by a thief that never parked. *)
+let thief_inside_window_stays_awake () =
+  let pool = Pool.create ~processes:2 ~park_after:1.0 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      Pool.run pool (fun () ->
+          let w = Worker.current () in
+          Unix.sleepf 0.05;
+          let executed = Atomic.make false in
+          Worker.push_task w (fun () -> Atomic.set executed true);
+          (* As in [push_wakes_parked_thief], worker 0 never pops its
+             own deque here, so only the thief can run the task. *)
+          Alcotest.(check bool) "the awake thief executed the task" true
+            (wait_until (fun () -> Atomic.get executed))));
+  let t = totals pool in
+  Alcotest.(check int) "no thief parked" 0 (Counters.get t Counters.parks);
+  Alcotest.(check int) "the pushed task was stolen" 1 (Counters.get t Counters.successful_steals)
 
 let task_exception_reraised_at_run () =
-  let pool = Pool.create ~processes:2 ~park_threshold:0 () in
+  let pool = Pool.create ~processes:2 ~park_after:0. () in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
@@ -140,7 +185,7 @@ let task_exception_reraised_at_run () =
       Alcotest.(check int) "pool still works after task exception" 610 got)
 
 let task_exception_reraised_at_shutdown () =
-  let pool = Pool.create ~processes:2 ~park_threshold:0 () in
+  let pool = Pool.create ~processes:2 ~park_after:0. () in
   let gate = Atomic.make false in
   Pool.run pool (fun () ->
       let w = Worker.current () in
@@ -160,7 +205,7 @@ let task_exception_reraised_at_shutdown () =
   Pool.shutdown pool
 
 (* Cross-pool lost-wakeup regression: one shard's only worker is blocked
-   mid-task and the other shard's only worker is parked (threshold 0).
+   mid-task and the other shard's only worker is parked (park_after 0).
    A request keyed to the busy shard then lands in its inbox — nobody in
    that shard can run it.  The submit path must wake the sibling pool's
    parked thief on the empty->nonempty flip, and that thief must
@@ -173,7 +218,7 @@ let shard_submit_wakes_remote_parked_thief () =
   let module Shard = Abp_serve.Shard in
   let module Serve = Shard.Serve in
   let s =
-    Shard.create ~processes:1 ~park_threshold:0 ~cross_period:1 ~shards:2 ()
+    Shard.create ~processes:1 ~park_after:0. ~cross_period:1 ~shards:2 ()
   in
   let release = Atomic.make false in
   Fun.protect
@@ -238,7 +283,7 @@ let injector_source inj =
 
 (* Lost-wakeup regression for the source path: bursts of external tasks,
    each followed by a single wake, against aggressively parking workers
-   (threshold 0).  If the wake missed a parked thief, or parking ignored
+   (park_after 0).  If the wake missed a parked thief, or parking ignored
    a source's [pending], a burst could strand with every worker parked.
    Run with the burst in the only source, and in the second of two
    sources (the first stays empty), so the parking check must look past
@@ -249,7 +294,7 @@ let source_burst_cannot_strand () =
       let injs = List.init n_sources (fun _ -> Injector.create ~capacity:1024 ()) in
       let inj = List.nth injs into in
       let pool =
-        Pool.create ~processes:3 ~park_threshold:0 ~sources:(List.map injector_source injs)
+        Pool.create ~processes:3 ~park_after:0. ~sources:(List.map injector_source injs)
           ~spawn_all:true ()
       in
       Fun.protect
@@ -301,7 +346,7 @@ let late_arrival_seen_by_parking_check () =
     }
   in
   let pool =
-    Pool.create ~processes:1 ~park_threshold:0
+    Pool.create ~processes:1 ~park_after:0.
       ~sources:[ injector_source (Injector.create ()); late ]
       ~spawn_all:true ()
   in
@@ -434,8 +479,8 @@ let tests =
     Alcotest.test_case "conservation across park/unpark" `Quick conservation_across_park_unpark;
     Alcotest.test_case "yield ablation never parks or yields" `Quick
       ablation_never_parks_or_yields;
-    Alcotest.test_case "negative park_threshold rejected" `Quick
-      negative_park_threshold_rejected;
+    Alcotest.test_case "negative or NaN park_after rejected" `Quick
+      invalid_park_after_rejected;
     Alcotest.test_case "task exception re-raised at run" `Quick task_exception_reraised_at_run;
     Alcotest.test_case "task exception re-raised at shutdown" `Quick
       task_exception_reraised_at_shutdown;
@@ -449,4 +494,8 @@ let tests =
     Alcotest.test_case "own deque polled before sources" `Quick own_deque_before_sources;
     Alcotest.test_case "parking sees a late source task" `Quick
       late_arrival_seen_by_parking_check;
+    Alcotest.test_case "default window parks idle workers" `Quick
+      default_window_parks_idle_workers;
+    Alcotest.test_case "thief inside its window stays awake" `Quick
+      thief_inside_window_stays_awake;
   ]

@@ -172,6 +172,7 @@ let hoodserve_sharded_json_schema () =
       {|"route_counts"|};
       {|"inbox_depths"|};
       {|"throughput_rps"|};
+      {|"cpu_s"|};
       {|"await_depth":0|};
       {|"backend_late_us_p50":null|};
       {|"suspended":0|};

@@ -263,7 +263,7 @@ let controller_start_stop_idempotent () =
 let parked_thief_wakes_into_closed_gate () =
   let gate = Gate.create ~num_workers:2 in
   let pool =
-    Pool.create ~processes:2 ~park_threshold:2 ~gate:(Gate.hook gate) ()
+    Pool.create ~processes:2 ~park_after:0. ~gate:(Gate.hook gate) ()
   in
   Fun.protect
     ~finally:(fun () ->
