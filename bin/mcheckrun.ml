@@ -1,5 +1,6 @@
-(* mcheckrun: exhaustively model-check the ABP deque scenarios at a chosen
-   tag width, and the production fiber promise and future cell.
+(* mcheckrun: exhaustively model-check the production ABP deque's
+   scenarios at a chosen tag width, and the production fiber promise and
+   future cell.
 
    Examples:
      mcheckrun                                  # every scenario, full tag
@@ -11,11 +12,11 @@ module M = Abp_mcheck
 
 (* A scenario prints its report lines and returns [true] on a violation. *)
 let deque program name tag_width =
-  let r = M.Explorer.explore ~tag_width program in
+  let r = M.Deque_checks.explore ~tag_width program in
   Format.printf "%-16s (%d ops, tag width %d): %a@." name
-    (M.Explorer.program_total_ops program)
-    tag_width M.Explorer.pp_report r;
-  r.violations <> []
+    (M.Deque_checks.program_total_ops program)
+    tag_width M.Deque_checks.pp_report r;
+  M.Deque_checks.violations r <> []
 
 (* The promise and the future cell ignore the tag width; each runs at
    1..3 waiters. *)
@@ -29,10 +30,10 @@ let cell check threads name _ =
 
 let scenarios =
   [
-    ("aba", deque M.Props.aba_scenario);
-    ("wraparound", deque M.Props.wraparound_scenario);
-    ("two-thieves", deque M.Props.two_thieves);
-    ("owner-vs-thief", deque M.Props.owner_vs_thief_interleave);
+    ("aba", deque M.Deque_checks.aba_scenario);
+    ("wraparound", deque M.Deque_checks.wraparound_scenario);
+    ("two-thieves", deque M.Deque_checks.two_thieves);
+    ("owner-vs-thief", deque M.Deque_checks.owner_vs_thief_interleave);
     ("fiber_await", cell M.Promise_checks.fiber_await "awaiters + 1 fulfiller");
     ("future_cell", cell M.Promise_checks.future_cell "forcers + 1 executor");
   ]
@@ -51,8 +52,8 @@ let cmd =
       & info [ "scenario" ] ~docv:"NAME"
           ~doc:
             ("The scenario to check: " ^ Arg.doc_alts_enum names
-           ^ ".  The deque scenarios run the Step_deque model; fiber_await and \
-              future_cell run the production Fiber promise and Future cell."))
+           ^ ".  The deque scenarios run the production Atomic_deque; fiber_await \
+              and future_cell run the production Fiber promise and Future cell."))
   in
   let tag_width =
     let max = Abp.Bounded_tag.max_width in
@@ -65,7 +66,9 @@ let cmd =
       value
       & opt (conv (parse, Format.pp_print_int)) max
       & info [ "tag-width" ] ~docv:"BITS"
-          ~doc:"Age-tag width of the deque scenarios, 0 (no tag) to the full width.")
+          ~doc:
+            "Age-tag width of the deque scenarios, 0 (no tag) to the full width: the \
+             width at which the checked copy of Atomic_deque wraps its tag.")
   in
   Cmd.v
     (Cmd.info "mcheckrun"

@@ -27,9 +27,9 @@ let () =
   Format.printf "@.--- Why the tag exists (model checker) ---@.";
   Format.printf "Scenario: owner drains and refills the deque while a thief sits@.";
   Format.printf "between its read of age and its cas (Section 3.3).@.@.";
-  let with_tag = Abp.Explorer.explore Abp.Mcheck_props.aba_scenario in
-  Format.printf "with tag:    %a@." Abp.Explorer.pp_report with_tag;
-  let without_tag = Abp.Explorer.explore ~tag_width:0 Abp.Mcheck_props.aba_scenario in
-  Format.printf "without tag: %a@." Abp.Explorer.pp_report without_tag;
+  let with_tag = Abp.Deque_checks.explore Abp.Deque_checks.aba_scenario in
+  Format.printf "with tag:    %a@." Abp.Deque_checks.pp_report with_tag;
+  let without_tag = Abp.Deque_checks.explore ~tag_width:0 Abp.Deque_checks.aba_scenario in
+  Format.printf "without tag: %a@." Abp.Deque_checks.pp_report without_tag;
   Format.printf "@.The checker exhausts every interleaving: with the tag the thief's@.";
   Format.printf "stale cas fails; without it a node is consumed twice and another lost.@."

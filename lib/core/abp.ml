@@ -8,7 +8,7 @@
     - {!Dag}, {!Builder}, {!Metrics}, {!Generators}, {!Enabling_tree},
       {!Figure1}: multithreaded computations as dags (Sections 1-2).
     - {!Deque_spec}, {!Age}, {!Atomic_deque}, {!Locked_deque},
-      {!Step_deque}, {!Bounded_tag}: the Figure 4/5 deque (Section 3.2-3.3).
+      {!Bounded_tag}: the Figure 4/5 deque (Section 3.2-3.3).
     - {!Wsm_deque}, {!Wsm_step}, {!Wsm_explorer}: the fence-free deque
       with multiplicity (Castañeda–Piña, arXiv 2008.04424) and its
       relaxed-semantics model checking.
@@ -18,8 +18,8 @@
     - {!Engine}, {!Central_sched}, {!Invariants}, {!Run_result}: the
       two-level simulator reproducing Theorems 9-12 and the Hood
       empirical claims.
-    - {!Explorer}, {!Mcheck_props}: exhaustive interleaving verification
-      of the deque's relaxed semantics (the TR-99-11 substitute).
+    - {!Deque_checks}: exhaustive interleaving verification of the
+      production deque's relaxed semantics (the TR-99-11 substitute).
     - {!Pool}, {!Future}, {!Par}: Hood, the real runtime on OCaml 5
       domains.
     - {!Fiber} (library [abp_fiber]): effects-based suspendable tasks —
@@ -80,7 +80,6 @@ module Deque_spec = Abp_deque.Spec
 module Age = Abp_deque.Age
 module Atomic_deque = Abp_deque.Atomic_deque
 module Locked_deque = Abp_deque.Locked_deque
-module Step_deque = Abp_deque.Step_deque
 module Bounded_tag = Abp_deque.Bounded_tag
 module Circular_deque = Abp_deque.Circular_deque
 module Wsm_deque = Abp_deque.Wsm_deque
@@ -106,9 +105,8 @@ module Invariants = Abp_sim.Invariants
 module Run_result = Abp_sim.Run_result
 
 (* Model checker *)
-module Explorer = Abp_mcheck.Explorer
+module Deque_checks = Abp_mcheck.Deque_checks
 module Wsm_explorer = Abp_mcheck.Wsm_explorer
-module Mcheck_props = Abp_mcheck.Props
 
 (* Telemetry *)
 module Trace = Abp_trace

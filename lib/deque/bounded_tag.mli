@@ -11,8 +11,9 @@
     [cas] could succeed spuriously (the ABA problem at one remove).
 
     This module provides [width]-bit modular tags and the window
-    predicate capturing that condition; {!Step_deque} uses configurable
-    widths so the model checker can exhibit the failure at tiny widths,
+    predicate capturing that condition; the model checker's copy of
+    {!Atomic_deque} ([lib/mcheck]) wraps its tag at configurable widths
+    with {!succ} to exhibit the failure at tiny widths,
     and {!Atomic_deque} uses the full 31 bits of {!Age} (wraparound needs
     2{^31} owner resets during a single in-flight steal — unreachable in
     practice, and impossible in OCaml within a GC quantum). *)

@@ -8,7 +8,7 @@
     owner-private ring are folded into the adjacent shared access
     (invisible to other processes, the standard reduction).
 
-    Unlike {!Step_deque}, whose oracle checks demand exactly-once
+    Unlike the ABP deque's checks, which demand exactly-once
     extraction, interleavings of these machines legitimately return the
     same value from two extractions (multiplicity); the matching
     explorer checks the weaker contract — nothing lost, nothing

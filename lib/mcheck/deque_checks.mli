@@ -1,0 +1,76 @@
+(** Exhaustive checks of the production ABP deque
+    ([lib/deque/atomic_deque.ml], the paper's Figure 5), run by
+    {!Sched_explorer} over its generated [Atomic_deque_checked] copy.
+
+    The paper asserts (Section 3.3) that Figure 5 meets the relaxed
+    semantics and defers the proof to a technical report (TR-99-11);
+    these checks are the reproduction's substitute.  In the copy,
+    [Atomic] and every array slot are {!Sched_atomic} cells, so each
+    load, store and [cas] of Figure 5 is a step, and the age tag wraps
+    at a chosen width ({!Age_checked}).  A program is one owner thread
+    issuing [pushBottom]/[popBottom] and thief threads issuing [popTop]s.
+    Every program runs twice, on the [_detailed] pops that the Pool runs
+    and on the option pops, and every execution must meet:
+
+    - {b conservation}: every pushed value is returned by exactly one
+      pop or remains in the final deque;
+    - {b NIL legality} (the relaxed semantics): a pop that returns NIL
+      saw, at some instant since its first access, an empty deque or
+      the removal of the top item by another thread (a [popTop], or a
+      [popBottom] that took the last item by its [cas]);
+    - {b the telemetry classification}: an [Empty] NIL saw an empty
+      instant, and a [Contended] one a top removal by another thread;
+    - {b the step bounds}: [pushBottom] makes at most 3 accesses,
+      [popTop] 4 and [popBottom] 7 (the owner's wait-freedom).
+
+    With a tag too narrow for the owner resets a thief's steal can span
+    ([tag_width = 0], or 1 with two resets in flight) the checks find
+    the ABA violation that the tag exists to prevent. *)
+
+type op = Push_bottom of int | Pop_bottom | Pop_top
+
+type program = {
+  owner : op list;  (** executed in order by the owner thread *)
+  thieves : op list list;  (** one list per thief thread; only [Pop_top] *)
+}
+
+type report = {
+  detailed : Sched_explorer.report;  (** with [pop_bottom_detailed] and [pop_top_detailed] *)
+  option : Sched_explorer.report;  (** with [pop_bottom] and [pop_top] *)
+}
+
+val explore : ?tag_width:int -> program -> report
+(** [tag_width] defaults to {!Abp_deque.Bounded_tag.max_width}, the
+    production tag.  Raises [Invalid_argument] if a thief list holds an
+    owner operation or the width is out of range. *)
+
+val violations : report -> string list
+(** Both runs' violations, each prefixed with its pops; empty =
+    verified. *)
+
+val program_total_ops : program -> int
+val pp_report : Format.formatter -> report -> unit
+
+val aba_scenario : program
+(** The Section 3.3 ABA scenario: the owner drains the deque (resetting
+    [top]) and refills it while a thief sits between its read of [age]
+    and its [cas].  With the tag the thief's [cas] fails; without it
+    ([tag_width = 0]) the [cas] succeeds on the recycled index and a
+    node is consumed twice and another lost. *)
+
+val wraparound_scenario : program
+(** Two owner resets in one thief window: the bounded-tags condition
+    ({!Abp_deque.Bounded_tag.safe_window}) — a 1-bit tag aliases and
+    fails, 2 bits are safe. *)
+
+val two_thieves : program
+(** Three pushes racing two thieves: thief-vs-thief [cas] contention. *)
+
+val owner_vs_thief_interleave : program
+(** Pushes and owner pops racing a thief that steals twice, around the
+    one-element state where the [popBottom]/[popTop] [cas] race lives. *)
+
+val random_program : rng:(int -> int) -> ops:int -> thieves:int -> program
+(** [ops] owner operations (pushes of distinct values and pops, drawn
+    with [rng n] uniform in [\[0, n)]), and [thieves] thieves of one
+    [popTop] each. *)

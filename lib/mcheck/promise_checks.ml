@@ -46,7 +46,7 @@ let check name who k paths scenario =
           List.iter (fun p -> incr (List.assoc p counts)) taken;
           bad @ verdict who k l
         in
-        { E.ghost = ghost l; check })
+        { E.ghost = ghost l; observe = (fun _ -> []); check })
   in
   let paths = List.map (fun (p, n) -> (p, !n)) counts in
   let missed = List.filter_map (fun (p, n) -> if n = 0 then Some (p ^ " never reached") else None) paths in

@@ -57,6 +57,8 @@ let get c =
   access c 1;
   c.v
 
+let peek c = c.v
+
 let set c v =
   access c 2;
   write c v

@@ -25,6 +25,10 @@ val exchange : 'a t -> 'a -> 'a
 val compare_and_set : 'a t -> 'a -> 'a -> bool
 val fetch_and_add : int t -> int -> int
 
+val peek : 'a t -> 'a
+(** The content, read without a yield and without extending any
+    history: for a scenario's observations and final checks. *)
+
 type _ Effect.t += Yield : unit Effect.t
 
 val running : bool ref

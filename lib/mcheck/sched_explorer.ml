@@ -1,7 +1,11 @@
 open Effect.Deep
 module A = Sched_atomic
 
-type scenario = { ghost : unit -> int list; check : unit -> string list }
+type scenario = {
+  ghost : unit -> int list;
+  observe : int -> string list;
+  check : unit -> string list;
+}
 type report = { states_explored : int; complete_executions : int; violations : string list }
 
 (* [next] runs the thread to its next access, or to its end; [None] once
@@ -54,8 +58,9 @@ let start () =
     run (Queue.pop unstarted)
   done
 
-let step i =
+let step sc i =
   run !threads.(i);
+  List.iter note (sc.observe i);
   start ()
 
 let replay setup prefix =
@@ -64,7 +69,7 @@ let replay setup prefix =
   Queue.clear unstarted;
   let sc = setup () in
   start ();
-  List.iter step prefix;
+  List.iter (step sc) prefix;
   sc
 
 let live () =
@@ -101,7 +106,7 @@ let explore setup =
           List.iter
             (fun i ->
               if i <> first then sc := replay setup (List.rev prefix);
-              step i;
+              step !sc i;
               visit (i :: prefix) (depth + 1))
             ids
     end

@@ -16,7 +16,12 @@
 
 type scenario = {
   ghost : unit -> int list;
-      (** scenario state outside any cell that {!field-check} reads *)
+      (** scenario state outside any cell that {!field-observe} and
+          {!field-check} read *)
+  observe : int -> string list;
+      (** [observe i] runs after each step, where [i] is the moving
+          thread's index in spawn order; it returns the violations that
+          step shows *)
   check : unit -> string list;
       (** violations of a complete execution (no unfinished thread) *)
 }

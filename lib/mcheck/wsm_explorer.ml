@@ -14,11 +14,11 @@ type report = {
 }
 
 (* One thread of the exploration.  The NIL-legality monitors differ
-   from {!Explorer}'s: a take_published NIL is provable legal iff at
-   some instant during the invocation the published window was empty
-   ([pub - con <= 0]), or another process completed an extraction (a
-   [con] store) meanwhile — see the soundness argument at
-   [check_completion]. *)
+   from the ABP deque's ({!Deque_checks}): a take_published NIL is
+   provable legal iff at some instant during the invocation the
+   published window was empty ([pub - con <= 0]), or another process
+   completed an extraction (a [con] store) meanwhile — see the
+   soundness argument at [check_completion]. *)
 type thread = {
   script : Ws.op array;
   next_op : int;
@@ -367,3 +367,22 @@ let pp_report ppf r =
   Fmt.pf ppf "states=%d completions=%d (serial %d) max-dup=%d violations=%d" r.states_explored
     r.complete_executions r.serial_executions r.max_duplicates (List.length r.violations);
   List.iter (fun v -> Fmt.pf ppf "@.  %s" v) r.violations
+
+(* The owner publishes, drains and republishes (the pop_bottom reclaim
+   path and the board top-up) while two thieves race the same published
+   window: where both read the same [con] and both blindly store
+   [con + 1], multiplicity appears, and nothing worse may. *)
+let wsm_thief =
+  {
+    owner = [ Ws.Push_bottom 1; Ws.Push_bottom 2; Ws.Pop_bottom; Ws.Push_bottom 3; Ws.Pop_bottom ];
+    thieves = [ [ Ws.Pop_top; Ws.Pop_top ]; [ Ws.Pop_top ] ];
+  }
+
+(* Five pushes against a drain-happy owner wrap the model's 4-slot
+   publication ring, so a thief's invocation can straddle a slot's
+   overwrite: the stale read that publish-requires-drained makes safe. *)
+let wsm_reuse =
+  {
+    owner = List.concat (List.init 5 (fun i -> [ Ws.Push_bottom (i + 1); Ws.Pop_bottom ]));
+    thieves = [ [ Ws.Pop_top ] ];
+  }

@@ -2,7 +2,7 @@
     multiplicity ({!Abp_deque.Wsm_deque}, modelled by
     {!Abp_deque.Wsm_step}).
 
-    {!Explorer} verifies the ABP deque against {e exactly-once}
+    {!Deque_checks} verifies the ABP deque against {e exactly-once}
     conservation, which the wsm protocol deliberately does not promise.
     This checker verifies the weaker contract the backend actually
     makes — and that the relaxation goes no further:
@@ -55,3 +55,16 @@ val explore : program -> report
     the same value twice (the conservation verdict is per-value). *)
 
 val pp_report : Format.formatter -> report -> unit
+
+val wsm_thief : program
+(** The owner/thief race around the unfenced cursor reads: two thieves
+    race the same published window while the owner drains and
+    republishes.  Interleavings where both thieves read the same [con]
+    exhibit multiplicity ([max_duplicates > 0]); the explorer verifies
+    the relaxation goes no further. *)
+
+val wsm_reuse : program
+(** Board-slot reuse: enough publishes to wrap
+    {!Abp_deque.Wsm_step.board_length} while a thief's invocation can
+    straddle a slot overwrite — the stale read made safe by the
+    publish-requires-drained rule. *)

@@ -4,7 +4,7 @@
     the effect of each step equals some serial order chosen by the
     kernel), so this deque needs only the ideal serial semantics; the
     instruction-level concurrency questions are handled separately by the
-    model checker over {!Abp_deque.Step_deque}.  O(1) operations, plus
+    model checker over {!Abp_deque.Atomic_deque}.  O(1) operations, plus
     bottom-to-top iteration for the structural-lemma checker. *)
 
 type t

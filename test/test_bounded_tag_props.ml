@@ -1,12 +1,11 @@
 (* Property tests for Bounded_tag (paper Section 3.3): the modular tag
-   arithmetic itself, and — via the mcheck interleaving explorer — the
+   arithmetic itself, and — via the model-checked production deque — the
    safety threshold it encodes: a thief whose steal spans r owner resets
    is safe iff r < 2^width (the [safe_window] predicate), and at exactly
    r = 2^width the wraparound ABA violation becomes reachable. *)
 
 module Bt = Abp_deque.Bounded_tag
-module Sd = Abp_deque.Step_deque
-module Explorer = Abp_mcheck.Explorer
+module Dc = Abp_mcheck.Deque_checks
 
 let rec iterate_succ ~width k tag = if k = 0 then tag else iterate_succ ~width (k - 1) (Bt.succ ~width tag)
 
@@ -40,9 +39,8 @@ let prop_safe_window_iff_below_modulus =
    in-flight thief can span all r of them. *)
 let reset_program r =
   {
-    Explorer.owner =
-      List.concat (List.init r (fun i -> [ Sd.Push_bottom (i + 1); Sd.Pop_bottom ]));
-    thieves = [ [ Sd.Pop_top ] ];
+    Dc.owner = List.concat (List.init r (fun i -> [ Dc.Push_bottom (i + 1); Dc.Pop_bottom ]));
+    thieves = [ [ Dc.Pop_top ] ];
   }
 
 (* The explorer finds a wraparound violation exactly when the number of
@@ -54,8 +52,7 @@ let explorer_matches_safe_window () =
     (fun width ->
       List.iter
         (fun r ->
-          let report = Explorer.explore ~tag_width:width (reset_program r) in
-          let violated = report.Explorer.violations <> [] in
+          let violated = Dc.violations (Dc.explore ~tag_width:width (reset_program r)) <> [] in
           let expect_safe = Bt.safe_window ~width ~in_flight_resets:r in
           Alcotest.(check bool)
             (Printf.sprintf "width %d, %d in-flight resets: violation iff unsafe" width r)
@@ -68,10 +65,9 @@ let explorer_matches_safe_window () =
 let wide_tags_always_safe () =
   List.iter
     (fun width ->
-      let report = Explorer.explore ~tag_width:width (reset_program 3) in
       Alcotest.(check (list string))
         (Printf.sprintf "width %d covers 3 resets" width)
-        [] report.Explorer.violations)
+        [] (Dc.violations (Dc.explore ~tag_width:width (reset_program 3))))
     [ 2; 3; 5; Bt.max_width ]
 
 let tests =

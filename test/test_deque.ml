@@ -109,63 +109,6 @@ let bounded_tag_safe_window () =
   Alcotest.(check bool) "width 2 unsafe at 4" false
     (Bounded_tag.safe_window ~width:2 ~in_flight_resets:4)
 
-(* Step machine: running each op to completion serially must agree with the
-   oracle, and must finish within steps_bound. *)
-let step_serial_differential () =
-  let rng = Rng.create ~seed:91L () in
-  let s = Step_deque.create_state ~capacity:128 () in
-  let oracle = Spec.Reference.create () in
-  let next = ref 0 in
-  let run op =
-    let c = Step_deque.start op in
-    let steps = ref 0 in
-    while Step_deque.finished c = None do
-      Step_deque.step s c;
-      incr steps;
-      Alcotest.(check bool) "within steps_bound" true (!steps <= Step_deque.steps_bound op)
-    done;
-    match Step_deque.finished c with Some o -> o | None -> assert false
-  in
-  for _ = 1 to 2000 do
-    match Rng.int rng 3 with
-    | 0 ->
-        incr next;
-        (match run (Step_deque.Push_bottom !next) with
-        | Step_deque.Unit -> ()
-        | _ -> Alcotest.fail "push returned non-unit");
-        Spec.Reference.push_bottom oracle !next
-    | 1 ->
-        let want = Spec.Reference.pop_bottom oracle in
-        let got =
-          match run Step_deque.Pop_bottom with
-          | Step_deque.Nil -> None
-          | Step_deque.Value v -> Some v
-          | Step_deque.Unit -> Alcotest.fail "pop returned unit"
-        in
-        Alcotest.(check (option int)) "step pop_bottom agrees" want got
-    | _ ->
-        let want = Spec.Reference.pop_top oracle in
-        let got =
-          match run Step_deque.Pop_top with
-          | Step_deque.Nil -> None
-          | Step_deque.Value v -> Some v
-          | Step_deque.Unit -> Alcotest.fail "pop returned unit"
-        in
-        Alcotest.(check (option int)) "step pop_top agrees" want got
-  done;
-  Alcotest.(check int) "final size" (Spec.Reference.size oracle) (Step_deque.abstract_size s)
-
-let step_copy_isolated () =
-  let s = Step_deque.create_state ~capacity:4 () in
-  let c = Step_deque.start (Step_deque.Push_bottom 7) in
-  Step_deque.step s c;
-  let s2 = Step_deque.copy_state s in
-  Step_deque.step s c;
-  Step_deque.step s c;
-  Alcotest.(check bool) "copy unaffected" false (Step_deque.state_equal s s2);
-  Alcotest.(check int) "original advanced" 1 s.Step_deque.bot;
-  Alcotest.(check int) "copy still empty" 0 s2.Step_deque.bot
-
 (* qcheck: random op sequences across implementations. *)
 let prop_differential name (module D : Spec.S) =
   QCheck2.Test.make ~name ~count:50
@@ -518,8 +461,6 @@ let tests =
     Alcotest.test_case "bounded tag: succ" `Quick bounded_tag_succ;
     Alcotest.test_case "bounded tag: distance" `Quick bounded_tag_distance;
     Alcotest.test_case "bounded tag: safe window" `Quick bounded_tag_safe_window;
-    Alcotest.test_case "step machine: serial differential" `Quick step_serial_differential;
-    Alcotest.test_case "step machine: copy isolation" `Quick step_copy_isolated;
     Alcotest.test_case "circular: smoke" `Quick (lifo_fifo_smoke (module Circular_deque));
     Alcotest.test_case "circular: differential" `Quick
       (differential (module Circular_deque) ~ops:5000 ~seed:103L);
