@@ -1,6 +1,6 @@
 (* mcheckrun: exhaustively model-check the production ABP deque's
-   scenarios at a chosen tag width, and the production fiber promise and
-   future cell.
+   scenarios at a chosen tag width, the production multiplicity deque,
+   and the production fiber promise and future cell.
 
    Examples:
      mcheckrun                                  # every scenario, full tag
@@ -18,6 +18,13 @@ let deque program name tag_width =
     tag_width M.Deque_checks.pp_report r;
   M.Deque_checks.violations r <> []
 
+(* The multiplicity deque has no tag. *)
+let wsm program name _ =
+  let r = M.Deque_checks.explore_wsm program in
+  Format.printf "%-16s (%d ops): %a@." name (M.Deque_checks.program_total_ops program)
+    M.Deque_checks.pp_wsm_report r;
+  r.run.violations <> []
+
 (* The promise and the future cell ignore the tag width; each runs at
    1..3 waiters. *)
 let cell check threads name _ =
@@ -34,6 +41,8 @@ let scenarios =
     ("wraparound", deque M.Deque_checks.wraparound_scenario);
     ("two-thieves", deque M.Deque_checks.two_thieves);
     ("owner-vs-thief", deque M.Deque_checks.owner_vs_thief_interleave);
+    ("wsm-thief", wsm M.Deque_checks.wsm_thief);
+    ("wsm-reuse", wsm M.Deque_checks.wsm_reuse);
     ("fiber_await", cell M.Promise_checks.fiber_await "awaiters + 1 fulfiller");
     ("future_cell", cell M.Promise_checks.future_cell "forcers + 1 executor");
   ]
@@ -52,8 +61,10 @@ let cmd =
       & info [ "scenario" ] ~docv:"NAME"
           ~doc:
             ("The scenario to check: " ^ Arg.doc_alts_enum names
-           ^ ".  The deque scenarios run the production Atomic_deque; fiber_await \
-              and future_cell run the production Fiber promise and Future cell."))
+           ^ ".  The deque scenarios run the production Atomic_deque, wsm-thief and \
+              wsm-reuse the production Wsm_deque; fiber_await and future_cell run the \
+              production Fiber promise and Future cell.  No $(docv) runs every \
+              scenario."))
   in
   let tag_width =
     let max = Abp.Bounded_tag.max_width in
@@ -67,13 +78,16 @@ let cmd =
       & opt (conv (parse, Format.pp_print_int)) max
       & info [ "tag-width" ] ~docv:"BITS"
           ~doc:
-            "Age-tag width of the deque scenarios, 0 (no tag) to the full width: the \
-             width at which the checked copy of Atomic_deque wraps its tag.")
+            "Age-tag width of the Atomic_deque scenarios, 0 (no tag) to the full width: \
+             the width at which the checked copy of Atomic_deque wraps its tag.  The \
+             Wsm_deque, promise and future scenarios ignore it.")
   in
   Cmd.v
     (Cmd.info "mcheckrun"
        ~exits:(Cmd.Exit.info 2 ~doc:"on a violation." :: Cmd.Exit.defaults)
-       ~doc:"Exhaustively check the ABP deque's relaxed semantics and the fiber promise")
+       ~doc:
+         "Exhaustively check the relaxed semantics of the ABP and multiplicity deques, and \
+          the fiber promise and future cell")
     Term.(const run $ scenario $ tag_width)
 
 let () = exit (Cmd.eval cmd)

@@ -9,9 +9,9 @@
       {!Figure1}: multithreaded computations as dags (Sections 1-2).
     - {!Deque_spec}, {!Age}, {!Atomic_deque}, {!Locked_deque},
       {!Bounded_tag}: the Figure 4/5 deque (Section 3.2-3.3).
-    - {!Wsm_deque}, {!Wsm_step}, {!Wsm_explorer}: the fence-free deque
-      with multiplicity (Castañeda–Piña, arXiv 2008.04424) and its
-      relaxed-semantics model checking.
+    - {!Wsm_deque}: the fence-free deque with multiplicity
+      (Castañeda–Piña, arXiv 2008.04424); {!Deque_checks} model-checks
+      its relaxed contract on the production code.
     - {!Schedule}, {!Adversary}, {!Yield}: the kernel model (Sections 2, 4.4).
     - {!Exec_schedule}, {!Greedy}, {!Brent}, {!Bounds}: off-line
       scheduling, Theorems 1-2.
@@ -19,7 +19,7 @@
       two-level simulator reproducing Theorems 9-12 and the Hood
       empirical claims.
     - {!Deque_checks}: exhaustive interleaving verification of the
-      production deque's relaxed semantics (the TR-99-11 substitute).
+      production deques' relaxed semantics (the TR-99-11 substitute).
     - {!Pool}, {!Future}, {!Par}: Hood, the real runtime on OCaml 5
       domains.
     - {!Fiber} (library [abp_fiber]): effects-based suspendable tasks —
@@ -83,7 +83,6 @@ module Locked_deque = Abp_deque.Locked_deque
 module Bounded_tag = Abp_deque.Bounded_tag
 module Circular_deque = Abp_deque.Circular_deque
 module Wsm_deque = Abp_deque.Wsm_deque
-module Wsm_step = Abp_deque.Wsm_step
 
 (* Kernel model *)
 module Schedule = Abp_kernel.Schedule
@@ -106,7 +105,6 @@ module Run_result = Abp_sim.Run_result
 
 (* Model checker *)
 module Deque_checks = Abp_mcheck.Deque_checks
-module Wsm_explorer = Abp_mcheck.Wsm_explorer
 
 (* Telemetry *)
 module Trace = Abp_trace

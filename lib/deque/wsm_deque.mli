@@ -26,8 +26,11 @@
     resolved by a single [Atomic.compare_and_set] at execution time —
     off the steal path, preserving the fence-free property where it
     matters.  {!Abp_hood.Pool} does not offer this deque as a backend:
-    its owner path is slower than {!Atomic_deque}'s and the claim flag
-    would cost every task an allocation and a CAS.
+    the claim flag would cost every task an allocation and a CAS.  Its
+    owner path is slower than {!Atomic_deque}'s only with the main
+    domain alone: with one other domain running, a probe on a 2-vCPU
+    host read its push+pop at 33.5–34.6 ns against ABP's 44–46 ns, as
+    its owner path has no CAS.
 
     Use {!Spec.Multiset_reference} (with [allows_multiplicity = true])
     as the differential-test oracle; {!Spec.Reference} would flag the

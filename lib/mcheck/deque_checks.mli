@@ -1,16 +1,18 @@
-(** Exhaustive checks of the production ABP deque
-    ([lib/deque/atomic_deque.ml], the paper's Figure 5), run by
-    {!Sched_explorer} over its generated [Atomic_deque_checked] copy.
+(** Exhaustive checks of the production deques, run by
+    {!Sched_explorer} over their generated checked copies: the ABP deque
+    ([lib/deque/atomic_deque.ml], the paper's Figure 5) as
+    [Atomic_deque_checked], and the multiplicity deque
+    ([lib/deque/wsm_deque.ml]) as [Wsm_deque_checked].
 
     The paper asserts (Section 3.3) that Figure 5 meets the relaxed
     semantics and defers the proof to a technical report (TR-99-11);
-    these checks are the reproduction's substitute.  In the copy,
+    these checks are the reproduction's substitute.  In the copies,
     [Atomic] and every array slot are {!Sched_atomic} cells, so each
-    load, store and [cas] of Figure 5 is a step, and the age tag wraps
-    at a chosen width ({!Age_checked}).  A program is one owner thread
-    issuing [pushBottom]/[popBottom] and thief threads issuing [popTop]s.
-    Every program runs twice, on the [_detailed] pops that the Pool runs
-    and on the option pops, and every execution must meet:
+    load, store and [cas] is a step, and ABP's age tag wraps at a chosen
+    width ({!Age_checked}).  A program is one owner thread issuing
+    [pushBottom]/[popBottom] and thief threads issuing [popTop]s.
+    {!explore} runs every program twice, on the [_detailed] pops that
+    the Pool runs and on the option pops, and every execution must meet:
 
     - {b conservation}: every pushed value is returned by exactly one
       pop or remains in the final deque;
@@ -25,7 +27,25 @@
 
     With a tag too narrow for the owner resets a thief's steal can span
     ([tag_width = 0], or 1 with two resets in flight) the checks find
-    the ABA violation that the tag exists to prevent. *)
+    the ABA violation that the tag exists to prevent.
+
+    {!explore_wsm} runs a program on the multiplicity deque's detailed
+    pops, whose contract is weaker by design, and checks that the
+    relaxation goes no further:
+
+    - {b at-least-once conservation}: every pushed value is returned by
+      some pop or remains in the private ring or the published window
+      [\[con, pub)]; and nothing else is returned or remains;
+    - {b multiplicity counted}: the worst execution's duplicate
+      returns are reported;
+    - {b NIL legality}: a NIL saw, since its first access, an empty
+      window or a change of [con] by another thread; and no pop reads
+      an unpublished board slot (the defensive NIL);
+    - {b serial exactness}: while no two invocations have overlapped,
+      every return agrees with the LIFO {!Abp_deque.Spec.Reference},
+      except that a [popTop] may return NIL while the work is private;
+    - {b the step bounds}: [pushBottom] makes at most 7 accesses,
+      [popBottom] 8 and [popTop] 4 (the private ring's slots count). *)
 
 type op = Push_bottom of int | Pop_bottom | Pop_top
 
@@ -42,7 +62,8 @@ type report = {
 val explore : ?tag_width:int -> program -> report
 (** [tag_width] defaults to {!Abp_deque.Bounded_tag.max_width}, the
     production tag.  Raises [Invalid_argument] if a thief list holds an
-    owner operation or the width is out of range. *)
+    owner operation, a value is pushed twice (the verdicts are
+    per-value) or the width is out of range. *)
 
 val violations : report -> string list
 (** Both runs' violations, each prefixed with its pops; empty =
@@ -50,6 +71,17 @@ val violations : report -> string list
 
 val program_total_ops : program -> int
 val pp_report : Format.formatter -> report -> unit
+
+type wsm_report = {
+  run : Sched_explorer.report;
+  serial_executions : int;  (** complete executions with no overlapping invocations *)
+  max_duplicates : int;  (** the most duplicate returns in one execution *)
+}
+
+val explore_wsm : program -> wsm_report
+(** Raises [Invalid_argument] as {!explore} does. *)
+
+val pp_wsm_report : Format.formatter -> wsm_report -> unit
 
 val aba_scenario : program
 (** The Section 3.3 ABA scenario: the owner drains the deque (resetting
@@ -69,6 +101,17 @@ val two_thieves : program
 val owner_vs_thief_interleave : program
 (** Pushes and owner pops racing a thief that steals twice, around the
     one-element state where the [popBottom]/[popTop] [cas] race lives. *)
+
+val wsm_thief : program
+(** Two thieves race the multiplicity deque's published window while the
+    owner drains and republishes: where both read the same [con],
+    both return the same value ([max_duplicates > 0]). *)
+
+val wsm_reuse : program
+(** Nine push/pop pairs, nine publishes, wrap the 8-slot board
+    ({!Abp_deque.Wsm_deque.board_length}) while a thief's invocation can
+    straddle a slot's overwrite: the stale read that publishing only
+    onto a drained window makes safe. *)
 
 val random_program : rng:(int -> int) -> ops:int -> thieves:int -> program
 (** [ops] owner operations (pushes of distinct values and pops, drawn

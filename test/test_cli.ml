@@ -11,11 +11,13 @@ let bin_dir =
   Filename.concat (Filename.dirname Sys.executable_name)
     (Filename.concat Filename.parent_dir_name "bin")
 
-(* [cmd] starts with the binary's file name, e.g. ["hoodrun.exe fib"]. *)
-let run_capturing cmd =
+(* [cmd] starts with the binary's file name, e.g. ["hoodrun.exe fib"].
+   Its standard output goes to [stdout]. *)
+let run_capturing ?(stdout = "/dev/null") cmd =
   let err = Filename.temp_file "abp_cli" ".stderr" in
   let code =
-    Sys.command (Printf.sprintf "%s/%s >/dev/null 2>%s" (Filename.quote bin_dir) cmd err)
+    Sys.command
+      (Printf.sprintf "%s/%s >%s 2>%s" (Filename.quote bin_dir) cmd (Filename.quote stdout) err)
   in
   let ic = open_in err in
   let n = in_channel_length ic in
@@ -297,6 +299,18 @@ let mcheckrun_usage_errors () =
       ("tag width -1", "mcheckrun.exe --tag-width=-1", "0..31");
     ]
 
+(* The multiplicity deque's thief race, run on the production Wsm_deque. *)
+let mcheckrun_wsm_thief_verified () =
+  let out = Filename.temp_file "abp_cli" ".stdout" in
+  let code, err = run_capturing ~stdout:out "mcheckrun.exe --scenario wsm-thief" in
+  let ic = open_in out in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove out;
+  Alcotest.(check int) "exit 0" 0 code;
+  Alcotest.(check string) "silent stderr" "" err;
+  Alcotest.(check bool) ("prints verified: " ^ text) true (contains text "verified")
+
 (* One task per steal, as the JSON reports it, on every backend. *)
 let hoodrun_json_one_task_per_steal () =
   List.iter
@@ -352,4 +366,5 @@ let tests =
       hoodserve_invalid_shards_exit_nonzero;
     Alcotest.test_case "mcheckrun: bad scenario or tag width is a usage error" `Quick
       mcheckrun_usage_errors;
+    Alcotest.test_case "mcheckrun: wsm-thief verified" `Quick mcheckrun_wsm_thief_verified;
   ]

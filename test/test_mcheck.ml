@@ -1,7 +1,8 @@
 (* Model-checker tests (experiment E14 at test scale): the production ABP
    deque meets the relaxed semantics under exhaustive interleaving, the
    tag field is load-bearing (removing it yields the ABA violation), and
-   tag widths obey the bounded-tags safety condition. *)
+   tag widths obey the bounded-tags safety condition; the production
+   multiplicity deque loses nothing and duplicates only under races. *)
 
 open Abp_mcheck
 module Dc = Deque_checks
@@ -137,17 +138,12 @@ let corpus_untagged_aba () =
             [] (Dc.violations r))
     corpus
 
-(* --- wsm: the fence-free multiplicity deque (Wsm_explorer) ----------- *)
+(* --- wsm: the production multiplicity deque (Wsm_deque_checked) ------ *)
 
-module Ws = Abp_deque.Wsm_step
-
-let wsm_verified name (r : Wsm_explorer.report) =
-  Alcotest.(check (list string)) (name ^ ": no violations") [] r.Wsm_explorer.violations;
-  Alcotest.(check bool) (name ^ ": explored states") true (r.Wsm_explorer.states_explored > 0);
-  Alcotest.(check bool)
-    (name ^ ": complete executions")
-    true
-    (r.Wsm_explorer.complete_executions > 0)
+let wsm_verified name (r : Dc.wsm_report) =
+  Alcotest.(check (list string)) (name ^ ": no violations") [] r.run.violations;
+  Alcotest.(check bool) (name ^ ": explored states") true (r.run.states_explored > 0);
+  Alcotest.(check bool) (name ^ ": complete executions") true (r.run.complete_executions > 0)
 
 (* The headline property: the owner/thief race MUST exhibit multiplicity
    in some interleaving (two thieves reading the same [con] before either
@@ -155,48 +151,43 @@ let wsm_verified name (r : Wsm_explorer.report) =
    beyond that relaxation may occur — nothing lost, nothing invented,
    serial executions exact against the LIFO oracle. *)
 let wsm_thief_multiplicity () =
-  let r = Wsm_explorer.explore Wsm_explorer.wsm_thief in
+  let r = Dc.explore_wsm Dc.wsm_thief in
   wsm_verified "wsm thief" r;
-  Alcotest.(check bool) "serial executions checked" true (r.Wsm_explorer.serial_executions > 0);
-  Alcotest.(check bool) "multiplicity observed" true (r.Wsm_explorer.max_duplicates >= 1)
+  Alcotest.(check bool) "serial executions checked" true (r.serial_executions > 0);
+  Alcotest.(check bool) "multiplicity observed" true (r.max_duplicates >= 1)
 
-(* Board-slot reuse across the 4-slot model ring: publishes wrapping the
-   ring while a thief invocation straddles a slot overwrite stay safe
+(* Board-slot reuse across the production 8-slot ring: publishes wrapping
+   the ring while a thief invocation straddles a slot overwrite stay safe
    (publish requires a drained window, so a stale slot read cannot be
    confused for a live item). *)
-let wsm_reuse_safe () = wsm_verified "wsm reuse" (Wsm_explorer.explore Wsm_explorer.wsm_reuse)
+let wsm_reuse_safe () = wsm_verified "wsm reuse" (Dc.explore_wsm Dc.wsm_reuse)
 
 let wsm_owner_only_fully_serial () =
   let r =
-    Wsm_explorer.explore
+    Dc.explore_wsm
       {
-        Wsm_explorer.owner =
-          [ Ws.Push_bottom 1; Ws.Push_bottom 2; Ws.Pop_bottom; Ws.Pop_bottom; Ws.Pop_bottom ];
+        Dc.owner = [ Dc.Push_bottom 1; Dc.Push_bottom 2; Dc.Pop_bottom; Dc.Pop_bottom; Dc.Pop_bottom ];
         thieves = [];
       }
   in
   wsm_verified "wsm owner only" r;
-  Alcotest.(check int) "every execution is serial" r.Wsm_explorer.complete_executions
-    r.Wsm_explorer.serial_executions;
-  Alcotest.(check int) "no duplicates without thieves" 0 r.Wsm_explorer.max_duplicates
+  Alcotest.(check int) "every execution is serial" r.run.complete_executions r.serial_executions;
+  Alcotest.(check int) "no duplicates without thieves" 0 r.max_duplicates
 
 let wsm_thief_on_empty () =
   (* A lone popTop on an empty deque: NIL must be legal (the window is
      empty at every instant of the invocation). *)
-  wsm_verified "wsm thief on empty"
-    (Wsm_explorer.explore { Wsm_explorer.owner = []; thieves = [ [ Ws.Pop_top ] ] })
+  wsm_verified "wsm thief on empty" (Dc.explore_wsm { Dc.owner = []; thieves = [ [ Dc.Pop_top ] ] })
 
 let wsm_rejects_owner_op_in_thief () =
   Alcotest.check_raises "thief pushes"
-    (Invalid_argument "Wsm_explorer: thief may only popTop, got pushBottom(1)") (fun () ->
-      ignore (Wsm_explorer.explore { Wsm_explorer.owner = []; thieves = [ [ Ws.Push_bottom 1 ] ] }))
+    (Invalid_argument "Deque_checks: thief may only popTop, got pushBottom(1)") (fun () ->
+      ignore (Dc.explore_wsm { Dc.owner = []; thieves = [ [ Dc.Push_bottom 1 ] ] }))
 
 let wsm_rejects_duplicate_push () =
   Alcotest.check_raises "duplicate pushed value"
-    (Invalid_argument "Wsm_explorer: pushed values must be distinct") (fun () ->
-      ignore
-        (Wsm_explorer.explore
-           { Wsm_explorer.owner = [ Ws.Push_bottom 1; Ws.Push_bottom 1 ]; thieves = [] }))
+    (Invalid_argument "Deque_checks: pushed values must be distinct") (fun () ->
+      ignore (Dc.explore_wsm { Dc.owner = [ Dc.Push_bottom 1; Dc.Push_bottom 1 ]; thieves = [] }))
 
 (* --- Sched_explorer over real code ------------------------------------ *)
 
@@ -339,6 +330,46 @@ let checked_serial_differential () =
       if width < Bt.max_width then
         Alcotest.(check bool) (label "tag below 2^width") true (D.tag_of d < 1 lsl width))
 
+(* The generated Wsm copy, run outside the explorer, against the serial
+   oracle on both pops: popBottom exact, popTop the true top or the NIL
+   that private work allows.  Capacity 1 makes the private ring grow
+   through the cell array, a path no explored program takes. *)
+let wsm_checked_serial_differential () =
+  let module W = Wsm_deque_checked in
+  let module Ref = Abp_deque.Spec.Reference in
+  Sched_atomic.reset ();
+  let rng = Rng.create ~seed:92L () in
+  let d = W.create ~capacity:1 () in
+  let oracle = Ref.create () in
+  let next = ref 0 and early = ref 0 in
+  let detailed = function
+    | Abp_deque.Spec.Got v -> Some v
+    | Empty -> None
+    | Contended -> Alcotest.fail "a serial pop reported Contended"
+  in
+  let top what got =
+    match got with
+    | Some _ -> Alcotest.(check (option int)) what (Ref.pop_top oracle) got
+    | None -> if Ref.size oracle > 0 then incr early
+  in
+  for _ = 1 to 2000 do
+    match Rng.int rng 6 with
+    | 0 | 1 ->
+        incr next;
+        W.push_bottom d !next;
+        Ref.push_bottom oracle !next
+    | 2 -> Alcotest.(check (option int)) "pop_bottom" (Ref.pop_bottom oracle) (W.pop_bottom d)
+    | 3 ->
+        Alcotest.(check (option int))
+          "pop_bottom_detailed" (Ref.pop_bottom oracle)
+          (detailed (W.pop_bottom_detailed d))
+    | 4 -> top "pop_top" (W.pop_top d)
+    | _ -> top "pop_top_detailed" (detailed (W.pop_top_detailed d))
+  done;
+  Alcotest.(check int) "final size" (Ref.size oracle) (W.size d);
+  Alcotest.(check bool) "the ring grew" true (Array.length d.priv > 1);
+  Alcotest.(check bool) "early NIL exercised" true (!early > 0)
+
 (* The age substitute: a bump clears top and steps the tag, which comes
    back to its start after 2^width bumps; at the default width it is the
    production [bump_tag]. *)
@@ -404,6 +435,8 @@ let tests =
     Alcotest.test_case "checked deque: age substitute wraps at its width" `Quick
       age_checked_wraps_at_width;
     Alcotest.test_case "rejects tag width out of range" `Quick rejects_tag_width_out_of_range;
+    Alcotest.test_case "wsm checked deque: serial differential" `Quick
+      wsm_checked_serial_differential;
     Alcotest.test_case "wsm: thief race exhibits bounded multiplicity" `Quick
       wsm_thief_multiplicity;
     Alcotest.test_case "wsm: board-slot reuse safe" `Quick wsm_reuse_safe;
