@@ -60,7 +60,13 @@ let run () =
       verdict (r.run.violations = [] && r.max_duplicates >= min_duplicates);
     ]
   in
-  let wsm_rows = [ wsm "wsm thief" Dc.wsm_thief 1; wsm "wsm reuse" Dc.wsm_reuse 0 ] in
+  let wsm_rows =
+    [
+      wsm "wsm thief" Dc.wsm_thief 1;
+      wsm "wsm reuse" Dc.wsm_reuse 0;
+      wsm "wsm reuse pending" Dc.wsm_reuse_pending 0;
+    ]
+  in
   Common.table
     ~header:[ "wsm scenario"; "states"; "executions"; "serial"; "max dup"; "violations"; "verdict" ]
     wsm_rows;

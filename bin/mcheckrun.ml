@@ -1,11 +1,13 @@
 (* mcheckrun: exhaustively model-check the production ABP deque's
    scenarios at a chosen tag width, the production multiplicity deque,
-   and the production fiber promise and future cell.
+   the production fiber promise and future cell, and the production
+   park/wake protocol.
 
    Examples:
      mcheckrun                                  # every scenario, full tag
      mcheckrun --scenario aba --tag-width 0     # exhibit the ABA bug
-     mcheckrun --scenario future_cell           # Future's cell, 1..3 forcers *)
+     mcheckrun --scenario future_cell           # Future's cell, 1..3 forcers
+     mcheckrun --scenario parking               # Parking, up to 3 waiters *)
 
 open Cmdliner
 module M = Abp_mcheck
@@ -35,6 +37,19 @@ let cell check threads name _ =
       bad || r.run.violations <> [])
     false [ 1; 2; 3 ]
 
+(* Parking ignores the tag width.  [wake_one] stops at 2 waiters: its
+   waker makes one round per waiter, and 3 waiters take the state space
+   past memory. *)
+let parking name _ =
+  List.fold_left
+    (fun bad (wake, k) ->
+      let r = M.Parking_checks.explore wake k in
+      Format.printf "%-16s (%s, %d waiters + 1 waker): %a@." name
+        (M.Parking_checks.wake_name wake) k M.Parking_checks.pp_report r;
+      bad || r.run.violations <> [])
+    false
+    M.Parking_checks.[ (One, 1); (One, 2); (All, 1); (All, 2); (All, 3) ]
+
 let scenarios =
   [
     ("aba", deque M.Deque_checks.aba_scenario);
@@ -43,8 +58,10 @@ let scenarios =
     ("owner-vs-thief", deque M.Deque_checks.owner_vs_thief_interleave);
     ("wsm-thief", wsm M.Deque_checks.wsm_thief);
     ("wsm-reuse", wsm M.Deque_checks.wsm_reuse);
+    ("wsm-reuse-pending", wsm M.Deque_checks.wsm_reuse_pending);
     ("fiber_await", cell M.Promise_checks.fiber_await "awaiters + 1 fulfiller");
     ("future_cell", cell M.Promise_checks.future_cell "forcers + 1 executor");
+    ("parking", parking);
   ]
 
 let run chosen tag_width =
@@ -62,9 +79,9 @@ let cmd =
           ~doc:
             ("The scenario to check: " ^ Arg.doc_alts_enum names
            ^ ".  The deque scenarios run the production Atomic_deque, wsm-thief and \
-              wsm-reuse the production Wsm_deque; fiber_await and future_cell run the \
-              production Fiber promise and Future cell.  No $(docv) runs every \
-              scenario."))
+              the wsm-reuse scenarios the production Wsm_deque; fiber_await and future_cell run the \
+              production Fiber promise and Future cell; parking runs the production \
+              Parking.  No $(docv) runs every scenario."))
   in
   let tag_width =
     let max = Abp.Bounded_tag.max_width in
@@ -87,7 +104,7 @@ let cmd =
        ~exits:(Cmd.Exit.info 2 ~doc:"on a violation." :: Cmd.Exit.defaults)
        ~doc:
          "Exhaustively check the relaxed semantics of the ABP and multiplicity deques, and \
-          the fiber promise and future cell")
+          the fiber promise, the future cell and the park/wake protocol")
     Term.(const run $ scenario $ tag_width)
 
 let () = exit (Cmd.eval cmd)

@@ -43,7 +43,7 @@ let total (p : t) id = Counters.get (Counters.sum p.counters) id
 let steal_attempts p = total p Counters.steal_attempts
 let successful_steals p = total p Counters.successful_steals
 let counters (p : t) = p.counters
-let parked_workers (p : t) = Atomic.get p.n_parked
+let parked_workers (p : t) = Parking.waiting p.parking
 
 (* Continuations currently parked on promises under this pool's
    handler (advisory while workers run, exact at quiescence). *)
@@ -127,9 +127,7 @@ let create ?processes ?deque_capacity ?(yield_kind = Yield_local)
         | Some s -> Sink.per_worker s
         | None -> Array.init processes (fun _ -> Counters.create ()));
       trace;
-      park_lock = Mutex.create ();
-      park_cond = Condition.create ();
-      n_parked = Padding.atomic 0;
+      parking = Parking.create ();
       pending_exn = Atomic.make None;
       resume_lock;
       resume_q;
@@ -219,9 +217,7 @@ let shutdown (p : t) =
     drain_caller_deque p;
     Atomic.set p.shutdown_flag true;
     (* Wake every parked thief so it can observe the flag and exit. *)
-    Mutex.lock p.park_lock;
-    Condition.broadcast p.park_cond;
-    Mutex.unlock p.park_lock;
+    wake p;
     Array.iter Domain.join p.domains;
     p.domains <- [||];
     reraise_pending p

@@ -30,9 +30,9 @@
     - An idle thief backs off adaptively: first the paper's Figure 3
       yield (an OS yield, {!Abp_trace.Clock.yield_cpu}), then a bounded
       exponential spin, and once it has been idle for [park_after]
-      seconds (5 ms by default) it parks on a condition variable until
-      the next [push_task] (which wakes a parked thief with a single
-      atomic read on the fast path) or {!shutdown}.  The window is
+      seconds (5 ms by default) it parks until the next [push_task] or
+      {!shutdown} (the protocol, and why a push with nobody parked pays
+      one atomic read, are in {!Parking}).  The window is
       time, not a trip count, so that a worker idle only between two
       requests of a serving workload stays awake, at the price of the
       CPU its yields burn (E34).  [~yield_kind:No_yield] (the E12/E15 ablation)
@@ -122,9 +122,9 @@ type source = Worker.source = {
       (** removes at most one task; [None] is the common, cheap answer.
           Must not block. *)
   pending : unit -> bool;
-      (** advisory: could [take] yield work now?  The parking protocol
-          ORs this over every source, so a thief never blocks while a
-          source has work. *)
+      (** advisory: could [take] yield work now?  A thief re-checks it,
+          over every source, before it parks ({!Parking}'s [ready]), so
+          a thief never blocks while a source has work. *)
   note : Abp_trace.Counters.t -> bool -> unit;
       (** [note c hit] is the source's own telemetry, called on every
           poll with the polling worker's counter record and whether the
@@ -247,10 +247,9 @@ val suspended : t -> int
     term of the serve layer's await-aware conservation invariant. *)
 
 val wake : t -> unit
-(** Wake every parked thief (no-op when none are parked: one atomic read
-    on the fast path).  External producers call this after making one of
-    the pool's [sources] non-empty so a fully parked pool notices the
-    new work. *)
+(** Wake every parked thief ({!Parking.wake_all}).  External producers
+    call this after making one of the pool's [sources] non-empty so a
+    fully parked pool notices the new work. *)
 
 val steal_from : t -> victim:int -> (unit -> unit) option
 (** [steal_from t ~victim] is the external steal entry point: take one
@@ -282,8 +281,8 @@ val successful_steals : t -> int
     {!steal_attempts}. *)
 
 val parked_workers : t -> int
-(** Number of thieves currently parked on the pool's condition variable
-    (advisory snapshot). *)
+(** Thieves registered in the pool's {!Parking}: parked, or about to
+    re-check or leave ({!Parking.waiting}; advisory snapshot). *)
 
 val counters : t -> Abp_trace.Counters.t array
 (** Per-worker telemetry records (the sink's records when traced, a

@@ -83,13 +83,9 @@ type pool = {
   all_spawned : bool;
   counters : Counters.t array;  (* per-worker; the sink's records when traced *)
   trace : Sink.t option;
-  (* Thief parking: idle thieves that exhaust their backoff block here
-     until the next [push_task] or [shutdown].  [n_parked] (padded, its
-     own cache line) gates the waker's fast path: a push reads it once
-     and takes the lock only when someone is actually waiting. *)
-  park_lock : Mutex.t;
-  park_cond : Condition.t;
-  n_parked : int Atomic.t;
+  (* Idle thieves park here until the next [push_task] or [shutdown];
+     a push with nobody parked pays one atomic read. *)
+  parking : Parking.t;
   (* First exception raised by a task in a worker loop; re-raised at the
      [run]/[shutdown] boundary instead of silently killing the domain. *)
   pending_exn : (exn * Printexc.raw_backtrace) option Atomic.t;
@@ -151,19 +147,7 @@ let emit w ?arg kind =
   | Some s -> Sink.emit s ~worker:w.id ?arg kind
   | None -> ()
 
-let wake_waiters p =
-  if Atomic.get p.n_parked > 0 then begin
-    Mutex.lock p.park_lock;
-    Condition.signal p.park_cond;
-    Mutex.unlock p.park_lock
-  end
-
-let wake p =
-  if Atomic.get p.n_parked > 0 then begin
-    Mutex.lock p.park_lock;
-    Condition.broadcast p.park_cond;
-    Mutex.unlock p.park_lock
-  end
+let wake p = Parking.wake_all p.parking
 
 (* Blocked at a closed preemption gate: count the suspension, integrate
    the suspended wall-clock time (the utilization sampler's per-worker
@@ -199,7 +183,7 @@ let push_task w task =
   Counters.incr c Counters.pushes;
   Counters.note_max c Counters.deque_high_water (d.size ());
   emit w Abp_trace.Event.Spawn;
-  wake_waiters w.pool
+  Parking.wake_one w.pool.parking
 
 let local_deque_size w = w.dq.size ()
 
@@ -281,7 +265,7 @@ let pop_own w task =
       true
   | Spec.Got t ->
       w.dq.push t;
-      wake_waiters w.pool;
+      Parking.wake_one w.pool.parking;
       false
   | Spec.Contended ->
       Counters.incr w.c Counters.cas_failures_pop_bottom;
@@ -295,27 +279,16 @@ let has_work p =
 
 let park w =
   let p = w.pool in
-  (* Never enter the park critical section with a closed gate: a gate
-     wait under [park_lock] would deadlock every other parker and the
-     wakers.  A thief woken from park while its gate is closed loops
-     back through the worker loop and blocks at the checkpoint there,
-     outside the lock. *)
+  (* Never park with a closed gate: a gate wait under the parking lock
+     would deadlock every other parker and the wakers.  A thief woken
+     from park while its gate is closed loops back through the worker
+     loop and blocks at the checkpoint there, outside the lock. *)
   checkpoint w;
-  Mutex.lock p.park_lock;
-  Atomic.incr p.n_parked;
-  (* Registered in [n_parked] before the final emptiness check, both
-     under the lock: a racing push either observes [n_parked > 0] and
-     takes the lock to signal — serializing with this critical
-     section, so the signal lands after the wait begins — or completed
-     its deque write before our registration, in which case [has_work]
-     observes the task.  Either way no task is stranded. *)
-  if (not (Atomic.get p.shutdown_flag)) && not (has_work p) then begin
-    Counters.incr w.c Counters.parks;
-    emit w Abp_trace.Event.Park;
-    Condition.wait p.park_cond p.park_lock
-  end;
-  Atomic.decr p.n_parked;
-  Mutex.unlock p.park_lock
+  Parking.park p.parking
+    ~ready:(fun () -> Atomic.get p.shutdown_flag || has_work p)
+    ~on_wait:(fun () ->
+      Counters.incr w.c Counters.parks;
+      emit w Abp_trace.Event.Park)
 
 (* An empty-handed trip through the loop (Figure 3 line 15, extended):
    stage 1 is the paper's yield between failed steal attempts, a real
@@ -464,10 +437,8 @@ let emit_fiber_event arg =
 
 (* Hand an externally produced ready continuation to [p]'s workers:
    enqueue on the resume inbox, then wake parked thieves.  The wake
-   runs after the [resume_n] increment, so a thief registering in
-   [n_parked] concurrently either observes [resume_n > 0] in its
-   [has_work] recheck or serializes with this broadcast on [park_lock]
-   — the same lost-wakeup argument as [push_task]/[wake_waiters]. *)
+   follows the [resume_n] increment that [has_work] reads, as
+   {!Parking} requires. *)
 let resume_push p k =
   Mutex.lock p.resume_lock;
   Queue.push k p.resume_q;

@@ -42,9 +42,7 @@ type pool = {
   all_spawned : bool;
   counters : Abp_trace.Counters.t array;
   trace : Abp_trace.Sink.t option;
-  park_lock : Mutex.t;
-  park_cond : Condition.t;
-  n_parked : int Atomic.t;
+  parking : Parking.t;  (** idle thieves park here *)
   pending_exn : (exn * Printexc.raw_backtrace) option Atomic.t;
   resume_lock : Mutex.t;
   resume_q : (unit -> unit) Queue.t;

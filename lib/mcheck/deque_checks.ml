@@ -297,6 +297,14 @@ let wsm_thief =
 let wsm_reuse =
   { owner = List.concat (List.init 9 (fun i -> [ Push_bottom (i + 1); Pop_bottom ])); thieves = [ [ Pop_top ] ] }
 
+let wsm_reuse_pending =
+  {
+    owner =
+      List.concat
+        (List.init 9 (fun i -> [ Push_bottom ((2 * i) + 1); Push_bottom ((2 * i) + 2); Pop_bottom; Pop_bottom ]));
+    thieves = [ [ Pop_top ] ];
+  }
+
 let random_program ~rng ~ops ~thieves =
   if ops < 0 || thieves < 0 then invalid_arg "Deque_checks.random_program";
   let next = ref 0 in

@@ -110,8 +110,17 @@ val wsm_thief : program
 val wsm_reuse : program
 (** Nine push/pop pairs, nine publishes, wrap the 8-slot board
     ({!Abp_deque.Wsm_deque.board_length}) while a thief's invocation can
-    straddle a slot's overwrite: the stale read that publishing only
-    onto a drained window makes safe. *)
+    straddle a slot's overwrite: a stale slot read loses nothing.  That
+    needs only [con > p - board_length] before publishing index [p], so
+    this program still verifies with two tasks pending on the board;
+    {!wsm_reuse_pending} binds the stricter drained-window rule. *)
+
+val wsm_reuse_pending : program
+(** Nine rounds of two pushes and two pops wrap the board the same way.
+    After each round's second push a drained-window publish leaves the
+    newer task private, so the first pop returns it; publishing onto an
+    undrained window puts both tasks on the board, and that pop returns
+    the older one, which the serial LIFO check reports. *)
 
 val random_program : rng:(int -> int) -> ops:int -> thieves:int -> program
 (** [ops] owner operations (pushes of distinct values and pops, drawn

@@ -1,6 +1,6 @@
 type 'a t = { mutable v : 'a; mutable vid : int; lid : int; mutable touched : bool }
 type cell = Cell : 'a t -> cell
-type _ Effect.t += Yield : unit Effect.t
+type _ Effect.t += Yield : (unit -> bool) -> unit Effect.t
 
 let running = ref false
 let hist = ref 0
@@ -44,8 +44,11 @@ let first_access c =
    the content's id.  That also fixes a [compare_and_set]'s outcome, as
    the expected value is the thread's own.  A write names the new
    content by the history that includes it. *)
-let access c kind =
-  if !running then Effect.perform Yield;
+let always () = true
+
+let access ?(enabled = always) c kind =
+  if !running then Effect.perform (Yield enabled)
+  else if not (enabled ()) then failwith "Sched_atomic: a thread would block outside a run";
   if not c.touched then first_access c;
   hist := intern !hist (kind, c.lid, c.vid)
 
@@ -77,4 +80,13 @@ let fetch_and_add c n =
   access c 5;
   let old = c.v in
   write c (old + n);
+  old
+
+let incr c = ignore (fetch_and_add c 1)
+let decr c = ignore (fetch_and_add c (-1))
+
+let update_when c ready f =
+  access ~enabled:(fun () -> ready c.v) c 6;
+  let old = c.v in
+  write c (f old);
   old

@@ -1,7 +1,6 @@
 (** A drop-in [Atomic] for model checking production code.
 
-    [get], [set], [exchange], [compare_and_set] and [fetch_and_add] each
-    perform {!Yield} before the access, so that the handler
+    Every access performs {!Yield} first, so that the handler
     ({!Sched_explorer}) chooses which thread makes the next shared
     access; [make] performs none.  While no explorer thread runs
     ([running] is false: scenario set-up, final checks) the operations
@@ -24,12 +23,23 @@ val set : 'a t -> 'a -> unit
 val exchange : 'a t -> 'a -> 'a
 val compare_and_set : 'a t -> 'a -> 'a -> bool
 val fetch_and_add : int t -> int -> int
+val incr : int t -> unit
+val decr : int t -> unit
+
+val update_when : 'a t -> ('a -> bool) -> ('a -> 'a) -> 'a
+(** [update_when c ready f] blocks the thread until [ready] holds of
+    [c]'s content, then replaces that content [v] by [f v] and returns
+    [v], as one access: the blocking primitive of {!Sched_mutex} and
+    {!Sched_condition}.  Outside a run it raises [Failure] where it
+    would block. *)
 
 val peek : 'a t -> 'a
 (** The content, read without a yield and without extending any
     history: for a scenario's observations and final checks. *)
 
-type _ Effect.t += Yield : unit Effect.t
+type _ Effect.t += Yield : (unit -> bool) -> unit Effect.t
+(** Performed before each access, with the condition under which the
+    thread may make it: always true except in {!update_when}. *)
 
 val running : bool ref
 val hist : int ref

@@ -9,8 +9,13 @@ type scenario = {
 type report = { states_explored : int; complete_executions : int; violations : string list }
 
 (* [next] runs the thread to its next access, or to its end; [None] once
-   it has finished. *)
-type thread = { mutable hist : int; mutable next : (unit -> unit) option }
+   it has finished.  [enabled] says whether that access can be made now:
+   false while the thread is blocked on a mutex or a condition. *)
+type thread = {
+  mutable hist : int;
+  mutable next : (unit -> unit) option;
+  mutable enabled : unit -> bool;
+}
 
 let threads = ref [||]
 let unstarted = Queue.create ()
@@ -24,7 +29,11 @@ let handler t =
     effc =
       (fun (type a) (e : a Effect.t) ->
         match e with
-        | A.Yield -> Some (fun (k : (a, unit) continuation) -> t.next <- Some (fun () -> continue k ()))
+        | A.Yield enabled ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                t.enabled <- enabled;
+                t.next <- Some (fun () -> continue k ()))
         | _ -> None);
   }
 
@@ -37,7 +46,7 @@ let spawn ?role body =
         A.hist := A.intern h (-1, 0, 0);
         A.intern h (-2, 0, 0)
   in
-  let t = { hist = seed; next = None } in
+  let t = { hist = seed; next = None; enabled = (fun () -> true) } in
   t.next <- Some (fun () -> match_with body () (handler t));
   threads := Array.append !threads [| t |];
   Queue.add t unstarted
@@ -75,6 +84,8 @@ let replay setup prefix =
 let live () =
   List.filter (fun i -> Option.is_some !threads.(i).next) (List.init (Array.length !threads) Fun.id)
 
+let enabled () = List.filter (fun i -> !threads.(i).enabled ()) (live ())
+
 let key sc =
   let hists = List.sort compare (List.map (fun i -> !threads.(i).hist) (live ())) in
   let memory = List.concat_map (fun (l, v) -> [ l; v ]) (A.memory ()) in
@@ -97,7 +108,7 @@ let explore setup =
     let k = key !sc in
     if not (Seen.mem seen k) then begin
       Seen.add seen k ();
-      match live () with
+      match enabled () with
       | [] ->
           incr executions;
           List.iter note (!sc.check ())

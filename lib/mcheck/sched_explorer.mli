@@ -5,7 +5,9 @@
     that point the explorer picks the thread that moves next.  Every
     choice is explored depth-first; fibers are one-shot, so a sibling
     choice replays the scenario from its set-up along the chosen prefix.
-    The code between two accesses runs as one step.
+    The code between two accesses runs as one step.  A thread blocked
+    in {!Sched_atomic.update_when} (on a {!Sched_mutex} or a
+    {!Sched_condition}) is not chosen until its access is enabled.
 
     States are memoised on an exact key: the histories of the
     unfinished threads, the location and content id of every cell (both
@@ -23,12 +25,13 @@ type scenario = {
           thread's index in spawn order; it returns the violations that
           step shows *)
   check : unit -> string list;
-      (** violations of a complete execution (no unfinished thread) *)
+      (** violations of a complete execution: no thread can move, as
+          every thread has finished or is blocked *)
 }
 
 type report = {
   states_explored : int;
-  complete_executions : int;  (** distinct complete states *)
+  complete_executions : int;  (** distinct complete states, blocked ones included *)
   violations : string list;  (** deduplicated; empty = verified *)
 }
 

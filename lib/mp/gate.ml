@@ -1,14 +1,15 @@
 module Pool = Abp_hood.Pool
+module Parking = Abp_hood.Parking
+module Clock = Abp_trace.Clock
 
 (* One cell per worker.  [open_] is the fast-path flag the worker polls
-   at every safe point; the mutex/condition pair only comes into play on
-   the slow path, when the worker actually blocks.  Stats are atomics
-   because the blocked worker writes them while the controller (or a
-   test) reads them. *)
+   at every safe point; a worker that finds it closed parks on
+   [parking] until an open wakes it.  Stats are atomics because the
+   blocked worker writes them while the controller (or a test) reads
+   them. *)
 type cell = {
   open_ : bool Atomic.t;
-  lock : Mutex.t;
-  cond : Condition.t;
+  parking : Parking.t;
   suspends : int Atomic.t;
   wait_ns : int Atomic.t;
 }
@@ -19,8 +20,7 @@ let make_cell () =
   Abp_deque.Padding.copy_as_padded
     {
       open_ = Atomic.make true;
-      lock = Mutex.create ();
-      cond = Condition.create ();
+      parking = Parking.create ();
       suspends = Abp_deque.Padding.atomic 0;
       wait_ns = Abp_deque.Padding.atomic 0;
     }
@@ -35,21 +35,13 @@ let set_steal_fail t f = Atomic.set t.steal_fail f
 
 let open_one c =
   if not (Atomic.get c.open_) then begin
-    Mutex.lock c.lock;
     Atomic.set c.open_ true;
-    Condition.broadcast c.cond;
-    Mutex.unlock c.lock
+    Parking.wake_all c.parking
   end
 
-(* Closing takes the cell lock too: a worker between its [open_] check
-   and [Condition.wait] holds the lock, so the flip cannot slip into
-   that window and strand the worker against a stale value. *)
-let close_one c =
-  if Atomic.get c.open_ then begin
-    Mutex.lock c.lock;
-    Atomic.set c.open_ false;
-    Mutex.unlock c.lock
-  end
+(* A close needs no lock: a worker that read the gate open just runs on
+   to its next safe point. *)
+let close_one c = if Atomic.get c.open_ then Atomic.set c.open_ false
 
 let set t granted =
   if Array.length granted <> Array.length t.cells then
@@ -60,18 +52,15 @@ let open_all t = Array.iter open_one t.cells
 
 let wait t i =
   let c = t.cells.(i) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   Atomic.incr c.suspends;
-  Mutex.lock c.lock;
-  while not (Atomic.get c.open_) do
-    Condition.wait c.cond c.lock
+  let ready () = Atomic.get c.open_ in
+  while not (ready ()) do
+    Parking.park c.parking ~ready
   done;
-  Mutex.unlock c.lock;
-  (* Wall clock: clamp so an NTP step during the wait cannot push
-     [wait_ns] (and the derived suspended-time telemetry) negative. *)
-  let dt = Float.max 0.0 (Unix.gettimeofday () -. t0) in
-  ignore (Atomic.fetch_and_add c.wait_ns (int_of_float (dt *. 1e9)));
-  dt
+  let ns = Clock.now () - t0 in
+  ignore (Atomic.fetch_and_add c.wait_ns ns);
+  Clock.to_s ns
 
 let hook t =
   {

@@ -11,8 +11,8 @@
     worker never strands work: everything it owns is in its deque,
     stealable by the workers that remain granted.
 
-    The open fast path is one atomic load; the mutex/condition pair per
-    cell is touched only when a worker actually suspends. *)
+    The open fast path is one atomic load.  A worker that suspends
+    parks on its cell's {!Abp_hood.Parking}, which an open wakes. *)
 
 type t
 

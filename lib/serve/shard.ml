@@ -1,5 +1,6 @@
 module Pool = Abp_hood.Pool
 module Worker = Abp_hood.Worker
+module Parking = Abp_hood.Parking
 module Padding = Abp_deque.Padding
 module Fiber = Abp_fiber.Fiber
 module Clock = Abp_trace.Clock
@@ -107,12 +108,10 @@ module Serve = struct
        [bulk_credit_period] share of polls under sustained deadline
        traffic. *)
     credit : int Atomic.t;
-    (* Completion signalling for [await]/[drain]: terminal transitions
-       broadcast, gated by [waiters] so an uncontested completion pays one
-       atomic read. *)
-    done_lock : Mutex.t;
-    done_cond : Condition.t;
-    waiters : int Atomic.t;
+    (* [await] and [drain] callers off the pool park here; every
+       terminal transition wakes them all (one atomic read when nobody
+       waits). *)
+    completion : Parking.t;
     (* Requests currently suspended on a promise: their job body
        performed [await], parked its continuation, and has neither
        completed nor been cancelled.  The [suspended] term of the
@@ -144,24 +143,9 @@ module Serve = struct
     t_deadline : int option;  (* absolute ns, against [Clock.now] *)
   }
 
-  let signal_done s =
-    if Atomic.get s.waiters > 0 then begin
-      Mutex.lock s.done_lock;
-      Condition.broadcast s.done_cond;
-      Mutex.unlock s.done_lock
-    end
-
-  (* Block until [settled ()]; registered in [waiters] before the final
-     re-check under the lock, mirroring the pool's parking protocol, so a
-     completion either sees the waiter and broadcasts or completed before
-     registration and is seen by the re-check. *)
   let wait_until s settled =
     while not (settled ()) do
-      Atomic.incr s.waiters;
-      Mutex.lock s.done_lock;
-      if not (settled ()) then Condition.wait s.done_cond s.done_lock;
-      Mutex.unlock s.done_lock;
-      Atomic.decr s.waiters
+      Parking.park s.completion ~ready:settled
     done
 
   (* The lane source's telemetry: every poll counts in [inject_polls], a
@@ -268,9 +252,7 @@ module Serve = struct
       lat;
       group;
       credit;
-      done_lock = Mutex.create ();
-      done_cond = Condition.create ();
-      waiters = Padding.atomic 0;
+      completion = Parking.create ();
       suspended_now;
       fsched;
     }
@@ -322,7 +304,7 @@ module Serve = struct
     && begin
          Fiber.Promise.fulfil tk.promise (Cancelled why);
          Atomic.incr s.by_lane.(lane_idx tk.tk_lane).l_cancelled;
-         signal_done s;
+         Parking.wake_all s.completion;
          true
        end
 
@@ -392,7 +374,7 @@ module Serve = struct
             (* The ledger moves last: a [drain] that sees it settled also
                sees every latency sample. *)
             Atomic.incr (if raised then l.l_exceptions else l.l_completed);
-            signal_done s
+            Parking.wake_all s.completion
           end
           (* else: cancelled between dequeue and claim — the canceller
              counted and signalled. *))
@@ -439,7 +421,7 @@ module Serve = struct
           Ok tk
       | Some why ->
           Atomic.decr l.l_accepted;
-          signal_done s;
+          Parking.wake_all s.completion;
           refuse l ~count_reject why
     end
 
@@ -448,7 +430,7 @@ module Serve = struct
   let poll tk = Fiber.Promise.try_await tk.promise
 
   (* Inside a request (or any pool task) the waiter suspends and frees
-     its worker; an outside domain parks on the condition variable. *)
+     its worker; an outside domain parks on [completion]. *)
   let await tk =
     if Fiber.in_context () then Fiber.await tk.promise
     else begin

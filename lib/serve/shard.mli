@@ -174,8 +174,8 @@ module Serve : sig
   (** Wait for the outcome.  In a fiber context (inside a request or any
       pool task) the caller suspends and its worker serves other work —
       so a request waiting on another request frees its worker, even at
-      [P = 1]; elsewhere it parks on a condition variable.  Callable from
-      any domain. *)
+      [P = 1]; elsewhere it parks until the ticket settles (the
+      protocol is {!Abp_hood.Parking}'s).  Callable from any domain. *)
 
   val cancel : 'a ticket -> bool
   (** Best-effort cancellation: [true] iff the task had not started and

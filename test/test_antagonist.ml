@@ -34,7 +34,7 @@ let fib_next_to_spinners yield_kind () =
               (* Idle thieves yield before they park; wait for one to
                  get a timeslice rather than race the shutdown. *)
               Alcotest.(check bool) (name ^ " yields > 0") true
-                (Test_backoff.wait_until (fun () -> yields pool > 0))))
+                (Test_util.wait_until (fun () -> yields pool > 0))))
     [ ("abp", Pool.Abp); ("circular", Pool.Circular); ("locked", Pool.Locked) ]
 
 let tests =

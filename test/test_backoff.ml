@@ -20,21 +20,6 @@ exception Boom
 
 let totals pool = Counters.sum (Pool.counters pool)
 
-(* Spin (politely) until [pred] holds; false on timeout.  Generous
-   timeouts: the CI box has one CPU, so a woken domain may wait a full
-   timeslice before running. *)
-let wait_until ?(timeout = 30.0) pred =
-  let t0 = Unix.gettimeofday () in
-  let rec go () =
-    pred ()
-    || (Unix.gettimeofday () -. t0 <= timeout)
-       && begin
-            Domain.cpu_relax ();
-            go ()
-          end
-  in
-  go ()
-
 let idle_thieves_park () =
   (* park_after 0: a thief parks on its first empty-handed trip,
      so with no work both spawned workers must end up on the condition
@@ -44,7 +29,7 @@ let idle_thieves_park () =
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
       Alcotest.(check bool) "both thieves parked" true
-        (wait_until (fun () -> Pool.parked_workers pool = 2)));
+        (Test_util.wait_until (fun () -> Pool.parked_workers pool = 2)));
   (* shutdown returned, so the broadcast woke them; counters are now
      quiesced. *)
   Alcotest.(check bool) "parks counted" true (Counters.get (totals pool) Counters.parks >= 2);
@@ -59,14 +44,14 @@ let push_wakes_parked_thief () =
         Pool.run pool (fun () ->
             let w = Worker.current () in
             Alcotest.(check bool) "thief parked before push" true
-              (wait_until (fun () -> Pool.parked_workers pool = 1));
+              (Test_util.wait_until (fun () -> Pool.parked_workers pool = 1));
             let executed = Atomic.make false in
             let t0 = Unix.gettimeofday () in
             Worker.push_task w (fun () -> Atomic.set executed true);
             (* Worker 0 only waits — it never pops its own deque here —
                so the task can only run if the push woke the thief. *)
             Alcotest.(check bool) "parked thief executed the task" true
-              (wait_until (fun () -> Atomic.get executed));
+              (Test_util.wait_until (fun () -> Atomic.get executed));
             Unix.gettimeofday () -. t0))
   in
   Alcotest.(check bool)
@@ -87,7 +72,7 @@ let conservation_across_park_unpark () =
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
       (fun () ->
-        ignore (wait_until (fun () -> Pool.parked_workers pool >= 1));
+        ignore (Test_util.wait_until (fun () -> Pool.parked_workers pool >= 1));
         Pool.run pool (fun () ->
             Par.parallel_reduce ~grain:16 ~lo:0 ~hi:n ~init:0 ~combine:( + ) (fun i ->
                 i land 7)))
@@ -134,7 +119,7 @@ let default_window_parks_idle_workers () =
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
       Alcotest.(check bool) "both thieves of an idle pool parked" true
-        (wait_until (fun () -> Pool.parked_workers pool = 2)));
+        (Test_util.wait_until (fun () -> Pool.parked_workers pool = 2)));
   let module Shard = Abp_serve.Shard in
   let s = Shard.create ~processes:2 ~shards:2 () in
   Fun.protect
@@ -142,7 +127,7 @@ let default_window_parks_idle_workers () =
     (fun () ->
       let parked i = Pool.parked_workers (Shard.Serve.pool (Shard.serve s i)) in
       Alcotest.(check bool) "every worker of an idle shard group parked" true
-        (wait_until (fun () -> parked 0 = 2 && parked 1 = 2)))
+        (Test_util.wait_until (fun () -> parked 0 = 2 && parked 1 = 2)))
 
 (* The other way: a thief idle for less than its window does not park.
    With a 1 s window, a task pushed 50 ms after the pool started (its
@@ -160,7 +145,7 @@ let thief_inside_window_stays_awake () =
           (* As in [push_wakes_parked_thief], worker 0 never pops its
              own deque here, so only the thief can run the task. *)
           Alcotest.(check bool) "the awake thief executed the task" true
-            (wait_until (fun () -> Atomic.get executed))));
+            (Test_util.wait_until (fun () -> Atomic.get executed))));
   let t = totals pool in
   Alcotest.(check int) "no thief parked" 0 (Counters.get t Counters.parks);
   Alcotest.(check int) "the pushed task was stolen" 1 (Counters.get t Counters.successful_steals)
@@ -177,7 +162,7 @@ let task_exception_reraised_at_run () =
               (* Wait for the worker loop to catch and record it, so the
                  re-raise deterministically happens at this run's exit. *)
               ignore
-                (wait_until (fun () -> Counters.get (totals pool) Counters.task_exceptions = 1))));
+                (Test_util.wait_until (fun () -> Counters.get (totals pool) Counters.task_exceptions = 1))));
       Alcotest.(check int) "exception recorded in counters" 1
         (Counters.get (totals pool) Counters.task_exceptions);
       (* The worker domain survived: the pool still computes. *)
@@ -198,7 +183,7 @@ let task_exception_reraised_at_shutdown () =
           raise Boom));
   Atomic.set gate true;
   Alcotest.(check bool) "exception recorded after run returned" true
-    (wait_until (fun () -> Counters.get (totals pool) Counters.task_exceptions = 1));
+    (Test_util.wait_until (fun () -> Counters.get (totals pool) Counters.task_exceptions = 1));
   Alcotest.check_raises "shutdown re-raises the pending exception" Boom (fun () ->
       Pool.shutdown pool);
   (* Idempotent shutdown does not raise twice. *)
@@ -236,7 +221,7 @@ let shard_submit_wakes_remote_parked_thief () =
               Domain.cpu_relax ()
             done)
       in
-      Alcotest.(check bool) "blocker started" true (wait_until (fun () -> Atomic.get started));
+      Alcotest.(check bool) "blocker started" true (Test_util.wait_until (fun () -> Atomic.get started));
       (* The blocker occupies one shard's only worker; the other worker,
          with nothing to do anywhere, must park. *)
       let parked_shard () =
@@ -244,7 +229,7 @@ let shard_submit_wakes_remote_parked_thief () =
         if p 0 then Some 0 else if p 1 then Some 1 else None
       in
       Alcotest.(check bool) "the idle shard's thief parked" true
-        (wait_until (fun () -> parked_shard () <> None));
+        (Test_util.wait_until (fun () -> parked_shard () <> None));
       let busy =
         match parked_shard () with
         | Some idle -> 1 - idle
@@ -260,7 +245,7 @@ let shard_submit_wakes_remote_parked_thief () =
       (* Poll with a timeout instead of awaiting: a lost wakeup would
          otherwise hang the test forever instead of failing it. *)
       Alcotest.(check bool) "remote parked thief completed the stranded job" true
-        (wait_until (fun () -> Serve.poll t <> None));
+        (Test_util.wait_until (fun () -> Serve.poll t <> None));
       (match Serve.poll t with
       | Some (Serve.Returned 42) -> ()
       | _ -> Alcotest.fail "expected Returned 42");
@@ -304,7 +289,7 @@ let source_burst_cannot_strand () =
           let rounds = 20 and burst = 16 in
           for round = 1 to rounds do
             (* Let the workers go idle (parking is racy; best effort). *)
-            ignore (wait_until ~timeout:0.05 (fun () -> Pool.parked_workers pool > 0));
+            ignore (Test_util.wait_until ~timeout:0.05 (fun () -> Pool.parked_workers pool > 0));
             for _ = 1 to burst do
               Alcotest.(check bool) "burst fits inbox" true
                 (Injector.try_push inj (fun () -> Atomic.incr executed))
@@ -317,7 +302,7 @@ let source_burst_cannot_strand () =
               (Printf.sprintf "source %d of %d, round %d: all %d tasks executed" (into + 1)
                  n_sources round (round * burst))
               true
-              (wait_until (fun () -> Atomic.get executed = round * burst))
+              (Test_util.wait_until (fun () -> Atomic.get executed = round * burst))
           done;
           let t = totals pool in
           Alcotest.(check int) "every injected task acquired" (rounds * burst)
@@ -355,13 +340,13 @@ let late_arrival_seen_by_parking_check () =
     (fun () ->
       for round = 1 to 5 do
         Alcotest.(check bool) "worker parked" true
-          (wait_until (fun () -> Pool.parked_workers pool = 1));
+          (Test_util.wait_until (fun () -> Pool.parked_workers pool = 1));
         Atomic.set armed true;
         Pool.wake pool;
         Alcotest.(check bool)
           (Printf.sprintf "round %d: late task ran" round)
           true
-          (wait_until ~timeout:5.0 (fun () -> Atomic.get ran = round))
+          (Test_util.wait_until ~timeout:5.0 (fun () -> Atomic.get ran = round))
       done)
 
 (* The order one worker runs tasks in: held busy by a blocker taken from
@@ -387,10 +372,10 @@ let run_order ~sources ~blocker_from ~expect fill =
               Domain.cpu_relax ()
             done));
       Pool.wake pool;
-      Alcotest.(check bool) "blocker running" true (wait_until (fun () -> Atomic.get started));
+      Alcotest.(check bool) "blocker running" true (Test_util.wait_until (fun () -> Atomic.get started));
       fill record;
       Atomic.set release true;
-      Alcotest.(check bool) "all ran" true (wait_until (fun () -> Atomic.get ran = expect));
+      Alcotest.(check bool) "all ran" true (Test_util.wait_until (fun () -> Atomic.get ran = expect));
       List.rev !log)
 
 (* The poll order is the list order: once both sources fill, every task
@@ -459,7 +444,7 @@ let source_note_and_event_per_take () =
       done;
       Pool.wake pool;
       Alcotest.(check bool) "every source task ran" true
-        (wait_until (fun () -> Atomic.get ran = n)));
+        (Test_util.wait_until (fun () -> Atomic.get ran = n)));
   Alcotest.(check int) "one note per take" (Atomic.get takes) (Atomic.get notes);
   Alcotest.(check int) "hits = tasks taken" n (Atomic.get hits);
   let injects =
@@ -471,6 +456,20 @@ let source_note_and_event_per_take () =
   Alcotest.(check int) "one event per non-empty take" n (List.length injects);
   Alcotest.(check bool) "events carry no subject" true
     (List.for_all (fun e -> e.Abp_trace.Event.arg = -1) injects)
+
+(* [shutdown]'s wake is the conditional [Parking.wake_all]: it reads the
+   waiter count and broadcasts only when a thief is registered.  Each
+   cycle parks both thieves first, so every shutdown meets parked
+   thieves and must still join them.  One pool (two domains) at a
+   time. *)
+let shutdown_wakes_parked_thieves_cycles () =
+  for cycle = 1 to 100 do
+    let pool = Pool.create ~processes:3 ~park_after:0. () in
+    if not (Test_util.wait_until (fun () -> Pool.parked_workers pool = 2)) then
+      Alcotest.failf "cycle %d: thieves never parked" cycle;
+    Pool.shutdown pool;
+    Alcotest.(check int) (Printf.sprintf "cycle %d: nobody parked" cycle) 0 (Pool.parked_workers pool)
+  done
 
 let tests =
   [
@@ -498,4 +497,6 @@ let tests =
       default_window_parks_idle_workers;
     Alcotest.test_case "thief inside its window stays awake" `Quick
       thief_inside_window_stays_awake;
+    Alcotest.test_case "shutdown wakes parked thieves, 100 cycles" `Quick
+      shutdown_wakes_parked_thieves_cycles;
   ]

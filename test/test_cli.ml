@@ -299,10 +299,11 @@ let mcheckrun_usage_errors () =
       ("tag width -1", "mcheckrun.exe --tag-width=-1", "0..31");
     ]
 
-(* The multiplicity deque's thief race, run on the production Wsm_deque. *)
-let mcheckrun_wsm_thief_verified () =
+(* A scenario run on production code: the multiplicity deque's thief
+   race (Wsm_deque), or the park/wake protocol (Parking). *)
+let mcheckrun_verified scenario () =
   let out = Filename.temp_file "abp_cli" ".stdout" in
-  let code, err = run_capturing ~stdout:out "mcheckrun.exe --scenario wsm-thief" in
+  let code, err = run_capturing ~stdout:out ("mcheckrun.exe --scenario " ^ scenario) in
   let ic = open_in out in
   let text = really_input_string ic (in_channel_length ic) in
   close_in ic;
@@ -366,5 +367,6 @@ let tests =
       hoodserve_invalid_shards_exit_nonzero;
     Alcotest.test_case "mcheckrun: bad scenario or tag width is a usage error" `Quick
       mcheckrun_usage_errors;
-    Alcotest.test_case "mcheckrun: wsm-thief verified" `Quick mcheckrun_wsm_thief_verified;
+    Alcotest.test_case "mcheckrun: wsm-thief verified" `Quick (mcheckrun_verified "wsm-thief");
+    Alcotest.test_case "mcheckrun: parking verified" `Quick (mcheckrun_verified "parking");
   ]

@@ -162,6 +162,13 @@ let wsm_thief_multiplicity () =
    confused for a live item). *)
 let wsm_reuse_safe () = wsm_verified "wsm reuse" (Dc.explore_wsm Dc.wsm_reuse)
 
+(* The same wrap with two pushes before each pair of pops: the program
+   in which a publish onto an undrained window breaks serial LIFO. *)
+let wsm_reuse_pending_safe () =
+  let r = Dc.explore_wsm Dc.wsm_reuse_pending in
+  wsm_verified "wsm reuse pending" r;
+  Alcotest.(check bool) "serial executions checked" true (r.serial_executions > 0)
+
 let wsm_owner_only_fully_serial () =
   let r =
     Dc.explore_wsm
@@ -246,6 +253,127 @@ let explorer_rejects_shared_location () =
     "shared location reported"
     [ "a thread raised Failure(\"Sched_atomic: two cells made at one history are both accessed\")" ]
     r.E.violations
+
+(* --- blocking: the Mutex and Condition substitutes ------------------- *)
+
+module SM = Sched_mutex
+module SC = Sched_condition
+
+(* [setup counted] makes the cells, spawns the threads (a body wrapped
+   in [counted] counts itself finished when it returns) and returns the
+   check of a final state, given the finished count. *)
+let blocking setup =
+  E.explore (fun () ->
+      let finished = ref 0 in
+      let check = setup (fun body () -> body (); incr finished) in
+      { E.ghost = (fun () -> [ !finished ]); observe = (fun _ -> []); check = (fun () -> check !finished) })
+
+(* The get-then-set increment of [explorer_finds_lost_update], under a
+   mutex: no update is lost. *)
+let mutex_excludes () =
+  let r =
+    blocking (fun counted ->
+        let m = SM.create () and c = SA.make 0 in
+        for _ = 1 to 2 do
+          E.spawn
+            (counted (fun () ->
+                 SM.lock m;
+                 SA.set c (SA.get c + 1);
+                 SM.unlock m))
+        done;
+        fun _ -> if SA.peek c = 2 then [] else [ "lost update" ])
+  in
+  Alcotest.(check (list string)) "verified" [] r.E.violations;
+  Alcotest.(check bool) "interleavings explored" true (r.E.complete_executions > 1)
+
+(* Two threads take two mutexes in opposite orders: some run ends with
+   both blocked, and the explorer hands that state to [check]. *)
+let mutex_deadlock_found () =
+  let r =
+    blocking (fun counted ->
+        let a = SM.create () and b = SM.create () in
+        let both x y () =
+          SM.lock x;
+          SM.lock y;
+          SM.unlock y;
+          SM.unlock x
+        in
+        E.spawn (counted (both a b));
+        E.spawn (counted (both b a));
+        fun finished -> if finished = 2 then [] else [ Printf.sprintf "%d blocked" (2 - finished) ])
+  in
+  Alcotest.(check (list string)) "deadlock reported" [ "2 blocked" ] r.E.violations
+
+(* Two waiters enter the wait set (counted in [entered] under the
+   mutex) before the waker, which waits for both, signals or
+   broadcasts: a signal wakes exactly one of them, a broadcast both. *)
+let condition_wakes ~broadcast () =
+  let r =
+    blocking (fun counted ->
+        let m = SM.create () and c = SC.create () and entered = SA.make 0 in
+        for _ = 1 to 2 do
+          E.spawn ~role:1
+            (counted (fun () ->
+                 SM.lock m;
+                 SA.incr entered;
+                 SC.wait c m;
+                 SM.unlock m))
+        done;
+        E.spawn (fun () ->
+            ignore (SA.update_when entered (fun n -> n = 2) Fun.id);
+            SM.lock m;
+            (if broadcast then SC.broadcast else SC.signal) c;
+            SM.unlock m);
+        fun finished -> [ Printf.sprintf "%d woken" finished ])
+  in
+  Alcotest.(check (list string))
+    "woken" [ (if broadcast then "2 woken" else "1 woken") ] r.E.violations
+
+(* A signal with nobody in the wait set is lost: the waiter that enters
+   after it stays blocked. *)
+let condition_signal_lost () =
+  let r =
+    blocking (fun counted ->
+        let m = SM.create () and c = SC.create () in
+        E.spawn
+          (counted (fun () ->
+               SM.lock m;
+               SC.wait c m;
+               SM.unlock m));
+        E.spawn (fun () ->
+            SM.lock m;
+            SC.signal c;
+            SM.unlock m);
+        fun finished -> if finished = 1 then [] else [ "waiter blocked" ])
+  in
+  Alcotest.(check (list string)) "lost signal found" [ "waiter blocked" ] r.E.violations
+
+let blocking_outside_a_run () =
+  SA.reset ();
+  let m = SM.create () in
+  SM.lock m;
+  Alcotest.check_raises "second lock" (Failure "Sched_atomic: a thread would block outside a run")
+    (fun () -> SM.lock m);
+  SM.unlock m;
+  Alcotest.check_raises "unlock unlocked" (Failure "Sched_mutex.unlock: not locked") (fun () ->
+      SM.unlock m)
+
+(* The production Parking (parking.ml) through its generated checked
+   copy: no execution ends with a waiter blocked while its [ready]
+   holds, and some execution has a waiter really wait. *)
+let parking_verified () =
+  List.iter
+    (fun (wake, k) ->
+      let r = Parking_checks.explore wake k in
+      let name = Printf.sprintf "%s k=%d" (Parking_checks.wake_name wake) k in
+      Alcotest.(check (list string)) (name ^ ": no violations") [] r.run.E.violations;
+      Alcotest.(check bool) (name ^ ": a waiter waited") true (r.waited > 0))
+    Parking_checks.[ (One, 1); (One, 2); (All, 1); (All, 2); (All, 3) ]
+
+let parking_rejects_zero_waiters () =
+  Alcotest.check_raises "k=0 rejected"
+    (Invalid_argument "Parking_checks.explore: need at least one waiter") (fun () ->
+      ignore (Parking_checks.explore All 0))
 
 (* The production promise (fiber.ml) and future cell (future_impl.ml),
    run through their generated checked copies: every interleaving of k
@@ -440,6 +568,7 @@ let tests =
     Alcotest.test_case "wsm: thief race exhibits bounded multiplicity" `Quick
       wsm_thief_multiplicity;
     Alcotest.test_case "wsm: board-slot reuse safe" `Quick wsm_reuse_safe;
+    Alcotest.test_case "wsm: reuse with two pushes per round safe" `Quick wsm_reuse_pending_safe;
     Alcotest.test_case "wsm: owner-only program fully serial" `Quick wsm_owner_only_fully_serial;
     Alcotest.test_case "wsm: thief on empty deque" `Quick wsm_thief_on_empty;
     Alcotest.test_case "wsm: rejects owner op in thief" `Quick wsm_rejects_owner_op_in_thief;
@@ -458,5 +587,15 @@ let tests =
       (cell_verified "future_cell" Promise_checks.future_cell);
     Alcotest.test_case "future_cell: rejects zero forcers" `Quick
       future_cell_rejects_zero_forcers;
+    Alcotest.test_case "explorer: mutex excludes" `Quick mutex_excludes;
+    Alcotest.test_case "explorer: opposite lock orders deadlock" `Quick mutex_deadlock_found;
+    Alcotest.test_case "explorer: signal wakes one waiter" `Quick
+      (condition_wakes ~broadcast:false);
+    Alcotest.test_case "explorer: broadcast wakes every waiter" `Quick
+      (condition_wakes ~broadcast:true);
+    Alcotest.test_case "explorer: a signal before the wait is lost" `Quick condition_signal_lost;
+    Alcotest.test_case "blocking substitutes outside a run" `Quick blocking_outside_a_run;
+    Alcotest.test_case "parking: no waiter blocked while ready holds" `Quick parking_verified;
+    Alcotest.test_case "parking: rejects zero waiters" `Quick parking_rejects_zero_waiters;
     QCheck_alcotest.to_alcotest prop_random_programs_safe;
   ]

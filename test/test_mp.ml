@@ -25,21 +25,6 @@ let procs () =
 
 let rng seed = Abp_stats.Rng.create ~seed:(Int64.of_int seed) ()
 
-(* Spin (politely) until [pred] holds; false on timeout.  Generous
-   timeout: the CI box may have one CPU. *)
-let wait_until ?(timeout = 30.0) pred =
-  let t0 = Unix.gettimeofday () in
-  let rec go () =
-    pred ()
-    ||
-    if Unix.gettimeofday () -. t0 > timeout then false
-    else begin
-      Domain.cpu_relax ();
-      go ()
-    end
-  in
-  go ()
-
 let totals pool = Counters.sum (Pool.counters pool)
 
 (* A view for exercising adversaries directly: nobody holds work. *)
@@ -85,6 +70,43 @@ let gate_wait_blocks_until_open () =
     (Gate.suspended_seconds g 1 >= 0.04);
   Alcotest.(check bool) "total covers the worker" true
     (Gate.total_suspended_seconds g >= Gate.suspended_seconds g 1)
+
+(* A close takes no lock, so it can land anywhere in a waiter's park.
+   The controller flips the gate fast, so that closes and opens race
+   the waiter's parks, and every 200 flips holds it closed until a wait
+   is in progress, so that the waiter really suspends.  After the final
+   open every wait must return: a lost wakeup leaves the waiter blocked
+   behind an open gate. *)
+let gate_flips_never_strand_a_waiter () =
+  let g = Gate.create ~num_workers:1 in
+  let stop = Atomic.make false and waits = Atomic.make 0 and finished = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          if Gate.is_open g 0 then Domain.cpu_relax ()
+          else begin
+            ignore (Gate.wait g 0);
+            Atomic.incr waits
+          end
+        done;
+        Atomic.set finished true)
+  in
+  for _ = 1 to 50 do
+    for _ = 1 to 100 do
+      Gate.set g [| false |];
+      Gate.set g [| true |]
+    done;
+    Gate.set g [| false |];
+    ignore (Test_util.wait_until ~timeout:1.0 (fun () -> Gate.suspends g 0 > Atomic.get waits));
+    Gate.set g [| true |]
+  done;
+  Atomic.set stop true;
+  if not (Test_util.wait_until ~timeout:10.0 (fun () -> Atomic.get finished)) then
+    Alcotest.failf "waiter still blocked after the final open (%d of %d waits returned)"
+      (Atomic.get waits) (Gate.suspends g 0);
+  Domain.join d;
+  Alcotest.(check bool) "the waiter suspended" true (Atomic.get waits > 0);
+  Alcotest.(check int) "every wait counted once" (Atomic.get waits) (Gate.suspends g 0)
 
 let gate_hook_reports_steal_fail () =
   let g = Gate.create ~num_workers:2 in
@@ -271,7 +293,7 @@ let parked_thief_wakes_into_closed_gate () =
       Pool.shutdown pool)
     (fun () ->
       Alcotest.(check bool) "thief parks while idle" true
-        (wait_until (fun () -> Pool.parked_workers pool = 1));
+        (Test_util.wait_until (fun () -> Pool.parked_workers pool = 1));
       Gate.set gate [| true; false |];
       (* The first push of the run signals the parked thief; it wakes
          into a closed gate and must suspend there, not deadlock and
@@ -279,7 +301,7 @@ let parked_thief_wakes_into_closed_gate () =
       let v = Pool.run pool workload in
       Alcotest.(check int) "result correct with thief gated" workload_expect v;
       Alcotest.(check bool) "thief suspended at its closed gate" true
-        (wait_until (fun () -> Gate.suspends gate 1 >= 1));
+        (Test_util.wait_until (fun () -> Gate.suspends gate 1 >= 1));
       Gate.open_all gate;
       let v2 = Pool.run pool workload in
       Alcotest.(check int) "pool healthy after reopening" workload_expect v2)
@@ -446,7 +468,7 @@ let parked_continuation_survives_gate_cycle () =
       Pool.shutdown pool)
     (fun () ->
       Alcotest.(check bool) "computation parked" true
-        (wait_until (fun () -> Pool.suspended pool = 1));
+        (Test_util.wait_until (fun () -> Pool.suspended pool = 1));
       Gate.set gate (Array.make p false);
       (* Let every worker reach a safe point and block (or park). *)
       Unix.sleepf 0.05;
@@ -456,7 +478,7 @@ let parked_continuation_survives_gate_cycle () =
         (Atomic.get result = None);
       Gate.open_all gate;
       Alcotest.(check bool) "continuation resumed after reopen" true
-        (wait_until (fun () -> Atomic.get result <> None));
+        (Test_util.wait_until (fun () -> Atomic.get result <> None));
       Alcotest.(check (option int)) "value survived the gate cycle" (Some 777)
         (Atomic.get result);
       let t = Counters.sum (Pool.counters pool) in
@@ -512,7 +534,7 @@ let fiber_await_shard_under_adversary () =
                   end))
         in
         Promise.fail doomed (Failure "doomed");
-        List.iter (fun o -> ignore (wait_until (fun () -> Promise.is_resolved o))) outcomes;
+        List.iter (fun o -> ignore (Test_util.wait_until (fun () -> Promise.is_resolved o))) outcomes;
         let raised =
           List.length
             (List.filter
@@ -579,4 +601,5 @@ let tests =
     Alcotest.test_case "fiber await shard conservation under adversary" `Slow
       fiber_await_shard_under_adversary;
     Alcotest.test_case "antagonist starts and stops" `Quick antagonist_starts_and_stops;
+    Alcotest.test_case "gate flips never strand a waiter" `Quick gate_flips_never_strand_a_waiter;
   ]

@@ -519,21 +519,6 @@ let report_renders () =
 (* ------------------------------------------------------------------ *)
 (* Lanes *)
 
-(* Spin politely until [pred] holds; false on timeout.  Generous
-   timeout: the CI box may have one CPU. *)
-let wait_until ?(timeout = 30.0) pred =
-  let t0 = Unix.gettimeofday () in
-  let rec go () =
-    pred ()
-    ||
-    if Unix.gettimeofday () -. t0 > timeout then false
-    else begin
-      Domain.cpu_relax ();
-      go ()
-    end
-  in
-  go ()
-
 (* A key routing to shard [want]. *)
 let key_for s want =
   let rec go k =
@@ -575,7 +560,7 @@ let lane_conservation_and_latency ~shards () =
       let a = blocker () in
       let b = blocker () in
       Alcotest.(check bool) "both workers pinned" true
-        (wait_until (fun () -> Atomic.get started = 2));
+        (Test_util.wait_until (fun () -> Atomic.get started = 2));
       let n = 200 in
       let lane_of i = if i mod 4 = 0 then (Serve.Deadline : Serve.lane) else Serve.Bulk in
       let tks =
@@ -596,7 +581,7 @@ let lane_conservation_and_latency ~shards () =
       Atomic.set (fst first) true;
       let not_cancelled = List.filteri (fun i _ -> i mod 5 <> 0) tks in
       Alcotest.(check bool) "part of the mix settles beside a pinned worker" true
-        (wait_until (fun () -> List.exists (fun tk -> Serve.poll tk <> None) not_cancelled));
+        (Test_util.wait_until (fun () -> List.exists (fun tk -> Serve.poll tk <> None) not_cancelled));
       Atomic.set (fst second) true;
       let check_ledger what (st : Serve.stats) =
         (* each lane counts the kinds of its own requests *)
@@ -953,7 +938,7 @@ let deadline_lane_bypasses_cross_period () =
      deadline-relief path — the generic cross-shard poll would need
      ~10^6 empty trips before its first real attempt. *)
   Alcotest.(check bool) "deadline jobs relieved while home worker pinned" true
-    (wait_until (fun () -> Atomic.get done_count = n));
+    (Test_util.wait_until (fun () -> Atomic.get done_count = n));
   Atomic.set release true;
   ignore (Serve.await blocker);
   ignore (Shard.drain topo);
@@ -998,7 +983,7 @@ let cross_steals_drain_pinned_shard lane () =
               Domain.cpu_relax ()
             done)
       in
-      Alcotest.(check bool) "blocker running" true (wait_until (fun () -> Atomic.get started));
+      Alcotest.(check bool) "blocker running" true (Test_util.wait_until (fun () -> Atomic.get started));
       (* The steal that moved the blocker, if any, was counted before the
          blocker ran. *)
       let blocker_stolen = Shard.cross_shard_steals topo in
@@ -1010,7 +995,7 @@ let cross_steals_drain_pinned_shard lane () =
         ignore (Shard.submit topo ~key ~lane (fun () -> Atomic.incr ran))
       done;
       Alcotest.(check bool) "every job ran while its home worker was pinned" true
-        (wait_until (fun () -> Atomic.get ran = n));
+        (Test_util.wait_until (fun () -> Atomic.get ran = n));
       Atomic.set release true;
       ignore (Serve.await blocker);
       ignore (Shard.drain topo);
@@ -1038,7 +1023,7 @@ module Promise = Abp_fiber.Fiber.Promise
    so a continuation that never resumes fails the test instead of
    hanging it. *)
 let settled_value what t =
-  if not (wait_until (fun () -> Serve.poll t <> None)) then
+  if not (Test_util.wait_until (fun () -> Serve.poll t <> None)) then
     Alcotest.failf "%s still pending after 30 s" what;
   match Serve.poll t with
   | Some (Serve.Returned v) -> v
@@ -1057,7 +1042,7 @@ let shard_offpool_fulfil_resumes_at_home () =
       let pr : int Promise.t = Promise.create () in
       let t = Shard.submit s ~key (fun () -> Abp_fiber.Fiber.await pr + 1) in
       Alcotest.(check bool) "request parked on its home shard" true
-        (wait_until (fun () -> suspended home = 1));
+        (Test_util.wait_until (fun () -> suspended home = 1));
       Alcotest.(check int) "nothing parked on the other shard" 0 (suspended (1 - home));
       Promise.fulfil pr 41;
       Alcotest.(check int) "awaiter got the value" 42 (settled_value "parked request" t);
@@ -1078,7 +1063,7 @@ let shard_worker_fulfil_resumes_parked_request () =
       let pr : int Promise.t = Promise.create () in
       let waiter = Shard.submit s ~key:ka (fun () -> Abp_fiber.Fiber.await pr * 2) in
       Alcotest.(check bool) "waiter parked on shard 0" true
-        (wait_until (fun () -> suspended 0 = 1));
+        (Test_util.wait_until (fun () -> suspended 0 = 1));
       let fulfiller =
         Shard.submit s ~key:kb (fun () ->
             Promise.fulfil pr 21;
