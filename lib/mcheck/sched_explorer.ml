@@ -8,12 +8,12 @@ type scenario = {
 }
 type report = { states_explored : int; complete_executions : int; violations : string list }
 
-(* [next] runs the thread to its next access, or to its end; [None] once
-   it has finished.  [enabled] says whether that access can be made now:
+(* [next] resumes the thread at its next access; [None] once it has
+   finished, or until it has started.  [enabled] says whether that access can be made now:
    false while the thread is blocked on a mutex or a condition. *)
 type thread = {
   mutable hist : int;
-  mutable next : (unit -> unit) option;
+  mutable next : (unit, unit) continuation option;
   mutable enabled : unit -> bool;
 }
 
@@ -22,10 +22,20 @@ let unstarted = Queue.create ()
 let violations = ref []
 let note v = if not (List.mem v !violations) then violations := v :: !violations
 
+(* Raised into an abandoned thread's continuation at a replay, so that
+   its stack unwinds and is freed; [releasing] keeps whatever that
+   unwinding raises out of the violations. *)
+exception Released
+
+let releasing = ref false
+
 let handler t =
   {
     retc = ignore;
-    exnc = (fun e -> note ("a thread raised " ^ Printexc.to_string e));
+    exnc =
+      (function
+      | (Out_of_memory | Stack_overflow) as e -> raise e
+      | e -> if not !releasing then note ("a thread raised " ^ Printexc.to_string e));
     effc =
       (fun (type a) (e : a Effect.t) ->
         match e with
@@ -33,7 +43,7 @@ let handler t =
             Some
               (fun (k : (a, unit) continuation) ->
                 t.enabled <- enabled;
-                t.next <- Some (fun () -> continue k ()))
+                t.next <- Some k)
         | _ -> None);
   }
 
@@ -47,25 +57,47 @@ let spawn ?role body =
         A.intern h (-2, 0, 0)
   in
   let t = { hist = seed; next = None; enabled = (fun () -> true) } in
-  t.next <- Some (fun () -> match_with body () (handler t));
   threads := Array.append !threads [| t |];
-  Queue.add t unstarted
+  Queue.add (t, body) unstarted
 
-let run t =
-  let go = Option.get t.next in
-  t.next <- None;
+(* Run [go] as thread [t], up to its next access or its end. *)
+let enter t go =
   A.hist := t.hist;
   A.running := true;
   go ();
   A.running := false;
   t.hist <- !A.hist
 
+let run t =
+  let k = Option.get t.next in
+  t.next <- None;
+  enter t (fun () -> continue k ())
+
 (* New threads run up to their first access, which touches no cell, so
    starting them is no choice. *)
 let start () =
   while not (Queue.is_empty unstarted) do
-    run (Queue.pop unstarted)
+    let t, body = Queue.pop unstarted in
+    enter t (fun () -> match_with body () (handler t))
   done
+
+(* Discontinue every live thread, and again at each access its unwinding
+   makes, so that no abandoned fiber keeps its stack. *)
+let release () =
+  releasing := true;
+  Fun.protect
+    ~finally:(fun () ->
+      releasing := false;
+      A.running := false)
+    (fun () ->
+      Array.iter
+        (fun t ->
+          while Option.is_some t.next do
+            let k = Option.get t.next in
+            t.next <- None;
+            enter t (fun () -> discontinue k Released)
+          done)
+        !threads)
 
 let step sc i =
   run !threads.(i);
@@ -73,6 +105,7 @@ let step sc i =
   start ()
 
 let replay setup prefix =
+  release ();
   A.reset ();
   threads := [||];
   Queue.clear unstarted;
@@ -104,6 +137,9 @@ let explore setup =
   violations := [];
   let seen = Seen.create 4096 and executions = ref 0 in
   let sc = ref (replay setup []) in
+  (* The last replay's threads are released too, also when an
+     [Out_of_memory] or a [Stack_overflow] ends the run. *)
+  Fun.protect ~finally:release @@ fun () ->
   let rec visit prefix depth =
     let k = key !sc in
     if not (Seen.mem seen k) then begin

@@ -5,6 +5,9 @@
     that point the explorer picks the thread that moves next.  Every
     choice is explored depth-first; fibers are one-shot, so a sibling
     choice replays the scenario from its set-up along the chosen prefix.
+    A replay first discontinues every unfinished thread of the run it
+    abandons (and again at each access its unwinding makes), so that
+    its [finally] code runs and its fiber stack is freed.
     The code between two accesses runs as one step.  A thread blocked
     in {!Sched_atomic.update_when} (on a {!Sched_mutex} or a
     {!Sched_condition}) is not chosen until its access is enabled.
@@ -38,7 +41,9 @@ type report = {
 val explore : (unit -> scenario) -> report
 (** [explore setup] runs [setup] at the start of every replay: it makes
     the cells and starts the threads with {!spawn}.  A thread that
-    raises is a violation. *)
+    raises is a violation, except that an [Out_of_memory] or a
+    [Stack_overflow] in a thread ends the exploration: [explore]
+    re-raises it, once every thread is released. *)
 
 val spawn : ?role:int -> (unit -> unit) -> unit
 (** Add a thread, during set-up or from a running thread.  It runs up

@@ -254,6 +254,44 @@ let explorer_rejects_shared_location () =
     [ "a thread raised Failure(\"Sched_atomic: two cells made at one history are both accessed\")" ]
     r.E.violations
 
+(* Every thread a replay abandons is discontinued, so its [finally]
+   runs: after [explore], each started thread has been released once,
+   including those of the last replay, and any access the unwinding
+   makes is discontinued in turn. *)
+let explorer_releases_threads () =
+  let started = ref 0 and released = ref 0 in
+  let r =
+    E.explore (fun () ->
+        let c = SA.make 0 in
+        for _ = 1 to 3 do
+          E.spawn (fun () ->
+              incr started;
+              Fun.protect
+                ~finally:(fun () ->
+                  incr released;
+                  ignore (SA.get c))
+                (fun () -> SA.set c (SA.get c + 1)))
+        done;
+        { E.ghost = (fun () -> []); observe = (fun _ -> []); check = (fun () -> []) })
+  in
+  Alcotest.(check (list string)) "no violations" [] r.E.violations;
+  Alcotest.(check bool) "replays abandoned threads" true (!started > 3);
+  Alcotest.(check int) "every started thread released" !started !released
+
+(* A thread out of stack ends the exploration instead of becoming a
+   "thread raised" note, and the explorer is usable afterwards. *)
+let explorer_reraises_stack_overflow () =
+  Alcotest.check_raises "Stack_overflow re-raised" Stack_overflow (fun () ->
+      ignore
+        (E.explore (fun () ->
+             let c = SA.make 0 in
+             E.spawn (fun () ->
+                 SA.set c 1;
+                 raise Stack_overflow);
+             E.spawn (fun () -> SA.set c 2);
+             { E.ghost = (fun () -> []); observe = (fun _ -> []); check = (fun () -> []) })));
+  Alcotest.(check (list string)) "next run verified" [] (two_increments (fun c -> SA.incr c)).E.violations
+
 (* --- blocking: the Mutex and Condition substitutes ------------------- *)
 
 module SM = Sched_mutex
@@ -579,6 +617,8 @@ let tests =
     Alcotest.test_case "explorer: spinner hits the step bound" `Quick explorer_bounds_a_spinner;
     Alcotest.test_case "explorer: same-role cells sharing a location reported" `Quick
       explorer_rejects_shared_location;
+    Alcotest.test_case "explorer: abandoned threads are released" `Quick explorer_releases_threads;
+    Alcotest.test_case "explorer: Stack_overflow ends the run" `Quick explorer_reraises_stack_overflow;
     Alcotest.test_case "fiber_await: parked continuation resumed exactly once" `Quick
       (cell_verified "fiber_await" Promise_checks.fiber_await);
     Alcotest.test_case "fiber_await: rejects zero awaiters" `Quick
