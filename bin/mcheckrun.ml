@@ -1,11 +1,12 @@
 (* mcheckrun: exhaustively model-check the production ABP deque's
-   scenarios at a chosen tag width, the production multiplicity deque,
-   the production fiber promise and future cell, and the production
-   park/wake protocol.
+   scenarios at a chosen tag width, the production Chase-Lev and
+   multiplicity deques, the production fiber promise and future cell,
+   and the production park/wake protocol.
 
    Examples:
      mcheckrun                                  # every scenario, full tag
      mcheckrun --scenario aba --tag-width 0     # exhibit the ABA bug
+     mcheckrun --scenario circular              # Circular_deque, six programs
      mcheckrun --scenario future_cell           # Future's cell, 1..3 forcers
      mcheckrun --scenario parking               # Parking, up to 3 waiters *)
 
@@ -17,8 +18,19 @@ let deque program name tag_width =
   let r = M.Deque_checks.explore ~tag_width program in
   Format.printf "%-16s (%d ops, tag width %d): %a@." name
     (M.Deque_checks.program_total_ops program)
-    tag_width M.Deque_checks.pp_report r;
-  M.Deque_checks.violations r <> []
+    tag_width M.Sched_explorer.pp_report r;
+  r.violations <> []
+
+(* The Chase-Lev deque has no tag either; one line per program. *)
+let circular name _ =
+  List.fold_left
+    (fun bad (program_name, program) ->
+      let r = M.Deque_checks.explore_circular program in
+      Format.printf "%-16s %-22s (%d ops): %a@." name program_name
+        (M.Deque_checks.program_total_ops program)
+        M.Sched_explorer.pp_report r;
+      bad || r.violations <> [])
+    false M.Deque_checks.circular_programs
 
 (* The multiplicity deque has no tag. *)
 let wsm program name _ =
@@ -56,6 +68,7 @@ let scenarios =
     ("wraparound", deque M.Deque_checks.wraparound_scenario);
     ("two-thieves", deque M.Deque_checks.two_thieves);
     ("owner-vs-thief", deque M.Deque_checks.owner_vs_thief_interleave);
+    ("circular", circular);
     ("wsm-thief", wsm M.Deque_checks.wsm_thief);
     ("wsm-reuse", wsm M.Deque_checks.wsm_reuse);
     ("wsm-reuse-pending", wsm M.Deque_checks.wsm_reuse_pending);
@@ -78,7 +91,8 @@ let cmd =
       & info [ "scenario" ] ~docv:"NAME"
           ~doc:
             ("The scenario to check: " ^ Arg.doc_alts_enum names
-           ^ ".  The deque scenarios run the production Atomic_deque, wsm-thief and \
+           ^ ".  The deque scenarios run the production Atomic_deque, circular the \
+              production Circular_deque, wsm-thief and \
               the wsm-reuse scenarios the production Wsm_deque; fiber_await and future_cell run the \
               production Fiber promise and Future cell; parking runs the production \
               Parking.  No $(docv) runs every scenario."))
@@ -97,13 +111,13 @@ let cmd =
           ~doc:
             "Age-tag width of the Atomic_deque scenarios, 0 (no tag) to the full width: \
              the width at which the checked copy of Atomic_deque wraps its tag.  The \
-             Wsm_deque, promise and future scenarios ignore it.")
+             Circular_deque, Wsm_deque, promise, future and parking scenarios ignore it.")
   in
   Cmd.v
     (Cmd.info "mcheckrun"
        ~exits:(Cmd.Exit.info 2 ~doc:"on a violation." :: Cmd.Exit.defaults)
        ~doc:
-         "Exhaustively check the relaxed semantics of the ABP and multiplicity deques, and \
+         "Exhaustively check the relaxed semantics of the ABP, Chase-Lev and multiplicity deques, and \
           the fiber promise, the future cell and the park/wake protocol")
     Term.(const run $ scenario $ tag_width)
 

@@ -28,8 +28,8 @@ let () =
   Format.printf "Scenario: owner drains and refills the deque while a thief sits@.";
   Format.printf "between its read of age and its cas (Section 3.3).@.@.";
   let with_tag = Abp.Deque_checks.explore Abp.Deque_checks.aba_scenario in
-  Format.printf "with tag:    %a@." Abp.Deque_checks.pp_report with_tag;
+  Format.printf "with tag:    %a@." Abp_mcheck.Sched_explorer.pp_report with_tag;
   let without_tag = Abp.Deque_checks.explore ~tag_width:0 Abp.Deque_checks.aba_scenario in
-  Format.printf "without tag: %a@." Abp.Deque_checks.pp_report without_tag;
+  Format.printf "without tag: %a@." Abp_mcheck.Sched_explorer.pp_report without_tag;
   Format.printf "@.The checker exhausts every interleaving: with the tag the thief's@.";
   Format.printf "stale cas fails; without it a node is consumed twice and another lost.@."

@@ -19,26 +19,22 @@
     some instant the deque was empty or another process removed the
     topmost item. *)
 
-include Spec.S
+module Core : Spec.CORE
+(** Figure 5 itself.  [push] raises [Failure "Atomic_deque: overflow"]
+    when full.  [pop_top] returns [empty] for the line-3 empty
+    observation and [lost] for a lost line-6 CAS; [pop_bottom] returns
+    [lost] when the last item was stolen during the invocation (the
+    line-11 CAS lost) and [empty] otherwise. *)
+
+include Spec.S with type 'a t = 'a option Core.t
 
 val default_capacity : int
 
-val pop_top_detailed : 'a t -> 'a Spec.detailed
-(** [pop_top] with the cause of a NIL preserved: {!Spec.Empty} for the
-    Figure 5 line-3 empty observation, {!Spec.Contended} for a lost
-    line-6 CAS.  [pop_top t = None] iff [pop_top_detailed t] is [Empty]
-    or [Contended]. *)
-
-val pop_bottom_detailed : 'a t -> 'a Spec.detailed
-(** [pop_bottom] with the cause of a NIL preserved: {!Spec.Contended}
-    when the last item was stolen during the invocation (the line-11 CAS
-    lost), {!Spec.Empty} otherwise. *)
-
-val tag_of : 'a t -> int
+val tag_of : 'e Core.t -> int
 (** Current tag value (diagnostics/tests). *)
 
-val top_of : 'a t -> int
+val top_of : 'e Core.t -> int
 (** Current top index (diagnostics/tests). *)
 
-val bot_of : 'a t -> int
+val bot_of : 'e Core.t -> int
 (** Current bottom index (diagnostics/tests). *)

@@ -16,30 +16,27 @@
     {!Spec.S}.  Included as the natural "future work" of Section 6 and
     benchmarked against the fixed-array original in E15. *)
 
-include Spec.S
+module Core : Spec.CORE
+(** Chase-Lev's methods.  [push] never fails.  [pop_top] returns
+    [empty] when [bottom <= top] was observed and [lost] when its CAS
+    on [top] lost to a racing process; [pop_bottom] returns [lost] when
+    the last element's CAS on [top] lost to a thief. *)
 
-val pop_top_detailed : 'a t -> 'a Spec.detailed
-(** [pop_top] with the cause of a NIL preserved: {!Spec.Empty} when
-    [bottom <= top] was observed, {!Spec.Contended} when the CAS on
-    [top] lost to a racing process. *)
+include Spec.S with type 'a t = 'a option Core.t
 
-val pop_bottom_detailed : 'a t -> 'a Spec.detailed
-(** [pop_bottom] with the cause of a NIL preserved: {!Spec.Contended}
-    when the last element's CAS on [top] lost to a thief. *)
-
-val capacity : 'a t -> int
+val capacity : 'e Core.t -> int
 (** Current buffer capacity (a power of two).  Doubles on overflow and
     halves again once the live size drops below a quarter of it (the
     Section 4 reclamation), never below {!initial_capacity}. *)
 
-val initial_capacity : 'a t -> int
+val initial_capacity : 'e Core.t -> int
 (** The creation-time capacity (rounded up to a power of two): the
     floor the Section 4 reclamation never shrinks below. *)
 
-val grows : 'a t -> int
+val grows : 'e Core.t -> int
 (** Number of buffer-doubling events so far (diagnostics). *)
 
-val shrinks : 'a t -> int
+val shrinks : 'e Core.t -> int
 (** Number of buffer-halving (reclamation) events so far: the owner
     halves the buffer when it observes [size < capacity / 4] and the
     capacity is above {!initial_capacity} — Chase-Lev Section 4's

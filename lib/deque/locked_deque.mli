@@ -9,12 +9,9 @@
     point; the simulator models the same pathology at round granularity
     ({!Abp_sim}). *)
 
-include Spec.S
+module Core : Spec.CORE
+(** The methods, each under the mutex.  No pop returns [lost]: there is
+    no CAS to lose, and blocked waiters wait on the mutex instead, which
+    is exactly the pathology the baseline exists to exhibit. *)
 
-val pop_bottom_detailed : 'a t -> 'a Spec.detailed
-(** {!Spec.DETAILED} view; never [Contended] (no CAS to lose — blocked
-    waiters spin on the mutex instead, which is exactly the pathology
-    the baseline exists to exhibit). *)
-
-val pop_top_detailed : 'a t -> 'a Spec.detailed
-(** See {!pop_bottom_detailed}. *)
+include Spec.S with type 'a t = 'a option Core.t

@@ -1,9 +1,3 @@
-(* Outcome of a pop with the cause of failure preserved: [Empty] means
-   the relaxed semantics' legal NIL (the deque was observed empty or
-   drained), [Contended] means a CAS was lost to a racing process.  The
-   distinction feeds the telemetry layer's CAS-failure counters. *)
-type 'a detailed = Got of 'a | Empty | Contended
-
 module type S = sig
   type 'a t
 
@@ -15,20 +9,31 @@ module type S = sig
   val size : 'a t -> int
 end
 
-(* The instrumented-scheduler view of a deque: the pop methods preserve
-   the cause of a NIL so telemetry can count CAS failures separately
-   from genuine emptiness.  The Hood pool takes an implementation as a
-   first-class module of this signature and closes each worker's deque
-   into a record of operations, so its one scheduling loop serves every
-   implementation. *)
-module type DETAILED = sig
-  type 'a t
+(* Each deque writes Figure 5's three methods once, over slots that hold
+   the element itself: a pop returns that element, or one of the two
+   sentinels given at [create] ([empty]: observed empty; [lost]: lost a
+   CAS, or the last item to a thief).  The pool's tasks are closures
+   and its sentinels two private ones, so its owner path boxes nothing;
+   [Of_core] derives the option API with [None] as both sentinels. *)
+module type CORE = sig
+  type 'e t
 
-  val create : ?capacity:int -> unit -> 'a t
-  val push_bottom : 'a t -> 'a -> unit
-  val pop_bottom_detailed : 'a t -> 'a detailed
-  val pop_top_detailed : 'a t -> 'a detailed
-  val size : 'a t -> int
+  val create : ?capacity:int -> empty:'e -> lost:'e -> unit -> 'e t
+  val push : 'e t -> 'e -> int
+  val pop_bottom : 'e t -> 'e
+  val pop_top : 'e t -> 'e
+  val size : 'e t -> int
+end
+
+module Of_core (C : CORE) = struct
+  type 'a t = 'a option C.t
+
+  let create ?capacity () = C.create ?capacity ~empty:None ~lost:None ()
+  let push_bottom t x = ignore (C.push t (Some x))
+  let pop_bottom = C.pop_bottom
+  let pop_top = C.pop_top
+  let size = C.size
+  let is_empty t = C.size t = 0
 end
 
 module Reference = struct

@@ -15,13 +15,6 @@
     suffices for the performance bounds; the paper's Figure 5 (our
     {!Abp}, {!Atomic_deque}) is such an implementation. *)
 
-type 'a detailed = Got of 'a | Empty | Contended
-(** Outcome of a pop with the cause of failure preserved: [Empty] is the
-    relaxed semantics' legal NIL (the deque was observed empty or
-    drained), [Contended] means the invocation lost a CAS to a racing
-    process.  Both map to [None] in the plain {!S} methods; the
-    instrumented schedulers count them separately. *)
-
 module type S = sig
   type 'a t
 
@@ -49,26 +42,46 @@ module type S = sig
   (** Advisory snapshot; racy under concurrency. *)
 end
 
-module type DETAILED = sig
-  type 'a t
+module type CORE = sig
+  type 'e t
+  (** A deque of elements of type ['e], two of which are its sentinels. *)
 
-  val create : ?capacity:int -> unit -> 'a t
-  val push_bottom : 'a t -> 'a -> unit
+  val create : ?capacity:int -> empty:'e -> lost:'e -> unit -> 'e t
+  (** [capacity] as in {!S.create}.  [empty] and [lost] are the values
+      the pops return instead of an element.  They are never pushed,
+      and no pushed element is [==] to either, so the caller tells an
+      element from a NIL by physical equality; with [empty != lost] it
+      tells the two causes apart too. *)
 
-  val pop_bottom_detailed : 'a t -> 'a detailed
-  (** Owner pop with the cause of a NIL preserved: [Contended] when the
-      deque's last item was lost to a thief mid-invocation. *)
+  val push : 'e t -> 'e -> int
+  (** Owner only: pushBottom, returning the size the push left (an
+      advisory snapshot, as {!size}).  Raises [Failure] on overflow for
+      fixed-capacity implementations. *)
 
-  val pop_top_detailed : 'a t -> 'a detailed
-  (** Thief pop with the cause of a NIL preserved: [Contended] for a
-      lost CAS (implementations without a CAS report only [Empty]). *)
+  val pop_bottom : 'e t -> 'e
+  (** Owner only: popBottom.  The element, [empty] iff the deque was
+      empty, or [lost] when its last element went to a thief during the
+      invocation. *)
 
-  val size : 'a t -> int
+  val pop_top : 'e t -> 'e
+  (** Thief method: popTop.  The element, [empty] when the deque was
+      observed empty, or [lost] for a lost CAS (implementations without
+      a CAS never return [lost]).  Either NIL meets the relaxed
+      semantics. *)
+
+  val size : 'e t -> int
+  (** Advisory snapshot; racy under concurrency. *)
 end
-(** The instrumented scheduler's view of a deque: {!Abp_hood.Pool.create}
-    takes the selected implementation as a first-class module of this
-    signature and closes each worker's deque into the record of
-    operations its one scheduling loop ({!Abp_hood.Worker}) calls. *)
+(** The one implementation of each deque, in which every Figure 5
+    method is written once; the instrumented scheduler's view.  The
+    slots hold the elements themselves, so a pop allocates nothing and
+    its outcome needs no box: {!Abp_hood.Pool.create} builds each
+    worker's deque over its tasks, with two private closures as the
+    sentinels, and counts [lost] as a CAS failure. *)
+
+module Of_core (C : CORE) : S with type 'a t = 'a option C.t
+(** The option API of a core: [None] is both sentinels and a push
+    stores [Some x], so a NIL of either cause is [None]. *)
 
 module Reference : sig
   include S

@@ -59,23 +59,9 @@
    single [Atomic.compare_and_set] at *execution* time, off the steal
    path).  Serially — with no concurrent
    extraction — the deque is exactly-once and [pop_bottom] agrees with
-   the ideal LIFO {!Spec.Reference}; [pop_top] may return [Empty]
+   the ideal LIFO {!Spec.Reference}; [pop_top] may return [empty]
    while private work exists (only published work is visible to
    thieves), which the relaxed semantics' NIL already allows. *)
-
-type 'a t = {
-  (* Owner-private ring: oldest at [head], newest at [head + count - 1].
-     Plain fields; only the owner reads or writes them. *)
-  mutable priv : 'a option array;
-  mutable head : int;
-  mutable count : int;
-  (* Publication board.  Slots are written only by the owner, read
-     racily by thieves; the cursors are monotone except for stale-thief
-     regressions of [con] (analyzed above). *)
-  board : 'a option array;
-  pub : int Atomic.t;
-  con : int Atomic.t;
-}
 
 let default_capacity = 64
 
@@ -84,115 +70,134 @@ let default_capacity = 64
    thief's duplicate window rarer, at no cost on any fast path). *)
 let board_length = 8
 
-let create ?(capacity = default_capacity) () =
-  if capacity < 1 then invalid_arg "Wsm_deque.create: capacity >= 1 required";
-  Padding.copy_as_padded
-    {
-      priv = Array.make capacity None;
-      head = 0;
-      count = 0;
-      board = Array.make board_length None;
-      pub = Padding.atomic 0;
-      con = Padding.atomic 0;
-    }
+module Core = struct
+  type 'e t = {
+    (* Owner-private ring: oldest at [head], newest at [head + count - 1].
+       Plain fields; only the owner reads or writes them.  Free slots
+       hold [empty]. *)
+    mutable priv : 'e array;
+    mutable head : int;
+    mutable count : int;
+    (* Publication board.  Slots are written only by the owner, read
+       racily by thieves; the cursors are monotone except for
+       stale-thief regressions of [con] (analyzed above).  A slot never
+       published holds [empty]. *)
+    board : 'e array;
+    pub : int Atomic.t;
+    con : int Atomic.t;
+    empty : 'e;
+  }
 
-(* ------------------------------------------------------------------ *)
-(* Owner-private ring (plain operations).                             *)
+  let create ?(capacity = default_capacity) ~empty ~lost:_ () =
+    if capacity < 1 then invalid_arg "Wsm_deque.create: capacity >= 1 required";
+    Padding.copy_as_padded
+      {
+        priv = Array.make capacity empty;
+        head = 0;
+        count = 0;
+        board = Array.make board_length empty;
+        pub = Padding.atomic 0;
+        con = Padding.atomic 0;
+        empty;
+      }
 
-let ensure_capacity t =
-  let cap = Array.length t.priv in
-  if t.count = cap then begin
-    let bigger = Array.make (cap * 2) None in
-    for i = 0 to t.count - 1 do
-      bigger.(i) <- t.priv.((t.head + i) mod cap)
-    done;
-    t.priv <- bigger;
-    t.head <- 0
-  end
+  (* ---------------------------------------------------------------- *)
+  (* Owner-private ring (plain operations).                           *)
 
-let priv_push_newest t x =
-  ensure_capacity t;
-  t.priv.((t.head + t.count) mod Array.length t.priv) <- Some x;
-  t.count <- t.count + 1
-
-let priv_pop_newest t =
-  let i = (t.head + t.count - 1) mod Array.length t.priv in
-  let x = t.priv.(i) in
-  t.priv.(i) <- None;
-  t.count <- t.count - 1;
-  match x with Some v -> v | None -> assert false
-
-let priv_take_oldest t =
-  let x = t.priv.(t.head) in
-  t.priv.(t.head) <- None;
-  t.head <- (t.head + 1) mod Array.length t.priv;
-  t.count <- t.count - 1;
-  match x with Some v -> v | None -> assert false
-
-(* ------------------------------------------------------------------ *)
-(* Publication.                                                       *)
-
-(* Owner: if the board is drained and private work exists, publish the
-   oldest private task.  The slot store precedes the [pub] store, so
-   any thief whose read of [pub] covers index [p] also sees the slot's
-   value (publication ordering); the publish precondition [con >= pub]
-   is exactly what makes the slot's reuse safe. *)
-let maybe_publish t =
-  if t.count > 0 then begin
-    let p = Atomic.get t.pub in
-    if Atomic.get t.con >= p then begin
-      let x = priv_take_oldest t in
-      t.board.(p land (board_length - 1)) <- Some x;
-      Atomic.set t.pub (p + 1)
+  let ensure_capacity t =
+    let cap = Array.length t.priv in
+    if t.count = cap then begin
+      let bigger = Array.make (cap * 2) t.empty in
+      for i = 0 to t.count - 1 do
+        bigger.(i) <- t.priv.((t.head + i) mod cap)
+      done;
+      t.priv <- bigger;
+      t.head <- 0
     end
-  end
 
-(* The read/write-only extraction shared by thieves and the owner's
-   reclaim path: loads of [con], [pub] and the slot, then one blind
-   store of [con + 1].  Never CASes, never retries. *)
-let take_published t =
-  let c = Atomic.get t.con in
-  let p = Atomic.get t.pub in
-  if c >= p then Spec.Empty
-  else
-    match t.board.(c land (board_length - 1)) with
-    | None ->
-        (* Unreachable through the publication ordering; kept as a
-           defensive NIL — returning Empty without advancing [con] can
-           never lose work. *)
-        Spec.Empty
-    | Some v ->
-        Atomic.set t.con (c + 1);
-        Spec.Got v
+  let priv_push_newest t x =
+    ensure_capacity t;
+    t.priv.((t.head + t.count) mod Array.length t.priv) <- x;
+    t.count <- t.count + 1
 
-(* ------------------------------------------------------------------ *)
-(* Deque methods.                                                     *)
+  let priv_pop_newest t =
+    let i = (t.head + t.count - 1) mod Array.length t.priv in
+    let x = t.priv.(i) in
+    t.priv.(i) <- t.empty;
+    t.count <- t.count - 1;
+    x
 
-let push_bottom t x =
-  priv_push_newest t x;
-  maybe_publish t
+  let priv_take_oldest t =
+    let x = t.priv.(t.head) in
+    t.priv.(t.head) <- t.empty;
+    t.head <- (t.head + 1) mod Array.length t.priv;
+    t.count <- t.count - 1;
+    x
 
-let pop_bottom_detailed t =
-  if t.count > 0 then begin
-    let x = priv_pop_newest t in
-    (* Top up the board so a long-running owner never leaves thieves
-       staring at a drained board while private work remains. *)
-    maybe_publish t;
-    Spec.Got x
-  end
-  else
-    (* Nothing private: reclaim the published task, racing thieves on
-       equal read/write-only terms.  Both sides may win — the layer
-       above must discard the duplicate execution. *)
-    take_published t
+  (* ---------------------------------------------------------------- *)
+  (* Publication.                                                     *)
 
-let pop_top_detailed = take_published
+  (* Owner, with private work: if the board is drained, publish the
+     oldest private task.  The slot store precedes the [pub] store, so
+     any thief whose read of [pub] covers index [p] also sees the slot's
+     value (publication ordering); the publish precondition [con >= pub]
+     is exactly what makes the slot's reuse safe.  Returns the window
+     [pub - con] it leaves, from its own reads. *)
+  let publish t =
+    let p = Atomic.get t.pub in
+    let c = Atomic.get t.con in
+    if c >= p then begin
+      let x = priv_take_oldest t in
+      t.board.(p land (board_length - 1)) <- x;
+      Atomic.set t.pub (p + 1);
+      p + 1 - c
+    end
+    else p - c
 
-let to_option = function Spec.Got x -> Some x | Spec.Empty | Spec.Contended -> None
-let pop_bottom t = to_option (pop_bottom_detailed t)
-let pop_top t = to_option (pop_top_detailed t)
+  (* The read/write-only extraction shared by thieves and the owner's
+     reclaim path: loads of [con], [pub] and the slot, then one blind
+     store of [con + 1].  Never CASes, never retries.  An [empty] slot
+     is unreachable through the publication ordering; it is a
+     defensive NIL, and returning it without advancing [con] can never
+     lose work. *)
+  let take_published t =
+    let c = Atomic.get t.con in
+    let p = Atomic.get t.pub in
+    if c >= p then t.empty
+    else begin
+      let v = t.board.(c land (board_length - 1)) in
+      if v != t.empty then Atomic.set t.con (c + 1);
+      v
+    end
 
-(* Advisory: exact for the owner and serially; a stale-regressed [con]
-   can briefly overstate the pending window under concurrency. *)
-let size t = t.count + max 0 (Atomic.get t.pub - Atomic.get t.con)
-let is_empty t = size t = 0
+  (* ---------------------------------------------------------------- *)
+  (* Deque methods.                                                   *)
+
+  (* The size it leaves: the private ring plus the window. *)
+  let push t x =
+    priv_push_newest t x;
+    let window = publish t in
+    t.count + window
+
+  let pop_bottom t =
+    if t.count > 0 then begin
+      let x = priv_pop_newest t in
+      (* Top up the board so a long-running owner never leaves thieves
+         staring at a drained board while private work remains. *)
+      if t.count > 0 then ignore (publish t);
+      x
+    end
+    else
+      (* Nothing private: reclaim the published task, racing thieves on
+         equal read/write-only terms.  Both sides may win — the layer
+         above must discard the duplicate execution. *)
+      take_published t
+
+  let pop_top = take_published
+
+  (* Advisory: exact for the owner and serially; a stale-regressed [con]
+     can briefly overstate the pending window under concurrency. *)
+  let size t = t.count + max 0 (Atomic.get t.pub - Atomic.get t.con)
+end
+
+include Spec.Of_core (Core)

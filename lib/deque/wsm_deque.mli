@@ -36,17 +36,14 @@
     as the differential-test oracle; {!Spec.Reference} would flag the
     legal duplicates as bugs. *)
 
-include Spec.DETAILED
+module Core : Spec.CORE
+(** The methods.  [pop_bottom] is a plain non-atomic fast path over the
+    private ring; [pop_top] makes atomic loads plus one blind store, no
+    read-modify-write, and may duplicate under contention per the
+    multiplicity contract.  No pop returns [lost]: there is no CAS to
+    lose. *)
 
-val pop_bottom : 'a t -> 'a option
-(** Owner pop; plain non-atomic fast path over the private ring. *)
-
-val pop_top : 'a t -> 'a option
-(** Thief pop: atomic loads plus one blind store, no read-modify-write.
-    May duplicate under contention per the multiplicity contract. *)
-
-val is_empty : 'a t -> bool
-(** Advisory snapshot; racy under concurrency. *)
+include Spec.S with type 'a t = 'a option Core.t
 
 val board_length : int
 (** Capacity of the publication ring visible to thieves.  The board

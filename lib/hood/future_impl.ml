@@ -137,9 +137,8 @@ let force t =
           | Some v -> v
           | None ->
               Worker.checkpoint w;
-              (match Worker.try_get_task w with
-              | Some task -> Worker.run_task w task
-              | None -> Domain.cpu_relax ());
+              let task = Worker.try_get_task w in
+              if task == Worker.empty then Domain.cpu_relax () else Worker.run_task w task;
               wait ()
         in
         wait ()

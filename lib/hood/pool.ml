@@ -21,7 +21,6 @@ type source = Worker.source = {
   event : Abp_trace.Event.kind option;
 }
 
-module Spec = Abp_deque.Spec
 module Counters = Abp_trace.Counters
 module Sink = Abp_trace.Sink
 module Padding = Abp_deque.Padding
@@ -50,21 +49,22 @@ let parked_workers (p : t) = Parking.waiting p.parking
 let suspended (p : t) = Atomic.get p.n_suspended
 let wake = Worker.wake
 
-(* The deque [deque_impl] names, as the operations the worker loop
-   calls, each closed over one fresh deque. *)
-let make_deque (module D : Spec.DETAILED) ?capacity () =
-  let d = D.create ?capacity () in
+(* The deque [deque_impl] names, over tasks, as the operations the
+   worker loop calls, each closed over one fresh deque. *)
+let make_deque deque_impl ?capacity () =
+  let (module D : Abp_deque.Spec.CORE) =
+    match deque_impl with
+    | Abp -> (module Abp_deque.Atomic_deque.Core)
+    | Circular -> (module Abp_deque.Circular_deque.Core)
+    | Locked -> (module Abp_deque.Locked_deque.Core)
+  in
+  let d = D.create ?capacity ~empty:Worker.empty ~lost:Worker.lost () in
   {
-    Worker.push = D.push_bottom d;
-    pop_bottom = (fun () -> D.pop_bottom_detailed d);
-    pop_top = (fun () -> D.pop_top_detailed d);
+    Worker.push = (fun task -> D.push d task);
+    pop_bottom = (fun () -> D.pop_bottom d);
+    pop_top = (fun () -> D.pop_top d);
     size = (fun () -> D.size d);
   }
-
-let deque_module : deque_impl -> (module Spec.DETAILED) = function
-  | Abp -> (module Abp_deque.Atomic_deque)
-  | Circular -> (module Abp_deque.Circular_deque)
-  | Locked -> (module Abp_deque.Locked_deque)
 
 (* The resume inbox as the first source: one continuation per poll (a
    resume is executed directly and never re-enters a deque), ahead of
@@ -106,10 +106,9 @@ let create ?processes ?deque_capacity ?(yield_kind = Yield_local)
   | _ -> ());
   let resume_lock = Mutex.create () and resume_q = Queue.create () in
   let resume_n = Padding.atomic 0 in
-  let dm = deque_module deque_impl in
   let p =
     {
-      Worker.deques = Array.init processes (fun _ -> make_deque dm ?capacity:deque_capacity ());
+      Worker.deques = Array.init processes (fun _ -> make_deque deque_impl ?capacity:deque_capacity ());
       shutdown_flag = Atomic.make false;
       run_lock = Mutex.create ();
       domains = [||];
@@ -193,9 +192,8 @@ let run (p : t) f =
    cross_* counters. *)
 let steal_from (p : t) ~victim =
   if victim < 0 || victim >= p.size then invalid_arg "Pool.steal_from: victim out of range";
-  match p.deques.(victim).pop_top () with
-  | Spec.Got task -> Some task
-  | Spec.Empty | Spec.Contended -> None
+  let task = p.deques.(victim).pop_top () in
+  if task == Worker.empty || task == Worker.lost then None else Some task
 
 (* Worker 0's deque has no owner between runs: a task the last [run]
    spawned and never forced would stay there when the peers exit.  Run

@@ -4,7 +4,6 @@
    {!Pool} builds the state, spawns the domains that run [worker_loop]
    and owns the public lifecycle. *)
 
-module Spec = Abp_deque.Spec
 module Counters = Abp_trace.Counters
 module Sink = Abp_trace.Sink
 module Fiber = Abp_fiber.Fiber
@@ -51,11 +50,16 @@ type source = {
    below exists once and each operation is one closure call (without
    flambda no deque method would be inlined into the loop anyway). *)
 type deque = {
-  push : (unit -> unit) -> unit;
-  pop_bottom : unit -> (unit -> unit) Spec.detailed;
-  pop_top : unit -> (unit -> unit) Spec.detailed;
+  push : (unit -> unit) -> int;
+  pop_bottom : unit -> unit -> unit;
+  pop_top : unit -> unit -> unit;
   size : unit -> int;
 }
+
+(* What a pop returns instead of a task ([empty]: it saw the deque
+   empty; [lost]: it lost a CAS or its last task to a thief). *)
+let empty () = failwith "Worker.empty: a sentinel ran"
+let lost () = failwith "Worker.lost: a sentinel ran"
 
 (* Note what is NOT here: no aggregate steal counters.  Steal accounting
    lives entirely in the per-worker (cache-line-padded) [Counters.t]
@@ -177,78 +181,75 @@ let[@inline] checkpoint w =
   | Some g -> if not (g.poll w.id) then checkpoint_blocked w g
 
 let push_task w task =
-  let d = w.dq in
-  d.push task;
+  let size = w.dq.push task in
   let c = w.c in
   Counters.incr c Counters.pushes;
-  Counters.note_max c Counters.deque_high_water (d.size ());
+  Counters.note_max c Counters.deque_high_water size;
   emit w Abp_trace.Event.Spawn;
   Parking.wake_one w.pool.parking
 
 let local_deque_size w = w.dq.size ()
 
-(* One steal attempt from a uniformly random other victim. *)
+(* One steal attempt from a uniformly random other victim, or [empty]. *)
 let steal w =
   let pool = w.pool in
   let c = w.c in
-  if pool.size = 1 then None
+  if pool.size = 1 then empty
   else begin
     let v = Abp_stats.Rng.int w.rng_state (pool.size - 1) in
     let victim = if v >= w.id then v + 1 else v in
     Counters.incr c Counters.steal_attempts;
-    match pool.deques.(victim).pop_top () with
-    | Spec.Got task ->
-        Counters.incr c Counters.successful_steals;
-        Counters.incr c Counters.stolen_tasks;
-        Counters.note_victim c victim;
-        emit w ~arg:victim Abp_trace.Event.Steal;
-        Some task
-    | Spec.Empty ->
-        Counters.incr c Counters.steal_empties;
-        emit w ~arg:victim Abp_trace.Event.Idle;
-        None
-    | Spec.Contended ->
-        Counters.incr c Counters.cas_failures_pop_top;
-        emit w ~arg:victim Abp_trace.Event.Idle;
-        None
+    let task = pool.deques.(victim).pop_top () in
+    if task == empty || task == lost then begin
+      Counters.incr c (if task == empty then Counters.steal_empties else Counters.cas_failures_pop_top);
+      emit w ~arg:victim Abp_trace.Event.Idle;
+      empty
+    end
+    else begin
+      Counters.incr c Counters.successful_steals;
+      Counters.incr c Counters.stolen_tasks;
+      Counters.note_victim c victim;
+      emit w ~arg:victim Abp_trace.Event.Steal;
+      task
+    end
   end
 
-(* Past the steal: the first source in list order that yields. *)
+(* Past the steal: the first source in list order that yields, or [empty]. *)
 let poll_sources w =
   let sources = w.pool.sources in
   let n = Array.length sources in
   let rec go i =
-    if i >= n then None
+    if i >= n then empty
     else
       let s = Array.unsafe_get sources i in
       match s.take () with
       | None ->
           s.note w.c false;
           go (i + 1)
-      | Some _ as got ->
+      | Some task ->
           s.note w.c true;
           (match s.event with Some k -> emit w k | None -> ());
-          got
+          task
   in
   go 0
 
-(* The owner pop of Figure 3: [None] on an empty deque or when the last
-   task was lost to a thief mid-popBottom. *)
+(* The owner pop of Figure 3: [empty] on an empty deque or when the
+   last task was lost to a thief mid-popBottom. *)
 let pop_bottom w =
-  match w.dq.pop_bottom () with
-  | Spec.Got task ->
-      Counters.incr w.c Counters.pops;
-      emit w Abp_trace.Event.Execute;
-      Some task
-  | Spec.Contended ->
-      Counters.incr w.c Counters.cas_failures_pop_bottom;
-      None
-  | Spec.Empty -> None
+  let task = w.dq.pop_bottom () in
+  if task == lost then Counters.incr w.c Counters.cas_failures_pop_bottom
+  else if task != empty then begin
+    Counters.incr w.c Counters.pops;
+    emit w Abp_trace.Event.Execute
+  end;
+  if task == lost then empty else task
 
 let try_get_task w =
-  match pop_bottom w with
-  | Some _ as got -> got
-  | None -> ( match steal w with Some _ as got -> got | None -> poll_sources w)
+  let task = pop_bottom w in
+  if task != empty then task
+  else
+    let task = steal w in
+    if task != empty then task else poll_sources w
 
 (* Work-first join ({!Future.force}): pop the own deque's bottom and
    report whether it is [task] (physical equality on the closure) —
@@ -258,19 +259,17 @@ let try_get_task w =
    quiescence; the re-push wakes parked thieves like any push, since
    one may have parked while the deque looked empty. *)
 let pop_own w task =
-  match w.dq.pop_bottom () with
-  | Spec.Got t when t == task ->
-      Counters.incr w.c Counters.pops;
-      emit w Abp_trace.Event.Execute;
-      true
-  | Spec.Got t ->
-      w.dq.push t;
-      Parking.wake_one w.pool.parking;
-      false
-  | Spec.Contended ->
-      Counters.incr w.c Counters.cas_failures_pop_bottom;
-      false
-  | Spec.Empty -> false
+  let t = w.dq.pop_bottom () in
+  if t == task then begin
+    Counters.incr w.c Counters.pops;
+    emit w Abp_trace.Event.Execute
+  end
+  else if t == lost then Counters.incr w.c Counters.cas_failures_pop_bottom
+  else if t != empty then begin
+    ignore (w.dq.push t);
+    Parking.wake_one w.pool.parking
+  end;
+  t == task
 
 (* The parking check: some deque is non-empty, or some source is
    pending. *)
@@ -354,7 +353,8 @@ let worker_loop w =
   let p = w.pool in
   while not (Atomic.get p.shutdown_flag) do
     checkpoint w;
-    match try_get_task w with Some task -> exec w task | None -> idle w
+    let task = try_get_task w in
+    if task == empty then idle w else exec w task
   done
 
 (* Scheduling loop for the [run] caller's domain: keep executing pool
@@ -366,9 +366,8 @@ let worker_loop w =
 let help_until w stop =
   while not (stop ()) do
     checkpoint w;
-    match try_get_task w with
-    | Some task -> exec w task
-    | None -> Domain.cpu_relax ()
+    let task = try_get_task w in
+    if task == empty then Domain.cpu_relax () else exec w task
   done
 
 (* Run the own deque empty with owner pops only.  The final, empty pop
@@ -380,11 +379,11 @@ let help_until w stop =
    runs it too, so that a task the last run left unforced still runs. *)
 let rec drain_own w =
   checkpoint w;
-  match pop_bottom w with
-  | Some task ->
-      exec w task;
-      drain_own w
-  | None -> ()
+  let task = pop_bottom w in
+  if task != empty then begin
+    exec w task;
+    drain_own w
+  end
 
 (* Per-domain worker identity. *)
 let context_key : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)

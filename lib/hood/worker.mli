@@ -21,13 +21,16 @@ type source = {
 }
 
 type deque = {
-  push : (unit -> unit) -> unit;
-  pop_bottom : unit -> (unit -> unit) Abp_deque.Spec.detailed;
-  pop_top : unit -> (unit -> unit) Abp_deque.Spec.detailed;
+  push : (unit -> unit) -> int;
+  pop_bottom : unit -> unit -> unit;
+  pop_top : unit -> unit -> unit;
   size : unit -> int;
 }
-(** One worker's deque as its operations, closed over it: the
-    implementation {!Pool.create} selects, behind one interface. *)
+(** One worker's deque, closed over it: the {!Abp_deque.Spec.CORE} that
+    {!Pool.create} selects, over tasks and the sentinels below ([==]). *)
+
+val empty : unit -> unit
+val lost : unit -> unit
 
 type pool = {
   deques : deque array;
@@ -112,9 +115,9 @@ val push_task : t -> (unit -> unit) -> unit
 (** Push a task onto the worker's own deque bottom (owner only) and wake
     a parked thief. *)
 
-val try_get_task : t -> (unit -> unit) option
+val try_get_task : t -> unit -> unit
 (** One trip of Figure 3's acquisition: own-deque pop, then one steal
-    attempt, then the sources in order. *)
+    attempt, then the sources in order.  A task, or {!empty}. *)
 
 val pop_own : t -> (unit -> unit) -> bool
 (** [pop_own w task] is the work-first join primitive (owner only):

@@ -1,19 +1,19 @@
-(* The production deques under Sched_explorer, over their generated
-   checked copies: ABP's Figure 5 (Atomic_deque_checked) and the
-   multiplicity deque (Wsm_deque_checked).  The owner and each thief are
-   threads that run their scripts; an [observe] after every step keeps
-   the monitors of the relaxed semantics, as the paper states them per
-   instant. *)
+(* The production deques under Sched_explorer, over the cores of their
+   generated checked copies: ABP's Figure 5 (Atomic_deque_checked), the
+   Chase-Lev deque (Circular_deque_checked) and the multiplicity deque
+   (Wsm_deque_checked).  The owner and each thief are threads that run
+   their scripts; an [observe] after every step keeps the monitors of
+   the relaxed semantics, as the paper states them per instant. *)
 
 module E = Sched_explorer
 module A = Sched_atomic
-module D = Atomic_deque_checked
-module W = Wsm_deque_checked
+module D = Atomic_deque_checked.Core
+module C = Circular_deque_checked.Core
+module W = Wsm_deque_checked.Core
 module Ref = Abp_deque.Spec.Reference
 
 type op = Push_bottom of int | Pop_bottom | Pop_top
 type program = { owner : op list; thieves : op list list }
-type report = { detailed : E.report; option : E.report }
 type wsm_report = { run : E.report; serial_executions : int; max_duplicates : int }
 
 let op_name = function
@@ -21,12 +21,21 @@ let op_name = function
   | Pop_bottom -> "popBottom"
   | Pop_top -> "popTop"
 
-(* What an invocation returned.  The option pops give [Nil] for any
-   NIL, the [_detailed] ones its cause. *)
-type result = Pushed | Got of int | Nil | Empty | Contended
+(* Every deque is made with these sentinels, so a pop's result is
+   classified by its value. *)
+let empty = -1
+let lost = -2
 
-let of_detailed = function Abp_deque.Spec.Got v -> Got v | Empty -> Empty | Contended -> Contended
-let of_option = function Some v -> Got v | None -> Nil
+type result = Pushed | Got of int | Empty | Lost
+
+let invoke ~push ~pop_bottom ~pop_top d op =
+  let classify v = if v = empty then Empty else if v = lost then Lost else Got v in
+  match op with
+  | Push_bottom v ->
+      ignore (push d v);
+      Pushed
+  | Pop_bottom -> classify (pop_bottom d)
+  | Pop_top -> classify (pop_top d)
 
 (* An invocation, from its first access on: how many accesses it has
    made, and whether since then the deque was empty at some instant,
@@ -55,7 +64,9 @@ let validate program =
     program.thieves;
   let p = pushed program in
   if List.length (List.sort_uniq compare p) < List.length p then
-    invalid_arg "Deque_checks: pushed values must be distinct"
+    invalid_arg "Deque_checks: pushed values must be distinct";
+  if List.exists (fun v -> v = empty || v = lost) p then
+    invalid_arg "Deque_checks: a pushed value equals a sentinel"
 
 (* The program's threads, each running its script through [invoke], the
    values they returned, and the monitor.  A step is one access of the
@@ -126,42 +137,77 @@ let within bound inv =
   if inv.accesses <= bound inv.op then []
   else [ Printf.sprintf "%s took %d accesses (bound %d)" (op_name inv.op) inv.accesses (bound inv.op) ]
 
-(* Figure 5 has no loop: each method makes at most this many accesses. *)
-let abp_bound = function Push_bottom _ -> 3 | Pop_bottom -> 7 | Pop_top -> 4
+(* Figure 5 has no loop: each method makes at most this many accesses
+   (pushBottom's fourth reads [age] for the size it leaves). *)
+let abp_bound = function Push_bottom _ -> 4 | Pop_bottom -> 7 | Pop_top -> 4
 
-let abp_judge inv r =
+(* An [Empty] saw an empty instant.  A [Lost] saw another thread write
+   the contended [word], and, as any NIL must, an empty instant or a
+   top removal. *)
+let judge ~word bound inv r =
   (match r with
   | Pushed | Got _ -> []
-  | Nil -> nil inv "NIL with no empty instant nor top removal" (inv.empty || inv.removed)
   | Empty -> nil inv "Empty with no empty instant" inv.empty
-  | Contended -> nil inv "Contended with no write of age by another thread" inv.moved)
-  @ within abp_bound inv
+  | Lost ->
+      nil inv "Lost with no empty instant nor top removal" (inv.empty || inv.removed)
+      @ nil inv ("Lost with no write of " ^ word ^ " by another thread") inv.moved)
+  @ within bound inv
 
-let abp_scenario ~detailed program () =
+(* Every pushed value was returned once or is still in the deque. *)
+let conserved pushed got left =
+  let sort l = List.sort compare l in
+  let accounted = sort (got @ left) in
+  if sort pushed = accounted then []
+  else
+    let show l = String.concat ";" (List.map string_of_int l) in
+    [ Printf.sprintf "conservation violated: pushed=[%s] returned+remaining=[%s]" (show (sort pushed))
+        (show accounted) ]
+
+let abp_scenario program () =
   let pushed = pushed program in
-  let d = D.create ~capacity:(Int.max 1 (List.length pushed)) () in
+  let d = D.create ~capacity:(Int.max 1 (List.length pushed)) ~empty ~lost () in
   let top () = Age_checked.top (Age_checked.of_packed (A.peek d.age)) in
-  let invoke = function
-    | Push_bottom v ->
-        D.push_bottom d v;
-        Pushed
-    | Pop_bottom -> if detailed then of_detailed (D.pop_bottom_detailed d) else of_option (D.pop_bottom d)
-    | Pop_top -> if detailed then of_detailed (D.pop_top_detailed d) else of_option (D.pop_top d)
-  in
   let _, got, observe, ghost =
-    monitor program ~invoke ~empty:(fun () -> A.peek d.bot <= top ()) ~word:(fun () -> A.peek d.age)
-      ~judge:abp_judge
+    monitor program
+      ~invoke:(invoke ~push:D.push ~pop_bottom:D.pop_bottom ~pop_top:D.pop_top d)
+      ~empty:(fun () -> A.peek d.bot <= top ())
+      ~word:(fun () -> A.peek d.age)
+      ~judge:(judge ~word:"age" abp_bound)
   in
-  (* Every pushed value was returned once or is still in the deque. *)
   let check () =
-    let left = List.init (Int.max 0 (A.peek d.bot - top ())) (fun k -> A.peek d.deq.(top () + k)) in
-    let sort l = List.sort compare l in
-    let accounted = sort (!got @ List.filter_map Fun.id left) in
-    if sort pushed = accounted then []
-    else
-      let show l = String.concat ";" (List.map string_of_int l) in
-      [ Printf.sprintf "conservation violated: pushed=[%s] returned+remaining=[%s]" (show (sort pushed))
-          (show accounted) ]
+    conserved pushed !got (List.init (Int.max 0 (A.peek d.bot - top ())) (fun k -> A.peek d.deq.(top () + k)))
+  in
+  { E.ghost; observe; check }
+
+(* Chase-Lev has no loop but the grow and shrink copies, of at most
+   [capacity / 2] live elements on a push and fewer than [capacity / 4]
+   on a popBottom, where [capacity] is the largest buffer the program
+   can reach; each copied element is a load and a store.  Outside the
+   copies, pushBottom loads [bottom], [top] and the buffer, stores the
+   slot and [bottom], and a grow or shrink adds a load of the buffer,
+   its publish and the count; popBottom makes at most 10 accesses
+   (with a shrink) and popTop 5. *)
+let circular_bound ~capacity = function
+  | Push_bottom _ -> 8 + capacity
+  | Pop_bottom -> 10 + (capacity / 2)
+  | Pop_top -> 5
+
+let circular_scenario program () =
+  let pushed = pushed program in
+  let rec reach c = if c >= List.length pushed then c else reach (2 * c) in
+  let d = C.create ~capacity:2 ~empty ~lost () in
+  let top () = A.peek d.top and bottom () = A.peek d.bottom in
+  let _, got, observe, ghost =
+    monitor program
+      ~invoke:(invoke ~push:C.push ~pop_bottom:C.pop_bottom ~pop_top:C.pop_top d)
+      ~empty:(fun () -> bottom () <= top ())
+      ~word:top
+      ~judge:(judge ~word:"top" (circular_bound ~capacity:(reach 2)))
+  in
+  let check () =
+    let buf = A.peek d.active in
+    conserved pushed !got
+      (List.init (Int.max 0 (bottom () - top ())) (fun k -> A.peek buf.seg.((top () + k) land buf.mask)))
   in
   { E.ghost; observe; check }
 
@@ -172,32 +218,29 @@ let abp_scenario ~detailed program () =
    [con], [pub] and the board slot and stores [con]. *)
 let wsm_bound = function Push_bottom _ -> 7 | Pop_bottom -> 8 | Pop_top -> 4
 
-(* A NIL read [con] >= [pub]: with a non-empty window at every instant
-   and [con] unchanged by others since its first access (its own load of
-   [con]) that cannot be.  A NIL after 3 accesses read an unpublished
-   board slot, which the order slot-then-[pub] makes unreachable.  Wsm
-   has no CAS to lose, so no Contended. *)
+(* An [Empty] read [con] >= [pub]: with a non-empty window at every
+   instant and [con] unchanged by others since its first access (its own
+   load of [con]) that cannot be.  An [Empty] after 3 accesses read an
+   unpublished board slot, which the order slot-then-[pub] makes
+   unreachable.  Wsm has no CAS to lose, so no [Lost]. *)
 let wsm_judge inv r =
   (match r with
   | Pushed | Got _ -> []
-  | (Nil | Empty) when inv.accesses = 3 -> [ op_name inv.op ^ " read an unpublished slot" ]
-  | Nil | Empty -> nil inv "NIL with no empty window nor a write of con by another thread" (inv.empty || inv.moved)
-  | Contended -> nil inv "Contended" false)
+  | Empty when inv.accesses = 3 -> [ op_name inv.op ^ " read an unpublished slot" ]
+  | Empty -> nil inv "Empty with no empty window nor a write of con by another thread" (inv.empty || inv.moved)
+  | Lost -> nil inv "Lost" false)
   @ within wsm_bound inv
 
 let wsm_scenario program ~serial_executions ~max_duplicates () =
   let pushed = pushed program in
-  let d = W.create ~capacity:(Int.max 1 (List.length pushed)) () in
-  let invoke = function
-    | Push_bottom v ->
-        W.push_bottom d v;
-        Pushed
-    | Pop_bottom -> of_detailed (W.pop_bottom_detailed d)
-    | Pop_top -> of_detailed (W.pop_top_detailed d)
-  in
+  let d = W.create ~capacity:(Int.max 1 (List.length pushed)) ~empty ~lost () in
   let window () = A.peek d.pub - A.peek d.con in
   let threads, got, observe, ghost =
-    monitor program ~invoke ~empty:(fun () -> window () <= 0) ~word:(fun () -> A.peek d.con) ~judge:wsm_judge
+    monitor program
+      ~invoke:(invoke ~push:W.push ~pop_bottom:W.pop_bottom ~pop_top:W.pop_top d)
+      ~empty:(fun () -> window () <= 0)
+      ~word:(fun () -> A.peek d.con)
+      ~judge:wsm_judge
   in
   (* The execution is serial until a step is taken while another
      thread's invocation is in flight.  Until then each return must agree
@@ -236,7 +279,6 @@ let wsm_scenario program ~serial_executions ~max_duplicates () =
     let remaining =
       List.init d.count (fun k -> slot d.priv (d.head + k))
       @ List.init (Int.max 0 (window ())) (fun k -> slot d.board (A.peek d.con + k))
-      |> List.filter_map Fun.id
     in
     if !serial then incr serial_executions;
     max_duplicates := Int.max !max_duplicates (List.length !got - List.length (List.sort_uniq compare !got));
@@ -255,8 +297,11 @@ let explore ?(tag_width = Abp_deque.Bounded_tag.max_width) program =
   if tag_width < 0 || tag_width > Abp_deque.Bounded_tag.max_width then
     invalid_arg "Deque_checks: tag_width out of range";
   Age_checked.width := tag_width;
-  let run detailed = E.explore (abp_scenario ~detailed program) in
-  { detailed = run true; option = run false }
+  E.explore (abp_scenario program)
+
+let explore_circular program =
+  validate program;
+  E.explore (circular_scenario program)
 
 let explore_wsm program =
   validate program;
@@ -264,13 +309,7 @@ let explore_wsm program =
   let run = E.explore (wsm_scenario program ~serial_executions ~max_duplicates) in
   { run; serial_executions = !serial_executions; max_duplicates = !max_duplicates }
 
-let violations r =
-  List.map (( ^ ) "detailed pops: ") r.detailed.violations
-  @ List.map (( ^ ) "option pops: ") r.option.violations
-
 let program_total_ops p = List.length (List.concat (p.owner :: p.thieves))
-
-let pp_report ppf r = Fmt.pf ppf "detailed: %a; option: %a" E.pp_report r.detailed E.pp_report r.option
 
 let pp_wsm_report ppf r =
   Fmt.pf ppf "serial %d  max duplicates %d  %a" r.serial_executions r.max_duplicates E.pp_report r.run
@@ -304,6 +343,17 @@ let wsm_reuse_pending =
         (List.init 9 (fun i -> [ Push_bottom ((2 * i) + 1); Push_bottom ((2 * i) + 2); Pop_bottom; Pop_bottom ]));
     thieves = [ [ Pop_top ] ];
   }
+
+let circular_programs =
+  let push n = List.init n (fun i -> Push_bottom (i + 1)) and pop n = List.init n (fun _ -> Pop_bottom) in
+  [
+    ("grow vs greedy thief", { owner = push 3; thieves = [ [ Pop_top; Pop_top ] ] });
+    ("grow, pops vs thief", { owner = push 3 @ pop 2; thieves = [ [ Pop_top ] ] });
+    ("grow twice, shrink", { owner = push 5 @ pop 4; thieves = [ [ Pop_top ] ] });
+    ("last vs two thieves", { owner = push 2 @ pop 1; thieves = [ [ Pop_top ]; [ Pop_top ] ] });
+    ("last vs greedy thief", { owner = push 2 @ pop 1; thieves = [ [ Pop_top; Pop_top ] ] });
+    ("grow vs two thieves", { owner = push 3 @ pop 1; thieves = [ [ Pop_top ]; [ Pop_top ] ] });
+  ]
 
 let random_program ~rng ~ops ~thieves =
   if ops < 0 || thieves < 0 then invalid_arg "Deque_checks.random_program";

@@ -1,8 +1,11 @@
 (** Exhaustive checks of the production deques, run by
-    {!Sched_explorer} over their generated checked copies: the ABP deque
+    {!Sched_explorer} over the cores ({!Abp_deque.Spec.CORE}) of their
+    generated checked copies: the ABP deque
     ([lib/deque/atomic_deque.ml], the paper's Figure 5) as
-    [Atomic_deque_checked], and the multiplicity deque
-    ([lib/deque/wsm_deque.ml]) as [Wsm_deque_checked].
+    [Atomic_deque_checked], the Chase-Lev deque
+    ([lib/deque/circular_deque.ml]) as [Circular_deque_checked], and the
+    multiplicity deque ([lib/deque/wsm_deque.ml]) as
+    [Wsm_deque_checked].
 
     The paper asserts (Section 3.3) that Figure 5 meets the relaxed
     semantics and defers the proof to a technical report (TR-99-11);
@@ -10,9 +13,12 @@
     [Atomic] and every array slot are {!Sched_atomic} cells, so each
     load, store and [cas] is a step, and ABP's age tag wraps at a chosen
     width ({!Age_checked}).  A program is one owner thread issuing
-    [pushBottom]/[popBottom] and thief threads issuing [popTop]s.
-    {!explore} runs every program twice, on the [_detailed] pops that
-    the Pool runs and on the option pops, and every execution must meet:
+    [pushBottom]/[popBottom] and thief threads issuing [popTop]s.  Each
+    deque is made with the int sentinels [-1] ([empty]) and [-2]
+    ([lost]), so a pop's result is classified by its value.  {!explore}
+    runs every program once, on the one implementation of each method
+    that the Pool and the option API share, and every execution must
+    meet:
 
     - {b conservation}: every pushed value is returned by exactly one
       pop or remains in the final deque;
@@ -20,18 +26,25 @@
       saw, at some instant since its first access, an empty deque or
       the removal of the top item by another thread (a [popTop], or a
       [popBottom] that took the last item by its [cas]);
-    - {b the telemetry classification}: an [Empty] NIL saw an empty
-      instant, and a [Contended] one a top removal by another thread;
-    - {b the step bounds}: [pushBottom] makes at most 3 accesses,
-      [popTop] 4 and [popBottom] 7 (the owner's wait-freedom).
+    - {b the telemetry classification}: an [empty] NIL saw an empty
+      instant, and a [lost] one a write of [age] by another thread;
+    - {b the step bounds}: [pushBottom] makes at most 4 accesses (the
+      fourth reads [age] for the size it leaves), [popTop] 4 and
+      [popBottom] 7 (the owner's wait-freedom).
 
     With a tag too narrow for the owner resets a thief's steal can span
     ([tag_width = 0], or 1 with two resets in flight) the checks find
     the ABA violation that the tag exists to prevent.
 
-    {!explore_wsm} runs a program on the multiplicity deque's detailed
-    pops, whose contract is weaker by design, and checks that the
-    relaxation goes no further:
+    {!explore_circular} makes the same checks on the Chase-Lev deque,
+    created at capacity 2 so that a few pushes grow its buffer and a
+    drain shrinks it again; [top] is its contended word, and its step
+    bounds grow with the largest capacity the program reaches (the grow
+    and shrink copies).
+
+    {!explore_wsm} runs a program on the multiplicity deque, whose
+    contract is weaker by design, and checks that the relaxation goes
+    no further:
 
     - {b at-least-once conservation}: every pushed value is returned by
       some pop or remains in the private ring or the published window
@@ -54,23 +67,16 @@ type program = {
   thieves : op list list;  (** one list per thief thread; only [Pop_top] *)
 }
 
-type report = {
-  detailed : Sched_explorer.report;  (** with [pop_bottom_detailed] and [pop_top_detailed] *)
-  option : Sched_explorer.report;  (** with [pop_bottom] and [pop_top] *)
-}
-
-val explore : ?tag_width:int -> program -> report
+val explore : ?tag_width:int -> program -> Sched_explorer.report
 (** [tag_width] defaults to {!Abp_deque.Bounded_tag.max_width}, the
     production tag.  Raises [Invalid_argument] if a thief list holds an
     owner operation, a value is pushed twice (the verdicts are
-    per-value) or the width is out of range. *)
+    per-value) or is a sentinel, or the width is out of range. *)
 
-val violations : report -> string list
-(** Both runs' violations, each prefixed with its pops; empty =
-    verified. *)
+val explore_circular : program -> Sched_explorer.report
+(** Raises [Invalid_argument] as {!explore} does. *)
 
 val program_total_ops : program -> int
-val pp_report : Format.formatter -> report -> unit
 
 type wsm_report = {
   run : Sched_explorer.report;
@@ -121,6 +127,14 @@ val wsm_reuse_pending : program
     newer task private, so the first pop returns it; publishing onto an
     undrained window puts both tasks on the board, and that pop returns
     the older one, which the serial LIFO check reports. *)
+
+val circular_programs : (string * program) list
+(** Six programs at capacity 2, each named for the hazard it reaches:
+    three pushes grow the buffer under a thief that steals twice; grow,
+    then two pops against one steal; five pushes and four pops (two
+    grows, then a shrink) against one steal; two pushes and a pop (the
+    last-element race) against two thieves, and against one thief that
+    steals twice; three pushes (a grow) and a pop against two thieves. *)
 
 val random_program : rng:(int -> int) -> ops:int -> thieves:int -> program
 (** [ops] owner operations (pushes of distinct values and pops, drawn

@@ -52,7 +52,7 @@ let explorer_matches_safe_window () =
     (fun width ->
       List.iter
         (fun r ->
-          let violated = Dc.violations (Dc.explore ~tag_width:width (reset_program r)) <> [] in
+          let violated = (Dc.explore ~tag_width:width (reset_program r)).violations <> [] in
           let expect_safe = Bt.safe_window ~width ~in_flight_resets:r in
           Alcotest.(check bool)
             (Printf.sprintf "width %d, %d in-flight resets: violation iff unsafe" width r)
@@ -67,7 +67,7 @@ let wide_tags_always_safe () =
     (fun width ->
       Alcotest.(check (list string))
         (Printf.sprintf "width %d covers 3 resets" width)
-        [] (Dc.violations (Dc.explore ~tag_width:width (reset_program 3))))
+        [] (Dc.explore ~tag_width:width (reset_program 3)).violations)
     [ 2; 3; 5; Bt.max_width ]
 
 let tests =

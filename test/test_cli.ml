@@ -300,7 +300,8 @@ let mcheckrun_usage_errors () =
     ]
 
 (* A scenario run on production code: the multiplicity deque's thief
-   race (Wsm_deque), or the park/wake protocol (Parking). *)
+   race (Wsm_deque), the Chase-Lev deque's six programs
+   (Circular_deque), or the park/wake protocol (Parking). *)
 let mcheckrun_verified scenario () =
   let out = Filename.temp_file "abp_cli" ".stdout" in
   let code, err = run_capturing ~stdout:out ("mcheckrun.exe --scenario " ^ scenario) in
@@ -369,4 +370,5 @@ let tests =
       mcheckrun_usage_errors;
     Alcotest.test_case "mcheckrun: wsm-thief verified" `Quick (mcheckrun_verified "wsm-thief");
     Alcotest.test_case "mcheckrun: parking verified" `Quick (mcheckrun_verified "parking");
+    Alcotest.test_case "mcheckrun: circular verified" `Quick (mcheckrun_verified "circular");
   ]

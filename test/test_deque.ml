@@ -259,21 +259,17 @@ let concurrent_conservation (module D : Spec.S) ~capacity () =
   Alcotest.(check int) "every value consumed once" n (!own_count + Atomic.get stolen_count);
   Alcotest.(check int) "sum conserved" (n * (n + 1) / 2) (!own_sum + Atomic.get stolen_sum)
 
-(* Serially no process races the caller, so a [DETAILED] pop never
-   reports [Contended]: [Got v] is exactly the oracle's [Some v] and
-   [Empty] its [None].  These are the operations the pool's scheduling
-   loop and {!Abp_hood.Pool.steal_from} run, one task per call. *)
-let prop_detailed_differential name (module D : Spec.DETAILED) =
-  let agrees got want =
-    match (got, want) with
-    | Spec.Got v, Some w -> v = w
-    | Spec.Empty, None -> true
-    | _ -> false
-  in
+(* A core over ints with the sentinels [-1] (empty) and [-2] (lost).
+   Serially no process races the caller, so no pop returns [lost]: an
+   element is exactly the oracle's [Some v], [empty] its [None], and a
+   push returns the oracle's size.  These are the operations the pool's
+   scheduling loop and {!Abp_hood.Pool.steal_from} run, over tasks. *)
+let prop_core_differential name (module C : Spec.CORE) =
+  let agrees got want = match want with Some w -> got = w | None -> got = -1 in
   QCheck2.Test.make ~name ~count:50
     QCheck2.Gen.(list_size (int_range 1 200) (int_range 0 2))
     (fun ops ->
-      let d = D.create ~capacity:1024 () in
+      let d = C.create ~capacity:1024 ~empty:(-1) ~lost:(-2) () in
       let oracle = Spec.Reference.create () in
       let next = ref 0 in
       List.for_all
@@ -281,13 +277,13 @@ let prop_detailed_differential name (module D : Spec.DETAILED) =
           match op with
           | 0 ->
               incr next;
-              D.push_bottom d !next;
+              let left = C.push d !next in
               Spec.Reference.push_bottom oracle !next;
-              true
-          | 1 -> agrees (D.pop_bottom_detailed d) (Spec.Reference.pop_bottom oracle)
-          | _ -> agrees (D.pop_top_detailed d) (Spec.Reference.pop_top oracle))
+              left = Spec.Reference.size oracle
+          | 1 -> agrees (C.pop_bottom d) (Spec.Reference.pop_bottom oracle)
+          | _ -> agrees (C.pop_top d) (Spec.Reference.pop_top oracle))
         ops
-      && D.size d = Spec.Reference.size oracle)
+      && C.size d = Spec.Reference.size oracle)
 
 (* --- wsm: the fence-free multiplicity deque -------------------------- *)
 
@@ -349,15 +345,15 @@ let wsm_pop_top_published_window () =
   Alcotest.(check (option int)) "owner's pop republished the next oldest" (Some 2)
     (Wsm_deque.pop_top d)
 
-(* The relaxed serial contract of [pop_top_detailed] on wsm: [Got v] is
-   always the oracle's next popTop, an [Empty] may come early (the
-   oracle is then left alone), and [Contended] never happens without a
-   racing process; the owner's pops are exact. *)
-let prop_wsm_detailed_relaxed =
-  QCheck2.Test.make ~name:"wsm detailed ops meet the relaxed oracle" ~count:50
+(* The relaxed serial contract of the wsm core's popTop: an element is
+   always the oracle's next popTop, [empty] may come early (the oracle
+   is then left alone), and [lost] never comes without a racing
+   process; the owner's pops are exact. *)
+let prop_wsm_core_relaxed =
+  QCheck2.Test.make ~name:"wsm core ops meet the relaxed oracle" ~count:50
     QCheck2.Gen.(list_size (int_range 1 200) (int_range 0 2))
     (fun ops ->
-      let d : int Wsm_deque.t = Wsm_deque.create ~capacity:256 () in
+      let d = Wsm_deque.Core.create ~capacity:256 ~empty:(-1) ~lost:(-2) () in
       let oracle = Spec.Reference.create () in
       let next = ref 0 in
       List.for_all
@@ -365,21 +361,20 @@ let prop_wsm_detailed_relaxed =
           match op with
           | 0 ->
               incr next;
-              Wsm_deque.push_bottom d !next;
+              let left = Wsm_deque.Core.push d !next in
               Spec.Reference.push_bottom oracle !next;
-              true
+              left = Spec.Reference.size oracle
           | 1 -> (
-              match (Wsm_deque.pop_bottom_detailed d, Spec.Reference.pop_bottom oracle) with
-              | Spec.Got v, Some w -> v = w
-              | Spec.Empty, None -> true
-              | _ -> false)
+              match (Wsm_deque.Core.pop_bottom d, Spec.Reference.pop_bottom oracle) with
+              | v, Some w -> v = w
+              | v, None -> v = -1)
           | _ -> (
-              match Wsm_deque.pop_top_detailed d with
-              | Spec.Got v -> Spec.Reference.pop_top oracle = Some v
-              | Spec.Empty -> true
-              | Spec.Contended -> false))
+              match Wsm_deque.Core.pop_top d with
+              | -1 -> true
+              | -2 -> false
+              | v -> Spec.Reference.pop_top oracle = Some v))
         ops
-      && Wsm_deque.size d = Spec.Reference.size oracle)
+      && Wsm_deque.Core.size d = Spec.Reference.size oracle)
 
 (* --- the multiset oracle --------------------------------------------- *)
 
@@ -476,17 +471,17 @@ let tests =
     QCheck_alcotest.to_alcotest (prop_differential "locked matches oracle" (module Locked_deque));
     QCheck_alcotest.to_alcotest (prop_differential "circular matches oracle" (module Circular_deque));
     QCheck_alcotest.to_alcotest
-      (prop_detailed_differential "atomic detailed ops match oracle" (module Atomic_deque));
+      (prop_core_differential "atomic core ops match oracle" (module Atomic_deque.Core));
     QCheck_alcotest.to_alcotest
-      (prop_detailed_differential "circular detailed ops match oracle" (module Circular_deque));
+      (prop_core_differential "circular core ops match oracle" (module Circular_deque.Core));
     QCheck_alcotest.to_alcotest
-      (prop_detailed_differential "locked detailed ops match oracle" (module Locked_deque));
+      (prop_core_differential "locked core ops match oracle" (module Locked_deque.Core));
     Alcotest.test_case "wsm: smoke" `Quick (lifo_fifo_smoke (module Wsm_deque));
     Alcotest.test_case "wsm: serial differential (relaxed popTop)" `Quick
       (wsm_serial_differential ~ops:5000 ~seed:107L);
     Alcotest.test_case "wsm: popTop sees only the published window" `Quick
       wsm_pop_top_published_window;
-    QCheck_alcotest.to_alcotest prop_wsm_detailed_relaxed;
+    QCheck_alcotest.to_alcotest prop_wsm_core_relaxed;
     Alcotest.test_case "multiset oracle: rejects mutant traces" `Quick multiset_rejects_mutants;
     QCheck_alcotest.to_alcotest
       (prop_multiset_differential "atomic exactly-once vs multiset oracle" (module Atomic_deque)

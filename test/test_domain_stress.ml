@@ -2,8 +2,9 @@
    pop_bottom against N thief domains driving pop_top, on both the ABP
    fixed-array deque and the circular Chase-Lev deque.  Asserts
    conservation (every pushed value popped exactly once, by owner or by a
-   thief) and that the detailed pop outcomes account for every steal
-   attempt: attempts = successes + empties + lost CASes.  A final case
+   thief) and that the pop outcomes, classified by the cores' sentinels,
+   account for every steal attempt: attempts = successes + empties +
+   lost CASes.  A final case
    runs the whole Hood pool in instrumented mode and checks the same
    arithmetic on the sink totals. *)
 
@@ -11,11 +12,11 @@ module Spec = Abp_deque.Spec
 module Counters = Abp_trace.Counters
 module Sink = Abp_trace.Sink
 
-type ops = {
-  push : int -> unit;
-  pop_bottom : unit -> int Spec.detailed;
-  pop_top : unit -> int Spec.detailed;
-}
+(* Pushed values are 0 .. n - 1; the cores are made with these sentinels. *)
+let empty = -1
+let lost = -2
+
+type ops = { push : int -> int; pop_bottom : unit -> int; pop_top : unit -> int }
 
 let n_items = 20_000
 let n_thieves = 3
@@ -34,32 +35,32 @@ let stress ops =
     let c = thief_counters.(i) in
     while Atomic.get remaining > 0 do
       Counters.incr c Counters.steal_attempts;
-      (match ops.pop_top () with
-      | Spec.Got v ->
-          Counters.incr c Counters.successful_steals;
-          Counters.incr c Counters.stolen_tasks;
-          take v
-      | Spec.Empty ->
-          Counters.incr c Counters.steal_empties;
-          Counters.incr c Counters.yields;
-          Domain.cpu_relax ()
-      | Spec.Contended ->
-          Counters.incr c Counters.cas_failures_pop_top)
+      let v = ops.pop_top () in
+      if v = empty then begin
+        Counters.incr c Counters.steal_empties;
+        Counters.incr c Counters.yields;
+        Domain.cpu_relax ()
+      end
+      else if v = lost then Counters.incr c Counters.cas_failures_pop_top
+      else begin
+        Counters.incr c Counters.successful_steals;
+        Counters.incr c Counters.stolen_tasks;
+        take v
+      end
     done
   in
   let domains = Array.init n_thieves (fun i -> Domain.spawn (fun () -> thief i)) in
   let owner_pop () =
-    match ops.pop_bottom () with
-    | Spec.Got v ->
-        Counters.incr owner Counters.pops;
-        take v
-    | Spec.Empty -> ()
-    | Spec.Contended ->
-        (* The deque's last item was stolen mid-popBottom. *)
-        Counters.incr owner Counters.cas_failures_pop_bottom
+    let v = ops.pop_bottom () in
+    (* [lost]: the deque's last item was stolen mid-popBottom. *)
+    if v = lost then Counters.incr owner Counters.cas_failures_pop_bottom
+    else if v <> empty then begin
+      Counters.incr owner Counters.pops;
+      take v
+    end
   in
   for v = 0 to n_items - 1 do
-    ops.push v;
+    ignore (ops.push v);
     Counters.incr owner Counters.pushes;
     (* Interleave owner pops with pushes so the owner also drains the
        deque to empty mid-run (exercising the ABP reset / tag-bump path
@@ -103,28 +104,16 @@ let check_stress name (owner, thieves, seen) =
     thieves
 
 let atomic_deque_stress () =
-  let d : int Abp_deque.Atomic_deque.t =
-    Abp_deque.Atomic_deque.create ~capacity:n_items ()
-  in
-  let ops =
-    {
-      push = Abp_deque.Atomic_deque.push_bottom d;
-      pop_bottom = (fun () -> Abp_deque.Atomic_deque.pop_bottom_detailed d);
-      pop_top = (fun () -> Abp_deque.Atomic_deque.pop_top_detailed d);
-    }
-  in
+  let module D = Abp_deque.Atomic_deque.Core in
+  let d = D.create ~capacity:n_items ~empty ~lost () in
+  let ops = { push = D.push d; pop_bottom = (fun () -> D.pop_bottom d); pop_top = (fun () -> D.pop_top d) } in
   check_stress "abp" (stress ops)
 
 let circular_deque_stress () =
   (* Small initial capacity so the buffer has to grow under contention. *)
-  let d : int Abp_deque.Circular_deque.t = Abp_deque.Circular_deque.create ~capacity:16 () in
-  let ops =
-    {
-      push = Abp_deque.Circular_deque.push_bottom d;
-      pop_bottom = (fun () -> Abp_deque.Circular_deque.pop_bottom_detailed d);
-      pop_top = (fun () -> Abp_deque.Circular_deque.pop_top_detailed d);
-    }
-  in
+  let module D = Abp_deque.Circular_deque.Core in
+  let d = D.create ~capacity:16 ~empty ~lost () in
+  let ops = { push = D.push d; pop_bottom = (fun () -> D.pop_bottom d); pop_top = (fun () -> D.pop_top d) } in
   check_stress "circular" (stress ops)
 
 let pool_instrumented_arithmetic () =
@@ -204,9 +193,10 @@ let wsm_n_items = 1_000_000
    conservation is at-least-once — nothing lost, every extra extraction
    counted, and the exactly-once arithmetic restored once the duplicate
    count is added back.  The steal path is also wait-free without CAS,
-   so no attempt may classify as Contended. *)
+   so no attempt may return [lost]. *)
 let wsm_deque_stress () =
-  let d : int Abp_deque.Wsm_deque.t = Abp_deque.Wsm_deque.create ~capacity:1024 () in
+  let module D = Abp_deque.Wsm_deque.Core in
+  let d = D.create ~capacity:1024 ~empty ~lost () in
   let n_thieves = max 1 (wsm_procs () - 1) in
   let seen = Array.init wsm_n_items (fun _ -> Atomic.make 0) in
   let remaining = Atomic.make wsm_n_items in
@@ -221,27 +211,29 @@ let wsm_deque_stress () =
     let c = thief_counters.(i) in
     while Atomic.get remaining > 0 do
       Counters.incr c Counters.steal_attempts;
-      match Abp_deque.Wsm_deque.pop_top_detailed d with
-      | Spec.Got v ->
-          Counters.incr c Counters.successful_steals;
-          take v
-      | Spec.Empty ->
-          Counters.incr c Counters.steal_empties;
-          Domain.cpu_relax ()
-      | Spec.Contended -> Counters.incr c Counters.cas_failures_pop_top
+      let v = D.pop_top d in
+      if v = empty then begin
+        Counters.incr c Counters.steal_empties;
+        Domain.cpu_relax ()
+      end
+      else if v = lost then Counters.incr c Counters.cas_failures_pop_top
+      else begin
+        Counters.incr c Counters.successful_steals;
+        take v
+      end
     done
   in
   let domains = Array.init n_thieves (fun i -> Domain.spawn (fun () -> thief i)) in
   let owner_pop () =
-    match Abp_deque.Wsm_deque.pop_bottom_detailed d with
-    | Spec.Got v ->
-        Counters.incr owner Counters.pops;
-        take v
-    | Spec.Empty -> ()
-    | Spec.Contended -> Alcotest.fail "wsm popBottom returned Contended"
+    let v = D.pop_bottom d in
+    if v = lost then Alcotest.fail "wsm popBottom returned lost"
+    else if v <> empty then begin
+      Counters.incr owner Counters.pops;
+      take v
+    end
   in
   for v = 0 to wsm_n_items - 1 do
-    Abp_deque.Wsm_deque.push_bottom d v;
+    ignore (D.push d v);
     Counters.incr owner Counters.pushes;
     if v mod 7 = 0 then owner_pop ()
   done;
@@ -263,7 +255,7 @@ let wsm_deque_stress () =
   Array.iteri
     (fun i c ->
       let name = Printf.sprintf "wsm: thief %d" i in
-      Alcotest.(check int) (name ^ " no Contended (no-CAS popTop)") 0
+      Alcotest.(check int) (name ^ " no lost (no-CAS popTop)") 0
         (Counters.get c Counters.cas_failures_pop_top);
       Alcotest.(check int)
         (name ^ " attempts = successes + empties")

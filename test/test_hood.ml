@@ -148,6 +148,42 @@ let nqueens_allocation () =
       in
       if words > 12_000. then Alcotest.failf "Par.nqueens 7 allocates %.0f minor words (> 12000)" words)
 
+(* The owner path stores the task itself: a push and its work-first pop
+   allocate nothing (4 words per pair when the deque boxed the task in
+   an option and the pop's outcome in a variant).  Word counts repeat
+   exactly, so these are exact bounds. *)
+let owner_path_allocation () =
+  with_pool ~processes:1 (fun pool ->
+      let words =
+        Pool.run pool (fun () ->
+            let w = Worker.current () in
+            let task () = () in
+            let before = Gc.minor_words () in
+            for _ = 1 to 10_000 do
+              Worker.push_task w task;
+              if not (Worker.pop_own w task) then failwith "pop_own missed its own task"
+            done;
+            Gc.minor_words () -. before)
+      in
+      Alcotest.(check (float 0.)) "minor words of 10,000 push_task + pop_own pairs" 0. words)
+
+(* A non-capturing spawn joined inline at P = 1: the cell, the task
+   closure, the future record and the published [Value], 12 words (16
+   with the deque's two boxes). *)
+let spawn_force_allocation () =
+  with_pool ~processes:1 (fun pool ->
+      let n = 10_000 in
+      let words =
+        Pool.run pool (fun () ->
+            let before = Gc.minor_words () in
+            for _ = 1 to n do
+              Future.force (Future.spawn ignore)
+            done;
+            Gc.minor_words () -. before)
+      in
+      let per_op = words /. float_of_int n in
+      if per_op > 12. then Alcotest.failf "spawn+force allocates %.2f words per op (> 12)" per_op)
+
 let exceptions_propagate () =
   with_pool ~processes:2 (fun pool ->
       let exception Boom in
@@ -623,6 +659,8 @@ let tests =
     Alcotest.test_case "nqueens spawn tree (circular)" `Quick (nqueens_spawn_tree Pool.Circular);
     Alcotest.test_case "nqueens spawn tree (locked)" `Quick (nqueens_spawn_tree Pool.Locked);
     Alcotest.test_case "nqueens allocation bound" `Quick nqueens_allocation;
+    Alcotest.test_case "push_task + pop_own allocate nothing" `Quick owner_path_allocation;
+    Alcotest.test_case "spawn+force allocates at most 12 words" `Quick spawn_force_allocation;
     Alcotest.test_case "exceptions propagate" `Quick exceptions_propagate;
     Alcotest.test_case "future both" `Quick future_both;
     Alcotest.test_case "spawn outside run rejected" `Quick run_outside_worker_rejected;

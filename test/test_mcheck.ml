@@ -2,27 +2,25 @@
    deque meets the relaxed semantics under exhaustive interleaving, the
    tag field is load-bearing (removing it yields the ABA violation), and
    tag widths obey the bounded-tags safety condition; the production
+   Chase-Lev deque meets it across grow and shrink; the production
    multiplicity deque loses nothing and duplicates only under races. *)
 
 open Abp_mcheck
 module Dc = Deque_checks
 module Rng = Abp_stats.Rng
 
-let verified name (r : Dc.report) =
-  Alcotest.(check (list string)) (name ^ ": no violations") [] (Dc.violations r);
-  List.iter
-    (fun (pops, (run : Sched_explorer.report)) ->
-      Alcotest.(check bool) (name ^ pops ^ ": explored states") true (run.states_explored > 0);
-      Alcotest.(check bool) (name ^ pops ^ ": complete executions") true (run.complete_executions > 0))
-    [ (" (detailed)", r.detailed); (" (option)", r.option) ]
+let verified name (r : Sched_explorer.report) =
+  Alcotest.(check (list string)) (name ^ ": no violations") [] r.violations;
+  Alcotest.(check bool) (name ^ ": explored states") true (r.states_explored > 0);
+  Alcotest.(check bool) (name ^ ": complete executions") true (r.complete_executions > 0)
 
-let violated (r : Dc.report) = r.detailed.violations <> [] && r.option.violations <> []
+let violated (r : Sched_explorer.report) = r.violations <> []
 let aba_with_tag_is_safe () = verified "aba+tag" (Dc.explore Dc.aba_scenario)
 
 let aba_without_tag_fails () =
   let r = Dc.explore ~tag_width:0 Dc.aba_scenario in
   Alcotest.(check bool)
-    ("found the ABA violation: " ^ String.concat "; " (Dc.violations r))
+    ("found the ABA violation: " ^ String.concat "; " r.violations)
     true (violated r)
 
 let wraparound_width1_fails () =
@@ -53,8 +51,8 @@ let thief_run_vs_owner_reset_safe () =
 
 let empty_program () =
   let r = Dc.explore { Dc.owner = []; thieves = [] } in
-  Alcotest.(check int) "one completion" 1 r.detailed.complete_executions;
-  Alcotest.(check (list string)) "no violations" [] (Dc.violations r)
+  Alcotest.(check int) "one completion" 1 r.complete_executions;
+  Alcotest.(check (list string)) "no violations" [] r.violations
 
 let thief_on_empty_deque () =
   (* A lone popTop on an empty deque must return NIL legally. *)
@@ -67,13 +65,13 @@ let rejects_owner_op_in_thief () =
 
 let three_thieves_safe () =
   (* Heavier contention: three thieves racing over two pushes.  Larger
-     state space but still exhaustive: 5,574 states in each run. *)
+     state space but still exhaustive. *)
   let program =
     { Dc.owner = [ Dc.Push_bottom 1; Dc.Push_bottom 2 ]; thieves = [ [ Dc.Pop_top ]; [ Dc.Pop_top ]; [ Dc.Pop_top ] ] }
   in
   let r = Dc.explore program in
-  Alcotest.(check (list string)) "no violations" [] (Dc.violations r);
-  Alcotest.(check bool) "big state space explored" true (r.detailed.states_explored > 5_500)
+  Alcotest.(check (list string)) "no violations" [] r.violations;
+  Alcotest.(check bool) "big state space explored" true (r.states_explored > 5_500)
 
 let owner_drain_vs_two_thieves () =
   let program =
@@ -81,7 +79,7 @@ let owner_drain_vs_two_thieves () =
       thieves = [ [ Dc.Pop_top ]; [ Dc.Pop_top ] ] }
   in
   let r = Dc.explore program in
-  Alcotest.(check (list string)) "no violations" [] (Dc.violations r)
+  Alcotest.(check (list string)) "no violations" [] r.violations
 
 (* A corpus of mixed owner/thief programs.  Owner scripts that drain the
    deque to empty go through the Figure 5 reset path (bot and top back to
@@ -135,8 +133,22 @@ let corpus_untagged_aba () =
       | `No_reset ->
           Alcotest.(check (list string))
             (name ^ ": still safe without the tag (no owner reset)")
-            [] (Dc.violations r))
+            [] r.violations)
     corpus
+
+let rejects_sentinel_push () =
+  List.iter
+    (fun v ->
+      Alcotest.check_raises
+        (Printf.sprintf "push %d" v)
+        (Invalid_argument "Deque_checks: a pushed value equals a sentinel")
+        (fun () -> ignore (Dc.explore { Dc.owner = [ Dc.Push_bottom v ]; thieves = [] })))
+    [ -1; -2 ]
+
+(* --- circular: the production Chase-Lev deque (Circular_deque_checked) *)
+
+let circular_verified (name, program) =
+  Alcotest.test_case ("circular: " ^ name) `Quick (fun () -> verified name (Dc.explore_circular program))
 
 (* --- wsm: the production multiplicity deque (Wsm_deque_checked) ------ *)
 
@@ -455,84 +467,79 @@ let at_widths widths f =
           f width)
         widths)
 
-(* The generated copy, run outside the explorer (no access yields),
-   against the serial oracle: its header's substitutions (a cell per
-   array slot, the age substitute) keep Figure 5's serial behaviour at
-   every tag width, on both copies of the pops.  Pops outnumber pushes,
-   so the owner's reset path and its tag bump run often. *)
-let checked_serial_differential () =
-  let module D = Atomic_deque_checked in
+(* A checked core, run outside the explorer (no access yields), with
+   the sentinels [-1] (empty) and [-2] (lost): serially no pop returns
+   [lost], an owner pop is the oracle's, and each push returns the size
+   it leaves.  [top] checks a popTop's result.  Pops outnumber pushes, so
+   the deque often runs empty. *)
+let serial_ops ~label ~rng ~push ~pop_bottom ~pop_top ~size ~top d oracle =
   let module Ref = Abp_deque.Spec.Reference in
-  at_widths [ 0; 1; 2; Bt.max_width ] (fun width ->
-      Sched_atomic.reset ();
-      let rng = Rng.create ~seed:91L () in
-      let d = D.create ~capacity:128 () in
-      let oracle = Ref.create () in
-      let next = ref 0 in
-      let label what = Printf.sprintf "width %d: %s" width what in
-      let detailed = function
-        | Abp_deque.Spec.Got v -> Some v
-        | Empty -> None
-        | Contended -> Alcotest.fail (label "a serial pop reported Contended")
-      in
-      for _ = 1 to 2000 do
-        match Rng.int rng 6 with
-        | 0 | 1 ->
-            incr next;
-            D.push_bottom d !next;
-            Ref.push_bottom oracle !next
-        | 2 -> Alcotest.(check (option int)) (label "pop_bottom") (Ref.pop_bottom oracle) (D.pop_bottom d)
-        | 3 ->
-            Alcotest.(check (option int))
-              (label "pop_bottom_detailed") (Ref.pop_bottom oracle)
-              (detailed (D.pop_bottom_detailed d))
-        | 4 -> Alcotest.(check (option int)) (label "pop_top") (Ref.pop_top oracle) (D.pop_top d)
-        | _ ->
-            Alcotest.(check (option int))
-              (label "pop_top_detailed") (Ref.pop_top oracle)
-              (detailed (D.pop_top_detailed d))
-      done;
-      Alcotest.(check int) (label "final size") (Ref.size oracle) (D.size d);
-      if width < Bt.max_width then
-        Alcotest.(check bool) (label "tag below 2^width") true (D.tag_of d < 1 lsl width))
-
-(* The generated Wsm copy, run outside the explorer, against the serial
-   oracle on both pops: popBottom exact, popTop the true top or the NIL
-   that private work allows.  Capacity 1 makes the private ring grow
-   through the cell array, a path no explored program takes. *)
-let wsm_checked_serial_differential () =
-  let module W = Wsm_deque_checked in
-  let module Ref = Abp_deque.Spec.Reference in
-  Sched_atomic.reset ();
-  let rng = Rng.create ~seed:92L () in
-  let d = W.create ~capacity:1 () in
-  let oracle = Ref.create () in
-  let next = ref 0 and early = ref 0 in
-  let detailed = function
-    | Abp_deque.Spec.Got v -> Some v
-    | Empty -> None
-    | Contended -> Alcotest.fail "a serial pop reported Contended"
-  in
-  let top what got =
-    match got with
-    | Some _ -> Alcotest.(check (option int)) what (Ref.pop_top oracle) got
-    | None -> if Ref.size oracle > 0 then incr early
+  let next = ref 0 in
+  let value v =
+    if v = -2 then Alcotest.fail (label "a serial pop returned lost");
+    if v = -1 then None else Some v
   in
   for _ = 1 to 2000 do
     match Rng.int rng 6 with
     | 0 | 1 ->
         incr next;
-        W.push_bottom d !next;
-        Ref.push_bottom oracle !next
-    | 2 -> Alcotest.(check (option int)) "pop_bottom" (Ref.pop_bottom oracle) (W.pop_bottom d)
-    | 3 ->
-        Alcotest.(check (option int))
-          "pop_bottom_detailed" (Ref.pop_bottom oracle)
-          (detailed (W.pop_bottom_detailed d))
-    | 4 -> top "pop_top" (W.pop_top d)
-    | _ -> top "pop_top_detailed" (detailed (W.pop_top_detailed d))
+        let left = push d !next in
+        Ref.push_bottom oracle !next;
+        Alcotest.(check int) (label "push returns the size") (Ref.size oracle) left
+    | 2 | 3 -> Alcotest.(check (option int)) (label "pop_bottom") (Ref.pop_bottom oracle) (value (pop_bottom d))
+    | _ -> top (value (pop_top d))
   done;
-  Alcotest.(check int) "final size" (Ref.size oracle) (W.size d);
+  Alcotest.(check int) (label "final size") (Ref.size oracle) (size d)
+
+(* ABP's copy against the serial oracle: its header's substitutions (a
+   cell per array slot, the age substitute) keep Figure 5's serial
+   behaviour at every tag width; the owner's reset path and its tag bump
+   run often. *)
+let checked_serial_differential () =
+  let module D = Atomic_deque_checked in
+  let module Ref = Abp_deque.Spec.Reference in
+  at_widths [ 0; 1; 2; Bt.max_width ] (fun width ->
+      Sched_atomic.reset ();
+      let d = D.Core.create ~capacity:128 ~empty:(-1) ~lost:(-2) () in
+      let oracle = Ref.create () in
+      let label what = Printf.sprintf "width %d: %s" width what in
+      serial_ops ~label ~rng:(Rng.create ~seed:91L ()) ~push:D.Core.push ~pop_bottom:D.Core.pop_bottom
+        ~pop_top:D.Core.pop_top ~size:D.Core.size d oracle
+        ~top:(fun got -> Alcotest.(check (option int)) (label "pop_top") (Ref.pop_top oracle) got);
+      if width < Bt.max_width then
+        Alcotest.(check bool) (label "tag below 2^width") true (D.tag_of d < 1 lsl width))
+
+(* Chase-Lev's copy from capacity 2, so that its buffer grows through the
+   cell array and shrinks again. *)
+let circular_checked_serial_differential () =
+  let module C = Circular_deque_checked in
+  let module Ref = Abp_deque.Spec.Reference in
+  Sched_atomic.reset ();
+  let d = C.Core.create ~capacity:2 ~empty:(-1) ~lost:(-2) () in
+  let oracle = Ref.create () in
+  serial_ops ~label:Fun.id ~rng:(Rng.create ~seed:93L ()) ~push:C.Core.push ~pop_bottom:C.Core.pop_bottom
+    ~pop_top:C.Core.pop_top ~size:C.Core.size d oracle
+    ~top:(fun got -> Alcotest.(check (option int)) "pop_top" (Ref.pop_top oracle) got);
+  Alcotest.(check bool) "the buffer grew" true (C.grows d > 0);
+  Alcotest.(check bool) "the buffer shrank" true (C.shrinks d > 0)
+
+(* Wsm's copy: popTop returns the true top or the NIL that private work
+   allows.  Capacity 1 makes the private ring grow through the cell
+   array, a path no explored program takes. *)
+let wsm_checked_serial_differential () =
+  let module W = Wsm_deque_checked.Core in
+  let module Ref = Abp_deque.Spec.Reference in
+  Sched_atomic.reset ();
+  let d = W.create ~capacity:1 ~empty:(-1) ~lost:(-2) () in
+  let oracle = Ref.create () in
+  let early = ref 0 in
+  let top got =
+    match got with
+    | Some _ -> Alcotest.(check (option int)) "pop_top" (Ref.pop_top oracle) got
+    | None -> if Ref.size oracle > 0 then incr early
+  in
+  serial_ops ~label:Fun.id ~rng:(Rng.create ~seed:92L ()) ~push:W.push ~pop_bottom:W.pop_bottom
+    ~pop_top:W.pop_top ~size:W.size d oracle ~top;
   Alcotest.(check bool) "the ring grew" true (Array.length d.priv > 1);
   Alcotest.(check bool) "early NIL exercised" true (!early > 0)
 
@@ -578,7 +585,7 @@ let prop_random_programs_safe =
     (fun (seed, ops, thieves) ->
       let rng_state = Rng.create ~seed:(Int64.of_int seed) () in
       let program = Dc.random_program ~rng:(fun n -> Rng.int rng_state n) ~ops ~thieves in
-      Dc.violations (Dc.explore program) = [])
+      (Dc.explore program).violations = [])
 
 let tests =
   [
@@ -592,6 +599,7 @@ let tests =
     Alcotest.test_case "empty program" `Quick empty_program;
     Alcotest.test_case "thief on empty deque" `Quick thief_on_empty_deque;
     Alcotest.test_case "rejects owner op in thief" `Quick rejects_owner_op_in_thief;
+    Alcotest.test_case "rejects a sentinel as a pushed value" `Quick rejects_sentinel_push;
     Alcotest.test_case "three thieves" `Quick three_thieves_safe;
     Alcotest.test_case "owner drain vs two thieves" `Quick owner_drain_vs_two_thieves;
     Alcotest.test_case "corpus: safe at full tag width" `Quick corpus_safe_at_full_width;
@@ -601,8 +609,13 @@ let tests =
     Alcotest.test_case "checked deque: age substitute wraps at its width" `Quick
       age_checked_wraps_at_width;
     Alcotest.test_case "rejects tag width out of range" `Quick rejects_tag_width_out_of_range;
+    Alcotest.test_case "circular checked deque: serial differential across grow and shrink" `Quick
+      circular_checked_serial_differential;
     Alcotest.test_case "wsm checked deque: serial differential" `Quick
       wsm_checked_serial_differential;
+  ]
+  @ List.map circular_verified Dc.circular_programs
+  @ [
     Alcotest.test_case "wsm: thief race exhibits bounded multiplicity" `Quick
       wsm_thief_multiplicity;
     Alcotest.test_case "wsm: board-slot reuse safe" `Quick wsm_reuse_safe;
