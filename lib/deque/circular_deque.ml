@@ -48,8 +48,10 @@ module Core = struct
       lost;
     }
 
-  let put buf i x = buf.seg.(i land buf.mask) <- x
-  let get buf i = buf.seg.(i land buf.mask)
+  (* Inlined by hand: an access to an ['e array] tests for a float array,
+     which makes these too large for the compiler to inline itself. *)
+  let[@inline] put buf i x = buf.seg.(i land buf.mask) <- x
+  let[@inline] get buf i = buf.seg.(i land buf.mask)
 
   let grow t ~bottom ~top =
     let old_buf = Atomic.get t.active in

@@ -9,8 +9,9 @@ type scenario = {
 type report = { states_explored : int; complete_executions : int; violations : string list }
 
 (* [next] resumes the thread at its next access; [None] once it has
-   finished, or until it has started.  [enabled] says whether that access can be made now:
-   false while the thread is blocked on a mutex or a condition. *)
+   finished, or until it has started.  [enabled] says whether that
+   access can be made now: false while the thread is blocked on a mutex
+   or a condition. *)
 type thread = {
   mutable hist : int;
   mutable next : (unit, unit) continuation option;
