@@ -59,9 +59,9 @@ module type CORE = sig
       fixed-capacity implementations. *)
 
   val pop_bottom : 'e t -> 'e
-  (** Owner only: popBottom.  The element, [empty] iff the deque was
-      empty, or [lost] when its last element went to a thief during the
-      invocation. *)
+  (** Owner only: popBottom.  The element; [lost] when its last
+      element went to a thief during the invocation; else [empty], the
+      deque being empty. *)
 
   val pop_top : 'e t -> 'e
   (** Thief method: popTop.  The element, [empty] when the deque was
