@@ -13,29 +13,42 @@
 open Cmdliner
 module M = Abp_mcheck
 
+(* [timed check] runs one check and returns its report with what it
+   cost, printed between a line's label and its report: the wall time,
+   the states explored per second and the peak major heap of the
+   process so far (checks run one after another, so a line's peak
+   covers its own check and every check before it). *)
+let timed check states =
+  let t0 = Unix.gettimeofday () in
+  let r = check () in
+  let secs = Unix.gettimeofday () -. t0 in
+  let n = (states r : M.Sched_explorer.report).states_explored in
+  let heap_mb = float_of_int ((Gc.quick_stat ()).top_heap_words * (Sys.word_size / 8)) /. 1048576. in
+  (r, Printf.sprintf "[%.2f s, %.0f states/s, peak heap %.1f MB]" secs (float_of_int n /. Float.max secs 1e-6) heap_mb)
+
 (* A scenario prints its report lines and returns [true] on a violation. *)
 let deque program name tag_width =
-  let r = M.Deque_checks.explore ~tag_width program in
-  Format.printf "%-16s (%d ops, tag width %d): %a@." name
+  let r, cost = timed (fun () -> M.Deque_checks.explore ~tag_width program) Fun.id in
+  Format.printf "%-16s (%d ops, tag width %d) %s: %a@." name
     (M.Deque_checks.program_total_ops program)
-    tag_width M.Sched_explorer.pp_report r;
+    tag_width cost M.Sched_explorer.pp_report r;
   r.violations <> []
 
 (* The Chase-Lev deque has no tag either; one line per program. *)
 let circular name _ =
   List.fold_left
     (fun bad (program_name, program) ->
-      let r = M.Deque_checks.explore_circular program in
-      Format.printf "%-16s %-22s (%d ops): %a@." name program_name
+      let r, cost = timed (fun () -> M.Deque_checks.explore_circular program) Fun.id in
+      Format.printf "%-16s %-22s (%d ops) %s: %a@." name program_name
         (M.Deque_checks.program_total_ops program)
-        M.Sched_explorer.pp_report r;
+        cost M.Sched_explorer.pp_report r;
       bad || r.violations <> [])
     false M.Deque_checks.circular_programs
 
 (* The multiplicity deque has no tag. *)
 let wsm program name _ =
-  let r = M.Deque_checks.explore_wsm program in
-  Format.printf "%-16s (%d ops): %a@." name (M.Deque_checks.program_total_ops program)
+  let r, cost = timed (fun () -> M.Deque_checks.explore_wsm program) (fun r -> r.run) in
+  Format.printf "%-16s (%d ops) %s: %a@." name (M.Deque_checks.program_total_ops program) cost
     M.Deque_checks.pp_wsm_report r;
   r.run.violations <> []
 
@@ -44,8 +57,8 @@ let wsm program name _ =
 let cell check threads name _ =
   List.fold_left
     (fun bad k ->
-      let r = check k in
-      Format.printf "%-16s (%d %s): %a@." name k threads M.Promise_checks.pp_report r;
+      let r, cost = timed (fun () -> check k) (fun r -> r.M.Promise_checks.run) in
+      Format.printf "%-16s (%d %s) %s: %a@." name k threads cost M.Promise_checks.pp_report r;
       bad || r.run.violations <> [])
     false [ 1; 2; 3 ]
 
@@ -55,9 +68,9 @@ let cell check threads name _ =
 let parking name _ =
   List.fold_left
     (fun bad (wake, k) ->
-      let r = M.Parking_checks.explore wake k in
-      Format.printf "%-16s (%s, %d waiters + 1 waker): %a@." name
-        (M.Parking_checks.wake_name wake) k M.Parking_checks.pp_report r;
+      let r, cost = timed (fun () -> M.Parking_checks.explore wake k) (fun r -> r.run) in
+      Format.printf "%-16s (%s, %d waiters + 1 waker) %s: %a@." name
+        (M.Parking_checks.wake_name wake) k cost M.Parking_checks.pp_report r;
       bad || r.run.violations <> [])
     false
     M.Parking_checks.[ (One, 1); (One, 2); (All, 1); (All, 2); (All, 3) ]

@@ -70,14 +70,11 @@ module P = struct
     if not (try_fulfil p v) then
       invalid_arg "Fiber.Promise.fulfil: promise already resolved"
 
-  let try_fail ?bt p e =
+  let fail ?bt p e =
     let bt =
       match bt with Some bt -> bt | None -> Printexc.get_raw_backtrace ()
     in
-    resolve p (Failed (e, bt))
-
-  let fail ?bt p e =
-    if not (try_fail ?bt p e) then
+    if not (resolve p (Failed (e, bt))) then
       invalid_arg "Fiber.Promise.fail: promise already resolved"
 
   let try_await p =
@@ -108,27 +105,7 @@ type sched = {
 let inline_sched =
   { schedule = (fun k -> k ()); on_suspend = ignore; on_resume = ignore }
 
-type _ Effect.t +=
-  | Await : 'a P.t -> 'a Effect.t
-  | Spawn : (unit -> unit) -> unit Effect.t
-
-(* Fiber-context flag, per domain.  Set while code runs under a [run]
-   handler (including resumed continuations, which re-install their
-   captured handler).  [Future.force] uses this to pick suspension
-   over the helping loop. *)
-let ctx_key = Domain.DLS.new_key (fun () -> ref false)
-
-type flag = bool ref
-
-let context_flag () = Domain.DLS.get ctx_key
-let[@inline] flag_set (f : flag) = !f
-let in_context () = !(Domain.DLS.get ctx_key)
-
-let with_ctx_flag f =
-  let flag = Domain.DLS.get ctx_key in
-  let saved = !flag in
-  flag := true;
-  Fun.protect ~finally:(fun () -> flag := saved) f
+type _ Effect.t += Await : 'a P.t -> 'a Effect.t
 
 let await p =
   match Atomic.get p with
@@ -136,22 +113,9 @@ let await p =
   | P.Failed (e, bt) -> Printexc.raise_with_backtrace e bt
   | P.Pending _ -> Effect.perform (Await p)
 
-let spawn f =
-  let p = P.create () in
-  let body () =
-    match f () with
-    | v -> P.fulfil p v
-    | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        ignore (P.try_fail ~bt p e)
-  in
-  Effect.perform (Spawn body);
-  p
+(* The handler.  [run sched body] executes [body] with [Await]
+   handled:
 
-(* The handler.  [run sched body] executes [body] with [Await] and
-   [Spawn] handled:
-
-   - [Spawn task]: hand [task] to the scheduler, continue immediately.
    - [Await p] with [p] resolved: continue (or discontinue)
      immediately — the race where a fulfil lands between the perform
      and the handler costs nothing.
@@ -163,42 +127,30 @@ let spawn f =
    The resumption closure re-checks the promise state when it finally
    runs (the fulfil happens-before the schedule, so the state is
    terminal by then), fires [on_resume], and continues or discontinues
-   the one-shot continuation under the context flag.
+   the one-shot continuation.
 
-   The flag is set around the whole handler, not inside the handled
-   body: when the body suspends, [match_with] returns with the body's
-   frames captured in the continuation, so a flag restore inside them
-   would not run until the resume, and the flag would stay set on this
-   domain after [run] returned. *)
+   [try_with], not [match_with]: with the identity return and [raise]
+   as the exception case, its one-field handler record saves two words
+   on every run, and every task a pool executes runs through here. *)
 let run sched body =
   let open Effect.Deep in
-  with_ctx_flag @@ fun () ->
-  match_with body ()
+  try_with body ()
     {
-      retc = (fun () -> ());
-      exnc = raise;
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Spawn task ->
-              Some
-                (fun (k : (a, _) continuation) ->
-                  sched.schedule task;
-                  continue k ())
           | Await p ->
               Some
                 (fun (k : (a, _) continuation) ->
                   let resume () =
                     sched.on_resume ();
-                    with_ctx_flag (fun () ->
-                        match Atomic.get p with
-                        | P.Fulfilled v -> continue k v
-                        | P.Failed (e, bt) ->
-                            discontinue_with_backtrace k e bt
-                        | P.Pending _ ->
-                            (* Unreachable: a waiter is only scheduled
-                               by [resolve] after the terminal CAS. *)
-                            assert false)
+                    match Atomic.get p with
+                    | P.Fulfilled v -> continue k v
+                    | P.Failed (e, bt) -> discontinue_with_backtrace k e bt
+                    | P.Pending _ ->
+                        (* Unreachable: a waiter is only scheduled by
+                           [resolve] after the terminal CAS. *)
+                        assert false
                   in
                   let waiter () = sched.schedule resume in
                   let rec park () =

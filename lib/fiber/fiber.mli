@@ -32,10 +32,11 @@ module Promise : sig
   (** Wait for the promise.  If it is already resolved this returns
       (or raises the stored exception, with its original backtrace)
       without suspending.  Otherwise it performs the [Await] effect:
-      inside a fiber context (any task on a pool) the current fiber
+      under a {!run} handler (any task on a pool) the current fiber
       suspends and its worker moves on; the fiber resumes when the
-      promise is resolved.  Outside any handler, raises
-      [Effect.Unhandled]. *)
+      promise is resolved.  With no {!run} handler on the stack, the
+      perform raises [Effect.Unhandled] ([Serve.await] falls back to a
+      blocking wait on it). *)
 
   val fulfil : 'a t -> 'a -> unit
   (** Resolve with a value and schedule every parked waiter (in park
@@ -50,9 +51,6 @@ module Promise : sig
       each resumes by re-raising [exn] at its [await] point.
       @raise Invalid_argument if already resolved. *)
 
-  val try_fail : ?bt:Printexc.raw_backtrace -> 'a t -> exn -> bool
-  (** Like {!fail} but returns [false] if already resolved. *)
-
   val try_await : 'a t -> 'a option
   (** Non-blocking poll: [Some v] if fulfilled, [None] if pending;
       re-raises the stored exception if the promise failed. *)
@@ -66,7 +64,7 @@ end
 
 type sched = {
   schedule : (unit -> unit) -> unit;
-      (** Make a ready continuation (or spawned task) runnable.
+      (** Make a ready continuation runnable.
           Called once per parked waiter by [fulfil]/[fail], on
           whatever thread resolves the promise — the implementation
           must route to a worker (local deque push when the fulfiller
@@ -100,27 +98,3 @@ val run : sched -> (unit -> unit) -> unit
 
 val await : 'a Promise.t -> 'a
 (** Alias for {!Promise.await}. *)
-
-val spawn : (unit -> 'a) -> 'a Promise.t
-(** Fork a fiber: schedules [f] as a task via the innermost handler's
-    [sched.schedule] and returns a promise resolved with [f]'s result
-    (or its exception).  Must be called inside a fiber context;
-    raises [Effect.Unhandled] otherwise. *)
-
-val in_context : unit -> bool
-(** [true] while the calling code runs under a {!run} handler on this
-    domain (including resumed continuations).  [Hood.Future.force]
-    reads this flag (through {!flag_set}) to choose suspension over its
-    helping-loop fallback. *)
-
-type flag
-(** One domain's fiber-context flag, the cell {!in_context} reads. *)
-
-val context_flag : unit -> flag
-(** The calling domain's flag, for a runtime that keeps per-domain
-    state: Hood's worker record caches it so that [Future.force] tests
-    the flag without a second domain-local-storage lookup. *)
-
-val flag_set : flag -> bool
-(** [flag_set (context_flag ())] = [in_context ()], on the domain the
-    flag was taken from. *)

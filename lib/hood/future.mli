@@ -7,7 +7,7 @@
     its outcome into the cell with one CAS, and a
     {!Abp_fiber.Fiber.Promise} is created only when a forcer has to
     wait — the child was stolen, or a second task forces the future
-    before the first join finishes.  A pending [force] has three join
+    before the first join finishes.  A pending [force] has two join
     strategies, tried in order:
 
     - {b Inline an unstolen child} (the work-first rule of the Figure 3
@@ -16,15 +16,13 @@
       it inline — push, pop, the body, one CAS and a field read: no
       promise, no suspension, no synchronization beyond the deque's own
       last-element case.
-    - {b Suspend} (in a fiber context — any task body on the pool, and
-      the {!Pool.run} body): otherwise [force] installs a promise in the
-      cell (or finds the one another forcer installed), the
-      continuation parks on it and the worker returns to the Figure 3
-      loop — a blocked join never occupies its process.
-    - {b Help} (outside a fiber context): the classic helping loop,
-      executing local or stolen tasks while polling, mirroring how a
-      blocked thread's process pops a new assigned thread in the
-      paper's loop. *)
+    - {b Suspend}: otherwise [force] installs a promise in the cell (or
+      finds the one another forcer installed), the continuation parks
+      on it and the worker returns to the Figure 3 loop — a blocked
+      join never occupies its process, as a blocked thread's process
+      in the paper's loop goes back for other work.  Every task on the
+      pool, and the {!Pool.run} body, runs under the pool's fiber
+      handler, so this suspension always has a handler to park in. *)
 
 type 'a t
 (** A pending or resolved result of a {!spawn}ed computation. *)
@@ -36,13 +34,13 @@ val spawn : (unit -> 'a) -> 'a t
 
 val force : 'a t -> 'a
 (** Wait for the value: run the child inline if it is unstolen,
-    otherwise suspend the current fiber (in a fiber context) or help
-    compute it (out of context).  Every pending [force] passes one
-    {!Worker.checkpoint} gate safe point first.  Must be called on a pool
-    worker.  Re-raises the task's exception, with its original
-    backtrace, if it failed.  Any number of tasks may force the same
-    future, any number of times: each gets the same value (or the same
-    exception value). *)
+    otherwise suspend the current fiber until the child publishes.
+    Every pending [force] passes one {!Worker.checkpoint} gate safe
+    point first.  Must be called from inside {!Pool.run} (or a task).
+    Re-raises the task's exception, with its original backtrace, if it
+    failed.  Any number of tasks may force the same future, any number
+    of times: each gets the same value (or the same exception
+    value). *)
 
 val is_resolved : 'a t -> bool
 (** [true] once the task has published its value or exception (a

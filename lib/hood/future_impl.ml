@@ -23,7 +23,7 @@
    child was stolen, or a second task forces the future before the
    first join finishes.  An unstolen join allocates none.
 
-   A pending [force] has three join strategies, tried in this order:
+   A pending [force] has two join strategies, tried in this order:
 
    - Inline an unstolen child (the work-first rule of Figure 3 and
      Hood).  A child no thief took is still at the bottom of the
@@ -31,25 +31,20 @@
      every spawn made since has been joined.  [Worker.pop_own] pops it
      and the forcer runs it on its own stack: push, pop, the body, one
      CAS and a field read — no promise, no effect capture, no
-     continuation push/pop.  In a fiber context the task runs raw: if
-     it awaits, the enclosing handler parks it together with its
-     parent, which is waiting on it anyway.
+     continuation push/pop.  The task runs raw: if it awaits, the
+     enclosing handler parks it together with its parent, which is
+     waiting on it anyway.
 
-   - Suspend (in a fiber context — any task body, and the [Pool.run]
-     body).  The bottom was something else (the child was stolen, or
+   - Suspend.  The bottom was something else (the child was stolen, or
      sits under a later spawn not yet forced or a resumed
      continuation) or the deque was empty: the other task goes
      straight back, [force] installs the promise and performs [Await].
      The continuation parks on the promise and the worker returns to
      the scheduling loop; the blocked computation costs no stack.
 
-   - Help (outside any fiber handler: code calling [force] from a
-     context the pool did not wrap).  Run local or stolen tasks while
-     polling the cell, each via [Worker.run_task] so it gets its own
-     handler — run raw, a helped task's [Await] would be captured by an
-     enclosing handler and park the helper itself.  The inlined child
-     goes through [Worker.run_task] here too.  A polling forcer never
-     installs a promise. *)
+   Every caller of [force] runs under the pool's [Fiber.run] handler:
+   the worker loop wraps each task it executes in one, and so does
+   [Pool.run] its body, so the [Await] always finds a handler. *)
 
 module Fiber = Abp_fiber.Fiber
 
@@ -88,17 +83,9 @@ let is_resolved t =
   | Waited p -> Fiber.Promise.is_resolved p
   | Value _ | Raised _ -> true
 
-(* [None] while the task has not published. *)
-let poll t =
-  match Atomic.get t.cell with
-  | Value v -> Some v
-  | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
-  | Waited p -> Fiber.Promise.try_await p
-  | Unforced -> None
-
-(* In a fiber context: wait for the task, installing the promise if no
-   other forcer has.  [Promise.await] returns at once (or re-raises) on
-   a resolved promise, and suspends otherwise. *)
+(* Wait for the task, installing the promise if no other forcer has.
+   [Promise.await] returns at once (or re-raises) on a resolved
+   promise, and suspends otherwise. *)
 let rec await t =
   match Atomic.get t.cell with
   | Value v -> v
@@ -121,25 +108,7 @@ let force t =
          here): a chain of inline joins must still honour
          multiprogramming suspensions at every node. *)
       Worker.checkpoint w;
-      if Worker.in_fiber w then begin
-        (* After an inline run the task has published, so [await]
-           reads the outcome without suspending. *)
-        if Worker.pop_own w t.task then t.task ();
-        await t
-      end
-      else begin
-        (* Out of context the inlined child may park under its own
-           handler, leaving the cell unpublished: fall into the help
-           loop either way. *)
-        if Worker.pop_own w t.task then Worker.run_task w t.task;
-        let rec wait () =
-          match poll t with
-          | Some v -> v
-          | None ->
-              Worker.checkpoint w;
-              let task = Worker.try_get_task w in
-              if task == Worker.empty then Domain.cpu_relax () else Worker.run_task w task;
-              wait ()
-        in
-        wait ()
-      end
+      (* After an inline run the task has published, so [await] reads
+         the outcome without suspending. *)
+      if Worker.pop_own w t.task then t.task ();
+      await t

@@ -107,8 +107,7 @@ type gate_hook = Worker.gate_hook = {
     deschedule a process.  The pool polls it at {e safe points} only —
     the top of the worker loop (so after each completed task), between
     failed steal attempts, before parking, and inside {!Future.force}
-    (once before its work-first pop, then each trip around its help
-    loop) — points where the worker holds no
+    (once before its work-first pop) — points where the worker holds no
     acquired-but-unpublished tasks: every acquisition moves one task,
     which the worker runs before its next safe point, so suspending a
     worker never strands transferable work.

@@ -120,9 +120,6 @@ type t = {
   dq : deque;  (* [pool.deques.(id)], hoisted out of the loops *)
   rng_state : Abp_stats.Rng.t;
   c : Counters.t;  (* own padded record, hoisted out of the loops *)
-  in_fiber : Fiber.flag;
-      (* this domain's fiber-context flag (a worker record is made on
-         its own domain and used only there) *)
   mutable failed_steals : int;
       (* consecutive empty-handed trips through the worker loop;
          resets on any acquired task, drives the backoff *)
@@ -138,7 +135,6 @@ let make pool id =
     dq = pool.deques.(id);
     rng_state = Abp_stats.Rng.create ~seed:(Int64.of_int (0x9E36 + id)) ();
     c = pool.counters.(id);
-    in_fiber = Fiber.context_flag ();
     failed_steals = 0;
     idle_since = 0;
   }
@@ -167,14 +163,13 @@ let checkpoint_blocked w g =
 (* Safe-point check of the multiprogramming preemption gate.  Called
    only where the worker holds no acquired-but-unpublished tasks: at
    the top of the scheduling loop (i.e. after each completed task),
-   between failed steal attempts, before parking, once per pending
+   between failed steal attempts, before parking, and once per pending
    {!Future.force} (before its work-first pop, so a chain of inline
-   joins still crosses a safe point at every node) and each trip
-   around its help loop.  Every acquisition moves exactly one task,
-   which the worker runs before its next safe point, so a worker
-   suspended at a gate can never strand transferable work — everything
-   else it owns sits in its deque, stealable by the workers that
-   remain scheduled. *)
+   joins still crosses a safe point at every node).  Every acquisition
+   moves exactly one task, which the worker runs before its next safe
+   point, so a worker suspended at a gate can never strand
+   transferable work — everything else it owns sits in its deque,
+   stealable by the workers that remain scheduled. *)
 let[@inline] checkpoint w =
   match w.pool.gate with
   | None -> ()
@@ -358,11 +353,13 @@ let worker_loop w =
   done
 
 (* Scheduling loop for the [run] caller's domain: keep executing pool
-   work until [stop ()].  Unlike [worker_loop] it never parks — the
-   stop condition is flipped by the run body's continuation, which may
-   complete on another worker (or be resumed by an external fulfil)
-   with no push to wake a parked caller reliably; a plain relax keeps
-   the exit prompt instead. *)
+   work until [stop ()].  Unlike [worker_loop] it never parks; it
+   relaxes instead.  A wake would reach a parked caller: [Pool.run]'s
+   body calls [wake] right after it publishes the result, wherever its
+   continuation completes.  What parking waits for is a check of the
+   pool-level park/wake (the pending check across every source and
+   sibling pool, which no model check covers yet) and a watchdog that
+   turns a lost wakeup into a diagnosis instead of a hang. *)
 let help_until w stop =
   while not (stop ()) do
     checkpoint w;
@@ -403,14 +400,6 @@ let current () =
 let self_id () = match !(Domain.DLS.get context_key) with Some w -> Some w.id | None -> None
 let self_pool () = match !(Domain.DLS.get context_key) with Some w -> Some w.pool | None -> None
 let exec_counters () = !(Domain.DLS.get exec_counters_key)
-let in_fiber w = Fiber.flag_set w.in_fiber
-
-(* Run one task under the pool's fiber handler, exactly as the worker
-   loop would.  For helpers executing tasks outside [exec] (the
-   [Future.force] out-of-context path): running a task RAW there would let
-   the helped task's [Await] be captured by the enclosing task's
-   handler, parking the helper itself. *)
-let run_task w task = Fiber.run w.pool.fsched task
 let fiber_sched p = p.fsched
 
 let with_context w f =

@@ -62,8 +62,8 @@ type t
 (** {2 Pool plumbing} *)
 
 val make : pool -> int -> t
-(** [make p i] is worker [i]'s record; make it on the domain that will
-    use it (it caches that domain's fiber-context flag). *)
+(** [make p i] is worker [i]'s record, for the domain that will use
+    it. *)
 
 val with_context : t -> (unit -> 'a) -> 'a
 (** Run [f] as the calling domain's worker (the identity {!current}
@@ -115,10 +115,6 @@ val push_task : t -> (unit -> unit) -> unit
 (** Push a task onto the worker's own deque bottom (owner only) and wake
     a parked thief. *)
 
-val try_get_task : t -> unit -> unit
-(** One trip of Figure 3's acquisition: own-deque pop, then one steal
-    attempt, then the sources in order.  A task, or {!empty}. *)
-
 val pop_own : t -> (unit -> unit) -> bool
 (** [pop_own w task] is the work-first join primitive (owner only):
     pop [w]'s own deque bottom and return [true] iff it is [task]
@@ -129,27 +125,14 @@ val pop_own : t -> (unit -> unit) -> bool
     last task to a thief (counted in [cas_failures_pop_bottom]).  No
     synchronization beyond the deque's own last-element case. *)
 
-val in_fiber : t -> bool
-(** [Fiber.in_context ()] for the calling domain's own worker, read
-    from a flag the worker record caches, without a domain-local-storage
-    lookup. *)
-
-val run_task : t -> (unit -> unit) -> unit
-(** Execute one task under the worker's pool's fiber handler, exactly
-    as the worker loop would.  Helpers running tasks outside the loop
-    ({!Future.force}'s out-of-context path) must use this rather
-    than calling the closure raw: an un-handled task could otherwise
-    perform [Await] into the {e enclosing} task's handler and park the
-    helper itself. *)
-
 val checkpoint : t -> unit
 (** Gate safe point: blocks while the worker's preemption gate is
     closed (no-op on ungated pools).  {!Future.force} calls this once
     on every pending join, before the join fast path ({!pop_own}, the
     work-first inline run of an unstolen child), so a chain of inline
-    joins keeps one safe point per node; out of context it also calls
-    it each trip around its help loop, so a worker blocked on a future
-    still honours suspensions. *)
+    joins keeps one safe point per node.  A join that has to wait
+    suspends its fiber, and the worker meets the next safe point at
+    the top of its scheduling loop. *)
 
 val local_deque_size : t -> int
 (** Observed size of the worker's own deque — the lazy-splitting signal

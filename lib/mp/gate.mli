@@ -5,11 +5,11 @@
     worker runs normally, and when the {!Controller} closes it the
     worker blocks at its next {e safe point} — after finishing a task,
     between steal attempts, before parking, or at every pending
-    {!Abp_hood.Future.force} join and around its help loop (see
-    {!Abp_hood.Pool.gate_hook}).  Safe points are placed where the
-    worker holds no acquired-but-unpublished tasks, so a suspended
-    worker never strands work: everything it owns is in its deque,
-    stealable by the workers that remain granted.
+    {!Abp_hood.Future.force} join (see {!Abp_hood.Pool.gate_hook}).
+    Safe points are placed where the worker holds no
+    acquired-but-unpublished tasks, so a suspended worker never strands
+    work: everything it owns is in its deque, stealable by the workers
+    that remain granted.
 
     The open fast path is one atomic load.  A worker that suspends
     parks on its cell's {!Abp_hood.Parking}, which an open wakes. *)

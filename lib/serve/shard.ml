@@ -429,14 +429,16 @@ module Serve = struct
   let outcome tk = tk.promise
   let poll tk = Fiber.Promise.try_await tk.promise
 
-  (* Inside a request (or any pool task) the waiter suspends and frees
-     its worker; an outside domain parks on [completion]. *)
+  (* Inside a request (or any pool task) the perform finds the fiber
+     handler: the waiter suspends and frees its worker.  With no fiber
+     handler on the stack the perform raises [Unhandled], and the caller,
+     an outside domain, parks on [completion]. *)
   let await tk =
-    if Fiber.in_context () then Fiber.await tk.promise
-    else begin
-      wait_until tk.srv (fun () -> Fiber.Promise.is_resolved tk.promise);
-      Option.get (poll tk)
-    end
+    match Fiber.await tk.promise with
+    | v -> v
+    | exception Effect.Unhandled _ ->
+        wait_until tk.srv (fun () -> Fiber.Promise.is_resolved tk.promise);
+        Option.get (poll tk)
 
   (* Wait until every accepted task is settled, once admission is
      closed.  From then on settlements only raise the left side towards

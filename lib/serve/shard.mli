@@ -171,11 +171,15 @@ module Serve : sig
       occupying a worker. *)
 
   val await : 'a ticket -> 'a outcome
-  (** Wait for the outcome.  In a fiber context (inside a request or any
-      pool task) the caller suspends and its worker serves other work —
-      so a request waiting on another request frees its worker, even at
-      [P = 1]; elsewhere it parks until the ticket settles (the
-      protocol is {!Abp_hood.Parking}'s).  Callable from any domain. *)
+  (** Wait for the outcome.  A pending ticket's wait performs the fiber
+      [Await]: under a {!Abp_fiber.Fiber.run} handler (inside a request
+      or any pool task) the caller suspends and its worker serves other
+      work — so a request waiting on another request frees its worker,
+      even at [P = 1].  When no fiber handler takes the effect (a plain
+      domain, also under a foreign effect handler), the perform raises
+      [Effect.Unhandled] and the caller parks until the ticket settles
+      (the protocol is {!Abp_hood.Parking}'s).  Callable from any
+      domain. *)
 
   val cancel : 'a ticket -> bool
   (** Best-effort cancellation: [true] iff the task had not started and

@@ -30,5 +30,4 @@ let events t =
   |> List.concat_map Ring.to_list
   |> List.stable_sort (fun a b -> compare a.Event.time b.Event.time)
 
-let events_of_worker t i = Ring.to_list t.rings.(i)
 let dropped t = Array.fold_left (fun acc r -> acc + Ring.dropped r) 0 t.rings

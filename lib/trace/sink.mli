@@ -39,7 +39,5 @@ val per_worker : t -> Counters.t array
 val events : t -> Event.t list
 (** All retained events, merged across workers, sorted by time. *)
 
-val events_of_worker : t -> int -> Event.t list
-
 val dropped : t -> int
 (** Total events dropped across all rings. *)

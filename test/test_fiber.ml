@@ -99,21 +99,20 @@ let inline_sched_suspends_and_resumes () =
   Promise.fulfil p 41;
   Alcotest.(check int) "fulfil drove the continuation" 42 !r
 
-(* [Serve.await] and [Future.force] pick suspension by [in_context], so
-   the flag must be cleared when [run] returns — also when it returns
-   because the body parked. *)
-let inline_sched_context_flag_restored () =
-  let p = Promise.create () in
-  let inside = ref false and after_resume = ref false in
-  Fiber.run Fiber.inline_sched (fun () ->
-      inside := Fiber.in_context ();
-      ignore (Fiber.await p : int);
-      after_resume := Fiber.in_context ());
-  Alcotest.(check bool) "set inside the body" true !inside;
-  Alcotest.(check bool) "cleared after the body parked" false (Fiber.in_context ());
-  Promise.fulfil p 1;
-  Alcotest.(check bool) "set in the resumed continuation" true !after_resume;
-  Alcotest.(check bool) "cleared after the resume" false (Fiber.in_context ())
+(* The handler itself: the effect function's closure over [sched],
+   the one-field handler record [try_with] takes and the runtime's
+   wrapper of the effect function.  [Fiber.run] wraps every task a pool
+   executes, a served request's job and its inner handler, and every
+   resume.  Word counts repeat exactly, so this is an exact bound. *)
+let inline_sched_run_allocation () =
+  let n = 10_000 in
+  let body () = () in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    Fiber.run Fiber.inline_sched body
+  done;
+  let per_run = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_run > 11. then Alcotest.failf "Fiber.run of an empty body allocates %.2f words (> 11)" per_run
 
 let inline_sched_discontinues_on_fail () =
   let p = Promise.create () in
@@ -151,24 +150,6 @@ let pool_await_external_fulfil () =
       Alcotest.(check int) "one suspension" 1 susp;
       Alcotest.(check int) "one resume" 1 res;
       Alcotest.(check int) "peak gauge" 1 peak;
-      Alcotest.(check int) "nothing left suspended" 0 (Pool.suspended pool))
-
-let pool_fiber_spawn_await () =
-  let pool = Pool.create ~processes:(procs ()) () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let total =
-        Pool.run pool (fun () ->
-            let ps = List.init 8 (fun i -> Fiber.spawn (fun () -> fib_seq (10 + (i mod 3)))) in
-            List.fold_left (fun acc p -> acc + Fiber.await p) 0 ps)
-      in
-      let expected =
-        List.fold_left (fun acc i -> acc + fib_seq (10 + (i mod 3))) 0 (List.init 8 Fun.id)
-      in
-      Alcotest.(check int) "spawned fibers all joined" expected total;
-      let susp, res, _ = pool_fiber_counters pool in
-      Alcotest.(check int) "suspensions balance resumes" res susp;
       Alcotest.(check int) "nothing left suspended" 0 (Pool.suspended pool))
 
 (* ------------------------------------------------------------------ *)
@@ -537,6 +518,76 @@ let serve_try_submit_rejects_when_draining () =
         (Failure "Shard.submit: admission stopped (draining or shut down)") (fun () ->
           ignore (Shard.submit s (fun () -> 0))))
 
+(* [Serve.await] performs the fiber's [Await] and falls back on a
+   blocking wait only when no fiber handler takes it.  A request held
+   on [release] stays pending until [release_after] lets it go, once
+   [armed] is set, so each case calls [Serve.await] on a pending
+   ticket.  The releaser gives up waiting for [armed] after 2 s, so an
+   await that blocks where it should suspend fails the case instead of
+   hanging it. *)
+type _ Effect.t += Ping : int Effect.t
+
+let held_request s release = Shard.submit s (fun () -> Fiber.await release)
+
+let release_after armed release =
+  Domain.spawn (fun () ->
+      let t0 = Unix.gettimeofday () in
+      while not (Atomic.get armed) && Unix.gettimeofday () -. t0 < 2.0 do
+        Domain.cpu_relax ()
+      done;
+      Unix.sleepf 0.005;
+      Promise.fulfil release 7)
+
+(* A plain domain under a foreign deep handler that does not handle
+   [Await]: the perform passes through it, finds no handler and raises
+   [Unhandled], and the caller blocks until the request settles. *)
+let serve_await_blocks_under_foreign_handler () =
+  with_serve ~processes:1 (fun s ->
+      let release = Promise.create () and armed = Atomic.make false in
+      let tk = held_request s release in
+      let releaser = release_after armed release in
+      let got =
+        Effect.Deep.match_with
+          (fun () ->
+            Alcotest.(check bool) "pending at the call" false (Promise.is_resolved (Serve.outcome tk));
+            Atomic.set armed true;
+            let o = Serve.await tk in
+            (o, Effect.perform Ping))
+          ()
+          {
+            retc = Fun.id;
+            exnc = raise;
+            effc =
+              (fun (type a) (eff : a Effect.t) ->
+                match eff with
+                | Ping -> Some (fun (k : (a, _) Effect.Deep.continuation) -> Effect.Deep.continue k 1)
+                | _ -> None);
+          }
+      in
+      Domain.join releaser;
+      match got with
+      | Serve.Returned 7, 1 -> ()
+      | _ -> Alcotest.fail "expected Returned 7 through the foreign handler")
+
+(* Under a fiber handler the await suspends: [Fiber.run] returns before
+   the request settles, and the fulfil runs the rest of the body (the
+   inline scheduler continues it on the fulfilling worker). *)
+let serve_await_suspends_under_fiber_run () =
+  with_serve ~processes:1 (fun s ->
+      let release = Promise.create () and armed = Atomic.make false in
+      let tk = held_request s release in
+      let releaser = release_after armed release in
+      let got = Atomic.make None in
+      Fiber.run Fiber.inline_sched (fun () -> Atomic.set got (Some (Serve.await tk)));
+      Alcotest.(check bool) "body returned before the request settled" true
+        (Atomic.get got = None && not (Promise.is_resolved (Serve.outcome tk)));
+      Atomic.set armed true;
+      Alcotest.(check bool) "the continuation ran" true (eventually (fun () -> Atomic.get got <> None));
+      Domain.join releaser;
+      match Atomic.get got with
+      | Some (Serve.Returned 7) -> ()
+      | _ -> Alcotest.fail "expected Returned 7 in the resumed body")
+
 (* ------------------------------------------------------------------ *)
 (* The await-aware conservation identity, observed mid-flight           *)
 
@@ -678,11 +729,10 @@ let tests =
       inline_sched_suspends_and_resumes;
     Alcotest.test_case "inline sched: fail discontinues into the body" `Quick
       inline_sched_discontinues_on_fail;
-    Alcotest.test_case "inline sched: context flag restored after a park" `Quick
-      inline_sched_context_flag_restored;
+    Alcotest.test_case "inline sched: run of an empty body allocates <= 11 words" `Quick
+      inline_sched_run_allocation;
     Alcotest.test_case "pool: await external fulfil (resume inbox)" `Quick
       pool_await_external_fulfil;
-    Alcotest.test_case "pool: Fiber.spawn/await fan-out" `Quick pool_fiber_spawn_await;
     Alcotest.test_case "future: differential fib vs sequential" `Quick future_differential_fib;
     Alcotest.test_case "future: exception propagates through force" `Quick
       future_exception_propagates;
@@ -698,6 +748,10 @@ let tests =
       serve_outcome_shutdown_cancelled;
     Alcotest.test_case "serve: async admission rejected when draining" `Quick
       serve_try_submit_rejects_when_draining;
+    Alcotest.test_case "serve: await blocks under a foreign effect handler" `Quick
+      serve_await_blocks_under_foreign_handler;
+    Alcotest.test_case "serve: await suspends under Fiber.run" `Quick
+      serve_await_suspends_under_fiber_run;
     Alcotest.test_case "serve: extended identity mid-flight + collapse at drain" `Quick
       serve_suspended_identity_midflight;
     Alcotest.test_case "backend simulator basics" `Quick backend_basics;
