@@ -282,9 +282,6 @@ module Serve = struct
       suspended = Atomic.get s.suspended_now;
     }
 
-  let lane_depth s lane =
-    Injector.size (match lane with Bulk -> s.inbox | Deadline -> s.dl_inbox)
-
   let inbox_depth s = Injector.size s.inbox + Injector.size s.dl_inbox
 
   let note_high_water s =
@@ -454,22 +451,6 @@ module Serve = struct
         st.completed + st.cancelled + st.exceptions >= st.accepted);
     !last
 
-  (* Another shard's thief takes one queued job, deadline lane first — a
-     cross-shard relief thief must not grab bulk work while
-     deadline-class requests queue behind it.  The job keeps its closures
-     over THIS micropool's ticket and counters, so the per-shard
-     conservation invariant is unaffected by where it runs. *)
-  let steal_inbox s =
-    match Injector.try_pop s.dl_inbox with
-    | Some j -> Some j.run
-    | None -> run_of (Injector.try_pop s.inbox)
-
-  (* Deadline-lane-only variant: the lane-aware cross-steal path uses it
-     to relieve a sibling's deadline burst without touching its bulk
-     backlog (and without waiting out the thief's bulk cross-steal
-     rate limit). *)
-  let steal_inbox_deadline s = run_of (Injector.try_pop s.dl_inbox)
-
   (* Join this micropool's workers without dropping queued tasks: a
      sibling shard may still cross-steal them. *)
   let join_workers s = if not (Atomic.exchange s.stopped true) then Pool.shutdown s.pool
@@ -494,7 +475,6 @@ open Serve
 type t = {
   serves : Serve.t array;
   shards : int;
-  cross_period : int;
   lat : lane_lat array;  (* the group-wide histograms every serve shares *)
   (* Round-robin cursor for keyless routing; one fetch-and-add per
      submission, on its own cache line. *)
@@ -506,35 +486,17 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Cross-shard stealing policy                                         *)
+(* Cross-shard stealing                                                *)
 
-(* Per-thief (per-domain) cross-steal state.  A worker domain belongs to
-   exactly one shard's pool, so domain-local storage gives each thief its
-   own single-writer record with no indexing protocol: [probe] drives the
-   rate limit, [last_shard]/[last_victim] remember the last productive
-   victim (the localized-stealing preference), and [rng] picks fresh
-   victims.  The record is created lazily on the thief's first
-   empty-handed trip past its own injector. *)
-type thief = {
-  mutable probe : int;
-  mutable last_shard : int;  (* -1 = no remembered victim *)
-  mutable last_victim : int;  (* worker index, or -1 = that shard's inbox *)
-  rng : Abp_stats.Rng.t;
-}
-
+(* A worker domain belongs to exactly one shard's pool, so domain-local
+   storage gives each thief its own victim generator with no indexing
+   protocol, created on the thief's first cross-shard trip. *)
 let thief_seed = Atomic.make 0
 
-let thief_key : thief Domain.DLS.key =
+let thief_rng : Abp_stats.Rng.t Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       let n = Atomic.fetch_and_add thief_seed 1 in
-      {
-        (* Stagger the rate-limit phase across thieves so they do not
-           cross the shard boundary in lockstep. *)
-        probe = n;
-        last_shard = -1;
-        last_victim = -1;
-        rng = Abp_stats.Rng.create ~seed:(Int64.of_int (0x51ED + (n * 0x9E37))) ();
-      })
+      Abp_stats.Rng.create ~seed:(Int64.of_int (0x51ED + (n * 0x9E37))) ())
 
 (* The closures below are built before the serve array exists (each
    serve's pool needs its overflow source at creation), so they read the
@@ -542,87 +504,42 @@ let thief_key : thief Domain.DLS.key =
    races construction sees [[||]] and treats the topology as unsharded —
    no remote work, nothing pending. *)
 
-let try_victim serves j victim =
-  let s = serves.(j) in
-  if victim >= 0 then Pool.steal_from s.pool ~victim else steal_inbox s
+(* The [i]-th of shard [my]'s siblings, counted from sibling [r]. *)
+let sibling serves my r i =
+  let j = (r + i) mod (Array.length serves - 1) in
+  serves.(if j >= my then j + 1 else j)
 
-(* Lane-aware relief: scan the siblings for queued deadline-lane work
-   and take one job (deadline lane ONLY) ahead of any bulk
-   cross-steal.  This path deliberately bypasses the [cross_period]
-   throttle — a deadline burst on one shard must not wait out an idle
-   sibling's rate limiter — while bulk keeps the existing budget; the
-   scan is a handful of atomic depth reads per empty-handed trip.  The
-   start offset rotates with the thief's probe counter so concurrent
-   thieves fan out over different siblings. *)
-let deadline_relief serves st my k =
-  let rec scan i =
-    if i >= k then None
-    else
-      let j = (st.probe + i) mod k in
-      if j = my || lane_depth serves.(j) Deadline = 0 then scan (i + 1)
-      else
-        match steal_inbox_deadline serves.(j) with
-        | None -> scan (i + 1)
-        | Some _ as got ->
-            st.last_shard <- j;
-            st.last_victim <- -1;
-            got
-  in
-  scan 0
+let rec deadline_scan serves my r i =
+  if i = Array.length serves - 1 then None
+  else
+    match Injector.try_pop (sibling serves my r i).dl_inbox with
+    | Some job -> Some job.run
+    | None -> deadline_scan serves my r (i + 1)
 
-let cross_take group ~cross_period my () =
+(* One cross-shard attempt per trip on which every intra-shard source
+   came up empty, as Figure 3's thief makes one attempt per trip; the
+   worker's idle ladder paces the trips.  Every sibling's deadline lane
+   comes first, so a relief thief never takes bulk work while
+   deadline-class requests queue anywhere in the group: polling one
+   random sibling's lane per trip doubled the 4-shard deadline sojourn
+   p99 (EXPERIMENTS.md, E30).  The scan starts at a uniformly random
+   sibling, which then also gets the rest of the attempt: one random
+   worker's deque top, then its bulk lane.  A stolen job keeps its
+   closures over its home shard's ticket and counters, so the per-shard
+   conservation invariant is unaffected by where it runs. *)
+let cross_take group my () =
   let serves = Atomic.get group in
-  let k = Array.length serves in
-  if k <= 1 then None
-  else begin
-    let st = Domain.DLS.get thief_key in
-    st.probe <- st.probe + 1;
-    match deadline_relief serves st my k with
+  if Array.length serves <= 1 then None
+  else
+    let rng = Domain.DLS.get thief_rng in
+    let r = Abp_stats.Rng.int rng (Array.length serves - 1) in
+    match deadline_scan serves my r 0 with
     | Some _ as got -> got
-    | None ->
-        (* Rate limit: only every [cross_period]-th empty-handed trip
-           actually touches a remote shard; the other trips return
-           immediately, so transient imbalance is absorbed locally and
-           the steady state never degenerates into all-to-all
-           stealing. *)
-        if st.probe mod cross_period <> 0 then None
-        else begin
-          (* 1. The last productive victim first (the localized-stealing
-             preference): a shard that overflowed once is likely still
-             the hot one, and revisiting it keeps the traffic pairwise. *)
-          let from_last =
-            if st.last_shard < 0 || st.last_shard >= k || st.last_shard = my then None
-            else
-              let victim =
-                if st.last_victim < Pool.size serves.(st.last_shard).pool then st.last_victim
-                else -1
-              in
-              try_victim serves st.last_shard victim
-          in
-          match from_last with
-          | Some _ -> from_last
-          | None -> (
-              st.last_shard <- -1;
-              (* 2. One uniformly random remote shard: a random victim
-                 deque first, then that shard's injector inbox. *)
-              let j0 = Abp_stats.Rng.int st.rng (k - 1) in
-              let j = if j0 >= my then j0 + 1 else j0 in
-              let p = serves.(j).pool in
-              let v = Abp_stats.Rng.int st.rng (Pool.size p) in
-              match Pool.steal_from p ~victim:v with
-              | Some _ as got ->
-                  st.last_shard <- j;
-                  st.last_victim <- v;
-                  got
-              | None -> (
-                  match steal_inbox serves.(j) with
-                  | None -> None
-                  | Some _ as got ->
-                      st.last_shard <- j;
-                      st.last_victim <- -1;
-                      got))
-        end
-  end
+    | None -> (
+        let s = sibling serves my r 0 in
+        match Pool.steal_from s.pool ~victim:(Abp_stats.Rng.int rng (Pool.size s.pool)) with
+        | Some _ as got -> got
+        | None -> run_of (Injector.try_pop s.inbox))
 
 (* Advisory view for the parking protocol: is there anything a
    cross-shard steal could still acquire?  O(total workers), but only
@@ -657,10 +574,8 @@ let note_cross c hit =
     Counters.incr c Counters.cross_stolen_tasks
   end
 
-let create ?processes ?park_after ?yield_kind ?gates ?inbox_capacity ?traces
-    ?(cross_period = 8) ~shards () =
+let create ?processes ?park_after ?yield_kind ?gates ?inbox_capacity ?traces ~shards () =
   if shards < 1 then invalid_arg "Shard.create: shards >= 1 required";
-  if cross_period < 1 then invalid_arg "Shard.create: cross_period >= 1 required";
   (match gates with
   | Some a when Array.length a <> shards ->
       invalid_arg "Shard.create: gates must have one entry per shard"
@@ -683,7 +598,7 @@ let create ?processes ?park_after ?yield_kind ?gates ?inbox_capacity ?traces
           else
             Some
               {
-                Pool.take = cross_take group ~cross_period i;
+                Pool.take = cross_take group i;
                 pending = cross_pending group i;
                 note = note_cross;
                 event = Some Abp_trace.Event.Cross;
@@ -699,7 +614,6 @@ let create ?processes ?park_after ?yield_kind ?gates ?inbox_capacity ?traces
   {
     serves;
     shards;
-    cross_period;
     lat;
     rr = Padding.atomic 0;
     routed = Array.init shards (fun _ -> Padding.atomic 0);
@@ -887,11 +801,10 @@ let pp_report ppf t =
   Fmt.pf ppf "=== shard report (%d shards, %d workers total) ===@." t.shards (size t);
   Fmt.pf ppf "accepted %d  completed %d  rejected %d  cancelled %d  exceptions %d  suspended %d@."
     st.accepted st.completed st.rejected st.cancelled st.exceptions st.suspended;
-  Fmt.pf ppf "cross-shard: polls %d  steals %d  tasks %d (period %d)@."
+  Fmt.pf ppf "cross-shard: polls %d  steals %d  tasks %d@."
     (Counters.get c Counters.cross_polls)
     (Counters.get c Counters.cross_shard_steals)
-    (Counters.get c Counters.cross_stolen_tasks)
-    t.cross_period;
+    (Counters.get c Counters.cross_stolen_tasks);
   Array.iteri
     (fun i s ->
       let sst = Serve.stats s in

@@ -21,18 +21,17 @@
        caller-supplied affinity [key] (stable: equal keys always land on
        the same shard), or round-robin when no key is given.  The
        per-shard admission histogram is {!route_counts}.}
-    {- {b Bounded cross-shard overflow}: a worker follows the Figure 3
-       order {e within its shard} first — own deque, one intra-shard
-       steal attempt, resume inbox, own lanes — and only when all of
-       them come up empty does it poll the overflow source, the last
-       entry of its pool's source list ({!Abp_hood.Pool.source}).  That
-       poll is rate-limited (one real attempt per [cross_period]
-       empty-handed trips), prefers the last productive victim (the
-       localized-stealing policy of Suksompong–Leiserson–Schardl), and
-       otherwise tries one random remote shard: a random victim deque
-       first ({!Abp_hood.Pool.steal_from}), then that shard's inboxes,
-       deadline lane first.  Every cross-shard acquisition moves exactly
-       one task.}}
+    {- {b Cross-shard overflow}: a worker follows the Figure 3 order
+       {e within its shard} first — own deque, one intra-shard steal
+       attempt, resume inbox, own lanes — and only when all of them come
+       up empty does it poll the overflow source, the last entry of its
+       pool's source list ({!Abp_hood.Pool.source}).  That poll makes one
+       attempt: every sibling shard's deadline lane first, then one
+       uniformly random sibling's random worker deque top
+       ({!Abp_hood.Pool.steal_from}), then that sibling's bulk lane.  The worker's
+       idle ladder (yield, backoff, park) is the only pacing, as between
+       Figure 3's steal attempts.  Every cross-shard acquisition moves
+       exactly one task.}}
 
     Cross-stolen jobs keep their closures over their {e home} shard's
     tickets and ledger, so each shard's conservation invariant holds no
@@ -211,7 +210,6 @@ val create :
   ?gates:Abp_hood.Pool.gate_hook array ->
   ?inbox_capacity:int ->
   ?traces:Abp_trace.Sink.t array ->
-  ?cross_period:int ->
   shards:int ->
   unit ->
   t
@@ -231,14 +229,13 @@ val create :
     {!Abp_mp.Controller.stop} before {!drain} or {!shutdown}), and
     per-shard sinks keep the one-record-per-worker discipline.
 
-    [cross_period] (default 8) rate-limits cross-shard stealing: a thief
-    makes one real cross-shard attempt per [cross_period] trips that
-    exhausted every intra-shard source.  With [shards = 1] no overflow
-    source is attached.
+    With [shards > 1] each pool's last source is the cross-shard
+    overflow: one attempt per trip that exhausted every intra-shard
+    source.  With [shards = 1] no overflow source is
+    attached.
 
-    @raise Invalid_argument if [shards < 1], [processes < 1],
-    [cross_period < 1], or a [gates]/[traces] array length mismatches
-    [shards]. *)
+    @raise Invalid_argument if [shards < 1], [processes < 1], or a
+    [gates]/[traces] array length mismatches [shards]. *)
 
 val shards : t -> int
 (** Number of micropools [k]. *)
@@ -315,8 +312,8 @@ val inbox_depths : t -> int array
     accepted but not yet dequeued. *)
 
 val cross_polls : t -> int
-(** Total overflow-source polls across all pools (rate-limited trips
-    included — an immediately-declined trip still counts one poll).
+(** Total overflow-source polls across all pools: each is one
+    cross-shard attempt, made on a trip that found no intra-shard work.
     Exact after the group quiesces. *)
 
 val cross_shard_steals : t -> int

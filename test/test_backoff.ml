@@ -202,9 +202,7 @@ let task_exception_reraised_at_shutdown () =
 let shard_submit_wakes_remote_parked_thief () =
   let module Shard = Abp_serve.Shard in
   let module Serve = Shard.Serve in
-  let s =
-    Shard.create ~processes:1 ~park_after:0. ~cross_period:1 ~shards:2 ()
-  in
+  let s = Shard.create ~processes:1 ~park_after:0. ~shards:2 () in
   let release = Atomic.make false in
   Fun.protect
     ~finally:(fun () ->

@@ -394,7 +394,7 @@ let shard_conservation_under_adversary () =
   let gates = Array.init shards (fun _ -> Gate.create ~num_workers:p) in
   let s =
     Shard.create ~processes:p ~yield_kind:Pool.Yield_to_random
-      ~gates:(Array.map Gate.hook gates) ~cross_period:2 ~shards ()
+      ~gates:(Array.map Gate.hook gates) ~shards ()
   in
   let controllers =
     Array.init shards (fun i ->

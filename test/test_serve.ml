@@ -713,8 +713,8 @@ let bulk_lane_runs_fifo () =
       ignore (Shard.drain s);
       Alcotest.(check (list string)) "submission order" tags (List.rev (Atomic.get order)))
 
-let with_shard ?processes ?inbox_capacity ?cross_period ~shards f =
-  let s = Shard.create ?processes ?inbox_capacity ?cross_period ~shards () in
+let with_shard ?processes ?inbox_capacity ~shards f =
+  let s = Shard.create ?processes ?inbox_capacity ~shards () in
   Fun.protect ~finally:(fun () -> Shard.shutdown s) (fun () -> f s)
 
 let shard_create_validation () =
@@ -723,9 +723,6 @@ let shard_create_validation () =
   Alcotest.check_raises "processes = 0 rejected"
     (Invalid_argument "Shard.create: processes >= 1 required") (fun () ->
       ignore (Shard.create ~processes:0 ~shards:2 ()));
-  Alcotest.check_raises "cross_period = 0 rejected"
-    (Invalid_argument "Shard.create: cross_period >= 1 required") (fun () ->
-      ignore (Shard.create ~shards:2 ~cross_period:0 ()));
   Alcotest.check_raises "traces length mismatch rejected"
     (Invalid_argument "Shard.create: traces must have one entry per shard") (fun () ->
       ignore (Shard.create ~shards:2 ~traces:[| Abp_trace.Sink.create ~workers:1 () |] ()));
@@ -794,7 +791,7 @@ let shard_single_degenerates_to_serve () =
    cross-shard acquisition moves exactly one task. *)
 let shard_conservation_multi_domain () =
   let shards = 3 in
-  let s = Shard.create ~processes:2 ~inbox_capacity:32 ~cross_period:2 ~shards () in
+  let s = Shard.create ~processes:2 ~inbox_capacity:32 ~shards () in
   let submitters = 4 and per_submitter = 300 in
   let executed = Atomic.make 0 in
   let ds =
@@ -913,37 +910,53 @@ let shard_lane_passthrough () =
             l.Serve.samples
       | None -> Alcotest.fail "sharded deadline latency present")
 
-(* Deadline-lane pressure bypasses the cross-shard steal throttle: with
-   an absurd [cross_period] a sibling's bulk backlog stays put, but its
-   deadline lane is relieved promptly by an idle remote worker even
-   while the home worker is pinned. *)
-let deadline_lane_bypasses_cross_period () =
-  let topo = Shard.create ~processes:1 ~cross_period:1_000_000 ~shards:2 () in
-  let ka = key_for topo 0 in
-  let release = Atomic.make false in
-  (* Pin shard 0's only worker. *)
-  let blocker =
-    Shard.submit topo ~key:ka (fun () ->
-        while not (Atomic.get release) do
-          Domain.cpu_relax ()
-        done)
-  in
-  let n = 8 in
-  let done_count = Atomic.make 0 in
-  for _ = 1 to n do
-    ignore
-      (Shard.submit topo ~key:ka ~lane:Serve.Deadline (fun () -> Atomic.incr done_count))
-  done;
-  (* Only shard 1's worker can run these, and only through the
-     deadline-relief path — the generic cross-shard poll would need
-     ~10^6 empty trips before its first real attempt. *)
-  Alcotest.(check bool) "deadline jobs relieved while home worker pinned" true
-    (Test_util.wait_until (fun () -> Atomic.get done_count = n));
-  Atomic.set release true;
-  ignore (Serve.await blocker);
-  ignore (Shard.drain topo);
-  Alcotest.(check bool) "conserved" true (Shard.conserved topo);
-  Shard.shutdown topo
+(* An idle sibling relieves a pinned shard's deadline lane before its
+   bulk lane.  Both single workers are pinned first, each by its own
+   blocker: the first blocker's worker is found as in
+   [cross_steals_drain_pinned_shard], and the second blocker can then
+   only run on the other worker.  Bulk jobs and then deadline jobs queue
+   on the first worker's shard; once the second blocker is released, its
+   worker can reach them only through its cross-shard take, so the
+   recorded order is the order that take chose them in. *)
+let cross_steals_take_deadline_before_bulk () =
+  let topo = Shard.create ~processes:1 ~shards:2 () in
+  let release = Array.init 2 (fun _ -> Atomic.make false) in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun r -> Atomic.set r true) release;
+      Shard.shutdown topo)
+    (fun () ->
+      let started = Atomic.make 0 in
+      let block i key =
+        Shard.submit topo ~key (fun () ->
+            Atomic.incr started;
+            while not (Atomic.get release.(i)) do
+              Domain.cpu_relax ()
+            done)
+      in
+      let pinner = block 0 (key_for topo 0) in
+      Alcotest.(check bool) "first blocker running" true
+        (Test_util.wait_until (fun () -> Atomic.get started = 1));
+      let pinned = if Shard.cross_shard_steals topo = 0 then 0 else 1 in
+      let sibling = block 1 (key_for topo (1 - pinned)) in
+      Alcotest.(check bool) "second blocker running" true
+        (Test_util.wait_until (fun () -> Atomic.get started = 2));
+      let order = Atomic.make [] in
+      let note tag () = Atomic.set order (tag :: Atomic.get order) in
+      let bulk = List.init 6 (Printf.sprintf "b%d") and deadline = List.init 6 (Printf.sprintf "d%d") in
+      let key = key_for topo pinned in
+      List.iter (fun tag -> ignore (Shard.submit topo ~key (note tag))) bulk;
+      List.iter (fun tag -> ignore (Shard.submit topo ~key ~lane:Serve.Deadline (note tag))) deadline;
+      Atomic.set release.(1) true;
+      ignore (Serve.await sibling);
+      Alcotest.(check bool) "the sibling ran every queued job" true
+        (Test_util.wait_until (fun () -> List.length (Atomic.get order) = 12));
+      Alcotest.(check (list string)) "every deadline job before any bulk job" (deadline @ bulk)
+        (List.rev (Atomic.get order));
+      Atomic.set release.(0) true;
+      ignore (Serve.await pinner);
+      ignore (Shard.drain topo);
+      Alcotest.(check bool) "conserved" true (Shard.conserved topo))
 
 (* A request that settles past its deadline is counted as a miss (it
    still completes — a miss is settled-but-late, not a conservation
@@ -965,10 +978,10 @@ let deadline_miss_counted () =
    is pinned by a blocker (if the idle sibling happened to steal the
    blocker, the roles swap and the jobs go to shard 1), and [n] jobs
    queued on the pinned shard's [lane] can only run through the idle
-   sibling's cross-shard take: the bulk lane through [steal_inbox]
-   under the [cross_period] throttle, the deadline lane through the
-   deadline relief.  Each such steal is counted once, moves exactly one
-   job and emits one [Cross] event with no subject. *)
+   sibling's cross-shard take, which tries the deadline lane, the pinned
+   worker's empty deque and the bulk lane on each trip.  Each such steal
+   is counted once, moves exactly one job and emits one [Cross] event
+   with no subject. *)
 let cross_steals_drain_pinned_shard lane () =
   let sinks = Array.init 2 (fun _ -> Abp_trace.Sink.create ~ring_capacity:4096 ~workers:1 ()) in
   let topo = Shard.create ~processes:1 ~traces:sinks ~shards:2 () in
@@ -1145,8 +1158,8 @@ let tests =
     Alcotest.test_case "shard: report renders" `Quick shard_report_renders;
     Alcotest.test_case "shard: lane passthrough + merged lane latency" `Quick
       shard_lane_passthrough;
-    Alcotest.test_case "deadline lane bypasses cross_period" `Quick
-      deadline_lane_bypasses_cross_period;
+    Alcotest.test_case "shard: cross steals take deadline jobs before bulk" `Quick
+      cross_steals_take_deadline_before_bulk;
     Alcotest.test_case "deadline miss counted" `Quick deadline_miss_counted;
     Alcotest.test_case "shard: cross steals drain a pinned shard's bulk lane" `Quick
       (cross_steals_drain_pinned_shard Serve.Bulk);
