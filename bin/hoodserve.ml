@@ -49,11 +49,15 @@ let json_latency = function
         (l.Abp.Serve.p90 *. 1e3) (l.Abp.Serve.p99 *. 1e3) (l.Abp.Serve.p999 *. 1e3)
         (l.Abp.Serve.max *. 1e3)
 
-let json_lane ~(ls : Abp.Serve.lane_stats) ~latency =
+(* A deadline-miss count, or [null] when no request carried a deadline
+   (no --deadline), where it reads 0 by construction. *)
+let json_misses = function Some n -> string_of_int n | None -> "null"
+
+let json_lane ~(ls : Abp.Serve.lane_stats) ~misses ~latency =
   Printf.sprintf
-    {|{"accepted":%d,"completed":%d,"rejected":%d,"cancelled":%d,"exceptions":%d,"misses":%d,"sojourn":%s}|}
+    {|{"accepted":%d,"completed":%d,"rejected":%d,"cancelled":%d,"exceptions":%d,"misses":%s,"sojourn":%s}|}
     ls.Abp.Serve.lane_accepted ls.Abp.Serve.lane_completed ls.Abp.Serve.lane_rejected
-    ls.Abp.Serve.lane_cancelled ls.Abp.Serve.lane_exceptions ls.Abp.Serve.lane_misses
+    ls.Abp.Serve.lane_cancelled ls.Abp.Serve.lane_exceptions (json_misses misses)
     (json_latency latency)
 
 (* Hand-rolled JSON on the model of the bench executables: no external
@@ -74,13 +78,13 @@ let write_json file ~p ~shards ~affinity ~clients ~requests ~fib ~await_depth ~b
   in
   let oc = open_out file in
   Printf.fprintf oc
-    {|{"schema":"hoodserve/6","p":%d,"shards":%d,"affinity":"%s","clients":%d,"requests":%d,"fib":%d,"await_depth":%d,"backend_ms":%.3f,"lanes":%b,"lane_share":%.3f,"open_loop":%b,"arrival":"%s","rate_rps":%.1f,"shed":%d,"elapsed_s":%.6f,"throughput_rps":%.1f,"cpu_s":%.3f,"accepted":%d,"completed":%d,"rejected":%d,"cancelled":%d,"exceptions":%d,"suspended":%d,"conserved":%b,"deadline_misses":%d,"cross_polls":%d,"cross_shard_steals":%d,"cross_stolen_tasks":%d,"suspensions":%d,"resumes":%d,"suspended_peak":%d,"backend_late_us_p50":%s,"backend_late_us_p99":%s,"route_counts":%s,"inbox_depths":%s,"lane_latency":%s}|}
+    {|{"schema":"hoodserve/7","p":%d,"shards":%d,"affinity":"%s","clients":%d,"requests":%d,"fib":%d,"await_depth":%d,"backend_ms":%.3f,"lanes":%b,"lane_share":%.3f,"open_loop":%b,"arrival":"%s","rate_rps":%.1f,"shed":%d,"elapsed_s":%.6f,"throughput_rps":%.1f,"cpu_s":%.3f,"accepted":%d,"completed":%d,"rejected":%d,"cancelled":%d,"exceptions":%d,"suspended":%d,"conserved":%b,"deadline_misses":%s,"cross_polls":%d,"cross_shard_steals":%d,"cross_stolen_tasks":%d,"suspensions":%d,"resumes":%d,"suspended_peak":%d,"backend_late_us_p50":%s,"backend_late_us_p99":%s,"route_counts":%s,"inbox_depths":%s,"lane_latency":%s}|}
     p shards (affinity_name affinity) clients requests fib await_depth backend_ms use_lanes
     lane_share open_loop
     (if open_loop then arrival_name arrival else "closed")
     rate shed elapsed throughput cpu_s st.Abp.Serve.accepted st.Abp.Serve.completed
     st.Abp.Serve.rejected st.Abp.Serve.cancelled st.Abp.Serve.exceptions st.Abp.Serve.suspended
-    conserved deadline_misses cross_polls cross_steals cross_tasks suspensions resumes
+    conserved (json_misses deadline_misses) cross_polls cross_steals cross_tasks suspensions resumes
     suspended_peak late_p50 late_p99 (int_array routes) (int_array depths) lane_json;
   output_char oc '\n';
   close_out oc
@@ -252,15 +256,21 @@ let run p shards affinity clients requests fib await_depth backend_ms inbox dead
        (match late with
        | Some (p50, p99) -> Printf.sprintf "; backend lateness p50 %.1fus p99 %.1fus" p50 p99
        | None -> ""));
-  let deadline_misses =
-    (Abp.Shard.lane_stats s Abp.Serve.Bulk).Abp.Serve.lane_misses
-    + (Abp.Shard.lane_stats s Abp.Serve.Deadline).Abp.Serve.lane_misses
-  in
+  (* Without --deadline no request carries a deadline, so no miss can
+     count: report the misses as unknown, not as 0. *)
+  let lane_misses lane = (Abp.Shard.lane_stats s lane).Abp.Serve.lane_misses in
+  let known n = if Option.is_some deadline then Some n else None in
+  let bulk_misses = lane_misses Abp.Serve.Bulk and dl_misses = lane_misses Abp.Serve.Deadline in
+  let deadline_misses = known (bulk_misses + dl_misses) in
+  (match deadline_misses with
+  | Some n -> Format.printf "deadline misses %d (bulk %d, deadline %d)@." n bulk_misses dl_misses
+  | None -> Format.printf "deadline misses n/a (no --deadline)@.");
   let routes = Abp.Shard.route_counts s in
   let depths = Abp.Shard.inbox_depths s in
   let lane_json =
     let block lane =
-      json_lane ~ls:(Abp.Shard.lane_stats s lane) ~latency:(Abp.Shard.lane_sojourn_latency s lane)
+      json_lane ~ls:(Abp.Shard.lane_stats s lane) ~misses:(known (lane_misses lane))
+        ~latency:(Abp.Shard.lane_sojourn_latency s lane)
     in
     Printf.sprintf {|{"bulk":%s,"deadline":%s}|} (block Abp.Serve.Bulk)
       (block Abp.Serve.Deadline)
@@ -386,7 +396,7 @@ let cmd =
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
-          ~doc:"write a machine-readable run summary (schema hoodserve/6) to $(docv)")
+          ~doc:"write a machine-readable run summary (schema hoodserve/7) to $(docv)")
   in
   Cmd.v
     (Cmd.info "hoodserve" ~doc:"Serve external requests on the Hood work-stealing runtime")

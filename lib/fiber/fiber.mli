@@ -13,8 +13,8 @@
     supplies a {!sched} record saying where ready continuations go and
     what to count, and wraps task bodies in {!run}.  [Hood.Pool] does
     this for every task it executes, so any code running on a pool may
-    [await] freely; [Serve] layers its own handler on top to count
-    suspended requests for the conservation invariant. *)
+    [await] freely, a served request included, under that one
+    handler. *)
 
 (** Write-once cells resolved with a value ([fulfil]) or an exception
     ([fail]).  Any number of fibers may [await] the same promise; each
@@ -77,9 +77,9 @@ type sched = {
           continuation is continued. *)
 }
 (** Runtime callbacks parameterizing the handler.  The record is
-    per-pool (closures resolve the current worker dynamically), and
-    layers compose by wrapping: [Serve] wraps the pool's sched to
-    additionally count suspended requests. *)
+    per-pool (closures resolve the current worker dynamically); a
+    parked continuation keeps the record of the handler it was
+    captured under, wherever it resumes. *)
 
 val inline_sched : sched
 (** Degenerate scheduler: ready continuations run immediately on the

@@ -242,8 +242,7 @@ val suspended : t -> int
 (** Number of continuations currently parked on promises under this
     pool's fiber handler (see {!Abp_fiber.Fiber}): tasks that performed
     [await] on a pending promise and have not yet been resumed.
-    Advisory while workers run; exact at quiescence.  The [suspended]
-    term of the serve layer's await-aware conservation invariant. *)
+    Advisory while workers run; exact at quiescence. *)
 
 val wake : t -> unit
 (** Wake every parked thief ({!Parking.wake_all}).  External producers

@@ -104,8 +104,8 @@ type pool = {
   resume_q : (unit -> unit) Queue.t;
   resume_n : int Atomic.t;
   (* Continuations currently parked on promises under this pool's
-     handler: the gauge behind the await-aware conservation invariant
-     and the [suspended_peak] counter. *)
+     handler: the gauge behind [Pool.suspended] and the
+     [suspended_peak] counter. *)
   n_suspended : int Atomic.t;
   (* The fiber scheduler wrapped around every task this pool executes.
      Built right after the record (its closures capture it);
@@ -400,7 +400,6 @@ let current () =
 let self_id () = match !(Domain.DLS.get context_key) with Some w -> Some w.id | None -> None
 let self_pool () = match !(Domain.DLS.get context_key) with Some w -> Some w.pool | None -> None
 let exec_counters () = !(Domain.DLS.get exec_counters_key)
-let fiber_sched p = p.fsched
 
 let with_context w f =
   let slot = Domain.DLS.get context_key in

@@ -84,7 +84,10 @@ val wake : pool -> unit
 (** Wake every parked thief; one atomic read when none is parked. *)
 
 val make_fiber_sched : pool -> Abp_fiber.Fiber.sched
-(** The scheduler {!Pool.create} installs in [fsched]; see {!fiber_sched}. *)
+(** The scheduler {!Pool.create} installs in [fsched], for the one fiber
+    handler around every task the pool runs: a ready continuation goes
+    onto the current worker's deque when scheduled from a worker of any
+    pool, else onto [p]'s resume inbox (parked thieves woken). *)
 
 (** {2 Hooks for code running on a worker} *)
 
@@ -140,12 +143,3 @@ val local_deque_size : t -> int
     looking here would leave empty-handed, so the loop splits; a
     non-empty one means stealable work already exists, so it runs a
     chunk sequentially instead. *)
-
-val fiber_sched : pool -> Abp_fiber.Fiber.sched
-(** The pool's fiber scheduler: ready continuations are pushed onto the
-    current worker's deque (when scheduled from a worker of any pool)
-    or enqueued on the pool's resume inbox and parked thieves woken
-    (when scheduled from an external domain, e.g. a backend fulfilling
-    a promise).  Layers installing their own handler around task bodies
-    ({!Abp_serve.Shard.Serve}) wrap this record's hooks so the pool's gauge
-    and telemetry keep counting. *)

@@ -54,19 +54,21 @@ module Serve = struct
     max : float;
   }
 
-  (* What the inboxes hold: the work itself and an abort hook so a
-     shutdown can drop still-queued tasks without running them.  Both
-     close over the ticket, so the record stays monomorphic. *)
-  type job = { run : unit -> unit; abort : unit -> unit }
+  (* What the inboxes hold: one closure over the ticket, which either
+     runs the request or, once [drop_queued] has begun, cancels it. *)
+  type job = unit -> unit
 
   (* The ledger: per-lane admission counters, each padded (written from
      many domains).  The micropool's totals are their sums, so an
-     admission or a settle bumps one atomic.  The lane-wise invariant
-     [lane_accepted = lane_completed + lane_cancelled + lane_exceptions]
-     holds once drained/shut down (the [suspended] gauge is per
-     micropool: the fiber hooks that maintain it cannot see lanes). *)
+     admission, a start or a settle bumps one atomic.  [l_started] counts
+     the claims a worker won; the claims a dropper won count in
+     [l_cancelled].  The lane-wise invariant [lane_accepted =
+     lane_completed + lane_cancelled + lane_exceptions] holds once
+     drained/shut down, and [started - completed - exceptions] is the
+     lane's share of the [suspended] term. *)
   type lane_counters = {
     l_accepted : int Atomic.t;
+    l_started : int Atomic.t;
     l_completed : int Atomic.t;
     l_rejected : int Atomic.t;
     l_cancelled : int Atomic.t;
@@ -112,21 +114,10 @@ module Serve = struct
        terminal transition wakes them all (one atomic read when nobody
        waits). *)
     completion : Parking.t;
-    (* Requests currently suspended on a promise: their job body
-       performed [await], parked its continuation, and has neither
-       completed nor been cancelled.  The [suspended] term of the
-       await-aware conservation invariant: at every quiescent point
-       [accepted = completed + cancelled + exceptions + suspended],
-       collapsing to the old identity at drain (when every promise has
-       been resolved and suspended = 0). *)
-    suspended_now : int Atomic.t;
-    (* The serve-level fiber scheduler: the pool's sched with the
-       suspend/resume hooks wrapped to maintain [suspended_now].
-       Installed around every job body by [make_job] — the innermost
-       handler wins, so only top-level request suspensions count here
-       (a request's internal future joins park against the same record,
-       still counted once per park at the request level). *)
-    fsched : Fiber.sched;
+    (* Set by [drop_queued] alone, once every shard's workers are joined:
+       a job that starts with it set cancels its ticket with [Shutdown]
+       instead of running. *)
+    dropping : bool Atomic.t;
   }
 
   let bulk_credit_period = 4
@@ -165,8 +156,6 @@ module Serve = struct
         if hit then Counters.incr c Counters.lane_tasks
     | None -> ()
 
-  let run_of = function Some j -> Some j.run | None -> None
-
   (* ~1 h of nanoseconds per histogram: far beyond any realistic request
      latency, so overflow clamping is effectively unreachable while the
      bucket array stays small. *)
@@ -190,20 +179,19 @@ module Serve = struct
        except that accrued bulk credit forces a bulk-first poll
        (anti-starvation).  Each lane is FIFO. *)
     let take () =
-      run_of
-        (if Atomic.get credit >= bulk_credit_period - 1 && not (Injector.is_empty inbox) then
-           match Injector.try_pop inbox with
-           | Some _ as j ->
-               Atomic.set credit 0;
-               note_lane false;
-               j
-           | None -> poll_deadline ()
-         else
-           match poll_deadline () with
-           | Some _ as j ->
-               if not (Injector.is_empty inbox) then Atomic.incr credit;
-               j
-           | None -> Injector.try_pop inbox)
+      if Atomic.get credit >= bulk_credit_period - 1 && not (Injector.is_empty inbox) then
+        match Injector.try_pop inbox with
+        | Some _ as j ->
+            Atomic.set credit 0;
+            note_lane false;
+            j
+        | None -> poll_deadline ()
+      else
+        match poll_deadline () with
+        | Some _ as j ->
+            if not (Injector.is_empty inbox) then Atomic.incr credit;
+            j
+        | None -> Injector.try_pop inbox
     in
     let lanes =
       {
@@ -217,21 +205,6 @@ module Serve = struct
       Pool.create ~processes ?park_after ?yield_kind ?gate ?trace
         ~sources:(lanes :: Option.to_list overflow) ~spawn_all:true ()
     in
-    let suspended_now = Padding.atomic 0 in
-    let base = Worker.fiber_sched pool in
-    let fsched =
-      {
-        base with
-        Fiber.on_suspend =
-          (fun () ->
-            Atomic.incr suspended_now;
-            base.Fiber.on_suspend ());
-        on_resume =
-          (fun () ->
-            Atomic.decr suspended_now;
-            base.Fiber.on_resume ());
-      }
-    in
     {
       pool;
       inbox;
@@ -243,6 +216,7 @@ module Serve = struct
         Array.init 2 (fun _ ->
             {
               l_accepted = Padding.atomic 0;
+              l_started = Padding.atomic 0;
               l_completed = Padding.atomic 0;
               l_rejected = Padding.atomic 0;
               l_cancelled = Padding.atomic 0;
@@ -253,8 +227,7 @@ module Serve = struct
       group;
       credit;
       completion = Parking.create ();
-      suspended_now;
-      fsched;
+      dropping = Atomic.make false;
     }
 
   let pool s = s.pool
@@ -270,16 +243,23 @@ module Serve = struct
       lane_misses = Atomic.get l.l_misses;
     }
 
-  (* The totals, summed from the lane ledger. *)
+  (* The totals, summed from the lane ledger.  [suspended] is derived:
+     the requests started and not yet settled.  Every settle follows its
+     start, so reading [l_started] after the settle counters keeps it
+     from reading negative. *)
   let stats s =
-    let b = lane_stats s Bulk and d = lane_stats s Deadline in
+    let b = lane_stats s Bulk in
+    let d = lane_stats s Deadline in
+    let started = Atomic.get s.by_lane.(0).l_started + Atomic.get s.by_lane.(1).l_started in
+    let completed = b.lane_completed + d.lane_completed in
+    let exceptions = b.lane_exceptions + d.lane_exceptions in
     {
       accepted = b.lane_accepted + d.lane_accepted;
-      completed = b.lane_completed + d.lane_completed;
+      completed;
       rejected = b.lane_rejected + d.lane_rejected;
       cancelled = b.lane_cancelled + d.lane_cancelled;
-      exceptions = b.lane_exceptions + d.lane_exceptions;
-      suspended = Atomic.get s.suspended_now;
+      exceptions;
+      suspended = started - completed - exceptions;
     }
 
   let inbox_depth s = Injector.size s.inbox + Injector.size s.dl_inbox
@@ -324,60 +304,59 @@ module Serve = struct
         find 0
     | _ -> 0
 
-  let make_job s tk f =
-    let lat = s.lat.(lane_idx tk.tk_lane) in
-    let run () =
-      (* The whole body — claim, work, settle — runs under the serve
-         fiber handler.  If [f] awaits a pending promise, [run] returns
-         with the continuation (including the settlement code below)
-         parked, and the worker moves on: the ticket stays claimed but
-         unsettled, and the request counts in [suspended_now] until its
-         resume settles it.  Note that [run_h] therefore measures
-         claim-to-settle request latency, await time included. *)
-      Fiber.run s.fsched (fun () ->
-          let start = Clock.now () in
-          let expired = match tk.t_deadline with Some dl -> start > dl | None -> false in
-          if expired then ignore (drop s tk Deadline)
-          else if claim tk then begin
-            let l = s.by_lane.(lane_idx tk.tk_lane) in
-            Log_histogram.Sharded.record lat.queue_h ~shard:(slot s) (start - tk.submitted);
-            let raised =
-              match f () with
-              | v ->
-                  Fiber.Promise.fulfil tk.promise (Returned v);
-                  false
-              | exception e ->
-                  Fiber.Promise.fulfil tk.promise (Raised e);
-                  true
-            in
-            let settle = Clock.now () in
-            (* Deadline-miss accounting: the ticket settled (either way)
-               past its absolute deadline.  A drop before the claim is a
-               cancellation, not a miss — it never ran. *)
-            (match tk.t_deadline with
-            | Some dl when settle > dl ->
-                Atomic.incr l.l_misses;
-                (* The worker that settled the job counts the miss. *)
-                Option.iter
-                  (fun c -> Counters.incr c Counters.deadline_misses)
-                  (Worker.exec_counters ())
-            | _ -> ());
-            (* The settle may run on a different worker (or pool) than the
-               start when the body suspended and migrated: record into the
-               settling worker's slot. *)
-            let shard = slot s in
-            Log_histogram.Sharded.record lat.run_h ~shard (settle - start);
-            Log_histogram.Sharded.record lat.sojourn_h ~shard (settle - tk.submitted);
-            (* The ledger moves last: a [drain] that sees it settled also
-               sees every latency sample. *)
-            Atomic.incr (if raised then l.l_exceptions else l.l_completed);
-            Parking.wake_all s.completion
-          end
-          (* else: cancelled between dequeue and claim — the canceller
-             counted and signalled. *))
-    in
-    let abort () = ignore (drop s tk Shutdown) in
-    { run; abort }
+  (* The job body: claim, work, settle.  The worker's [exec] runs it
+     under the pool's fiber handler, the only one on the stack: if [f]
+     awaits a pending promise, the job returns with the rest of the body
+     (the settlement below included) parked, and the worker moves on.
+     The ticket stays claimed but unsettled, counted in [l_started] and
+     in no settle counter, until its resume settles it, so [run_h]
+     measures claim-to-settle latency, await time included. *)
+  let run_job tk f =
+    let s = tk.srv in
+    if Atomic.get s.dropping then ignore (drop s tk Shutdown)
+    else
+      let start = Clock.now () in
+      let expired = match tk.t_deadline with Some dl -> start > dl | None -> false in
+      if expired then ignore (drop s tk Deadline)
+      else if claim tk then begin
+        let l = s.by_lane.(lane_idx tk.tk_lane) in
+        let lat = s.lat.(lane_idx tk.tk_lane) in
+        Atomic.incr l.l_started;
+        Log_histogram.Sharded.record lat.queue_h ~shard:(slot s) (start - tk.submitted);
+        let raised =
+          match f () with
+          | v ->
+              Fiber.Promise.fulfil tk.promise (Returned v);
+              false
+          | exception e ->
+              Fiber.Promise.fulfil tk.promise (Raised e);
+              true
+        in
+        let settle = Clock.now () in
+        (* Deadline-miss accounting: the ticket settled (either way)
+           past its absolute deadline.  A drop before the claim is a
+           cancellation, not a miss — it never ran. *)
+        (match tk.t_deadline with
+        | Some dl when settle > dl ->
+            Atomic.incr l.l_misses;
+            (* The worker that settled the job counts the miss. *)
+            Option.iter
+              (fun c -> Counters.incr c Counters.deadline_misses)
+              (Worker.exec_counters ())
+        | _ -> ());
+        (* The settle may run on a different worker (or pool) than the
+           start when the body suspended and migrated: record into the
+           settling worker's slot. *)
+        let shard = slot s in
+        Log_histogram.Sharded.record lat.run_h ~shard (settle - start);
+        Log_histogram.Sharded.record lat.sojourn_h ~shard (settle - tk.submitted);
+        (* The ledger moves last: a [drain] that sees it settled also
+           sees every latency sample. *)
+        Atomic.incr (if raised then l.l_exceptions else l.l_completed);
+        Parking.wake_all s.completion
+      end
+      (* else: cancelled between dequeue and claim — the canceller
+         counted and signalled. *)
 
   let refuse l ~count_reject why =
     if count_reject then Atomic.incr l.l_rejected;
@@ -408,7 +387,7 @@ module Serve = struct
       let target = match lane with Bulk -> s.inbox | Deadline -> s.dl_inbox in
       let refused =
         if not (Atomic.get s.admitting) then Some Draining
-        else if Injector.try_push target (make_job s tk f) then None
+        else if Injector.try_push target (fun () -> run_job tk f) then None
         else Some Inbox_full
       in
       match refused with
@@ -455,14 +434,15 @@ module Serve = struct
      sibling shard may still cross-steal them. *)
   let join_workers s = if not (Atomic.exchange s.stopped true) then Pool.shutdown s.pool
 
+  (* Every shard's workers are joined: drop what is left on either lane
+     so every accepted task reaches a terminal state.  Each leftover job
+     runs here, sees [dropping] and cancels its ticket with [Shutdown]. *)
   let drop_queued s =
-    (* Workers are joined (or known not to dequeue anymore): drop what is
-       left on either lane so every accepted task reaches a terminal
-       state. *)
+    Atomic.set s.dropping true;
     let rec drop_all inbox =
       match Injector.try_pop inbox with
-      | Some j ->
-          j.abort ();
+      | Some job ->
+          job ();
           drop_all inbox
       | None -> ()
     in
@@ -513,7 +493,7 @@ let rec deadline_scan serves my r i =
   if i = Array.length serves - 1 then None
   else
     match Injector.try_pop (sibling serves my r i).dl_inbox with
-    | Some job -> Some job.run
+    | Some _ as got -> got
     | None -> deadline_scan serves my r (i + 1)
 
 (* One cross-shard attempt per trip on which every intra-shard source
@@ -524,9 +504,9 @@ let rec deadline_scan serves my r i =
    random sibling's lane per trip doubled the 4-shard deadline sojourn
    p99 (EXPERIMENTS.md, E30).  The scan starts at a uniformly random
    sibling, which then also gets the rest of the attempt: one random
-   worker's deque top, then its bulk lane.  A stolen job keeps its
-   closures over its home shard's ticket and counters, so the per-shard
-   conservation invariant is unaffected by where it runs. *)
+   worker's deque top, then its bulk lane.  A stolen job closes over its
+   home shard's ticket and counters, so the per-shard conservation
+   invariant is unaffected by where it runs. *)
 let cross_take group my () =
   let serves = Atomic.get group in
   if Array.length serves <= 1 then None
@@ -539,7 +519,7 @@ let cross_take group my () =
         let s = sibling serves my r 0 in
         match Pool.steal_from s.pool ~victim:(Abp_stats.Rng.int rng (Pool.size s.pool)) with
         | Some _ as got -> got
-        | None -> run_of (Injector.try_pop s.inbox))
+        | None -> Injector.try_pop s.inbox)
 
 (* Advisory view for the parking protocol: is there anything a
    cross-shard steal could still acquire?  O(total workers), but only
@@ -822,11 +802,9 @@ let pp_report ppf t =
     (fun lane ->
       let ls = lane_stats t lane in
       if ls.lane_accepted > 0 || ls.lane_rejected > 0 then begin
-        Fmt.pf ppf
-          "%s lane: accepted %d  completed %d  rejected %d  cancelled %d  exceptions %d  \
-           misses %d@."
+        Fmt.pf ppf "%s lane: accepted %d  completed %d  rejected %d  cancelled %d  exceptions %d@."
           (lane_name lane) ls.lane_accepted ls.lane_completed ls.lane_rejected ls.lane_cancelled
-          ls.lane_exceptions ls.lane_misses;
+          ls.lane_exceptions;
         Option.iter
           (Fmt.pf ppf "%s sojourn: %a@." (lane_name lane) pp_latency)
           (lane_sojourn_latency t lane)

@@ -33,10 +33,12 @@
        Figure 3's steal attempts.  Every cross-shard acquisition moves
        exactly one task.}}
 
-    Cross-stolen jobs keep their closures over their {e home} shard's
-    tickets and ledger, so each shard's conservation invariant holds no
-    matter where its tasks run ({!conserved} checks all shards after
-    {!drain}/{!shutdown}).  The thief's pool counts the transfer in its
+    A cross-stolen job closes over its {e home} shard's ticket and
+    ledger, so each shard's conservation invariant holds no matter where
+    its tasks run ({!conserved} checks all shards after
+    {!drain}/{!shutdown}).  It runs under the fiber handler of the
+    worker that starts it, so a fulfil from off the pools (a backend)
+    sends its parked continuation to that worker's pool.  The thief's pool counts the transfer in its
     [cross_polls]/[cross_shard_steals]/[cross_stolen_tasks] telemetry
     ({!Abp_trace.Counters}) and emits [Cross] events when traced.
 
@@ -49,16 +51,18 @@
     {2 The ledger}
 
     Each shard counts admissions per lane in padded atomics; its totals
-    ({!Serve.stats}) are the lane sums, so an admission or a settle costs
-    one atomic increment.  Request bodies run under a fiber handler, and
-    a request parked on a promise counts in [suspended], so at every
-    quiescent point
+    ({!Serve.stats}) are the lane sums, so an admission, a start or a
+    settle costs one atomic increment.  Every accepted ticket is claimed
+    at most once: by a worker, which counts a start, or by a dropper
+    (cancel, deadline, shutdown), which counts a cancellation.  A
+    started request that has not settled, running or parked on a
+    promise, counts in [suspended], so at every quiescent point
 
     {[ accepted = completed + cancelled + exceptions + suspended ]}
 
-    per shard, collapsing to [accepted = completed + cancelled +
-    exceptions] once drained ([rejected] counts only refused
-    submissions).  {!drain} can only finish once every promise a request
+    per shard: every accepted ticket was claimed exactly once.  Once
+    drained it collapses to [accepted = completed + cancelled +
+    exceptions] ([rejected] counts only refused submissions).  {!drain} can only finish once every promise a request
     awaits has been resolved; that is the caller's or backend's
     responsibility.  Latencies go into one set of per-lane log-scale
     histograms for the whole server ({!Abp_stats.Log_histogram.Sharded}),
@@ -118,11 +122,11 @@ module Serve : sig
     cancelled : int;  (** accepted tasks dropped before starting *)
     exceptions : int;  (** tasks that ran and raised *)
     suspended : int;
-        (** requests currently parked on a promise (started, not yet
-            settled) — the await-aware term; 0 after a drain *)
+        (** requests started and not yet settled, running or parked on
+            a promise: starts minus [completed] minus [exceptions],
+            never negative; 0 after a drain *)
   }
-  (** The totals: each field but [suspended] (a per-shard gauge) is the
-      sum of the two lanes' counters. *)
+  (** The totals: each field is the sum of the two lanes' counters. *)
 
   type lane_stats = {
     lane_accepted : int;
@@ -284,11 +288,13 @@ val stats : t -> Serve.stats
 
 val conserved : t -> bool
 (** [accepted = completed + cancelled + exceptions + suspended] on
-    {e every} shard individually (hence also in aggregate) — the
-    await-aware identity, which collapses to the classic
+    {e every} shard individually (hence also in aggregate): every
+    accepted ticket was claimed exactly once, by a worker that started
+    it or by a dropper.  It collapses to the classic
     [accepted = completed + cancelled + exceptions] after {!drain}
     (every promise resolved, so [suspended = 0]).  Meaningful at
-    quiescent points and after {!drain}/{!shutdown}. *)
+    quiescent points (no request still queued) and after
+    {!drain}/{!shutdown}. *)
 
 val lane_stats : t -> Serve.lane -> Serve.lane_stats
 (** Field-wise sum of the per-shard {!Serve.lane_stats} for one lane. *)
@@ -346,4 +352,5 @@ val pp_report : Format.formatter -> t -> unit
 (** Human-readable report: aggregate admission counters, cross-shard
     steal telemetry, one line per shard (routing, ledger, inbox depth
     and high-water mark), queue and run latency over every shard, and
-    per-lane counters with sojourn latency. *)
+    per-lane ledger counters with sojourn latency (deadline misses are
+    in {!lane_stats}). *)

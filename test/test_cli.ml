@@ -164,7 +164,7 @@ let hoodserve_sharded_json_schema () =
     (fun key ->
       Alcotest.(check bool) (Printf.sprintf "json has %s" key) true (contains s key))
     [
-      {|"schema":"hoodserve/6"|};
+      {|"schema":"hoodserve/7"|};
       {|"shards":3|};
       {|"affinity":"key"|};
       {|"conserved":true|};
@@ -196,7 +196,7 @@ let hoodserve_await_json_schema () =
     (fun key ->
       Alcotest.(check bool) (Printf.sprintf "json has %s" key) true (contains s key))
     [
-      {|"schema":"hoodserve/6"|};
+      {|"schema":"hoodserve/7"|};
       {|"await_depth":2|};
       {|"backend_ms":0.200|};
       {|"conserved":true|};
@@ -228,7 +228,7 @@ let hoodserve_open_loop_lanes_json_schema () =
     (fun key ->
       Alcotest.(check bool) (Printf.sprintf "json has %s" key) true (contains s key))
     [
-      {|"schema":"hoodserve/6"|};
+      {|"schema":"hoodserve/7"|};
       {|"lanes":true|};
       {|"open_loop":true|};
       {|"arrival":"poisson"|};
@@ -338,6 +338,40 @@ let hoodserve_json_one_task_per_cross_steal () =
   Alcotest.(check bool) "cross steals <= cross polls" true
     (json_int s "cross_shard_steals" <= json_int s "cross_polls")
 
+(* Deadline misses are known only when requests carry a deadline: with
+   no --deadline the JSON reports them as null (total and per lane) and
+   the console as n/a; with one they are counts, 0 here under a 10 s
+   deadline. *)
+let hoodserve_misses_null_without_deadline () =
+  let run extra =
+    let json = Filename.temp_file "abp_cli" ".json" in
+    let out = Filename.temp_file "abp_cli" ".stdout" in
+    let code, err =
+      run_capturing ~stdout:out
+        (Printf.sprintf "hoodserve.exe -p 1 --clients 1 --requests 40 --fib 8 --lanes%s --json %s"
+           extra json)
+    in
+    Alcotest.(check int) "exit 0" 0 code;
+    Alcotest.(check string) "silent stderr" "" err;
+    let read f =
+      let ic = open_in f in
+      let s = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Sys.remove f;
+      s
+    in
+    (read json, read out)
+  in
+  let json, console = run "" in
+  Alcotest.(check bool) "total misses null" true (contains json {|"deadline_misses":null|});
+  Alcotest.(check bool) "lane misses null" true (contains json {|"misses":null,"sojourn"|});
+  Alcotest.(check bool) "no lane misses count" false (contains json {|"misses":0|});
+  Alcotest.(check bool) "console n/a" true (contains console "deadline misses n/a");
+  let json, console = run " --deadline 10" in
+  Alcotest.(check int) "total misses counted" 0 (json_int json "deadline_misses");
+  Alcotest.(check bool) "lane misses counted" false (contains json {|"misses":null|});
+  Alcotest.(check bool) "console count" true (contains console "deadline misses 0 (bulk 0")
+
 let tests =
   [
     Alcotest.test_case "hoodrun: crash workload exits 1 + stderr" `Quick
@@ -366,6 +400,8 @@ let tests =
     Alcotest.test_case "hoodserve: hash affinity runs" `Quick hoodserve_hash_affinity_succeeds;
     Alcotest.test_case "hoodserve: invalid shards exit 1" `Quick
       hoodserve_invalid_shards_exit_nonzero;
+    Alcotest.test_case "hoodserve: deadline misses are null without --deadline" `Quick
+      hoodserve_misses_null_without_deadline;
     Alcotest.test_case "mcheckrun: bad scenario or tag width is a usage error" `Quick
       mcheckrun_usage_errors;
     Alcotest.test_case "mcheckrun: wsm-thief verified" `Quick (mcheckrun_verified "wsm-thief");

@@ -102,8 +102,7 @@ let inline_sched_suspends_and_resumes () =
 (* The handler itself: the effect function's closure over [sched],
    the one-field handler record [try_with] takes and the runtime's
    wrapper of the effect function.  [Fiber.run] wraps every task a pool
-   executes, a served request's job and its inner handler, and every
-   resume.  Word counts repeat exactly, so this is an exact bound. *)
+   executes, a served request's job included, and every resume.  Word counts repeat exactly, so this is an exact bound. *)
 let inline_sched_run_allocation () =
   let n = 10_000 in
   let body () = () in
@@ -597,9 +596,12 @@ let serve_suspended_identity_midflight () =
       let n = 4 in
       let tickets = List.init n (fun _ -> Shard.submit s (fun () -> Fiber.await gatep)) in
       (* Quiescent point: all n requests accepted, started, and parked
-         on the promise; no worker holds any of them on its stack. *)
+         on the promise; no worker holds any of them on its stack.
+         [suspended] counts from the claim, so a started request still
+         on its way to the await counts too: wait on the pool's gauge
+         of parked continuations first. *)
       Alcotest.(check bool) "all requests parked" true
-        (eventually (fun () -> (Shard.stats s).Serve.suspended = n));
+        (eventually (fun () -> Pool.suspended (Serve.pool (Shard.serve s 0)) = n));
       let st = Shard.stats s in
       Alcotest.(check int) "accepted" n st.Serve.accepted;
       Alcotest.(check int) "none completed while parked" 0 st.Serve.completed;

@@ -402,23 +402,35 @@ let drain_races_admission () =
 let shutdown_drops_queued_and_is_idempotent () =
   let executed = Atomic.make 0 in
   let s = Shard.create ~processes:1 ~shards:1 () in
-  let release = Atomic.make false in
+  let closing = Atomic.make false in
   let started = Atomic.make false in
   let blocker =
     Shard.submit s (fun () ->
         Atomic.set started true;
-        while not (Atomic.get release) do
+        while not (Atomic.get closing) do
           Domain.cpu_relax ()
         done;
+        (* Let [shutdown] raise the pool's flag before this returns, so
+           that the worker exits with the other tasks still queued. *)
+        Unix.sleepf 0.01;
         Atomic.incr executed)
   in
-  let queued = List.init 5 (fun i -> Shard.submit s (fun () -> Atomic.incr executed; i)) in
+  (* A queued body must never run on the domain that shuts down: the
+     dropper cancels what is left, it does not run it. *)
+  let me = Domain.self () and ran_here = Atomic.make false in
+  let queued =
+    List.init 5 (fun i ->
+        Shard.submit s (fun () ->
+            if Domain.self () = me then Atomic.set ran_here true;
+            Atomic.incr executed;
+            i))
+  in
   (* Wait until the worker is actually mid-run on the blocker; otherwise
      shutdown could drop it while it is still queued. *)
   while not (Atomic.get started) do
     Domain.cpu_relax ()
   done;
-  Atomic.set release true;
+  Atomic.set closing true;
   (* The blocker is mid-run; shutdown lets it finish, then joins the
      worker and drops whatever it did not get to. *)
   Shard.shutdown s;
@@ -438,7 +450,9 @@ let shutdown_drops_queued_and_is_idempotent () =
       | Some (Serve.Returned _) | Some (Serve.Cancelled Serve.Shutdown) -> ()
       | Some _ -> Alcotest.fail "unexpected terminal state"
       | None -> Alcotest.fail "ticket unresolved after shutdown")
-    queued
+    queued;
+  Alcotest.(check bool) "no queued body ran on the shutting-down domain" false
+    (Atomic.get ran_here)
 
 (* The acceptance-criterion stress: 4 submitting domains race a small
    inbox; after the submitters finish, drain must satisfy
@@ -1042,11 +1056,22 @@ let settled_value what t =
   | Some (Serve.Returned v) -> v
   | _ -> Alcotest.failf "%s settled with the wrong outcome" what
 
+(* The number of continuations parked under shard [i]'s pool, and how
+   many its workers have resumed. *)
+let parked s i = Abp_hood.Pool.suspended (Serve.pool (Shard.serve s i))
+
+let resumes s i =
+  let c = Abp_trace.Counters.sum (Abp_hood.Pool.counters (Serve.pool (Shard.serve s i))) in
+  Abp_trace.Counters.(get c resumes)
+
 (* A request parked on a promise that a non-pool domain (here the test's
-   own) fulfils comes back through its home shard's resume inbox, the
-   only way back for an off-pool wake: the value arrives, the home
-   shard's [suspended] gauge returns to 0 and the group is conserved. *)
-let shard_offpool_fulfil_resumes_at_home () =
+   own) fulfils comes back through the resume inbox of the pool whose
+   worker started it, the only way back for an off-pool wake.  With one
+   worker per shard, shard 1's thief may have cross-stolen the request,
+   so that pool is shard 1's as often as the home shard's.  The value
+   arrives, the home shard's [suspended] returns to 0 and the group is
+   conserved. *)
+let shard_offpool_fulfil_resumes_where_started () =
   let s = Shard.create ~processes:1 ~shards:2 () in
   Fun.protect ~finally:(fun () -> Shard.shutdown s) (fun () ->
       let home = 0 in
@@ -1054,11 +1079,15 @@ let shard_offpool_fulfil_resumes_at_home () =
       let suspended i = (Serve.stats (Shard.serve s i)).Serve.suspended in
       let pr : int Promise.t = Promise.create () in
       let t = Shard.submit s ~key (fun () -> Abp_fiber.Fiber.await pr + 1) in
-      Alcotest.(check bool) "request parked on its home shard" true
-        (Test_util.wait_until (fun () -> suspended home = 1));
-      Alcotest.(check int) "nothing parked on the other shard" 0 (suspended (1 - home));
+      Alcotest.(check bool) "request parked" true
+        (Test_util.wait_until (fun () -> parked s 0 + parked s 1 = 1));
+      let started = if parked s 0 = 1 then 0 else 1 in
+      Alcotest.(check int) "counted suspended on its home shard" 1 (suspended home);
+      Alcotest.(check int) "nothing suspended on the other shard" 0 (suspended (1 - home));
       Promise.fulfil pr 41;
       Alcotest.(check int) "awaiter got the value" 42 (settled_value "parked request" t);
+      Alcotest.(check int) "resumed by the pool that started it" 1 (resumes s started);
+      Alcotest.(check int) "not by the other pool" 0 (resumes s (1 - started));
       let st = Shard.drain s in
       Alcotest.(check int) "completed" 1 st.Serve.completed;
       Alcotest.(check int) "nothing left suspended" 0 (suspended home);
@@ -1075,8 +1104,9 @@ let shard_worker_fulfil_resumes_parked_request () =
       let suspended i = (Serve.stats (Shard.serve s i)).Serve.suspended in
       let pr : int Promise.t = Promise.create () in
       let waiter = Shard.submit s ~key:ka (fun () -> Abp_fiber.Fiber.await pr * 2) in
-      Alcotest.(check bool) "waiter parked on shard 0" true
-        (Test_util.wait_until (fun () -> suspended 0 = 1));
+      Alcotest.(check bool) "waiter parked" true
+        (Test_util.wait_until (fun () -> parked s 0 + parked s 1 = 1));
+      Alcotest.(check int) "waiter counted suspended on shard 0" 1 (suspended 0);
       let fulfiller =
         Shard.submit s ~key:kb (fun () ->
             Promise.fulfil pr 21;
@@ -1107,6 +1137,36 @@ let sojourn_samples_survive_cross_steals () =
         Alcotest.(check int) "one sojourn sample per completed request" ls.Serve.lane_completed
           (Abp_stats.Log_histogram.count (Shard.lane_sojourn_hist s Serve.Bulk)))
   done
+
+(* Words a served request allocates across all domains: 20,000
+   requests submitted and awaited one at a time from this domain through
+   a 1-shard, P = 1 server, minus a 0-request run, from [Gc.quick_stat]
+   after [Shard.shutdown] (the worker domains' counts are in it once
+   they have exited).  The caller yields until the request settles, so
+   that its [await] returns at once: a caller that parks in [await]
+   allocates 14 words more, and the worker makes idle trips while the
+   parked caller wakes, each of which allocates, as many as the CPUs
+   the run gets allow.  This build read 90 words, against 118 with a
+   second fiber handler and a two-closure record per request. *)
+let words_per_served_request () =
+  let words n =
+    let before = (Gc.quick_stat ()).Gc.minor_words in
+    let s = Shard.create ~processes:1 ~shards:1 () in
+    for i = 1 to n do
+      let t = Shard.submit s (fun () -> i) in
+      while not (Abp_fiber.Fiber.Promise.is_resolved (Serve.outcome t)) do
+        Abp_trace.Clock.yield_cpu ()
+      done;
+      ignore (Serve.await t)
+    done;
+    Shard.shutdown s;
+    (Gc.quick_stat ()).Gc.minor_words -. before
+  in
+  let n = 20_000 in
+  let base = words 0 in
+  let per_request = (words n -. base) /. float_of_int n in
+  if per_request > 105. then
+    Alcotest.failf "a served request allocates %.1f words (> 105)" per_request
 
 let tests =
   [
@@ -1165,12 +1225,14 @@ let tests =
       (cross_steals_drain_pinned_shard Serve.Bulk);
     Alcotest.test_case "shard: deadline relief drains a pinned shard's deadline lane" `Quick
       (cross_steals_drain_pinned_shard Serve.Deadline);
-    Alcotest.test_case "shard: off-pool fulfil resumes at home" `Quick
-      shard_offpool_fulfil_resumes_at_home;
+    Alcotest.test_case "shard: off-pool fulfil resumes on the pool that started it" `Quick
+      shard_offpool_fulfil_resumes_where_started;
     Alcotest.test_case "shard: worker fulfil resumes a parked request" `Quick
       shard_worker_fulfil_resumes_parked_request;
     Alcotest.test_case "lanes: the ledger partitions across 2 shards" `Quick
       (lane_conservation_and_latency ~shards:2);
     Alcotest.test_case "shard: every settle leaves one sojourn sample" `Quick
       sojourn_samples_survive_cross_steals;
+    Alcotest.test_case "shard: at most 105 words per served request" `Quick
+      words_per_served_request;
   ]
